@@ -1,6 +1,6 @@
 """Distortion-rate analysis of the uniformly sampled Wiener process.
 
-Closed-form distortion curves, a reverse-waterfilling engine over the
+Closed-form distortion curves, closed-form reverse waterfilling over the
 sampled-Wiener eigenvalue densities, finite-rank Karhunen-Loeve
 eigensystems, and seeded Monte-Carlo validation of the estimation and
 compress-and-estimate results.
@@ -9,21 +9,19 @@ compress-and-estimate results.
 __version__ = "0.1.0"
 
 from .drf import (DistortionBundle, RateSpec, bundle, ce_penalty, d_bar, d_ce,
-                  d_ce_assembled, d_opt, d_tilde, d_upper, d_w,
-                  dr_asym_coeffs, equilibrium_rbar, g_fun, mmse_fs, ratio_qnt,
-                  ratio_smp)
+                  d_opt, d_tilde, d_upper, d_w, dr_asym_coeffs,
+                  equilibrium_rbar, g_fun, mmse_fs, ratio_qnt, ratio_smp)
 from .mc import (CeEstimate, ErrorMoments, MomentEstimate, PathBundle,
                  SimConfig, ce_distortion_estimate, ce_moment_oracle,
                  empirical_mmse, kl_coeff_from_samples, lemma_bounds,
                  mc_test_channel_run, simulate_paths)
-from .quadrature import QuadratureError
 from .spectral import (EigenSystem, NumericalDegeneracyError, ProcessParams,
                        SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER, SpectralDensity,
                        constant_density, discrete_wiener_eigensystem,
                        fredholm_residual, interp_kernel_eigensystem, s_bar,
                        s_tilde_density)
-from .waterfill import (WaterfillPoint, distortion_at_theta, integrate_density,
-                        rate_at_theta, solve_theta_for_rate)
+from .waterfill import (WaterfillPoint, distortion_at_theta, rate_at_theta,
+                        solve_theta_for_rate)
 
 __all__ = [
     "__version__",
@@ -32,11 +30,10 @@ __all__ = [
     "EigenSystem", "discrete_wiener_eigensystem", "interp_kernel_eigensystem",
     "fredholm_residual", "NumericalDegeneracyError",
     "WaterfillPoint", "distortion_at_theta", "rate_at_theta",
-    "solve_theta_for_rate", "integrate_density", "QuadratureError",
+    "solve_theta_for_rate",
     "RateSpec", "DistortionBundle", "d_w", "d_bar", "mmse_fs", "d_opt",
-    "d_tilde", "equilibrium_rbar", "g_fun", "d_ce", "d_ce_assembled",
-    "d_upper", "ratio_smp", "ratio_qnt", "ce_penalty", "dr_asym_coeffs",
-    "bundle",
+    "d_tilde", "equilibrium_rbar", "g_fun", "d_ce", "d_upper", "ratio_smp",
+    "ratio_qnt", "ce_penalty", "dr_asym_coeffs", "bundle",
     "SimConfig", "PathBundle", "ErrorMoments", "MomentEstimate", "CeEstimate",
     "simulate_paths", "empirical_mmse", "kl_coeff_from_samples",
     "lemma_bounds", "ce_moment_oracle", "ce_distortion_estimate",

@@ -20,14 +20,12 @@ import numpy as np
 import scipy
 
 from . import __version__, drf, mc
-from .quadrature import QuadratureError
 from .spectral import (NumericalDegeneracyError, ProcessParams,
                        discrete_wiener_eigensystem, interp_kernel_eigensystem,
                        s_bar, s_tilde_density)
-from .waterfill import BracketExpansionError
 
-_NUMERICAL_ERRORS = (QuadratureError, NumericalDegeneracyError,
-                     BracketExpansionError)
+#: FloatingPointError: a water level past the floating-point range
+_NUMERICAL_ERRORS = (FloatingPointError, NumericalDegeneracyError)
 
 
 def _fmt(value: float) -> str:
@@ -78,35 +76,18 @@ def _sweep(args) -> np.ndarray:
     return np.linspace(args.min, args.max, args.points)
 
 
-def _validate_rbar_range(rbars) -> None:
-    low = np.min(rbars)
-    if low < drf.MIN_RBAR:
-        raise ValueError(
-            f"sweep reaches {low:.3g} bits per sample, below the supported"
-            f" minimum {drf.MIN_RBAR}")
-
-
 def _cmd_curve(args) -> int:
     grid = _sweep(args)
     if args.rate is None:
-        rbars = grid / args.fs       # sweep R at fixed fs
+        fs, rate = args.fs, grid     # sweep R at fixed fs
     else:
-        rbars = args.rate / grid     # sweep fs at fixed R
-    _validate_rbar_range(rbars)
-
+        fs, rate = grid, args.rate   # sweep fs at fixed R
+    b = drf.sweep(args.sigma2, fs, rate)
+    scale = np.asarray(fs) / args.sigma2 if args.normalized else 1.0
     header = ["x", "d_opt", "d_ce", "d_upper", "d_w", "d_bar", "mmse",
               "theta_opt", "theta_ce"]
-    rows = []
-    for x in grid:
-        if args.rate is None:
-            p, r = ProcessParams(sigma2=args.sigma2, fs=args.fs), drf.RateSpec(x)
-        else:
-            p, r = ProcessParams(sigma2=args.sigma2, fs=x), drf.RateSpec(args.rate)
-        b = drf.bundle(p, r)
-        scale = p.fs / p.sigma2 if args.normalized else 1.0
-        rows.append([x, b.d_opt * scale, b.d_ce * scale, b.d_upper * scale,
-                     b.d_w * scale, b.d_bar * scale, b.mmse * scale,
-                     b.theta_opt, b.theta_ce])
+    columns = [grid] + [getattr(b, name) * scale for name in header[1:7]]
+    rows = np.column_stack(columns + [b.theta_opt, b.theta_ce])
     _write_csv_atomic(args.out, header, rows)
     _write_manifest(args.out, "curve", args)
     return 0
@@ -114,10 +95,10 @@ def _cmd_curve(args) -> int:
 
 def _cmd_ratio(args) -> int:
     rbars = _sweep(args)
-    _validate_rbar_range(rbars)
+    s = drf.sections(rbars)
     header = ["rbar", "ratio_smp", "ratio_qnt", "ce_penalty", "d_tilde"]
-    rows = [[r, drf.ratio_smp(r), drf.ratio_qnt(r), drf.ce_penalty(r),
-             drf.d_tilde(r)] for r in rbars]
+    rows = np.column_stack([rbars, s.ratio_smp, s.ratio_qnt, s.ce_penalty,
+                            s.d_tilde])
     _write_csv_atomic(args.out, header, rows)
     _write_manifest(args.out, "ratio", args)
     return 0

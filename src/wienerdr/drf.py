@@ -18,6 +18,11 @@ ratios) depend on rbar alone; the absolute functions scale linearly in
 sigma2 and reduce to the rbar forms, which is what makes a single
 equilibrium point and a single penalty curve meaningful.
 
+Every curve comes from the closed-form waterfilling kernel
+(``waterfill.water_levels``), called once per density over a whole array of
+rbar: ``sections`` gives the dimensionless curves and ``sweep`` the
+absolute ones; the scalar functions are the same computation at one point.
+
 Two distinct water levels coexist: the shifted density's (d_opt) and the
 unshifted density's (d_bar, d_ce).  ``DistortionBundle`` carries both so
 they cannot be mixed up.
@@ -27,17 +32,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .spectral import SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER, ProcessParams
-from .waterfill import (WaterfillPoint, integrate_density, integrate_on_unit,
-                        solve_theta_for_rate)
+from .waterfill import (WaterLevels, distortion_at_theta, rate_at_theta,
+                        water_levels)
 
 __all__ = [
     "RateSpec",
     "DistortionBundle",
+    "Sections",
     "MIN_RBAR",
     "d_w",
     "d_bar",
@@ -47,19 +52,24 @@ __all__ = [
     "equilibrium_rbar",
     "g_fun",
     "d_ce",
-    "d_ce_assembled",
     "d_upper",
     "ratio_smp",
     "ratio_qnt",
     "ce_penalty",
     "dr_asym_coeffs",
     "bundle",
+    "sections",
+    "sweep",
 ]
 
-#: below this many bits per sample the distortion integrals blow up
+#: smallest supported bits per sample; the range runs up to
+#: ``waterfill.MAX_RBAR`` (about 510.66), past which the water levels underflow
 MIN_RBAR = 1e-4
 
 _ORDERING_SLACK = 1e-9
+
+#: d_w * R / sigma2, the leading R**-1 coefficient of d_bar and d_opt
+_DW_COEF = 2.0 / (math.pi ** 2 * math.log(2.0))
 
 
 @dataclass(frozen=True)
@@ -82,9 +92,10 @@ class DistortionBundle:
     """All distortion curves at one (params, rate) point, plus both water levels.
 
     Distortions are per unit time (units of sigma2); thetas are in units of
-    sigma2/fs.  Construction enforces the ordering
+    sigma2/fs.  Fields are floats, or arrays of one shape for a ``sweep``.
+    Construction enforces, at every point, the ordering
     max{mmse, d_w} <= d_opt <= d_ce <= d_upper and d_bar <= d_w up to a
-    1e-9 slack; a violation indicates a quadrature failure.
+    1e-9 slack; a violation indicates a numerical defect in the curves.
     """
 
     d_opt: float
@@ -97,33 +108,90 @@ class DistortionBundle:
     theta_ce: float
 
     def __post_init__(self):
-        slack = _ORDERING_SLACK * max(1.0, abs(self.d_upper))
-        ordered = (max(self.mmse, self.d_w) - slack <= self.d_opt
-                   <= self.d_ce + slack <= self.d_upper + 2 * slack)
-        if not (ordered and self.d_bar <= self.d_w + slack):
-            raise ValueError("distortion ordering violated; quadrature suspect")
+        slack = _ORDERING_SLACK * np.maximum(1.0, np.abs(self.d_upper))
+        ordered = ((np.maximum(self.mmse, self.d_w) - slack <= self.d_opt)
+                   & (self.d_opt <= self.d_ce + slack)
+                   & (self.d_ce + slack <= self.d_upper + 2 * slack)
+                   & (self.d_bar <= self.d_w + slack))
+        if not np.all(ordered):
+            raise ValueError(
+                "distortion ordering violated; the curves are suspect")
 
 
-def _check_rbar(rbar: float) -> float:
-    rbar = float(rbar)
-    if not rbar >= MIN_RBAR:
-        raise ValueError(f"bits per sample must be >= {MIN_RBAR}, got {rbar}")
-    return rbar
+@dataclass(frozen=True)
+class Sections:
+    """The dimensionless curves at bits per sample rbar (a float or an array).
+
+    ``shifted`` holds the water levels of the interpolator's density (d_opt),
+    ``sampled`` those of the walk's density (d_bar, d_ce).
+    """
+
+    rbar: np.ndarray
+    shifted: WaterLevels
+    sampled: WaterLevels
+
+    @property
+    def d_tilde(self):
+        return self.shifted.distortion
+
+    @property
+    def ratio_smp(self):
+        return self.rbar * (1.0 / 6.0 + self.d_tilde) / _DW_COEF
+
+    @property
+    def ratio_qnt(self):
+        return 1.0 + 6.0 * self.d_tilde
+
+    @property
+    def ce_penalty(self):
+        return (1.0 / 6.0 + self.sampled.ce) / (1.0 / 6.0 + self.d_tilde)
 
 
-@lru_cache(maxsize=65536)
-def _shifted_point(rbar: float) -> WaterfillPoint:
-    return solve_theta_for_rate(SHIFTED_SAMPLED_WIENER, rbar)
+def sections(rbar) -> Sections:
+    """Solve both water levels over rbar (float or array, >= MIN_RBAR)."""
+    rbar = np.asarray(rbar, dtype=float)
+    if not np.all(rbar >= MIN_RBAR):
+        raise ValueError(
+            f"bits per sample must be >= {MIN_RBAR}, got {np.min(rbar):.3g}")
+    return Sections(rbar, water_levels(SHIFTED_SAMPLED_WIENER, rbar),
+                    water_levels(SAMPLED_WIENER, rbar))
 
 
-@lru_cache(maxsize=65536)
-def _sampled_point(rbar: float) -> WaterfillPoint:
-    return solve_theta_for_rate(SAMPLED_WIENER, rbar)
+def sweep(sigma2, fs, rate) -> DistortionBundle:
+    """``bundle`` over arrays of sigma2, fs and rate (bits per unit time).
+
+    The three broadcast together; each must be positive and finite.  The
+    bundle's fields are arrays of the broadcast shape (floats for scalars).
+    """
+    sigma2, fs, rate = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (sigma2, fs, rate)))
+    for name, value in (("sigma2", sigma2), ("fs", fs), ("rate", rate)):
+        if not np.all((value > 0) & np.isfinite(value)):
+            raise ValueError(f"{name} must be positive and finite")
+    curves = sections(rate / fs)
+    scale = sigma2 / fs
+    mmse = scale / 6.0
+    walk = scale * curves.sampled.distortion
+    return DistortionBundle(
+        d_opt=mmse + scale * curves.d_tilde,
+        d_ce=mmse + scale * curves.sampled.ce,
+        d_upper=mmse + walk,
+        d_w=_DW_COEF * sigma2 / rate,
+        d_bar=walk,
+        mmse=mmse,
+        theta_opt=curves.shifted.theta,
+        theta_ce=curves.sampled.theta,
+    )
+
+
+def bundle(params: ProcessParams, rate: RateSpec) -> DistortionBundle:
+    """All six distortion values plus both water levels, computed once."""
+    return sweep(params.sigma2, params.fs, rate.rate)
 
 
 def d_w(rate: RateSpec, sigma2: float) -> float:
     """DRF of the continuous Wiener process: 2 sigma2 / (pi^2 ln2 R)."""
-    return 2.0 * sigma2 / (math.pi ** 2 * math.log(2.0) * rate.rate)
+    return _DW_COEF * sigma2 / rate.rate
 
 
 def mmse_fs(params: ProcessParams) -> float:
@@ -137,67 +205,49 @@ def d_bar(params: ProcessParams, rate: RateSpec) -> float:
     Equals (sigma2/fs) * 2**(-2 rbar) exactly for rbar >= 1, where the water
     level drops below the density floor 1/4.
     """
-    rbar = _check_rbar(rate.per_sample(params))
-    return (params.sigma2 / params.fs) * _sampled_point(rbar).distortion
+    return bundle(params, rate).d_bar
 
 
-def d_tilde(rbar: float) -> float:
+def d_tilde(rbar):
     """Dimensionless lossy-compression distortion of the interpolator.
 
     Waterfilled over the shifted density; satisfies
     d_opt = (sigma2/fs) * (1/6 + d_tilde(rbar)).  For rbar beyond the border
     point (1 + log2(sqrt(3)+2))/2 it equals (2+sqrt(3))/6 * 2**(-2 rbar).
     """
-    return _shifted_point(_check_rbar(rbar)).distortion
+    return sections(rbar).d_tilde
 
 
 def d_opt(params: ProcessParams, rate: RateSpec) -> float:
     """Optimal distortion from rate-R encoded samples: mmse + shifted waterfill."""
-    rbar = _check_rbar(rate.per_sample(params))
-    return mmse_fs(params) + (params.sigma2 / params.fs) * d_tilde(rbar)
+    return bundle(params, rate).d_opt
 
 
-@lru_cache(maxsize=1)
 def equilibrium_rbar() -> float:
     """Bits per sample at which sampling and compression errors are equal.
 
-    Solves d_tilde(rbar) = 1/6 by bisection to 1e-10; lands near 0.98.
+    Solves d_tilde = 1/6 for the shifted water level by Newton's method
+    (d distortion / d theta = phic), then returns the rate at that level;
+    lands near 0.98.  The distortion is concave in theta and the start 1/6
+    lies below the root, so the iterates climb to it monotonically.
     """
-    lo, hi = 0.5, 1.5
-    f_lo = d_tilde(lo) - 1.0 / 6.0
-    if not f_lo > 0:
-        raise RuntimeError("equilibrium bracket lost its sign change")
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if d_tilde(mid) - 1.0 / 6.0 > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    theta = 1.0 / 6.0
+    for _ in range(50):
+        gap = 1.0 / 6.0 - distortion_at_theta(SHIFTED_SAMPLED_WIENER, theta)
+        step = gap / SHIFTED_SAMPLED_WIENER.crossing(theta)
+        theta += step
+        if abs(step) <= 1e-15 * theta:
+            break
+    return float(rate_at_theta(SHIFTED_SAMPLED_WIENER, theta))
 
 
-def g_fun(rbar: float) -> float:
+def g_fun(rbar):
     """Auxiliary integral of min{density, theta} / density on the unshifted curve.
 
     theta solves the unshifted rate equation at rbar; for rbar >= 1 the
     integral collapses to 2 * theta = 2**(1 - 2 rbar).
     """
-    theta = _sampled_point(_check_rbar(rbar)).theta
-    return integrate_density(SAMPLED_WIENER, "reciprocal-weighted", theta=theta)
-
-
-@lru_cache(maxsize=65536)
-def _ce_lossy_term(rbar: float) -> float:
-    """Dimensionless CE compression term: min{theta, S} (S - 1/6) / S."""
-    theta = _sampled_point(rbar).theta
-    cross = SAMPLED_WIENER.crossing(theta)
-    bps = () if cross is None else (cross,)
-
-    def f(phi):
-        s = SAMPLED_WIENER(phi)
-        return np.minimum(theta, s) * (s - 1.0 / 6.0) / s
-
-    return integrate_on_unit(f, breakpoints=bps, what="ce")
+    return sections(rbar).sampled.g
 
 
 def d_ce(params: ProcessParams, rate: RateSpec) -> float:
@@ -207,74 +257,43 @@ def d_ce(params: ProcessParams, rate: RateSpec) -> float:
     solved on the unshifted density; reduces to
     mmse + (2/3)(sigma2/fs) 2**(-2 rbar) for rbar >= 1.
     """
-    rbar = _check_rbar(rate.per_sample(params))
-    return mmse_fs(params) + (params.sigma2 / params.fs) * _ce_lossy_term(rbar)
-
-
-def d_ce_assembled(params: ProcessParams, rate: RateSpec) -> float:
-    """Second route to d_ce: mmse + d_bar - (sigma2 / 6 fs) * g_fun.
-
-    Algebraically identical to the direct integral; kept as an independent
-    computation path for cross-checking.
-    """
-    rbar = _check_rbar(rate.per_sample(params))
-    scale = params.sigma2 / params.fs
-    return (mmse_fs(params) + scale * _sampled_point(rbar).distortion
-            - (scale / 6.0) * g_fun(rbar))
+    return bundle(params, rate).d_ce
 
 
 def d_upper(params: ProcessParams, rate: RateSpec) -> float:
     """Upper bound mmse + d_bar; equals (sigma2/fs)(1/6 + 2**(-2 rbar)) for rbar >= 1."""
-    return mmse_fs(params) + d_bar(params, rate)
+    return bundle(params, rate).d_upper
 
 
-def ratio_smp(rbar: float) -> float:
+def ratio_smp(rbar):
     """Excess distortion of sampling: d_opt / d_w at matching bits per sample."""
-    rbar = _check_rbar(rbar)
-    return (math.pi ** 2 * math.log(2.0) / 2.0) * rbar * (1.0 / 6.0 + d_tilde(rbar))
+    return sections(rbar).ratio_smp
 
 
-def ratio_qnt(rbar: float) -> float:
+def ratio_qnt(rbar):
     """Excess distortion of lossy compression: d_opt / mmse_fs = 1 + 6 d_tilde."""
-    return 1.0 + 6.0 * d_tilde(_check_rbar(rbar))
+    return sections(rbar).ratio_qnt
 
 
-def ce_penalty(rbar: float) -> float:
+def ce_penalty(rbar):
     """Penalty of compress-first encoding: d_ce / d_opt (fs-free)."""
-    rbar = _check_rbar(rbar)
-    return (1.0 / 6.0 + _ce_lossy_term(rbar)) / (1.0 / 6.0 + d_tilde(rbar))
+    return sections(rbar).ce_penalty
 
 
 def dr_asym_coeffs(order: str) -> dict:
-    """Reported series coefficients of the high-sampling-rate expansions.
+    """Series coefficients of the high-sampling-rate expansions.
 
     ``first`` returns the leading R**-1 coefficient (shared by d_bar and
-    d_opt); ``second`` the R/fs**2 coefficients, keyed by curve.  These are
-    catalog values for the validation routines that compare them against
-    numerically evaluated differences.
+    d_opt); ``second`` the R/fs**2 coefficients of d - d_w, keyed by curve.
+    The second-order values follow from the small-phic expansion of the
+    closed forms: with x = pi phic, the walk has
+    rbar = x (1 - x**2/36) / (pi ln2) and d_bar fs/sigma2 = 2/(pi x) + O(x**3),
+    the interpolator rbar = x (1 + x**2/36) / (pi ln2) and
+    d_opt fs/sigma2 = 2/(pi x) + O(x**3), so d_bar - d_w = -(ln2/18) R/fs**2
+    and d_opt - d_w = +(ln2/18) R/fs**2 to leading order.
     """
     if order == "first":
-        lead = 2.0 / (math.pi ** 2 * math.log(2.0))
-        return {"d_bar": lead, "d_opt": lead}
+        return {"d_bar": _DW_COEF, "d_opt": _DW_COEF}
     if order == "second":
-        return {"d_bar": math.log(2.0) / 12.0, "d_opt": math.log(2.0) / 18.0}
+        return {"d_bar": -math.log(2.0) / 18.0, "d_opt": math.log(2.0) / 18.0}
     raise ValueError(f"order must be 'first' or 'second', got {order!r}")
-
-
-def bundle(params: ProcessParams, rate: RateSpec) -> DistortionBundle:
-    """All six distortion values plus both water levels, computed once."""
-    rbar = _check_rbar(rate.per_sample(params))
-    scale = params.sigma2 / params.fs
-    shifted = _shifted_point(rbar)
-    sampled = _sampled_point(rbar)
-    mmse = mmse_fs(params)
-    return DistortionBundle(
-        d_opt=mmse + scale * shifted.distortion,
-        d_ce=mmse + scale * _ce_lossy_term(rbar),
-        d_upper=mmse + scale * sampled.distortion,
-        d_w=d_w(rate, params.sigma2),
-        d_bar=scale * sampled.distortion,
-        mmse=mmse,
-        theta_opt=shifted.theta,
-        theta_ce=sampled.theta,
-    )

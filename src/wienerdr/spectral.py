@@ -92,8 +92,8 @@ class SpectralDensity:
 
     kind is one of ``sampled-wiener``, ``shifted-sampled-wiener`` or
     ``constant`` (a test stub at ``level``).  The analytic kinds are strictly
-    decreasing, so the water-level crossing has a closed form used by the
-    quadrature to split panels at the min/log+ kink.
+    decreasing, so the water-level crossing, where the waterfilling
+    integrands kink, has a closed form (``crossing``).
     """
 
     kind: str

@@ -1,44 +1,76 @@
-"""Reverse waterfilling over a spectral density on (0, 1].
+"""Reverse waterfilling over the sampled-Wiener eigenvalue densities, in closed form.
 
-A water level theta splits the density into a flooded part (counted toward
-distortion) and the part above water (counted toward rate):
+A water level theta splits a density S(phi) = 1/(4 sin^2(pi phi/2)) - s,
+shift s = 0 (the sample walk) or s = 1/6 (the interpolator), into a flooded
+part counted toward distortion and the part above water counted toward rate:
 
-    distortion(theta) = integral_0^1 min{theta, density(phi)} dphi
-    rate(theta)       = 1/2 integral_0^1 log2+[density(phi) / theta] dphi
+    distortion(theta) = integral_0^1 min{theta, S(phi)} dphi
+    rate(theta)       = 1/2 integral_0^1 log2+[S(phi) / theta] dphi
 
 Rates are in bits per sample throughout; distortions carry the density's
-units (sigma2/fs for the analytic densities).  ``solve_theta_for_rate``
-inverts the strictly monotone rate map by bisection on log theta.
+units (sigma2/fs).  With c = cot(pi phic / 2) = sqrt(max{4 (theta + s) - 1,
+0}), the crossing point, where S(phic) = theta, is phic = (2/pi) arctan(1/c);
+it is 1 once theta sits at or below the density floor 1/4 - s.  Then
+
+    distortion = theta phic + c / (2 pi) - s (1 - phic)
+    2 ln2 rate = (2/pi) Cl2(pi phic) - phic ln theta
+                 + integral_0^phic ln(1 - 4 s sin^2(pi phi / 2)) dphi
+
+with Cl2 the Clausen function.  The rate is evaluated without cancellation
+as 2 phic (1 + ln sinc(phic/2)) + phic (ln S0(phic) - ln theta) plus the
+integral over (0, phic] of ln[(1 - 4 s sin^2(pi phi/2)) / sinc^2(phi/2)],
+where sinc x = sin(pi x)/(pi x) and S0 = 1/(4 sin^2(pi phi/2)); that
+integrand is analytic on a disc around [0, 1] (its nearest complex
+singularity lies 0.42 off phi = 1), so one fixed 24-node Gauss-Legendre
+rule evaluates it to rounding.
+
+Because d rate / d ln theta = -phic / (2 ln2) exactly, ``water_levels``
+inverts the rate map by Newton's method in ln theta.  It starts from the
+saturated level ln theta = -2 rbar ln2 + ln((2 + sqrt 3)/6) for s = 1/6
+(+0 for s = 0), the exact answer past the border point; the rate is convex
+in ln theta, so the iterates climb monotonically to the root from there.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .quadrature import QuadratureError, integrate_unit
 from .spectral import SpectralDensity
 
 __all__ = [
+    "MAX_RBAR",
     "WaterfillPoint",
-    "BracketExpansionError",
+    "WaterLevels",
     "distortion_at_theta",
     "rate_at_theta",
     "solve_theta_for_rate",
-    "integrate_density",
-    "integrate_on_unit",
+    "water_levels",
 ]
 
-#: every waterfilling integral must come back with an error estimate below this
-ERROR_BOUND = 1e-9
+_LN2 = math.log(2.0)
 
-#: relative tolerance of the theta bisection
-THETA_RTOL = 1e-12
+#: the shifted density's saturated level is this times 2**(-2 rbar)
+_SHIFTED_SATURATION = (2.0 + math.sqrt(3.0)) / 6.0
 
+#: bits per sample at which the smaller water level, the shifted one,
+#: reaches the smallest normal float (about 510.66); past it the levels underflow
+MAX_RBAR = 0.5 * (math.log2(_SHIFTED_SATURATION)
+                  - math.log2(sys.float_info.min))
 
-class BracketExpansionError(RuntimeError):
-    """The theta bracket failed to straddle the target rate (pathological density)."""
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(24)
+_NODES = 0.5 * (_NODES + 1.0)   # the rule moved onto [0, 1]
+_WEIGHTS = 0.5 * _WEIGHTS
+
+_NEWTON_STEPS = 100
+#: Newton stops once a step moves ln theta by less than this (relative to
+#: max{1, |ln theta|}); convergence is quadratic, so the last step applied
+#: leaves an error far below it
+_NEWTON_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -50,133 +82,120 @@ class WaterfillPoint:
     distortion: float
 
 
-def _checked(value_err, what: str) -> float:
-    value, err = value_err
-    if err > ERROR_BOUND:
-        raise QuadratureError(f"{what} integral exceeded the error budget", err)
-    return value
+@dataclass(frozen=True)
+class WaterLevels:
+    """Water levels solved at an array of rates on one density (or at a float).
+
+    ``crossing`` is phic.  ``g`` and ``ce`` exist for the unshifted density
+    only (None otherwise): g = integral of min{theta, S}/S
+    = 2 theta (phic - sin(pi phic)/pi) + 1 - phic, and the
+    compress-and-estimate term ce = integral of min{theta, S} (S - 1/6)/S
+    = distortion - g/6.
+    """
+
+    theta: np.ndarray
+    crossing: np.ndarray
+    distortion: np.ndarray
+    g: Optional[np.ndarray] = None
+    ce: Optional[np.ndarray] = None
 
 
-def integrate_on_unit(f, *, breakpoints=(), graded: bool = True,
-                      tol: float = 1e-11, what: str = "density") -> float:
-    """Integrate a vectorized function of phi over (0, 1] with the shared engine."""
-    return _checked(
-        integrate_unit(f, graded=graded, tol=tol, breakpoints=breakpoints), what)
+def _shift(density: SpectralDensity) -> float:
+    if density.kind == "sampled-wiener":
+        return 0.0
+    if density.kind == "shifted-sampled-wiener":
+        return 1.0 / 6.0
+    raise ValueError(f"no closed form for the {density.kind!r} density")
 
 
-def distortion_at_theta(density: SpectralDensity, theta: float, *,
-                        graded: bool = True) -> float:
+def _state(log_theta, shift: float):
+    """(theta, c, phic) at the level ln theta; c = cot(pi phic / 2)."""
+    theta = np.exp(log_theta)
+    c = np.sqrt(np.maximum(4.0 * (theta - (0.25 - shift)), 0.0))
+    return theta, c, (2.0 / np.pi) * np.arctan2(1.0, c)
+
+
+def _two_ln2_rate(log_theta, c, phic, shift: float):
+    """2 ln2 times the rate in bits per sample."""
+    half = np.multiply.outer(0.5 * np.pi * phic, _NODES)
+    sin2 = np.sin(half) ** 2
+    smooth = np.log((1.0 - 4.0 * shift * sin2) * half * half / sin2) @ _WEIGHTS
+    return phic * (2.0 * (1.0 + np.log(np.sinc(0.5 * phic)))
+                   + np.log1p(c * c) - 2.0 * _LN2 - log_theta + smooth)
+
+
+def _distortion(theta, c, phic, shift: float):
+    return theta * phic + c / (2.0 * np.pi) - shift * (1.0 - phic)
+
+
+def _log_level(theta):
+    theta = np.asarray(theta, dtype=float)
+    if not np.all((theta > 0) & np.isfinite(theta)):
+        raise ValueError("theta must be > 0 and finite")
+    return np.log(theta)
+
+
+def water_levels(density: SpectralDensity, rbar) -> WaterLevels:
+    """Solve rate(theta) = rbar for every entry of rbar (bits per sample).
+
+    Newton's method in ln theta with the exact derivative -phic / (2 ln2),
+    started from the saturated level.  Raises ValueError for rbar <= 0 and
+    FloatingPointError past MAX_RBAR, where the water level would underflow.
+    """
+    shift = _shift(density)
+    rbar = np.asarray(rbar, dtype=float)
+    if not np.all(rbar > 0):
+        raise ValueError("rate must be > 0")
+    if np.any(rbar > MAX_RBAR):
+        raise FloatingPointError(
+            f"{np.max(rbar):.6g} bits per sample is past the supported maximum"
+            f" {MAX_RBAR:.6g}, where the water level underflows")
+    target = 2.0 * _LN2 * rbar
+    log_theta = (math.log(_SHIFTED_SATURATION) if shift else 0.0) - target
+    for _ in range(_NEWTON_STEPS):
+        _, c, phic = _state(log_theta, shift)
+        step = (_two_ln2_rate(log_theta, c, phic, shift) - target) / phic
+        log_theta = log_theta + step
+        scale = np.maximum(1.0, np.abs(log_theta))
+        if np.all(np.abs(step) <= _NEWTON_TOL * scale):
+            break
+    else:
+        raise FloatingPointError(
+            f"Newton iteration for theta did not settle within {_NEWTON_STEPS}"
+            f" steps (largest last step {np.max(np.abs(step)):.3g})")
+    theta, c, phic = _state(log_theta, shift)
+    distortion = _distortion(theta, c, phic, shift)
+    if shift:
+        return WaterLevels(theta, phic, distortion)
+    g = 2.0 * theta * (phic - np.sin(np.pi * phic) / np.pi) + (1.0 - phic)
+    return WaterLevels(theta, phic, distortion, g, distortion - g / 6.0)
+
+
+def distortion_at_theta(density: SpectralDensity, theta):
     """integral of min{theta, density} over (0, 1]; lies in (0, theta]."""
-    if not theta > 0:
-        raise ValueError("theta must be > 0")
-    if theta <= density.floor:
-        # the water level sits below the whole density, min saturates at theta
-        return float(theta)
-    cross = density.crossing(theta)
-    bps = () if cross is None else (cross,)
-    f = lambda phi: np.minimum(theta, density(phi))
-    return _checked(integrate_unit(f, graded=graded, breakpoints=bps),
-                    "distortion")
+    shift = _shift(density)
+    theta, c, phic = _state(_log_level(theta), shift)
+    return _distortion(theta, c, phic, shift)
 
 
-def rate_at_theta(density: SpectralDensity, theta: float, *,
-                  graded: bool = True) -> float:
+def rate_at_theta(density: SpectralDensity, theta):
     """(1/2) integral of log2+[density / theta]; bits per sample.
 
     Finite for every theta > 0 (the log divergence at phi -> 0 is
-    integrable) and strictly positive for the analytic densities, which are
-    unbounded near 0.
+    integrable) and strictly positive, since both densities are unbounded
+    near 0.
     """
-    if not theta > 0:
-        raise ValueError("theta must be > 0")
-    cross = density.crossing(theta)
-    if cross is not None:
-        upper = cross
-    elif theta <= density.floor:
-        upper = 1.0  # water below the whole density, log+ positive a.e.
-    else:
-        return 0.0   # fully submerged (constant stub only)
-    f = lambda phi: 0.5 * np.log2(density(phi) / theta)
-    return _checked(integrate_unit(f, upper=upper, graded=graded), "rate")
+    shift = _shift(density)
+    log_theta = _log_level(theta)
+    _, c, phic = _state(log_theta, shift)
+    return _two_ln2_rate(log_theta, c, phic, shift) / (2.0 * _LN2)
 
 
-def solve_theta_for_rate(density: SpectralDensity, rate_bits_per_sample: float,
-                         *, graded: bool = True) -> WaterfillPoint:
-    """Invert the rate map: find theta with rate_at_theta(theta) == rate.
-
-    Bisection on log theta, seeded by the small-theta asymptote
-    rate ~ -1/2 log2 theta: initial bracket [2**(-2r-8), 2**(-2r+8)],
-    expanded geometrically (up to 200 doublings per side) until it
-    straddles.  Converges to relative tolerance 1e-12 in theta.
-    """
-    r = float(rate_bits_per_sample)
-    if not r > 0:
-        raise ValueError("rate must be > 0")
-
-    def gap(th):
-        return rate_at_theta(density, th, graded=graded) - r
-
-    lo = 2.0 ** (-2.0 * r - 8.0)
-    hi = 2.0 ** (-2.0 * r + 8.0)
-    g_lo = gap(lo)
-    for _ in range(200):
-        if g_lo > 0:
-            break
-        hi, lo = lo, lo * 0.5
-        g_lo = gap(lo)
-    else:
-        raise BracketExpansionError(
-            "rate not bracketed from below after 200 doublings")
-    g_hi = gap(hi)
-    for _ in range(200):
-        if g_hi < 0:
-            break
-        lo, hi = hi, hi * 2.0
-        g_hi = gap(hi)
-    else:
-        raise BracketExpansionError(
-            "rate not bracketed from above after 200 doublings")
-
-    for _ in range(200):
-        if hi - lo <= THETA_RTOL * lo:
-            break
-        mid = np.sqrt(lo * hi)
-        if not lo < mid < hi:
-            break  # bracket exhausted floating-point resolution
-        if gap(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    theta = float(np.sqrt(lo * hi))
+def solve_theta_for_rate(density: SpectralDensity,
+                         rate_bits_per_sample: float) -> WaterfillPoint:
+    """Invert the rate map at one rate: the ``water_levels`` solve, as floats."""
+    levels = water_levels(density, float(rate_bits_per_sample))
+    theta = float(levels.theta)
     return WaterfillPoint(theta=theta,
-                          rate=rate_at_theta(density, theta, graded=graded),
-                          distortion=distortion_at_theta(density, theta,
-                                                         graded=graded))
-
-
-def integrate_density(density: SpectralDensity, transform: str = "identity",
-                      *, theta: float = None, graded: bool = True) -> float:
-    """Integrate a transform of the density over (0, 1].
-
-    transform:
-        ``identity``             density itself (diverges for the analytic kinds,
-                                 surfacing as a QuadratureError);
-        ``reciprocal``           1 / density;
-        ``reciprocal-weighted``  min{theta, density} / density (needs theta).
-    """
-    if transform == "identity":
-        f = density
-        bps = ()
-    elif transform == "reciprocal":
-        f = lambda phi: 1.0 / density(phi)
-        bps = ()
-    elif transform == "reciprocal-weighted":
-        if theta is None or not theta > 0:
-            raise ValueError("reciprocal-weighted transform needs theta > 0")
-        f = lambda phi: np.minimum(theta, density(phi)) / density(phi)
-        cross = density.crossing(theta)
-        bps = () if cross is None else (cross,)
-    else:
-        raise ValueError(f"unknown transform {transform!r}")
-    return _checked(integrate_unit(f, graded=graded, breakpoints=bps),
-                    f"{transform} transform")
+                          rate=float(rate_at_theta(density, theta)),
+                          distortion=float(levels.distortion))

@@ -1,10 +1,13 @@
-"""Adaptive composite Gauss-Legendre quadrature on bounded intervals.
+"""Quadrature oracle for the closed-form waterfilling kernel.
 
-Shared engine for the waterfilling integrals over (0, 1].  Those integrands
-are smooth away from the left endpoint but inherit an integrable singularity
-at phi = 0 from the spectral densities (a phi**-2 blow-up of the density
-itself, a log divergence of the rate integrand).  Two strategies are
-supported:
+Only the tests import this module.  It integrates the waterfilling
+integrands directly, so it shares no formula with ``wienerdr.waterfill``.
+
+Adaptive composite Gauss-Legendre quadrature on bounded intervals.  The
+waterfilling integrands over (0, 1] are smooth away from the left endpoint
+but inherit an integrable singularity at phi = 0 from the spectral densities
+(a phi**-2 blow-up of the density itself, a log divergence of the rate
+integrand).  Two strategies are supported:
 
 * graded: substitute phi = u**2 and integrate in u, which clusters nodes at
   the singular endpoint and removes most of the stiffness (the default);
@@ -17,11 +20,21 @@ an a-posteriori error estimate (the sum of the inter-refinement deltas of
 the accepted panels).  Panels that fail to settle within the depth budget
 raise :class:`QuadratureError` carrying the estimate reached, which is how
 divergent integrands surface.
+
+On top of the engine sit the waterfilling integrals at a water level theta
+(``distortion_at_theta``, ``rate_at_theta``, ``ce_integral``) and
+``integrate_density``; each must come back with an error estimate below
+``ERROR_BOUND``.  They accept the ``constant`` stub density as well.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from wienerdr.spectral import SAMPLED_WIENER, SpectralDensity
+
+#: every waterfilling integral must come back with an error estimate below this
+ERROR_BOUND = 1e-9
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(32)
 
@@ -137,3 +150,81 @@ def integrate_unit(f, *, upper: float = 1.0, graded: bool = True,
                          initial_panels=initial_panels)
     return integrate(f, 0.0, upper, tol=tol, breakpoints=breakpoints,
                      initial_panels=initial_panels)
+
+
+def _checked(value_err, what: str) -> float:
+    value, err = value_err
+    if err > ERROR_BOUND:
+        raise QuadratureError(f"{what} integral exceeded the error budget", err)
+    return value
+
+
+def distortion_at_theta(density: SpectralDensity, theta: float, *,
+                        graded: bool = True) -> float:
+    """integral of min{theta, density} over (0, 1]; lies in (0, theta]."""
+    if not theta > 0:
+        raise ValueError("theta must be > 0")
+    if theta <= density.floor:
+        # the water level sits below the whole density, min saturates at theta
+        return float(theta)
+    cross = density.crossing(theta)
+    bps = () if cross is None else (cross,)
+    f = lambda phi: np.minimum(theta, density(phi))
+    return _checked(integrate_unit(f, graded=graded, breakpoints=bps),
+                    "distortion")
+
+
+def rate_at_theta(density: SpectralDensity, theta: float, *,
+                  graded: bool = True) -> float:
+    """(1/2) integral of log2+[density / theta]; bits per sample."""
+    if not theta > 0:
+        raise ValueError("theta must be > 0")
+    cross = density.crossing(theta)
+    if cross is not None:
+        upper = cross
+    elif theta <= density.floor:
+        upper = 1.0  # water below the whole density, log+ positive a.e.
+    else:
+        return 0.0   # fully submerged (constant stub only)
+    f = lambda phi: 0.5 * np.log2(density(phi) / theta)
+    return _checked(integrate_unit(f, upper=upper, graded=graded), "rate")
+
+
+def ce_integral(theta: float) -> float:
+    """integral of min{theta, S} (S - 1/6) / S over the unshifted density S."""
+    cross = SAMPLED_WIENER.crossing(theta)
+    bps = () if cross is None else (cross,)
+
+    def f(phi):
+        s = SAMPLED_WIENER(phi)
+        return np.minimum(theta, s) * (s - 1.0 / 6.0) / s
+
+    return _checked(integrate_unit(f, breakpoints=bps), "ce")
+
+
+def integrate_density(density: SpectralDensity, transform: str = "identity",
+                      *, theta: float = None, graded: bool = True) -> float:
+    """Integrate a transform of the density over (0, 1].
+
+    transform:
+        ``identity``             density itself (diverges for the analytic kinds,
+                                 surfacing as a QuadratureError);
+        ``reciprocal``           1 / density;
+        ``reciprocal-weighted``  min{theta, density} / density (needs theta).
+    """
+    if transform == "identity":
+        f = density
+        bps = ()
+    elif transform == "reciprocal":
+        f = lambda phi: 1.0 / density(phi)
+        bps = ()
+    elif transform == "reciprocal-weighted":
+        if theta is None or not theta > 0:
+            raise ValueError("reciprocal-weighted transform needs theta > 0")
+        f = lambda phi: np.minimum(theta, density(phi)) / density(phi)
+        cross = density.crossing(theta)
+        bps = () if cross is None else (cross,)
+    else:
+        raise ValueError(f"unknown transform {transform!r}")
+    return _checked(integrate_unit(f, graded=graded, breakpoints=bps),
+                    f"{transform} transform")

@@ -177,8 +177,7 @@ def test_criterion_9_lag_one_moment_convergence():
         value = float(moments.cross.sum() / 1000)
         if rbar < 1.0:
             point = w.solve_theta_for_rate(w.SAMPLED_WIENER, rbar)
-            limit = point.distortion - 0.5 * w.integrate_density(
-                w.SAMPLED_WIENER, "reciprocal-weighted", theta=point.theta)
+            limit = point.distortion - 0.5 * w.g_fun(rbar)
             ok &= abs(value - limit) <= 0.01 * abs(limit)
             details.append(f"rbar={rbar}: {value:.6f} vs limit {limit:.6f}")
         else:

@@ -56,6 +56,13 @@ class TestCurve:
         assert q["d_opt"][0] == pytest.approx(4.0 * p["d_opt"][0], rel=1e-12)
         assert q["theta_opt"][0] == pytest.approx(p["theta_opt"][0], rel=1e-12)
 
+    def test_past_the_underflow_edge_is_a_numerical_failure(self, tmp_path):
+        out = str(tmp_path / "never.csv")
+        code = main(["curve", "--fs", "1", "--min", "1", "--max", "600",
+                     "--points", "3", "--out", out])
+        assert code == 3
+        assert not os.path.exists(out)
+
     def test_sub_minimum_rbar_rejected_before_output(self, tmp_path):
         out = str(tmp_path / "never.csv")
         code = main(["curve", "--fs", "1000", "--min", "0.01", "--max", "1",
@@ -73,6 +80,15 @@ class TestRatio:
         _, cols = read_csv(out)
         assert cols["ce_penalty"].max() <= 1.028
         assert np.all(cols["ce_penalty"] >= 1.0 - 1e-12)
+
+    def test_saturated_sweep_up_to_the_edge(self, tmp_path):
+        out = str(tmp_path / "ratio_high.csv")
+        code = main(["ratio", "--min", "300", "--max", "500", "--points", "5",
+                     "--log", "--out", out])
+        assert code == 0
+        _, cols = read_csv(out)
+        expected = (2.0 + math.sqrt(3.0)) / 6.0 * 2.0 ** (-2.0 * cols["rbar"])
+        np.testing.assert_allclose(cols["d_tilde"], expected, rtol=1e-12)
 
 
 class TestEigen:

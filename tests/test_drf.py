@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 import wienerdr.drf as drf
+from oracle import ce_integral
 from wienerdr.drf import (DistortionBundle, RateSpec, bundle, ce_penalty,
-                          d_bar, d_ce, d_ce_assembled, d_opt, d_tilde,
-                          d_upper, d_w, dr_asym_coeffs, equilibrium_rbar,
-                          g_fun, mmse_fs, ratio_qnt, ratio_smp)
+                          d_bar, d_ce, d_opt, d_tilde, d_upper, d_w,
+                          dr_asym_coeffs, equilibrium_rbar, g_fun, mmse_fs,
+                          ratio_qnt, ratio_smp)
 from wienerdr.spectral import ProcessParams
 
 UNIT = ProcessParams(sigma2=1.0, fs=1.0)
@@ -111,10 +112,11 @@ class TestDce:
 
     @pytest.mark.parametrize("rbar", [0.3, 0.7, 1.0, 2.0, 4.0])
     def test_two_routes_agree(self, rbar):
-        # direct weighted integral vs assembly from d_bar and g_fun
+        # closed form vs the oracle's quadrature of the weighted integral
         rate = RateSpec(rbar)
+        theta = bundle(UNIT, rate).theta_ce
         assert d_ce(UNIT, rate) == pytest.approx(
-            d_ce_assembled(UNIT, rate), abs=1e-9)
+            1.0 / 6.0 + ce_integral(theta), abs=1e-9)
 
     def test_high_rate_gap_matches_dopt_order(self):
         # the compress-first penalty vanishes at second order: the fs**-2
@@ -169,6 +171,17 @@ class TestCePenalty:
         assert ce_penalty(8.0) == pytest.approx(1.0, abs=1e-4)
 
 
+def _richardson_fs2_coefficient(curve) -> float:
+    # (d - d_w)*fs^2 = a + b/fs^2 + ...; eliminate b pairwise in 1/fs^2
+    rate = RateSpec(1.0)
+    dw = d_w(rate, 1.0)
+    vals = {fs: (curve(ProcessParams(1.0, fs), rate) - dw) * fs ** 2
+            for fs in (50.0, 100.0, 200.0)}
+    r1 = (4.0 * vals[100.0] - vals[50.0]) / 3.0
+    r2 = (4.0 * vals[200.0] - vals[100.0]) / 3.0
+    return (16.0 * r2 - r1) / 15.0
+
+
 class TestAsymCoeffs:
     def test_catalog(self):
         first = dr_asym_coeffs("first")
@@ -176,8 +189,12 @@ class TestAsymCoeffs:
         assert first["d_bar"] == pytest.approx(lead, rel=1e-14)
         assert first["d_opt"] == pytest.approx(lead, rel=1e-14)
         second = dr_asym_coeffs("second")
-        assert second["d_bar"] == pytest.approx(0.0577623, abs=1e-7)
+        assert second["d_bar"] == pytest.approx(-math.log(2.0) / 18.0, abs=1e-7)
         assert second["d_opt"] == pytest.approx(0.0385082, abs=1e-7)
+        curves = {"d_bar": d_bar, "d_opt": d_opt}
+        for name, value in second.items():
+            assert value == pytest.approx(
+                _richardson_fs2_coefficient(curves[name]), rel=1e-5)
         with pytest.raises(ValueError):
             dr_asym_coeffs("third")
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from wienerdr.drf import g_fun
 from wienerdr.mc import (ErrorMoments, SimConfig, bridge_covariance_check,
                          ce_distortion_estimate, ce_moment_oracle,
                          effective_grid, empirical_mmse, finite_waterfill_theta,
@@ -250,13 +251,10 @@ class TestCeMomentOracle:
         assert np.max(moments.second) < 1e-20
 
     def test_lag_one_limit_convergence(self):
-        # quadrature limit of the mean lag-1 cross moment at 0.5 bits/sample
+        # closed-form limit of the mean lag-1 cross moment at 0.5 bits/sample
         rbar = 0.5
         point = solve_theta_for_rate(SAMPLED_WIENER, rbar)
-        from wienerdr.waterfill import integrate_density
-        g = integrate_density(SAMPLED_WIENER, "reciprocal-weighted",
-                              theta=point.theta)
-        limit = point.distortion - 0.5 * g
+        limit = point.distortion - 0.5 * g_fun(rbar)
         errs = []
         for n in (200, 500, 1000):
             moments = ce_moment_oracle(UNIT, n, rbar)

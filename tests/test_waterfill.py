@@ -1,15 +1,18 @@
-"""Waterfilling engine: frozen values, inversion, quadrature guarantees."""
+"""Waterfilling: the quadrature oracle's frozen values and guarantees, and the
+closed-form kernel's inversion checked against that oracle."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wienerdr.quadrature import QuadratureError, integrate, integrate_unit
+from oracle import (QuadratureError, ce_integral, distortion_at_theta,
+                    integrate, integrate_density, integrate_unit,
+                    rate_at_theta)
+from wienerdr import waterfill
 from wienerdr.spectral import (SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER,
                                constant_density)
-from wienerdr.waterfill import (distortion_at_theta, integrate_density,
-                                rate_at_theta, solve_theta_for_rate)
+from wienerdr.waterfill import solve_theta_for_rate, water_levels
 
 BORDER_RATE = 0.5 * (1.0 + np.log2(np.sqrt(3.0) + 2.0))  # ~1.44998
 
@@ -104,11 +107,70 @@ class TestSolve:
             solve_theta_for_rate(SAMPLED_WIENER, rate)
 
     def test_bracket_expansion_reaches_far_theta(self):
-        # tiny rate puts theta far above the seeded bracket
+        # tiny rate puts theta far above the saturated start of the solve
         point = solve_theta_for_rate(SHIFTED_SAMPLED_WIENER, 2e-4)
         assert point.theta > 1e4
         assert rate_at_theta(SHIFTED_SAMPLED_WIENER, point.theta) == \
             pytest.approx(2e-4, abs=1e-10)
+
+
+class TestKernel:
+    """The closed-form kernel against the quadrature oracle and exact forms."""
+
+    @given(st.floats(min_value=np.log(1e-4), max_value=np.log(250.0)))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_oracle(self, log_rbar):
+        rbar = float(np.exp(log_rbar))
+        for density in (SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER):
+            levels = water_levels(density, rbar)
+            theta = float(levels.theta)
+            assert rate_at_theta(density, theta) == \
+                pytest.approx(rbar, abs=1e-10)
+            assert waterfill.rate_at_theta(density, theta) == \
+                pytest.approx(rbar, abs=1e-10)
+            assert distortion_at_theta(density, theta) == \
+                pytest.approx(levels.distortion, rel=1e-11)
+            assert waterfill.distortion_at_theta(density, theta) == \
+                pytest.approx(levels.distortion, rel=1e-11)
+        sampled = water_levels(SAMPLED_WIENER, rbar)
+        theta = float(sampled.theta)
+        g = integrate_density(SAMPLED_WIENER, "reciprocal-weighted",
+                              theta=theta)
+        assert g == pytest.approx(sampled.g, rel=1e-11)
+        assert ce_integral(theta) == pytest.approx(sampled.ce, rel=1e-11)
+
+    @pytest.mark.parametrize("rbar", [300.0, 400.0, 510.0])
+    def test_saturated_forms_to_the_edge(self, rbar):
+        # past rbar 267 the oracle fails; the exact saturated forms hold
+        power = 2.0 ** (-2.0 * rbar)
+        shifted = water_levels(SHIFTED_SAMPLED_WIENER, rbar)
+        low_rate_coef = (2.0 + np.sqrt(3.0)) / 6.0
+        assert shifted.theta == pytest.approx(low_rate_coef * power, rel=1e-12)
+        assert shifted.distortion == pytest.approx(low_rate_coef * power,
+                                                   rel=1e-12)
+        sampled = water_levels(SAMPLED_WIENER, rbar)
+        assert sampled.theta == pytest.approx(power, rel=1e-12)
+        assert sampled.distortion == pytest.approx(power, rel=1e-12)
+        assert sampled.g == pytest.approx(2.0 * power, rel=1e-12)
+        assert sampled.ce == pytest.approx(2.0 / 3.0 * power, rel=1e-12)
+
+    def test_array_matches_scalar_solves(self):
+        rbars = np.array([1e-4, 0.03, 0.7, 1.2, 5.0, 300.0])
+        levels = water_levels(SHIFTED_SAMPLED_WIENER, rbars)
+        for i, rbar in enumerate(rbars):
+            point = solve_theta_for_rate(SHIFTED_SAMPLED_WIENER, rbar)
+            assert levels.theta[i] == pytest.approx(point.theta, rel=1e-14)
+            assert levels.distortion[i] == pytest.approx(point.distortion,
+                                                         rel=1e-14)
+
+    def test_refuses_past_the_underflow_edge(self):
+        with pytest.raises(FloatingPointError, match="510.9.*510.658"):
+            water_levels(SAMPLED_WIENER, np.array([1.0, 510.9]))
+        water_levels(SHIFTED_SAMPLED_WIENER, waterfill.MAX_RBAR)
+
+    def test_constant_stub_has_no_closed_form(self):
+        with pytest.raises(ValueError):
+            water_levels(constant_density(0.7), 1.0)
 
 
 class TestIntegrateDensity:

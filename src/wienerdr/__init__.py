@@ -15,11 +15,12 @@ from .mc import (CeEstimate, ErrorMoments, MomentEstimate, PathBundle,
                  SimConfig, ce_distortion_estimate, ce_moment_oracle,
                  empirical_mmse, kl_coeff_from_samples, lemma_bounds,
                  mc_test_channel_run, simulate_paths)
-from .spectral import (EigenSystem, NumericalDegeneracyError, ProcessParams,
-                       SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER, SpectralDensity,
+from .spectral import (EigenSystem, ProcessParams, SAMPLED_WIENER,
+                       SHIFTED_SAMPLED_WIENER, SpectralDensity,
                        constant_density, discrete_wiener_eigensystem,
-                       fredholm_residual, interp_kernel_eigensystem, s_bar,
-                       s_tilde_density)
+                       discrete_wiener_eigenvalues, fredholm_residual,
+                       interp_kernel_eigensystem, interp_kernel_eigenvalues,
+                       s_bar, s_tilde_density)
 from .waterfill import (WaterfillPoint, distortion_at_theta, rate_at_theta,
                         solve_theta_for_rate)
 
@@ -27,8 +28,9 @@ __all__ = [
     "__version__",
     "ProcessParams", "SpectralDensity", "SAMPLED_WIENER",
     "SHIFTED_SAMPLED_WIENER", "constant_density", "s_bar", "s_tilde_density",
-    "EigenSystem", "discrete_wiener_eigensystem", "interp_kernel_eigensystem",
-    "fredholm_residual", "NumericalDegeneracyError",
+    "EigenSystem", "discrete_wiener_eigenvalues", "discrete_wiener_eigensystem",
+    "interp_kernel_eigenvalues", "interp_kernel_eigensystem",
+    "fredholm_residual",
     "WaterfillPoint", "distortion_at_theta", "rate_at_theta",
     "solve_theta_for_rate",
     "RateSpec", "DistortionBundle", "d_w", "d_bar", "mmse_fs", "d_opt",

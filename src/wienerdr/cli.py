@@ -20,12 +20,11 @@ import numpy as np
 import scipy
 
 from . import __version__, drf, mc
-from .spectral import (NumericalDegeneracyError, ProcessParams,
-                       discrete_wiener_eigensystem, interp_kernel_eigensystem,
-                       s_bar, s_tilde_density)
+from .spectral import (ProcessParams, discrete_wiener_eigenvalues,
+                       interp_kernel_eigenvalues, s_bar, s_tilde_density)
 
 #: FloatingPointError: a water level past the floating-point range
-_NUMERICAL_ERRORS = (FloatingPointError, NumericalDegeneracyError)
+_NUMERICAL_ERRORS = (FloatingPointError,)
 
 
 def _fmt(value: float) -> str:
@@ -108,18 +107,16 @@ def _cmd_eigen(args) -> int:
     if args.n < 1:
         raise ValueError("--n must be >= 1")
     params = ProcessParams(sigma2=args.sigma2, fs=args.fs)
+    k = np.arange(1, args.n + 1)
+    phi = (k - 0.5) / args.n
     if args.kind == "discrete":
-        system = discrete_wiener_eigensystem(params, args.n)
-        limit_scale = params.sigma2 / params.fs
-        limit = lambda phi: limit_scale * s_bar(phi)
+        lam = discrete_wiener_eigenvalues(params, args.n)
+        limit = (params.sigma2 / params.fs) * s_bar(phi)
     else:
-        system = interp_kernel_eigensystem(params, args.n)
-        limit_scale = params.sigma2 * params.ts ** 2
-        limit = lambda phi: limit_scale * s_tilde_density(phi)
+        lam = interp_kernel_eigenvalues(params, args.n)
+        limit = (params.sigma2 * params.ts ** 2) * s_tilde_density(phi)
     header = ["k", "lambda", "density_limit"]
-    rows = [[k, system.eigenvalues[k - 1], limit((k - 0.5) / args.n)]
-            for k in range(1, args.n + 1)]
-    _write_csv_atomic(args.out, header, rows)
+    _write_csv_atomic(args.out, header, np.column_stack([k, lam, limit]))
     _write_manifest(args.out, "eigen", args)
     return 0
 

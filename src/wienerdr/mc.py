@@ -5,7 +5,9 @@ Paths are simulated from independent Gaussian increments on a fine grid of
 generator for trial k is ``Philox(SeedSequence(entropy=seed, spawn_key=(k,)))``
 and each trial consumes only its own stream, so any partitioning of the
 trial range reproduces the sequential results bit for bit (statistics are
-always reduced in trial order).
+always reduced in trial order).  Runs fill chunks of trials row by row from
+those streams and then work on whole chunks; every step acts on each row
+alone, so the chunking leaves each trial's value unchanged to the bit.
 
 The compress-and-estimate experiment replaces the random-codebook encoder
 with the Gaussian test channel attaining the same per-coefficient error
@@ -14,6 +16,11 @@ the interpolation-error bounds are therefore preserved exactly, without the
 exponential codebook search.  ``ce_moment_oracle`` evaluates those moments
 in closed form (no sampling noise) and is the semi-analytic reference the
 Monte-Carlo run is judged against.
+
+The Karhunen-Loeve transform of the walk and its inverse are odd-indexed
+outputs of a discrete sine transform of type I, computed from one real FFT
+of the odd extension (O(n log n), no n x n matrix); the oracle's moments
+are cosine sums of min{theta, lambda}, read off one real FFT as well.
 """
 
 from __future__ import annotations
@@ -23,9 +30,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Tuple
 
 import numpy as np
-from scipy.integrate import quad
 
-from .spectral import ProcessParams, discrete_wiener_eigensystem
+from .spectral import ProcessParams, discrete_wiener_eigenvalues
 
 __all__ = [
     "SimConfig",
@@ -167,21 +173,74 @@ def _trial_rng(config: SimConfig, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
+#: float64 elements per row chunk (1 MiB per array), which bounds the
+#: working set of a run whatever its trial count
+_CHUNK_ELEMENTS = 1 << 17
+
+
+def _chunk_rows(n: int, oversample: int) -> int:
+    """Trials per chunk: a fine path plus the sine-transform extension per row."""
+    return max(1, _CHUNK_ELEMENTS // (n * (oversample + 4) + 3))
+
+
+def _chunks(n: int, config: SimConfig) -> Iterator[range]:
+    rows = _chunk_rows(n, config.oversample)
+    for lo in range(0, config.trials, rows):
+        yield range(lo, min(lo + rows, config.trials))
+
+
 def _lerp_nodes(nodes: np.ndarray, oversample: int) -> np.ndarray:
-    """Piecewise-linear interpolation of nodal values onto the fine grid.
+    """Piecewise-linear interpolation of nodal values (last axis) onto the
+    fine grid.
 
     Exact at the nodes (index arithmetic, no floating-point grid matching).
     """
-    n = len(nodes) - 1
+    n = nodes.shape[-1] - 1
     j = np.arange(n * oversample + 1)
     base = np.minimum(j // oversample, n - 1)
     frac = j / oversample - base
-    return nodes[base] * (1.0 - frac) + nodes[base + 1] * frac
+    out = np.take(nodes, base, axis=-1)   # C order, unlike nodes[..., base]
+    out *= 1.0 - frac
+    out += np.take(nodes, base + 1, axis=-1) * frac
+    return out
 
 
-def _trapezoid_mean(values_sq: np.ndarray, dt: float, horizon: float) -> float:
-    inner = values_sq[1:-1].sum()
-    return float((0.5 * values_sq[0] + inner + 0.5 * values_sq[-1]) * dt / horizon)
+def _squared_error(fine: np.ndarray, nodes: np.ndarray,
+                   oversample: int) -> np.ndarray:
+    """(fine - interpolant of nodes)**2, in one array."""
+    err = _lerp_nodes(nodes, oversample)
+    np.subtract(fine, err, out=err)
+    err *= err
+    return err
+
+
+def _trapezoid_mean(values_sq: np.ndarray, dt: float, horizon: float):
+    """Trapezoid time average along the last axis (one value per row)."""
+    inner = values_sq[..., 1:-1].sum(axis=-1)
+    return (0.5 * values_sq[..., 0] + inner + 0.5 * values_sq[..., -1]) \
+        * dt / horizon
+
+
+def _fine_paths(params: ProcessParams, config: SimConfig, trials: range,
+                noise_len: int = 0) -> Tuple[np.ndarray, np.ndarray]:
+    """Fine-grid paths of ``trials``, one row each, and their channel noise.
+
+    Row i draws from trial ``trials[i]``'s own stream: the path increments
+    first, then ``noise_len`` channel-noise values.
+    """
+    n, _ = effective_grid(params, config)
+    dt = params.ts / config.oversample
+    fine = np.empty((len(trials), n * config.oversample + 1))
+    noise = np.empty((len(trials), noise_len))
+    for row, trial in enumerate(trials):
+        rng = _trial_rng(config, trial)
+        rng.standard_normal(out=fine[row, 1:])
+        rng.standard_normal(out=noise[row])
+    fine[:, 0] = 0.0
+    paths = fine[:, 1:]
+    paths *= math.sqrt(params.sigma2 * dt)
+    np.cumsum(paths, axis=1, out=paths)
+    return fine, noise
 
 
 def path_for_trial(params: ProcessParams, config: SimConfig,
@@ -189,27 +248,27 @@ def path_for_trial(params: ProcessParams, config: SimConfig,
     """Simulate one Wiener path and its sampled interpolant for a given trial."""
     if not 0 <= trial < config.trials:
         raise ValueError("trial out of range")
-    return _path_from_rng(params, config, trial, _trial_rng(config, trial))
-
-
-def _path_from_rng(params: ProcessParams, config: SimConfig, trial: int,
-                   rng: np.random.Generator) -> PathBundle:
-    n, _ = effective_grid(params, config)
     os_ = config.oversample
-    dt = params.ts / os_
-    increments = rng.standard_normal(n * os_) * math.sqrt(params.sigma2 * dt)
-    fine = np.empty(n * os_ + 1)
-    fine[0] = 0.0
-    np.cumsum(increments, out=fine[1:])
+    fine = _fine_paths(params, config, range(trial, trial + 1))[0][0]
     samples = fine[::os_].copy()
     return PathBundle(trial=trial, fine_path=fine, samples=samples,
-                      interpolant=_lerp_nodes(samples, os_), dt=dt)
+                      interpolant=_lerp_nodes(samples, os_),
+                      dt=params.ts / os_)
 
 
 def simulate_paths(params: ProcessParams, config: SimConfig) -> Iterator[PathBundle]:
     """Yield one PathBundle per trial, in trial order."""
     for trial in range(config.trials):
         yield path_for_trial(params, config, trial)
+
+
+def _estimate(per_trial: np.ndarray, reference: float,
+              bias: float) -> MomentEstimate:
+    trials = len(per_trial)
+    se = float(per_trial.std(ddof=1) / math.sqrt(trials)) \
+        if trials > 1 else float("nan")
+    return MomentEstimate(estimate=float(per_trial.mean()), stderr=se,
+                          reference=reference, bias=bias, per_trial=per_trial)
 
 
 def empirical_mmse(params: ProcessParams, config: SimConfig) -> MomentEstimate:
@@ -220,19 +279,19 @@ def empirical_mmse(params: ProcessParams, config: SimConfig) -> MomentEstimate:
     ``bias`` instead of being silently absorbed, and ``reference`` is the
     biased (grid-exact) value.
     """
-    _, horizon = effective_grid(params, config)
+    n, horizon = effective_grid(params, config)
+    os_ = config.oversample
+    dt = params.ts / os_
     per_trial = np.empty(config.trials)
-    for bundle in simulate_paths(params, config):
-        err_sq = (bundle.fine_path - bundle.interpolant) ** 2
-        per_trial[bundle.trial] = _trapezoid_mean(err_sq, bundle.dt, horizon)
-    est = float(per_trial.mean())
-    se = float(per_trial.std(ddof=1) / math.sqrt(config.trials)) \
-        if config.trials > 1 else float("nan")
+    for trials in _chunks(n, config):
+        fine, _ = _fine_paths(params, config, trials)
+        err_sq = _squared_error(fine, fine[:, ::os_], os_)
+        per_trial[trials.start:trials.stop] = _trapezoid_mean(err_sq, dt,
+                                                              horizon)
     floor = params.sigma2 / (6.0 * params.fs)
-    os_sq = config.oversample ** 2
-    return MomentEstimate(estimate=est, stderr=se,
-                          reference=floor * (1.0 - 1.0 / os_sq),
-                          bias=floor / os_sq, per_trial=per_trial)
+    os_sq = os_ ** 2
+    return _estimate(per_trial, reference=floor * (1.0 - 1.0 / os_sq),
+                     bias=floor / os_sq)
 
 
 def bridge_covariance_check(params: ProcessParams, config: SimConfig,
@@ -272,22 +331,29 @@ def bridge_covariance_check(params: ProcessParams, config: SimConfig,
     return BridgeCheck(empirical=emp, analytic=float(analytic), stderr=se)
 
 
+#: 16-node Gauss-Legendre rule on [0, 1]
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_GL_NODES = 0.5 * (_GL_NODES + 1.0)
+_GL_WEIGHTS = 0.5 * _GL_WEIGHTS
+
+
 def interp_weights(g: Callable[[float], float], params: ProcessParams,
                    n_intervals: int) -> Tuple[np.ndarray, np.ndarray]:
     """Per-interval weights turning samples into the integral of g times the
     interpolant.
 
     X[n] = (1/ts) * integral_{n ts}^{(n+1) ts} g(u) ((n+1) ts - u) du and
-    Y[n] the mirrored ramp; each computed by adaptive quadrature.
+    Y[n] the mirrored ramp, each by a fixed 16-node Gauss-Legendre rule per
+    interval.  The rule is exact when g is a polynomial of degree <= 30 on
+    each interval, which covers the piecewise-linear eigenfunctions of the
+    interpolator kernel; g is called on Python floats.
     """
     ts = params.ts
-    x = np.empty(n_intervals)
-    y = np.empty(n_intervals)
-    for i in range(n_intervals):
-        lo, hi = i * ts, (i + 1) * ts
-        x[i] = quad(lambda u: g(u) * (hi - u), lo, hi, limit=200)[0] / ts
-        y[i] = quad(lambda u: g(u) * (u - lo), lo, hi, limit=200)[0] / ts
-    return x, y
+    u = ts * (np.arange(n_intervals)[:, None] + _GL_NODES)
+    gu = np.array([g(float(v)) for v in u.ravel()],
+                  dtype=float).reshape(u.shape)
+    return ts * (gu @ (_GL_WEIGHTS * (1.0 - _GL_NODES))), \
+        ts * (gu @ (_GL_WEIGHTS * _GL_NODES))
 
 
 def kl_coeff_from_samples(samples: np.ndarray, g: Callable[[float], float],
@@ -326,7 +392,8 @@ def finite_waterfill_theta(eigenvalues: np.ndarray, rbar: float) -> float:
 
     Solves mean_k (1/2) log2+(lambda_k / theta) = rbar exactly: on the
     segment where the m largest modes are active the level is the geometric
-    mean of those eigenvalues scaled by 2**(-2 n rbar / m).
+    mean of those eigenvalues scaled by 2**(-2 n rbar / m).  All n candidate
+    levels come from one cumulative sum; the first consistent one is taken.
     """
     lam = np.asarray(eigenvalues, dtype=float)
     if np.any(lam <= 0):
@@ -335,13 +402,61 @@ def finite_waterfill_theta(eigenvalues: np.ndarray, rbar: float) -> float:
     if not rbar > 0:
         raise ValueError("rbar must be > 0")
     n = len(lam)
-    log_prefix = np.cumsum(np.log(lam))
     budget = 2.0 * n * rbar * math.log(2.0)
-    for m in range(1, n + 1):
-        theta = math.exp((log_prefix[m - 1] - budget) / m)
-        if theta <= lam[m - 1] * (1 + 1e-12) and (m == n or theta >= lam[m]):
-            return theta
-    raise RuntimeError("no consistent waterfilling segment found")
+    theta = np.exp((np.cumsum(np.log(lam)) - budget) / np.arange(1, n + 1))
+    consistent = theta <= lam * (1 + 1e-12)
+    consistent[:-1] &= theta[:-1] >= lam[1:]
+    first = np.flatnonzero(consistent)
+    if first.size == 0:
+        raise RuntimeError("no consistent waterfilling segment found")
+    return float(theta[first[0]])
+
+
+def _kl_forward(block: np.ndarray) -> np.ndarray:
+    """KL coefficients V x of blocks x (last axis, length n) of the walk.
+
+    V[k-1, m-1] = 2 sin((2k-1) pi m / (2n+1)) / sqrt(2n+1), so
+    V x = DST-I_2n([x, 0_n])[0::2] / sqrt(2n+1), with the DST-I read off the
+    real FFT of the odd extension (length 2(2n+1)).
+    """
+    n = block.shape[-1]
+    ext = np.zeros(block.shape[:-1] + (4 * n + 2,))
+    ext[..., 1:n + 1] = block
+    ext[..., 3 * n + 2:] = -block[..., ::-1]
+    sums = np.fft.rfft(ext)[..., 1:2 * n:2].imag
+    return sums * (-1.0 / np.sqrt(2 * n + 1))
+
+
+def _kl_inverse(coeffs: np.ndarray) -> np.ndarray:
+    """Samples V^T y of KL coefficients y (last axis, length n).
+
+    V^T y = DST-I_2n(y on the even slots)[:n] / sqrt(2n+1), with the DST-I
+    read off the real FFT of the odd extension.
+    """
+    n = coeffs.shape[-1]
+    ext = np.zeros(coeffs.shape[:-1] + (4 * n + 2,))
+    ext[..., 1:2 * n:2] = coeffs
+    ext[..., 2 * n + 3::2] = -coeffs[..., ::-1]
+    sums = np.fft.rfft(ext)[..., 1:n + 1].imag
+    return sums * (-1.0 / np.sqrt(2 * n + 1))
+
+
+def _oracle_moments(lam: np.ndarray, theta: float) -> ErrorMoments:
+    """Diagonal and first off-diagonal of V^T diag(min{theta, lam}) V.
+
+    With d = min{theta, lam} and C_j = sum_k d_k cos(j (2k-1) pi / (2n+1)),
+    the real part of one FFT of length 2(2n+1) with d on the odd slots,
+    second[m] = (2/(2n+1)) (sum d - C_2m) and
+    cross[m] = (2/(2n+1)) (C_1 - C_(2m+1)).
+    """
+    n = len(lam)
+    d = np.minimum(theta, lam)
+    slots = np.zeros(4 * n + 2)
+    slots[1:2 * n:2] = d
+    c = np.fft.rfft(slots).real
+    scale = 2.0 / (2 * n + 1)
+    return ErrorMoments(second=scale * (d.sum() - c[2:2 * n + 1:2]),
+                        cross=scale * (c[1] - c[3:2 * n:2]))
 
 
 def ce_moment_oracle(params: ProcessParams, n: int, rbar: float) -> ErrorMoments:
@@ -354,19 +469,18 @@ def ce_moment_oracle(params: ProcessParams, n: int, rbar: float) -> ErrorMoments
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    system = discrete_wiener_eigensystem(params, n)
-    theta = finite_waterfill_theta(system.eigenvalues, rbar)
-    d = np.minimum(theta, system.eigenvalues)
-    vecs = system.eigenvectors
-    second = (vecs ** 2).T @ d
-    cross = np.einsum("km,k,km->m", vecs[:, :-1], d, vecs[:, 1:])
-    return ErrorMoments(second=second, cross=cross)
+    lam = discrete_wiener_eigenvalues(params, n)
+    return _oracle_moments(lam, finite_waterfill_theta(lam, rbar))
+
+
+def _midpoint(moments: ErrorMoments, params: ProcessParams) -> CeEstimate:
+    lower, upper = lemma_bounds(moments, params)
+    return CeEstimate(estimate=0.5 * (lower + upper), lower=lower, upper=upper)
 
 
 def ce_distortion_estimate(params: ProcessParams, n: int, rbar: float) -> CeEstimate:
     """Midpoint of the moment-oracle bounds; converges to d_ce as n grows."""
-    lower, upper = lemma_bounds(ce_moment_oracle(params, n, rbar), params)
-    return CeEstimate(estimate=0.5 * (lower + upper), lower=lower, upper=upper)
+    return _midpoint(ce_moment_oracle(params, n, rbar), params)
 
 
 def mc_test_channel_run(params: ProcessParams, config: SimConfig,
@@ -379,14 +493,12 @@ def mc_test_channel_run(params: ProcessParams, config: SimConfig,
     (lambda - theta)) so that E (y - y_hat)^2 = min{theta, lambda} exactly,
     zero the drowned coefficients, inverse transform, interpolate linearly
     and average the squared path error on the fine grid.  ``reference`` is
-    the moment-oracle midpoint at the same blocklength.
+    the moment-oracle midpoint at the same blocklength and water level.
     """
     n, horizon = effective_grid(params, config)
     if n < 2:
         raise ValueError("need at least 2 sampling intervals per block")
-    system = discrete_wiener_eigensystem(params, n)
-    lam = system.eigenvalues
-    vecs = system.eigenvectors
+    lam = discrete_wiener_eigenvalues(params, n)
     theta = finite_waterfill_theta(lam, rbar)
     active = lam > theta
     gain = np.where(active, 1.0 - theta / lam, 0.0)
@@ -395,24 +507,18 @@ def mc_test_channel_run(params: ProcessParams, config: SimConfig,
                                 / np.where(active, lam - theta, 1.0)),
                         0.0)
 
+    os_ = config.oversample
+    dt = params.ts / os_
     per_trial = np.empty(config.trials)
-    for trial in range(config.trials):
-        rng = _trial_rng(config, trial)
-        bundle = _path_from_rng(params, config, trial, rng)
-        block = bundle.samples[1:] - bundle.samples[0]
-        coeffs = vecs @ block
-        noisy = gain * (coeffs + noise_sd * rng.standard_normal(n))
-        recon_samples = vecs.T @ noisy
-        nodes = np.concatenate(([bundle.samples[0]], recon_samples))
-        recon_fine = _lerp_nodes(nodes, config.oversample)
-        err_sq = (bundle.fine_path - recon_fine) ** 2
-        per_trial[trial] = _trapezoid_mean(err_sq, bundle.dt, horizon)
-
-    est = float(per_trial.mean())
-    se = float(per_trial.std(ddof=1) / math.sqrt(config.trials)) \
-        if config.trials > 1 else float("nan")
-    oracle = ce_distortion_estimate(params, n, rbar)
-    return MomentEstimate(estimate=est, stderr=se, reference=oracle.estimate,
-                          bias=params.sigma2 / (6.0 * params.fs
-                                                * config.oversample ** 2),
-                          per_trial=per_trial)
+    for trials in _chunks(n, config):
+        fine, noise = _fine_paths(params, config, trials, n)
+        samples = fine[:, ::os_]
+        coeffs = _kl_forward(samples[:, 1:] - samples[:, :1])
+        recon = _kl_inverse(gain * (coeffs + noise_sd * noise))
+        nodes = np.concatenate((samples[:, :1], recon), axis=1)
+        err_sq = _squared_error(fine, nodes, os_)
+        per_trial[trials.start:trials.stop] = _trapezoid_mean(err_sq, dt,
+                                                              horizon)
+    reference = _midpoint(_oracle_moments(lam, theta), params).estimate
+    return _estimate(per_trial, reference=reference,
+                     bias=params.sigma2 / (6.0 * params.fs * os_ ** 2))

@@ -8,9 +8,9 @@ eigenvalue staircase converges to the density
 
 while the piecewise-linear interpolator of the samples has the shifted
 density S(phi) - 1/6.  This module provides both densities, closed-form
-finite-rank eigensystems for the two covariance kernels (the discrete walk
-and the interpolator kernel on [0, n/fs]), and brute-force eigensolver /
-Nystrom oracles used to validate the closed forms.
+finite-rank eigenvalues in O(n) and eigensystems for the two covariance
+kernels (the discrete walk and the interpolator kernel on [0, n/fs]), and
+brute-force eigensolver / Nystrom oracles used to validate the closed forms.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from typing import Optional
 import numpy as np
 
 __all__ = [
-    "NumericalDegeneracyError",
     "ProcessParams",
     "SpectralDensity",
     "SAMPLED_WIENER",
@@ -30,16 +29,14 @@ __all__ = [
     "s_bar",
     "s_tilde_density",
     "EigenSystem",
+    "discrete_wiener_eigenvalues",
     "discrete_wiener_eigensystem",
+    "interp_kernel_eigenvalues",
     "interp_kernel_eigensystem",
     "interp_covariance",
     "nystrom_interp_eigenvalues",
     "fredholm_residual",
 ]
-
-
-class NumericalDegeneracyError(RuntimeError):
-    """An eigenvalue denominator fell below the safe magnitude."""
 
 
 @dataclass(frozen=True)
@@ -125,7 +122,11 @@ class SpectralDensity:
         return self.level
 
     def crossing(self, theta: float) -> Optional[float]:
-        """The phi in (0, 1) where the density equals theta, if any."""
+        """The phi in (0, 1) where the density equals theta, if any.
+
+        Just above the floor the arcsine rounds to phi = 1; the crossing is
+        then the largest float below 1, so it stays inside (0, 1).
+        """
         if self.kind == "constant":
             return None
         shift = 0.0 if self.kind == "sampled-wiener" else 1.0 / 6.0
@@ -133,8 +134,10 @@ class SpectralDensity:
             return None
         arg = 0.5 / np.sqrt(theta + shift)
         phi = (2.0 / np.pi) * np.arcsin(arg)
-        return float(phi) if 0.0 < phi < 1.0 else None
+        return min(float(phi), _BELOW_ONE) if phi > 0.0 else None
 
+
+_BELOW_ONE = float(np.nextafter(1.0, 0.0))
 
 SAMPLED_WIENER = SpectralDensity("sampled-wiener")
 SHIFTED_SAMPLED_WIENER = SpectralDensity("shifted-sampled-wiener")
@@ -156,8 +159,7 @@ class EigenSystem:
     eigenfunction values on the sampling grid t = m*ts, m = 0..n; the
     eigenfunctions are piecewise linear between those nodes.
     ``normalizers`` keeps the per-mode normalization constants (for the
-    discrete kernel, n * normalizers**2 -> 2 as n grows, a useful
-    diagnostic).
+    discrete kernel all equal 2/sqrt(2n+1), so n * normalizers**2 -> 2).
     """
 
     n: int
@@ -193,24 +195,30 @@ class EigenSystem:
         return float(out) if t_arr.ndim == 0 else out
 
 
-def discrete_wiener_eigensystem(params: ProcessParams, n: int) -> EigenSystem:
-    """Closed-form eigensystem of the covariance (sigma2/fs) * min{i, j}.
-
-    Eigenvalues (sigma2/fs) / (4 sin^2((2k-1) pi / (2(2n+1)))) come out
-    sorted decreasing in k; eigenvectors are the sine vectors
-    sin((2k-1) pi m / (2n+1)), m = 1..n, scaled to unit Euclidean norm.
-    """
+def discrete_wiener_eigenvalues(params: ProcessParams, n: int) -> np.ndarray:
+    """Eigenvalues (sigma2/fs) / (4 sin^2((2k-1) pi / (2(2n+1)))), k = 1..n,
+    of the covariance (sigma2/fs) * min{i, j}; decreasing in k, O(n)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     k = np.arange(1, n + 1)
-    lam = (params.sigma2 / params.fs) / (
+    return (params.sigma2 / params.fs) / (
         4.0 * np.sin((2 * k - 1) * np.pi / (2.0 * (2 * n + 1))) ** 2)
-    m = np.arange(1, n + 1)
-    vecs = np.sin(np.outer((2 * k - 1) * np.pi / (2 * n + 1), m))
-    norms = np.linalg.norm(vecs, axis=1)
-    vecs /= norms[:, None]
+
+
+def discrete_wiener_eigensystem(params: ProcessParams, n: int) -> EigenSystem:
+    """Closed-form eigensystem of the covariance (sigma2/fs) * min{i, j}.
+
+    Eigenvalues from ``discrete_wiener_eigenvalues``; eigenvectors are the
+    sine vectors sin((2k-1) pi m / (2n+1)), m = 1..n.  Every such row has
+    squared norm (2n+1)/4, so one normalizer 2/sqrt(2n+1) serves all modes.
+    """
+    lam = discrete_wiener_eigenvalues(params, n)
+    k = np.arange(1, n + 1)   # also the sample index m = 1..n
+    norm = 2.0 / np.sqrt(2 * n + 1)
+    vecs = np.sin(np.outer((2 * k - 1) * np.pi / (2 * n + 1), k))
+    vecs *= norm
     return EigenSystem(n=n, eigenvalues=lam, ts=params.ts,
-                       eigenvectors=vecs, normalizers=1.0 / norms)
+                       eigenvectors=vecs, normalizers=np.full(n, norm))
 
 
 def _pwl_l2_norm_sq(values: np.ndarray, ts: float) -> np.ndarray:
@@ -220,41 +228,38 @@ def _pwl_l2_norm_sq(values: np.ndarray, ts: float) -> np.ndarray:
     return (ts / 3.0) * np.sum(a * a + a * b + b * b, axis=-1)
 
 
-def interp_kernel_eigensystem(params: ProcessParams, n: int) -> EigenSystem:
-    """Closed-form eigensystem of the sample-interpolator kernel on [0, n*ts].
+def interp_kernel_eigenvalues(params: ProcessParams, n: int) -> np.ndarray:
+    """Eigenvalues of the sample-interpolator kernel on [0, n*ts], O(n).
 
-    The kernel has rank n; its eigenvalues are
+        lam_k = sigma2 ts^2 (2 + cos x_k) / (12 sin^2(x_k / 2)),
+        x_k = (2k-1) pi / (2n),   k = 1..n,
 
-        lam_k = (sigma2 ts^2 / 6) * (2 cos(k pi) - s_k) / (cos(k pi) + s_k),
-        s_k = sin((2k-1)(n-1) pi / (2n)),
-
-    and the eigenfunctions are piecewise linear with node values
-    sin((2k-1) pi m / (2n)), m = 0..n, normalized to unit L2 norm.  A
-    denominator magnitude below 1e-12 raises NumericalDegeneracyError
-    (does not occur for n <= 4096).
+    which is sigma2 ts^2 times the shifted density at (k - 1/2)/n.  The form
+    has no cancellation (relative error a few ulp at any n) and is
+    decreasing in k: the numerator falls and the denominator rises.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    x = (2 * np.arange(1, n + 1) - 1) * np.pi / (2.0 * n)
+    return (params.sigma2 * params.ts ** 2 / 12.0) * (
+        (2.0 + np.cos(x)) / np.sin(0.5 * x) ** 2)
+
+
+def interp_kernel_eigensystem(params: ProcessParams, n: int) -> EigenSystem:
+    """Closed-form eigensystem of the sample-interpolator kernel on [0, n*ts].
+
+    Eigenvalues from ``interp_kernel_eigenvalues``; the eigenfunctions are
+    piecewise linear with node values sin((2k-1) pi m / (2n)), m = 0..n,
+    normalized to unit L2 norm.
+    """
+    lam = interp_kernel_eigenvalues(params, n)
     ts = params.ts
     k = np.arange(1, n + 1)
-    s_k = np.sin((2 * k - 1) * (n - 1) * np.pi / (2.0 * n))
-    cos_k = np.cos(k * np.pi)
-    denom = cos_k + s_k
-    bad = np.abs(denom) < 1e-12
-    if np.any(bad):
-        k_bad = int(k[bad][0])
-        raise NumericalDegeneracyError(
-            f"eigenvalue denominator below 1e-12 at k={k_bad}, n={n}")
-    lam = (params.sigma2 * ts * ts / 6.0) * (2.0 * cos_k - s_k) / denom
-
-    m = np.arange(0, n + 1)
-    nodes = np.sin(np.outer((2 * k - 1) * np.pi / (2.0 * n), m))
+    nodes = np.sin(np.outer((2 * k - 1) * np.pi / (2.0 * n), np.arange(n + 1)))
     scale = 1.0 / np.sqrt(_pwl_l2_norm_sq(nodes, ts))
     nodes *= scale[:, None]
-
-    order = np.argsort(np.abs(lam))[::-1]
-    return EigenSystem(n=n, eigenvalues=lam[order], ts=ts,
-                       node_values=nodes[order], normalizers=scale[order])
+    return EigenSystem(n=n, eigenvalues=lam, ts=ts, node_values=nodes,
+                       normalizers=scale)
 
 
 def _bridge_cov_grid(params: ProcessParams, t: np.ndarray, s: np.ndarray):

@@ -1,7 +1,11 @@
-"""Quadrature oracle for the closed-form waterfilling kernel.
+"""Quadrature oracle for the closed-form waterfilling kernel, and dense
+references for the Monte-Carlo layer.
 
 Only the tests import this module.  It integrates the waterfilling
 integrands directly, so it shares no formula with ``wienerdr.waterfill``.
+The Monte-Carlo references at the end run one trial at a time with the
+dense eigenvector matrix and a loop over waterfilling segments, so they
+share no transform, batching or vectorized solve with ``wienerdr.mc``.
 
 Adaptive composite Gauss-Legendre quadrature on bounded intervals.  The
 waterfilling integrands over (0, 1] are smooth away from the left endpoint
@@ -29,9 +33,12 @@ On top of the engine sit the waterfilling integrals at a water level theta
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from wienerdr.spectral import SAMPLED_WIENER, SpectralDensity
+from wienerdr.spectral import (SAMPLED_WIENER, ProcessParams, SpectralDensity,
+                               discrete_wiener_eigensystem)
 
 #: every waterfilling integral must come back with an error estimate below this
 ERROR_BOUND = 1e-9
@@ -228,3 +235,85 @@ def integrate_density(density: SpectralDensity, transform: str = "identity",
         raise ValueError(f"unknown transform {transform!r}")
     return _checked(integrate_unit(f, graded=graded, breakpoints=bps),
                     f"{transform} transform")
+
+
+# --------------------------------------------------- Monte-Carlo references
+
+def loop_waterfill_theta(eigenvalues, rbar: float) -> float:
+    """Water level over finitely many eigenvalues, one segment at a time."""
+    lam = np.sort(np.asarray(eigenvalues, dtype=float))[::-1]
+    n = len(lam)
+    log_prefix = np.cumsum(np.log(lam))
+    budget = 2.0 * n * rbar * math.log(2.0)
+    for m in range(1, n + 1):
+        theta = math.exp((log_prefix[m - 1] - budget) / m)
+        if theta <= lam[m - 1] * (1 + 1e-12) and (m == n or theta >= lam[m]):
+            return theta
+    raise RuntimeError("no consistent waterfilling segment found")
+
+
+def _lerp(nodes: np.ndarray, oversample: int) -> np.ndarray:
+    n = len(nodes) - 1
+    j = np.arange(n * oversample + 1)
+    base = np.minimum(j // oversample, n - 1)
+    frac = j / oversample - base
+    return nodes[base] * (1.0 - frac) + nodes[base + 1] * frac
+
+
+def _trapezoid_mean(values_sq: np.ndarray, dt: float, horizon: float) -> float:
+    inner = values_sq[1:-1].sum()
+    return float((0.5 * values_sq[0] + inner + 0.5 * values_sq[-1]) * dt / horizon)
+
+
+def _trial(params: ProcessParams, config, trial: int):
+    """(generator left after the path, fine path, samples) of one trial."""
+    seq = np.random.SeedSequence(entropy=int(config.seed), spawn_key=(trial,))
+    rng = np.random.Generator(np.random.Philox(seq))
+    n = round(config.horizon_t * params.fs)
+    os_ = config.oversample
+    dt = params.ts / os_
+    fine = np.concatenate(([0.0], np.cumsum(
+        rng.standard_normal(n * os_) * math.sqrt(params.sigma2 * dt))))
+    return rng, fine, fine[::os_].copy()
+
+
+def dense_mmse_trials(params: ProcessParams, config) -> np.ndarray:
+    """Per-trial squared interpolation error, one trial at a time.
+
+    ``config.horizon_t * params.fs`` must be an integer.
+    """
+    out = np.empty(config.trials)
+    horizon = config.horizon_t
+    dt = params.ts / config.oversample
+    for trial in range(config.trials):
+        _, fine, samples = _trial(params, config, trial)
+        err_sq = (fine - _lerp(samples, config.oversample)) ** 2
+        out[trial] = _trapezoid_mean(err_sq, dt, horizon)
+    return out
+
+
+def dense_channel_trials(params: ProcessParams, config,
+                         rbar: float) -> np.ndarray:
+    """Per-trial test-channel distortion with the dense KL matrix.
+
+    ``config.horizon_t * params.fs`` must be an integer.
+    """
+    n = round(config.horizon_t * params.fs)
+    system = discrete_wiener_eigensystem(params, n)
+    lam = system.eigenvalues
+    vecs = system.eigenvectors
+    theta = loop_waterfill_theta(lam, rbar)
+    active = lam > theta
+    gain = np.where(active, 1.0 - theta / lam, 0.0)
+    noise_sd = np.sqrt(np.where(active, theta * lam, 0.0)
+                       / np.where(active, lam - theta, 1.0))
+    out = np.empty(config.trials)
+    dt = params.ts / config.oversample
+    for trial in range(config.trials):
+        rng, fine, samples = _trial(params, config, trial)
+        coeffs = vecs @ (samples[1:] - samples[0])
+        noisy = gain * (coeffs + noise_sd * rng.standard_normal(n))
+        nodes = np.concatenate(([samples[0]], vecs.T @ noisy))
+        err_sq = (fine - _lerp(nodes, config.oversample)) ** 2
+        out[trial] = _trapezoid_mean(err_sq, dt, config.horizon_t)
+    return out

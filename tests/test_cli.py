@@ -3,10 +3,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import wienerdr
 from wienerdr.cli import _write_csv_atomic, main
 
 
@@ -181,6 +184,44 @@ class TestArgumentHandling:
             argv += [k, v]
         assert main(argv) == 2
         assert not os.path.exists(out)
+
+
+def run_python(code: str) -> str:
+    """Run code in a fresh interpreter that imports this checkout's package."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wienerdr.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    return done.stdout
+
+
+class TestFootprint:
+    def test_import_loads_no_heavy_scipy_modules(self):
+        out = run_python(
+            "import sys, wienerdr.cli\n"
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.fft',"
+            " 'scipy.special') if m in sys.modules))")
+        assert out.strip() == "[]"
+
+    @pytest.mark.parametrize("kind", ["discrete", "interp"])
+    def test_eigen_memory_is_linear(self, tmp_path, kind):
+        # a dense n x n matrix alone would take 1.15 GB at n = 12000.  The
+        # peak is the child's VmHWM: its ru_maxrss also counts the resident
+        # set of this (large) test process at the moment it was spawned
+        out = str(tmp_path / "eigs.csv")
+        peak_kb = run_python(
+            "from wienerdr.cli import main\n"
+            f"assert main(['eigen', '--kind', '{kind}', '--n', '12000',"
+            f" '--out', {out!r}]) == 0\n"
+            "with open('/proc/self/status') as fh:\n"
+            "    print(next(line.split()[1] for line in fh"
+            " if line.startswith('VmHWM:')))")
+        assert int(peak_kb) < 150 * 1024
+        _, cols = read_csv(out)
+        assert len(cols["k"]) == 12000
+        assert np.all(np.diff(cols["lambda"]) < 0)
 
 
 class TestAtomicWrites:

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from oracle import (dense_channel_trials, dense_mmse_trials,
+                    loop_waterfill_theta)
+from wienerdr import mc
 from wienerdr.drf import g_fun
 from wienerdr.mc import (ErrorMoments, SimConfig, bridge_covariance_check,
                          ce_distortion_estimate, ce_moment_oracle,
@@ -223,6 +226,15 @@ class TestFiniteWaterfill:
         lam = discrete_wiener_eigensystem(UNIT, 8).eigenvalues
         assert finite_waterfill_theta(lam, 40.0) < 1e-20
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 128, 1500])
+    def test_matches_segment_loop(self, n):
+        params = ProcessParams(1.7, 0.6)
+        lam = discrete_wiener_eigensystem(params, n).eigenvalues
+        for rbar in (1e-3, 0.05, 0.3, 1.0, 2.5, 40.0):
+            theta = finite_waterfill_theta(lam, rbar)
+            assert theta == pytest.approx(loop_waterfill_theta(lam, rbar),
+                                          rel=1e-14)
+
     def test_validation(self):
         lam = discrete_wiener_eigensystem(UNIT, 4).eigenvalues
         with pytest.raises(ValueError):
@@ -262,6 +274,69 @@ class TestCeMomentOracle:
             errs.append(abs(value - limit) / limit)
         assert errs[2] < errs[1] < errs[0]
         assert errs[2] < 0.01
+
+
+class TestFastTransforms:
+    """The FFT-based KL transforms and moments against the dense matrix."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 1500])
+    def test_sine_transforms_match_eigenvectors(self, n):
+        vecs = discrete_wiener_eigensystem(UNIT, n).eigenvectors
+        x = np.random.default_rng(n).standard_normal((3, n))
+        dense_fwd = x @ vecs.T
+        dense_inv = x @ vecs
+        fwd = mc._kl_forward(x)
+        inv = mc._kl_inverse(x)
+        assert np.max(np.abs(fwd - dense_fwd)) <= 1e-12 * np.max(np.abs(dense_fwd))
+        assert np.max(np.abs(inv - dense_inv)) <= 1e-12 * np.max(np.abs(dense_inv))
+
+    @pytest.mark.parametrize("n", [2, 5, 256, 1000])
+    def test_moments_match_dense(self, n):
+        params = ProcessParams(2.0, 0.8)
+        system = discrete_wiener_eigensystem(params, n)
+        vecs = system.eigenvectors
+        for rbar in (0.05, 0.7, 3.0):
+            d = np.minimum(loop_waterfill_theta(system.eigenvalues, rbar),
+                           system.eigenvalues)
+            second = (vecs ** 2).T @ d
+            cross = np.einsum("km,k,km->m", vecs[:, :-1], d, vecs[:, 1:])
+            moments = ce_moment_oracle(params, n, rbar)
+            scale = np.max(second)
+            assert np.max(np.abs(moments.second - second)) <= 1e-12 * scale
+            assert np.max(np.abs(moments.cross - cross)) <= 1e-12 * scale
+
+
+class TestBatchedTrials:
+    """Chunked runs against the dense one-trial-at-a-time references."""
+
+    @pytest.mark.parametrize("params,blocks,oversample,trials,rbar", [
+        (UNIT, 2, 1, 20, 1.0),
+        (ProcessParams(1.3, 2.0), 16, 8, 40, 0.7),
+        (ProcessParams(0.5, 1.0), 33, 4, 12, 0.2),
+        (UNIT, 300, 4, 6, 2.0),
+    ])
+    def test_per_trial_values_match_dense_loop(self, params, blocks,
+                                               oversample, trials, rbar):
+        cfg = SimConfig(horizon_t=blocks / params.fs, oversample=oversample,
+                        trials=trials, seed=83)
+        got = mc_test_channel_run(params, cfg, rbar).per_trial
+        ref = dense_channel_trials(params, cfg, rbar)
+        assert np.max(np.abs(got - ref) / ref) <= 1e-12
+        got = empirical_mmse(params, cfg).per_trial
+        ref = dense_mmse_trials(params, cfg)
+        assert np.max(np.abs(got - ref) / np.maximum(ref, 1e-300)) <= 1e-12
+
+    def test_chunking_leaves_trials_bit_identical(self):
+        n, oversample, k = 8, 8, 5
+        chunk = mc._chunk_rows(n, oversample)
+        short = SimConfig(horizon_t=n, oversample=oversample, trials=k, seed=89)
+        long = SimConfig(horizon_t=n, oversample=oversample,
+                         trials=k + chunk + 1, seed=89)
+        for run in (empirical_mmse,
+                    lambda p, c: mc_test_channel_run(p, c, 0.8)):
+            first = run(UNIT, short).per_trial
+            again = run(UNIT, long).per_trial
+            assert np.array_equal(first, again[:k])
 
 
 class TestCeDistortionEstimate:

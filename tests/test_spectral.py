@@ -1,15 +1,17 @@
 """Spectral densities and eigensystems against brute-force oracles."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wienerdr.spectral import (NumericalDegeneracyError, ProcessParams,
-                               SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER,
-                               constant_density, discrete_wiener_eigensystem,
-                               fredholm_residual, interp_covariance,
-                               interp_kernel_eigensystem,
+from wienerdr.spectral import (ProcessParams, SAMPLED_WIENER,
+                               SHIFTED_SAMPLED_WIENER, constant_density,
+                               discrete_wiener_eigensystem,
+                               discrete_wiener_eigenvalues, fredholm_residual,
+                               interp_covariance, interp_kernel_eigensystem,
+                               interp_kernel_eigenvalues,
                                nystrom_interp_eigenvalues, s_bar,
                                s_tilde_density)
 
@@ -60,6 +62,12 @@ class TestDensities:
         assert SHIFTED_SAMPLED_WIENER.crossing(1.0 / 3.0) == pytest.approx(
             0.5, abs=1e-14)
         assert constant_density(0.7).crossing(0.3) is None
+
+    @pytest.mark.parametrize("density", [SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER])
+    def test_crossing_one_ulp_above_floor(self, density):
+        # the arcsine rounds to phi = 1 here; the crossing must stay inside
+        theta = float(np.nextafter(density.floor, 1.0))
+        assert 0.0 < density.crossing(theta) < 1.0
 
     def test_constant_stub(self):
         c = constant_density(0.7)
@@ -191,6 +199,28 @@ class TestInterpEigensystem:
         horizon = n * params.ts
         trace = params.sigma2 * (horizon ** 2 / 2.0 - horizon * params.ts / 6.0)
         assert system.eigenvalues.sum() == pytest.approx(trace, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [4096, 10 ** 6])
+    def test_leading_eigenvalue_against_mpmath(self, n):
+        # the defining form (sigma2 ts^2/6)(2 cos k pi - s_k)/(cos k pi + s_k)
+        # at 40 digits, k = 1: s_1 = sin((n-1) pi/(2n)), cos pi = -1
+        params = ProcessParams(sigma2=1.3, fs=0.7)
+        with mpmath.workdps(40):
+            s1 = mpmath.sin((n - 1) * mpmath.pi / (2 * n))
+            exact = (mpmath.mpf(1.3) * (1 / mpmath.mpf(0.7)) ** 2 / 6
+                     * (2 + s1) / (1 - s1))
+        lam1 = interp_kernel_eigenvalues(params, n)[0]
+        assert abs(lam1 / float(exact) - 1.0) <= 1e-14
+
+    def test_eigenvalue_path_matches_eigensystem(self):
+        params = ProcessParams(sigma2=0.4, fs=2.5)
+        for n in (1, 9, 200):
+            assert np.array_equal(
+                interp_kernel_eigenvalues(params, n),
+                interp_kernel_eigensystem(params, n).eigenvalues)
+            assert np.array_equal(
+                discrete_wiener_eigenvalues(params, n),
+                discrete_wiener_eigensystem(params, n).eigenvalues)
 
     def test_large_n_has_no_degenerate_denominators(self):
         interp_kernel_eigensystem(UNIT, 4096)

@@ -51,6 +51,11 @@ class TestRate:
         assert rate_at_theta(SAMPLED_WIENER, 2.0 ** -4) == \
             pytest.approx(2.0, abs=1e-10)
 
+    def test_one_ulp_above_the_floor(self):
+        # the crossing rounds onto phi = 1 there; the rate must not drop to 0
+        theta = float(np.nextafter(0.25, 1.0))
+        assert rate_at_theta(SAMPLED_WIENER, theta) == pytest.approx(1.0, abs=1e-12)
+
     def test_border_point(self):
         assert rate_at_theta(SHIFTED_SAMPLED_WIENER, 1.0 / 12.0) == \
             pytest.approx(BORDER_RATE, abs=1e-10)

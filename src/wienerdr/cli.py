@@ -1,10 +1,11 @@
 """Command-line front end: curve sweeps, eigenvalue tables, ratio sweeps and
 Monte-Carlo runs, emitted as deterministic CSV.
 
-Exit codes: 0 success, 2 invalid arguments, 3 numerical failure.  Output
-files are written to a temporary file and renamed on success, so a failing
-run never leaves a partial CSV behind; a JSON manifest (flags, versions,
-seed) is written next to each output.
+Exit codes: 0 success, 2 invalid arguments (a request too large to allocate
+included), 3 numerical failure.  Output files are written to a temporary
+file and renamed on success, so a failing run never leaves a partial CSV
+behind; a JSON manifest (flags, versions, seed) is written next to each
+output.
 """
 
 from __future__ import annotations
@@ -27,19 +28,31 @@ from .spectral import (ProcessParams, discrete_wiener_eigenvalues,
 _NUMERICAL_ERRORS = (FloatingPointError,)
 
 
+#: rows formatted per string operation; bounds the writer's extra memory
+_CSV_BLOCK_ROWS = 1024
+
+
 def _fmt(value: float) -> str:
     return format(float(value), ".15g")
 
 
-def _write_csv_atomic(path: str, header, rows) -> None:
-    """Write rows atomically; on any error the target path is untouched."""
+def _write_csv_atomic(path: str, header, table) -> None:
+    """Write a 2-D float table atomically; on any error the target path is
+    untouched.
+
+    Every value is written as ``"%.15g"``, which gives the same text as
+    ``_fmt``; each block of rows is formatted by one ``%`` operation.
+    """
+    table = np.asarray(table, dtype=float)
+    line = ",".join(["%.15g"] * len(header)) + "\n"
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(prefix=".wienerdr-", dir=directory)
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            for lo in range(0, len(table), _CSV_BLOCK_ROWS):
+                block = table[lo:lo + _CSV_BLOCK_ROWS]
+                fh.write((line * len(block)) % tuple(block.ravel().tolist()))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -131,9 +144,9 @@ def _cmd_simulate(args) -> int:
         if args.rbar is None:
             raise ValueError("--rbar is required for the test-channel scheme")
         result = mc.mc_test_channel_run(params, config, args.rbar)
-    header = ["trial", "distortion"]
-    rows = [[t, v] for t, v in enumerate(result.per_trial)]
-    _write_csv_atomic(args.out, header, rows)
+    table = np.column_stack([np.arange(len(result.per_trial)),
+                             result.per_trial])
+    _write_csv_atomic(args.out, ["trial", "distortion"], table)
     _write_manifest(args.out, "simulate", args)
     print(f"estimate={_fmt(result.estimate)} stderr={_fmt(result.stderr)} "
           f"reference={_fmt(result.reference)} z={_fmt(result.z_score)}")
@@ -210,6 +223,10 @@ def main(argv=None) -> int:
         op = getattr(args, "command", "computation")
         print(f"numerical failure in {op}: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print(f"error: {args.command}: request too large to allocate",
+              file=sys.stderr)
+        return 2
 
 
 def _precheck(args) -> None:

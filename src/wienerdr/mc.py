@@ -8,6 +8,11 @@ trial range reproduces the sequential results bit for bit (statistics are
 always reduced in trial order).  Runs fill chunks of trials row by row from
 those streams and then work on whole chunks; every step acts on each row
 alone, so the chunking leaves each trial's value unchanged to the bit.
+The Philox keys of a chunk's trials are derived in one vectorized pass of
+NumPy's documented SeedSequence mixing (pinned against ``SeedSequence`` by
+the tests), and one bit generator per run is re-keyed before each row
+instead of being built per trial.  A spawn key of one 32-bit word covers
+trials 0 .. 2**32 - 1, so runs are capped at 2**32 trials.
 
 The compress-and-estimate experiment replaces the random-codebook encoder
 with the Gaussian test channel attaining the same per-coefficient error
@@ -76,6 +81,8 @@ class SimConfig:
             raise ValueError("oversample must be an integer >= 1")
         if int(self.trials) != self.trials or self.trials < 1:
             raise ValueError("trials must be an integer >= 1")
+        if self.trials > 2 ** 32:   # spawn keys of one 32-bit word
+            raise ValueError("trials must be <= 2**32")
         if not 0 <= int(self.seed) < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
 
@@ -168,9 +175,111 @@ def effective_grid(params: ProcessParams, config: SimConfig) -> Tuple[int, float
     return int(n), n / params.fs
 
 
-def _trial_rng(config: SimConfig, trial: int) -> np.random.Generator:
-    seq = np.random.SeedSequence(entropy=int(config.seed), spawn_key=(trial,))
-    return np.random.Generator(np.random.Philox(seq))
+#: constants of NumPy's SeedSequence (numpy/random/bit_generator.pyx), whose
+#: mixing NumPy keeps stream-stable
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _seed_pool(seed: int) -> Tuple[Tuple[int, ...], int]:
+    """(entropy pool, hash constant) of SeedSequence after the seed's words.
+
+    A spawned SeedSequence pads the seed's 32-bit words (at most two below
+    2**64) with zeros to the pool size, mixes them into the pool and then
+    mixes in the spawn word; everything before the spawn word depends on
+    the seed alone.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = (value * hash_const) & _MASK32
+        return value ^ (value >> 16)
+
+    pool = [hashmix((int(seed) >> (32 * i)) & _MASK32)
+            for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                mixed = (_MIX_MULT_L * pool[dst]
+                         - _MIX_MULT_R * hashmix(pool[src])) & _MASK32
+                pool[dst] = mixed ^ (mixed >> 16)
+    return tuple(pool), hash_const
+
+
+def _hash_steps(hash_const: int, mult: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(xor, multiplier) constants of the next _POOL_SIZE hash steps, as
+    uint64 columns: each step xors with the constant, advances it by
+    ``mult`` and multiplies by the advanced value."""
+    consts = [hash_const]
+    for _ in range(_POOL_SIZE):
+        consts.append((consts[-1] * mult) & _MASK32)
+    column = np.array(consts, dtype=np.uint64)[:, None]
+    return column[:-1], column[1:]
+
+
+def _spawn_keys(seed_pool: Tuple[Tuple[int, ...], int],
+                trials: range) -> np.ndarray:
+    """Philox keys of ``trials`` from the seed's pool, one row per trial.
+
+    Mixes each spawn word k into the pool and hashes the pool into four
+    output words, as ``generate_state(2, np.uint64)`` does.  The uint32
+    arithmetic is carried in a (pool word, k) uint64 array and masked after
+    each product, which stays below 2**64.
+    """
+    pool, hash_const = seed_pool
+    mask, shift = np.uint64(_MASK32), np.uint64(16)
+    k = np.arange(trials.start, trials.stop, dtype=np.uint64)
+    xor, mul = _hash_steps(hash_const, _MULT_A)
+    h = (k ^ xor) * mul
+    h &= mask
+    h ^= h >> shift
+    scaled_pool = [(_MIX_MULT_L * word) & _MASK32 for word in pool]
+    words = np.array(scaled_pool, dtype=np.uint64)[:, None] \
+        - np.uint64(_MIX_MULT_R) * h
+    words &= mask
+    words ^= words >> shift
+    xor, mul = _hash_steps(_INIT_B, _MULT_B)
+    words ^= xor
+    words *= mul
+    words &= mask
+    words ^= words >> shift
+    return (words[0::2] | (words[1::2] << np.uint64(32))).T
+
+
+def _trial_keys(seed: int, trials: range) -> np.ndarray:
+    """Philox key of ``SeedSequence(entropy=seed, spawn_key=(k,))`` for each
+    k in ``trials`` (k < 2**32), as a (len(trials), 2) uint64 array."""
+    return _spawn_keys(_seed_pool(seed), trials)
+
+
+class _TrialStreams:
+    """Trial streams of one run from a single Philox bit generator.
+
+    Before each trial the generator is re-keyed with that trial's key and
+    the rest of a fresh generator's state (counter 0, empty buffer, no
+    cached half-word), which is exactly the state of
+    ``Philox(SeedSequence(entropy=seed, spawn_key=(k,)))``.
+    """
+
+    def __init__(self, seed: int):
+        self._pool = _seed_pool(seed)
+        self._bitgen = np.random.Philox(0)   # any key: replaced before use
+        self._fresh = self._bitgen.state
+        self._rng = np.random.Generator(self._bitgen)
+
+    def each(self, trials: range) -> Iterator[np.random.Generator]:
+        """Yield the generator keyed to each trial of ``trials`` in turn."""
+        state = self._fresh
+        for key in _spawn_keys(self._pool, trials):
+            state["state"]["key"] = key
+            self._bitgen.state = state
+            yield self._rng
 
 
 #: float64 elements per row chunk (1 MiB per array), which bounds the
@@ -222,6 +331,7 @@ def _trapezoid_mean(values_sq: np.ndarray, dt: float, horizon: float):
 
 
 def _fine_paths(params: ProcessParams, config: SimConfig, trials: range,
+                streams: _TrialStreams,
                 noise_len: int = 0) -> Tuple[np.ndarray, np.ndarray]:
     """Fine-grid paths of ``trials``, one row each, and their channel noise.
 
@@ -232,8 +342,7 @@ def _fine_paths(params: ProcessParams, config: SimConfig, trials: range,
     dt = params.ts / config.oversample
     fine = np.empty((len(trials), n * config.oversample + 1))
     noise = np.empty((len(trials), noise_len))
-    for row, trial in enumerate(trials):
-        rng = _trial_rng(config, trial)
+    for row, rng in enumerate(streams.each(trials)):
         rng.standard_normal(out=fine[row, 1:])
         rng.standard_normal(out=noise[row])
     fine[:, 0] = 0.0
@@ -249,7 +358,8 @@ def path_for_trial(params: ProcessParams, config: SimConfig,
     if not 0 <= trial < config.trials:
         raise ValueError("trial out of range")
     os_ = config.oversample
-    fine = _fine_paths(params, config, range(trial, trial + 1))[0][0]
+    fine = _fine_paths(params, config, range(trial, trial + 1),
+                       _TrialStreams(config.seed))[0][0]
     samples = fine[::os_].copy()
     return PathBundle(trial=trial, fine_path=fine, samples=samples,
                       interpolant=_lerp_nodes(samples, os_),
@@ -283,8 +393,9 @@ def empirical_mmse(params: ProcessParams, config: SimConfig) -> MomentEstimate:
     os_ = config.oversample
     dt = params.ts / os_
     per_trial = np.empty(config.trials)
+    streams = _TrialStreams(config.seed)
     for trials in _chunks(n, config):
-        fine, _ = _fine_paths(params, config, trials)
+        fine, _ = _fine_paths(params, config, trials, streams)
         err_sq = _squared_error(fine, fine[:, ::os_], os_)
         per_trial[trials.start:trials.stop] = _trapezoid_mean(err_sq, dt,
                                                               horizon)
@@ -510,8 +621,9 @@ def mc_test_channel_run(params: ProcessParams, config: SimConfig,
     os_ = config.oversample
     dt = params.ts / os_
     per_trial = np.empty(config.trials)
+    streams = _TrialStreams(config.seed)
     for trials in _chunks(n, config):
-        fine, noise = _fine_paths(params, config, trials, n)
+        fine, noise = _fine_paths(params, config, trials, streams, n)
         samples = fine[:, ::os_]
         coeffs = _kl_forward(samples[:, 1:] - samples[:, :1])
         recon = _kl_inverse(gain * (coeffs + noise_sd * noise))

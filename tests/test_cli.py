@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import wienerdr
-from wienerdr.cli import _write_csv_atomic, main
+from wienerdr import cli, mc
+from wienerdr.cli import _fmt, _write_csv_atomic, main
 
 
 def read_csv(path):
@@ -166,6 +167,35 @@ class TestSimulate:
         assert "wienerdr" in manifest["versions"]
 
 
+    def test_trials_beyond_one_spawn_word_rejected(self, tmp_path,
+                                                   monkeypatch):
+        def never(*args):
+            raise AssertionError("the run must not start")
+
+        monkeypatch.setattr(mc, "empirical_mmse", never)
+        out = str(tmp_path / "sim.csv")
+        code = main(["simulate", "--scheme", "mmse-only", "--horizon", "4",
+                     "--trials", str(2 ** 32 + 1), "--seed", "1",
+                     "--out", out])
+        assert code == 2
+        assert os.listdir(tmp_path) == []
+
+    def test_unallocatable_request_is_a_typed_error(self, tmp_path, capsys,
+                                                    monkeypatch):
+        def too_large(*args):
+            raise MemoryError("unable to allocate 320 TiB")
+
+        monkeypatch.setattr(mc, "empirical_mmse", too_large)
+        out = str(tmp_path / "sim.csv")
+        code = main(["simulate", "--scheme", "mmse-only", "--horizon", "4",
+                     "--trials", "5", "--seed", "1", "--oversample",
+                     "10000000000000", "--out", out])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == \
+            "error: simulate: request too large to allocate"
+        assert os.listdir(tmp_path) == []
+
+
 class TestArgumentHandling:
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 2
@@ -225,17 +255,56 @@ class TestFootprint:
 
 
 class TestAtomicWrites:
-    def test_failure_leaves_no_file(self, tmp_path):
+    def test_failure_leaves_no_file(self, tmp_path, monkeypatch):
         out = str(tmp_path / "partial.csv")
+        fdopen = os.fdopen
 
-        def exploding_rows():
-            yield [1.0, 2.0]
-            raise RuntimeError("mid-write failure")
+        class ExplodingFile:
+            """Takes the header and one block, then fails."""
 
+            def __init__(self, *args, **kwargs):
+                self.fh = fdopen(*args, **kwargs)
+                self.writes = 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes > 2:
+                    raise RuntimeError("mid-write failure")
+                self.fh.write(text)
+
+        monkeypatch.setattr(os, "fdopen", ExplodingFile)
+        table = np.ones((2 * cli._CSV_BLOCK_ROWS, 2))
         with pytest.raises(RuntimeError):
-            _write_csv_atomic(out, ["a", "b"], exploding_rows())
+            _write_csv_atomic(out, ["a", "b"], table)
         assert not os.path.exists(out)
         assert os.listdir(tmp_path) == []
+
+    def test_blocks_match_per_value_format(self, tmp_path):
+        # the 15-digit text of every value, whatever the row count
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                   2.2250738585072014e-308, np.finfo(float).max,
+                   -np.finfo(float).max, 2.0 ** 53, 2.0 ** 53 - 1,
+                   1.0 / 3.0, 0.1, 1e15, 1e16, 123456789012345678.0, -7.0]
+        rng = np.random.default_rng(97)
+        block = cli._CSV_BLOCK_ROWS
+        for rows in (1, block - 1, block, block + 1):
+            values = rng.standard_normal(rows * 3) * 10.0 ** rng.integers(
+                -300, 300, rows * 3)
+            values[:len(special)] = special[:rows * 3]
+            table = values.reshape(rows, 3)
+            table[:, 0] = rng.integers(0, 2 ** 53 + 1, rows)
+            out = str(tmp_path / "t.csv")
+            _write_csv_atomic(out, ["k", "x", "y"], table)
+            expected = "k,x,y\n" + "".join(
+                ",".join(_fmt(v) for v in row) + "\n" for row in table)
+            with open(out, "rb") as fh:
+                assert fh.read() == expected.encode()
 
     def test_significant_digits(self, tmp_path):
         out = str(tmp_path / "digits.csv")

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from oracle import (dense_channel_trials, dense_mmse_trials,
@@ -33,12 +35,68 @@ class TestConfig:
             SimConfig(horizon_t=1.0, oversample=8, trials=0, seed=1)
         with pytest.raises(ValueError):
             SimConfig(horizon_t=1.0, oversample=8, trials=2, seed=-1)
+        SimConfig(horizon_t=1.0, oversample=8, trials=2 ** 32, seed=1)
+        with pytest.raises(ValueError):   # a spawn key of two words
+            SimConfig(horizon_t=1.0, oversample=8, trials=2 ** 32 + 1, seed=1)
 
     def test_effective_grid_rounds_up(self):
         cfg = SimConfig(horizon_t=3.5, oversample=8, trials=1, seed=0)
         assert effective_grid(UNIT, cfg) == (4, 4.0)
         cfg = SimConfig(horizon_t=8.0, oversample=8, trials=1, seed=0)
         assert effective_grid(ProcessParams(1.0, 2.0), cfg) == (16, 8.0)
+
+
+def seed_sequence_keys(seed, ks):
+    return np.array([np.random.SeedSequence(entropy=seed, spawn_key=(k,))
+                     .generate_state(2, np.uint64) for k in ks])
+
+
+class TestTrialKeys:
+    """Vectorized Philox keys against NumPy's SeedSequence."""
+
+    PINNED_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1]
+    PINNED_KS = [0, 1, 2 ** 31, 2 ** 32 - 1]
+
+    @pytest.mark.parametrize("seed", PINNED_SEEDS)
+    def test_pinned_seeds_and_spawn_words(self, seed):
+        ks = self.PINNED_KS + [int(k) for k in np.random.default_rng(
+            seed % 1000).integers(0, 2 ** 32, 16)]
+        got = np.concatenate([mc._trial_keys(seed, range(k, k + 1))
+                              for k in ks])
+        assert got.dtype == np.uint64 and got.shape == (len(ks), 2)
+        assert np.array_equal(got, seed_sequence_keys(seed, ks))
+        top = range(2 ** 32 - 40, 2 ** 32)
+        assert np.array_equal(mc._trial_keys(seed, top),
+                              seed_sequence_keys(seed, top))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 64 - 1),
+           st.integers(min_value=0, max_value=2 ** 32 - 64))
+    def test_any_seed_and_range(self, seed, start):
+        trials = range(start, start + 64)
+        assert np.array_equal(mc._trial_keys(seed, trials),
+                              seed_sequence_keys(seed, trials))
+
+    def test_rekeyed_rows_equal_fresh_generators(self):
+        # every row leaves a cached half-word behind for re-keying to clear
+        seed = 2 ** 64 - 1
+        streams = mc._TrialStreams(seed)
+        for k, rng in zip(range(3, 7), streams.each(range(3, 7))):
+            ref = np.random.Generator(np.random.Philox(
+                np.random.SeedSequence(entropy=seed, spawn_key=(k,))))
+            assert _state(rng) == _state(ref)
+            assert np.array_equal(rng.standard_normal(5),
+                                  ref.standard_normal(5))
+            assert rng.integers(2 ** 32, dtype=np.uint32) == \
+                ref.integers(2 ** 32, dtype=np.uint32)
+            assert _state(rng) == _state(ref)
+
+
+def _state(rng):
+    s = rng.bit_generator.state
+    return (s["state"]["key"].tolist(), s["state"]["counter"].tolist(),
+            s["buffer"].tolist(), s["buffer_pos"], s["has_uint32"],
+            s["uinteger"])
 
 
 class TestPaths:
@@ -309,16 +367,22 @@ class TestFastTransforms:
 class TestBatchedTrials:
     """Chunked runs against the dense one-trial-at-a-time references."""
 
-    @pytest.mark.parametrize("params,blocks,oversample,trials,rbar", [
-        (UNIT, 2, 1, 20, 1.0),
-        (ProcessParams(1.3, 2.0), 16, 8, 40, 0.7),
-        (ProcessParams(0.5, 1.0), 33, 4, 12, 0.2),
-        (UNIT, 300, 4, 6, 2.0),
+    # the seed-83 cases keep the ids they had before seeds were a parameter
+    @pytest.mark.parametrize("params,blocks,oversample,trials,rbar,seed", [
+        pytest.param(UNIT, 2, 1, 20, 1.0, 83, id="params0-2-1-20-1.0"),
+        pytest.param(ProcessParams(1.3, 2.0), 16, 8, 40, 0.7, 83,
+                     id="params1-16-8-40-0.7"),
+        pytest.param(ProcessParams(0.5, 1.0), 33, 4, 12, 0.2, 83,
+                     id="params2-33-4-12-0.2"),
+        pytest.param(UNIT, 300, 4, 6, 2.0, 83, id="params3-300-4-6-2.0"),
+        pytest.param(ProcessParams(1.3, 2.0), 16, 8, 40, 0.7, 0, id="seed-0"),
+        pytest.param(ProcessParams(0.5, 1.0), 33, 4, 12, 0.2, 2 ** 64 - 1,
+                     id="seed-2**64-1"),
     ])
     def test_per_trial_values_match_dense_loop(self, params, blocks,
-                                               oversample, trials, rbar):
+                                               oversample, trials, rbar, seed):
         cfg = SimConfig(horizon_t=blocks / params.fs, oversample=oversample,
-                        trials=trials, seed=83)
+                        trials=trials, seed=seed)
         got = mc_test_channel_run(params, cfg, rbar).per_trial
         ref = dense_channel_trials(params, cfg, rbar)
         assert np.max(np.abs(got - ref) / ref) <= 1e-12

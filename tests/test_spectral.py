@@ -223,7 +223,11 @@ class TestInterpEigensystem:
                 discrete_wiener_eigensystem(params, n).eigenvalues)
 
     def test_large_n_has_no_degenerate_denominators(self):
-        interp_kernel_eigensystem(UNIT, 4096)
+        for n in (4096, 10 ** 6):
+            lam = interp_kernel_eigenvalues(UNIT, n)
+            assert len(lam) == n
+            assert np.all(np.isfinite(lam)) and np.all(lam > 0)
+            assert np.all(np.diff(lam) < 0)
 
     def test_eigenfunctions_unit_norm_orthogonal(self):
         n = 6

@@ -17,7 +17,7 @@ from .mc import (CeEstimate, ErrorMoments, MomentEstimate, PathBundle,
                  mc_test_channel_run, simulate_paths)
 from .spectral import (EigenSystem, ProcessParams, SAMPLED_WIENER,
                        SHIFTED_SAMPLED_WIENER, SpectralDensity,
-                       constant_density, discrete_wiener_eigensystem,
+                       discrete_wiener_eigensystem,
                        discrete_wiener_eigenvalues, fredholm_residual,
                        interp_kernel_eigensystem, interp_kernel_eigenvalues,
                        s_bar, s_tilde_density)
@@ -27,7 +27,7 @@ from .waterfill import (WaterfillPoint, distortion_at_theta, rate_at_theta,
 __all__ = [
     "__version__",
     "ProcessParams", "SpectralDensity", "SAMPLED_WIENER",
-    "SHIFTED_SAMPLED_WIENER", "constant_density", "s_bar", "s_tilde_density",
+    "SHIFTED_SAMPLED_WIENER", "s_bar", "s_tilde_density",
     "EigenSystem", "discrete_wiener_eigenvalues", "discrete_wiener_eigensystem",
     "interp_kernel_eigenvalues", "interp_kernel_eigensystem",
     "fredholm_residual",

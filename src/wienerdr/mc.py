@@ -83,8 +83,8 @@ class SimConfig:
             raise ValueError("trials must be an integer >= 1")
         if self.trials > 2 ** 32:   # spawn keys of one 32-bit word
             raise ValueError("trials must be <= 2**32")
-        if not 0 <= int(self.seed) < 2 ** 64:
-            raise ValueError("seed must fit in 64 bits")
+        if int(self.seed) != self.seed or not 0 <= int(self.seed) < 2 ** 64:
+            raise ValueError("seed must be an integer that fits in 64 bits")
 
 
 @dataclass(frozen=True)
@@ -352,24 +352,34 @@ def _fine_paths(params: ProcessParams, config: SimConfig, trials: range,
     return fine, noise
 
 
-def path_for_trial(params: ProcessParams, config: SimConfig,
-                   trial: int) -> PathBundle:
-    """Simulate one Wiener path and its sampled interpolant for a given trial."""
-    if not 0 <= trial < config.trials:
-        raise ValueError("trial out of range")
+def _path_bundle(params: ProcessParams, config: SimConfig, trial: int,
+                 fine: np.ndarray) -> PathBundle:
     os_ = config.oversample
-    fine = _fine_paths(params, config, range(trial, trial + 1),
-                       _TrialStreams(config.seed))[0][0]
     samples = fine[::os_].copy()
     return PathBundle(trial=trial, fine_path=fine, samples=samples,
                       interpolant=_lerp_nodes(samples, os_),
                       dt=params.ts / os_)
 
 
+def path_for_trial(params: ProcessParams, config: SimConfig,
+                   trial: int) -> PathBundle:
+    """Simulate one Wiener path and its sampled interpolant for a given trial."""
+    if not 0 <= trial < config.trials:
+        raise ValueError("trial out of range")
+    fine, _ = _fine_paths(params, config, range(trial, trial + 1),
+                          _TrialStreams(config.seed))
+    return _path_bundle(params, config, trial, fine[0])
+
+
 def simulate_paths(params: ProcessParams, config: SimConfig) -> Iterator[PathBundle]:
-    """Yield one PathBundle per trial, in trial order."""
-    for trial in range(config.trials):
-        yield path_for_trial(params, config, trial)
+    """Yield one PathBundle per trial, in trial order, drawn chunk by chunk
+    from one set of trial streams."""
+    n, _ = effective_grid(params, config)
+    streams = _TrialStreams(config.seed)
+    for trials in _chunks(n, config):
+        fine, _ = _fine_paths(params, config, trials, streams)
+        for trial, row in zip(trials, fine):
+            yield _path_bundle(params, config, trial, row)
 
 
 def _estimate(per_trial: np.ndarray, reference: float,

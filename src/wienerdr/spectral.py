@@ -7,10 +7,12 @@ eigenvalue staircase converges to the density
     S(phi) = 1 / (4 sin^2(pi phi / 2)),   phi in (0, 1],
 
 while the piecewise-linear interpolator of the samples has the shifted
-density S(phi) - 1/6.  This module provides both densities, closed-form
-finite-rank eigenvalues in O(n) and eigensystems for the two covariance
-kernels (the discrete walk and the interpolator kernel on [0, n/fs]), and
-brute-force eigensolver / Nystrom oracles used to validate the closed forms.
+density S(phi) - 1/6.  A density is its shift (``SpectralDensity``), which
+gives S, its floor and the one formula for the water-level crossing.  The
+module also provides closed-form finite-rank eigenvalues in O(n) and
+eigensystems for the two covariance kernels (the discrete walk and the
+interpolator kernel on [0, n/fs]), and brute-force eigensolver / Nystrom
+oracles used to validate the closed forms.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ __all__ = [
     "SpectralDensity",
     "SAMPLED_WIENER",
     "SHIFTED_SAMPLED_WIENER",
-    "constant_density",
     "s_bar",
     "s_tilde_density",
     "EigenSystem",
@@ -65,87 +66,65 @@ def _check_phi(phi):
     return arr
 
 
+@dataclass(frozen=True)
+class SpectralDensity:
+    """The eigenvalue density 1/(4 sin^2(pi phi/2)) - shift on (0, 1], in
+    units of sigma2/fs.
+
+    A density is nothing but its shift: 0 for the sampled walk, 1/6 for the
+    interpolator.  Both are strictly decreasing with infimum ``floor`` at
+    phi = 1, so the water-level crossing, where the waterfilling integrands
+    kink, has one closed form (``crossing``).
+    """
+
+    shift: float
+
+    def __post_init__(self):
+        if self.shift not in (0.0, 1.0 / 6.0):
+            raise ValueError(f"density shift must be 0 or 1/6, got {self.shift}")
+
+    def __call__(self, phi):
+        arr = _check_phi(phi)
+        out = 1.0 / (4.0 * np.sin(0.5 * np.pi * arr) ** 2) - self.shift
+        return float(out) if np.isscalar(phi) or arr.ndim == 0 else out
+
+    @property
+    def floor(self) -> float:
+        """Infimum of the density over (0, 1], its value at phi = 1."""
+        return 0.25 - self.shift
+
+    def cot_crossing(self, theta):
+        """(c, phic) at water level theta, as arrays.
+
+        phic is where the density equals theta; c = cot(pi phic / 2)
+        = sqrt(max{4 (theta - floor), 0}), so phic = (2/pi) arctan(1/c)
+        without cancellation, and phic = 1 at or below the floor.
+        """
+        c = np.sqrt(np.maximum(4.0 * (theta - self.floor), 0.0))
+        return c, (2.0 / np.pi) * np.arctan2(1.0, c)
+
+    def crossing(self, theta):
+        """The crossing phic in (0, 1] of ``cot_crossing``; a float for a float."""
+        phic = self.cot_crossing(theta)[1]
+        return float(phic) if np.ndim(phic) == 0 else phic
+
+
+SAMPLED_WIENER = SpectralDensity(0.0)
+SHIFTED_SAMPLED_WIENER = SpectralDensity(1.0 / 6.0)
+
+
 def s_bar(phi):
     """Eigenvalue density of the sampled Wiener walk: 1/(4 sin^2(pi phi/2)).
 
     Strictly decreasing on (0, 1] with infimum 1/4 at phi = 1; diverges like
     (pi phi / 2)**-2 / 4 as phi -> 0+.  Accepts scalars or arrays.
     """
-    arr = _check_phi(phi)
-    out = 1.0 / (4.0 * np.sin(0.5 * np.pi * arr) ** 2)
-    return float(out) if np.isscalar(phi) or arr.ndim == 0 else out
+    return SAMPLED_WIENER(phi)
 
 
 def s_tilde_density(phi):
     """Shifted density s_bar(phi) - 1/6; infimum 1/12 at phi = 1."""
-    arr = _check_phi(phi)
-    out = 1.0 / (4.0 * np.sin(0.5 * np.pi * arr) ** 2) - 1.0 / 6.0
-    return float(out) if np.isscalar(phi) or arr.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class SpectralDensity:
-    """A named eigenvalue density on (0, 1], in units of sigma2/fs.
-
-    kind is one of ``sampled-wiener``, ``shifted-sampled-wiener`` or
-    ``constant`` (a test stub at ``level``).  The analytic kinds are strictly
-    decreasing, so the water-level crossing, where the waterfilling
-    integrands kink, has a closed form (``crossing``).
-    """
-
-    kind: str
-    level: float = 0.0
-
-    _KINDS = ("sampled-wiener", "shifted-sampled-wiener", "constant")
-
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown density kind {self.kind!r}")
-        if self.kind == "constant" and not self.level > 0:
-            raise ValueError("constant density level must be > 0")
-
-    def __call__(self, phi):
-        if self.kind == "sampled-wiener":
-            return s_bar(phi)
-        if self.kind == "shifted-sampled-wiener":
-            return s_tilde_density(phi)
-        arr = _check_phi(phi)
-        return self.level if arr.ndim == 0 else np.full_like(arr, self.level)
-
-    @property
-    def floor(self) -> float:
-        """Infimum of the density over (0, 1]."""
-        if self.kind == "sampled-wiener":
-            return 0.25
-        if self.kind == "shifted-sampled-wiener":
-            return 1.0 / 12.0
-        return self.level
-
-    def crossing(self, theta: float) -> Optional[float]:
-        """The phi in (0, 1) where the density equals theta, if any.
-
-        Just above the floor the arcsine rounds to phi = 1; the crossing is
-        then the largest float below 1, so it stays inside (0, 1).
-        """
-        if self.kind == "constant":
-            return None
-        shift = 0.0 if self.kind == "sampled-wiener" else 1.0 / 6.0
-        if theta <= self.floor:
-            return None
-        arg = 0.5 / np.sqrt(theta + shift)
-        phi = (2.0 / np.pi) * np.arcsin(arg)
-        return min(float(phi), _BELOW_ONE) if phi > 0.0 else None
-
-
-_BELOW_ONE = float(np.nextafter(1.0, 0.0))
-
-SAMPLED_WIENER = SpectralDensity("sampled-wiener")
-SHIFTED_SAMPLED_WIENER = SpectralDensity("shifted-sampled-wiener")
-
-
-def constant_density(level: float) -> SpectralDensity:
-    """Constant test-stub density."""
-    return SpectralDensity("constant", level)
+    return SHIFTED_SAMPLED_WIENER(phi)
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,9 @@ part counted toward distortion and the part above water counted toward rate:
     rate(theta)       = 1/2 integral_0^1 log2+[S(phi) / theta] dphi
 
 Rates are in bits per sample throughout; distortions carry the density's
-units (sigma2/fs).  With c = cot(pi phic / 2) = sqrt(max{4 (theta + s) - 1,
-0}), the crossing point, where S(phic) = theta, is phic = (2/pi) arctan(1/c);
-it is 1 once theta sits at or below the density floor 1/4 - s.  Then
+units (sigma2/fs).  The density supplies the crossing point phic, where
+S(phic) = theta, and c = cot(pi phic / 2) (``SpectralDensity.cot_crossing``;
+phic = 1 once theta sits at or below the density floor 1/4 - s).  Then
 
     distortion = theta phic + c / (2 pi) - s (1 - phic)
     2 ln2 rate = (2/pi) Cl2(pi phic) - phic ln theta
@@ -100,19 +100,10 @@ class WaterLevels:
     ce: Optional[np.ndarray] = None
 
 
-def _shift(density: SpectralDensity) -> float:
-    if density.kind == "sampled-wiener":
-        return 0.0
-    if density.kind == "shifted-sampled-wiener":
-        return 1.0 / 6.0
-    raise ValueError(f"no closed form for the {density.kind!r} density")
-
-
-def _state(log_theta, shift: float):
+def _state(log_theta, density: SpectralDensity):
     """(theta, c, phic) at the level ln theta; c = cot(pi phic / 2)."""
     theta = np.exp(log_theta)
-    c = np.sqrt(np.maximum(4.0 * (theta - (0.25 - shift)), 0.0))
-    return theta, c, (2.0 / np.pi) * np.arctan2(1.0, c)
+    return (theta, *density.cot_crossing(theta))
 
 
 def _two_ln2_rate(log_theta, c, phic, shift: float):
@@ -142,7 +133,7 @@ def water_levels(density: SpectralDensity, rbar) -> WaterLevels:
     started from the saturated level.  Raises ValueError for rbar <= 0 and
     FloatingPointError past MAX_RBAR, where the water level would underflow.
     """
-    shift = _shift(density)
+    shift = density.shift
     rbar = np.asarray(rbar, dtype=float)
     if not np.all(rbar > 0):
         raise ValueError("rate must be > 0")
@@ -153,7 +144,7 @@ def water_levels(density: SpectralDensity, rbar) -> WaterLevels:
     target = 2.0 * _LN2 * rbar
     log_theta = (math.log(_SHIFTED_SATURATION) if shift else 0.0) - target
     for _ in range(_NEWTON_STEPS):
-        _, c, phic = _state(log_theta, shift)
+        _, c, phic = _state(log_theta, density)
         step = (_two_ln2_rate(log_theta, c, phic, shift) - target) / phic
         log_theta = log_theta + step
         scale = np.maximum(1.0, np.abs(log_theta))
@@ -163,7 +154,7 @@ def water_levels(density: SpectralDensity, rbar) -> WaterLevels:
         raise FloatingPointError(
             f"Newton iteration for theta did not settle within {_NEWTON_STEPS}"
             f" steps (largest last step {np.max(np.abs(step)):.3g})")
-    theta, c, phic = _state(log_theta, shift)
+    theta, c, phic = _state(log_theta, density)
     distortion = _distortion(theta, c, phic, shift)
     if shift:
         return WaterLevels(theta, phic, distortion)
@@ -173,9 +164,8 @@ def water_levels(density: SpectralDensity, rbar) -> WaterLevels:
 
 def distortion_at_theta(density: SpectralDensity, theta):
     """integral of min{theta, density} over (0, 1]; lies in (0, theta]."""
-    shift = _shift(density)
-    theta, c, phic = _state(_log_level(theta), shift)
-    return _distortion(theta, c, phic, shift)
+    theta, c, phic = _state(_log_level(theta), density)
+    return _distortion(theta, c, phic, density.shift)
 
 
 def rate_at_theta(density: SpectralDensity, theta):
@@ -185,10 +175,9 @@ def rate_at_theta(density: SpectralDensity, theta):
     integrable) and strictly positive, since both densities are unbounded
     near 0.
     """
-    shift = _shift(density)
     log_theta = _log_level(theta)
-    _, c, phic = _state(log_theta, shift)
-    return _two_ln2_rate(log_theta, c, phic, shift) / (2.0 * _LN2)
+    _, c, phic = _state(log_theta, density)
+    return _two_ln2_rate(log_theta, c, phic, density.shift) / (2.0 * _LN2)
 
 
 def solve_theta_for_rate(density: SpectralDensity,

@@ -28,16 +28,21 @@ divergent integrands surface.
 On top of the engine sit the waterfilling integrals at a water level theta
 (``distortion_at_theta``, ``rate_at_theta``, ``ce_integral``) and
 ``integrate_density``; each must come back with an error estimate below
-``ERROR_BOUND``.  They accept the ``constant`` stub density as well.
+``ERROR_BOUND``.  The rate integrand is clipped, 0.5 max{log2(S/theta), 0},
+and integrated over all of (0, 1], so the density's crossing point enters
+every integral only as a breakpoint and no oracle value rests on the
+product's crossing formula.  They accept the constant stub density
+``ConstantDensity``, which lives here because only the tests use it.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from wienerdr.spectral import (SAMPLED_WIENER, ProcessParams, SpectralDensity,
+from wienerdr.spectral import (SAMPLED_WIENER, ProcessParams,
                                discrete_wiener_eigensystem)
 
 #: every waterfilling integral must come back with an error estimate below this
@@ -166,7 +171,32 @@ def _checked(value_err, what: str) -> float:
     return value
 
 
-def distortion_at_theta(density: SpectralDensity, theta: float, *,
+@dataclass(frozen=True)
+class ConstantDensity:
+    """Constant test-stub density at ``level`` (> 0) on (0, 1]."""
+
+    level: float
+
+    def __post_init__(self):
+        if not self.level > 0:
+            raise ValueError("constant density level must be > 0")
+
+    def __call__(self, phi):
+        arr = np.asarray(phi, dtype=float)
+        if np.any(arr <= 0.0) or np.any(arr > 1.0):
+            raise ValueError("phi must lie in (0, 1]")
+        return self.level if arr.ndim == 0 else np.full_like(arr, self.level)
+
+    @property
+    def floor(self) -> float:
+        return self.level
+
+    def crossing(self, theta: float) -> float:
+        """Measure of the set where the density lies above theta."""
+        return 1.0 if theta < self.level else 0.0
+
+
+def distortion_at_theta(density, theta: float, *,
                         graded: bool = True) -> float:
     """integral of min{theta, density} over (0, 1]; lies in (0, theta]."""
     if not theta > 0:
@@ -174,47 +204,38 @@ def distortion_at_theta(density: SpectralDensity, theta: float, *,
     if theta <= density.floor:
         # the water level sits below the whole density, min saturates at theta
         return float(theta)
-    cross = density.crossing(theta)
-    bps = () if cross is None else (cross,)
     f = lambda phi: np.minimum(theta, density(phi))
-    return _checked(integrate_unit(f, graded=graded, breakpoints=bps),
+    return _checked(integrate_unit(f, graded=graded,
+                                   breakpoints=(density.crossing(theta),)),
                     "distortion")
 
 
-def rate_at_theta(density: SpectralDensity, theta: float, *,
-                  graded: bool = True) -> float:
+def rate_at_theta(density, theta: float, *, graded: bool = True) -> float:
     """(1/2) integral of log2+[density / theta]; bits per sample."""
     if not theta > 0:
         raise ValueError("theta must be > 0")
-    cross = density.crossing(theta)
-    if cross is not None:
-        upper = cross
-    elif theta <= density.floor:
-        upper = 1.0  # water below the whole density, log+ positive a.e.
-    else:
-        return 0.0   # fully submerged (constant stub only)
-    f = lambda phi: 0.5 * np.log2(density(phi) / theta)
-    return _checked(integrate_unit(f, upper=upper, graded=graded), "rate")
+    f = lambda phi: 0.5 * np.maximum(np.log2(density(phi) / theta), 0.0)
+    return _checked(integrate_unit(f, graded=graded,
+                                   breakpoints=(density.crossing(theta),)),
+                    "rate")
 
 
 def ce_integral(theta: float) -> float:
     """integral of min{theta, S} (S - 1/6) / S over the unshifted density S."""
-    cross = SAMPLED_WIENER.crossing(theta)
-    bps = () if cross is None else (cross,)
-
     def f(phi):
         s = SAMPLED_WIENER(phi)
         return np.minimum(theta, s) * (s - 1.0 / 6.0) / s
 
-    return _checked(integrate_unit(f, breakpoints=bps), "ce")
+    return _checked(integrate_unit(
+        f, breakpoints=(SAMPLED_WIENER.crossing(theta),)), "ce")
 
 
-def integrate_density(density: SpectralDensity, transform: str = "identity",
+def integrate_density(density, transform: str = "identity",
                       *, theta: float = None, graded: bool = True) -> float:
     """Integrate a transform of the density over (0, 1].
 
     transform:
-        ``identity``             density itself (diverges for the analytic kinds,
+        ``identity``             density itself (diverges for the analytic densities,
                                  surfacing as a QuadratureError);
         ``reciprocal``           1 / density;
         ``reciprocal-weighted``  min{theta, density} / density (needs theta).
@@ -229,8 +250,7 @@ def integrate_density(density: SpectralDensity, transform: str = "identity",
         if theta is None or not theta > 0:
             raise ValueError("reciprocal-weighted transform needs theta > 0")
         f = lambda phi: np.minimum(theta, density(phi)) / density(phi)
-        cross = density.crossing(theta)
-        bps = () if cross is None else (cross,)
+        bps = (density.crossing(theta),)
     else:
         raise ValueError(f"unknown transform {transform!r}")
     return _checked(integrate_unit(f, graded=graded, breakpoints=bps),

@@ -35,6 +35,8 @@ class TestConfig:
             SimConfig(horizon_t=1.0, oversample=8, trials=0, seed=1)
         with pytest.raises(ValueError):
             SimConfig(horizon_t=1.0, oversample=8, trials=2, seed=-1)
+        with pytest.raises(ValueError):
+            SimConfig(horizon_t=2.0, oversample=4, trials=3, seed=1.5)
         SimConfig(horizon_t=1.0, oversample=8, trials=2 ** 32, seed=1)
         with pytest.raises(ValueError):   # a spawn key of two words
             SimConfig(horizon_t=1.0, oversample=8, trials=2 ** 32 + 1, seed=1)
@@ -133,6 +135,26 @@ class TestPaths:
         for trial in (7, 3, 0, 5):
             again = path_for_trial(UNIT, cfg, trial)
             assert np.array_equal(again.fine_path, sequential[trial])
+
+    def test_one_stream_set_per_run(self, monkeypatch):
+        built = []
+        original = mc._TrialStreams
+
+        def counting(seed):
+            built.append(seed)
+            return original(seed)
+
+        monkeypatch.setattr(mc, "_TrialStreams", counting)
+        # blocks long enough that the 50 trials span 17 chunks
+        cfg = SimConfig(horizon_t=1000.0, oversample=32, trials=50, seed=4)
+        bundles = list(simulate_paths(UNIT, cfg))
+        assert [b.trial for b in bundles] == list(range(50))
+        assert built == [4]
+        for trial in (0, 2, 3, 49):
+            again = path_for_trial(UNIT, cfg, trial)
+            assert np.array_equal(again.fine_path, bundles[trial].fine_path)
+            assert np.array_equal(again.interpolant,
+                                  bundles[trial].interpolant)
 
     def test_trials_differ(self):
         cfg = SimConfig(horizon_t=2.0, oversample=8, trials=2, seed=21)

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import ConstantDensity
 from wienerdr.spectral import (ProcessParams, SAMPLED_WIENER,
-                               SHIFTED_SAMPLED_WIENER, constant_density,
+                               SHIFTED_SAMPLED_WIENER, SpectralDensity,
                                discrete_wiener_eigensystem,
                                discrete_wiener_eigenvalues, fredholm_residual,
                                interp_covariance, interp_kernel_eigensystem,
@@ -58,23 +59,47 @@ class TestDensities:
     def test_crossing_closed_form(self):
         # s_bar(1/2) = 1/2, so the crossing at theta = 1/2 is phi = 1/2
         assert SAMPLED_WIENER.crossing(0.5) == pytest.approx(0.5, abs=1e-14)
-        assert SAMPLED_WIENER.crossing(0.2) is None
+        assert SAMPLED_WIENER.crossing(0.2) == 1.0
         assert SHIFTED_SAMPLED_WIENER.crossing(1.0 / 3.0) == pytest.approx(
             0.5, abs=1e-14)
-        assert constant_density(0.7).crossing(0.3) is None
+        assert ConstantDensity(0.7).crossing(0.3) == 1.0
 
     @pytest.mark.parametrize("density", [SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER])
     def test_crossing_one_ulp_above_floor(self, density):
-        # the arcsine rounds to phi = 1 here; the crossing must stay inside
+        # an arcsine form of the crossing rounds to phi = 1 here; the
+        # cotangent form keeps it inside
         theta = float(np.nextafter(density.floor, 1.0))
         assert 0.0 < density.crossing(theta) < 1.0
 
+    @pytest.mark.parametrize("density", [SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER])
+    def test_crossing_is_one_at_and_below_floor(self, density):
+        below = np.array([density.floor, np.nextafter(density.floor, 0.0),
+                          0.5 * density.floor, 1e-300])
+        assert np.all(density.crossing(below) == 1.0)
+        at_floor = density.crossing(density.floor)
+        assert at_floor == 1.0 and isinstance(at_floor, float)
+
+    @pytest.mark.parametrize("density", [SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER])
+    def test_crossing_matches_arcsine_form(self, density):
+        # an independent form of the crossing; closer to the floor than
+        # this it loses more digits than the cotangent form
+        theta = np.geomspace(2.0 * density.floor, 1e8, 20001)
+        arcsine = (2.0 / np.pi) * np.arcsin(
+            0.5 / np.sqrt(theta + density.shift))
+        np.testing.assert_allclose(density.crossing(theta), arcsine,
+                                   rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("shift", [0.3, -0.1, 0.25, float("nan")])
+    def test_only_the_two_shifts(self, shift):
+        with pytest.raises(ValueError):
+            SpectralDensity(shift)
+
     def test_constant_stub(self):
-        c = constant_density(0.7)
+        c = ConstantDensity(0.7)
         assert c(0.3) == 0.7
         assert np.all(c(np.array([0.1, 0.9])) == 0.7)
         with pytest.raises(ValueError):
-            constant_density(0.0)
+            ConstantDensity(0.0)
 
 
 class TestProcessParams:

@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import (QuadratureError, ce_integral, distortion_at_theta,
-                    integrate, integrate_density, integrate_unit,
-                    rate_at_theta)
+from oracle import (ConstantDensity, QuadratureError, ce_integral,
+                    distortion_at_theta, integrate, integrate_density,
+                    integrate_unit, rate_at_theta)
 from wienerdr import waterfill
-from wienerdr.spectral import (SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER,
-                               constant_density)
+from wienerdr.spectral import SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER
 from wienerdr.waterfill import solve_theta_for_rate, water_levels
 
 BORDER_RATE = 0.5 * (1.0 + np.log2(np.sqrt(3.0) + 2.0))  # ~1.44998
@@ -29,7 +28,7 @@ class TestDistortion:
             pytest.approx(1.0, abs=1e-12)
 
     def test_constant_stub(self):
-        c = constant_density(0.7)
+        c = ConstantDensity(0.7)
         assert distortion_at_theta(c, 0.2) == pytest.approx(0.2, abs=1e-12)
         assert distortion_at_theta(c, 1.5) == pytest.approx(0.7, abs=1e-12)
 
@@ -52,7 +51,8 @@ class TestRate:
             pytest.approx(2.0, abs=1e-10)
 
     def test_one_ulp_above_the_floor(self):
-        # the crossing rounds onto phi = 1 there; the rate must not drop to 0
+        # the crossing lies within 1e-8 of phi = 1 there; the rate must not
+        # drop to 0
         theta = float(np.nextafter(0.25, 1.0))
         assert rate_at_theta(SAMPLED_WIENER, theta) == pytest.approx(1.0, abs=1e-12)
 
@@ -64,7 +64,7 @@ class TestRate:
         assert rate_at_theta(SAMPLED_WIENER, 1e6) > 0.0
 
     def test_constant_stub(self):
-        c = constant_density(0.7)
+        c = ConstantDensity(0.7)
         assert rate_at_theta(c, 0.35) == pytest.approx(0.5, abs=1e-12)
         assert rate_at_theta(c, 0.7) == 0.0
         assert rate_at_theta(c, 2.0) == 0.0
@@ -168,14 +168,15 @@ class TestKernel:
             assert levels.distortion[i] == pytest.approx(point.distortion,
                                                          rel=1e-14)
 
+    @pytest.mark.parametrize("density", [SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER])
+    def test_crossing_is_the_density_crossing(self, density):
+        levels = water_levels(density, np.geomspace(1e-4, 500.0, 3000))
+        assert np.array_equal(density.crossing(levels.theta), levels.crossing)
+
     def test_refuses_past_the_underflow_edge(self):
         with pytest.raises(FloatingPointError, match="510.9.*510.658"):
             water_levels(SAMPLED_WIENER, np.array([1.0, 510.9]))
         water_levels(SHIFTED_SAMPLED_WIENER, waterfill.MAX_RBAR)
-
-    def test_constant_stub_has_no_closed_form(self):
-        with pytest.raises(ValueError):
-            water_levels(constant_density(0.7), 1.0)
 
 
 class TestIntegrateDensity:
@@ -185,7 +186,7 @@ class TestIntegrateDensity:
             pytest.approx(2.0, abs=1e-10)
 
     def test_identity_on_constant(self):
-        assert integrate_density(constant_density(0.7), "identity") == \
+        assert integrate_density(ConstantDensity(0.7), "identity") == \
             pytest.approx(0.7, abs=1e-12)
 
     def test_reciprocal_weighted(self):

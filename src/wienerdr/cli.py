@@ -12,13 +12,17 @@ from __future__ import annotations
 
 import argparse
 import json
+# argparse's messages go through gettext, which imports locale on the first
+# parse; importing it here puts that one-time cost in start-up, not in the
+# first command
+import locale  # noqa: F401
+import math
 import os
 import platform
 import sys
 import tempfile
 
 import numpy as np
-import scipy
 
 from . import __version__, drf, mc
 from .spectral import (ProcessParams, discrete_wiener_eigenvalues,
@@ -69,7 +73,6 @@ def _write_manifest(path: str, command: str, args: argparse.Namespace) -> None:
         "versions": {
             "wienerdr": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": platform.python_version(),
         },
     }
@@ -233,12 +236,16 @@ def _precheck(args) -> None:
     """Validate every numeric flag before any computation starts."""
     for name in ("sigma2", "fs", "horizon", "rate", "rbar", "min", "max"):
         value = getattr(args, name, None)
-        if value is not None and not value > 0:
-            raise ValueError(f"--{name} must be > 0")
-    for name in ("points", "n", "oversample", "trials"):
+        if value is not None and not (value > 0 and math.isfinite(value)):
+            raise ValueError(f"--{name} must be positive and finite")
+    for name in ("points", "n", "oversample"):
         value = getattr(args, name, None)
         if value is not None and value < 1:
             raise ValueError(f"--{name} must be a positive integer")
+    trials = getattr(args, "trials", None)
+    if trials is not None and trials < 2:
+        raise ValueError("--trials must be >= 2: a standard error needs"
+                         " at least 2 trials")
     seed = getattr(args, "seed", None)
     if seed is not None and not 0 <= seed < 2 ** 64:
         raise ValueError("--seed must fit in 64 bits")

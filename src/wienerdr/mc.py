@@ -75,8 +75,14 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
-        if not self.horizon_t > 0:
-            raise ValueError("horizon_t must be > 0")
+        if not (self.horizon_t > 0 and math.isfinite(self.horizon_t)):
+            raise ValueError("horizon_t must be positive and finite")
+        for name in ("oversample", "trials", "seed"):
+            try:
+                int(getattr(self, name))
+            except (OverflowError, ValueError):   # inf or nan
+                raise ValueError(f"{name} must be a finite integer,"
+                                 f" got {getattr(self, name)}") from None
         if int(self.oversample) != self.oversample or self.oversample < 1:
             raise ValueError("oversample must be an integer >= 1")
         if int(self.trials) != self.trials or self.trials < 1:
@@ -344,7 +350,8 @@ def _fine_paths(params: ProcessParams, config: SimConfig, trials: range,
     noise = np.empty((len(trials), noise_len))
     for row, rng in enumerate(streams.each(trials)):
         rng.standard_normal(out=fine[row, 1:])
-        rng.standard_normal(out=noise[row])
+        if noise_len:
+            rng.standard_normal(out=noise[row])
     fine[:, 0] = 0.0
     paths = fine[:, 1:]
     paths *= math.sqrt(params.sigma2 * dt)

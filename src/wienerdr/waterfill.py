@@ -17,18 +17,29 @@ phic = 1 once theta sits at or below the density floor 1/4 - s).  Then
                  + integral_0^phic ln(1 - 4 s sin^2(pi phi / 2)) dphi
 
 with Cl2 the Clausen function.  The rate is evaluated without cancellation
-as 2 phic (1 + ln sinc(phic/2)) + phic (ln S0(phic) - ln theta) plus the
-integral over (0, phic] of ln[(1 - 4 s sin^2(pi phi/2)) / sinc^2(phi/2)],
-where sinc x = sin(pi x)/(pi x) and S0 = 1/(4 sin^2(pi phi/2)); that
-integrand is analytic on a disc around [0, 1] (its nearest complex
+as phic (2 - 2 ln(pi phic) - ln theta) plus the integral over (0, phic] of
+ln[(1 - 4 s sin^2(pi phi/2)) / sinc^2(phi/2)], where sinc x = sin(pi x)/(pi x);
+that integrand is analytic on a disc around [0, 1] (its nearest complex
 singularity lies 0.42 off phi = 1), so one fixed 24-node Gauss-Legendre
 rule evaluates it to rounding.
 
 Because d rate / d ln theta = -phic / (2 ln2) exactly, ``water_levels``
-inverts the rate map by Newton's method in ln theta.  It starts from the
-saturated level ln theta = -2 rbar ln2 + ln((2 + sqrt 3)/6) for s = 1/6
-(+0 for s = 0), the exact answer past the border point; the rate is convex
-in ln theta, so the iterates climb monotonically to the root from there.
+inverts the rate map by Newton's method in ln theta.  The rate is convex in
+ln theta, so a start above the root overshoots once to below it and then
+climbs monotonically.  Each entry starts from one of three forms, which
+keeps every solve over [1e-4, MAX_RBAR] within four rate evaluations:
+
+* at or past the border rate r_b = (1/2) log2(K / floor), where theta
+  reaches the floor (r_b = 1 for s = 0, log2(1 + sqrt 3) ~ 1.449984 for
+  s = 1/6), the exact saturated level ln theta = ln K - 2 rbar ln2, with
+  K = 1 for s = 0 and (2 + sqrt 3)/6 for s = 1/6;
+* between 0.65 r_b and r_b, the border expansion
+  2 ln2 (r_b - rbar) = ln(1 + delta/floor) - (8 / (3 pi floor)) delta^(3/2)
+  in delta = theta - floor, taken through one fixed-point pass (it adds
+  nothing once rbar >= r_b, where it reduces to the saturated level);
+* below 0.65 r_b, the small-phic series pi ln2 rbar = x (1 - x^2/36) for
+  s = 0 and x (1 + x^2/36) for s = 1/6 in x = pi phic, inverted for x by
+  one fixed-point pass from x = pi ln2 rbar; then theta = S(x / pi).
 """
 
 from __future__ import annotations
@@ -65,6 +76,10 @@ MAX_RBAR = 0.5 * (math.log2(_SHIFTED_SATURATION)
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(24)
 _NODES = 0.5 * (_NODES + 1.0)   # the rule moved onto [0, 1]
 _WEIGHTS = 0.5 * _WEIGHTS
+
+#: Newton starts from the small-phic series below this share of the border
+#: rate and from the border expansion above it
+_SERIES_SHARE = 0.65
 
 _NEWTON_STEPS = 100
 #: Newton stops once a step moves ln theta by less than this (relative to
@@ -106,13 +121,27 @@ def _state(log_theta, density: SpectralDensity):
     return (theta, *density.cot_crossing(theta))
 
 
-def _two_ln2_rate(log_theta, c, phic, shift: float):
+def _two_ln2_rate(log_theta, phic, shift: float):
     """2 ln2 times the rate in bits per sample."""
     half = np.multiply.outer(0.5 * np.pi * phic, _NODES)
     sin2 = np.sin(half) ** 2
     smooth = np.log((1.0 - 4.0 * shift * sin2) * half * half / sin2) @ _WEIGHTS
-    return phic * (2.0 * (1.0 + np.log(np.sinc(0.5 * phic)))
-                   + np.log1p(c * c) - 2.0 * _LN2 - log_theta + smooth)
+    return phic * (2.0 - 2.0 * np.log(np.pi * phic) - log_theta + smooth)
+
+
+def _start(density: SpectralDensity, target):
+    """Newton's first ln theta where 2 ln2 rbar = target: the saturated level
+    plus the border correction, or the inverted small-phic series below
+    ``_SERIES_SHARE`` of the border rate (see the module docstring)."""
+    shift, floor = density.shift, density.floor
+    log_saturated = math.log(_SHIFTED_SATURATION) if shift else 0.0
+    border = log_saturated - math.log(floor)   # 2 ln2 r_b
+    delta = floor * np.expm1(np.maximum(border - target, 0.0))
+    near = log_saturated - target + 8.0 / (3.0 * np.pi * floor) * delta ** 1.5
+    y = 0.5 * np.pi * np.minimum(target, _SERIES_SHARE * border)   # pi ln2 rbar
+    x = y / (1.0 + (1.0 if shift else -1.0) * y * y / 36.0)
+    return np.where(target < _SERIES_SHARE * border,
+                    np.log(density(x / np.pi)), near)
 
 
 def _distortion(theta, c, phic, shift: float):
@@ -130,7 +159,8 @@ def water_levels(density: SpectralDensity, rbar) -> WaterLevels:
     """Solve rate(theta) = rbar for every entry of rbar (bits per sample).
 
     Newton's method in ln theta with the exact derivative -phic / (2 ln2),
-    started from the saturated level.  Raises ValueError for rbar <= 0 and
+    from the two-sided start of the module docstring; at most four rate
+    evaluations over [1e-4, MAX_RBAR].  Raises ValueError for rbar <= 0 and
     FloatingPointError past MAX_RBAR, where the water level would underflow.
     """
     shift = density.shift
@@ -142,10 +172,10 @@ def water_levels(density: SpectralDensity, rbar) -> WaterLevels:
             f"{np.max(rbar):.6g} bits per sample is past the supported maximum"
             f" {MAX_RBAR:.6g}, where the water level underflows")
     target = 2.0 * _LN2 * rbar
-    log_theta = (math.log(_SHIFTED_SATURATION) if shift else 0.0) - target
+    log_theta = _start(density, target)
     for _ in range(_NEWTON_STEPS):
-        _, c, phic = _state(log_theta, density)
-        step = (_two_ln2_rate(log_theta, c, phic, shift) - target) / phic
+        _, _, phic = _state(log_theta, density)
+        step = (_two_ln2_rate(log_theta, phic, shift) - target) / phic
         log_theta = log_theta + step
         scale = np.maximum(1.0, np.abs(log_theta))
         if np.all(np.abs(step) <= _NEWTON_TOL * scale):
@@ -176,8 +206,8 @@ def rate_at_theta(density: SpectralDensity, theta):
     near 0.
     """
     log_theta = _log_level(theta)
-    _, c, phic = _state(log_theta, density)
-    return _two_ln2_rate(log_theta, c, phic, density.shift) / (2.0 * _LN2)
+    _, _, phic = _state(log_theta, density)
+    return _two_ln2_rate(log_theta, phic, density.shift) / (2.0 * _LN2)
 
 
 def solve_theta_for_rate(density: SpectralDensity,

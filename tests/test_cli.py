@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -195,6 +196,14 @@ class TestSimulate:
             "error: simulate: request too large to allocate"
         assert os.listdir(tmp_path) == []
 
+    def test_one_trial_has_no_standard_error(self, tmp_path, capsys):
+        out = str(tmp_path / "sim.csv")
+        code = main(["simulate", "--scheme", "mmse-only", "--horizon", "4",
+                     "--trials", "1", "--seed", "1", "--out", out])
+        assert code == 2
+        assert "at least 2 trials" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
 
 class TestArgumentHandling:
     def test_unknown_command(self):
@@ -215,6 +224,29 @@ class TestArgumentHandling:
         assert main(argv) == 2
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("command,flag", [
+        ("curve", "--sigma2"), ("curve", "--fs"), ("curve", "--rate"),
+        ("curve", "--min"), ("curve", "--max"),
+        ("simulate", "--horizon"), ("simulate", "--rbar")])
+    def test_non_finite_flags(self, tmp_path, capsys, command, flag, value):
+        out = str(tmp_path / "x.csv")
+        if command == "curve":
+            args = {"--min": "0.5", "--max": "2", "--points": "3"}
+        else:
+            args = {"--scheme": "test-channel", "--horizon": "4",
+                    "--trials": "5", "--seed": "1", "--rbar": "1"}
+        args[flag] = value
+        argv = [command, "--out", out]
+        for k, v in args.items():
+            argv += [k, v]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # nothing may reach numpy
+            assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {flag} must be positive and finite"]
+        assert os.listdir(tmp_path) == []
+
 
 def run_python(code: str) -> str:
     """Run code in a fresh interpreter that imports this checkout's package."""
@@ -231,9 +263,32 @@ class TestFootprint:
     def test_import_loads_no_heavy_scipy_modules(self):
         out = run_python(
             "import sys, wienerdr.cli\n"
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.fft',"
-            " 'scipy.special') if m in sys.modules))")
+            "print(sorted(m for m in sys.modules"
+            " if m == 'scipy' or m.startswith('scipy.')))")
         assert out.strip() == "[]"
+
+    def test_every_command_runs_without_scipy(self, tmp_path):
+        # a None entry makes any import of scipy raise ImportError
+        runs = [
+            ["curve", "--min", "0.01", "--max", "500", "--points", "4",
+             "--log"],
+            ["ratio", "--min", "0.01", "--max", "5", "--points", "4"],
+            ["eigen", "--kind", "discrete", "--n", "50"],
+            ["eigen", "--kind", "interp", "--n", "50"],
+            ["simulate", "--scheme", "mmse-only", "--horizon", "4",
+             "--oversample", "4", "--trials", "20", "--seed", "3"],
+            ["simulate", "--scheme", "test-channel", "--horizon", "4",
+             "--oversample", "4", "--trials", "20", "--seed", "3",
+             "--rbar", "1"],
+        ]
+        codes = run_python(
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from wienerdr.cli import main\n"
+            f"print([main(argv + ['--out', {str(tmp_path)!r} + f'/{{i}}.csv'])"
+            f" for i, argv in enumerate({runs!r})])")
+        assert codes.splitlines()[-1] == str([0] * len(runs))
+        assert len(os.listdir(tmp_path)) == 2 * len(runs)   # CSV + manifest
 
     @pytest.mark.parametrize("kind", ["discrete", "interp"])
     def test_eigen_memory_is_linear(self, tmp_path, kind):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import wienerdr.drf as drf
 from oracle import ce_integral
@@ -12,10 +14,16 @@ from wienerdr.drf import (DistortionBundle, RateSpec, bundle, ce_penalty,
                           dr_asym_coeffs, equilibrium_rbar, g_fun, mmse_fs,
                           ratio_qnt, ratio_smp)
 from wienerdr.spectral import ProcessParams
+from wienerdr.waterfill import _SERIES_SHARE, MAX_RBAR
 
 UNIT = ProcessParams(sigma2=1.0, fs=1.0)
 BORDER_RBAR = 0.5 * (1.0 + math.log2(math.sqrt(3.0) + 2.0))
 LOW_RATE_COEF = (2.0 + math.sqrt(3.0)) / 6.0
+#: where the kernel's Newton start changes branch: just below each density's
+#: border rate (1 for the walk, BORDER_RBAR for the interpolator) and at
+#: the series share of it
+BRANCH_EDGES = (1.0 - 1e-9, _SERIES_SHARE, BORDER_RBAR - 1e-9,
+                _SERIES_SHARE * BORDER_RBAR)
 
 
 class TestDw:
@@ -263,3 +271,36 @@ class TestValidation:
             d_opt(ProcessParams(1.0, 100.0), RateSpec(1e-3))
         # exactly at the limit is allowed
         d_tilde(drf.MIN_RBAR)
+
+
+class TestSweepProperties:
+    """Scaling and ordering over log-uniform (sigma2, fs, R), R/fs up to
+    MAX_RBAR, extremes included."""
+
+    @given(log_sigma2=st.floats(math.log(1e-6), math.log(1e6)),
+           log_fs=st.floats(math.log(1e-3), math.log(1e3)),
+           log_rbar=st.floats(math.log(drf.MIN_RBAR), math.log(MAX_RBAR)))
+    @example(0.0, 0.0, math.log(BRANCH_EDGES[0]))
+    @example(0.0, 0.0, math.log(BRANCH_EDGES[1]))
+    @example(0.0, 0.0, math.log(BRANCH_EDGES[2]))
+    @example(0.0, 0.0, math.log(BRANCH_EDGES[3]))
+    @settings(max_examples=150, deadline=None)
+    def test_scaling_and_ordering(self, log_sigma2, log_fs, log_rbar):
+        sigma2, fs = math.exp(log_sigma2), math.exp(log_fs)
+        rate = math.exp(log_rbar) * fs
+        assume(drf.MIN_RBAR <= rate / fs <= MAX_RBAR)
+        b = drf.sweep(sigma2, fs, rate)   # the DistortionBundle ordering holds
+        s = drf.sections(rate / fs)
+        scale = sigma2 / fs
+        expected = {
+            "d_opt": scale * (1.0 / 6.0 + s.d_tilde),
+            "d_ce": scale * (1.0 / 6.0 + s.sampled.ce),
+            "d_upper": scale * (1.0 / 6.0 + s.sampled.distortion),
+            "d_bar": scale * s.sampled.distortion,
+            "mmse": scale / 6.0,
+            "theta_opt": s.shifted.theta,
+            "theta_ce": s.sampled.theta,
+        }
+        for name, value in expected.items():
+            assert getattr(b, name) == pytest.approx(value, rel=1e-12), name
+        assert b.d_bar <= b.d_w

@@ -37,6 +37,11 @@ class TestConfig:
             SimConfig(horizon_t=1.0, oversample=8, trials=2, seed=-1)
         with pytest.raises(ValueError):
             SimConfig(horizon_t=2.0, oversample=4, trials=3, seed=1.5)
+        for field in ("horizon_t", "oversample", "trials", "seed"):
+            fields = dict(horizon_t=1.0, oversample=8, trials=2, seed=1)
+            fields[field] = math.inf
+            with pytest.raises(ValueError, match=field):
+                SimConfig(**fields)
         SimConfig(horizon_t=1.0, oversample=8, trials=2 ** 32, seed=1)
         with pytest.raises(ValueError):   # a spawn key of two words
             SimConfig(horizon_t=1.0, oversample=8, trials=2 ** 32 + 1, seed=1)

@@ -1,19 +1,26 @@
 """Waterfilling: the quadrature oracle's frozen values and guarantees, and the
 closed-form kernel's inversion checked against that oracle."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracle import (ConstantDensity, QuadratureError, ce_integral,
                     distortion_at_theta, integrate, integrate_density,
                     integrate_unit, rate_at_theta)
 from wienerdr import waterfill
+from wienerdr.drf import MIN_RBAR
 from wienerdr.spectral import SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER
 from wienerdr.waterfill import solve_theta_for_rate, water_levels
 
 BORDER_RATE = 0.5 * (1.0 + np.log2(np.sqrt(3.0) + 2.0))  # ~1.44998
+#: where the Newton start changes branch, for the walk (border rate 1) and
+#: the interpolator (BORDER_RATE)
+BRANCH_EDGES = (1.0 - 1e-9, waterfill._SERIES_SHARE, BORDER_RATE - 1e-9,
+                waterfill._SERIES_SHARE * BORDER_RATE)
 
 
 class TestDistortion:
@@ -123,6 +130,10 @@ class TestKernel:
     """The closed-form kernel against the quadrature oracle and exact forms."""
 
     @given(st.floats(min_value=np.log(1e-4), max_value=np.log(250.0)))
+    @example(math.log(BRANCH_EDGES[0]))
+    @example(math.log(BRANCH_EDGES[1]))
+    @example(math.log(BRANCH_EDGES[2]))
+    @example(math.log(BRANCH_EDGES[3]))
     @settings(max_examples=30, deadline=None)
     def test_matches_oracle(self, log_rbar):
         rbar = float(np.exp(log_rbar))
@@ -172,6 +183,26 @@ class TestKernel:
     def test_crossing_is_the_density_crossing(self, density):
         levels = water_levels(density, np.geomspace(1e-4, 500.0, 3000))
         assert np.array_equal(density.crossing(levels.theta), levels.crossing)
+
+    @pytest.mark.parametrize("density", [SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER])
+    def test_at_most_four_rate_evaluations(self, density, monkeypatch):
+        calls = []
+        rate = waterfill._two_ln2_rate
+
+        def counted(*args):
+            calls.append(None)
+            return rate(*args)
+
+        monkeypatch.setattr(waterfill, "_two_ln2_rate", counted)
+        rbars = np.geomspace(MIN_RBAR, waterfill.MAX_RBAR, 3000)
+        water_levels(density, rbars)
+        assert len(calls) <= 4
+        worst = 0
+        for rbar in rbars:
+            calls.clear()
+            water_levels(density, rbar)
+            worst = max(worst, len(calls))
+        assert worst <= 4
 
     def test_refuses_past_the_underflow_edge(self):
         with pytest.raises(FloatingPointError, match="510.9.*510.658"):

@@ -18,7 +18,7 @@ from .mc import (CeEstimate, ErrorMoments, MomentEstimate, PathBundle,
 from .spectral import (EigenSystem, ProcessParams, SAMPLED_WIENER,
                        SHIFTED_SAMPLED_WIENER, SpectralDensity,
                        discrete_wiener_eigensystem,
-                       discrete_wiener_eigenvalues, fredholm_residual,
+                       discrete_wiener_eigenvalues,
                        interp_kernel_eigensystem, interp_kernel_eigenvalues,
                        s_bar, s_tilde_density)
 from .waterfill import (WaterfillPoint, distortion_at_theta, rate_at_theta,
@@ -30,7 +30,6 @@ __all__ = [
     "SHIFTED_SAMPLED_WIENER", "s_bar", "s_tilde_density",
     "EigenSystem", "discrete_wiener_eigenvalues", "discrete_wiener_eigensystem",
     "interp_kernel_eigenvalues", "interp_kernel_eigensystem",
-    "fredholm_residual",
     "WaterfillPoint", "distortion_at_theta", "rate_at_theta",
     "solve_theta_for_rate",
     "RateSpec", "DistortionBundle", "d_w", "d_bar", "mmse_fs", "d_opt",

@@ -147,12 +147,14 @@ def _cmd_simulate(args) -> int:
         if args.rbar is None:
             raise ValueError("--rbar is required for the test-channel scheme")
         result = mc.mc_test_channel_run(params, config, args.rbar)
+    summary = (f"estimate={_fmt(result.estimate)} "
+               f"stderr={_fmt(result.stderr)} "
+               f"reference={_fmt(result.reference)} z={_fmt(result.z_score)}")
     table = np.column_stack([np.arange(len(result.per_trial)),
                              result.per_trial])
     _write_csv_atomic(args.out, ["trial", "distortion"], table)
     _write_manifest(args.out, "simulate", args)
-    print(f"estimate={_fmt(result.estimate)} stderr={_fmt(result.stderr)} "
-          f"reference={_fmt(result.reference)} z={_fmt(result.z_score)}")
+    print(summary)
     return 0
 
 

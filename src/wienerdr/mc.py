@@ -1,11 +1,21 @@
 """Monte-Carlo and semi-analytic validation of the distortion curves.
 
 Paths are simulated from independent Gaussian increments on a fine grid of
-``oversample`` points per sampling interval.  Reproducibility contract: the
-generator for trial k is ``Philox(SeedSequence(entropy=seed, spawn_key=(k,)))``
-and each trial consumes only its own stream, so any partitioning of the
-trial range reproduces the sequential results bit for bit (statistics are
-always reduced in trial order).  Runs fill chunks of trials row by row from
+``oversample`` points per sampling interval, interval by interval: a
+chunk's increments fill a (trial, interval, fine step) array, and one
+running sum along its last axis turns them into each interval's bridge B
+(the path less its chord between two samples, 0 at both).  The error of
+an interpolant of node values W - e is B plus the interpolant of e, so
+its trapezoid time average splits per interval into sums of B**2, of B
+times the ramps 1 - u and u, and fixed trapezoid sums of the ramps'
+products times the node errors; no fine path is built for a run.  Path
+bundles are assembled from the same arrays.
+
+Reproducibility contract: the generator for trial k is
+``Philox(SeedSequence(entropy=seed, spawn_key=(k,)))`` and each trial
+consumes only its own stream, so any partitioning of the trial range
+reproduces the sequential results bit for bit (statistics are always
+reduced in trial order).  Runs fill chunks of trials row by row from
 those streams and then work on whole chunks; every step acts on each row
 alone, so the chunking leaves each trial's value unchanged to the bit.
 The Philox keys of a chunk's trials are derived in one vectorized pass of
@@ -32,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Tuple
+from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -146,7 +156,10 @@ class MomentEstimate:
 
     @property
     def z_score(self) -> float:
-        return (self.estimate - self.reference) / self.stderr
+        """(estimate - reference) / stderr, and 0 when the two agree
+        exactly, as without oversampling, where all three are 0."""
+        diff = self.estimate - self.reference
+        return 0.0 if diff == 0 else diff / self.stderr
 
 
 @dataclass(frozen=True)
@@ -294,7 +307,8 @@ _CHUNK_ELEMENTS = 1 << 17
 
 
 def _chunk_rows(n: int, oversample: int) -> int:
-    """Trials per chunk: a fine path plus the sine-transform extension per row."""
+    """Trials per chunk: per row, the (n, oversample) increments, turned in
+    place into the intervals' bridges, and the sine-transform extension."""
     return max(1, _CHUNK_ELEMENTS // (n * (oversample + 4) + 3))
 
 
@@ -304,67 +318,85 @@ def _chunks(n: int, config: SimConfig) -> Iterator[range]:
         yield range(lo, min(lo + rows, config.trials))
 
 
-def _lerp_nodes(nodes: np.ndarray, oversample: int) -> np.ndarray:
-    """Piecewise-linear interpolation of nodal values (last axis) onto the
-    fine grid.
+def _split(steps: np.ndarray) -> np.ndarray:
+    """Turn each interval's increments (last axis) into its bridge in place
+    and return the interval's rise.
 
-    Exact at the nodes (index arithmetic, no floating-point grid matching).
+    The bridge at u = m/os, m = 1..os, is the path less its chord
+    W_i + u rise: the running sum of the increments less their mean, so no
+    difference of two path values enters it.  Its entry at m = os is 0 up
+    to rounding and is never read.
     """
-    n = nodes.shape[-1] - 1
-    j = np.arange(n * oversample + 1)
-    base = np.minimum(j // oversample, n - 1)
-    frac = j / oversample - base
-    out = np.take(nodes, base, axis=-1)   # C order, unlike nodes[..., base]
-    out *= 1.0 - frac
-    out += np.take(nodes, base + 1, axis=-1) * frac
-    return out
+    rise = np.einsum("...m->...", steps)
+    steps -= rise[..., None] / steps.shape[-1]
+    # a running sum by whole slices (np.cumsum pays a call per interval)
+    for m in range(1, steps.shape[-1]):
+        steps[..., m] += steps[..., m - 1]
+    return rise
 
 
-def _squared_error(fine: np.ndarray, nodes: np.ndarray,
-                   oversample: int) -> np.ndarray:
-    """(fine - interpolant of nodes)**2, in one array."""
-    err = _lerp_nodes(nodes, oversample)
-    np.subtract(fine, err, out=err)
-    err *= err
-    return err
-
-
-def _trapezoid_mean(values_sq: np.ndarray, dt: float, horizon: float):
-    """Trapezoid time average along the last axis (one value per row)."""
-    inner = values_sq[..., 1:-1].sum(axis=-1)
-    return (0.5 * values_sq[..., 0] + inner + 0.5 * values_sq[..., -1]) \
-        * dt / horizon
-
-
-def _fine_paths(params: ProcessParams, config: SimConfig, trials: range,
-                streams: _TrialStreams,
-                noise_len: int = 0) -> Tuple[np.ndarray, np.ndarray]:
-    """Fine-grid paths of ``trials``, one row each, and their channel noise.
-
-    Row i draws from trial ``trials[i]``'s own stream: the path increments
-    first, then ``noise_len`` channel-noise values.
+def _intervals(params: ProcessParams, config: SimConfig, trials: range,
+               streams: _TrialStreams, noise_len: int = 0
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(bridge, rise, noise) of ``trials``, one row each: ``_split`` of the
+    scaled increments, shaped (trial, interval, fine step), and the channel
+    noise.  Row r draws from trial ``trials[r]``'s own stream: the path
+    increments first, interval by interval, then ``noise_len`` noise values.
     """
     n, _ = effective_grid(params, config)
     dt = params.ts / config.oversample
-    fine = np.empty((len(trials), n * config.oversample + 1))
+    steps = np.empty((len(trials), n, config.oversample))
     noise = np.empty((len(trials), noise_len))
     for row, rng in enumerate(streams.each(trials)):
-        rng.standard_normal(out=fine[row, 1:])
+        rng.standard_normal(out=steps[row])
         if noise_len:
             rng.standard_normal(out=noise[row])
-    fine[:, 0] = 0.0
-    paths = fine[:, 1:]
-    paths *= math.sqrt(params.sigma2 * dt)
-    np.cumsum(paths, axis=1, out=paths)
-    return fine, noise
+    steps *= math.sqrt(params.sigma2 * dt)
+    return steps, _split(steps), noise
+
+
+def _interval_error(bridge: np.ndarray,
+                    errors: Optional[np.ndarray] = None) -> np.ndarray:
+    """Trapezoid sum over the fine grid of (path - interpolant of the nodes
+    W - ``errors``)**2, one value per row.
+
+    In interval i the error is B + (1 - u) e_i + u e_i+1 for the bridge B
+    and node errors e (e_0 = 0; none means 0).  B is 0 at both nodes, so
+    the sum is sum B**2 + 2 (e_i sum (1 - u) B + e_i+1 sum u B) + a (e_i**2
+    + e_i+1**2) + 2 b e_i e_i+1, B over the interior points, with a and b
+    the trapezoid sums over m = 0..os of (1 - u)**2 (or u**2) and u (1 - u).
+    """
+    os_ = bridge.shape[-1]
+    inner = bridge[..., :-1]
+    total = np.einsum("...im,...im->...", inner, inner)
+    if errors is None:
+        return total
+    a = (2 * os_ * os_ + 1) / (6.0 * os_)
+    b = (os_ * os_ - 1) / (6.0 * os_)
+    u = np.arange(1, os_) / os_
+    left, right = errors[..., :-1], errors[..., 1:]
+    down = np.einsum("...m,m->...", inner, 1.0 - u)   # sum (1 - u) B
+    up = np.einsum("...m,m->...", inner, u)           # sum u B
+    row = "...i,...i->..."
+    return total \
+        + 2.0 * (np.einsum(row, left, down) + np.einsum(row, right, up)) \
+        + a * (np.einsum(row, left, left) + np.einsum(row, right, right)) \
+        + (2.0 * b) * np.einsum(row, left, right)
 
 
 def _path_bundle(params: ProcessParams, config: SimConfig, trial: int,
-                 fine: np.ndarray) -> PathBundle:
+                 bridge: np.ndarray, rise: np.ndarray) -> PathBundle:
+    """One trial's interpolant, the chords W_i + u rise, and its fine path,
+    the chords plus the bridge."""
     os_ = config.oversample
-    samples = fine[::os_].copy()
-    return PathBundle(trial=trial, fine_path=fine, samples=samples,
-                      interpolant=_lerp_nodes(samples, os_),
+    samples = np.concatenate(([0.0], np.cumsum(rise)))
+    chords = samples[:-1, None] + np.outer(rise, np.arange(os_) / os_)
+    offsets = np.zeros_like(bridge)
+    offsets[:, 1:] = bridge[:, :-1]
+    return PathBundle(trial=trial,
+                      fine_path=np.append(chords + offsets, samples[-1]),
+                      samples=samples,
+                      interpolant=np.append(chords, samples[-1]),
                       dt=params.ts / os_)
 
 
@@ -373,9 +405,9 @@ def path_for_trial(params: ProcessParams, config: SimConfig,
     """Simulate one Wiener path and its sampled interpolant for a given trial."""
     if not 0 <= trial < config.trials:
         raise ValueError("trial out of range")
-    fine, _ = _fine_paths(params, config, range(trial, trial + 1),
-                          _TrialStreams(config.seed))
-    return _path_bundle(params, config, trial, fine[0])
+    bridge, rise, _ = _intervals(params, config, range(trial, trial + 1),
+                                 _TrialStreams(config.seed))
+    return _path_bundle(params, config, trial, bridge[0], rise[0])
 
 
 def simulate_paths(params: ProcessParams, config: SimConfig) -> Iterator[PathBundle]:
@@ -384,9 +416,9 @@ def simulate_paths(params: ProcessParams, config: SimConfig) -> Iterator[PathBun
     n, _ = effective_grid(params, config)
     streams = _TrialStreams(config.seed)
     for trials in _chunks(n, config):
-        fine, _ = _fine_paths(params, config, trials, streams)
-        for trial, row in zip(trials, fine):
-            yield _path_bundle(params, config, trial, row)
+        bridge, rise, _ = _intervals(params, config, trials, streams)
+        for row, trial in enumerate(trials):
+            yield _path_bundle(params, config, trial, bridge[row], rise[row])
 
 
 def _estimate(per_trial: np.ndarray, reference: float,
@@ -412,10 +444,9 @@ def empirical_mmse(params: ProcessParams, config: SimConfig) -> MomentEstimate:
     per_trial = np.empty(config.trials)
     streams = _TrialStreams(config.seed)
     for trials in _chunks(n, config):
-        fine, _ = _fine_paths(params, config, trials, streams)
-        err_sq = _squared_error(fine, fine[:, ::os_], os_)
-        per_trial[trials.start:trials.stop] = _trapezoid_mean(err_sq, dt,
-                                                              horizon)
+        bridge, _, _ = _intervals(params, config, trials, streams)
+        per_trial[trials.start:trials.stop] = _interval_error(bridge) \
+            * dt / horizon
     floor = params.sigma2 / (6.0 * params.fs)
     os_sq = os_ ** 2
     return _estimate(per_trial, reference=floor * (1.0 - 1.0 / os_sq),
@@ -640,14 +671,13 @@ def mc_test_channel_run(params: ProcessParams, config: SimConfig,
     per_trial = np.empty(config.trials)
     streams = _TrialStreams(config.seed)
     for trials in _chunks(n, config):
-        fine, noise = _fine_paths(params, config, trials, streams, n)
-        samples = fine[:, ::os_]
-        coeffs = _kl_forward(samples[:, 1:] - samples[:, :1])
-        recon = _kl_inverse(gain * (coeffs + noise_sd * noise))
-        nodes = np.concatenate((samples[:, :1], recon), axis=1)
-        err_sq = _squared_error(fine, nodes, os_)
-        per_trial[trials.start:trials.stop] = _trapezoid_mean(err_sq, dt,
-                                                              horizon)
+        bridge, rise, noise = _intervals(params, config, trials, streams, n)
+        samples = np.cumsum(rise, axis=1)
+        recon = _kl_inverse(gain * (_kl_forward(samples) + noise_sd * noise))
+        errors = np.zeros((len(trials), n + 1))   # e_0 = 0: the pinned start
+        errors[:, 1:] = samples - recon
+        per_trial[trials.start:trials.stop] = _interval_error(
+            bridge, errors) * dt / horizon
     reference = _midpoint(_oracle_moments(lam, theta), params).estimate
     return _estimate(per_trial, reference=reference,
                      bias=params.sigma2 / (6.0 * params.fs * os_ ** 2))

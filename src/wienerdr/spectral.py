@@ -36,7 +36,6 @@ __all__ = [
     "interp_kernel_eigensystem",
     "interp_covariance",
     "nystrom_interp_eigenvalues",
-    "fredholm_residual",
 ]
 
 
@@ -326,36 +325,3 @@ def nystrom_interp_eigenvalues(params: ProcessParams, n: int,
     mid = hmat.T @ (w[:, None] * hmat)
     vals = np.linalg.eigvalsh(chol.T @ mid @ chol)[::-1]
     return vals[:n]
-
-
-def fredholm_residual(system: EigenSystem, params: ProcessParams, k: int,
-                      grid_points: int) -> float:
-    """Sup-norm residual of the eigen-equation under trapezoid quadrature.
-
-    Evaluates lam_k * phi_k(t) - integral K(t, s) phi_k(s) ds on a grid with
-    ``grid_points`` nodes per sampling interval; shrinks as the grid is
-    refined, so it doubles as a convergence diagnostic for the closed-form
-    eigensystem.
-    """
-    if system.node_values is None:
-        raise ValueError("residual is defined for the interpolator kernel")
-    if not 1 <= k <= system.n:
-        raise ValueError(f"k must be in 1..{system.n}")
-    if grid_points < 50:
-        raise ValueError("grid_points must be >= 50 per sampling interval")
-    n = system.n
-    ts = system.ts
-    total = n * grid_points + 1
-    dt = ts / grid_points
-    t = np.arange(total) * dt
-    phi_vals = system.eigenfunction(k, t)
-    w = _trapezoid_weights(total, dt)
-    lam = system.eigenvalues[k - 1]
-
-    resid = np.empty(total)
-    chunk = max(1, 2_000_000 // total)
-    for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
-        kblock = interp_covariance(params, t[lo:hi], t)
-        resid[lo:hi] = lam * phi_vals[lo:hi] - kblock @ (w * phi_vals)
-    return float(np.max(np.abs(resid)))

@@ -1,5 +1,6 @@
-"""Quadrature oracle for the closed-form waterfilling kernel, and dense
-references for the Monte-Carlo layer.
+"""Quadrature oracle for the closed-form waterfilling kernel, dense
+references for the Monte-Carlo layer, and the Fredholm residual of the
+interpolator eigensystem.
 
 Only the tests import this module.  It integrates the waterfilling
 integrands directly, so it shares no formula with ``wienerdr.waterfill``.
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from wienerdr.spectral import (SAMPLED_WIENER, ProcessParams,
-                               discrete_wiener_eigensystem)
+                               discrete_wiener_eigensystem, interp_covariance)
 
 #: every waterfilling integral must come back with an error estimate below this
 ERROR_BOUND = 1e-9
@@ -337,3 +338,68 @@ def dense_channel_trials(params: ProcessParams, config,
         err_sq = (fine - _lerp(nodes, config.oversample)) ** 2
         out[trial] = _trapezoid_mean(err_sq, dt, config.horizon_t)
     return out
+
+
+# ------------------------------------------------------ Fredholm residual
+
+def kernel_action(params: ProcessParams, grid_points: int, t: np.ndarray,
+                  f: np.ndarray) -> np.ndarray:
+    """sum_j K(t_i, t_j) f_j of the interpolator kernel on the uniform grid
+    t with ``grid_points`` nodes per sampling interval, in O(N).
+
+    The Wiener part splits at t_i, sum_j min(t_i, t_j) f_j =
+    sum_{j<=i} t_j f_j + t_i sum_{j>i} f_j.  The bridge term couples only
+    points of one interval [lo, hi), where it is
+    (sigma2/ts) [(hi - t_i) sum_{j<=i} (t_j - lo) f_j
+    + (t_i - lo) sum_{j>i} (hi - t_j) f_j]; the last node is alone in its
+    interval and has none.
+    """
+    out = params.sigma2 * (np.cumsum(t * f) + t * (f.sum() - np.cumsum(f)))
+    n = (len(t) - 1) // grid_points
+    tt = t[:-1].reshape(n, grid_points)
+    ff = f[:-1].reshape(n, grid_points)
+    lo = params.ts * np.arange(n)[:, None]
+    hi = lo + params.ts
+    rising = np.cumsum((tt - lo) * ff, axis=1)
+    falling = (hi - tt) * ff
+    after = np.cumsum(falling[:, ::-1], axis=1)[:, ::-1] - falling
+    out[:-1] -= (params.sigma2 / params.ts) * (
+        (hi - tt) * rising + (tt - lo) * after).ravel()
+    return out
+
+
+def blocked_kernel_action(params: ProcessParams, t: np.ndarray,
+                          f: np.ndarray) -> np.ndarray:
+    """The same sum as ``kernel_action``, as blocks of the pointwise kernel
+    ``interp_covariance`` times f; O(N**2), the cross-check at small N."""
+    out = np.empty(len(t))
+    chunk = max(1, 2_000_000 // len(t))
+    for lo in range(0, len(t), chunk):
+        out[lo:lo + chunk] = interp_covariance(params, t[lo:lo + chunk], t) @ f
+    return out
+
+
+def fredholm_residual(system, params: ProcessParams, k: int,
+                      grid_points: int) -> float:
+    """Sup-norm residual of the eigen-equation under trapezoid quadrature.
+
+    Evaluates lam_k * phi_k(t) - integral K(t, s) phi_k(s) ds on a grid with
+    ``grid_points`` nodes per sampling interval; shrinks as the grid is
+    refined, so it doubles as a convergence diagnostic for the closed-form
+    eigensystem.
+    """
+    if system.node_values is None:
+        raise ValueError("residual is defined for the interpolator kernel")
+    if not 1 <= k <= system.n:
+        raise ValueError(f"k must be in 1..{system.n}")
+    if grid_points < 50:
+        raise ValueError("grid_points must be >= 50 per sampling interval")
+    total = system.n * grid_points + 1
+    dt = system.ts / grid_points
+    t = np.arange(total) * dt
+    phi = system.eigenfunction(k, t)
+    w = np.full(total, dt)
+    w[0] = w[-1] = 0.5 * dt
+    resid = system.eigenvalues[k - 1] * phi \
+        - kernel_action(params, grid_points, t, w * phi)
+    return float(np.max(np.abs(resid)))

@@ -137,6 +137,15 @@ class TestSimulate:
         _, cols = read_csv(out)
         assert len(cols["trial"]) == 300
 
+    def test_no_oversampling_has_zero_z(self, tmp_path, capsys):
+        # every trial is exactly 0, as are the reference and the stderr
+        out = str(tmp_path / "sim.csv")
+        code = main(["simulate", "--scheme", "mmse-only", "--horizon", "4",
+                     "--oversample", "1", "--trials", "5", "--seed", "1",
+                     "--out", out])
+        assert code == 0
+        assert capsys.readouterr().out.split()[-1] == "z=0"
+
     def test_byte_identical_reruns(self, tmp_path):
         args = ["simulate", "--scheme", "test-channel", "--fs", "1",
                 "--horizon", "8", "--oversample", "8", "--trials", "50",

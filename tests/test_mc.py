@@ -4,12 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from oracle import (dense_channel_trials, dense_mmse_trials,
-                    loop_waterfill_theta)
+from oracle import (_lerp, _trapezoid_mean, dense_channel_trials,
+                    dense_mmse_trials, loop_waterfill_theta)
 from wienerdr import mc
 from wienerdr.drf import g_fun
 from wienerdr.mc import (ErrorMoments, SimConfig, bridge_covariance_check,
@@ -428,6 +428,43 @@ class TestBatchedTrials:
             first = run(UNIT, short).per_trial
             again = run(UNIT, long).per_trial
             assert np.array_equal(first, again[:k])
+
+
+class TestIntervalSplit:
+    """The per-interval error split against the direct trapezoid of
+    (fine path - interpolant of the nodes)**2 on the whole path."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=1, max_value=64),
+           st.integers(min_value=1, max_value=40),
+           st.integers(min_value=1, max_value=5), st.booleans(),
+           st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @example(oversample=1, n=9, rows=3, node_errors=False, seed=0)
+    @example(oversample=1, n=9, rows=3, node_errors=True, seed=0)
+    @example(oversample=16, n=1, rows=2, node_errors=False, seed=1)
+    @example(oversample=16, n=1, rows=2, node_errors=True, seed=1)
+    @example(oversample=1, n=1, rows=1, node_errors=True, seed=2)
+    def test_matches_direct_trapezoid(self, oversample, n, rows, node_errors,
+                                      seed):
+        rng = np.random.default_rng(seed)
+        steps = rng.standard_normal((rows, n, oversample))
+        fine = np.concatenate((np.zeros((rows, 1)),
+                               np.cumsum(steps.reshape(rows, -1), axis=1)),
+                              axis=1)
+        nodes = fine[:, ::oversample].copy()
+        if node_errors:
+            nodes[:, 1:] += rng.standard_normal((rows, n)) \
+                * 10.0 ** rng.uniform(-3.0, 1.0)
+        # both routes see the same nodes; the errors W - nodes are formed
+        # as the test-channel run forms them
+        bridge = steps.copy()
+        errors = fine[:, ::oversample] - nodes
+        mc._split(bridge)
+        got = mc._interval_error(bridge, errors if node_errors else None)
+        for row in range(rows):
+            ref = _trapezoid_mean(
+                (fine[row] - _lerp(nodes[row], oversample)) ** 2, 1.0, 1.0)
+            assert abs(got[row] - ref) <= 1e-12 * ref
 
 
 class TestCeDistortionEstimate:

@@ -32,10 +32,10 @@ exponential codebook search.  ``ce_moment_oracle`` evaluates those moments
 in closed form (no sampling noise) and is the semi-analytic reference the
 Monte-Carlo run is judged against.
 
-The Karhunen-Loeve transform of the walk and its inverse are odd-indexed
-outputs of a discrete sine transform of type I, computed from one real FFT
-of the odd extension (O(n log n), no n x n matrix); the oracle's moments
-are cosine sums of min{theta, lambda}, read off one real FFT as well.
+The Karhunen-Loeve transform of the walk and its inverse are sine sums of
+period M = 2n+1, each read off one real FFT of length M (O(n log n), no
+n x n matrix); the oracle's moments are cosine sums of min{theta, lambda},
+read off one real FFT of length M as well.
 """
 
 from __future__ import annotations
@@ -185,12 +185,12 @@ class CeEstimate:
 def effective_grid(params: ProcessParams, config: SimConfig) -> Tuple[int, float]:
     """(number of sampling intervals, effective horizon).
 
-    The horizon is rounded up so that horizon * fs is an integer; the
-    effective value is reported back instead of being silently absorbed.
+    The horizon is rounded up so that horizon * fs is a positive integer;
+    the effective value is reported back instead of being silently absorbed.
     """
     raw = config.horizon_t * params.fs
     nearest = round(raw)
-    n = nearest if abs(raw - nearest) < 1e-9 else math.ceil(raw)
+    n = max(1, nearest if abs(raw - nearest) < 1e-9 else math.ceil(raw))
     return int(n), n / params.fs
 
 
@@ -308,8 +308,8 @@ _CHUNK_ELEMENTS = 1 << 17
 
 def _chunk_rows(n: int, oversample: int) -> int:
     """Trials per chunk: per row, the (n, oversample) increments, turned in
-    place into the intervals' bridges, and the sine-transform extension."""
-    return max(1, _CHUNK_ELEMENTS // (n * (oversample + 4) + 3))
+    place into the intervals' bridges, and the length-(2n+1) FFT input."""
+    return max(1, _CHUNK_ELEMENTS // (n * (oversample + 2) + 1))
 
 
 def _chunks(n: int, config: SimConfig) -> Iterator[range]:
@@ -574,47 +574,46 @@ def finite_waterfill_theta(eigenvalues: np.ndarray, rbar: float) -> float:
 def _kl_forward(block: np.ndarray) -> np.ndarray:
     """KL coefficients V x of blocks x (last axis, length n) of the walk.
 
-    V[k-1, m-1] = 2 sin((2k-1) pi m / (2n+1)) / sqrt(2n+1), so
-    V x = DST-I_2n([x, 0_n])[0::2] / sqrt(2n+1), with the DST-I read off the
-    real FFT of the odd extension (length 2(2n+1)).
+    V[k-1, m-1] = 2 sin((2k-1) pi m / M) / sqrt(M), M = 2n+1.  As
+    sin(pi (2k-1) m / M) = (-1)**m sin(2 pi (n+k) m / M) and bin n+k of a
+    real FFT of length M is the conjugate of bin n+1-k, V x is 2/sqrt(M)
+    times the imaginary part of bins n..1 of the FFT of (-1)**m x_m in
+    slots 1..n.
     """
     n = block.shape[-1]
-    ext = np.zeros(block.shape[:-1] + (4 * n + 2,))
-    ext[..., 1:n + 1] = block
-    ext[..., 3 * n + 2:] = -block[..., ::-1]
-    sums = np.fft.rfft(ext)[..., 1:2 * n:2].imag
-    return sums * (-1.0 / np.sqrt(2 * n + 1))
+    ext = np.zeros(block.shape[:-1] + (2 * n + 1,))
+    np.multiply(block, (-1.0) ** np.arange(1, n + 1), out=ext[..., 1:n + 1])
+    return np.fft.rfft(ext)[..., n:0:-1].imag * (2.0 / np.sqrt(2 * n + 1))
 
 
 def _kl_inverse(coeffs: np.ndarray) -> np.ndarray:
-    """Samples V^T y of KL coefficients y (last axis, length n).
-
-    V^T y = DST-I_2n(y on the even slots)[:n] / sqrt(2n+1), with the DST-I
-    read off the real FFT of the odd extension.
-    """
+    """Samples V^T y of KL coefficients y (last axis, length n): by the
+    identities of ``_kl_forward``, (-1)**m 2/sqrt(M) times the imaginary
+    part of bin m of the FFT of y reversed in slots n..1."""
     n = coeffs.shape[-1]
-    ext = np.zeros(coeffs.shape[:-1] + (4 * n + 2,))
-    ext[..., 1:2 * n:2] = coeffs
-    ext[..., 2 * n + 3::2] = -coeffs[..., ::-1]
-    sums = np.fft.rfft(ext)[..., 1:n + 1].imag
-    return sums * (-1.0 / np.sqrt(2 * n + 1))
+    ext = np.zeros(coeffs.shape[:-1] + (2 * n + 1,))
+    ext[..., 1:n + 1] = coeffs[..., ::-1]
+    signs = (-1.0) ** np.arange(1, n + 1) * (2.0 / np.sqrt(2 * n + 1))
+    return np.fft.rfft(ext)[..., 1:].imag * signs
 
 
 def _oracle_moments(lam: np.ndarray, theta: float) -> ErrorMoments:
     """Diagonal and first off-diagonal of V^T diag(min{theta, lam}) V.
 
-    With d = min{theta, lam} and C_j = sum_k d_k cos(j (2k-1) pi / (2n+1)),
-    the real part of one FFT of length 2(2n+1) with d on the odd slots,
-    second[m] = (2/(2n+1)) (sum d - C_2m) and
-    cross[m] = (2/(2n+1)) (C_1 - C_(2m+1)).
+    With d = min{theta, lam} and C_j = sum_k d_k cos(j (2k-1) pi / M),
+    second[m] = (2/M) (sum d - C_2m) and cross[m] = (2/M) (C_1 - C_(2m+1)).
+    As cos(pi (2k-1) j / M) = (-1)**j cos(2 pi (n+k) j / M), C_j =
+    (-1)**j Re X[j] for j <= n, X the FFT of d reversed in slots n..1, and
+    C_j = -C_(M-j) above n.
     """
     n = len(lam)
     d = np.minimum(theta, lam)
-    slots = np.zeros(4 * n + 2)
-    slots[1:2 * n:2] = d
-    c = np.fft.rfft(slots).real
+    slots = np.zeros(2 * n + 1)
+    slots[1:n + 1] = d[::-1]
+    low = np.fft.rfft(slots).real * (-1.0) ** np.arange(n + 1)
+    c = np.concatenate((low, -low[:0:-1]))
     scale = 2.0 / (2 * n + 1)
-    return ErrorMoments(second=scale * (d.sum() - c[2:2 * n + 1:2]),
+    return ErrorMoments(second=scale * (d.sum() - c[2::2]),
                         cross=scale * (c[1] - c[3:2 * n:2]))
 
 
@@ -656,7 +655,7 @@ def mc_test_channel_run(params: ProcessParams, config: SimConfig,
     """
     n, horizon = effective_grid(params, config)
     if n < 2:
-        raise ValueError("need at least 2 sampling intervals per block")
+        raise ValueError("need horizon * fs > 1: 2 intervals per block")
     lam = discrete_wiener_eigenvalues(params, n)
     theta = finite_waterfill_theta(lam, rbar)
     active = lam > theta

@@ -245,30 +245,27 @@ def _bridge_cov_grid(params: ProcessParams, t: np.ndarray, s: np.ndarray):
     ts = params.ts
     it = np.floor(t * params.fs * (1 + 1e-14)).astype(int)
     is_ = np.floor(s * params.fs * (1 + 1e-14)).astype(int)
-    same = it[:, None] == is_[None, :]
-    t_hi = (it + 1) * ts
-    t_lo = it * ts
-    tmax = np.maximum(t[:, None], s[None, :])
-    tmin = np.minimum(t[:, None], s[None, :])
-    vals = (params.sigma2 / ts) * (t_hi[:, None] - tmax) * (tmin - t_lo[:, None])
-    return np.where(same, vals, 0.0)
+    # (sigma2/ts) (t_hi - max) (min - t_lo), built in place
+    vals = np.minimum(t[:, None], s[None, :])
+    vals -= (it * ts)[:, None]
+    upper = np.maximum(t[:, None], s[None, :])
+    np.subtract(((it + 1) * ts)[:, None], upper, out=upper)
+    vals *= upper
+    vals *= params.sigma2 / ts
+    np.copyto(vals, 0.0, where=it[:, None] != is_[None, :])
+    return vals
 
 
 def interp_covariance(params: ProcessParams, t, s):
     """Kernel of the sample interpolator: sigma2*min(t,s) minus the bridge term."""
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    k_w = params.sigma2 * np.minimum(t_arr[:, None], s_arr[None, :])
-    out = k_w - _bridge_cov_grid(params, t_arr, s_arr)
+    out = np.minimum(t_arr[:, None], s_arr[None, :])
+    out *= params.sigma2
+    out -= _bridge_cov_grid(params, t_arr, s_arr)
     if np.isscalar(t) and np.isscalar(s):
         return float(out[0, 0])
     return out
-
-
-def _trapezoid_weights(num_points: int, dt: float) -> np.ndarray:
-    w = np.full(num_points, dt)
-    w[0] = w[-1] = 0.5 * dt
-    return w
 
 
 def nystrom_interp_eigenvalues(params: ProcessParams, n: int,
@@ -280,10 +277,12 @@ def nystrom_interp_eigenvalues(params: ProcessParams, n: int,
     with trapezoid weights and returns the n largest eigenvalues of the
     symmetrized Nystrom matrix, sorted decreasing.
 
-    method "dense" evaluates the kernel pointwise and calls the dense
-    symmetric eigensolver; "factored" exploits that the interpolator is a
-    linear map of the samples, so the Nystrom matrix is H C H^T with hat
-    factors H, and reduces the problem to n x n without changing the
+    method "dense" evaluates the kernel pointwise; the matrix has rank n
+    (the covariance of the interpolant of n free samples), so a seeded
+    range finder of n+8 columns and two power steps spans its range and the
+    dense symmetric eigensolver runs on the projection.  "factored" uses
+    that the interpolator is a linear map of the samples: the Nystrom matrix
+    is H C H^T with hat factors H, reduced to n x n without changing the
     spectrum.  "auto" picks dense for small grids (the fully independent
     route) and factored above 3500 nodes, where the dense matrix no longer
     fits comfortably.
@@ -296,17 +295,19 @@ def nystrom_interp_eigenvalues(params: ProcessParams, n: int,
     total = n * grid_points + 1
     dt = ts / grid_points
     t = np.arange(total) * dt
-    w = _trapezoid_weights(total, dt)
+    w = np.full(total, dt)   # trapezoid weights
+    w[[0, -1]] = 0.5 * dt
 
     if method == "auto":
         method = "dense" if total <= 3500 else "factored"
 
     if method == "dense":
-        kmat = interp_covariance(params, t, t)
-        sq = np.sqrt(w)
-        sym = sq[:, None] * kmat * sq[None, :]
-        vals = np.linalg.eigvalsh(sym)[::-1]
-        return vals[:n]
+        sym = interp_covariance(params, t, t)
+        sym *= np.outer(np.sqrt(w), np.sqrt(w))
+        q = np.random.default_rng(0).standard_normal((total, min(n + 8, total)))
+        for _ in range(3):   # the range, then two power steps
+            q = np.linalg.qr(sym @ q)[0]
+        return np.linalg.eigvalsh(q.T @ sym @ q)[::-1][:n]
     if method != "factored":
         raise ValueError(f"unknown method {method!r}")
 

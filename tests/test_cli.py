@@ -205,6 +205,26 @@ class TestSimulate:
             "error: simulate: request too large to allocate"
         assert os.listdir(tmp_path) == []
 
+    def test_sub_interval_horizon_runs_one_interval(self, tmp_path, capsys):
+        # horizon * fs below 1e-9 rounds up to one interval, not to none
+        out = str(tmp_path / "sim.csv")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["simulate", "--scheme", "mmse-only", "--horizon",
+                         "1e-10", "--trials", "4", "--seed", "1",
+                         "--out", out])
+            assert code == 0
+            summary = capsys.readouterr().out
+            assert "nan" not in summary
+            _, cols = read_csv(out)
+            assert np.all(np.isfinite(cols["distortion"]))
+            code = main(["simulate", "--scheme", "test-channel", "--rbar",
+                         "1", "--horizon", "1e-10", "--trials", "4",
+                         "--seed", "1", "--out", out + "2"])
+        assert code == 2
+        assert "horizon * fs" in capsys.readouterr().err
+        assert not os.path.exists(out + "2")
+
     def test_one_trial_has_no_standard_error(self, tmp_path, capsys):
         out = str(tmp_path / "sim.csv")
         code = main(["simulate", "--scheme", "mmse-only", "--horizon", "4",

@@ -52,6 +52,13 @@ class TestConfig:
         cfg = SimConfig(horizon_t=8.0, oversample=8, trials=1, seed=0)
         assert effective_grid(ProcessParams(1.0, 2.0), cfg) == (16, 8.0)
 
+    def test_effective_grid_has_at_least_one_interval(self):
+        for horizon in (1e-10, 1e-300, 5e-324):
+            cfg = SimConfig(horizon_t=horizon, oversample=8, trials=1, seed=0)
+            assert effective_grid(UNIT, cfg) == (1, 1.0)
+        cfg = SimConfig(horizon_t=1e-10, oversample=8, trials=1, seed=0)
+        assert effective_grid(ProcessParams(1.0, 4.0), cfg) == (1, 0.25)
+
 
 def seed_sequence_keys(seed, ks):
     return np.array([np.random.SeedSequence(entropy=seed, spawn_key=(k,))
@@ -364,7 +371,8 @@ class TestCeMomentOracle:
 class TestFastTransforms:
     """The FFT-based KL transforms and moments against the dense matrix."""
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 17, 1500])
+    # 2n+1 = 2459 and 3001 are prime, 2991 = 3 * 997
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 1229, 1495, 1500])
     def test_sine_transforms_match_eigenvectors(self, n):
         vecs = discrete_wiener_eigensystem(UNIT, n).eigenvectors
         x = np.random.default_rng(n).standard_normal((3, n))
@@ -375,7 +383,7 @@ class TestFastTransforms:
         assert np.max(np.abs(fwd - dense_fwd)) <= 1e-12 * np.max(np.abs(dense_fwd))
         assert np.max(np.abs(inv - dense_inv)) <= 1e-12 * np.max(np.abs(dense_inv))
 
-    @pytest.mark.parametrize("n", [2, 5, 256, 1000])
+    @pytest.mark.parametrize("n", [2, 5, 256, 1000, 1495, 1500])
     def test_moments_match_dense(self, n):
         params = ProcessParams(2.0, 0.8)
         system = discrete_wiener_eigensystem(params, n)
@@ -389,6 +397,24 @@ class TestFastTransforms:
             scale = np.max(second)
             assert np.max(np.abs(moments.second - second)) <= 1e-12 * scale
             assert np.max(np.abs(moments.cross - cross)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n", [2, 7, 1500])
+    def test_one_fft_of_the_period_each(self, n, monkeypatch):
+        lengths = []
+        rfft = np.fft.rfft
+
+        def counted(a, *args, **kwargs):
+            lengths.append(np.shape(a)[-1])
+            return rfft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", counted)
+        x = np.random.default_rng(n).standard_normal((3, n))
+        lam = discrete_wiener_eigensystem(UNIT, n).eigenvalues
+        for run in (lambda: mc._kl_forward(x), lambda: mc._kl_inverse(x),
+                    lambda: mc._oracle_moments(lam, float(np.median(lam)))):
+            lengths.clear()
+            run()
+            assert lengths == [2 * n + 1]
 
 
 class TestBatchedTrials:

@@ -191,6 +191,22 @@ class TestInterpEigensystem:
             fact = nystrom_interp_eigenvalues(UNIT, n, 120, method="factored")
             assert np.max(np.abs(dense - fact) / dense) < 1e-9
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_dense_route_matches_full_eigensolver(self, n):
+        # the range finder of the dense route against eigvalsh of the whole
+        # pointwise-evaluated matrix
+        grid = 120
+        total = n * grid + 1
+        dt = UNIT.ts / grid
+        t = np.arange(total) * dt
+        w = np.full(total, dt)
+        w[0] = w[-1] = dt / 2
+        kmat = interp_covariance(UNIT, t, t)
+        sym = np.sqrt(w)[:, None] * kmat * np.sqrt(w)[None, :]
+        full = np.linalg.eigvalsh(sym)[::-1][:n]
+        got = nystrom_interp_eigenvalues(UNIT, n, grid, method="dense")
+        assert np.max(np.abs(got - full) / full) <= 1e-12
+
     def test_dense_spectrum_has_rank_n(self):
         # beyond rank n the discretized kernel carries only quadrature noise
         n, grid = 3, 150

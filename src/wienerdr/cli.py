@@ -2,15 +2,21 @@
 Monte-Carlo runs, emitted as deterministic CSV.
 
 Exit codes: 0 success, 2 invalid arguments (a request too large to allocate
-included), 3 numerical failure.  Output files are written to a temporary
-file and renamed on success, so a failing run never leaves a partial CSV
-behind; a JSON manifest (flags, versions, seed) is written next to each
-output.
+and an ``--out`` that cannot be written included), 3 numerical failure.
+Output files are written to a temporary file and renamed on success, so a
+failing run never leaves a partial CSV behind; a JSON manifest (flags,
+versions, seed) is written next to each output, and a run whose manifest
+cannot be written leaves neither file.
+
+``main(argv)`` may be called any number of times in one process: the
+argument parser is built on the first call and reused, since parsing never
+changes it and returns a fresh namespace each time.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 # argparse's messages go through gettext, which imports locale on the first
 # parse; importing it here puts that one-time cost in start-up, not in the
@@ -81,6 +87,23 @@ def _write_manifest(path: str, command: str, args: argparse.Namespace) -> None:
         fh.write("\n")
 
 
+def _write_outputs(args, header, table) -> None:
+    """Write the CSV and then its manifest, or neither; an ``OSError`` from
+    either write is an ``--out`` that cannot be written."""
+    try:
+        _write_csv_atomic(args.out, header, table)
+        try:
+            _write_manifest(args.out, args.command, args)
+        except BaseException:
+            for path in (args.out, args.out + ".manifest.json"):
+                if os.path.isfile(path):
+                    os.unlink(path)
+            raise
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {args.out}: "
+                         f"{exc.strerror or exc}") from exc
+
+
 def _sweep(args) -> np.ndarray:
     if args.points < 2:
         raise ValueError("--points must be >= 2")
@@ -103,8 +126,7 @@ def _cmd_curve(args) -> int:
               "theta_opt", "theta_ce"]
     columns = [grid] + [getattr(b, name) * scale for name in header[1:7]]
     rows = np.column_stack(columns + [b.theta_opt, b.theta_ce])
-    _write_csv_atomic(args.out, header, rows)
-    _write_manifest(args.out, "curve", args)
+    _write_outputs(args, header, rows)
     return 0
 
 
@@ -114,8 +136,7 @@ def _cmd_ratio(args) -> int:
     header = ["rbar", "ratio_smp", "ratio_qnt", "ce_penalty", "d_tilde"]
     rows = np.column_stack([rbars, s.ratio_smp, s.ratio_qnt, s.ce_penalty,
                             s.d_tilde])
-    _write_csv_atomic(args.out, header, rows)
-    _write_manifest(args.out, "ratio", args)
+    _write_outputs(args, header, rows)
     return 0
 
 
@@ -132,8 +153,7 @@ def _cmd_eigen(args) -> int:
         lam = interp_kernel_eigenvalues(params, args.n)
         limit = (params.sigma2 * params.ts ** 2) * s_tilde_density(phi)
     header = ["k", "lambda", "density_limit"]
-    _write_csv_atomic(args.out, header, np.column_stack([k, lam, limit]))
-    _write_manifest(args.out, "eigen", args)
+    _write_outputs(args, header, np.column_stack([k, lam, limit]))
     return 0
 
 
@@ -152,12 +172,12 @@ def _cmd_simulate(args) -> int:
                f"reference={_fmt(result.reference)} z={_fmt(result.z_score)}")
     table = np.column_stack([np.arange(len(result.per_trial)),
                              result.per_trial])
-    _write_csv_atomic(args.out, ["trial", "distortion"], table)
-    _write_manifest(args.out, "simulate", args)
+    _write_outputs(args, ["trial", "distortion"], table)
     print(summary)
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wienerdr",

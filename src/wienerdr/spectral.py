@@ -240,29 +240,30 @@ def interp_kernel_eigensystem(params: ProcessParams, n: int) -> EigenSystem:
                        normalizers=scale)
 
 
-def _bridge_cov_grid(params: ProcessParams, t: np.ndarray, s: np.ndarray):
-    """Covariance of the interpolation-error bridge at times t x s (outer)."""
-    ts = params.ts
-    it = np.floor(t * params.fs * (1 + 1e-14)).astype(int)
-    is_ = np.floor(s * params.fs * (1 + 1e-14)).astype(int)
-    # (sigma2/ts) (t_hi - max) (min - t_lo), built in place
-    vals = np.minimum(t[:, None], s[None, :])
-    vals -= (it * ts)[:, None]
-    upper = np.maximum(t[:, None], s[None, :])
-    np.subtract(((it + 1) * ts)[:, None], upper, out=upper)
-    vals *= upper
-    vals *= params.sigma2 / ts
-    np.copyto(vals, 0.0, where=it[:, None] != is_[None, :])
-    return vals
+def _by_interval(times: np.ndarray, params: ProcessParams) -> dict:
+    """Positions of ``times`` grouped by the sampling interval they fall in."""
+    idx = np.floor(times * params.fs * (1 + 1e-14)).astype(int)
+    order = np.argsort(idx, kind="stable")
+    keys, starts = np.unique(idx[order], return_index=True)
+    return dict(zip(keys.tolist(), np.split(order, starts[1:])))
 
 
 def interp_covariance(params: ProcessParams, t, s):
-    """Kernel of the sample interpolator: sigma2*min(t,s) minus the bridge term."""
+    """Kernel of the sample interpolator: sigma2*min(t,s) minus the bridge
+    term (sigma2/ts)(t_hi - max)(min - t_lo), which is 0 unless t and s share
+    a sampling interval [t_lo, t_hi] and is subtracted on those blocks only."""
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    out = np.minimum(t_arr[:, None], s_arr[None, :])
+    out = np.minimum.outer(t_arr, s_arr)
     out *= params.sigma2
-    out -= _bridge_cov_grid(params, t_arr, s_arr)
+    ts = params.ts
+    rows, cols = _by_interval(t_arr, params), _by_interval(s_arr, params)
+    for i in rows.keys() & cols.keys():
+        ti, si = t_arr[rows[i]][:, None], s_arr[cols[i]][None, :]
+        bridge = np.minimum(ti, si) - i * ts
+        bridge *= (i + 1) * ts - np.maximum(ti, si)
+        bridge *= params.sigma2 / ts
+        out[np.ix_(rows[i], cols[i])] -= bridge
     if np.isscalar(t) and np.isscalar(s):
         return float(out[0, 0])
     return out
@@ -303,7 +304,9 @@ def nystrom_interp_eigenvalues(params: ProcessParams, n: int,
 
     if method == "dense":
         sym = interp_covariance(params, t, t)
-        sym *= np.outer(np.sqrt(w), np.sqrt(w))
+        root = np.sqrt(w)
+        sym *= root[:, None]
+        sym *= root
         q = np.random.default_rng(0).standard_normal((total, min(n + 8, total)))
         for _ in range(3):   # the range, then two power steps
             q = np.linalg.qr(sym @ q)[0]

@@ -396,3 +396,125 @@ class TestAtomicWrites:
         _write_csv_atomic(out, ["v"], [[value]])
         _, cols = read_csv(out)
         assert cols["v"][0] == pytest.approx(value, rel=1e-14)  # 15 sig digits
+
+
+SMALL_RUNS = {
+    "curve": ["curve", "--min", "1", "--max", "2", "--points", "3"],
+    "simulate": ["simulate", "--scheme", "mmse-only", "--horizon", "2",
+                 "--oversample", "4", "--trials", "5", "--seed", "3"],
+}
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+    @pytest.mark.parametrize("target,reason", [
+        ("missing/x.csv", "No such file or directory"),
+        ("sub", "Is a directory")])
+    def test_unwritable_path_is_a_bad_argument(self, tmp_path, capsys,
+                                               command, target, reason):
+        (tmp_path / "sub").mkdir()
+        out = str(tmp_path / target)
+        assert main(SMALL_RUNS[command] + ["--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: cannot write --out {out}: {reason}"]
+        assert captured.out == ""
+        assert os.listdir(tmp_path) == ["sub"]
+        assert os.listdir(tmp_path / "sub") == []
+
+    @pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+    def test_failed_manifest_takes_the_csv_with_it(self, tmp_path, capsys,
+                                                   command):
+        out = str(tmp_path / "x.csv")
+        os.mkdir(out + ".manifest.json")
+        assert main(SMALL_RUNS[command] + ["--out", out]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: cannot write --out {out}: Is a directory"]
+        assert os.listdir(tmp_path) == ["x.csv.manifest.json"]
+
+
+class TestOneParserPerProcess:
+    def test_parser_is_built_once(self, tmp_path):
+        runs = [["curve", "--min", "1", "--max", "2", "--points", "3"],
+                ["curve", "--rate", "1", "--min", "1", "--max", "2",
+                 "--points", "3", "--normalized"],
+                ["ratio", "--min", "1", "--max", "2", "--points", "3"],
+                ["eigen", "--kind", "discrete", "--n", "5"],
+                ["eigen", "--kind", "interp", "--n", "5"],
+                SMALL_RUNS["simulate"],
+                SMALL_RUNS["simulate"][:2] + ["test-channel", "--rbar", "1"]
+                + SMALL_RUNS["simulate"][3:]]
+        out = run_python(
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counted(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counted\n"
+            "from wienerdr.cli import main\n"
+            f"runs = {runs!r}\n"
+            "codes = []\n"
+            "for i, argv in enumerate(runs):\n"
+            "    print('built', len(built))\n"
+            f"    codes.append(main(argv + ['--out', {str(tmp_path)!r}"
+            " + f'/{i}.csv']))\n"
+            "print('built', len(built))\n"
+            "print(codes)\n")
+        # nothing at import; one parser and four subparsers on the first call
+        built = [line.split()[1] for line in out.splitlines()
+                 if line.startswith("built ")]
+        assert built == ["0"] + ["5"] * len(runs)
+        assert out.splitlines()[-1] == str([0] * len(runs))
+
+    def test_reused_parser_keeps_calls_apart(self, tmp_path, capsys):
+        curve = ["curve", "--fs", "2", "--min", "0.5", "--max", "4",
+                 "--points", "4", "--log"]
+        tc = SMALL_RUNS["simulate"][:2] + ["test-channel"] \
+            + SMALL_RUNS["simulate"][3:]
+        steps = [  # (argv, exit code, output name)
+            (curve + ["--rate", "1", "--normalized"], 0, "rate.csv"),
+            (curve + ["--bogus", "1"], 2, None),
+            (["curve", "--help"], 0, None),
+            (curve + ["--points", "1"], 2, "never.csv"),
+            (curve, 0, "plain.csv"),
+            (tc + ["--rbar", "1.5"], 0, "tc.csv"),
+            (tc, 2, "never.csv"),
+            (SMALL_RUNS["simulate"], 0, "mmse.csv"),
+            (["eigen", "--kind", "interp", "--n", "7"], 0, "eigen.csv"),
+        ]
+        written = {}
+        for argv, code, name in steps:
+            if name is not None:
+                argv = argv + ["--out", str(tmp_path / name)]
+            assert main(argv) == code
+            captured = capsys.readouterr()
+            if argv[1] == "--help":
+                assert captured.out.startswith("usage: wienerdr curve")
+            if code == 0 and name is not None:
+                written[name] = (argv, captured.out)
+        assert "never.csv" not in os.listdir(tmp_path)
+
+        def manifest_flags(name):
+            with open(tmp_path / (name + ".manifest.json")) as fh:
+                return json.load(fh)["flags"]
+
+        assert manifest_flags("rate.csv")["rate"] == 1.0
+        assert manifest_flags("rate.csv")["normalized"] is True
+        assert manifest_flags("plain.csv")["rate"] is None
+        assert manifest_flags("plain.csv")["normalized"] is False
+        assert manifest_flags("tc.csv")["rbar"] == 1.5
+        assert manifest_flags("mmse.csv")["rbar"] is None
+
+        # the same argv in a fresh interpreter writes the same bytes
+        for name, (argv, stdout) in written.items():
+            paths = [tmp_path / (name + ext) for ext in ("", ".manifest.json")]
+            mine = [path.read_bytes() for path in paths]
+            for path in paths:
+                path.unlink()
+            again = run_python(
+                "import sys\n"
+                "from wienerdr.cli import main\n"
+                f"sys.exit(main({argv!r}))")
+            assert again == stdout
+            assert [path.read_bytes() for path in paths] == mine

@@ -11,10 +11,9 @@ __version__ = "0.1.0"
 from .drf import (DistortionBundle, RateSpec, bundle, ce_penalty, d_bar, d_ce,
                   d_opt, d_tilde, d_upper, d_w, dr_asym_coeffs,
                   equilibrium_rbar, g_fun, mmse_fs, ratio_qnt, ratio_smp)
-from .mc import (CeEstimate, ErrorMoments, MomentEstimate, PathBundle,
-                 SimConfig, ce_distortion_estimate, ce_moment_oracle,
-                 empirical_mmse, kl_coeff_from_samples, lemma_bounds,
-                 mc_test_channel_run, simulate_paths)
+from .mc import (CeEstimate, ErrorMoments, MomentEstimate, SimConfig,
+                 ce_distortion_estimate, ce_moment_oracle, empirical_mmse,
+                 lemma_bounds, mc_test_channel_run)
 from .spectral import (EigenSystem, ProcessParams, SAMPLED_WIENER,
                        SHIFTED_SAMPLED_WIENER, SpectralDensity,
                        discrete_wiener_eigensystem,
@@ -35,8 +34,7 @@ __all__ = [
     "RateSpec", "DistortionBundle", "d_w", "d_bar", "mmse_fs", "d_opt",
     "d_tilde", "equilibrium_rbar", "g_fun", "d_ce", "d_upper", "ratio_smp",
     "ratio_qnt", "ce_penalty", "dr_asym_coeffs", "bundle",
-    "SimConfig", "PathBundle", "ErrorMoments", "MomentEstimate", "CeEstimate",
-    "simulate_paths", "empirical_mmse", "kl_coeff_from_samples",
-    "lemma_bounds", "ce_moment_oracle", "ce_distortion_estimate",
-    "mc_test_channel_run",
+    "SimConfig", "ErrorMoments", "MomentEstimate", "CeEstimate",
+    "empirical_mmse", "lemma_bounds", "ce_moment_oracle",
+    "ce_distortion_estimate", "mc_test_channel_run",
 ]

@@ -2,11 +2,11 @@
 Monte-Carlo runs, emitted as deterministic CSV.
 
 Exit codes: 0 success, 2 invalid arguments (a request too large to allocate
-and an ``--out`` that cannot be written included), 3 numerical failure.
-Output files are written to a temporary file and renamed on success, so a
-failing run never leaves a partial CSV behind; a JSON manifest (flags,
-versions, seed) is written next to each output, and a run whose manifest
-cannot be written leaves neither file.
+and an ``--out`` that cannot be written included), 3 numerical failure (a
+non-finite result included).  The CSV and its JSON manifest (flags,
+versions, seed) are each written to a temporary file and renamed on
+success, with the mode ``open`` gives under the umask; a failing run leaves
+neither file behind.
 
 ``main(argv)`` may be called any number of times in one process: the
 argument parser is built on the first call and reused, since parsing never
@@ -25,8 +25,8 @@ import locale  # noqa: F401
 import math
 import os
 import platform
+import secrets
 import sys
-import tempfile
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from . import __version__, drf, mc
 from .spectral import (ProcessParams, discrete_wiener_eigenvalues,
                        interp_kernel_eigenvalues, s_bar, s_tilde_density)
 
-#: FloatingPointError: a water level past the floating-point range
+#: FloatingPointError: a water level or a result past the floating-point range
 _NUMERICAL_ERRORS = (FloatingPointError,)
 
 
@@ -46,28 +46,37 @@ def _fmt(value: float) -> str:
     return format(float(value), ".15g")
 
 
-def _write_csv_atomic(path: str, header, table) -> None:
-    """Write a 2-D float table atomically; on any error the target path is
-    untouched.
-
-    Every value is written as ``"%.15g"``, which gives the same text as
-    ``_fmt``; each block of rows is formatted by one ``%`` operation.
-    """
-    table = np.asarray(table, dtype=float)
-    line = ",".join(["%.15g"] * len(header)) + "\n"
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(prefix=".wienerdr-", dir=directory)
+def _write_atomic(path: str, chunks) -> None:
+    """Write the text ``chunks`` to a new file beside ``path`` and rename it
+    into place; on any error the target path is untouched.  The file is
+    created with mode 0o666 less the umask, as ``open`` creates files."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       ".wienerdr-" + secrets.token_hex(8))
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            for lo in range(0, len(table), _CSV_BLOCK_ROWS):
-                block = table[lo:lo + _CSV_BLOCK_ROWS]
-                fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+            for text in chunks:
+                fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _write_csv_atomic(path: str, header, table) -> None:
+    """Write a 2-D float table atomically, every value as ``"%.15g"`` (the
+    text of ``_fmt``) and each block of rows by one ``%`` operation."""
+    table = np.asarray(table, dtype=float)
+    line = ",".join(["%.15g"] * len(header)) + "\n"
+
+    def chunks():
+        yield ",".join(header) + "\n"
+        for lo in range(0, len(table), _CSV_BLOCK_ROWS):
+            block = table[lo:lo + _CSV_BLOCK_ROWS]
+            yield (line * len(block)) % tuple(block.ravel().tolist())
+
+    _write_atomic(path, chunks())
 
 
 def _write_manifest(path: str, command: str, args: argparse.Namespace) -> None:
@@ -82,14 +91,20 @@ def _write_manifest(path: str, command: str, args: argparse.Namespace) -> None:
             "python": platform.python_version(),
         },
     }
-    with open(path + ".manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_atomic(path + ".manifest.json",
+                  [json.dumps(manifest, indent=2, sort_keys=True), "\n"])
+
+
+def _check_finite(values) -> None:
+    """Raise FloatingPointError unless every value is a finite float."""
+    if not np.all(np.isfinite(values)):
+        raise FloatingPointError("a result is not a finite float")
 
 
 def _write_outputs(args, header, table) -> None:
-    """Write the CSV and then its manifest, or neither; an ``OSError`` from
-    either write is an ``--out`` that cannot be written."""
+    """Write the finite table's CSV and then its manifest, or neither; an
+    ``OSError`` from either write is an ``--out`` that cannot be written."""
+    _check_finite(table)
     try:
         _write_csv_atomic(args.out, header, table)
         try:
@@ -151,7 +166,8 @@ def _cmd_eigen(args) -> int:
         limit = (params.sigma2 / params.fs) * s_bar(phi)
     else:
         lam = interp_kernel_eigenvalues(params, args.n)
-        limit = (params.sigma2 * params.ts ** 2) * s_tilde_density(phi)
+        limit = (params.sigma2 * np.float64(params.ts) ** 2) \
+            * s_tilde_density(phi)   # a numpy square overflows to inf
     header = ["k", "lambda", "density_limit"]
     _write_outputs(args, header, np.column_stack([k, lam, limit]))
     return 0
@@ -167,9 +183,10 @@ def _cmd_simulate(args) -> int:
         if args.rbar is None:
             raise ValueError("--rbar is required for the test-channel scheme")
         result = mc.mc_test_channel_run(params, config, args.rbar)
-    summary = (f"estimate={_fmt(result.estimate)} "
-               f"stderr={_fmt(result.stderr)} "
-               f"reference={_fmt(result.reference)} z={_fmt(result.z_score)}")
+    values = (result.estimate, result.stderr, result.reference, result.z_score)
+    _check_finite(values)
+    summary = "estimate={} stderr={} reference={} z={}".format(
+        *map(_fmt, values))
     table = np.column_stack([np.arange(len(result.per_trial)),
                              result.per_trial])
     _write_outputs(args, ["trial", "distortion"], table)
@@ -240,7 +257,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):   # non-finite results exit 3
+            return args.func(args)
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

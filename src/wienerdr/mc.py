@@ -8,8 +8,7 @@ running sum along its last axis turns them into each interval's bridge B
 an interpolant of node values W - e is B plus the interpolant of e, so
 its trapezoid time average splits per interval into sums of B**2, of B
 times the ramps 1 - u and u, and fixed trapezoid sums of the ramps'
-products times the node errors; no fine path is built for a run.  Path
-bundles are assembled from the same arrays.
+products times the node errors; no fine path is built for a run.
 
 Reproducibility contract: the generator for trial k is
 ``Philox(SeedSequence(entropy=seed, spawn_key=(k,)))`` and each trial
@@ -42,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -50,18 +49,11 @@ from .spectral import ProcessParams, discrete_wiener_eigenvalues
 
 __all__ = [
     "SimConfig",
-    "PathBundle",
     "ErrorMoments",
     "MomentEstimate",
-    "BridgeCheck",
     "CeEstimate",
     "effective_grid",
-    "path_for_trial",
-    "simulate_paths",
     "empirical_mmse",
-    "bridge_covariance_check",
-    "interp_weights",
-    "kl_coeff_from_samples",
     "lemma_bounds",
     "finite_waterfill_theta",
     "ce_moment_oracle",
@@ -101,17 +93,6 @@ class SimConfig:
             raise ValueError("trials must be <= 2**32")
         if int(self.seed) != self.seed or not 0 <= int(self.seed) < 2 ** 64:
             raise ValueError("seed must be an integer that fits in 64 bits")
-
-
-@dataclass(frozen=True)
-class PathBundle:
-    """One simulated path: fine grid values, samples, and their interpolant."""
-
-    trial: int
-    fine_path: np.ndarray
-    samples: np.ndarray
-    interpolant: np.ndarray
-    dt: float
 
 
 @dataclass(frozen=True)
@@ -159,14 +140,9 @@ class MomentEstimate:
         """(estimate - reference) / stderr, and 0 when the two agree
         exactly, as without oversampling, where all three are 0."""
         diff = self.estimate - self.reference
+        if diff != 0 and self.stderr == 0:
+            raise FloatingPointError("nonzero difference over a zero stderr")
         return 0.0 if diff == 0 else diff / self.stderr
-
-
-@dataclass(frozen=True)
-class BridgeCheck:
-    empirical: float
-    analytic: float
-    stderr: float
 
 
 @dataclass(frozen=True)
@@ -269,12 +245,6 @@ def _spawn_keys(seed_pool: Tuple[Tuple[int, ...], int],
     words &= mask
     words ^= words >> shift
     return (words[0::2] | (words[1::2] << np.uint64(32))).T
-
-
-def _trial_keys(seed: int, trials: range) -> np.ndarray:
-    """Philox key of ``SeedSequence(entropy=seed, spawn_key=(k,))`` for each
-    k in ``trials`` (k < 2**32), as a (len(trials), 2) uint64 array."""
-    return _spawn_keys(_seed_pool(seed), trials)
 
 
 class _TrialStreams:
@@ -384,43 +354,6 @@ def _interval_error(bridge: np.ndarray,
         + (2.0 * b) * np.einsum(row, left, right)
 
 
-def _path_bundle(params: ProcessParams, config: SimConfig, trial: int,
-                 bridge: np.ndarray, rise: np.ndarray) -> PathBundle:
-    """One trial's interpolant, the chords W_i + u rise, and its fine path,
-    the chords plus the bridge."""
-    os_ = config.oversample
-    samples = np.concatenate(([0.0], np.cumsum(rise)))
-    chords = samples[:-1, None] + np.outer(rise, np.arange(os_) / os_)
-    offsets = np.zeros_like(bridge)
-    offsets[:, 1:] = bridge[:, :-1]
-    return PathBundle(trial=trial,
-                      fine_path=np.append(chords + offsets, samples[-1]),
-                      samples=samples,
-                      interpolant=np.append(chords, samples[-1]),
-                      dt=params.ts / os_)
-
-
-def path_for_trial(params: ProcessParams, config: SimConfig,
-                   trial: int) -> PathBundle:
-    """Simulate one Wiener path and its sampled interpolant for a given trial."""
-    if not 0 <= trial < config.trials:
-        raise ValueError("trial out of range")
-    bridge, rise, _ = _intervals(params, config, range(trial, trial + 1),
-                                 _TrialStreams(config.seed))
-    return _path_bundle(params, config, trial, bridge[0], rise[0])
-
-
-def simulate_paths(params: ProcessParams, config: SimConfig) -> Iterator[PathBundle]:
-    """Yield one PathBundle per trial, in trial order, drawn chunk by chunk
-    from one set of trial streams."""
-    n, _ = effective_grid(params, config)
-    streams = _TrialStreams(config.seed)
-    for trials in _chunks(n, config):
-        bridge, rise, _ = _intervals(params, config, trials, streams)
-        for row, trial in enumerate(trials):
-            yield _path_bundle(params, config, trial, bridge[row], rise[row])
-
-
 def _estimate(per_trial: np.ndarray, reference: float,
               bias: float) -> MomentEstimate:
     trials = len(per_trial)
@@ -451,79 +384,6 @@ def empirical_mmse(params: ProcessParams, config: SimConfig) -> MomentEstimate:
     os_sq = os_ ** 2
     return _estimate(per_trial, reference=floor * (1.0 - 1.0 / os_sq),
                      bias=floor / os_sq)
-
-
-def bridge_covariance_check(params: ProcessParams, config: SimConfig,
-                            t: float, s: float) -> BridgeCheck:
-    """Monte-Carlo vs closed-form covariance of the interpolation error.
-
-    Both times must lie on the fine grid.  The closed form is
-    (sigma2/ts)(t_hi - max)(min - t_lo) when t and s share a sampling
-    interval and zero otherwise.
-    """
-    n, _ = effective_grid(params, config)
-    dt = params.ts / config.oversample
-    i_t, i_s = t / dt, s / dt
-    if abs(i_t - round(i_t)) > 1e-9 or abs(i_s - round(i_s)) > 1e-9:
-        raise ValueError("t and s must lie on the fine grid")
-    i_t, i_s = int(round(i_t)), int(round(i_s))
-    limit = n * config.oversample
-    if not (0 <= i_t <= limit and 0 <= i_s <= limit):
-        raise ValueError("t and s must lie inside the horizon")
-
-    prods = np.empty(config.trials)
-    for bundle in simulate_paths(params, config):
-        err = bundle.fine_path - bundle.interpolant
-        prods[bundle.trial] = err[i_t] * err[i_s]
-    emp = float(prods.mean())
-    se = float(prods.std(ddof=1) / math.sqrt(config.trials)) \
-        if config.trials > 1 else float("nan")
-
-    ts = params.ts
-    int_t = min(i_t // config.oversample, n - 1)
-    int_s = min(i_s // config.oversample, n - 1)
-    if int_t == int_s:
-        lo, hi = int_t * ts, (int_t + 1) * ts
-        analytic = (params.sigma2 / ts) * (hi - max(t, s)) * (min(t, s) - lo)
-    else:
-        analytic = 0.0
-    return BridgeCheck(empirical=emp, analytic=float(analytic), stderr=se)
-
-
-#: 16-node Gauss-Legendre rule on [0, 1]
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-_GL_NODES = 0.5 * (_GL_NODES + 1.0)
-_GL_WEIGHTS = 0.5 * _GL_WEIGHTS
-
-
-def interp_weights(g: Callable[[float], float], params: ProcessParams,
-                   n_intervals: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-interval weights turning samples into the integral of g times the
-    interpolant.
-
-    X[n] = (1/ts) * integral_{n ts}^{(n+1) ts} g(u) ((n+1) ts - u) du and
-    Y[n] the mirrored ramp, each by a fixed 16-node Gauss-Legendre rule per
-    interval.  The rule is exact when g is a polynomial of degree <= 30 on
-    each interval, which covers the piecewise-linear eigenfunctions of the
-    interpolator kernel; g is called on Python floats.
-    """
-    ts = params.ts
-    u = ts * (np.arange(n_intervals)[:, None] + _GL_NODES)
-    gu = np.array([g(float(v)) for v in u.ravel()],
-                  dtype=float).reshape(u.shape)
-    return ts * (gu @ (_GL_WEIGHTS * (1.0 - _GL_NODES))), \
-        ts * (gu @ (_GL_WEIGHTS * _GL_NODES))
-
-
-def kl_coeff_from_samples(samples: np.ndarray, g: Callable[[float], float],
-                          params: ProcessParams) -> float:
-    """integral of g times the sample interpolant, as a linear form in the samples."""
-    samples = np.asarray(samples, dtype=float)
-    n = len(samples) - 1
-    if n < 1:
-        raise ValueError("need at least two samples")
-    x, y = interp_weights(g, params, n)
-    return float(samples[:-1] @ x + samples[1:] @ y)
 
 
 def lemma_bounds(moments: ErrorMoments, params: ProcessParams) -> Tuple[float, float]:

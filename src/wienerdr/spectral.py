@@ -219,7 +219,7 @@ def interp_kernel_eigenvalues(params: ProcessParams, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be >= 1")
     x = (2 * np.arange(1, n + 1) - 1) * np.pi / (2.0 * n)
-    return (params.sigma2 * params.ts ** 2 / 12.0) * (
+    return (params.sigma2 * np.float64(params.ts) ** 2 / 12.0) * (
         (2.0 + np.cos(x)) / np.sin(0.5 * x) ** 2)
 
 

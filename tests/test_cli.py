@@ -176,7 +176,6 @@ class TestSimulate:
         assert manifest["seed"] == 19
         assert "wienerdr" in manifest["versions"]
 
-
     def test_trials_beyond_one_spawn_word_rejected(self, tmp_path,
                                                    monkeypatch):
         def never(*args):
@@ -277,15 +276,16 @@ class TestArgumentHandling:
         assert os.listdir(tmp_path) == []
 
 
-def run_python(code: str) -> str:
+def run_python(code: str, expect: int = 0) -> subprocess.CompletedProcess:
     """Run code in a fresh interpreter that imports this checkout's package."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(wienerdr.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
-    return done.stdout
+    assert done.returncode == expect, done.stderr
+    return done
 
 
 class TestFootprint:
@@ -293,7 +293,7 @@ class TestFootprint:
         out = run_python(
             "import sys, wienerdr.cli\n"
             "print(sorted(m for m in sys.modules"
-            " if m == 'scipy' or m.startswith('scipy.')))")
+            " if m == 'scipy' or m.startswith('scipy.')))").stdout
         assert out.strip() == "[]"
 
     def test_every_command_runs_without_scipy(self, tmp_path):
@@ -315,7 +315,7 @@ class TestFootprint:
             "sys.modules['scipy'] = None\n"
             "from wienerdr.cli import main\n"
             f"print([main(argv + ['--out', {str(tmp_path)!r} + f'/{{i}}.csv'])"
-            f" for i, argv in enumerate({runs!r})])")
+            f" for i, argv in enumerate({runs!r})])").stdout
         assert codes.splitlines()[-1] == str([0] * len(runs))
         assert len(os.listdir(tmp_path)) == 2 * len(runs)   # CSV + manifest
 
@@ -331,7 +331,7 @@ class TestFootprint:
             f" '--out', {out!r}]) == 0\n"
             "with open('/proc/self/status') as fh:\n"
             "    print(next(line.split()[1] for line in fh"
-            " if line.startswith('VmHWM:')))")
+            " if line.startswith('VmHWM:')))").stdout
         assert int(peak_kb) < 150 * 1024
         _, cols = read_csv(out)
         assert len(cols["k"]) == 12000
@@ -390,6 +390,16 @@ class TestAtomicWrites:
             with open(out, "rb") as fh:
                 assert fh.read() == expected.encode()
 
+    @pytest.mark.parametrize("umask,mode", [("022", "644"), ("077", "600")])
+    def test_files_get_the_mode_of_open(self, tmp_path, umask, mode):
+        out, saved = str(tmp_path / "r.csv"), os.umask(int(umask, 8))
+        try:
+            assert main(SMALL_RUNS["curve"] + ["--out", out]) == 0
+        finally:
+            os.umask(saved)
+        for path in (out, out + ".manifest.json"):
+            assert format(os.stat(path).st_mode & 0o777, "o") == mode
+
     def test_significant_digits(self, tmp_path):
         out = str(tmp_path / "digits.csv")
         value = 1.0 / 3.0
@@ -403,6 +413,22 @@ SMALL_RUNS = {
     "simulate": ["simulate", "--scheme", "mmse-only", "--horizon", "2",
                  "--oversample", "4", "--trials", "5", "--seed", "3"],
 }
+
+
+@pytest.mark.parametrize("argv", [
+    ["eigen", "--kind", "interp", "--n", "5", "--sigma2", "1e300", "--fs",
+     "1e-10"],
+    ["eigen", "--kind", "interp", "--n", "5", "--fs", "1e-160"],
+    SMALL_RUNS["simulate"] + ["--sigma2", "1e-310"],
+    SMALL_RUNS["simulate"] + ["--sigma2", "1e308"]],
+    ids=["inf-eigenvalues", "ts-squared", "zero-stderr", "inf-estimate"])
+def test_unrepresentable_result_exits_3(tmp_path, argv):
+    out = str(tmp_path / "x.csv")
+    done = run_python("import sys\nfrom wienerdr.cli import main\n"
+                      f"sys.exit(main({argv + ['--out', out]!r}))", expect=3)
+    assert done.stderr.splitlines() == [done.stderr.strip()]
+    assert done.stderr.startswith(f"numerical failure in {argv[0]}: ")
+    assert os.listdir(tmp_path) == []
 
 
 class TestUnwritableOut:
@@ -460,7 +486,7 @@ class TestOneParserPerProcess:
             f"    codes.append(main(argv + ['--out', {str(tmp_path)!r}"
             " + f'/{i}.csv']))\n"
             "print('built', len(built))\n"
-            "print(codes)\n")
+            "print(codes)\n").stdout
         # nothing at import; one parser and four subparsers on the first call
         built = [line.split()[1] for line in out.splitlines()
                  if line.startswith("built ")]
@@ -515,6 +541,6 @@ class TestOneParserPerProcess:
             again = run_python(
                 "import sys\n"
                 "from wienerdr.cli import main\n"
-                f"sys.exit(main({argv!r}))")
+                f"sys.exit(main({argv!r}))").stdout
             assert again == stdout
             assert [path.read_bytes() for path in paths] == mine

@@ -1,6 +1,8 @@
 """Monte-Carlo machinery: path statistics, determinism, moment oracles."""
 
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
@@ -8,21 +10,48 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+import wienerdr
 from oracle import (_lerp, _trapezoid_mean, dense_channel_trials,
                     dense_mmse_trials, loop_waterfill_theta)
 from wienerdr import mc
 from wienerdr.drf import g_fun
-from wienerdr.mc import (ErrorMoments, SimConfig, bridge_covariance_check,
-                         ce_distortion_estimate, ce_moment_oracle,
-                         effective_grid, empirical_mmse, finite_waterfill_theta,
-                         interp_weights, kl_coeff_from_samples, lemma_bounds,
-                         mc_test_channel_run, path_for_trial, simulate_paths)
+from wienerdr.mc import (ErrorMoments, SimConfig, ce_distortion_estimate,
+                         ce_moment_oracle, effective_grid, empirical_mmse,
+                         finite_waterfill_theta, lemma_bounds,
+                         mc_test_channel_run)
 from wienerdr.spectral import (ProcessParams, discrete_wiener_eigensystem,
                                interp_kernel_eigensystem)
 from wienerdr.waterfill import solve_theta_for_rate
 from wienerdr.spectral import SAMPLED_WIENER
 
 UNIT = ProcessParams(sigma2=1.0, fs=1.0)
+
+
+def paths(params, cfg, trials, drawn=None):
+    """(fine path, samples, interpolant) rows: chords plus the bridges of
+    ``drawn``, a (bridge, rise) of ``mc._intervals``, or of ``trials``."""
+    bridge, rise = drawn or mc._intervals(params, cfg, trials,
+                                          mc._TrialStreams(cfg.seed))[:2]
+    rows, os_ = len(bridge), bridge.shape[-1]
+    samples = np.zeros((rows, rise.shape[1] + 1))
+    np.cumsum(rise, axis=1, out=samples[:, 1:])
+    chords = samples[:, :-1, None] + rise[..., None] * (np.arange(os_) / os_)
+    offsets = np.zeros_like(bridge)
+    offsets[..., 1:] = bridge[..., :-1]
+    last = samples[:, -1:]
+    return (np.hstack(((chords + offsets).reshape(rows, -1), last)), samples,
+            np.hstack((chords.reshape(rows, -1), last)))
+
+
+def test_exports_resolve():
+    deleted = {"PathBundle", "path_for_trial", "simulate_paths", "BridgeCheck",
+               "bridge_covariance_check", "interp_weights",
+               "kl_coeff_from_samples", "_trial_keys"}
+    for info in [None, *pkgutil.iter_modules(wienerdr.__path__, "wienerdr.")]:
+        module = importlib.import_module(info.name) if info else wienerdr
+        exported = getattr(module, "__all__", [])
+        assert all(hasattr(module, name) for name in exported), module
+        assert not deleted & set(vars(module)), module
 
 
 class TestConfig:
@@ -75,12 +104,12 @@ class TestTrialKeys:
     def test_pinned_seeds_and_spawn_words(self, seed):
         ks = self.PINNED_KS + [int(k) for k in np.random.default_rng(
             seed % 1000).integers(0, 2 ** 32, 16)]
-        got = np.concatenate([mc._trial_keys(seed, range(k, k + 1))
-                              for k in ks])
+        got = np.concatenate([mc._spawn_keys(mc._seed_pool(seed),
+                                             range(k, k + 1)) for k in ks])
         assert got.dtype == np.uint64 and got.shape == (len(ks), 2)
         assert np.array_equal(got, seed_sequence_keys(seed, ks))
         top = range(2 ** 32 - 40, 2 ** 32)
-        assert np.array_equal(mc._trial_keys(seed, top),
+        assert np.array_equal(mc._spawn_keys(mc._seed_pool(seed), top),
                               seed_sequence_keys(seed, top))
 
     @settings(max_examples=40, deadline=None)
@@ -88,7 +117,7 @@ class TestTrialKeys:
            st.integers(min_value=0, max_value=2 ** 32 - 64))
     def test_any_seed_and_range(self, seed, start):
         trials = range(start, start + 64)
-        assert np.array_equal(mc._trial_keys(seed, trials),
+        assert np.array_equal(mc._spawn_keys(mc._seed_pool(seed), trials),
                               seed_sequence_keys(seed, trials))
 
     def test_rekeyed_rows_equal_fresh_generators(self):
@@ -116,7 +145,7 @@ def _state(rng):
 class TestPaths:
     def test_endpoint_variance(self):
         cfg = SimConfig(horizon_t=4.0, oversample=16, trials=2000, seed=3)
-        finals = np.array([b.fine_path[-1] for b in simulate_paths(UNIT, cfg)])
+        finals = paths(UNIT, cfg, range(cfg.trials))[0][:, -1]
         var = finals.var(ddof=1)
         se = 4.0 * math.sqrt(2.0 / (cfg.trials - 1))
         assert abs(var - 4.0) <= 3.0 * se
@@ -124,54 +153,60 @@ class TestPaths:
     def test_disjoint_increments_uncorrelated(self):
         cfg = SimConfig(horizon_t=2.0, oversample=32, trials=1500, seed=5)
         half = 32
-        first, second = [], []
-        for b in simulate_paths(UNIT, cfg):
-            first.append(b.fine_path[half] - b.fine_path[0])
-            second.append(b.fine_path[2 * half] - b.fine_path[half])
+        fine = paths(UNIT, cfg, range(cfg.trials))[0]
+        first = fine[:, half] - fine[:, 0]
+        second = fine[:, 2 * half] - fine[:, half]
         rho = np.corrcoef(first, second)[0, 1]
         assert abs(rho) <= 3.0 / math.sqrt(cfg.trials)
 
     def test_sampling_and_interpolation_structure(self):
         cfg = SimConfig(horizon_t=3.0, oversample=4, trials=2, seed=9)
-        b = path_for_trial(UNIT, cfg, 1)
-        assert np.array_equal(b.samples, b.fine_path[::4])
-        assert np.array_equal(b.interpolant[::4], b.samples)
+        fine, samples, interp = (a[0] for a in paths(UNIT, cfg, range(1, 2)))
+        assert np.array_equal(samples, fine[::4])
+        assert np.array_equal(interp[::4], samples)
         # affine between sampling instants
-        assert b.interpolant[2] == pytest.approx(
-            0.5 * (b.samples[0] + b.samples[1]), abs=1e-14)
+        assert interp[2] == pytest.approx(
+            0.5 * (samples[0] + samples[1]), abs=1e-14)
 
     def test_partitioned_equals_sequential(self):
         cfg = SimConfig(horizon_t=2.0, oversample=8, trials=8, seed=21)
-        sequential = [b.fine_path for b in simulate_paths(UNIT, cfg)]
+        sequential = paths(UNIT, cfg, range(cfg.trials))[0]
         # same trials fetched one by one, out of order
         for trial in (7, 3, 0, 5):
-            again = path_for_trial(UNIT, cfg, trial)
-            assert np.array_equal(again.fine_path, sequential[trial])
+            again = paths(UNIT, cfg, range(trial, trial + 1))[0]
+            assert np.array_equal(again[0], sequential[trial])
 
     def test_one_stream_set_per_run(self, monkeypatch):
-        built = []
-        original = mc._TrialStreams
+        built, runs = [], []
+        streams, intervals = mc._TrialStreams, mc._intervals
 
-        def counting(seed):
-            built.append(seed)
-            return original(seed)
+        def recording(params, cfg, trials, *rest):
+            bridge, rise, noise = intervals(params, cfg, trials, *rest)
+            runs[-1].update((trial, (bridge[r:r + 1], rise[r:r + 1]))
+                            for r, trial in enumerate(trials))
+            return bridge, rise, noise
 
-        monkeypatch.setattr(mc, "_TrialStreams", counting)
+        monkeypatch.setattr(mc, "_TrialStreams",
+                            lambda seed: built.append(seed) or streams(seed))
+        monkeypatch.setattr(mc, "_intervals", recording)
         # blocks long enough that the 50 trials span 17 chunks
         cfg = SimConfig(horizon_t=1000.0, oversample=32, trials=50, seed=4)
-        bundles = list(simulate_paths(UNIT, cfg))
-        assert [b.trial for b in bundles] == list(range(50))
-        assert built == [4]
+        for run in (empirical_mmse, lambda p, c: mc_test_channel_run(p, c, 1)):
+            runs.append({})
+            run(UNIT, cfg)
+            assert built == [4] * len(runs)
+            assert list(runs[-1]) == list(range(50))
+        monkeypatch.undo()
         for trial in (0, 2, 3, 49):
-            again = path_for_trial(UNIT, cfg, trial)
-            assert np.array_equal(again.fine_path, bundles[trial].fine_path)
-            assert np.array_equal(again.interpolant,
-                                  bundles[trial].interpolant)
+            again = paths(UNIT, cfg, range(trial, trial + 1))
+            for drawn in runs:
+                rebuilt = paths(UNIT, cfg, None, drawn[trial])
+                assert all(map(np.array_equal, again, rebuilt))
 
     def test_trials_differ(self):
         cfg = SimConfig(horizon_t=2.0, oversample=8, trials=2, seed=21)
-        a, b = simulate_paths(UNIT, cfg)
-        assert not np.array_equal(a.fine_path, b.fine_path)
+        a, b = paths(UNIT, cfg, range(cfg.trials))[0]
+        assert not np.array_equal(a, b)
 
 
 class TestEmpiricalMmse:
@@ -199,61 +234,40 @@ class TestEmpiricalMmse:
 
 
 class TestBridgeCovariance:
+    """Interpolation-error covariance at t, s: (sigma2/ts)(t_hi - max)(min -
+    t_lo) within one sampling interval, 0 across intervals."""
+
+    @staticmethod
+    def products(cfg, t, s):
+        fine, _, interp = paths(UNIT, cfg, range(cfg.trials))
+        i, j = round(t * cfg.oversample), round(s * cfg.oversample)   # ts = 1
+        prods = (fine[:, i] - interp[:, i]) * (fine[:, j] - interp[:, j])
+        return prods.mean(), prods.std(ddof=1) / math.sqrt(cfg.trials)
+
     def test_midpoint_value(self):
         cfg = SimConfig(horizon_t=4.0, oversample=8, trials=1500, seed=29)
-        chk = bridge_covariance_check(UNIT, cfg, 0.5, 0.5)
-        assert chk.analytic == pytest.approx(0.25, abs=1e-12)
-        assert abs(chk.empirical - chk.analytic) <= 3.0 * chk.stderr
+        empirical, stderr = self.products(cfg, 0.5, 0.5)
+        assert abs(empirical - 0.25) <= 3.0 * stderr
 
     def test_cross_interval_vanishes(self):
         cfg = SimConfig(horizon_t=4.0, oversample=8, trials=1500, seed=31)
-        chk = bridge_covariance_check(UNIT, cfg, 0.5, 1.5)
-        assert chk.analytic == 0.0
-        assert abs(chk.empirical) <= 3.0 * chk.stderr
+        empirical, stderr = self.products(cfg, 0.5, 1.5)
+        assert abs(empirical) <= 3.0 * stderr
 
     def test_pinned_at_sampling_instants(self):
         cfg = SimConfig(horizon_t=4.0, oversample=8, trials=50, seed=37)
-        chk = bridge_covariance_check(UNIT, cfg, 1.0, 1.0)
-        assert chk.analytic == 0.0
-        assert chk.empirical == 0.0
-
-    def test_rejects_off_grid_times(self):
-        cfg = SimConfig(horizon_t=4.0, oversample=8, trials=5, seed=1)
-        with pytest.raises(ValueError):
-            bridge_covariance_check(UNIT, cfg, 0.5 + 1e-3, 0.5)
+        assert self.products(cfg, 1.0, 1.0)[0] == 0.0
 
 
 class TestKlCoefficients:
-    def test_single_interval_constant_weight(self):
-        # integral of the interpolant of (a, b) over one interval is
-        # ts (a + b) / 2
-        params = ProcessParams(1.0, 2.0)
-        samples = np.array([0.3, 1.1])
-        got = kl_coeff_from_samples(samples, lambda u: 1.0, params)
-        assert got == pytest.approx(0.5 * 0.7, abs=1e-12)
-
-    def test_zero_function(self):
-        samples = np.array([0.3, 1.1, -0.2])
-        assert kl_coeff_from_samples(samples, lambda u: 0.0, UNIT) == 0.0
-
-    def test_matches_fine_grid_integration(self):
-        cfg = SimConfig(horizon_t=4.0, oversample=256, trials=1, seed=43)
-        b = path_for_trial(UNIT, cfg, 0)
-        g = lambda u: math.cos(1.3 * u)
-        direct = kl_coeff_from_samples(b.samples, g, UNIT)
-        t = np.arange(len(b.interpolant)) * b.dt
-        trapz = getattr(np, "trapezoid", None) or np.trapz
-        riemann = trapz(np.cos(1.3 * t) * b.interpolant, dx=b.dt)
-        assert direct == pytest.approx(riemann, abs=1e-4)
-
     def test_eigen_coefficient_variance_is_eigenvalue(self):
         n = 4
         system = interp_kernel_eigensystem(UNIT, n)
-        lam1 = system.eigenvalues[0]
-        x, y = interp_weights(lambda u: system.eigenfunction(1, u), UNIT, n)
+        lam1, v = system.eigenvalues[0], system.node_values[0]
         cfg = SimConfig(horizon_t=float(n), oversample=4, trials=2000, seed=47)
-        coeffs = np.array([b.samples[:-1] @ x + b.samples[1:] @ y
-                           for b in simulate_paths(UNIT, cfg)])
+        x = paths(UNIT, cfg, range(cfg.trials))[1]
+        coeffs = (x[:, :-1] @ (2.0 * v[:-1] + v[1:])   # <phi_1, interp>
+                  + x[:, 1:] @ (v[:-1] + 2.0 * v[1:])) * (UNIT.ts / 6.0)
         var = coeffs.var(ddof=1)
         se = lam1 * math.sqrt(2.0 / (cfg.trials - 1))
         assert abs(var - lam1) <= 3.0 * se

@@ -25,7 +25,6 @@ import locale  # noqa: F401
 import math
 import os
 import platform
-import secrets
 import sys
 
 import numpy as np
@@ -51,7 +50,7 @@ def _write_atomic(path: str, chunks) -> None:
     into place; on any error the target path is untouched.  The file is
     created with mode 0o666 less the umask, as ``open`` creates files."""
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
-                       ".wienerdr-" + secrets.token_hex(8))
+                       ".wienerdr-" + os.urandom(8).hex())
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
@@ -166,8 +165,8 @@ def _cmd_eigen(args) -> int:
         limit = (params.sigma2 / params.fs) * s_bar(phi)
     else:
         lam = interp_kernel_eigenvalues(params, args.n)
-        limit = (params.sigma2 * np.float64(params.ts) ** 2) \
-            * s_tilde_density(phi)   # a numpy square overflows to inf
+        ts = float(params.ts)   # a float product overflows to inf
+        limit = (params.sigma2 * (ts * ts)) * s_tilde_density(phi)
     header = ["k", "lambda", "density_limit"]
     _write_outputs(args, header, np.column_stack([k, lam, limit]))
     return 0

@@ -162,6 +162,8 @@ def sweep(sigma2, fs, rate) -> DistortionBundle:
 
     The three broadcast together; each must be positive and finite.  The
     bundle's fields are arrays of the broadcast shape (floats for scalars).
+    A scale sigma2/fs or sigma2/R past the float range raises
+    FloatingPointError.
     """
     sigma2, fs, rate = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (sigma2, fs, rate)))
@@ -170,6 +172,9 @@ def sweep(sigma2, fs, rate) -> DistortionBundle:
             raise ValueError(f"{name} must be positive and finite")
     curves = sections(rate / fs)
     scale = sigma2 / fs
+    for name, value in (("sigma2/fs", scale), ("sigma2/R", sigma2 / rate)):
+        if not np.all(np.isfinite(value)):
+            raise FloatingPointError(f"{name} is past the floating-point range")
     mmse = scale / 6.0
     walk = scale * curves.sampled.distortion
     return DistortionBundle(

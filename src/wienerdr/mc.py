@@ -23,6 +23,17 @@ the tests), and one bit generator per run is re-keyed before each row
 instead of being built per trial.  A spawn key of one 32-bit word covers
 trials 0 .. 2**32 - 1, so runs are capped at 2**32 trials.
 
+Large runs use every CPU the process may run on: the trial range is cut
+into ``max(1, min(CPUs, trials, trials * n * oversample // 2**18))``
+contiguous parts (``_workers``), so a run under 2**19 path increments
+stays in one process.  This process computes the first part; every other
+part is computed by a forked child with the trial streams it inherited and
+comes back through a pipe as float64 bytes.  By the contract above, the
+results do not depend on the split, bit for bit.  A part whose child
+fails is recomputed here, so errors and exit codes are those of one
+process; no fork, no CPU affinity call, a caller off the main thread or
+other live threads mean one process, and no child outlives its run.
+
 The compress-and-estimate experiment replaces the random-codebook encoder
 with the Gaussian test channel attaining the same per-coefficient error
 second moments min{theta, lambda_k}; all error-moment quantities entering
@@ -40,8 +51,10 @@ read off one real FFT of length M as well.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import BinaryIO, Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -253,19 +266,25 @@ class _TrialStreams:
     Before each trial the generator is re-keyed with that trial's key and
     the rest of a fresh generator's state (counter 0, empty buffer, no
     cached half-word), which is exactly the state of
-    ``Philox(SeedSequence(entropy=seed, spawn_key=(k,)))``.
+    ``Philox(SeedSequence(entropy=seed, spawn_key=(k,)))``.  The state's
+    words are plain lists, which the state setter reads faster than uint64
+    arrays.
     """
 
     def __init__(self, seed: int):
         self._pool = _seed_pool(seed)
         self._bitgen = np.random.Philox(0)   # any key: replaced before use
-        self._fresh = self._bitgen.state
+        fresh = self._bitgen.state
+        fresh["state"] = {name: words.tolist()
+                          for name, words in fresh["state"].items()}
+        fresh["buffer"] = fresh["buffer"].tolist()
+        self._fresh = fresh
         self._rng = np.random.Generator(self._bitgen)
 
     def each(self, trials: range) -> Iterator[np.random.Generator]:
         """Yield the generator keyed to each trial of ``trials`` in turn."""
         state = self._fresh
-        for key in _spawn_keys(self._pool, trials):
+        for key in _spawn_keys(self._pool, trials).tolist():
             state["state"]["key"] = key
             self._bitgen.state = state
             yield self._rng
@@ -282,10 +301,108 @@ def _chunk_rows(n: int, oversample: int) -> int:
     return max(1, _CHUNK_ELEMENTS // (n * (oversample + 2) + 1))
 
 
-def _chunks(n: int, config: SimConfig) -> Iterator[range]:
-    rows = _chunk_rows(n, config.oversample)
-    for lo in range(0, config.trials, rows):
-        yield range(lo, min(lo + rows, config.trials))
+#: path increments per worker: a run forks one more process for each
+#: 2**18 increments, so one under 2**19 increments never forks
+_WORKER_INCREMENTS = 1 << 18
+
+#: SIGKILL, 9 on every POSIX system (spares importing ``signal``)
+_SIGKILL = 9
+
+
+def _workers(trials: int, increments: int) -> int:
+    """Processes for a run of ``trials`` rows of ``increments`` path
+    increments each: at most one per CPU, one per trial and one per 2**18
+    increments, and one alone where fork is missing or another thread is
+    alive (a caller off the main thread makes two)."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) \
+            or threading.active_count() > 1:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), trials,
+                      trials * increments // _WORKER_INCREMENTS))
+
+
+def _fork(values: Callable[[range], np.ndarray],
+          part: range) -> Optional[Tuple[int, BinaryIO]]:
+    """(pid, pipe) of a forked child that writes ``values(part)`` to the
+    pipe as float64 bytes and exits, or None when fork fails.  The child
+    never returns, and a child that fails exits 1 without a word."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read)
+            with open(write, "wb") as pipe:
+                pipe.write(values(part).tobytes())
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    return pid, open(read, "rb")
+
+
+def _run(n: int, config: SimConfig,
+         rows: Callable[[range, _TrialStreams], np.ndarray]) -> np.ndarray:
+    """Per-trial values of a run of ``n`` intervals per trial,
+    ``rows(chunk, streams)`` giving those of one chunk of trials from the
+    run's one set of trial streams.
+
+    The trial range is cut into ``_workers`` contiguous parts: the first is
+    computed here and every other one by a forked child.  A part whose
+    child fails, dies or sends a short result is computed here after the
+    others, so the values and any error are those of one process.  On any
+    exception the children still running are killed and reaped.
+    """
+    size = _chunk_rows(n, config.oversample)
+    streams = _TrialStreams(config.seed)
+
+    def values(part: range) -> np.ndarray:
+        out = np.empty(len(part))
+        for lo in range(part.start, part.stop, size):
+            chunk = range(lo, min(lo + size, part.stop))
+            out[lo - part.start:chunk.stop - part.start] = rows(chunk, streams)
+        return out
+
+    trials = config.trials
+    workers = _workers(trials, n * config.oversample)
+    cuts = [trials * i // workers for i in range(workers + 1)]
+    parts = [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    per_trial = np.empty(trials)
+    children = []   # (part, pid, pipe) of each child not yet reaped
+    try:
+        local = parts[:1]
+        for part in parts[1:]:
+            child = _fork(values, part)
+            if child is None:
+                local.append(part)
+            else:
+                children.append((part, *child))
+        for part in local:
+            per_trial[part.start:part.stop] = values(part)
+        while children:
+            part, pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            if status == 0 and len(data) == 8 * len(part):
+                per_trial[part.start:part.stop] = np.frombuffer(data)
+            else:
+                per_trial[part.start:part.stop] = values(part)
+    finally:
+        for _, pid, pipe in children:
+            pipe.close()
+            try:
+                os.kill(pid, _SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):   # reaped
+                pass
+    return per_trial
 
 
 def _split(steps: np.ndarray) -> np.ndarray:
@@ -374,12 +491,12 @@ def empirical_mmse(params: ProcessParams, config: SimConfig) -> MomentEstimate:
     n, horizon = effective_grid(params, config)
     os_ = config.oversample
     dt = params.ts / os_
-    per_trial = np.empty(config.trials)
-    streams = _TrialStreams(config.seed)
-    for trials in _chunks(n, config):
+
+    def rows(trials: range, streams: _TrialStreams) -> np.ndarray:
         bridge, _, _ = _intervals(params, config, trials, streams)
-        per_trial[trials.start:trials.stop] = _interval_error(bridge) \
-            * dt / horizon
+        return _interval_error(bridge) * dt / horizon
+
+    per_trial = _run(n, config, rows)
     floor = params.sigma2 / (6.0 * params.fs)
     os_sq = os_ ** 2
     return _estimate(per_trial, reference=floor * (1.0 - 1.0 / os_sq),
@@ -527,16 +644,16 @@ def mc_test_channel_run(params: ProcessParams, config: SimConfig,
 
     os_ = config.oversample
     dt = params.ts / os_
-    per_trial = np.empty(config.trials)
-    streams = _TrialStreams(config.seed)
-    for trials in _chunks(n, config):
+
+    def rows(trials: range, streams: _TrialStreams) -> np.ndarray:
         bridge, rise, noise = _intervals(params, config, trials, streams, n)
         samples = np.cumsum(rise, axis=1)
         recon = _kl_inverse(gain * (_kl_forward(samples) + noise_sd * noise))
         errors = np.zeros((len(trials), n + 1))   # e_0 = 0: the pinned start
         errors[:, 1:] = samples - recon
-        per_trial[trials.start:trials.stop] = _interval_error(
-            bridge, errors) * dt / horizon
+        return _interval_error(bridge, errors) * dt / horizon
+
+    per_trial = _run(n, config, rows)
     reference = _midpoint(_oracle_moments(lam, theta), params).estimate
     return _estimate(per_trial, reference=reference,
                      bias=params.sigma2 / (6.0 * params.fs * os_ ** 2))

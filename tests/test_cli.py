@@ -420,8 +420,15 @@ SMALL_RUNS = {
      "1e-10"],
     ["eigen", "--kind", "interp", "--n", "5", "--fs", "1e-160"],
     SMALL_RUNS["simulate"] + ["--sigma2", "1e-310"],
-    SMALL_RUNS["simulate"] + ["--sigma2", "1e308"]],
-    ids=["inf-eigenvalues", "ts-squared", "zero-stderr", "inf-estimate"])
+    SMALL_RUNS["simulate"] + ["--sigma2", "1e308"],
+    ["curve", "--sigma2", "1e308", "--fs", "1e-5", "--min", "1e-5", "--max",
+     "1e-4", "--points", "3"],
+    ["curve", "--sigma2", "1e300", "--rate", "1e-10", "--min", "1e-12",
+     "--max", "1e-11", "--points", "3"],
+    ["curve", "--sigma2", "1e308", "--min", "1e-3", "--max", "1e-2",
+     "--points", "3"]],
+    ids=["inf-eigenvalues", "ts-squared", "zero-stderr", "inf-estimate",
+         "inf-scale-vs-rate", "inf-scale-vs-fs", "inf-d_w-scale"])
 def test_unrepresentable_result_exits_3(tmp_path, argv):
     out = str(tmp_path / "x.csv")
     done = run_python("import sys\nfrom wienerdr.cli import main\n"

@@ -2,7 +2,10 @@
 
 import importlib
 import math
+import os
 import pkgutil
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ import wienerdr
 from oracle import (_lerp, _trapezoid_mean, dense_channel_trials,
                     dense_mmse_trials, loop_waterfill_theta)
 from wienerdr import mc
+from wienerdr.cli import main
 from wienerdr.drf import g_fun
 from wienerdr.mc import (ErrorMoments, SimConfig, ce_distortion_estimate,
                          ce_moment_oracle, effective_grid, empirical_mmse,
@@ -189,6 +193,8 @@ class TestPaths:
         monkeypatch.setattr(mc, "_TrialStreams",
                             lambda seed: built.append(seed) or streams(seed))
         monkeypatch.setattr(mc, "_intervals", recording)
+        # forked children could not report what they record
+        monkeypatch.setattr(mc, "_workers", lambda trials, increments: 1)
         # blocks long enough that the 50 trials span 17 chunks
         cfg = SimConfig(horizon_t=1000.0, oversample=32, trials=50, seed=4)
         for run in (empirical_mmse, lambda p, c: mc_test_channel_run(p, c, 1)):
@@ -567,3 +573,138 @@ class TestTestChannelRun:
         a = mc_test_channel_run(UNIT, cfg, 1.5)
         b = mc_test_channel_run(UNIT, cfg, 1.5)
         assert np.array_equal(a.per_trial, b.per_trial)
+
+
+def split_values(run, cfg, monkeypatch, workers=1):
+    """Per-trial values of ``run`` cut across ``workers`` processes."""
+    monkeypatch.setattr(mc, "_workers", lambda trials, increments: workers)
+    return run(UNIT, cfg).per_trial
+
+
+def assert_children_reaped():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+SPLIT_RUNS = {"mmse": empirical_mmse,
+              "channel": lambda p, c: mc_test_channel_run(p, c, 0.8)}
+
+
+class TestSplitRuns:
+    """Runs cut across forked workers against one process, starting at
+    most 3 children per test."""
+
+    def test_worker_rule(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        assert mc._workers(500, 16 * 16) == 1        # under 2**19 increments
+        assert mc._workers(2048, 16 * 16) == 2
+        assert mc._workers(2000, 8 * 64) == 3
+        assert mc._workers(10 ** 6, 64) == 4         # one per CPU
+        assert mc._workers(2, 10 ** 6) == 2          # one per trial
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert mc._workers(10 ** 6, 64) == 1     # another live thread
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        got = []
+        caller = threading.Thread(target=lambda: got.append(
+            mc._workers(10 ** 6, 64)))
+        caller.start()
+        caller.join(timeout=10)
+        assert got == [1]                            # off the main thread
+        monkeypatch.delattr(os, "fork")
+        assert mc._workers(10 ** 6, 64) == 1
+
+    @pytest.mark.parametrize("run", sorted(SPLIT_RUNS))
+    @pytest.mark.parametrize("blocks,oversample,trials", [
+        (8, 8, 7), (8, 8, 2), (700, 100, 5)],
+        ids=["indivisible", "fewer-than-workers", "one-row-chunks"])
+    def test_split_equals_one_process(self, monkeypatch, run, blocks,
+                                      oversample, trials):
+        cfg = SimConfig(horizon_t=blocks, oversample=oversample,
+                        trials=trials, seed=97)
+        if blocks == 700:
+            assert mc._chunk_rows(blocks, oversample) == 1
+        one = split_values(SPLIT_RUNS[run], cfg, monkeypatch)
+        for workers in (2, 3):
+            got = split_values(SPLIT_RUNS[run], cfg, monkeypatch, workers)
+            assert np.array_equal(got, one)
+            assert_children_reaped()
+
+    @pytest.mark.parametrize("run", sorted(SPLIT_RUNS))
+    @pytest.mark.parametrize("failure", ["raise", "exit", "killed"])
+    def test_failed_child_part_is_recomputed(self, monkeypatch, run,
+                                             failure):
+        cfg = SimConfig(horizon_t=8, oversample=8, trials=9, seed=98)
+        one = split_values(SPLIT_RUNS[run], cfg, monkeypatch)
+        parent, intervals = os.getpid(), mc._intervals
+
+        def failing(*args):
+            if os.getpid() != parent:
+                if failure == "raise":
+                    raise RuntimeError("child fails")
+                if failure == "exit":
+                    os._exit(1)
+                os.kill(os.getpid(), 9)
+            return intervals(*args)
+
+        monkeypatch.setattr(mc, "_intervals", failing)
+        got = split_values(SPLIT_RUNS[run], cfg, monkeypatch, 2)
+        assert np.array_equal(got, one)
+        assert_children_reaped()
+
+    @pytest.mark.parametrize("error,code", [(MemoryError, 2),
+                                            (FloatingPointError, 3)])
+    def test_error_of_every_process_is_the_one_process_error(
+            self, tmp_path, capsys, monkeypatch, error, code):
+        def failing(*args):
+            raise error("fails everywhere")
+
+        monkeypatch.setattr(mc, "_intervals", failing)
+        out = str(tmp_path / "sim.csv")
+        argv = ["simulate", "--scheme", "mmse-only", "--horizon", "8",
+                "--oversample", "8", "--trials", "9", "--seed", "5",
+                "--out", out]
+        results = []
+        for workers in (1, 2):
+            monkeypatch.setattr(mc, "_workers",
+                                lambda trials, increments: workers)
+            results.append((main(argv), capsys.readouterr()))
+            assert_children_reaped()
+            assert os.listdir(tmp_path) == []
+        assert results[0] == results[1]
+        assert results[0][0] == code
+
+    def test_error_here_kills_running_children(self, monkeypatch):
+        parent = os.getpid()
+
+        def failing(*args):
+            if os.getpid() != parent:
+                time.sleep(30)
+            raise ValueError("fails here")
+
+        monkeypatch.setattr(mc, "_intervals", failing)
+        cfg = SimConfig(horizon_t=8, oversample=8, trials=9, seed=5)
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="fails here"):
+            split_values(empirical_mmse, cfg, monkeypatch, 2)
+        assert time.monotonic() - start < 10
+        assert_children_reaped()
+
+    def test_failing_fork_runs_in_one_process(self, monkeypatch):
+        cfg = SimConfig(horizon_t=8, oversample=8, trials=9, seed=99)
+        for run in SPLIT_RUNS.values():
+            one = split_values(run, cfg, monkeypatch)
+
+            def no_fork():
+                raise OSError(11, "Resource temporarily unavailable")
+
+            monkeypatch.setattr(os, "fork", no_fork)
+            assert np.array_equal(
+                split_values(run, cfg, monkeypatch, 3), one)
+            monkeypatch.undo()
+            assert_children_reaped()

@@ -263,6 +263,18 @@ class TestInterpEigensystem:
                 discrete_wiener_eigenvalues(params, n),
                 discrete_wiener_eigensystem(params, n).eigenvalues)
 
+    def test_ts_squared_is_the_rounded_product(self):
+        # C pow squares about 1 ts in 1,200 one ulp off: find such an fs
+        fs = next(f for f in 1.0 + np.arange(1, 10_000) / 1000.0
+                  if np.float64(1.0 / f) ** 2 != (1.0 / f) * (1.0 / f))
+        params = ProcessParams(sigma2=0.9, fs=float(fs))
+        ts, n = params.ts, 64
+        x = (2 * np.arange(1, n + 1) - 1) * np.pi / (2.0 * n)
+        shape = (2.0 + np.cos(x)) / np.sin(0.5 * x) ** 2
+        got = interp_kernel_eigenvalues(params, n)
+        assert np.array_equal(got, (0.9 * (ts * ts) / 12.0) * shape)
+        assert not np.array_equal(got, (0.9 * ts ** 2 / 12.0) * shape)
+
     def test_large_n_has_no_degenerate_denominators(self):
         for n in (4096, 10 ** 6):
             lam = interp_kernel_eigenvalues(UNIT, n)

@@ -3,10 +3,10 @@ Monte-Carlo runs, emitted as deterministic CSV.
 
 Exit codes: 0 success, 2 invalid arguments (a request too large to allocate
 and an ``--out`` that cannot be written included), 3 numerical failure (a
-non-finite result included).  The CSV and its JSON manifest (flags,
-versions, seed) are each written to a temporary file and renamed on
-success, with the mode ``open`` gives under the umask; a failing run leaves
-neither file behind.
+non-finite or nonzero subnormal result included).  The CSV and its JSON
+manifest (flags, versions, seed) are each written to a temporary file and
+renamed on success, with the mode ``open`` gives under the umask; a failing
+run leaves neither file behind.
 
 ``main(argv)`` may be called any number of times in one process: the
 argument parser is built on the first call and reused, since parsing never
@@ -95,9 +95,12 @@ def _write_manifest(path: str, command: str, args: argparse.Namespace) -> None:
 
 
 def _check_finite(values) -> None:
-    """Raise FloatingPointError unless every value is a finite float."""
-    if not np.all(np.isfinite(values)):
-        raise FloatingPointError("a result is not a finite float")
+    """Raise FloatingPointError unless every value is 0 or a finite float of
+    at least the smallest normal magnitude (a subnormal has lost digits)."""
+    size = np.abs(np.asarray(values, dtype=float))
+    if not np.all((size == 0) | ((size >= sys.float_info.min)
+                                 & (size <= sys.float_info.max))):
+        raise FloatingPointError("a result is not finite or is subnormal")
 
 
 def _write_outputs(args, header, table) -> None:

@@ -1,51 +1,34 @@
 """Monte-Carlo and semi-analytic validation of the distortion curves.
 
-Paths are simulated from independent Gaussian increments on a fine grid of
-``oversample`` points per sampling interval, interval by interval: a
-chunk's increments fill a (trial, interval, fine step) array, and one
-running sum along its last axis turns them into each interval's bridge B
-(the path less its chord between two samples, 0 at both).  The error of
-an interpolant of node values W - e is B plus the interpolant of e, so
-its trapezoid time average splits per interval into sums of B**2, of B
-times the ramps 1 - u and u, and fixed trapezoid sums of the ramps'
-products times the node errors; no fine path is built for a run.
+A run works in units of one fine step's variance: it draws standard normal
+increments on a grid of ``oversample`` points per sampling interval and
+multiplies its statistics by sigma2/fs once, at the end, so no value
+overflows or underflows on the way to a result that a float can hold.
+Interval by interval, a chunk's increments fill a (trial, interval, fine
+step) array, and one running sum along its last axis turns them into each
+interval's bridge B (the path less its chord between two samples, 0 at
+both).  The error of an interpolant of node values W - e is B plus the
+interpolant of e, so its trapezoid sum splits per interval into sums of
+B**2, of B times the ramps 1 - u and u, and fixed ramp sums times the node
+errors; no fine path is built.  The bridge is independent of the nodes, so
+the run's expectation on the grid (``reference``) and in continuous time
+(``reference + bias``) follow from the node errors' second moments alone.
 
 Reproducibility contract: the generator for trial k is
 ``Philox(SeedSequence(entropy=seed, spawn_key=(k,)))`` and each trial
-consumes only its own stream, so any partitioning of the trial range
-reproduces the sequential results bit for bit (statistics are always
-reduced in trial order).  Runs fill chunks of trials row by row from
-those streams and then work on whole chunks; every step acts on each row
-alone, so the chunking leaves each trial's value unchanged to the bit.
-The Philox keys of a chunk's trials are derived in one vectorized pass of
-NumPy's documented SeedSequence mixing (pinned against ``SeedSequence`` by
-the tests), and one bit generator per run is re-keyed before each row
-instead of being built per trial.  A spawn key of one 32-bit word covers
-trials 0 .. 2**32 - 1, so runs are capped at 2**32 trials.
-
-Large runs use every CPU the process may run on: the trial range is cut
-into ``max(1, min(CPUs, trials, trials * n * oversample // 2**18))``
-contiguous parts (``_workers``), so a run under 2**19 path increments
-stays in one process.  This process computes the first part; every other
-part is computed by a forked child with the trial streams it inherited and
-comes back through a pipe as float64 bytes.  By the contract above, the
-results do not depend on the split, bit for bit.  A part whose child
-fails is recomputed here, so errors and exit codes are those of one
-process; no fork, no CPU affinity call, a caller off the main thread or
-other live threads mean one process, and no child outlives its run.
+consumes only its own stream, so any partitioning of the trial range, into
+chunks of rows (``_chunk_rows``) or into parts run by forked workers on
+every CPU (``_run``), reproduces the sequential results bit for bit
+(statistics are always reduced in trial order).  A spawn key of one 32-bit
+word covers trials 0 .. 2**32 - 1, so runs are capped at 2**32 trials.
 
 The compress-and-estimate experiment replaces the random-codebook encoder
 with the Gaussian test channel attaining the same per-coefficient error
-second moments min{theta, lambda_k}; all error-moment quantities entering
-the interpolation-error bounds are therefore preserved exactly, without the
-exponential codebook search.  ``ce_moment_oracle`` evaluates those moments
-in closed form (no sampling noise) and is the semi-analytic reference the
-Monte-Carlo run is judged against.
-
-The Karhunen-Loeve transform of the walk and its inverse are sine sums of
-period M = 2n+1, each read off one real FFT of length M (O(n log n), no
-n x n matrix); the oracle's moments are cosine sums of min{theta, lambda},
-read off one real FFT of length M as well.
+second moments min{theta, lambda_k}, without the exponential codebook
+search.  ``ce_moment_oracle`` gives those moments in closed form; the
+Karhunen-Loeve transform of the walk, its inverse and the oracle's cosine
+sums are each read off one real FFT of length M = 2n+1, their period
+(O(n log n), no n x n matrix).
 """
 
 from __future__ import annotations
@@ -134,13 +117,12 @@ class ErrorMoments:
         if np.any(np.abs(c) > bound):
             raise ValueError("cross moments violate Cauchy-Schwarz")
 
-    def __len__(self) -> int:
-        return len(self.second)
-
 
 @dataclass(frozen=True)
 class MomentEstimate:
-    """Monte-Carlo estimate with its standard error and analytic reference."""
+    """Monte-Carlo estimate with its standard error, the grid-exact
+    expectation (``reference``) and the continuous-time value less it
+    (``bias``), each scaled by sigma2/fs after the run."""
 
     estimate: float
     stderr: float
@@ -422,24 +404,25 @@ def _split(steps: np.ndarray) -> np.ndarray:
     return rise
 
 
-def _intervals(params: ProcessParams, config: SimConfig, trials: range,
+def _intervals(n: int, oversample: int, trials: range,
                streams: _TrialStreams, noise_len: int = 0
                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(bridge, rise, noise) of ``trials``, one row each: ``_split`` of the
-    scaled increments, shaped (trial, interval, fine step), and the channel
-    noise.  Row r draws from trial ``trials[r]``'s own stream: the path
-    increments first, interval by interval, then ``noise_len`` noise values.
-    """
-    n, _ = effective_grid(params, config)
-    dt = params.ts / config.oversample
-    steps = np.empty((len(trials), n, config.oversample))
+    """(bridge, rise, noise) of ``trials``, one row each: ``_split`` of
+    standard normal increments shaped (trial, interval, fine step), and the
+    channel noise.  Row r draws from trial ``trials[r]``'s own stream: the
+    path increments first, interval by interval, then the noise."""
+    steps = np.empty((len(trials), n, oversample))
     noise = np.empty((len(trials), noise_len))
     for row, rng in enumerate(streams.each(trials)):
         rng.standard_normal(out=steps[row])
         if noise_len:
             rng.standard_normal(out=noise[row])
-    steps *= math.sqrt(params.sigma2 * dt)
     return steps, _split(steps), noise
+
+
+def _ramp_sums(os_: int) -> Tuple[float, float]:
+    """Trapezoid sums over m = 0..os of (1 - u)**2 and u (1 - u), u = m/os."""
+    return (2 * os_ * os_ + 1) / (6.0 * os_), (os_ * os_ - 1) / (6.0 * os_)
 
 
 def _interval_error(bridge: np.ndarray,
@@ -451,15 +434,14 @@ def _interval_error(bridge: np.ndarray,
     and node errors e (e_0 = 0; none means 0).  B is 0 at both nodes, so
     the sum is sum B**2 + 2 (e_i sum (1 - u) B + e_i+1 sum u B) + a (e_i**2
     + e_i+1**2) + 2 b e_i e_i+1, B over the interior points, with a and b
-    the trapezoid sums over m = 0..os of (1 - u)**2 (or u**2) and u (1 - u).
+    from ``_ramp_sums``.
     """
     os_ = bridge.shape[-1]
     inner = bridge[..., :-1]
     total = np.einsum("...im,...im->...", inner, inner)
     if errors is None:
         return total
-    a = (2 * os_ * os_ + 1) / (6.0 * os_)
-    b = (os_ * os_ - 1) / (6.0 * os_)
+    a, b = _ramp_sums(os_)
     u = np.arange(1, os_) / os_
     left, right = errors[..., :-1], errors[..., 1:]
     down = np.einsum("...m,m->...", inner, 1.0 - u)   # sum (1 - u) B
@@ -471,36 +453,58 @@ def _interval_error(bridge: np.ndarray,
         + (2.0 * b) * np.einsum(row, left, right)
 
 
-def _estimate(per_trial: np.ndarray, reference: float,
-              bias: float) -> MomentEstimate:
+def _expectations(n: int, oversample: int,
+                  moments: Optional[ErrorMoments] = None) -> Tuple[float, float]:
+    """(grid, continuous) expectations of the ``_interval_error`` sum over
+    ``n`` intervals, in units of one fine step's variance, for node errors
+    of unit-scale ``moments`` (s, c; none means e = 0).  The bridge is
+    independent of the nodes, so E sum B**2 = n (os**2 - 1)/6 and
+    grid = n (os**2 - 1)/6 + a (2 sum s[:-1] + s[-1]) + 2 b sum c
+    (``_ramp_sums``); its os -> infinity form, ``continuous``, is
+    ``lemma_bounds`` lower + E D_N**2 / (3 N) in units of n os**2 fs/sigma2.
+    """
+    os_ = oversample
+    grid = n * (os_ * os_ - 1) / 6.0
+    continuous = n * os_ * os_ / 6.0
+    if moments is not None:
+        nodes = 2.0 * moments.second[:-1].sum() + moments.second[-1]
+        cross = moments.cross.sum()
+        a, b = _ramp_sums(os_)
+        grid += a * nodes + 2.0 * b * cross
+        continuous += os_ * (nodes + cross) / 3.0
+    return float(grid), float(continuous)
+
+
+def _estimate(per_trial: np.ndarray, params: ProcessParams, n: int,
+              oversample: int,
+              moments: Optional[ErrorMoments] = None) -> MomentEstimate:
+    """The run's statistics, formed from its unit-scale per-trial sums and
+    then each divided by n os**2 (dt / horizon) and multiplied by sigma2/fs."""
     trials = len(per_trial)
     se = float(per_trial.std(ddof=1) / math.sqrt(trials)) \
         if trials > 1 else float("nan")
-    return MomentEstimate(estimate=float(per_trial.mean()), stderr=se,
-                          reference=reference, bias=bias, per_trial=per_trial)
+    grid, continuous = _expectations(n, oversample, moments)
+    steps, scale = n * oversample * oversample, params.sigma2 / params.fs
+    estimate, stderr, reference, bias, per_trial = (
+        value / steps * scale for value in
+        (float(per_trial.mean()), se, grid, continuous - grid, per_trial))
+    return MomentEstimate(estimate, stderr, reference, bias, per_trial)
 
 
 def empirical_mmse(params: ProcessParams, config: SimConfig) -> MomentEstimate:
     """Trial-and-time average of the squared interpolation error.
 
-    On the discrete grid the exact expectation is
-    sigma2/(6 fs) * (1 - 1/oversample**2); the missing part is reported as
-    ``bias`` instead of being silently absorbed, and ``reference`` is the
-    biased (grid-exact) value.
+    Paths have unit-variance fine steps; sigma2/fs is applied last.
+    ``reference`` is the grid-exact sigma2/(6 fs) (1 - 1/oversample**2) and
+    ``bias`` the continuous-time sigma2/(6 fs) less it.
     """
-    n, horizon = effective_grid(params, config)
+    n, _ = effective_grid(params, config)
     os_ = config.oversample
-    dt = params.ts / os_
 
     def rows(trials: range, streams: _TrialStreams) -> np.ndarray:
-        bridge, _, _ = _intervals(params, config, trials, streams)
-        return _interval_error(bridge) * dt / horizon
+        return _interval_error(_intervals(n, os_, trials, streams)[0])
 
-    per_trial = _run(n, config, rows)
-    floor = params.sigma2 / (6.0 * params.fs)
-    os_sq = os_ ** 2
-    return _estimate(per_trial, reference=floor * (1.0 - 1.0 / os_sq),
-                     bias=floor / os_sq)
+    return _estimate(_run(n, config, rows), params, n, os_)
 
 
 def lemma_bounds(moments: ErrorMoments, params: ProcessParams) -> Tuple[float, float]:
@@ -608,14 +612,10 @@ def ce_moment_oracle(params: ProcessParams, n: int, rbar: float) -> ErrorMoments
     return _oracle_moments(lam, finite_waterfill_theta(lam, rbar))
 
 
-def _midpoint(moments: ErrorMoments, params: ProcessParams) -> CeEstimate:
-    lower, upper = lemma_bounds(moments, params)
-    return CeEstimate(estimate=0.5 * (lower + upper), lower=lower, upper=upper)
-
-
 def ce_distortion_estimate(params: ProcessParams, n: int, rbar: float) -> CeEstimate:
     """Midpoint of the moment-oracle bounds; converges to d_ce as n grows."""
-    return _midpoint(ce_moment_oracle(params, n, rbar), params)
+    lower, upper = lemma_bounds(ce_moment_oracle(params, n, rbar), params)
+    return CeEstimate(estimate=0.5 * (lower + upper), lower=lower, upper=upper)
 
 
 def mc_test_channel_run(params: ProcessParams, config: SimConfig,
@@ -627,33 +627,28 @@ def mc_test_channel_run(params: ProcessParams, config: SimConfig,
     through y_hat = (1 - theta/lambda)(y + z), z ~ N(0, theta lambda /
     (lambda - theta)) so that E (y - y_hat)^2 = min{theta, lambda} exactly,
     zero the drowned coefficients, inverse transform, interpolate linearly
-    and average the squared path error on the fine grid.  ``reference`` is
-    the moment-oracle midpoint at the same blocklength and water level.
+    and average the squared path error on the fine grid.  The run works in
+    units of one fine step's variance (the samples' eigenvalues are
+    ``oversample`` times those at sigma2 = fs = 1) and applies sigma2/fs
+    last.  ``reference`` is the grid-exact expectation from the moment
+    oracle's moments and ``bias`` the continuous-time value less it.
     """
-    n, horizon = effective_grid(params, config)
+    n, _ = effective_grid(params, config)
     if n < 2:
         raise ValueError("need horizon * fs > 1: 2 intervals per block")
-    lam = discrete_wiener_eigenvalues(params, n)
-    theta = finite_waterfill_theta(lam, rbar)
-    active = lam > theta
-    gain = np.where(active, 1.0 - theta / lam, 0.0)
-    noise_sd = np.where(active,
-                        np.sqrt(np.where(active, theta * lam, 0.0)
-                                / np.where(active, lam - theta, 1.0)),
-                        0.0)
-
     os_ = config.oversample
-    dt = params.ts / os_
+    lam = os_ * discrete_wiener_eigenvalues(ProcessParams(1.0, 1.0), n)
+    theta = finite_waterfill_theta(lam, rbar)
+    gain = np.maximum(1.0 - theta / lam, 0.0)   # 0: a drowned coefficient
+    noise_sd = np.sqrt(theta / np.where(gain > 0, gain, np.inf))
 
     def rows(trials: range, streams: _TrialStreams) -> np.ndarray:
-        bridge, rise, noise = _intervals(params, config, trials, streams, n)
+        bridge, rise, noise = _intervals(n, os_, trials, streams, n)
         samples = np.cumsum(rise, axis=1)
         recon = _kl_inverse(gain * (_kl_forward(samples) + noise_sd * noise))
         errors = np.zeros((len(trials), n + 1))   # e_0 = 0: the pinned start
         errors[:, 1:] = samples - recon
-        return _interval_error(bridge, errors) * dt / horizon
+        return _interval_error(bridge, errors)
 
-    per_trial = _run(n, config, rows)
-    reference = _midpoint(_oracle_moments(lam, theta), params).estimate
-    return _estimate(per_trial, reference=reference,
-                     bias=params.sigma2 / (6.0 * params.fs * os_ ** 2))
+    return _estimate(_run(n, config, rows), params, n, os_,
+                     _oracle_moments(lam, theta))

@@ -340,6 +340,31 @@ def dense_channel_trials(params: ProcessParams, config,
     return out
 
 
+def dense_grid_expectation(n: int, oversample: int, rbar: float) -> float:
+    """Expected trapezoid sum over the fine grid of the squared test-channel
+    error, in units of one fine step's variance: the bridge variance
+    m (os - m)/os plus h^T K h for the explicit hat weights h of each fine
+    point and the node-error covariance K = V^T diag(min{theta, lambda}) V
+    of the samples' covariance os * min{i, j} (e_0 = 0)."""
+    system = discrete_wiener_eigensystem(ProcessParams(float(oversample), 1.0),
+                                         n)
+    lam, vecs = system.eigenvalues, system.eigenvectors
+    d = np.minimum(loop_waterfill_theta(lam, rbar), lam)
+    cov = np.zeros((n + 1, n + 1))
+    cov[1:, 1:] = vecs.T @ (d[:, None] * vecs)
+    j = np.arange(n * oversample + 1)
+    base = np.minimum(j // oversample, n - 1)
+    m = j - base * oversample
+    hats = np.zeros((len(j), n + 1))
+    hats[j, base] = 1.0 - m / oversample
+    hats[j, base + 1] = m / oversample
+    weights = np.ones(len(j))
+    weights[[0, -1]] = 0.5
+    per_point = m * (oversample - m) / oversample \
+        + np.einsum("jp,pq,jq->j", hats, cov, hats)
+    return float(weights @ per_point)
+
+
 # ------------------------------------------------------ Fredholm residual
 
 def kernel_action(params: ProcessParams, grid_points: int, t: np.ndarray,

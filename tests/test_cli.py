@@ -224,6 +224,17 @@ class TestSimulate:
         assert "horizon * fs" in capsys.readouterr().err
         assert not os.path.exists(out + "2")
 
+    def test_test_channel_z_is_honest(self, tmp_path, capsys):
+        # a long block at --oversample 4: the grid bias is many stderrs,
+        # and the reference is the grid-exact expectation that includes it
+        out = str(tmp_path / "sim.csv")
+        assert main(["simulate", "--scheme", "test-channel", "--sigma2",
+                     "1.3", "--rbar", "2", "--horizon", "1500",
+                     "--oversample", "4", "--trials", "200", "--seed", "3",
+                     "--out", out]) == 0
+        z = float(capsys.readouterr().out.split("z=")[1])
+        assert abs(z) < 4.0
+
     def test_one_trial_has_no_standard_error(self, tmp_path, capsys):
         out = str(tmp_path / "sim.csv")
         code = main(["simulate", "--scheme", "mmse-only", "--horizon", "4",
@@ -420,15 +431,20 @@ SMALL_RUNS = {
      "1e-10"],
     ["eigen", "--kind", "interp", "--n", "5", "--fs", "1e-160"],
     SMALL_RUNS["simulate"] + ["--sigma2", "1e-310"],
-    SMALL_RUNS["simulate"] + ["--sigma2", "1e308"],
+    SMALL_RUNS["simulate"] + ["--sigma2", "1e308", "--fs", "1e-5"],
     ["curve", "--sigma2", "1e308", "--fs", "1e-5", "--min", "1e-5", "--max",
      "1e-4", "--points", "3"],
     ["curve", "--sigma2", "1e300", "--rate", "1e-10", "--min", "1e-12",
      "--max", "1e-11", "--points", "3"],
     ["curve", "--sigma2", "1e308", "--min", "1e-3", "--max", "1e-2",
-     "--points", "3"]],
+     "--points", "3"],
+    ["curve", "--sigma2", "1e-310", "--fs", "1e10", "--min", "1e10", "--max",
+     "2e10", "--points", "3"],
+    ["simulate", "--scheme", "mmse-only", "--sigma2", "1e-320", "--horizon",
+     "4", "--trials", "50", "--seed", "1"]],
     ids=["inf-eigenvalues", "ts-squared", "zero-stderr", "inf-estimate",
-         "inf-scale-vs-rate", "inf-scale-vs-fs", "inf-d_w-scale"])
+         "inf-scale-vs-rate", "inf-scale-vs-fs", "inf-d_w-scale",
+         "subnormal-d_ce", "subnormal-estimate"])
 def test_unrepresentable_result_exits_3(tmp_path, argv):
     out = str(tmp_path / "x.csv")
     done = run_python("import sys\nfrom wienerdr.cli import main\n"
@@ -436,6 +452,27 @@ def test_unrepresentable_result_exits_3(tmp_path, argv):
     assert done.stderr.splitlines() == [done.stderr.strip()]
     assert done.stderr.startswith(f"numerical failure in {argv[0]}: ")
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv,scale", [
+    (["--scheme", "mmse-only", "--sigma2", "1e308", "--horizon", "4"], 1e308),
+    (["--scheme", "test-channel", "--rbar", "1", "--sigma2", "1e300", "--fs",
+      "1e-8", "--horizon", "1.6e9", "--oversample", "8"], 1e308),
+    (["--scheme", "test-channel", "--rbar", "1", "--sigma2", "1e-300",
+      "--fs", "1e5", "--horizon", "8e-5", "--oversample", "4"], 1e-305)],
+    ids=["mmse-sigma2-1e308", "channel-scale-1e308", "channel-scale-1e-305"])
+def test_results_at_the_ends_of_the_float_range_are_written(tmp_path, capsys,
+                                                             argv, scale):
+    # the run works in units of one fine step's variance and scales last,
+    # so no intermediate overflows or underflows where the answer fits
+    out = str(tmp_path / "x.csv")
+    assert main(["simulate", *argv, "--trials", "50", "--seed", "1",
+                 "--out", out]) == 0
+    summary = capsys.readouterr().out.split()
+    assert all(math.isfinite(float(v.split("=")[1])) for v in summary)
+    _, cols = read_csv(out)
+    assert np.all(np.isfinite(cols["distortion"]))
+    assert 0.01 < np.max(cols["distortion"]) / scale < 10.0
 
 
 class TestUnwritableOut:

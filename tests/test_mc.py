@@ -15,7 +15,8 @@ from scipy.optimize import brentq
 
 import wienerdr
 from oracle import (_lerp, _trapezoid_mean, dense_channel_trials,
-                    dense_mmse_trials, loop_waterfill_theta)
+                    dense_grid_expectation, dense_mmse_trials,
+                    loop_waterfill_theta)
 from wienerdr import mc
 from wienerdr.cli import main
 from wienerdr.drf import g_fun
@@ -29,13 +30,19 @@ from wienerdr.waterfill import solve_theta_for_rate
 from wienerdr.spectral import SAMPLED_WIENER
 
 UNIT = ProcessParams(sigma2=1.0, fs=1.0)
+SPLIT_RUNS = {"mmse": empirical_mmse,
+              "channel": lambda p, c: mc_test_channel_run(p, c, 0.8)}
 
 
 def paths(params, cfg, trials, drawn=None):
     """(fine path, samples, interpolant) rows: chords plus the bridges of
-    ``drawn``, a (bridge, rise) of ``mc._intervals``, or of ``trials``."""
-    bridge, rise = drawn or mc._intervals(params, cfg, trials,
+    ``drawn``, a unit-variance (bridge, rise) of ``mc._intervals``, or of
+    ``trials``, scaled to fine steps of variance sigma2 ts / oversample."""
+    n, _ = effective_grid(params, cfg)
+    bridge, rise = drawn or mc._intervals(n, cfg.oversample, trials,
                                           mc._TrialStreams(cfg.seed))[:2]
+    step = math.sqrt(params.sigma2 * params.ts / cfg.oversample)
+    bridge, rise = bridge * step, rise * step
     rows, os_ = len(bridge), bridge.shape[-1]
     samples = np.zeros((rows, rise.shape[1] + 1))
     np.cumsum(rise, axis=1, out=samples[:, 1:])
@@ -184,8 +191,8 @@ class TestPaths:
         built, runs = [], []
         streams, intervals = mc._TrialStreams, mc._intervals
 
-        def recording(params, cfg, trials, *rest):
-            bridge, rise, noise = intervals(params, cfg, trials, *rest)
+        def recording(n, oversample, trials, *rest):
+            bridge, rise, noise = intervals(n, oversample, trials, *rest)
             runs[-1].update((trial, (bridge[r:r + 1], rise[r:r + 1]))
                             for r, trial in enumerate(trials))
             return bridge, rise, noise
@@ -513,6 +520,61 @@ class TestIntervalSplit:
             assert abs(got[row] - ref) <= 1e-12 * ref
 
 
+class TestExpectations:
+    """Reference and bias of a run: the grid-exact and continuous-time
+    expectations of its per-trial values."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=2, max_value=40),
+           st.integers(min_value=1, max_value=16),
+           st.floats(min_value=0.01, max_value=6.0))
+    @example(n=2, oversample=1, rbar=0.01)
+    @example(n=40, oversample=16, rbar=6.0)
+    def test_channel_reference_matches_dense_oracle(self, n, oversample,
+                                                    rbar):
+        params = ProcessParams(1.3, 2.0)
+        cfg = SimConfig(horizon_t=n / params.fs, oversample=oversample,
+                        trials=2, seed=1)
+        got = mc_test_channel_run(params, cfg, rbar).reference
+        ref = dense_grid_expectation(n, oversample, rbar) \
+            / (n * oversample ** 2) * (params.sigma2 / params.fs)
+        assert abs(got - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("n,oversample,rbar", [
+        (2, 1, 0.1), (17, 4, 0.7), (300, 8, 2.0), (1500, 3, 0.05)])
+    def test_continuous_value_is_lower_bound_plus_last_term(self, n,
+                                                            oversample, rbar):
+        moments = ce_moment_oracle(UNIT, n, rbar)
+        unit = ErrorMoments(oversample * moments.second,
+                            oversample * moments.cross)
+        got = mc._expectations(n, oversample, unit)[1] / (n * oversample ** 2)
+        ref = lemma_bounds(moments, UNIT)[0] + moments.second[-1] / (3 * n)
+        assert got == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("params", [UNIT, ProcessParams(1.3, 2.0),
+                                        ProcessParams(1e-3, 7.0)])
+    @pytest.mark.parametrize("oversample", [1, 2, 3, 7, 16, 64])
+    def test_mmse_reference_is_the_grid_floor(self, params, oversample):
+        cfg = SimConfig(horizon_t=5.0, oversample=oversample, trials=2,
+                        seed=1)
+        r = empirical_mmse(params, cfg)
+        floor = params.sigma2 / (6.0 * params.fs)
+        expected = floor * (1.0 - 1.0 / oversample ** 2)
+        assert abs(r.reference - expected) <= 4 * math.ulp(expected)
+        assert r.bias == pytest.approx(floor / oversample ** 2, rel=1e-12)
+
+    @pytest.mark.parametrize("run", sorted(SPLIT_RUNS))
+    def test_z_does_not_depend_on_sigma2(self, run):
+        cfg = SimConfig(horizon_t=12.0, oversample=8, trials=30, seed=7)
+        base = SPLIT_RUNS[run](ProcessParams(1.3, 2.0), cfg)
+        for power in (40, -40):
+            scaled = SPLIT_RUNS[run](ProcessParams(1.3 * 2.0 ** power, 2.0),
+                                     cfg)
+            assert scaled.z_score == base.z_score
+            assert np.array_equal(scaled.per_trial,
+                                  base.per_trial * 2.0 ** power)
+
+
 class TestCeDistortionEstimate:
     def test_converges_to_closed_form(self):
         est = ce_distortion_estimate(UNIT, 256, 2.0)
@@ -584,10 +646,6 @@ def split_values(run, cfg, monkeypatch, workers=1):
 def assert_children_reaped():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-
-
-SPLIT_RUNS = {"mmse": empirical_mmse,
-              "channel": lambda p, c: mc_test_channel_run(p, c, 0.8)}
 
 
 class TestSplitRuns:

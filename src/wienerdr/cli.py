@@ -8,9 +8,9 @@ manifest (flags, versions, seed) are each written to a temporary file and
 renamed on success, with the mode ``open`` gives under the umask; a failing
 run leaves neither file behind.
 
-``main(argv)`` may be called any number of times in one process: the
-argument parser is built on the first call and reused, since parsing never
-changes it and returns a fresh namespace each time.
+``main(argv)`` may be called any number of times in one process.  The calls
+share the argument parser, built on the first call (parsing never changes
+it), and the pool of Monte-Carlo workers that ``mc`` forks on first need.
 """
 
 from __future__ import annotations

@@ -82,10 +82,6 @@ class RateSpec:
         if not (self.rate > 0 and math.isfinite(self.rate)):
             raise ValueError(f"rate must be positive and finite, got {self.rate}")
 
-    def per_sample(self, params: ProcessParams) -> float:
-        """Bits per sample rbar = rate / fs."""
-        return self.rate / params.fs
-
 
 @dataclass(frozen=True)
 class DistortionBundle:

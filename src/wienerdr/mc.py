@@ -17,10 +17,14 @@ the run's expectation on the grid (``reference``) and in continuous time
 Reproducibility contract: the generator for trial k is
 ``Philox(SeedSequence(entropy=seed, spawn_key=(k,)))`` and each trial
 consumes only its own stream, so any partitioning of the trial range, into
-chunks of rows (``_chunk_rows``) or into parts run by forked workers on
-every CPU (``_run``), reproduces the sequential results bit for bit
-(statistics are always reduced in trial order).  A spawn key of one 32-bit
-word covers trials 0 .. 2**32 - 1, so runs are capped at 2**32 trials.
+chunks of rows (``_chunk_rows``) or into parts, reproduces the sequential
+results bit for bit (statistics are always reduced in trial order).  A run
+of T trials of d standard normals (path and noise draws) each has
+min(CPUs, T, T d // 2**18) parts (``_workers``); parts 1.. go to a pool of
+workers (``_run``), each forked the first time a run needs it, reused by
+later runs, killed on an error and reaped at exit, and a part whose worker
+fails is computed here.  A spawn key of one 32-bit word covers trials
+0 .. 2**32 - 1, so runs are capped at 2**32 trials.
 
 The compress-and-estimate experiment replaces the random-codebook encoder
 with the Gaussian test channel attaining the same per-coefficient error
@@ -33,11 +37,15 @@ sums are each read off one real FFT of length M = 2n+1, their period
 
 from __future__ import annotations
 
+import atexit
+import contextlib
+import functools
 import math
 import os
+import pickle
 import threading
 from dataclasses import dataclass
-from typing import BinaryIO, Callable, Iterator, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -283,107 +291,155 @@ def _chunk_rows(n: int, oversample: int) -> int:
     return max(1, _CHUNK_ELEMENTS // (n * (oversample + 2) + 1))
 
 
-#: path increments per worker: a run forks one more process for each
-#: 2**18 increments, so one under 2**19 increments never forks
+#: standard normals per worker: a run forks one more process for each
+#: 2**18 path and noise draws, so one under 2**19 draws runs here alone
 _WORKER_INCREMENTS = 1 << 18
 
 #: SIGKILL, 9 on every POSIX system (spares importing ``signal``)
 _SIGKILL = 9
 
 
-def _workers(trials: int, increments: int) -> int:
-    """Processes for a run of ``trials`` rows of ``increments`` path
-    increments each: at most one per CPU, one per trial and one per 2**18
-    increments, and one alone where fork is missing or another thread is
-    alive (a caller off the main thread makes two)."""
+def _workers(trials: int, draws: int) -> int:
+    """Processes for a run of ``trials`` rows of ``draws`` standard normals
+    each: at most one per CPU, one per trial and one per 2**18 draws, and
+    one alone where fork is missing or another thread is alive (a caller
+    off the main thread makes two)."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) \
             or threading.active_count() > 1:
         return 1
     return max(1, min(len(os.sched_getaffinity(0)), trials,
-                      trials * increments // _WORKER_INCREMENTS))
+                      trials * draws // _WORKER_INCREMENTS))
 
 
-def _fork(values: Callable[[range], np.ndarray],
-          part: range) -> Optional[Tuple[int, BinaryIO]]:
-    """(pid, pipe) of a forked child that writes ``values(part)`` to the
-    pipe as float64 bytes and exits, or None when fork fails.  The child
-    never returns, and a child that fails exits 1 without a word."""
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        return None
-    if pid == 0:
-        code = 1
+def _values(rows: Callable[[range, _TrialStreams], np.ndarray],
+            streams: _TrialStreams, size: int, part: range) -> np.ndarray:
+    """Per-trial values of ``part``, ``rows`` chunks of ``size`` trials."""
+    out = np.empty(len(part))
+    for lo in range(part.start, part.stop, size):
+        chunk = range(lo, min(lo + size, part.stop))
+        out[lo - part.start:chunk.stop - part.start] = rows(chunk, streams)
+    return out
+
+
+class _Worker:
+    """A forked process that, for each (rows, seed, size, part) pickled
+    down its task pipe, sends back 8 bytes of length and the part's
+    ``_values`` as float64 bytes, until the pipe ends or anything fails."""
+
+    def __init__(self):
+        task_read, task_write = os.pipe()
+        result_read, result_write = os.pipe()
         try:
-            os.close(read)
-            with open(write, "wb") as pipe:
-                pipe.write(values(part).tobytes())
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write)
-    return pid, open(read, "rb")
+            self.pid = os.fork()
+        except OSError:
+            for fd in (task_read, task_write, result_read, result_write):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            try:
+                os.close(task_write)
+                os.close(result_read)
+                tasks, results = open(task_read, "rb"), open(result_write, "wb")
+                while tasks.peek(1):
+                    rows, seed, size, part = pickle.load(tasks)
+                    values = _values(rows, _TrialStreams(seed), size, part)
+                    results.write(values.nbytes.to_bytes(8, "little"))
+                    results.write(values)
+                    results.flush()
+            finally:
+                os._exit(0)   # never back into the caller's frames
+        os.close(task_read)
+        os.close(result_write)
+        self.tasks, self.results = open(task_write, "wb"), open(result_read, "rb")
+
+
+#: this process's workers, each forked the first time a run needs it
+_pool: List[_Worker] = []
+
+
+def _drop(worker: _Worker, signal: int = _SIGKILL) -> None:
+    """Take ``worker`` out of the pool, close its pipes, signal and reap it."""
+    _pool.remove(worker)
+    with contextlib.suppress(BrokenPipeError):   # a task left unsent
+        worker.tasks.close()
+    worker.results.close()
+    with contextlib.suppress(ProcessLookupError, ChildProcessError):
+        os.kill(worker.pid, signal)   # raises once reaped elsewhere
+        os.waitpid(worker.pid, 0)
+
+
+def _hire(count: int) -> List[_Worker]:
+    """The pool's first ``count`` workers, forking those missing (fewer if
+    fork fails); a worker that has ended is reaped and replaced."""
+    for worker in list(_pool):
+        with contextlib.suppress(ChildProcessError):   # reaped elsewhere: drop
+            if os.waitid(os.P_PID, worker.pid,
+                         os.WEXITED | os.WNOHANG | os.WNOWAIT) is None:
+                continue
+        _drop(worker)
+    while len(_pool) < count:
+        try:
+            _pool.append(_Worker())
+        except OSError:
+            break
+    return _pool[:count]
+
+
+def _close_pool() -> None:
+    """Close each worker's pipes, which ends it, and reap it if it is ours."""
+    while _pool:
+        _drop(_pool[-1], 0)
+
+
+atexit.register(_close_pool)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_close_pool)
 
 
 def _run(n: int, config: SimConfig,
-         rows: Callable[[range, _TrialStreams], np.ndarray]) -> np.ndarray:
-    """Per-trial values of a run of ``n`` intervals per trial,
-    ``rows(chunk, streams)`` giving those of one chunk of trials from the
-    run's one set of trial streams.
+         rows: Callable[[range, _TrialStreams], np.ndarray],
+         draws: int) -> np.ndarray:
+    """Per-trial values of a run of ``n`` intervals and ``draws`` standard
+    normals (path and noise) per trial, ``rows(chunk, streams)`` giving
+    those of one chunk of trials from the run's one set of trial streams.
 
-    The trial range is cut into ``_workers`` contiguous parts: the first is
-    computed here and every other one by a forked child.  A part whose
-    child fails, dies or sends a short result is computed here after the
-    others, so the values and any error are those of one process.  On any
-    exception the children still running are killed and reaped.
+    The trial range is cut into ``_workers(trials, draws)`` contiguous
+    parts, one per 2**18 draws and at most one per CPU: the first is
+    computed here, each other one by a pool worker, forked on first need,
+    reused by later runs and reaped at exit.  A part whose worker fails,
+    dies or sends a short result is computed here after the others, and
+    the worker killed, reaped and dropped, so the values and any error are
+    those of one process.  Any exception kills the busy workers.
     """
     size = _chunk_rows(n, config.oversample)
-    streams = _TrialStreams(config.seed)
-
-    def values(part: range) -> np.ndarray:
-        out = np.empty(len(part))
-        for lo in range(part.start, part.stop, size):
-            chunk = range(lo, min(lo + size, part.stop))
-            out[lo - part.start:chunk.stop - part.start] = rows(chunk, streams)
-        return out
-
-    trials = config.trials
-    workers = _workers(trials, n * config.oversample)
-    cuts = [trials * i // workers for i in range(workers + 1)]
+    workers = _workers(config.trials, draws)
+    cuts = [config.trials * i // workers for i in range(workers + 1)]
     parts = [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-    per_trial = np.empty(trials)
-    children = []   # (part, pid, pipe) of each child not yet reaped
+    per_trial = np.empty(config.trials)
+    busy = []   # (part, worker) of each part sent and not yet received
     try:
-        local = parts[:1]
-        for part in parts[1:]:
-            child = _fork(values, part)
-            if child is None:
-                local.append(part)
-            else:
-                children.append((part, *child))
-        for part in local:
-            per_trial[part.start:part.stop] = values(part)
-        while children:
-            part, pid, pipe = children[0]
-            with pipe:
-                data = pipe.read()
-            _, status = os.waitpid(pid, 0)
-            children.pop(0)
-            if status == 0 and len(data) == 8 * len(part):
-                per_trial[part.start:part.stop] = np.frombuffer(data)
-            else:
-                per_trial[part.start:part.stop] = values(part)
+        # a one-process run leaves the pool alone (other threads may be alive)
+        hired = _hire(workers - 1) if workers > 1 else []
+        for part, worker in zip(parts[1:], hired):
+            busy.append((part, worker))
+            with contextlib.suppress(BrokenPipeError):   # dead: read as short
+                worker.tasks.write(pickle.dumps((rows, config.seed, size, part)))
+                worker.tasks.flush()
+        streams = _TrialStreams(config.seed)
+        for part in parts[:1] + parts[1 + len(hired):]:
+            per_trial[part.start:part.stop] = _values(rows, streams, size, part)
+        while busy:
+            part, worker = busy[0]
+            length = worker.results.read(8)   # then that many bytes of values
+            data = worker.results.read(int.from_bytes(length, "little"))
+            busy.pop(0)
+            if len(data) != 8 * len(part):   # the worker failed
+                _drop(worker)
+                data = _values(rows, streams, size, part).tobytes()
+            per_trial[part.start:part.stop] = np.frombuffer(data)
     finally:
-        for _, pid, pipe in children:
-            pipe.close()
-            try:
-                os.kill(pid, _SIGKILL)
-                os.waitpid(pid, 0)
-            except (ProcessLookupError, ChildProcessError):   # reaped
-                pass
+        for _, worker in busy:
+            _drop(worker)
     return per_trial
 
 
@@ -500,11 +556,14 @@ def empirical_mmse(params: ProcessParams, config: SimConfig) -> MomentEstimate:
     """
     n, _ = effective_grid(params, config)
     os_ = config.oversample
+    rows = functools.partial(_mmse_rows, n, os_)
+    return _estimate(_run(n, config, rows, n * os_), params, n, os_)
 
-    def rows(trials: range, streams: _TrialStreams) -> np.ndarray:
-        return _interval_error(_intervals(n, os_, trials, streams)[0])
 
-    return _estimate(_run(n, config, rows), params, n, os_)
+def _mmse_rows(n: int, oversample: int, trials: range,
+               streams: _TrialStreams) -> np.ndarray:
+    """``empirical_mmse``'s unit-scale per-trial sums of ``trials``."""
+    return _interval_error(_intervals(n, oversample, trials, streams)[0])
 
 
 def lemma_bounds(moments: ErrorMoments, params: ProcessParams) -> Tuple[float, float]:
@@ -641,14 +700,18 @@ def mc_test_channel_run(params: ProcessParams, config: SimConfig,
     theta = finite_waterfill_theta(lam, rbar)
     gain = np.maximum(1.0 - theta / lam, 0.0)   # 0: a drowned coefficient
     noise_sd = np.sqrt(theta / np.where(gain > 0, gain, np.inf))
-
-    def rows(trials: range, streams: _TrialStreams) -> np.ndarray:
-        bridge, rise, noise = _intervals(n, os_, trials, streams, n)
-        samples = np.cumsum(rise, axis=1)
-        recon = _kl_inverse(gain * (_kl_forward(samples) + noise_sd * noise))
-        errors = np.zeros((len(trials), n + 1))   # e_0 = 0: the pinned start
-        errors[:, 1:] = samples - recon
-        return _interval_error(bridge, errors)
-
-    return _estimate(_run(n, config, rows), params, n, os_,
+    rows = functools.partial(_channel_rows, n, os_, gain, noise_sd)
+    return _estimate(_run(n, config, rows, n * (os_ + 1)), params, n, os_,
                      _oracle_moments(lam, theta))
+
+
+def _channel_rows(n: int, oversample: int, gain: np.ndarray,
+                  noise_sd: np.ndarray, trials: range,
+                  streams: _TrialStreams) -> np.ndarray:
+    """``mc_test_channel_run``'s unit-scale per-trial sums of ``trials``."""
+    bridge, rise, noise = _intervals(n, oversample, trials, streams, n)
+    samples = np.cumsum(rise, axis=1)
+    recon = _kl_inverse(gain * (_kl_forward(samples) + noise_sd * noise))
+    errors = np.zeros((len(trials), n + 1))   # e_0 = 0: the pinned start
+    errors[:, 1:] = samples - recon
+    return _interval_error(bridge, errors)

@@ -4,6 +4,8 @@ import importlib
 import math
 import os
 import pkgutil
+import subprocess
+import sys
 import threading
 import time
 
@@ -644,13 +646,21 @@ def split_values(run, cfg, monkeypatch, workers=1):
 
 
 def assert_children_reaped():
+    """Close the worker pool; then no child process may be left."""
+    mc._close_pool()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
+def pool_pids():
+    return [worker.pid for worker in mc._pool]
+
+
 class TestSplitRuns:
     """Runs cut across forked workers against one process, starting at
-    most 3 children per test."""
+    most 3 children per test.  A test that patches what the workers run
+    closes the pool first, so that its workers are forked after the patch.
+    """
 
     def test_worker_rule(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
@@ -659,6 +669,10 @@ class TestSplitRuns:
         assert mc._workers(2000, 8 * 64) == 3
         assert mc._workers(10 ** 6, 64) == 4         # one per CPU
         assert mc._workers(2, 10 ** 6) == 2          # one per trial
+        # a test-channel row draws n (oversample + 1) normals: tc-16 splits
+        assert mc._workers(1960, 16 * 16) == 1
+        assert mc._workers(1960, 16 * (16 + 1)) == 2
+        assert mc._workers(12, 1236 * (32 + 1)) == 1  # kl tc-fine stays here
         release = threading.Event()
         other = threading.Thread(target=release.wait)
         other.start()
@@ -688,18 +702,18 @@ class TestSplitRuns:
         if blocks == 700:
             assert mc._chunk_rows(blocks, oversample) == 1
         one = split_values(SPLIT_RUNS[run], cfg, monkeypatch)
-        for workers in (2, 3):
+        for workers in (2, 3):   # the second run reuses the first's worker
             got = split_values(SPLIT_RUNS[run], cfg, monkeypatch, workers)
             assert np.array_equal(got, one)
-            assert_children_reaped()
+        assert_children_reaped()
 
     @pytest.mark.parametrize("run", sorted(SPLIT_RUNS))
-    @pytest.mark.parametrize("failure", ["raise", "exit", "killed"])
+    @pytest.mark.parametrize("failure", ["raise", "exit", "killed", "short"])
     def test_failed_child_part_is_recomputed(self, monkeypatch, run,
                                              failure):
         cfg = SimConfig(horizon_t=8, oversample=8, trials=9, seed=98)
         one = split_values(SPLIT_RUNS[run], cfg, monkeypatch)
-        parent, intervals = os.getpid(), mc._intervals
+        parent, intervals, values = os.getpid(), mc._intervals, mc._values
 
         def failing(*args):
             if os.getpid() != parent:
@@ -710,9 +724,17 @@ class TestSplitRuns:
                 os.kill(os.getpid(), 9)
             return intervals(*args)
 
-        monkeypatch.setattr(mc, "_intervals", failing)
+        def short(*args):   # a worker sends one value too few and lives on
+            return values(*args)[:-1 if os.getpid() != parent else None]
+
+        if failure == "short":
+            monkeypatch.setattr(mc, "_values", short)
+        else:
+            monkeypatch.setattr(mc, "_intervals", failing)
+        mc._close_pool()
         got = split_values(SPLIT_RUNS[run], cfg, monkeypatch, 2)
         assert np.array_equal(got, one)
+        assert mc._pool == []   # the failed worker was dropped
         assert_children_reaped()
 
     @pytest.mark.parametrize("error,code", [(MemoryError, 2),
@@ -723,6 +745,7 @@ class TestSplitRuns:
             raise error("fails everywhere")
 
         monkeypatch.setattr(mc, "_intervals", failing)
+        mc._close_pool()
         out = str(tmp_path / "sim.csv")
         argv = ["simulate", "--scheme", "mmse-only", "--horizon", "8",
                 "--oversample", "8", "--trials", "9", "--seed", "5",
@@ -746,15 +769,18 @@ class TestSplitRuns:
             raise ValueError("fails here")
 
         monkeypatch.setattr(mc, "_intervals", failing)
+        mc._close_pool()
         cfg = SimConfig(horizon_t=8, oversample=8, trials=9, seed=5)
         start = time.monotonic()
         with pytest.raises(ValueError, match="fails here"):
             split_values(empirical_mmse, cfg, monkeypatch, 2)
         assert time.monotonic() - start < 10
+        assert mc._pool == []   # the busy worker was killed and dropped
         assert_children_reaped()
 
     def test_failing_fork_runs_in_one_process(self, monkeypatch):
         cfg = SimConfig(horizon_t=8, oversample=8, trials=9, seed=99)
+        mc._close_pool()
         for run in SPLIT_RUNS.values():
             one = split_values(run, cfg, monkeypatch)
 
@@ -766,3 +792,66 @@ class TestSplitRuns:
                 split_values(run, cfg, monkeypatch, 3), one)
             monkeypatch.undo()
             assert_children_reaped()
+
+    def test_split_runs_reuse_one_worker(self, monkeypatch):
+        cfg = SimConfig(horizon_t=8, oversample=8, trials=9, seed=61)
+        one = split_values(empirical_mmse, cfg, monkeypatch)
+        forks, fork = [], os.fork
+
+        def counted():
+            forks.append(os.getpid())
+            return fork()
+
+        mc._close_pool()
+        monkeypatch.setattr(os, "fork", counted)
+        for _ in range(2):
+            assert np.array_equal(
+                split_values(empirical_mmse, cfg, monkeypatch, 2), one)
+        assert len(forks) == 1 and len(pool_pids()) == 1
+        assert_children_reaped()
+
+    def test_dead_worker_is_reaped_and_replaced(self, monkeypatch):
+        cfg = SimConfig(horizon_t=8, oversample=8, trials=9, seed=62)
+        one = split_values(empirical_mmse, cfg, monkeypatch)
+        mc._close_pool()
+        split_values(empirical_mmse, cfg, monkeypatch, 2)
+        [dead] = pool_pids()
+        os.kill(dead, 9)
+        os.waitid(os.P_PID, dead, os.WEXITED | os.WNOWAIT)   # not reaped
+        assert np.array_equal(
+            split_values(empirical_mmse, cfg, monkeypatch, 2), one)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(dead, os.WNOHANG)
+        [live] = pool_pids()
+        assert live != dead and os.waitpid(live, os.WNOHANG) == (0, 0)
+        assert_children_reaped()
+
+    def test_process_with_a_pool_exits_and_reaps_it(self, tmp_path):
+        script = (
+            "from wienerdr import mc\n"
+            "from wienerdr.mc import SimConfig, empirical_mmse\n"
+            "from wienerdr.spectral import ProcessParams\n"
+            "mc._workers = lambda trials, draws: 3\n"
+            "empirical_mmse(ProcessParams(1.0, 1.0), SimConfig(8, 8, 9, 5))\n"
+            "print(*(worker.pid for worker in mc._pool))\n")
+        src = os.path.dirname(os.path.dirname(wienerdr.__file__))
+        done = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert done.returncode == 0, done.stderr
+        pids = [int(pid) for pid in done.stdout.split()]
+        assert len(pids) == 2
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    def test_forked_process_forgets_the_pool(self, monkeypatch):
+        cfg = SimConfig(horizon_t=8, oversample=8, trials=9, seed=63)
+        mc._close_pool()
+        split_values(empirical_mmse, cfg, monkeypatch, 2)
+        assert len(pool_pids()) == 1
+        pid = os.fork()
+        if pid == 0:
+            os._exit(0 if mc._pool == [] else 1)
+        assert os.waitpid(pid, 0)[1] == 0
+        assert_children_reaped()

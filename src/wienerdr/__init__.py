@@ -14,8 +14,8 @@ from .drf import (DistortionBundle, RateSpec, bundle, ce_penalty, d_bar, d_ce,
 from .mc import (CeEstimate, ErrorMoments, MomentEstimate, SimConfig,
                  ce_distortion_estimate, ce_moment_oracle, empirical_mmse,
                  lemma_bounds, mc_test_channel_run)
-from .spectral import (EigenSystem, ProcessParams, SAMPLED_WIENER,
-                       SHIFTED_SAMPLED_WIENER, SpectralDensity,
+from .spectral import (EigenSystem, ParameterError, ProcessParams,
+                       SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER, SpectralDensity,
                        discrete_wiener_eigensystem,
                        discrete_wiener_eigenvalues,
                        interp_kernel_eigensystem, interp_kernel_eigenvalues,
@@ -24,7 +24,7 @@ from .waterfill import (WaterfillPoint, distortion_at_theta, rate_at_theta,
                         solve_theta_for_rate)
 
 __all__ = [
-    "__version__",
+    "__version__", "ParameterError",
     "ProcessParams", "SpectralDensity", "SAMPLED_WIENER",
     "SHIFTED_SAMPLED_WIENER", "s_bar", "s_tilde_density",
     "EigenSystem", "discrete_wiener_eigenvalues", "discrete_wiener_eigensystem",

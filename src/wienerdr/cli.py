@@ -3,10 +3,12 @@ Monte-Carlo runs, emitted as deterministic CSV.
 
 Exit codes: 0 success, 2 invalid arguments (a request too large to allocate
 and an ``--out`` that cannot be written included), 3 numerical failure (a
-non-finite or nonzero subnormal result included).  The CSV and its JSON
-manifest (flags, versions, seed) are each written to a temporary file and
-renamed on success, with the mode ``open`` gives under the umask; a failing
-run leaves neither file behind.
+non-finite or nonzero subnormal result included).  The type that owns a
+value (``ProcessParams``, ``Grid``, ...) checks it before any computation,
+and ``main`` reports its ``ParameterError`` under the value's flag.  The CSV
+and its JSON manifest (flags, versions, seed) are each written to a
+temporary file and renamed on success, with the mode ``open`` gives under
+the umask; a failing run leaves neither file behind.
 
 ``main(argv)`` may be called any number of times in one process.  The calls
 share the argument parser, built on the first call (parsing never changes
@@ -22,19 +24,17 @@ import json
 # parse; importing it here puts that one-time cost in start-up, not in the
 # first command
 import locale  # noqa: F401
-import math
 import os
 import platform
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__, drf, mc
-from .spectral import (ProcessParams, discrete_wiener_eigenvalues,
-                       interp_kernel_eigenvalues, s_bar, s_tilde_density)
-
-#: FloatingPointError: a water level or a result past the floating-point range
-_NUMERICAL_ERRORS = (FloatingPointError,)
+from .spectral import (ParameterError, ProcessParams, check_positive,
+                       discrete_wiener_eigenvalues, interp_kernel_eigenvalues,
+                       s_bar, s_tilde_density)
 
 
 #: rows formatted per string operation; bounds the writer's extra memory
@@ -121,23 +121,34 @@ def _write_outputs(args, header, table) -> None:
                          f"{exc.strerror or exc}") from exc
 
 
-def _sweep(args) -> np.ndarray:
-    if args.points < 2:
-        raise ValueError("--points must be >= 2")
-    if not (args.min > 0 and args.max > args.min):
-        raise ValueError("need 0 < --min < --max")
-    if args.log:
-        return np.logspace(np.log10(args.min), np.log10(args.max), args.points)
-    return np.linspace(args.min, args.max, args.points)
+@dataclass(frozen=True)
+class Grid:
+    """``points`` sweep values from ``min`` to ``max``, log-spaced if ``log``."""
+
+    min: float
+    max: float
+    points: int
+    log: bool
+
+    def __post_init__(self):
+        check_positive("min", self.min)
+        check_positive("max", self.max)
+        if self.points < 2:
+            raise ParameterError("points", "must be >= 2")
+        if not self.min < self.max:
+            raise ValueError("need 0 < --min < --max")
+
+    def values(self) -> np.ndarray:
+        if not self.log:
+            return np.linspace(self.min, self.max, self.points)
+        return np.logspace(np.log10(self.min), np.log10(self.max), self.points)
 
 
 def _cmd_curve(args) -> int:
-    grid = _sweep(args)
-    if args.rate is None:
-        fs, rate = args.fs, grid     # sweep R at fixed fs
-    else:
-        fs, rate = grid, args.rate   # sweep fs at fixed R
-    b = drf.sweep(args.sigma2, fs, rate)
+    grid = Grid(args.min, args.max, args.points, args.log).values()
+    params = ProcessParams(args.sigma2, args.fs)   # --fs even where swept
+    fs, rate = (params.fs, grid) if args.rate is None else (grid, args.rate)
+    b = drf.sweep(params.sigma2, fs, rate)
     scale = np.asarray(fs) / args.sigma2 if args.normalized else 1.0
     header = ["x", "d_opt", "d_ce", "d_upper", "d_w", "d_bar", "mmse",
               "theta_opt", "theta_ce"]
@@ -148,7 +159,7 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_ratio(args) -> int:
-    rbars = _sweep(args)
+    rbars = Grid(args.min, args.max, args.points, args.log).values()
     s = drf.sections(rbars)
     header = ["rbar", "ratio_smp", "ratio_qnt", "ce_penalty", "d_tilde"]
     rows = np.column_stack([rbars, s.ratio_smp, s.ratio_qnt, s.ce_penalty,
@@ -158,18 +169,15 @@ def _cmd_ratio(args) -> int:
 
 
 def _cmd_eigen(args) -> int:
-    if args.n < 1:
-        raise ValueError("--n must be >= 1")
     params = ProcessParams(sigma2=args.sigma2, fs=args.fs)
-    k = np.arange(1, args.n + 1)
-    phi = (k - 0.5) / args.n
     if args.kind == "discrete":
         lam = discrete_wiener_eigenvalues(params, args.n)
-        limit = (params.sigma2 / params.fs) * s_bar(phi)
+        unit, density = params.sigma2 / params.fs, s_bar
     else:
         lam = interp_kernel_eigenvalues(params, args.n)
-        ts = float(params.ts)   # a float product overflows to inf
-        limit = (params.sigma2 * (ts * ts)) * s_tilde_density(phi)
+        unit, density = params.sigma2_ts2, s_tilde_density
+    k = np.arange(1, args.n + 1)
+    limit = unit * density((k - 0.5) / args.n)
     header = ["k", "lambda", "density_limit"]
     _write_outputs(args, header, np.column_stack([k, lam, limit]))
     return 0
@@ -177,14 +185,17 @@ def _cmd_eigen(args) -> int:
 
 def _cmd_simulate(args) -> int:
     params = ProcessParams(sigma2=args.sigma2, fs=args.fs)
+    if args.trials < 2:   # SimConfig takes 1; the summary cannot
+        raise ValueError("--trials must be >= 2: a standard error needs"
+                         " at least 2 trials")
     config = mc.SimConfig(horizon_t=args.horizon, oversample=args.oversample,
                           trials=args.trials, seed=args.seed)
-    if args.scheme == "mmse-only":
-        result = mc.empirical_mmse(params, config)
-    else:
-        if args.rbar is None:
-            raise ValueError("--rbar is required for the test-channel scheme")
-        result = mc.mc_test_channel_run(params, config, args.rbar)
+    if args.scheme == "test-channel" and args.rbar is None:
+        raise ValueError("--rbar is required for the test-channel scheme")
+    if args.rbar is not None:   # refused if bad, even where unused
+        check_positive("rbar", args.rbar)
+    result = (mc.empirical_mmse(params, config) if args.scheme == "mmse-only"
+              else mc.mc_test_channel_run(params, config, args.rbar))
     values = (result.estimate, result.stderr, result.reference, result.z_score)
     _check_finite(values)
     summary = "estimate={} stderr={} reference={} z={}".format(
@@ -254,43 +265,19 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        _precheck(args)
-    except (ValueError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         with np.errstate(all="ignore"):   # non-finite results exit 3
             return args.func(args)
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, MemoryError) as exc:
+        if isinstance(exc, ParameterError):   # a field: name its flag
+            flag = {"horizon_t": "horizon"}.get(exc.field, exc.field)
+            exc = f"--{flag} {exc.reason}"
+        elif isinstance(exc, MemoryError):
+            exc = f"{args.command}: request too large to allocate"
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _NUMERICAL_ERRORS as exc:
-        op = getattr(args, "command", "computation")
-        print(f"numerical failure in {op}: {exc}", file=sys.stderr)
+    except FloatingPointError as exc:   # a result past the float range
+        print(f"numerical failure in {args.command}: {exc}", file=sys.stderr)
         return 3
-    except MemoryError:
-        print(f"error: {args.command}: request too large to allocate",
-              file=sys.stderr)
-        return 2
-
-
-def _precheck(args) -> None:
-    """Validate every numeric flag before any computation starts."""
-    for name in ("sigma2", "fs", "horizon", "rate", "rbar", "min", "max"):
-        value = getattr(args, name, None)
-        if value is not None and not (value > 0 and math.isfinite(value)):
-            raise ValueError(f"--{name} must be positive and finite")
-    for name in ("points", "n", "oversample"):
-        value = getattr(args, name, None)
-        if value is not None and value < 1:
-            raise ValueError(f"--{name} must be a positive integer")
-    trials = getattr(args, "trials", None)
-    if trials is not None and trials < 2:
-        raise ValueError("--trials must be >= 2: a standard error needs"
-                         " at least 2 trials")
-    seed = getattr(args, "seed", None)
-    if seed is not None and not 0 <= seed < 2 ** 64:
-        raise ValueError("--seed must fit in 64 bits")
 
 
 if __name__ == "__main__":

@@ -35,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER, ProcessParams
+from .spectral import (SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER, ProcessParams,
+                       check_positive)
 from .waterfill import (WaterLevels, distortion_at_theta, rate_at_theta,
                         water_levels)
 
@@ -79,8 +80,7 @@ class RateSpec:
     rate: float
 
     def __post_init__(self):
-        if not (self.rate > 0 and math.isfinite(self.rate)):
-            raise ValueError(f"rate must be positive and finite, got {self.rate}")
+        check_positive("rate", self.rate)
 
 
 @dataclass(frozen=True)
@@ -156,19 +156,18 @@ def sections(rbar) -> Sections:
 def sweep(sigma2, fs, rate) -> DistortionBundle:
     """``bundle`` over arrays of sigma2, fs and rate (bits per unit time).
 
-    The three broadcast together; each must be positive and finite.  The
-    bundle's fields are arrays of the broadcast shape (floats for scalars).
-    A scale sigma2/fs or sigma2/R past the float range raises
-    FloatingPointError.
+    The three broadcast together; each must be positive and finite
+    (``ParameterError`` names the first that is not).  The bundle's fields
+    are arrays of the broadcast shape (floats for scalars).  A scale
+    sigma2/fs or sigma2/R past the float range raises FloatingPointError.
     """
-    sigma2, fs, rate = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (sigma2, fs, rate)))
-    for name, value in (("sigma2", sigma2), ("fs", fs), ("rate", rate)):
-        if not np.all((value > 0) & np.isfinite(value)):
-            raise ValueError(f"{name} must be positive and finite")
-    curves = sections(rate / fs)
-    scale = sigma2 / fs
-    for name, value in (("sigma2/fs", scale), ("sigma2/R", sigma2 / rate)):
+    sigma2, fs, rate = np.broadcast_arrays(*(
+        check_positive(name, value) for name, value
+        in (("sigma2", sigma2), ("fs", fs), ("rate", rate))))
+    with np.errstate(over="ignore"):   # past the float range: raised below
+        rbar, scale, per_rate = rate / fs, sigma2 / fs, sigma2 / rate
+    curves = sections(rbar)
+    for name, value in (("sigma2/fs", scale), ("sigma2/R", per_rate)):
         if not np.all(np.isfinite(value)):
             raise FloatingPointError(f"{name} is past the floating-point range")
     mmse = scale / 6.0

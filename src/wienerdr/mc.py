@@ -49,7 +49,8 @@ from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .spectral import ProcessParams, discrete_wiener_eigenvalues
+from .spectral import (ParameterError, ProcessParams, check_positive,
+                       discrete_wiener_eigenvalues)
 
 __all__ = [
     "SimConfig",
@@ -81,22 +82,17 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
-        if not (self.horizon_t > 0 and math.isfinite(self.horizon_t)):
-            raise ValueError("horizon_t must be positive and finite")
+        check_positive("horizon_t", self.horizon_t)
         for name in ("oversample", "trials", "seed"):
-            try:
-                int(getattr(self, name))
-            except (OverflowError, ValueError):   # inf or nan
-                raise ValueError(f"{name} must be a finite integer,"
-                                 f" got {getattr(self, name)}") from None
-        if int(self.oversample) != self.oversample or self.oversample < 1:
-            raise ValueError("oversample must be an integer >= 1")
-        if int(self.trials) != self.trials or self.trials < 1:
-            raise ValueError("trials must be an integer >= 1")
+            value = getattr(self, name)
+            if not (isinstance(value, int) or float(value).is_integer()):
+                raise ParameterError(name, "must be an integer")
+            if name != "seed" and value < 1:
+                raise ParameterError(name, "must be a positive integer")
         if self.trials > 2 ** 32:   # spawn keys of one 32-bit word
-            raise ValueError("trials must be <= 2**32")
-        if int(self.seed) != self.seed or not 0 <= int(self.seed) < 2 ** 64:
-            raise ValueError("seed must be an integer that fits in 64 bits")
+            raise ParameterError("trials", "must be <= 2**32")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ParameterError("seed", "must fit in 64 bits")
 
 
 @dataclass(frozen=True)
@@ -594,12 +590,8 @@ def finite_waterfill_theta(eigenvalues: np.ndarray, rbar: float) -> float:
     mean of those eigenvalues scaled by 2**(-2 n rbar / m).  All n candidate
     levels come from one cumulative sum; the first consistent one is taken.
     """
-    lam = np.asarray(eigenvalues, dtype=float)
-    if np.any(lam <= 0):
-        raise ValueError("eigenvalues must be positive")
-    lam = np.sort(lam)[::-1]
-    if not rbar > 0:
-        raise ValueError("rbar must be > 0")
+    lam = np.sort(check_positive("eigenvalues", eigenvalues))[::-1]
+    check_positive("rbar", rbar)
     n = len(lam)
     budget = 2.0 * n * rbar * math.log(2.0)
     theta = np.exp((np.cumsum(np.log(lam)) - budget) / np.arange(1, n + 1))
@@ -666,7 +658,7 @@ def ce_moment_oracle(params: ProcessParams, n: int, rbar: float) -> ErrorMoments
     this is the semi-analytic reference for the compress-and-estimate limit.
     """
     if n < 2:
-        raise ValueError("n must be >= 2")
+        raise ParameterError("n", "must be >= 2")
     lam = discrete_wiener_eigenvalues(params, n)
     return _oracle_moments(lam, finite_waterfill_theta(lam, rbar))
 

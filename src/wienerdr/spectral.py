@@ -17,12 +17,15 @@ oracles used to validate the closed forms.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 __all__ = [
+    "ParameterError",
+    "check_positive",
     "ProcessParams",
     "SpectralDensity",
     "SAMPLED_WIENER",
@@ -39,6 +42,22 @@ __all__ = [
 ]
 
 
+class ParameterError(ValueError):
+    """A bad value of the parameter ``field``, which ``reason`` explains."""
+
+    def __init__(self, field: str, reason: str):
+        super().__init__(f"{field} {reason}")
+        self.field, self.reason = field, reason
+
+
+def check_positive(field: str, value) -> np.ndarray:
+    """``value`` as a float array, if positive and finite throughout."""
+    value = np.asarray(value, dtype=float)   # a nan is the min and the max
+    if not (value.min(initial=np.inf) > 0 and value.max(initial=0.0) < np.inf):
+        raise ParameterError(field, "must be positive and finite")
+    return value
+
+
 @dataclass(frozen=True)
 class ProcessParams:
     """Wiener intensity sigma2 and uniform sampling rate fs (both > 0)."""
@@ -47,15 +66,22 @@ class ProcessParams:
     fs: float
 
     def __post_init__(self):
-        if not (self.sigma2 > 0 and np.isfinite(self.sigma2)):
-            raise ValueError(f"sigma2 must be positive and finite, got {self.sigma2}")
-        if not (self.fs > 0 and np.isfinite(self.fs)):
-            raise ValueError(f"fs must be positive and finite, got {self.fs}")
+        check_positive("sigma2", self.sigma2)
+        check_positive("fs", self.fs)
 
     @property
     def ts(self) -> float:
         """Sampling interval 1/fs (derived, never stored)."""
         return 1.0 / self.fs
+
+    @property
+    def sigma2_ts2(self) -> float:
+        """sigma2 (ts * ts), rounded once (``**`` is one ulp off for 1 fs in
+        1,200), or (sigma2 ts) ts where ts * ts is not a finite normal float."""
+        sigma2, ts = float(self.sigma2), float(self.ts)
+        if sys.float_info.min <= ts * ts <= sys.float_info.max:
+            return sigma2 * (ts * ts)
+        return sigma2 * ts * ts
 
 
 def _check_phi(phi):
@@ -147,20 +173,20 @@ class EigenSystem:
     node_values: Optional[np.ndarray] = None
     normalizers: Optional[np.ndarray] = field(default=None, repr=False)
 
+    def _mode(self, rows: Optional[np.ndarray], k: int, what: str):
+        if rows is None:
+            raise ValueError(f"this eigensystem has no {what}")
+        if not 1 <= k <= self.n:
+            raise ParameterError("k", f"must be in 1..{self.n}")
+        return rows[k - 1]
+
     def eigenvector(self, k: int) -> np.ndarray:
         """Unit-norm eigenvector for mode k (1-based)."""
-        if self.eigenvectors is None:
-            raise ValueError("this eigensystem has no discrete eigenvectors")
-        if not 1 <= k <= self.n:
-            raise ValueError(f"k must be in 1..{self.n}")
-        return self.eigenvectors[k - 1]
+        return self._mode(self.eigenvectors, k, "discrete eigenvectors")
 
     def eigenfunction(self, k: int, t):
         """Piecewise-linear eigenfunction for mode k evaluated at time(s) t."""
-        if self.node_values is None:
-            raise ValueError("this eigensystem has no eigenfunctions")
-        if not 1 <= k <= self.n:
-            raise ValueError(f"k must be in 1..{self.n}")
+        v = self._mode(self.node_values, k, "eigenfunctions")
         t_arr = np.asarray(t, dtype=float)
         horizon = self.n * self.ts
         if np.any(t_arr < 0) or np.any(t_arr > horizon * (1 + 1e-12)):
@@ -168,7 +194,6 @@ class EigenSystem:
         pos = t_arr / self.ts
         idx = np.minimum(pos.astype(int), self.n - 1)
         frac = pos - idx
-        v = self.node_values[k - 1]
         out = v[idx] * (1.0 - frac) + v[idx + 1] * frac
         return float(out) if t_arr.ndim == 0 else out
 
@@ -177,7 +202,7 @@ def discrete_wiener_eigenvalues(params: ProcessParams, n: int) -> np.ndarray:
     """Eigenvalues (sigma2/fs) / (4 sin^2((2k-1) pi / (2(2n+1)))), k = 1..n,
     of the covariance (sigma2/fs) * min{i, j}; decreasing in k, O(n)."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ParameterError("n", "must be a positive integer")
     k = np.arange(1, n + 1)
     return (params.sigma2 / params.fs) / (
         4.0 * np.sin((2 * k - 1) * np.pi / (2.0 * (2 * n + 1))) ** 2)
@@ -212,17 +237,15 @@ def interp_kernel_eigenvalues(params: ProcessParams, n: int) -> np.ndarray:
         lam_k = sigma2 ts^2 (2 + cos x_k) / (12 sin^2(x_k / 2)),
         x_k = (2k-1) pi / (2n),   k = 1..n,
 
-    which is sigma2 ts^2 times the shifted density at (k - 1/2)/n.  The form
-    has no cancellation (relative error a few ulp at any n) and is
-    decreasing in k: the numerator falls and the denominator rises.  ts^2
-    is the correctly rounded product ts * ts (``**`` goes through C
-    ``pow``, one ulp off for about 1 fs in 1,200), inf past the float range.
+    which is sigma2 ts^2 (``ProcessParams.sigma2_ts2``) times the shifted
+    density at (k - 1/2)/n.  The form has no cancellation (relative error a
+    few ulp at any n) and is decreasing in k: the numerator falls and the
+    denominator rises.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ParameterError("n", "must be a positive integer")
     x = (2 * np.arange(1, n + 1) - 1) * np.pi / (2.0 * n)
-    ts = float(params.ts)
-    return (params.sigma2 * (ts * ts) / 12.0) * (
+    return (params.sigma2_ts2 / 12.0) * (
         (2.0 + np.cos(x)) / np.sin(0.5 * x) ** 2)
 
 
@@ -292,7 +315,7 @@ def nystrom_interp_eigenvalues(params: ProcessParams, n: int,
     fits comfortably.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ParameterError("n", "must be a positive integer")
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
     ts = params.ts

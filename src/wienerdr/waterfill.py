@@ -51,7 +51,7 @@ from typing import Optional
 
 import numpy as np
 
-from .spectral import SpectralDensity
+from .spectral import SpectralDensity, check_positive
 
 __all__ = [
     "MAX_RBAR",
@@ -149,10 +149,7 @@ def _distortion(theta, c, phic, shift: float):
 
 
 def _log_level(theta):
-    theta = np.asarray(theta, dtype=float)
-    if not np.all((theta > 0) & np.isfinite(theta)):
-        raise ValueError("theta must be > 0 and finite")
-    return np.log(theta)
+    return np.log(check_positive("theta", theta))
 
 
 def water_levels(density: SpectralDensity, rbar) -> WaterLevels:

@@ -1,17 +1,23 @@
 """Command-line interface: determinism, exit codes, file hygiene."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wienerdr
-from wienerdr import cli, mc
+from wienerdr import cli, drf, mc, spectral
 from wienerdr.cli import _fmt, _write_csv_atomic, main
 
 
@@ -122,6 +128,28 @@ class TestEigen:
         assert main(["eigen", "--kind", "discrete", "--n", "0",
                      "--out", out]) == 2
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("sigma2,fs,n", [
+        ("4.97e-309", "4.06e-190", 193),   # ts * ts overflows
+        ("1e300", "1e200", 7)],            # ts * ts underflows to 0
+        ids=["ts-squared-overflows", "ts-squared-underflows"])
+    def test_interp_answers_wherever_floats_hold_them(self, tmp_path, sigma2,
+                                                      fs, n):
+        out = str(tmp_path / "eigen.csv")
+        assert main(["eigen", "--kind", "interp", "--sigma2", sigma2, "--fs",
+                     fs, "--n", str(n), "--out", out]) == 0
+        _, cols = read_csv(out)
+        with mpmath.workdps(40):
+            unit = mpmath.mpf(float(sigma2)) / mpmath.mpf(float(fs)) ** 2
+            for k in range(1, n + 1):
+                x = (2 * k - 1) * mpmath.pi / (2 * n)
+                lam = unit * (2 + mpmath.cos(x)) / (12 * mpmath.sin(x / 2) ** 2)
+                phi = mpmath.mpf(2 * k - 1) / (2 * n)
+                limit = unit * (1 / (4 * mpmath.sin(mpmath.pi * phi / 2) ** 2)
+                                - mpmath.mpf(1) / 6)
+                for got, exact in ((cols["lambda"][k - 1], lam),
+                                   (cols["density_limit"][k - 1], limit)):
+                    assert abs(got - exact) <= 1e-13 * exact
 
 
 class TestSimulate:
@@ -285,6 +313,189 @@ class TestArgumentHandling:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {flag} must be positive and finite"]
         assert os.listdir(tmp_path) == []
+
+
+GRID = ["--min", "0.5", "--max", "2", "--points", "3"]
+CURVE, RATIO = ["curve", *GRID], ["ratio", *GRID]
+EIGEN = ["eigen", "--kind", "interp", "--n", "5"]
+MMSE = ["simulate", "--scheme", "mmse-only", "--horizon", "4", "--trials",
+        "5", "--seed", "1"]
+CHANNEL = ["simulate", "--scheme", "test-channel", "--horizon", "4",
+           "--trials", "5", "--seed", "1"]
+POSITIVE = "must be positive and finite"
+TWO_TRIALS = "--trials must be >= 2: a standard error needs at least 2 trials"
+UNIT_PARAMS = spectral.ProcessParams(1.0, 1.0)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (CURVE + ["--sigma2", "0"], f"--sigma2 {POSITIVE}"),
+    (EIGEN + ["--fs", "-1"], f"--fs {POSITIVE}"),
+    (["curve", "--rate", "1", "--fs", "0", *GRID], f"--fs {POSITIVE}"),
+    (CURVE + ["--rate", "0"], f"--rate {POSITIVE}"),
+    (RATIO + ["--min", "-1"], f"--min {POSITIVE}"),
+    (CURVE + ["--max", "inf"], f"--max {POSITIVE}"),
+    (RATIO + ["--min", "2", "--max", "1"], "need 0 < --min < --max"),
+    (CURVE + ["--min", "2"], "need 0 < --min < --max"),
+    (RATIO + ["--points", "0"], "--points must be >= 2"),
+    (CURVE + ["--points", "1"], "--points must be >= 2"),
+    (EIGEN + ["--n", "0"], "--n must be a positive integer"),
+    (MMSE + ["--horizon", "0"], f"--horizon {POSITIVE}"),
+    (MMSE + ["--oversample", "0"], "--oversample must be a positive integer"),
+    (MMSE + ["--trials", "0"], TWO_TRIALS),
+    (MMSE + ["--trials", "1"], TWO_TRIALS),
+    (MMSE + ["--trials", str(2 ** 32 + 1)], "--trials must be <= 2**32"),
+    (MMSE + ["--seed", "-1"], "--seed must fit in 64 bits"),
+    (MMSE + ["--seed", str(2 ** 64)], "--seed must fit in 64 bits"),
+    (CHANNEL + ["--rbar", "inf"], f"--rbar {POSITIVE}"),
+    (MMSE + ["--rbar", "nan"], f"--rbar {POSITIVE}"),
+    (CHANNEL, "--rbar is required for the test-channel scheme")],
+    ids=["sigma2", "fs", "fs-swept", "rate", "min", "max", "min-above-max",
+         "min-equals-max", "points-0", "points-1", "n", "horizon",
+         "oversample", "trials-0", "trials-1", "trials-2**32+1", "seed--1",
+         "seed-2**64", "rbar-inf", "rbar-unused", "rbar-missing"])
+def test_each_bad_flag_is_named(tmp_path, capsys, monkeypatch, argv, message):
+    # each value is refused by its type before any work: no run may start
+    def never(*args):
+        raise AssertionError("the computation must not start")
+
+    monkeypatch.setattr(drf, "sections", never)
+    monkeypatch.setattr(mc, "_run", never)
+    out = str(tmp_path / "x.csv")
+    assert main(argv + ["--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {message}"]
+    assert captured.out == ""
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("build,field", [
+    (lambda: spectral.ProcessParams(0.0, 1.0), "sigma2"),
+    (lambda: spectral.ProcessParams(1.0, math.nan), "fs"),
+    (lambda: drf.RateSpec(math.inf), "rate"),
+    (lambda: drf.sweep(1.0, [1.0, -1.0], 1.0), "fs"),
+    (lambda: mc.SimConfig(0.0, 8, 2, 1), "horizon_t"),
+    (lambda: mc.SimConfig(1.0, 2.5, 2, 1), "oversample"),
+    (lambda: mc.SimConfig(1.0, 8, 0, 1), "trials"),
+    (lambda: mc.SimConfig(1.0, 8, 2, 2 ** 64), "seed"),
+    (lambda: spectral.discrete_wiener_eigenvalues(UNIT_PARAMS, 0), "n"),
+    (lambda: spectral.interp_kernel_eigenvalues(UNIT_PARAMS, -1), "n"),
+    (lambda: mc.mc_test_channel_run(UNIT_PARAMS, mc.SimConfig(8.0, 4, 5, 1),
+                                    math.nan), "rbar"),
+    (lambda: cli.Grid(1.0, math.inf, 3, False), "max"),
+    (lambda: cli.Grid(1.0, 2.0, 1, True), "points")],
+    ids=["sigma2", "fs", "RateSpec", "sweep", "horizon_t", "oversample",
+         "trials", "seed", "discrete-n", "interp-n", "rbar", "grid-max",
+         "grid-points"])
+def test_each_type_names_its_field(monkeypatch, build, field):
+    monkeypatch.setattr(mc, "_run", None)   # rbar is checked before any draw
+    with pytest.raises(spectral.ParameterError) as caught:
+        build()
+    assert caught.value.field == field
+    assert str(caught.value).startswith(f"{field} must ")
+
+
+#: sigma2 and fs of the contract below, log-uniform over the float range
+SCALE = st.floats(math.log(1e-310), math.log(1e308)).map(math.exp)
+RBAR = st.floats(1e-3, 50.0)
+#: exit-2 messages about a derived quantity, for which no one flag is at fault
+DERIVED = ("error: need 0 < --min < --max", "error: bits per sample must be",
+           "error: need horizon * fs > 1")
+
+
+@st.composite
+def cli_calls(draw):
+    """(argv without --out, its numeric flags) of one small command whose
+    sigma2 and fs may lie anywhere in the float range."""
+    command = draw(st.sampled_from(["curve", "ratio", "eigen", "simulate"]))
+    sigma2, fs = draw(SCALE), draw(SCALE)
+    low, high = sorted([draw(RBAR), draw(RBAR)])
+    flags = {} if command == "ratio" else {"--sigma2": sigma2, "--fs": fs}
+    argv = [command]
+    if command == "ratio":
+        flags.update({"--min": low, "--max": high})
+    elif command == "curve":
+        if draw(st.booleans()):   # sweep R at fixed fs
+            flags.update({"--min": low * fs, "--max": high * fs})
+        else:                     # sweep fs at fixed R
+            rate = draw(RBAR) * fs
+            flags.update({"--rate": rate, "--min": rate / high,
+                          "--max": rate / low})
+        argv += ["--normalized"] if draw(st.booleans()) else []
+    elif command == "eigen":
+        argv += ["--kind", draw(st.sampled_from(["discrete", "interp"]))]
+        flags["--n"] = draw(st.integers(1, 200))
+    else:
+        scheme = draw(st.sampled_from(["mmse-only", "test-channel"]))
+        argv += ["--scheme", scheme]
+        flags.update({"--horizon": draw(st.integers(1, 64)) / fs,
+                      "--oversample": draw(st.integers(1, 8)),
+                      "--trials": draw(st.integers(2, 20)),
+                      "--seed": draw(st.integers(0, 2 ** 64 - 1))})
+        if scheme == "test-channel":
+            flags["--rbar"] = draw(RBAR)
+    if command in ("curve", "ratio"):
+        argv += ["--points", str(draw(st.integers(2, 12)))]
+        argv += ["--log"] if draw(st.booleans()) else []
+    for flag, value in flags.items():
+        argv += [flag, repr(value)]
+    return argv, flags
+
+
+def eigen_log_range(argv, flags):
+    """Natural logs of the smallest and largest exact cells of an ``eigen``
+    table, from the closed forms in log space."""
+    n = flags["--n"]
+    k = np.arange(1, n + 1)
+    density = spectral.s_bar((k - 0.5) / n)
+    if "discrete" in argv:
+        log_unit = math.log(flags["--sigma2"]) - math.log(flags["--fs"])
+        modes = 1.0 / (4.0 * np.sin((2 * k - 1) * np.pi / (4 * n + 2)) ** 2)
+    else:
+        log_unit = math.log(flags["--sigma2"]) - 2.0 * math.log(flags["--fs"])
+        x = (2 * k - 1) * np.pi / (2 * n)
+        modes = (2.0 + np.cos(x)) / (12.0 * np.sin(0.5 * x) ** 2)
+        density = density - 1.0 / 6.0
+    logs = log_unit + np.log(np.concatenate([modes, density, k]))
+    return logs.min(), logs.max()
+
+
+@given(call=cli_calls())
+@settings(max_examples=200, deadline=None)
+def test_contract_over_the_float_range(call):
+    """Every call exits 0 with finite, normal-or-zero cells and a manifest,
+    or 2 or 3 with one stderr line and no file; a flag at fault is named,
+    and an ``eigen`` exit 3 has an answer outside the normal floats."""
+    argv, flags = call
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as work, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = os.path.join(work, "x.csv")
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(argv + ["--out", out])
+        files = sorted(os.listdir(work))
+        cells = np.concatenate(list(read_csv(out)[1].values())) \
+            if code == 0 else None
+    assert code in (0, 2, 3)
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert files == ["x.csv", "x.csv.manifest.json"] and lines == []
+        size = np.abs(cells)
+        assert np.all((size == 0) | ((size >= sys.float_info.min)
+                                     & (size <= sys.float_info.max)))
+        return
+    assert len(lines) == 1 and files == []
+    if code == 2:
+        bad = [flag for flag, value in flags.items()
+               if isinstance(value, float) and not 0.0 < value < math.inf]
+        if bad:
+            assert any(lines[0].startswith(f"error: {flag} ") for flag in bad)
+        else:
+            assert lines[0].startswith(DERIVED)
+    elif argv[0] == "eigen":
+        low, high = eigen_log_range(argv, flags)
+        assert low < math.log(sys.float_info.min) + 1e-9 \
+            or high > math.log(sys.float_info.max) - 1e-9
 
 
 def run_python(code: str, expect: int = 0) -> subprocess.CompletedProcess:

@@ -1,6 +1,7 @@
 """Closed-form distortion curves, ratios, equilibrium, ordering."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -273,25 +274,38 @@ class TestValidation:
         d_tilde(drf.MIN_RBAR)
 
 
-class TestSweepProperties:
-    """Scaling and ordering over log-uniform (sigma2, fs, R), R/fs up to
-    MAX_RBAR, extremes included."""
+#: natural-log bounds of the normal floats, pulled in so that exp stays inside
+LOG_NORMAL = (math.log(sys.float_info.min) + 1e-12,
+              math.log(sys.float_info.max) - 1e-12)
 
-    @given(log_sigma2=st.floats(math.log(1e-6), math.log(1e6)),
-           log_fs=st.floats(math.log(1e-3), math.log(1e3)),
+
+class TestSweepProperties:
+    """Scaling and ordering over log-uniform (sigma2, fs, R) across the
+    normal floats, R/fs up to MAX_RBAR, extremes included."""
+
+    @given(log_sigma2=st.floats(*LOG_NORMAL),
+           log_fs=st.floats(*LOG_NORMAL),
            log_rbar=st.floats(math.log(drf.MIN_RBAR), math.log(MAX_RBAR)))
     @example(0.0, 0.0, math.log(BRANCH_EDGES[0]))
     @example(0.0, 0.0, math.log(BRANCH_EDGES[1]))
     @example(0.0, 0.0, math.log(BRANCH_EDGES[2]))
     @example(0.0, 0.0, math.log(BRANCH_EDGES[3]))
+    @example(LOG_NORMAL[1], LOG_NORMAL[0], 0.0)       # sigma2/fs overflows
+    @example(LOG_NORMAL[1], 0.0, math.log(drf.MIN_RBAR))   # sigma2/R does
+    @example(LOG_NORMAL[0], LOG_NORMAL[1], math.log(MAX_RBAR))   # underflow
     @settings(max_examples=150, deadline=None)
     def test_scaling_and_ordering(self, log_sigma2, log_fs, log_rbar):
         sigma2, fs = math.exp(log_sigma2), math.exp(log_fs)
         rate = math.exp(log_rbar) * fs
+        assume(0.0 < rate < math.inf)
         assume(drf.MIN_RBAR <= rate / fs <= MAX_RBAR)
+        scale = sigma2 / fs
+        if not (scale < math.inf and sigma2 / rate < math.inf):
+            with pytest.raises(FloatingPointError, match="floating-point range"):
+                drf.sweep(sigma2, fs, rate)
+            return
         b = drf.sweep(sigma2, fs, rate)   # the DistortionBundle ordering holds
         s = drf.sections(rate / fs)
-        scale = sigma2 / fs
         expected = {
             "d_opt": scale * (1.0 / 6.0 + s.d_tilde),
             "d_ce": scale * (1.0 / 6.0 + s.sampled.ce),
@@ -302,5 +316,8 @@ class TestSweepProperties:
             "theta_ce": s.sampled.theta,
         }
         for name, value in expected.items():
-            assert getattr(b, name) == pytest.approx(value, rel=1e-12), name
+            got = getattr(b, name)
+            assert math.isfinite(got), name
+            if value >= sys.float_info.min:   # else it has lost digits
+                assert got == pytest.approx(value, rel=1e-12), name
         assert b.d_bar <= b.d_w

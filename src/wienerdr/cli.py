@@ -139,9 +139,11 @@ class Grid:
             raise ValueError("need 0 < --min < --max")
 
     def values(self) -> np.ndarray:
+        """The sweep, whose first and last values are exactly min and max."""
         if not self.log:
             return np.linspace(self.min, self.max, self.points)
-        return np.logspace(np.log10(self.min), np.log10(self.max), self.points)
+        with np.errstate(over="ignore"):   # an inf endpoint, then replaced
+            return np.geomspace(self.min, self.max, self.points)
 
 
 def _cmd_curve(args) -> int:
@@ -178,6 +180,8 @@ def _cmd_eigen(args) -> int:
         unit, density = params.sigma2_ts2, s_tilde_density
     k = np.arange(1, args.n + 1)
     limit = unit * density((k - 0.5) / args.n)
+    if lam.min() == 0 or limit.min() == 0:   # every exact cell is positive
+        raise FloatingPointError("an eigenvalue rounds to 0")
     header = ["k", "lambda", "density_limit"]
     _write_outputs(args, header, np.column_stack([k, lam, limit]))
     return 0

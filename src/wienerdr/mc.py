@@ -18,13 +18,16 @@ Reproducibility contract: the generator for trial k is
 ``Philox(SeedSequence(entropy=seed, spawn_key=(k,)))`` and each trial
 consumes only its own stream, so any partitioning of the trial range, into
 chunks of rows (``_chunk_rows``) or into parts, reproduces the sequential
-results bit for bit (statistics are always reduced in trial order).  A run
-of T trials of d standard normals (path and noise draws) each has
-min(CPUs, T, T d // 2**18) parts (``_workers``); parts 1.. go to a pool of
-workers (``_run``), each forked the first time a run needs it, reused by
-later runs, killed on an error and reaped at exit, and a part whose worker
-fails is computed here.  A spawn key of one 32-bit word covers trials
-0 .. 2**32 - 1, so runs are capped at 2**32 trials.
+results bit for bit (statistics are always reduced in trial order).  The
+keys take the seed's entropy pool from ``SeedSequence(seed)`` itself; only
+the step that mixes in each spawn word is redone here, vectorized over the
+trial range (``_spawn_keys``), since one SeedSequence per trial costs about
+a hundred times as much.  A run of T trials of d standard normals (path
+and noise draws) each has min(CPUs, T, T d // 2**18) parts (``_workers``);
+parts 1.. go to a pool of workers (``_run``), each forked the first time a
+run needs it, reused by later runs, killed on an error and reaped at exit,
+and a part whose worker fails is computed here.  A spawn key of one 32-bit
+word covers trials 0 .. 2**32 - 1, so runs are capped at 2**32 trials.
 
 The compress-and-estimate experiment replaces the random-codebook encoder
 with the Gaussian test channel attaining the same per-coefficient error
@@ -164,6 +167,9 @@ def effective_grid(params: ProcessParams, config: SimConfig) -> Tuple[int, float
     the effective value is reported back instead of being silently absorbed.
     """
     raw = config.horizon_t * params.fs
+    if raw == math.inf:
+        raise ParameterError("horizon_t", "is too long to allocate: horizon"
+                                          " * fs overflows")
     nearest = round(raw)
     n = max(1, nearest if abs(raw - nearest) < 1e-9 else math.ceil(raw))
     return int(n), n / params.fs
@@ -176,34 +182,19 @@ _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+#: SeedSequence's hash constant after the 16 hashes (4 seed words in, 12
+#: cross-mixes) that fill its pool from any seed below 2**128
+_SEEDED_HASH = (_INIT_A * pow(_MULT_A, 16, 1 << 32)) & _MASK32
 
 
 def _seed_pool(seed: int) -> Tuple[Tuple[int, ...], int]:
     """(entropy pool, hash constant) of SeedSequence after the seed's words.
 
-    A spawned SeedSequence pads the seed's 32-bit words (at most two below
-    2**64) with zeros to the pool size, mixes them into the pool and then
-    mixes in the spawn word; everything before the spawn word depends on
-    the seed alone.
+    A spawned SeedSequence mixes the seed's words into its pool exactly as
+    ``SeedSequence(seed)`` does and only then mixes in the spawn word, so
+    that pool and the fixed hash constant are all a trial key needs.
     """
-    hash_const = _INIT_A
-
-    def hashmix(value: int) -> int:
-        nonlocal hash_const
-        value ^= hash_const
-        hash_const = (hash_const * _MULT_A) & _MASK32
-        value = (value * hash_const) & _MASK32
-        return value ^ (value >> 16)
-
-    pool = [hashmix((int(seed) >> (32 * i)) & _MASK32)
-            for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                mixed = (_MIX_MULT_L * pool[dst]
-                         - _MIX_MULT_R * hashmix(pool[src])) & _MASK32
-                pool[dst] = mixed ^ (mixed >> 16)
-    return tuple(pool), hash_const
+    return tuple(np.random.SeedSequence(int(seed)).pool.tolist()), _SEEDED_HASH
 
 
 def _hash_steps(hash_const: int, mult: int) -> Tuple[np.ndarray, np.ndarray]:

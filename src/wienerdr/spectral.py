@@ -11,8 +11,10 @@ density S(phi) - 1/6.  A density is its shift (``SpectralDensity``), which
 gives S, its floor and the one formula for the water-level crossing.  The
 module also provides closed-form finite-rank eigenvalues in O(n) and
 eigensystems for the two covariance kernels (the discrete walk and the
-interpolator kernel on [0, n/fs]), and brute-force eigensolver / Nystrom
-oracles used to validate the closed forms.
+interpolator kernel on [0, n/fs]).  Two oracles validate the closed forms:
+``interp_covariance`` evaluates the interpolator kernel pointwise, and
+``nystrom_interp_eigenvalues`` gives its discretized spectrum by one route,
+an n x n matrix with the same nonzero eigenvalues as the Nystrom matrix.
 """
 
 from __future__ import annotations
@@ -224,13 +226,6 @@ def discrete_wiener_eigensystem(params: ProcessParams, n: int) -> EigenSystem:
                        eigenvectors=vecs, normalizers=np.full(n, norm))
 
 
-def _pwl_l2_norm_sq(values: np.ndarray, ts: float) -> np.ndarray:
-    """Squared L2[0, n*ts] norm of piecewise-linear functions given node rows."""
-    a = values[..., :-1]
-    b = values[..., 1:]
-    return (ts / 3.0) * np.sum(a * a + a * b + b * b, axis=-1)
-
-
 def interp_kernel_eigenvalues(params: ProcessParams, n: int) -> np.ndarray:
     """Eigenvalues of the sample-interpolator kernel on [0, n*ts], O(n).
 
@@ -254,13 +249,15 @@ def interp_kernel_eigensystem(params: ProcessParams, n: int) -> EigenSystem:
 
     Eigenvalues from ``interp_kernel_eigenvalues``; the eigenfunctions are
     piecewise linear with node values sin((2k-1) pi m / (2n)), m = 0..n,
-    normalized to unit L2 norm.
+    normalized to unit L2 norm.  With x_k = (2k-1) pi / (2n), the squared
+    norm (ts/3) sum(a^2 + ab + b^2) over the intervals' end values a, b sums
+    in closed form to ts n (2 + cos x_k) / 6.
     """
     lam = interp_kernel_eigenvalues(params, n)
     ts = params.ts
-    k = np.arange(1, n + 1)
-    nodes = np.sin(np.outer((2 * k - 1) * np.pi / (2.0 * n), np.arange(n + 1)))
-    scale = 1.0 / np.sqrt(_pwl_l2_norm_sq(nodes, ts))
+    x = (2 * np.arange(1, n + 1) - 1) * np.pi / (2.0 * n)
+    nodes = np.sin(np.outer(x, np.arange(n + 1)))
+    scale = 1.0 / np.sqrt((ts * n / 6.0) * (2.0 + np.cos(x)))
     nodes *= scale[:, None]
     return EigenSystem(n=n, eigenvalues=lam, ts=ts, node_values=nodes,
                        normalizers=scale)
@@ -296,62 +293,33 @@ def interp_covariance(params: ProcessParams, t, s):
 
 
 def nystrom_interp_eigenvalues(params: ProcessParams, n: int,
-                               grid_points: int = 200,
-                               method: str = "auto") -> np.ndarray:
+                               grid_points: int = 200) -> np.ndarray:
     """Brute-force spectrum of the interpolator kernel on a uniform grid.
 
-    Discretizes the kernel on ``grid_points`` nodes per sampling interval
-    with trapezoid weights and returns the n largest eigenvalues of the
-    symmetrized Nystrom matrix, sorted decreasing.
+    Discretizes the kernel K on ``grid_points`` nodes per sampling interval
+    with trapezoid weights W and returns the n largest eigenvalues of the
+    symmetrized Nystrom matrix W^1/2 K W^1/2, sorted decreasing.
 
-    method "dense" evaluates the kernel pointwise; the matrix has rank n
-    (the covariance of the interpolant of n free samples), so a seeded
-    range finder of n+8 columns and two power steps spans its range and the
-    dense symmetric eigensolver runs on the projection.  "factored" uses
-    that the interpolator is a linear map of the samples: the Nystrom matrix
-    is H C H^T with hat factors H, reduced to n x n without changing the
-    spectrum.  "auto" picks dense for small grids (the fully independent
-    route) and factored above 3500 nodes, where the dense matrix no longer
-    fits comfortably.
+    The interpolator is a linear map of the samples, so K = H C H^T with hat
+    factors H and the samples' covariance C = L L^T.  The Nystrom matrix is
+    then A A^T with A = W^1/2 H L, whose nonzero eigenvalues are those of
+    the n x n matrix A^T A = L^T (H^T W H) L, which is what is diagonalized.
+    ``interp_covariance`` evaluates K pointwise, independently of H.
     """
     if n < 1:
         raise ParameterError("n", "must be a positive integer")
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
     ts = params.ts
-    total = n * grid_points + 1
     dt = ts / grid_points
-    t = np.arange(total) * dt
-    w = np.full(total, dt)   # trapezoid weights
+    # node positions in sampling intervals; column j of H is the hat of
+    # sample j + 1, its weight in the interpolant (sample 0 is pinned at 0)
+    pos = np.arange(n * grid_points + 1) / grid_points
+    hmat = np.maximum(1.0 - np.abs(pos[:, None] - np.arange(1, n + 1)), 0.0)
+    w = np.full(len(pos), dt)   # trapezoid weights
     w[[0, -1]] = 0.5 * dt
-
-    if method == "auto":
-        method = "dense" if total <= 3500 else "factored"
-
-    if method == "dense":
-        sym = interp_covariance(params, t, t)
-        root = np.sqrt(w)
-        sym *= root[:, None]
-        sym *= root
-        q = np.random.default_rng(0).standard_normal((total, min(n + 8, total)))
-        for _ in range(3):   # the range, then two power steps
-            q = np.linalg.qr(sym @ q)[0]
-        return np.linalg.eigvalsh(q.T @ sym @ q)[::-1][:n]
-    if method != "factored":
-        raise ValueError(f"unknown method {method!r}")
-
-    # interpolator value at t in interval idx is (1-frac)*W_idx + frac*W_{idx+1};
-    # column j of H carries the weight on sample j+1 (sample 0 is pinned at 0)
-    idx = np.minimum((t / ts).astype(int), n - 1)
-    frac = t / ts - idx
-    hmat = np.zeros((total, n))
-    rows = np.arange(total)
-    inner = idx >= 1
-    hmat[rows[inner], idx[inner] - 1] = 1.0 - frac[inner]
-    hmat[rows, idx] += frac
     cov = (params.sigma2 * ts) * np.minimum.outer(np.arange(1, n + 1),
                                                   np.arange(1, n + 1))
     chol = np.linalg.cholesky(cov)
     mid = hmat.T @ (w[:, None] * hmat)
-    vals = np.linalg.eigvalsh(chol.T @ mid @ chol)[::-1]
-    return vals[:n]
+    return np.linalg.eigvalsh(chol.T @ mid @ chol)[::-1]

@@ -74,6 +74,18 @@ class TestCurve:
         assert code == 3
         assert not os.path.exists(out)
 
+    def test_log_grid_ends_exactly_at_min_and_max(self, tmp_path):
+        top = sys.float_info.max   # 10**log10(top) overflows
+        assert list(cli.Grid(1e305, top, 3, True).values()[[0, -1]]) == \
+            [1e305, top]
+        out = str(tmp_path / "curve.csv")
+        assert main(["curve", "--sigma2", "1e14", "--fs", "1e307", "--min",
+                     "1e305", "--max", repr(top), "--points", "3", "--log",
+                     "--out", out]) == 0
+        with open(out) as fh:
+            x = [line.split(",")[0] for line in fh.readlines()[1:]]
+        assert [x[0], x[-1]] == [_fmt(1e305), _fmt(top)]
+
     def test_sub_minimum_rbar_rejected_before_output(self, tmp_path):
         out = str(tmp_path / "never.csv")
         code = main(["curve", "--fs", "1000", "--min", "0.01", "--max", "1",
@@ -324,6 +336,7 @@ CHANNEL = ["simulate", "--scheme", "test-channel", "--horizon", "4",
            "--trials", "5", "--seed", "1"]
 POSITIVE = "must be positive and finite"
 TWO_TRIALS = "--trials must be >= 2: a standard error needs at least 2 trials"
+HORIZON_OVERFLOWS = "--horizon is too long to allocate: horizon * fs overflows"
 UNIT_PARAMS = spectral.ProcessParams(1.0, 1.0)
 
 
@@ -348,11 +361,15 @@ UNIT_PARAMS = spectral.ProcessParams(1.0, 1.0)
     (MMSE + ["--seed", str(2 ** 64)], "--seed must fit in 64 bits"),
     (CHANNEL + ["--rbar", "inf"], f"--rbar {POSITIVE}"),
     (MMSE + ["--rbar", "nan"], f"--rbar {POSITIVE}"),
-    (CHANNEL, "--rbar is required for the test-channel scheme")],
+    (CHANNEL, "--rbar is required for the test-channel scheme"),
+    (MMSE + ["--horizon", "1e300", "--fs", "1e10"], HORIZON_OVERFLOWS),
+    (CHANNEL + ["--rbar", "1", "--horizon", "1e300", "--fs", "1e10"],
+     HORIZON_OVERFLOWS)],
     ids=["sigma2", "fs", "fs-swept", "rate", "min", "max", "min-above-max",
          "min-equals-max", "points-0", "points-1", "n", "horizon",
          "oversample", "trials-0", "trials-1", "trials-2**32+1", "seed--1",
-         "seed-2**64", "rbar-inf", "rbar-unused", "rbar-missing"])
+         "seed-2**64", "rbar-inf", "rbar-unused", "rbar-missing",
+         "horizon-overflows-mmse", "horizon-overflows-channel"])
 def test_each_bad_flag_is_named(tmp_path, capsys, monkeypatch, argv, message):
     # each value is refused by its type before any work: no run may start
     def never(*args):
@@ -464,7 +481,8 @@ def eigen_log_range(argv, flags):
 def test_contract_over_the_float_range(call):
     """Every call exits 0 with finite, normal-or-zero cells and a manifest,
     or 2 or 3 with one stderr line and no file; a flag at fault is named,
-    and an ``eigen`` exit 3 has an answer outside the normal floats."""
+    an ``eigen`` exit 0 has no zero eigenvalue or density cell, and an
+    ``eigen`` exit 3 has an answer outside the normal floats."""
     argv, flags = call
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as work, warnings.catch_warnings():
@@ -474,15 +492,17 @@ def test_contract_over_the_float_range(call):
                 contextlib.redirect_stderr(err):
             code = main(argv + ["--out", out])
         files = sorted(os.listdir(work))
-        cells = np.concatenate(list(read_csv(out)[1].values())) \
-            if code == 0 else None
+        cols = read_csv(out)[1] if code == 0 else None
     assert code in (0, 2, 3)
     lines = err.getvalue().splitlines()
     if code == 0:
         assert files == ["x.csv", "x.csv.manifest.json"] and lines == []
-        size = np.abs(cells)
+        size = np.abs(np.concatenate(list(cols.values())))
         assert np.all((size == 0) | ((size >= sys.float_info.min)
                                      & (size <= sys.float_info.max)))
+        if argv[0] == "eigen":
+            assert np.all(cols["lambda"] > 0)
+            assert np.all(cols["density_limit"] > 0)
         return
     assert len(lines) == 1 and files == []
     if code == 2:
@@ -652,10 +672,12 @@ SMALL_RUNS = {
     ["curve", "--sigma2", "1e-310", "--fs", "1e10", "--min", "1e10", "--max",
      "2e10", "--points", "3"],
     ["simulate", "--scheme", "mmse-only", "--sigma2", "1e-320", "--horizon",
-     "4", "--trials", "50", "--seed", "1"]],
+     "4", "--trials", "50", "--seed", "1"],
+    ["eigen", "--kind", "discrete", "--sigma2", "1e-310", "--fs", "1e20",
+     "--n", "3"]],
     ids=["inf-eigenvalues", "ts-squared", "zero-stderr", "inf-estimate",
          "inf-scale-vs-rate", "inf-scale-vs-fs", "inf-d_w-scale",
-         "subnormal-d_ce", "subnormal-estimate"])
+         "subnormal-d_ce", "subnormal-estimate", "zero-eigenvalues"])
 def test_unrepresentable_result_exits_3(tmp_path, argv):
     out = str(tmp_path / "x.csv")
     done = run_python("import sys\nfrom wienerdr.cli import main\n"

@@ -185,16 +185,10 @@ class TestInterpEigensystem:
         rel = np.abs(system.eigenvalues - oracle) / system.eigenvalues
         assert np.max(rel) < 1e-3
 
-    def test_dense_and_factored_nystrom_agree(self):
-        for n in (1, 2, 4):
-            dense = nystrom_interp_eigenvalues(UNIT, n, 120, method="dense")
-            fact = nystrom_interp_eigenvalues(UNIT, n, 120, method="factored")
-            assert np.max(np.abs(dense - fact) / dense) < 1e-9
-
     @pytest.mark.parametrize("n", range(1, 9))
     def test_dense_route_matches_full_eigensolver(self, n):
-        # the range finder of the dense route against eigvalsh of the whole
-        # pointwise-evaluated matrix
+        # the factored n x n Nystrom route against the dense one: eigvalsh of
+        # the whole pointwise-evaluated matrix
         grid = 120
         total = n * grid + 1
         dt = UNIT.ts / grid
@@ -204,7 +198,7 @@ class TestInterpEigensystem:
         kmat = interp_covariance(UNIT, t, t)
         sym = np.sqrt(w)[:, None] * kmat * np.sqrt(w)[None, :]
         full = np.linalg.eigvalsh(sym)[::-1][:n]
-        got = nystrom_interp_eigenvalues(UNIT, n, grid, method="dense")
+        got = nystrom_interp_eigenvalues(UNIT, n, grid)
         assert np.max(np.abs(got - full) / full) <= 1e-12
 
     def test_dense_spectrum_has_rank_n(self):
@@ -293,6 +287,17 @@ class TestInterpEigensystem:
         vals = np.array([system.eigenfunction(k, t) for k in range(1, n + 1)])
         gram = (vals * w) @ vals.T
         assert np.max(np.abs(gram - np.eye(n))) < 1e-4
+
+    @pytest.mark.parametrize("fs", [1.0, 2.5])
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000])
+    def test_node_rows_have_unit_norm(self, n, fs):
+        # exact L2 norm of a piecewise-linear function: ts/3 sum(a^2+ab+b^2)
+        # over the intervals' end values a, b
+        params = ProcessParams(sigma2=1.0, fs=fs)
+        nodes = interp_kernel_eigensystem(params, n).node_values
+        a, b = nodes[:, :-1], nodes[:, 1:]
+        norm_sq = params.ts / 3.0 * np.sum(a * a + a * b + b * b, axis=1)
+        assert np.max(np.abs(norm_sq - 1.0)) <= 1e-12
 
     def test_eigenfunction_piecewise_linear_and_pinned(self):
         system = interp_kernel_eigensystem(UNIT, 4)

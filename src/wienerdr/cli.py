@@ -95,11 +95,12 @@ def _write_manifest(path: str, command: str, args: argparse.Namespace) -> None:
 
 
 def _check_finite(values) -> None:
-    """Raise FloatingPointError unless every value is 0 or a finite float of
-    at least the smallest normal magnitude (a subnormal has lost digits)."""
+    """Raise FloatingPointError unless every value is 0 or of a magnitude
+    from the smallest normal float (a subnormal has lost digits) to
+    1.797693134862315e308, above which the ``%.15g`` text reads as inf."""
     size = np.abs(np.asarray(values, dtype=float))
     if not np.all((size == 0) | ((size >= sys.float_info.min)
-                                 & (size <= sys.float_info.max))):
+                                 & (size <= 1.797693134862315e308))):
         raise FloatingPointError("a result is not finite or is subnormal")
 
 

@@ -46,6 +46,7 @@ import functools
 import math
 import os
 import pickle
+import sys
 import threading
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Tuple
@@ -165,11 +166,11 @@ def effective_grid(params: ProcessParams, config: SimConfig) -> Tuple[int, float
 
     The horizon is rounded up so that horizon * fs is a positive integer;
     the effective value is reported back instead of being silently absorbed.
+    A trial row of n (oversample + 2) floats past sys.maxsize bytes is refused.
     """
     raw = config.horizon_t * params.fs
-    if raw == math.inf:
-        raise ParameterError("horizon_t", "is too long to allocate: horizon"
-                                          " * fs overflows")
+    if 8 * raw * (config.oversample + 2) > sys.maxsize:
+        raise ParameterError("horizon_t", "is too long to allocate")
     nearest = round(raw)
     n = max(1, nearest if abs(raw - nearest) < 1e-9 else math.ceil(raw))
     return int(n), n / params.fs
@@ -187,14 +188,11 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _SEEDED_HASH = (_INIT_A * pow(_MULT_A, 16, 1 << 32)) & _MASK32
 
 
-def _seed_pool(seed: int) -> Tuple[Tuple[int, ...], int]:
-    """(entropy pool, hash constant) of SeedSequence after the seed's words.
-
-    A spawned SeedSequence mixes the seed's words into its pool exactly as
-    ``SeedSequence(seed)`` does and only then mixes in the spawn word, so
-    that pool and the fixed hash constant are all a trial key needs.
-    """
-    return tuple(np.random.SeedSequence(int(seed)).pool.tolist()), _SEEDED_HASH
+def _seed_pool(seed: int) -> Tuple[int, ...]:
+    """Entropy pool of ``SeedSequence(seed)``, into which a spawned
+    SeedSequence mixes its spawn word after the same seed words, so the
+    pool and ``_SEEDED_HASH`` are all a trial key needs."""
+    return tuple(np.random.SeedSequence(int(seed)).pool.tolist())
 
 
 def _hash_steps(hash_const: int, mult: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -208,8 +206,7 @@ def _hash_steps(hash_const: int, mult: int) -> Tuple[np.ndarray, np.ndarray]:
     return column[:-1], column[1:]
 
 
-def _spawn_keys(seed_pool: Tuple[Tuple[int, ...], int],
-                trials: range) -> np.ndarray:
+def _spawn_keys(pool: Tuple[int, ...], trials: range) -> np.ndarray:
     """Philox keys of ``trials`` from the seed's pool, one row per trial.
 
     Mixes each spawn word k into the pool and hashes the pool into four
@@ -217,10 +214,9 @@ def _spawn_keys(seed_pool: Tuple[Tuple[int, ...], int],
     arithmetic is carried in a (pool word, k) uint64 array and masked after
     each product, which stays below 2**64.
     """
-    pool, hash_const = seed_pool
     mask, shift = np.uint64(_MASK32), np.uint64(16)
     k = np.arange(trials.start, trials.stop, dtype=np.uint64)
-    xor, mul = _hash_steps(hash_const, _MULT_A)
+    xor, mul = _hash_steps(_SEEDED_HASH, _MULT_A)
     h = (k ^ xor) * mul
     h &= mask
     h ^= h >> shift
@@ -278,8 +274,11 @@ def _chunk_rows(n: int, oversample: int) -> int:
     return max(1, _CHUNK_ELEMENTS // (n * (oversample + 2) + 1))
 
 
-#: standard normals per worker: a run forks one more process for each
-#: 2**18 path and noise draws, so one under 2**19 draws runs here alone
+#: standard normals per part: a run takes one part per 2**18 of its path and
+#: noise draws, the first here and each other on a pool worker.  A warm pool
+#: pays from about 2**16, but 2**18 stays: on a 2-CPU host whose other CPU
+#: spins a BLAS thread beside each op (the kl benchmark's threaded probe),
+#: 2**16 lost kl rows per second in 5 of 5 pairs; without it, won in 5 of 5
 _WORKER_INCREMENTS = 1 << 18
 
 #: SIGKILL, 9 on every POSIX system (spares importing ``signal``)
@@ -345,31 +344,16 @@ _pool: List[_Worker] = []
 
 
 def _drop(worker: _Worker, signal: int = _SIGKILL) -> None:
-    """Take ``worker`` out of the pool, close its pipes, signal and reap it."""
+    """Take ``worker`` out of the pool, close its pipes, and signal and reap
+    it while it runs unreaped (once reaped, its pid may be another's)."""
     _pool.remove(worker)
     with contextlib.suppress(BrokenPipeError):   # a task left unsent
         worker.tasks.close()
     worker.results.close()
-    with contextlib.suppress(ProcessLookupError, ChildProcessError):
-        os.kill(worker.pid, signal)   # raises once reaped elsewhere
-        os.waitpid(worker.pid, 0)
-
-
-def _hire(count: int) -> List[_Worker]:
-    """The pool's first ``count`` workers, forking those missing (fewer if
-    fork fails); a worker that has ended is reaped and replaced."""
-    for worker in list(_pool):
-        with contextlib.suppress(ChildProcessError):   # reaped elsewhere: drop
-            if os.waitid(os.P_PID, worker.pid,
-                         os.WEXITED | os.WNOHANG | os.WNOWAIT) is None:
-                continue
-        _drop(worker)
-    while len(_pool) < count:
-        try:
-            _pool.append(_Worker())
-        except OSError:
-            break
-    return _pool[:count]
+    with contextlib.suppress(ChildProcessError):   # reaped elsewhere
+        if os.waitpid(worker.pid, os.WNOHANG) == (0, 0):
+            os.kill(worker.pid, signal)
+            os.waitpid(worker.pid, 0)
 
 
 def _close_pool() -> None:
@@ -392,10 +376,10 @@ def _run(n: int, config: SimConfig,
 
     The trial range is cut into ``_workers(trials, draws)`` contiguous
     parts, one per 2**18 draws and at most one per CPU: the first is
-    computed here, each other one by a pool worker, forked on first need,
-    reused by later runs and reaped at exit.  A part whose worker fails,
-    dies or sends a short result is computed here after the others, and
-    the worker killed, reaped and dropped, so the values and any error are
+    computed here, each other one by a pool worker (forked if the pool is
+    short).  A part whose worker fails, sends a short result or died since
+    the last run is computed here after the others and the worker dropped,
+    to be replaced by the next split run, so the values and any error are
     those of one process.  Any exception kills the busy workers.
     """
     size = _chunk_rows(n, config.oversample)
@@ -405,8 +389,12 @@ def _run(n: int, config: SimConfig,
     per_trial = np.empty(config.trials)
     busy = []   # (part, worker) of each part sent and not yet received
     try:
-        # a one-process run leaves the pool alone (other threads may be alive)
-        hired = _hire(workers - 1) if workers > 1 else []
+        while len(_pool) < workers - 1:   # fork the missing workers
+            try:
+                _pool.append(_Worker())
+            except OSError:   # fewer workers: their parts are computed here
+                break
+        hired = _pool[:workers - 1]
         for part, worker in zip(parts[1:], hired):
             busy.append((part, worker))
             with contextlib.suppress(BrokenPipeError):   # dead: read as short

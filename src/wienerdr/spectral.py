@@ -20,7 +20,7 @@ an n x n matrix with the same nonzero eigenvalues as the Nystrom matrix.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -163,9 +163,8 @@ class EigenSystem:
     as rows (entry [k-1, m-1] pairs eigenvalue k with sample index m = 1..n).
     For the interpolator kernel, ``node_values`` holds the already-normalized
     eigenfunction values on the sampling grid t = m*ts, m = 0..n; the
-    eigenfunctions are piecewise linear between those nodes.
-    ``normalizers`` keeps the per-mode normalization constants (for the
-    discrete kernel all equal 2/sqrt(2n+1), so n * normalizers**2 -> 2).
+    eigenfunctions are piecewise linear between those nodes.  Each builder
+    scales its rows by the closed-form norms, so no normalizer is stored.
     """
 
     n: int
@@ -173,7 +172,6 @@ class EigenSystem:
     ts: float
     eigenvectors: Optional[np.ndarray] = None
     node_values: Optional[np.ndarray] = None
-    normalizers: Optional[np.ndarray] = field(default=None, repr=False)
 
     def _mode(self, rows: Optional[np.ndarray], k: int, what: str):
         if rows is None:
@@ -215,15 +213,13 @@ def discrete_wiener_eigensystem(params: ProcessParams, n: int) -> EigenSystem:
 
     Eigenvalues from ``discrete_wiener_eigenvalues``; eigenvectors are the
     sine vectors sin((2k-1) pi m / (2n+1)), m = 1..n.  Every such row has
-    squared norm (2n+1)/4, so one normalizer 2/sqrt(2n+1) serves all modes.
+    squared norm (2n+1)/4, so one factor 2/sqrt(2n+1) normalizes all modes.
     """
     lam = discrete_wiener_eigenvalues(params, n)
     k = np.arange(1, n + 1)   # also the sample index m = 1..n
-    norm = 2.0 / np.sqrt(2 * n + 1)
     vecs = np.sin(np.outer((2 * k - 1) * np.pi / (2 * n + 1), k))
-    vecs *= norm
-    return EigenSystem(n=n, eigenvalues=lam, ts=params.ts,
-                       eigenvectors=vecs, normalizers=np.full(n, norm))
+    vecs *= 2.0 / np.sqrt(2 * n + 1)
+    return EigenSystem(n=n, eigenvalues=lam, ts=params.ts, eigenvectors=vecs)
 
 
 def interp_kernel_eigenvalues(params: ProcessParams, n: int) -> np.ndarray:
@@ -259,8 +255,7 @@ def interp_kernel_eigensystem(params: ProcessParams, n: int) -> EigenSystem:
     nodes = np.sin(np.outer(x, np.arange(n + 1)))
     scale = 1.0 / np.sqrt((ts * n / 6.0) * (2.0 + np.cos(x)))
     nodes *= scale[:, None]
-    return EigenSystem(n=n, eigenvalues=lam, ts=ts, node_values=nodes,
-                       normalizers=scale)
+    return EigenSystem(n=n, eigenvalues=lam, ts=ts, node_values=nodes)
 
 
 def _by_interval(times: np.ndarray, params: ProcessParams) -> dict:

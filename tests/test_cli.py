@@ -13,7 +13,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wienerdr
@@ -78,13 +78,12 @@ class TestCurve:
         top = sys.float_info.max   # 10**log10(top) overflows
         assert list(cli.Grid(1e305, top, 3, True).values()[[0, -1]]) == \
             [1e305, top]
+        writable = 1.797693134862315e308   # the largest cell read back finite
         out = str(tmp_path / "curve.csv")
-        assert main(["curve", "--sigma2", "1e14", "--fs", "1e307", "--min",
-                     "1e305", "--max", repr(top), "--points", "3", "--log",
-                     "--out", out]) == 0
+        assert main(top_of_range_call(writable)[0] + ["--out", out]) == 0
         with open(out) as fh:
             x = [line.split(",")[0] for line in fh.readlines()[1:]]
-        assert [x[0], x[-1]] == [_fmt(1e305), _fmt(top)]
+        assert [x[0], x[-1]] == [_fmt(1e305), _fmt(writable)]
 
     def test_sub_minimum_rbar_rejected_before_output(self, tmp_path):
         out = str(tmp_path / "never.csv")
@@ -336,7 +335,7 @@ CHANNEL = ["simulate", "--scheme", "test-channel", "--horizon", "4",
            "--trials", "5", "--seed", "1"]
 POSITIVE = "must be positive and finite"
 TWO_TRIALS = "--trials must be >= 2: a standard error needs at least 2 trials"
-HORIZON_OVERFLOWS = "--horizon is too long to allocate: horizon * fs overflows"
+HORIZON_TOO_LONG = "--horizon is too long to allocate"
 UNIT_PARAMS = spectral.ProcessParams(1.0, 1.0)
 
 
@@ -362,14 +361,20 @@ UNIT_PARAMS = spectral.ProcessParams(1.0, 1.0)
     (CHANNEL + ["--rbar", "inf"], f"--rbar {POSITIVE}"),
     (MMSE + ["--rbar", "nan"], f"--rbar {POSITIVE}"),
     (CHANNEL, "--rbar is required for the test-channel scheme"),
-    (MMSE + ["--horizon", "1e300", "--fs", "1e10"], HORIZON_OVERFLOWS),
+    (MMSE + ["--horizon", "1e300", "--fs", "1e10"], HORIZON_TOO_LONG),
     (CHANNEL + ["--rbar", "1", "--horizon", "1e300", "--fs", "1e10"],
-     HORIZON_OVERFLOWS)],
+     HORIZON_TOO_LONG),
+    (MMSE + ["--horizon", "1e300"], HORIZON_TOO_LONG),
+    (CHANNEL + ["--rbar", "1", "--horizon", "1e300"], HORIZON_TOO_LONG),
+    (MMSE + ["--horizon", "1e18"], HORIZON_TOO_LONG),
+    (CHANNEL + ["--rbar", "1", "--horizon", "1e18"], HORIZON_TOO_LONG)],
     ids=["sigma2", "fs", "fs-swept", "rate", "min", "max", "min-above-max",
          "min-equals-max", "points-0", "points-1", "n", "horizon",
          "oversample", "trials-0", "trials-1", "trials-2**32+1", "seed--1",
          "seed-2**64", "rbar-inf", "rbar-unused", "rbar-missing",
-         "horizon-overflows-mmse", "horizon-overflows-channel"])
+         "horizon-overflows-mmse", "horizon-overflows-channel",
+         "horizon-1e300-mmse", "horizon-1e300-channel", "horizon-1e18-mmse",
+         "horizon-1e18-channel"])
 def test_each_bad_flag_is_named(tmp_path, capsys, monkeypatch, argv, message):
     # each value is refused by its type before any work: no run may start
     def never(*args):
@@ -476,13 +481,25 @@ def eigen_log_range(argv, flags):
     return logs.min(), logs.max()
 
 
+def top_of_range_call(top: float):
+    """(argv, flags) of the log curve up to --max ``top``."""
+    flags = {"--sigma2": 1e14, "--fs": 1e307, "--min": 1e305, "--max": top}
+    argv = ["curve", "--points", "3", "--log"]
+    for flag, value in flags.items():
+        argv += [flag, repr(value)]
+    return argv, flags
+
+
 @given(call=cli_calls())
+@example(call=top_of_range_call(1.797693134862315e308))
+@example(call=top_of_range_call(1.7976931348623157e308))
 @settings(max_examples=200, deadline=None)
 def test_contract_over_the_float_range(call):
-    """Every call exits 0 with finite, normal-or-zero cells and a manifest,
-    or 2 or 3 with one stderr line and no file; a flag at fault is named,
-    an ``eigen`` exit 0 has no zero eigenvalue or density cell, and an
-    ``eigen`` exit 3 has an answer outside the normal floats."""
+    """Every call exits 0 with cells whose text reads back finite and
+    normal or zero, and a manifest, or 2 or 3 with one stderr line and no
+    file; a flag at fault is named, an ``eigen`` exit 0 has no zero
+    eigenvalue or density cell, and an ``eigen`` exit 3 has an answer
+    outside the normal floats."""
     argv, flags = call
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as work, warnings.catch_warnings():
@@ -497,9 +514,9 @@ def test_contract_over_the_float_range(call):
     lines = err.getvalue().splitlines()
     if code == 0:
         assert files == ["x.csv", "x.csv.manifest.json"] and lines == []
-        size = np.abs(np.concatenate(list(cols.values())))
-        assert np.all((size == 0) | ((size >= sys.float_info.min)
-                                     & (size <= sys.float_info.max)))
+        size = np.abs(np.concatenate(list(cols.values())))   # read back
+        assert np.all(np.isfinite(size))
+        assert np.all((size == 0) | (size >= sys.float_info.min))
         if argv[0] == "eigen":
             assert np.all(cols["lambda"] > 0)
             assert np.all(cols["density_limit"] > 0)
@@ -674,10 +691,13 @@ SMALL_RUNS = {
     ["simulate", "--scheme", "mmse-only", "--sigma2", "1e-320", "--horizon",
      "4", "--trials", "50", "--seed", "1"],
     ["eigen", "--kind", "discrete", "--sigma2", "1e-310", "--fs", "1e20",
-     "--n", "3"]],
+     "--n", "3"],
+    top_of_range_call(1.7976931348623157e308)[0],
+    top_of_range_call(1.7976931348623151e308)[0]],
     ids=["inf-eigenvalues", "ts-squared", "zero-stderr", "inf-estimate",
          "inf-scale-vs-rate", "inf-scale-vs-fs", "inf-d_w-scale",
-         "subnormal-d_ce", "subnormal-estimate", "zero-eigenvalues"])
+         "subnormal-d_ce", "subnormal-estimate", "zero-eigenvalues",
+         "cell-text-inf-at-max", "cell-text-inf-above-writable"])
 def test_unrepresentable_result_exits_3(tmp_path, argv):
     out = str(tmp_path / "x.csv")
     done = run_python("import sys\nfrom wienerdr.cli import main\n"

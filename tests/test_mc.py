@@ -822,8 +822,32 @@ class TestSplitRuns:
             split_values(empirical_mmse, cfg, monkeypatch, 2), one)
         with pytest.raises(ChildProcessError):
             os.waitpid(dead, os.WNOHANG)
+        assert mc._pool == []   # its part was computed here
+        assert np.array_equal(
+            split_values(empirical_mmse, cfg, monkeypatch, 2), one)
         [live] = pool_pids()
         assert live != dead and os.waitpid(live, os.WNOHANG) == (0, 0)
+        assert_children_reaped()
+
+    def test_worker_reaped_elsewhere_is_not_signalled(self, monkeypatch):
+        cfg = SimConfig(horizon_t=8, oversample=8, trials=9, seed=64)
+        one = split_values(empirical_mmse, cfg, monkeypatch)
+        mc._close_pool()
+        split_values(empirical_mmse, cfg, monkeypatch, 2)
+        [reaped] = pool_pids()
+        os.kill(reaped, 9)
+        os.waitpid(reaped, 0)   # its pid is free for another process
+        signals, kill = [], os.kill
+
+        def recorded(pid, signal):
+            signals.append((pid, signal))
+            if pid != reaped:
+                kill(pid, signal)
+
+        monkeypatch.setattr(os, "kill", recorded)
+        assert np.array_equal(
+            split_values(empirical_mmse, cfg, monkeypatch, 2), one)
+        assert [pid for pid, _ in signals if pid == reaped] == []
         assert_children_reaped()
 
     def test_process_with_a_pool_exits_and_reaps_it(self, tmp_path):

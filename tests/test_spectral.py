@@ -160,13 +160,6 @@ class TestDiscreteEigensystem:
         assert np.all(np.diff(system.eigenvalues) < 0)
         assert np.all(system.eigenvalues > 0)
 
-    def test_normalizer_diagnostic(self):
-        # n * A_k^2 -> 2 for the sine eigenvectors
-        for n in (100, 1000):
-            system = discrete_wiener_eigensystem(UNIT, n)
-            diag = n * system.normalizers ** 2
-            assert np.max(np.abs(diag - 2.0)) < 5.0 / n
-
 
 class TestInterpEigensystem:
     def test_n1_rank_one_kernel(self):

@@ -1,10 +1,11 @@
 """Command-line front end: curve sweeps, eigenvalue tables, ratio sweeps and
 Monte-Carlo runs, emitted as deterministic CSV.
 
-Exit codes: 0 success, 2 invalid arguments (a request too large to allocate
-and an ``--out`` that cannot be written included), 3 numerical failure (a
-non-finite or nonzero subnormal result included).  The type that owns a
-value (``ProcessParams``, ``Grid``, ...) checks it before any computation,
+Exit codes: 0 success, 2 invalid arguments (a request too large to allocate,
+named by the flag that sized it, and an ``--out`` that cannot be written
+included), 3 numerical failure (a non-finite or nonzero subnormal result, or
+bits per sample outside the supported range, included).  The type that owns
+a value (``ProcessParams``, ``Grid``, ...) checks it before any computation,
 and ``main`` reports its ``ParameterError`` under the value's flag.  The CSV
 and its JSON manifest (flags, versions, seed) are each written to a
 temporary file and renamed on success, with the mode ``open`` gives under
@@ -276,8 +277,10 @@ def main(argv=None) -> int:
         if isinstance(exc, ParameterError):   # a field: name its flag
             flag = {"horizon_t": "horizon"}.get(exc.field, exc.field)
             exc = f"--{flag} {exc.reason}"
-        elif isinstance(exc, MemoryError):
-            exc = f"{args.command}: request too large to allocate"
+        elif isinstance(exc, MemoryError):   # the flag that sized the request
+            flag = {"eigen": "n", "simulate": "horizon"}.get(
+                args.command, "points")
+            exc = f"--{flag} is too large to allocate"
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FloatingPointError as exc:   # a result past the float range

@@ -44,7 +44,6 @@ __all__ = [
     "RateSpec",
     "DistortionBundle",
     "Sections",
-    "MIN_RBAR",
     "d_w",
     "d_bar",
     "mmse_fs",
@@ -62,10 +61,6 @@ __all__ = [
     "sections",
     "sweep",
 ]
-
-#: smallest supported bits per sample; the range runs up to
-#: ``waterfill.MAX_RBAR`` (about 510.66), past which the water levels underflow
-MIN_RBAR = 1e-4
 
 _ORDERING_SLACK = 1e-9
 
@@ -144,11 +139,8 @@ class Sections:
 
 
 def sections(rbar) -> Sections:
-    """Solve both water levels over rbar (float or array, >= MIN_RBAR)."""
+    """Both water levels over rbar (float or array, in the waterfill range)."""
     rbar = np.asarray(rbar, dtype=float)
-    if not np.all(rbar >= MIN_RBAR):
-        raise ValueError(
-            f"bits per sample must be >= {MIN_RBAR}, got {np.min(rbar):.3g}")
     return Sections(rbar, water_levels(SHIFTED_SAMPLED_WIENER, rbar),
                     water_levels(SAMPLED_WIENER, rbar))
 
@@ -158,15 +150,15 @@ def sweep(sigma2, fs, rate) -> DistortionBundle:
 
     The three broadcast together; each must be positive and finite
     (``ParameterError`` names the first that is not).  The bundle's fields
-    are arrays of the broadcast shape (floats for scalars).  A scale
-    sigma2/fs or sigma2/R past the float range raises FloatingPointError.
+    are arrays of the broadcast shape (floats for scalars).  A scale past
+    the float range or an R/fs out of range raises FloatingPointError.
     """
     sigma2, fs, rate = np.broadcast_arrays(*(
         check_positive(name, value) for name, value
         in (("sigma2", sigma2), ("fs", fs), ("rate", rate))))
     with np.errstate(over="ignore"):   # past the float range: raised below
         rbar, scale, per_rate = rate / fs, sigma2 / fs, sigma2 / rate
-    curves = sections(rbar)
+    curves = sections(np.maximum(rbar, 5e-324))   # an underflow: out of range
     for name, value in (("sigma2/fs", scale), ("sigma2/R", per_rate)):
         if not np.all(np.isfinite(value)):
             raise FloatingPointError(f"{name} is past the floating-point range")

@@ -386,7 +386,10 @@ def _run(n: int, config: SimConfig,
     workers = _workers(config.trials, draws)
     cuts = [config.trials * i // workers for i in range(workers + 1)]
     parts = [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-    per_trial = np.empty(config.trials)
+    try:
+        per_trial = np.empty(config.trials)
+    except MemoryError:   # the one array sized by the trial count alone
+        raise ParameterError("trials", "is too large to allocate") from None
     busy = []   # (part, worker) of each part sent and not yet received
     try:
         while len(_pool) < workers - 1:   # fork the missing workers

@@ -24,10 +24,11 @@ singularity lies 0.42 off phi = 1), so one fixed 24-node Gauss-Legendre
 rule evaluates it to rounding.
 
 Because d rate / d ln theta = -phic / (2 ln2) exactly, ``water_levels``
-inverts the rate map by Newton's method in ln theta.  The rate is convex in
-ln theta, so a start above the root overshoots once to below it and then
-climbs monotonically.  Each entry starts from one of three forms, which
-keeps every solve over [1e-4, MAX_RBAR] within four rate evaluations:
+inverts the rate map by Newton's method in ln theta, which bounds theta's
+relative error by about |ln theta| 2^-53.  The rate is convex in ln theta,
+so a start above the root overshoots once to below it and then climbs
+monotonically.  Each entry starts from one of three forms, which keeps
+every solve over [MIN_RBAR, MAX_RBAR] within four rate evaluations:
 
 * at or past the border rate r_b = (1/2) log2(K / floor), where theta
   reaches the floor (r_b = 1 for s = 0, log2(1 + sqrt 3) ~ 1.449984 for
@@ -55,6 +56,7 @@ from .spectral import SpectralDensity, check_positive
 
 __all__ = [
     "MAX_RBAR",
+    "MIN_RBAR",
     "WaterfillPoint",
     "WaterLevels",
     "distortion_at_theta",
@@ -68,8 +70,10 @@ _LN2 = math.log(2.0)
 #: the shifted density's saturated level is this times 2**(-2 rbar)
 _SHIFTED_SATURATION = (2.0 + math.sqrt(3.0)) / 6.0
 
-#: bits per sample at which the smaller water level, the shifted one,
-#: reaches the smallest normal float (about 510.66); past it the levels underflow
+#: the supported bits per sample: below MIN_RBAR (about 6.85e-155) 4 theta of
+#: the walk's level, about 1/(pi ln2 rbar)**2, passes the largest float, and
+#: past MAX_RBAR (about 510.66) the shifted one the smallest normal float
+MIN_RBAR = 2.0 / (math.pi * _LN2 * math.sqrt(sys.float_info.max))
 MAX_RBAR = 0.5 * (math.log2(_SHIFTED_SATURATION)
                   - math.log2(sys.float_info.min))
 
@@ -156,14 +160,18 @@ def water_levels(density: SpectralDensity, rbar) -> WaterLevels:
     """Solve rate(theta) = rbar for every entry of rbar (bits per sample).
 
     Newton's method in ln theta with the exact derivative -phic / (2 ln2),
-    from the two-sided start of the module docstring; at most four rate
-    evaluations over [1e-4, MAX_RBAR].  Raises ValueError for rbar <= 0 and
-    FloatingPointError past MAX_RBAR, where the water level would underflow.
+    from the start of the module docstring: at most four rate evaluations
+    and theta within about |ln theta| 2^-53.  The one range check: ValueError
+    for rbar <= 0 or nan, FloatingPointError outside [MIN_RBAR, MAX_RBAR].
     """
     shift = density.shift
     rbar = np.asarray(rbar, dtype=float)
     if not np.all(rbar > 0):
         raise ValueError("rate must be > 0")
+    if np.any(rbar < MIN_RBAR):
+        raise FloatingPointError(
+            f"{np.min(rbar):.6g} bits per sample is below the supported minimum"
+            f" {MIN_RBAR:.6g}, where the water level overflows")
     if np.any(rbar > MAX_RBAR):
         raise FloatingPointError(
             f"{np.max(rbar):.6g} bits per sample is past the supported maximum"

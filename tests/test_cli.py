@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wienerdr
-from wienerdr import cli, drf, mc, spectral
+from wienerdr import cli, drf, mc, spectral, waterfill
 from wienerdr.cli import _fmt, _write_csv_atomic, main
 
 
@@ -85,12 +85,41 @@ class TestCurve:
             x = [line.split(",")[0] for line in fh.readlines()[1:]]
         assert [x[0], x[-1]] == [_fmt(1e305), _fmt(writable)]
 
-    def test_sub_minimum_rbar_rejected_before_output(self, tmp_path):
+    def test_sub_minimum_rbar_rejected_before_output(self, tmp_path, capsys):
         out = str(tmp_path / "never.csv")
-        code = main(["curve", "--fs", "1000", "--min", "0.01", "--max", "1",
+        code = main(["curve", "--fs", "1e160", "--min", "0.01", "--max", "1",
                      "--points", "5", "--out", out])
-        assert code == 2
-        assert not os.path.exists(out)
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "numerical failure in curve: 1e-162 bits per sample is below the"
+            f" supported minimum {waterfill.MIN_RBAR:.6g}, where the water"
+            " level overflows"]
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["curve", "--rate", "1", "--min", "1e3", "--max", "1e9", "--log"],
+        ["ratio", "--min", "1e-154", "--max", "1", "--log"]],
+        ids=["fs-to-1e9", "rbar-to-1e-154"])
+    def test_rbar_down_to_the_float_range(self, tmp_path, argv):
+        out = str(tmp_path / "x.csv")
+        assert main(argv + ["--points", "3", "--out", out]) == 0
+        _, cols = read_csv(out)
+        assert all(np.all(np.isfinite(col)) for col in cols.values())
+
+    @pytest.mark.parametrize("argv,low", [
+        (["ratio", "--min", "1e-160", "--max", "1", "--log"], "1e-160"),
+        (["curve", "--fs", "1e300", "--min", "1e-300", "--max", "1e-299"],
+         "4.94066e-324")],
+        ids=["rbar-1e-160", "rate-over-fs-underflows"])
+    def test_below_the_supported_minimum_exits_3(self, tmp_path, capsys,
+                                                argv, low):
+        out = str(tmp_path / "x.csv")
+        assert main(argv + ["--points", "3", "--out", out]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"numerical failure in {argv[0]}: {low} bits per sample is below"
+            f" the supported minimum {waterfill.MIN_RBAR:.6g}, where the"
+            " water level overflows"]
+        assert os.listdir(tmp_path) == []
 
 
 class TestRatio:
@@ -230,17 +259,23 @@ class TestSimulate:
 
     def test_unallocatable_request_is_a_typed_error(self, tmp_path, capsys,
                                                     monkeypatch):
-        def too_large(*args):
-            raise MemoryError("unable to allocate 320 TiB")
+        # the per-trial array of 4099 values is made to fail, as one of
+        # 2**32 values (32 GiB) would where memory is short
+        empty = np.empty
 
-        monkeypatch.setattr(mc, "empirical_mmse", too_large)
+        def short_of_memory(shape, *args, **kwargs):
+            if shape == 4099:
+                raise MemoryError("unable to allocate 32.0 KiB")
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", short_of_memory)
         out = str(tmp_path / "sim.csv")
-        code = main(["simulate", "--scheme", "mmse-only", "--horizon", "4",
-                     "--trials", "5", "--seed", "1", "--oversample",
-                     "10000000000000", "--out", out])
+        code = main(["simulate", "--scheme", "mmse-only", "--horizon", "2",
+                     "--oversample", "2", "--trials", "4099", "--seed", "1",
+                     "--out", out])
         assert code == 2
-        assert capsys.readouterr().err.strip() == \
-            "error: simulate: request too large to allocate"
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --trials is too large to allocate"]
         assert os.listdir(tmp_path) == []
 
     def test_sub_interval_horizon_runs_one_interval(self, tmp_path, capsys):
@@ -336,6 +371,7 @@ CHANNEL = ["simulate", "--scheme", "test-channel", "--horizon", "4",
 POSITIVE = "must be positive and finite"
 TWO_TRIALS = "--trials must be >= 2: a standard error needs at least 2 trials"
 HORIZON_TOO_LONG = "--horizon is too long to allocate"
+TOO_LARGE = "is too large to allocate"
 UNIT_PARAMS = spectral.ProcessParams(1.0, 1.0)
 
 
@@ -367,21 +403,31 @@ UNIT_PARAMS = spectral.ProcessParams(1.0, 1.0)
     (MMSE + ["--horizon", "1e300"], HORIZON_TOO_LONG),
     (CHANNEL + ["--rbar", "1", "--horizon", "1e300"], HORIZON_TOO_LONG),
     (MMSE + ["--horizon", "1e18"], HORIZON_TOO_LONG),
-    (CHANNEL + ["--rbar", "1", "--horizon", "1e18"], HORIZON_TOO_LONG)],
+    (CHANNEL + ["--rbar", "1", "--horizon", "1e18"], HORIZON_TOO_LONG),
+    (["eigen", "--kind", "discrete", "--n", "10000000000000"],
+     f"--n {TOO_LARGE}"),
+    (CURVE + ["--points", "10000000000000"], f"--points {TOO_LARGE}"),
+    (RATIO + ["--points", "10000000000000"], f"--points {TOO_LARGE}"),
+    (MMSE + ["--horizon", "1e16"], f"--horizon {TOO_LARGE}"),
+    (CHANNEL + ["--rbar", "1", "--horizon", "1e16"], f"--horizon {TOO_LARGE}")],
     ids=["sigma2", "fs", "fs-swept", "rate", "min", "max", "min-above-max",
          "min-equals-max", "points-0", "points-1", "n", "horizon",
          "oversample", "trials-0", "trials-1", "trials-2**32+1", "seed--1",
          "seed-2**64", "rbar-inf", "rbar-unused", "rbar-missing",
          "horizon-overflows-mmse", "horizon-overflows-channel",
          "horizon-1e300-mmse", "horizon-1e300-channel", "horizon-1e18-mmse",
-         "horizon-1e18-channel"])
+         "horizon-1e18-channel", "n-past-memory", "curve-points-past-memory",
+         "ratio-points-past-memory", "horizon-past-memory-mmse",
+         "horizon-past-memory-channel"])
 def test_each_bad_flag_is_named(tmp_path, capsys, monkeypatch, argv, message):
-    # each value is refused by its type before any work: no run may start
+    # each value is refused by its type before any work (no run may start),
+    # or by the first allocation it sizes, which for mmse-only is in the run
     def never(*args):
         raise AssertionError("the computation must not start")
 
     monkeypatch.setattr(drf, "sections", never)
-    monkeypatch.setattr(mc, "_run", never)
+    if message != f"--horizon {TOO_LARGE}":
+        monkeypatch.setattr(mc, "_run", never)
     out = str(tmp_path / "x.csv")
     assert main(argv + ["--out", out]) == 2
     captured = capsys.readouterr()
@@ -419,9 +465,12 @@ def test_each_type_names_its_field(monkeypatch, build, field):
 #: sigma2 and fs of the contract below, log-uniform over the float range
 SCALE = st.floats(math.log(1e-310), math.log(1e308)).map(math.exp)
 RBAR = st.floats(1e-3, 50.0)
+#: bits per sample of a curve or ratio sweep: as ``RBAR``, or log-uniform
+#: down to MIN_RBAR
+SWEPT_RBAR = st.one_of(RBAR, st.floats(math.log(waterfill.MIN_RBAR),
+                                       math.log(50.0)).map(math.exp))
 #: exit-2 messages about a derived quantity, for which no one flag is at fault
-DERIVED = ("error: need 0 < --min < --max", "error: bits per sample must be",
-           "error: need horizon * fs > 1")
+DERIVED = ("error: need 0 < --min < --max", "error: need horizon * fs > 1")
 
 
 @st.composite
@@ -430,7 +479,7 @@ def cli_calls(draw):
     sigma2 and fs may lie anywhere in the float range."""
     command = draw(st.sampled_from(["curve", "ratio", "eigen", "simulate"]))
     sigma2, fs = draw(SCALE), draw(SCALE)
-    low, high = sorted([draw(RBAR), draw(RBAR)])
+    low, high = sorted([draw(SWEPT_RBAR), draw(SWEPT_RBAR)])
     flags = {} if command == "ratio" else {"--sigma2": sigma2, "--fs": fs}
     argv = [command]
     if command == "ratio":
@@ -439,7 +488,7 @@ def cli_calls(draw):
         if draw(st.booleans()):   # sweep R at fixed fs
             flags.update({"--min": low * fs, "--max": high * fs})
         else:                     # sweep fs at fixed R
-            rate = draw(RBAR) * fs
+            rate = draw(SWEPT_RBAR) * fs
             flags.update({"--rate": rate, "--min": rate / high,
                           "--max": rate / low})
         argv += ["--normalized"] if draw(st.booleans()) else []

@@ -15,7 +15,7 @@ from wienerdr.drf import (DistortionBundle, RateSpec, bundle, ce_penalty,
                           dr_asym_coeffs, equilibrium_rbar, g_fun, mmse_fs,
                           ratio_qnt, ratio_smp)
 from wienerdr.spectral import ProcessParams
-from wienerdr.waterfill import _SERIES_SHARE, MAX_RBAR
+from wienerdr.waterfill import _SERIES_SHARE, MAX_RBAR, MIN_RBAR
 
 UNIT = ProcessParams(sigma2=1.0, fs=1.0)
 BORDER_RBAR = 0.5 * (1.0 + math.log2(math.sqrt(3.0) + 2.0))
@@ -85,8 +85,8 @@ class TestDtilde:
         assert d_tilde(3.0) == pytest.approx(LOW_RATE_COEF * 2.0 ** -6, abs=1e-10)
 
     def test_rejects_vanishing_rate(self):
-        with pytest.raises(ValueError):
-            d_tilde(5e-5)
+        with pytest.raises(FloatingPointError, match="supported minimum"):
+            d_tilde(5e-156)
 
 
 class TestEquilibrium:
@@ -149,6 +149,14 @@ class TestRatios:
 
     def test_ratio_smp_limit(self):
         assert ratio_smp(0.01) == pytest.approx(1.0, abs=1e-3)
+
+    def test_ratio_smp_approaches_one_quadratically(self):
+        # ratio_smp - 1 = (pi ln2 rbar)**2 / 36 + O(rbar**4)
+        rbar = np.geomspace(1e-3, 1e-2, 41)
+        coefficient = (ratio_smp(rbar) - 1.0) / rbar ** 2
+        assert (math.pi * math.log(2.0)) ** 2 / 36.0 == \
+            pytest.approx(0.1317189, abs=1e-7)
+        np.testing.assert_allclose(coefficient, 0.1317189, rtol=0, atol=1e-6)
 
     @pytest.mark.parametrize("rbar", [0.25, 1.0, 2.0])
     def test_ratio_smp_consistency(self, rbar):
@@ -268,10 +276,15 @@ class TestValidation:
             RateSpec(-1.0)
 
     def test_min_rbar_enforced(self):
-        with pytest.raises(ValueError):
-            d_opt(ProcessParams(1.0, 100.0), RateSpec(1e-3))
+        with pytest.raises(FloatingPointError, match="supported minimum"):
+            d_opt(ProcessParams(1.0, 1e160), RateSpec(1e-3))
+        with pytest.raises(FloatingPointError, match="supported minimum"):
+            drf.sweep(1.0, 1e300, 1e-300)   # R/fs underflows to 0
+        for rbar in (0.0, -1.0, math.nan):   # not a rate, so not a range
+            with pytest.raises(ValueError, match="rate must be > 0"):
+                d_tilde(rbar)
         # exactly at the limit is allowed
-        d_tilde(drf.MIN_RBAR)
+        d_tilde(MIN_RBAR)
 
 
 #: natural-log bounds of the normal floats, pulled in so that exp stays inside
@@ -281,24 +294,28 @@ LOG_NORMAL = (math.log(sys.float_info.min) + 1e-12,
 
 class TestSweepProperties:
     """Scaling and ordering over log-uniform (sigma2, fs, R) across the
-    normal floats, R/fs up to MAX_RBAR, extremes included."""
+    normal floats, R/fs over [MIN_RBAR, MAX_RBAR], extremes included."""
 
     @given(log_sigma2=st.floats(*LOG_NORMAL),
            log_fs=st.floats(*LOG_NORMAL),
-           log_rbar=st.floats(math.log(drf.MIN_RBAR), math.log(MAX_RBAR)))
+           log_rbar=st.one_of(st.floats(math.log(1e-4), math.log(MAX_RBAR)),
+                              st.floats(math.log(MIN_RBAR),
+                                        math.log(MAX_RBAR))))
     @example(0.0, 0.0, math.log(BRANCH_EDGES[0]))
     @example(0.0, 0.0, math.log(BRANCH_EDGES[1]))
     @example(0.0, 0.0, math.log(BRANCH_EDGES[2]))
     @example(0.0, 0.0, math.log(BRANCH_EDGES[3]))
     @example(LOG_NORMAL[1], LOG_NORMAL[0], 0.0)       # sigma2/fs overflows
-    @example(LOG_NORMAL[1], 0.0, math.log(drf.MIN_RBAR))   # sigma2/R does
+    @example(LOG_NORMAL[1], 0.0, -10.0)   # sigma2/R does
     @example(LOG_NORMAL[0], LOG_NORMAL[1], math.log(MAX_RBAR))   # underflow
+    @example(0.0, 0.0, -17.0)   # d_bar rounds above d_w at this rbar
+    @example(0.0, 0.0, math.log(MIN_RBAR) + 1e-12)
     @settings(max_examples=150, deadline=None)
     def test_scaling_and_ordering(self, log_sigma2, log_fs, log_rbar):
         sigma2, fs = math.exp(log_sigma2), math.exp(log_fs)
         rate = math.exp(log_rbar) * fs
         assume(0.0 < rate < math.inf)
-        assume(drf.MIN_RBAR <= rate / fs <= MAX_RBAR)
+        assume(MIN_RBAR <= rate / fs <= MAX_RBAR)
         scale = sigma2 / fs
         if not (scale < math.inf and sigma2 / rate < math.inf):
             with pytest.raises(FloatingPointError, match="floating-point range"):
@@ -320,4 +337,8 @@ class TestSweepProperties:
             assert math.isfinite(got), name
             if value >= sys.float_info.min:   # else it has lost digits
                 assert got == pytest.approx(value, rel=1e-12), name
-        assert b.d_bar <= b.d_w
+        # the exact relative gap d_w - d_bar, 0.1317 rbar**2, is at least
+        # 1.3e-13 from rbar 1e-6 up and falls below rounding under it
+        slack = 0.0 if rate / fs >= 1e-6 else \
+            drf._ORDERING_SLACK * max(1.0, abs(b.d_upper))
+        assert b.d_bar <= b.d_w + slack

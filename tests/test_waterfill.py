@@ -3,6 +3,7 @@ closed-form kernel's inversion checked against that oracle."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,9 +13,9 @@ from oracle import (ConstantDensity, QuadratureError, ce_integral,
                     distortion_at_theta, integrate, integrate_density,
                     integrate_unit, rate_at_theta)
 from wienerdr import waterfill
-from wienerdr.drf import MIN_RBAR
 from wienerdr.spectral import SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER
-from wienerdr.waterfill import solve_theta_for_rate, water_levels
+from wienerdr.waterfill import (MAX_RBAR, MIN_RBAR, solve_theta_for_rate,
+                                water_levels)
 
 BORDER_RATE = 0.5 * (1.0 + np.log2(np.sqrt(3.0) + 2.0))  # ~1.44998
 #: where the Newton start changes branch, for the walk (border rate 1) and
@@ -208,6 +209,48 @@ class TestKernel:
         with pytest.raises(FloatingPointError, match="510.9.*510.658"):
             water_levels(SAMPLED_WIENER, np.array([1.0, 510.9]))
         water_levels(SHIFTED_SAMPLED_WIENER, waterfill.MAX_RBAR)
+
+    def test_refuses_past_the_overflow_edge(self):
+        assert MIN_RBAR == pytest.approx(6.8501e-155, rel=1e-5)
+        with pytest.raises(FloatingPointError,
+                           match="6.8e-155 .*below .* 6.8501e-155"):
+            water_levels(SHIFTED_SAMPLED_WIENER, np.array([1.0, 6.8e-155]))
+        with pytest.raises(ValueError, match="rate must be > 0"):
+            water_levels(SAMPLED_WIENER, np.array([MIN_RBAR, math.nan]))
+        water_levels(SAMPLED_WIENER, MIN_RBAR)
+
+    @pytest.mark.parametrize("density", [SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER])
+    def test_strictly_decreasing_over_the_whole_range(self, density):
+        levels = water_levels(density, np.geomspace(MIN_RBAR, MAX_RBAR, 20000))
+        assert np.all(np.diff(levels.theta) < 0)
+        assert np.all(np.diff(levels.distortion) < 0)
+
+
+def series_theta(rbar: float, shift: float):
+    """The exact water level at small rbar, from the small-phic series
+    pi ln2 rbar = x (1 -+ x**2/36) in x = pi phic (- for the walk, + for the
+    interpolator), theta = S(x / pi); its O(x**5) error is far below an ulp
+    for rbar <= 1e-6."""
+    with mpmath.workdps(40):
+        y = mpmath.pi * mpmath.log(2) * mpmath.mpf(rbar)
+        sign = 1 if shift else -1
+        x = mpmath.findroot(lambda x: x * (1 + sign * x * x / 36) - y, y)
+        return 1 / (4 * mpmath.sin(x / 2) ** 2) - mpmath.mpf(shift)
+
+
+@given(st.floats(math.log(MIN_RBAR), math.log(1e-6)))
+@example(math.log(MIN_RBAR))
+@settings(max_examples=60, deadline=None)
+def test_theta_matches_the_small_crossing_series(log_rbar):
+    """theta is carried as ln theta, so its relative error is bounded by
+    about |ln theta| 2**-53; (|ln theta| + 8) 2**-52 leaves room for the
+    ulps of the last exp and of the density."""
+    rbar = max(math.exp(log_rbar), MIN_RBAR)
+    for density, shift in ((SAMPLED_WIENER, 0), (SHIFTED_SAMPLED_WIENER,
+                                                  mpmath.mpf(1) / 6)):
+        theta = float(water_levels(density, rbar).theta)
+        error = abs(mpmath.mpf(theta) / series_theta(rbar, shift) - 1)
+        assert error <= (abs(math.log(theta)) + 8) * 2.0 ** -52
 
 
 class TestIntegrateDensity:

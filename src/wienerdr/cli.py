@@ -152,12 +152,11 @@ def _cmd_curve(args) -> int:
     grid = Grid(args.min, args.max, args.points, args.log).values()
     params = ProcessParams(args.sigma2, args.fs)   # --fs even where swept
     fs, rate = (params.fs, grid) if args.rate is None else (grid, args.rate)
-    b = drf.sweep(params.sigma2, fs, rate)
-    scale = np.asarray(fs) / args.sigma2 if args.normalized else 1.0
+    # sigma2 = fs makes the unit sigma2/fs exactly 1
+    b = drf.sweep(fs if args.normalized else params.sigma2, fs, rate)
     header = ["x", "d_opt", "d_ce", "d_upper", "d_w", "d_bar", "mmse",
               "theta_opt", "theta_ce"]
-    columns = [grid] + [getattr(b, name) * scale for name in header[1:7]]
-    rows = np.column_stack(columns + [b.theta_opt, b.theta_ce])
+    rows = np.column_stack([grid] + [getattr(b, name) for name in header[1:]])
     _write_outputs(args, header, rows)
     return 0
 
@@ -200,8 +199,13 @@ def _cmd_simulate(args) -> int:
         raise ValueError("--rbar is required for the test-channel scheme")
     if args.rbar is not None:   # refused if bad, even where unused
         check_positive("rbar", args.rbar)
-    result = (mc.empirical_mmse(params, config) if args.scheme == "mmse-only"
-              else mc.mc_test_channel_run(params, config, args.rbar))
+    try:
+        result = (mc.empirical_mmse(params, config)
+                  if args.scheme == "mmse-only"
+                  else mc.mc_test_channel_run(params, config, args.rbar))
+    except MemoryError:   # past the per-trial array, the trial row sizes all
+        raise ParameterError(mc._row_field(params, config),
+                             "is too large to allocate") from None
     values = (result.estimate, result.stderr, result.reference, result.z_score)
     _check_finite(values)
     summary = "estimate={} stderr={} reference={} z={}".format(
@@ -277,9 +281,8 @@ def main(argv=None) -> int:
         if isinstance(exc, ParameterError):   # a field: name its flag
             flag = {"horizon_t": "horizon"}.get(exc.field, exc.field)
             exc = f"--{flag} {exc.reason}"
-        elif isinstance(exc, MemoryError):   # the flag that sized the request
-            flag = {"eigen": "n", "simulate": "horizon"}.get(
-                args.command, "points")
+        elif isinstance(exc, MemoryError):   # the flag that sized the table
+            flag = "n" if args.command == "eigen" else "points"
             exc = f"--{flag} is too large to allocate"
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -25,13 +25,14 @@ absolute ones; the scalar functions are the same computation at one point.
 
 Two distinct water levels coexist: the shifted density's (d_opt) and the
 unshifted density's (d_bar, d_ce).  ``DistortionBundle`` carries both so
-they cannot be mixed up.
+they cannot be mixed up; constructing one is the one check of the values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from sys import float_info
 
 import numpy as np
 
@@ -84,9 +85,10 @@ class DistortionBundle:
 
     Distortions are per unit time (units of sigma2); thetas are in units of
     sigma2/fs.  Fields are floats, or arrays of one shape for a ``sweep``.
-    Construction enforces, at every point, the ordering
-    max{mmse, d_w} <= d_opt <= d_ce <= d_upper and d_bar <= d_w up to a
-    1e-9 slack; a violation indicates a numerical defect in the curves.
+    Construction refuses a field outside the normal floats, where it has
+    lost its digits (FloatingPointError naming it), and, at any point, a
+    violation of max{mmse, d_w} <= d_opt <= d_ce <= d_upper and d_bar <= d_w
+    by more than 1e-9 |d_upper|, which indicates a defect in the curves.
     """
 
     d_opt: float
@@ -99,11 +101,16 @@ class DistortionBundle:
     theta_ce: float
 
     def __post_init__(self):
-        slack = _ORDERING_SLACK * np.maximum(1.0, np.abs(self.d_upper))
-        ordered = ((np.maximum(self.mmse, self.d_w) - slack <= self.d_opt)
-                   & (self.d_opt <= self.d_ce + slack)
-                   & (self.d_ce + slack <= self.d_upper + 2 * slack)
-                   & (self.d_bar <= self.d_w + slack))
+        for name, value in vars(self).items():   # the fields, in order
+            if not np.all((float_info.min <= value) & (value <= float_info.max)):
+                raise FloatingPointError(
+                    f"{name} is past the floating-point range")
+        # differences of two normal floats cannot overflow
+        slack = _ORDERING_SLACK * self.d_upper
+        ordered = ((np.maximum(self.mmse, self.d_w) - self.d_opt <= slack)
+                   & (self.d_opt - self.d_ce <= slack)
+                   & (self.d_ce - self.d_upper <= slack)
+                   & (self.d_bar - self.d_w <= slack))
         if not np.all(ordered):
             raise ValueError(
                 "distortion ordering violated; the curves are suspect")
@@ -150,30 +157,29 @@ def sweep(sigma2, fs, rate) -> DistortionBundle:
 
     The three broadcast together; each must be positive and finite
     (``ParameterError`` names the first that is not).  The bundle's fields
-    are arrays of the broadcast shape (floats for scalars).  A scale past
-    the float range or an R/fs out of range raises FloatingPointError.
+    are arrays of the broadcast shape (floats for scalars): the sections
+    times sigma2/fs (d_w: sigma2/R), so sigma2 = fs gives the sections.  An
+    R/fs out of range or a field past the normal floats (refused by the
+    bundle) raises FloatingPointError.
     """
     sigma2, fs, rate = np.broadcast_arrays(*(
         check_positive(name, value) for name, value
         in (("sigma2", sigma2), ("fs", fs), ("rate", rate))))
-    with np.errstate(over="ignore"):   # past the float range: raised below
+    with np.errstate(over="ignore", under="ignore"):   # the bundle refuses
         rbar, scale, per_rate = rate / fs, sigma2 / fs, sigma2 / rate
-    curves = sections(np.maximum(rbar, 5e-324))   # an underflow: out of range
-    for name, value in (("sigma2/fs", scale), ("sigma2/R", per_rate)):
-        if not np.all(np.isfinite(value)):
-            raise FloatingPointError(f"{name} is past the floating-point range")
-    mmse = scale / 6.0
-    walk = scale * curves.sampled.distortion
-    return DistortionBundle(
-        d_opt=mmse + scale * curves.d_tilde,
-        d_ce=mmse + scale * curves.sampled.ce,
-        d_upper=mmse + walk,
-        d_w=_DW_COEF * sigma2 / rate,
-        d_bar=walk,
-        mmse=mmse,
-        theta_opt=curves.shifted.theta,
-        theta_ce=curves.sampled.theta,
-    )
+        curves = sections(np.maximum(rbar, 5e-324))   # 0: out of range
+        mmse = scale / 6.0
+        walk = scale * curves.sampled.distortion
+        return DistortionBundle(
+            d_opt=mmse + scale * curves.d_tilde,
+            d_ce=mmse + scale * curves.sampled.ce,
+            d_upper=mmse + walk,
+            d_w=_DW_COEF * per_rate,
+            d_bar=walk,
+            mmse=mmse,
+            theta_opt=curves.shifted.theta,
+            theta_ce=curves.sampled.theta,
+        )
 
 
 def bundle(params: ProcessParams, rate: RateSpec) -> DistortionBundle:
@@ -183,12 +189,12 @@ def bundle(params: ProcessParams, rate: RateSpec) -> DistortionBundle:
 
 def d_w(rate: RateSpec, sigma2: float) -> float:
     """DRF of the continuous Wiener process: 2 sigma2 / (pi^2 ln2 R)."""
-    return _DW_COEF * sigma2 / rate.rate
+    return _DW_COEF * (sigma2 / rate.rate)
 
 
 def mmse_fs(params: ProcessParams) -> float:
-    """Interpolation error floor sigma2 / (6 fs)."""
-    return params.sigma2 / (6.0 * params.fs)
+    """Interpolation error floor sigma2 / (6 fs), formed as (sigma2/fs)/6."""
+    return params.sigma2 / params.fs / 6.0
 
 
 def d_bar(params: ProcessParams, rate: RateSpec) -> float:

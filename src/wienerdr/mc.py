@@ -53,6 +53,7 @@ from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from .drf import mmse_fs
 from .spectral import (ParameterError, ProcessParams, check_positive,
                        discrete_wiener_eigenvalues)
 
@@ -170,10 +171,20 @@ def effective_grid(params: ProcessParams, config: SimConfig) -> Tuple[int, float
     """
     raw = config.horizon_t * params.fs
     if 8 * raw * (config.oversample + 2) > sys.maxsize:
-        raise ParameterError("horizon_t", "is too long to allocate")
+        raise ParameterError(_row_field(params, config),
+                             "is too long to allocate")
     nearest = round(raw)
     n = max(1, nearest if abs(raw - nearest) < 1e-9 else math.ceil(raw))
     return int(n), n / params.fs
+
+
+def _row_field(params: ProcessParams, config: SimConfig) -> str:
+    """The field that sized a trial row of horizon_t fs (oversample + 2)
+    floats: ``oversample`` if it is the larger factor, else the larger of
+    ``horizon_t`` and ``fs``."""
+    if config.oversample > config.horizon_t * params.fs:
+        return "oversample"
+    return "horizon_t" if config.horizon_t >= params.fs else "fs"
 
 
 #: constants of NumPy's SeedSequence (numpy/random/bit_generator.pyx), whose
@@ -557,7 +568,7 @@ def lemma_bounds(moments: ErrorMoments, params: ProcessParams) -> Tuple[float, f
     n = len(s)
     if n < 2:
         raise ValueError("need moments over at least 2 indices")
-    mmse = params.sigma2 / (6.0 * params.fs)
+    mmse = mmse_fs(params)
     lower = mmse + (2.0 / 3.0) * s[:-1].sum() / n + (1.0 / 3.0) * c.sum() / n
     upper = (mmse + (2.0 / 3.0) * (s.sum() + s[0]) / (n + 1)
              + c.sum() / (3.0 * (n + 1)))
@@ -668,7 +679,7 @@ def mc_test_channel_run(params: ProcessParams, config: SimConfig,
     """
     n, _ = effective_grid(params, config)
     if n < 2:
-        raise ValueError("need horizon * fs > 1: 2 intervals per block")
+        raise ParameterError("horizon_t", "must exceed 1/fs: horizon * fs > 1")
     os_ = config.oversample
     lam = os_ * discrete_wiener_eigenvalues(ProcessParams(1.0, 1.0), n)
     theta = finite_waterfill_theta(lam, rbar)

@@ -11,10 +11,10 @@ density S(phi) - 1/6.  A density is its shift (``SpectralDensity``), which
 gives S, its floor and the one formula for the water-level crossing.  The
 module also provides closed-form finite-rank eigenvalues in O(n) and
 eigensystems for the two covariance kernels (the discrete walk and the
-interpolator kernel on [0, n/fs]).  Two oracles validate the closed forms:
-``interp_covariance`` evaluates the interpolator kernel pointwise, and
-``nystrom_interp_eigenvalues`` gives its discretized spectrum by one route,
-an n x n matrix with the same nonzero eigenvalues as the Nystrom matrix.
+interpolator kernel on [0, n/fs]).  ``nystrom_interp_eigenvalues`` checks
+the closed forms: it gives the interpolator's discretized spectrum by one
+route, an n x n matrix with the same nonzero eigenvalues as the Nystrom
+matrix.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ __all__ = [
     "discrete_wiener_eigensystem",
     "interp_kernel_eigenvalues",
     "interp_kernel_eigensystem",
-    "interp_covariance",
     "nystrom_interp_eigenvalues",
 ]
 
@@ -258,35 +257,6 @@ def interp_kernel_eigensystem(params: ProcessParams, n: int) -> EigenSystem:
     return EigenSystem(n=n, eigenvalues=lam, ts=ts, node_values=nodes)
 
 
-def _by_interval(times: np.ndarray, params: ProcessParams) -> dict:
-    """Positions of ``times`` grouped by the sampling interval they fall in."""
-    idx = np.floor(times * params.fs * (1 + 1e-14)).astype(int)
-    order = np.argsort(idx, kind="stable")
-    keys, starts = np.unique(idx[order], return_index=True)
-    return dict(zip(keys.tolist(), np.split(order, starts[1:])))
-
-
-def interp_covariance(params: ProcessParams, t, s):
-    """Kernel of the sample interpolator: sigma2*min(t,s) minus the bridge
-    term (sigma2/ts)(t_hi - max)(min - t_lo), which is 0 unless t and s share
-    a sampling interval [t_lo, t_hi] and is subtracted on those blocks only."""
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    out = np.minimum.outer(t_arr, s_arr)
-    out *= params.sigma2
-    ts = params.ts
-    rows, cols = _by_interval(t_arr, params), _by_interval(s_arr, params)
-    for i in rows.keys() & cols.keys():
-        ti, si = t_arr[rows[i]][:, None], s_arr[cols[i]][None, :]
-        bridge = np.minimum(ti, si) - i * ts
-        bridge *= (i + 1) * ts - np.maximum(ti, si)
-        bridge *= params.sigma2 / ts
-        out[np.ix_(rows[i], cols[i])] -= bridge
-    if np.isscalar(t) and np.isscalar(s):
-        return float(out[0, 0])
-    return out
-
-
 def nystrom_interp_eigenvalues(params: ProcessParams, n: int,
                                grid_points: int = 200) -> np.ndarray:
     """Brute-force spectrum of the interpolator kernel on a uniform grid.
@@ -299,7 +269,6 @@ def nystrom_interp_eigenvalues(params: ProcessParams, n: int,
     factors H and the samples' covariance C = L L^T.  The Nystrom matrix is
     then A A^T with A = W^1/2 H L, whose nonzero eigenvalues are those of
     the n x n matrix A^T A = L^T (H^T W H) L, which is what is diagonalized.
-    ``interp_covariance`` evaluates K pointwise, independently of H.
     """
     if n < 1:
         raise ParameterError("n", "must be a positive integer")

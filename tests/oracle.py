@@ -1,6 +1,6 @@
 """Quadrature oracle for the closed-form waterfilling kernel, dense
-references for the Monte-Carlo layer, and the Fredholm residual of the
-interpolator eigensystem.
+references for the Monte-Carlo layer, and the pointwise interpolator
+kernel with the Fredholm residual of its eigensystem.
 
 Only the tests import this module.  It integrates the waterfilling
 integrands directly, so it shares no formula with ``wienerdr.waterfill``.
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from wienerdr.spectral import (SAMPLED_WIENER, ProcessParams,
-                               discrete_wiener_eigensystem, interp_covariance)
+                               discrete_wiener_eigensystem)
 
 #: every waterfilling integral must come back with an error estimate below this
 ERROR_BOUND = 1e-9
@@ -365,7 +365,36 @@ def dense_grid_expectation(n: int, oversample: int, rbar: float) -> float:
     return float(weights @ per_point)
 
 
-# ------------------------------------------------------ Fredholm residual
+# ------------------------------- pointwise kernel and Fredholm residual
+
+def _by_interval(times: np.ndarray, params: ProcessParams) -> dict:
+    """Positions of ``times`` grouped by the sampling interval they fall in."""
+    idx = np.floor(times * params.fs * (1 + 1e-14)).astype(int)
+    order = np.argsort(idx, kind="stable")
+    keys, starts = np.unique(idx[order], return_index=True)
+    return dict(zip(keys.tolist(), np.split(order, starts[1:])))
+
+
+def interp_covariance(params: ProcessParams, t, s):
+    """Kernel of the sample interpolator: sigma2*min(t,s) minus the bridge
+    term (sigma2/ts)(t_hi - max)(min - t_lo), which is 0 unless t and s share
+    a sampling interval [t_lo, t_hi] and is subtracted on those blocks only."""
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
+    out = np.minimum.outer(t_arr, s_arr)
+    out *= params.sigma2
+    ts = params.ts
+    rows, cols = _by_interval(t_arr, params), _by_interval(s_arr, params)
+    for i in rows.keys() & cols.keys():
+        ti, si = t_arr[rows[i]][:, None], s_arr[cols[i]][None, :]
+        bridge = np.minimum(ti, si) - i * ts
+        bridge *= (i + 1) * ts - np.maximum(ti, si)
+        bridge *= params.sigma2 / ts
+        out[np.ix_(rows[i], cols[i])] -= bridge
+    if np.isscalar(t) and np.isscalar(s):
+        return float(out[0, 0])
+    return out
+
 
 def kernel_action(params: ProcessParams, grid_points: int, t: np.ndarray,
                   f: np.ndarray) -> np.ndarray:

@@ -67,6 +67,72 @@ class TestCurve:
         assert q["d_opt"][0] == pytest.approx(4.0 * p["d_opt"][0], rel=1e-12)
         assert q["theta_opt"][0] == pytest.approx(p["theta_opt"][0], rel=1e-12)
 
+    @pytest.mark.parametrize("flags", [
+        ["--fs", "4", "--min", "0.01", "--max", "40"],
+        ["--sigma2", "1e300", "--fs", "1e-10", "--min", "1e-10",
+         "--max", "2e-10"],
+        ["--sigma2", "1e-300", "--fs", "1e200", "--min", "1e150",
+         "--max", "1e202"],
+        ["--sigma2", "1e300", "--rate", "1e-10", "--min", "1e-12",
+         "--max", "1e-8"]],
+        ids=["fs-4", "sigma2-1e300-fs-1e-10", "sigma2-1e-300-fs-1e200",
+             "fs-swept"])
+    def test_normalized_columns_are_the_sections(self, tmp_path, flags):
+        out = str(tmp_path / "norm.csv")
+        assert main(["curve", "--normalized", "--points", "5", "--log",
+                     *flags, "--out", out]) == 0
+        _, c = read_csv(out)
+        if "--rate" in flags:
+            rbar = float(flags[flags.index("--rate") + 1]) / c["x"]
+        else:
+            rbar = c["x"] / float(flags[flags.index("--fs") + 1])
+        s = drf.sections(rbar)
+        expected = {
+            "d_opt": 1.0 / 6.0 + s.d_tilde,
+            "d_ce": 1.0 / 6.0 + s.sampled.ce,
+            "d_upper": 1.0 / 6.0 + s.sampled.distortion,
+            "d_w": 2.0 / (math.pi ** 2 * math.log(2.0)) / rbar,
+            "d_bar": s.sampled.distortion,
+            "mmse": np.full(5, 1.0 / 6.0),
+            "theta_opt": s.shifted.theta,
+            "theta_ce": s.sampled.theta,
+        }
+        for name, value in expected.items():
+            np.testing.assert_allclose(c[name], value, rtol=1e-12,
+                                       err_msg=name)
+
+    @pytest.mark.parametrize("flags,code", [
+        (["--sigma2", "1.18e-207", "--fs", "8.07e140", "--min", "6e88",
+          "--max", "7e88"], 3),
+        (["--sigma2", "1e-300", "--fs", "1", "--min", "500", "--max", "501"],
+         3),
+        (["--sigma2", "2.663335e-316", "--rate", "9.09e-321",
+          "--min", "8.198238786611619e-203", "--max", "1e-202"], 0),
+        (["--normalized", "--sigma2", "1e300", "--fs", "1e-10",
+          "--min", "1e-10", "--max", "2e-10"], 0)],
+        ids=["sigma2-over-fs-underflows", "d_bar-underflows",
+             "d_w-from-its-unit", "normalized-at-extreme-scale"])
+    def test_a_curve_is_written_only_where_floats_hold_it(
+            self, tmp_path, capsys, flags, code):
+        # a row whose exact values leave the normal floats exits 3 and
+        # writes nothing; one whose values fit is written in the paper's order
+        out = str(tmp_path / "x.csv")
+        assert main(["curve", "--points", "2", *flags, "--out", out]) == code
+        err = capsys.readouterr().err.splitlines()
+        if code == 3:
+            assert len(err) == 1
+            assert err[0].endswith("is past the floating-point range")
+            assert os.listdir(tmp_path) == []
+            return
+        assert err == []
+        _, c = read_csv(out)
+        assert all(np.all(col >= sys.float_info.min) for col in c.values())
+        slack = 1e-9 * c["d_upper"]
+        assert np.all(np.maximum(c["mmse"], c["d_w"]) <= c["d_opt"] + slack)
+        assert np.all(c["d_opt"] <= c["d_ce"] + slack)
+        assert np.all(c["d_ce"] <= c["d_upper"] + slack)
+        assert np.all(c["d_bar"] <= c["d_w"] + slack)
+
     def test_past_the_underflow_edge_is_a_numerical_failure(self, tmp_path):
         out = str(tmp_path / "never.csv")
         code = main(["curve", "--fs", "1", "--min", "1", "--max", "600",
@@ -404,21 +470,31 @@ UNIT_PARAMS = spectral.ProcessParams(1.0, 1.0)
     (CHANNEL + ["--rbar", "1", "--horizon", "1e300"], HORIZON_TOO_LONG),
     (MMSE + ["--horizon", "1e18"], HORIZON_TOO_LONG),
     (CHANNEL + ["--rbar", "1", "--horizon", "1e18"], HORIZON_TOO_LONG),
+    (MMSE + ["--fs", "1", "--oversample", "1000000000000000000"],
+     "--oversample is too long to allocate"),
+    (MMSE + ["--fs", "1e18"], "--fs is too long to allocate"),
+    (CHANNEL + ["--rbar", "1", "--fs", "1", "--horizon", "1"],
+     "--horizon must exceed 1/fs: horizon * fs > 1"),
     (["eigen", "--kind", "discrete", "--n", "10000000000000"],
      f"--n {TOO_LARGE}"),
     (CURVE + ["--points", "10000000000000"], f"--points {TOO_LARGE}"),
     (RATIO + ["--points", "10000000000000"], f"--points {TOO_LARGE}"),
     (MMSE + ["--horizon", "1e16"], f"--horizon {TOO_LARGE}"),
-    (CHANNEL + ["--rbar", "1", "--horizon", "1e16"], f"--horizon {TOO_LARGE}")],
+    (CHANNEL + ["--rbar", "1", "--horizon", "1e16"], f"--horizon {TOO_LARGE}"),
+    (MMSE + ["--oversample", "10000000000000"], f"--oversample {TOO_LARGE}"),
+    (MMSE + ["--fs", "1e-12", "--horizon", "1e13", "--oversample",
+             "1000000000000"], f"--oversample {TOO_LARGE}")],
     ids=["sigma2", "fs", "fs-swept", "rate", "min", "max", "min-above-max",
          "min-equals-max", "points-0", "points-1", "n", "horizon",
          "oversample", "trials-0", "trials-1", "trials-2**32+1", "seed--1",
          "seed-2**64", "rbar-inf", "rbar-unused", "rbar-missing",
          "horizon-overflows-mmse", "horizon-overflows-channel",
          "horizon-1e300-mmse", "horizon-1e300-channel", "horizon-1e18-mmse",
-         "horizon-1e18-channel", "n-past-memory", "curve-points-past-memory",
+         "horizon-1e18-channel", "oversample-overflows", "fs-overflows",
+         "one-interval-channel", "n-past-memory", "curve-points-past-memory",
          "ratio-points-past-memory", "horizon-past-memory-mmse",
-         "horizon-past-memory-channel"])
+         "horizon-past-memory-channel", "oversample-past-memory",
+         "oversample-past-memory-long-horizon"])
 def test_each_bad_flag_is_named(tmp_path, capsys, monkeypatch, argv, message):
     # each value is refused by its type before any work (no run may start),
     # or by the first allocation it sizes, which for mmse-only is in the run
@@ -426,7 +502,7 @@ def test_each_bad_flag_is_named(tmp_path, capsys, monkeypatch, argv, message):
         raise AssertionError("the computation must not start")
 
     monkeypatch.setattr(drf, "sections", never)
-    if message != f"--horizon {TOO_LARGE}":
+    if not message.endswith(TOO_LARGE):
         monkeypatch.setattr(mc, "_run", never)
     out = str(tmp_path / "x.csv")
     assert main(argv + ["--out", out]) == 2
@@ -469,8 +545,8 @@ RBAR = st.floats(1e-3, 50.0)
 #: down to MIN_RBAR
 SWEPT_RBAR = st.one_of(RBAR, st.floats(math.log(waterfill.MIN_RBAR),
                                        math.log(50.0)).map(math.exp))
-#: exit-2 messages about a derived quantity, for which no one flag is at fault
-DERIVED = ("error: need 0 < --min < --max", "error: need horizon * fs > 1")
+#: exit-2 messages about a value that no flag holds alone, by their start
+DERIVED = ("error: need 0 < --min < --max", "error: --horizon must exceed")
 
 
 @st.composite

@@ -14,6 +14,7 @@ from wienerdr.drf import (DistortionBundle, RateSpec, bundle, ce_penalty,
                           d_bar, d_ce, d_opt, d_tilde, d_upper, d_w,
                           dr_asym_coeffs, equilibrium_rbar, g_fun, mmse_fs,
                           ratio_qnt, ratio_smp)
+from wienerdr.mc import ErrorMoments, lemma_bounds
 from wienerdr.spectral import ProcessParams
 from wienerdr.waterfill import _SERIES_SHARE, MAX_RBAR, MIN_RBAR
 
@@ -246,9 +247,32 @@ class TestBundle:
                 3.0 * getattr(one, name), rel=1e-10)
 
     def test_ordering_check_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            DistortionBundle(d_opt=1.0, d_ce=0.5, d_upper=2.0, d_w=0.1,
-                             d_bar=0.05, mmse=0.1, theta_opt=0.1, theta_ce=0.1)
+        for scale in (1.0, 2e-12):   # d_ce half of d_opt: garbage at any scale
+            with pytest.raises(ValueError, match="ordering violated"):
+                DistortionBundle(d_opt=scale, d_ce=0.5 * scale,
+                                 d_upper=2 * scale, d_w=0.1 * scale,
+                                 d_bar=0.05 * scale, mmse=0.1 * scale,
+                                 theta_opt=0.1, theta_ce=0.1)
+
+    @pytest.mark.parametrize("field,value", [
+        ("d_opt", 0.0), ("mmse", 1e-310), ("d_w", math.inf),
+        ("theta_ce", math.nan)])
+    def test_range_check_names_the_field(self, field, value):
+        good = dict(d_opt=1.0, d_ce=1.5, d_upper=2.0, d_w=0.5, d_bar=0.4,
+                    mmse=0.5, theta_opt=0.1, theta_ce=0.1)
+        DistortionBundle(**good)
+        with pytest.raises(FloatingPointError,
+                           match=f"^{field} is past the floating-point range"):
+            DistortionBundle(**{**good, field: value})
+
+    def test_mmse_floor_has_one_value(self):
+        # 6 fs overflows at fs = 1e308; (sigma2 / fs) / 6 does not
+        params = ProcessParams(1e300, 1e308)
+        floor = bundle(params, RateSpec(1e308)).mmse
+        assert floor == pytest.approx(1e-8 / 6.0, rel=1e-15)
+        assert mmse_fs(params) == floor
+        zero = ErrorMoments(second=np.zeros(4), cross=np.zeros(3))
+        assert lemma_bounds(zero, params) == (floor, floor)
 
 
 class TestMonotonicity:
@@ -287,58 +311,72 @@ class TestValidation:
         d_tilde(MIN_RBAR)
 
 
-#: natural-log bounds of the normal floats, pulled in so that exp stays inside
-LOG_NORMAL = (math.log(sys.float_info.min) + 1e-12,
-              math.log(sys.float_info.max) - 1e-12)
+#: log-uniform over the positive floats, the smallest subnormal included
+POSITIVE = st.floats(math.log(5e-324), math.log(sys.float_info.max)).map(
+    lambda x: min(math.exp(x), sys.float_info.max))
+TINY, HUGE = sys.float_info.min, sys.float_info.max
 
 
 class TestSweepProperties:
     """Scaling and ordering over log-uniform (sigma2, fs, R) across the
-    normal floats, R/fs over [MIN_RBAR, MAX_RBAR], extremes included."""
+    positive floats, subnormals included; R is rbar fs, with rbar over
+    [MIN_RBAR, MAX_RBAR], or drawn on its own."""
 
-    @given(log_sigma2=st.floats(*LOG_NORMAL),
-           log_fs=st.floats(*LOG_NORMAL),
-           log_rbar=st.one_of(st.floats(math.log(1e-4), math.log(MAX_RBAR)),
-                              st.floats(math.log(MIN_RBAR),
-                                        math.log(MAX_RBAR))))
-    @example(0.0, 0.0, math.log(BRANCH_EDGES[0]))
-    @example(0.0, 0.0, math.log(BRANCH_EDGES[1]))
-    @example(0.0, 0.0, math.log(BRANCH_EDGES[2]))
-    @example(0.0, 0.0, math.log(BRANCH_EDGES[3]))
-    @example(LOG_NORMAL[1], LOG_NORMAL[0], 0.0)       # sigma2/fs overflows
-    @example(LOG_NORMAL[1], 0.0, -10.0)   # sigma2/R does
-    @example(LOG_NORMAL[0], LOG_NORMAL[1], math.log(MAX_RBAR))   # underflow
-    @example(0.0, 0.0, -17.0)   # d_bar rounds above d_w at this rbar
-    @example(0.0, 0.0, math.log(MIN_RBAR) + 1e-12)
-    @settings(max_examples=150, deadline=None)
-    def test_scaling_and_ordering(self, log_sigma2, log_fs, log_rbar):
-        sigma2, fs = math.exp(log_sigma2), math.exp(log_fs)
-        rate = math.exp(log_rbar) * fs
-        assume(0.0 < rate < math.inf)
-        assume(MIN_RBAR <= rate / fs <= MAX_RBAR)
+    @given(sigma2=POSITIVE, fs=POSITIVE,
+           rbar=st.one_of(st.floats(math.log(1e-4), math.log(MAX_RBAR)),
+                          st.floats(math.log(MIN_RBAR),
+                                    math.log(MAX_RBAR))).map(math.exp),
+           rate=st.one_of(st.none(), POSITIVE))
+    @example(1.0, 1.0, BRANCH_EDGES[0], None)
+    @example(1.0, 1.0, BRANCH_EDGES[1], None)
+    @example(1.0, 1.0, BRANCH_EDGES[2], None)
+    @example(1.0, 1.0, BRANCH_EDGES[3], None)
+    @example(HUGE, TINY, 1.0, None)           # sigma2/fs overflows
+    @example(HUGE, 1.0, math.exp(-10.0), None)   # sigma2/R does
+    @example(TINY, 1e300, MAX_RBAR, None)     # sigma2/fs underflows
+    @example(1.0, 1.0, math.exp(-17.0), None)   # d_bar rounds above d_w
+    @example(1.0, 1.0, MIN_RBAR * (1 + 1e-12), None)
+    @example(1.18e-207, 8.07e140, 1.0, 6e88)   # d_opt underflows
+    @example(1e-300, 1.0, 1.0, 500.0)          # d_bar does
+    @example(2.663335e-316, 8.198238786611619e-203, 1.0, 9.09e-321)   # d_w
+    @settings(max_examples=300, deadline=None)
+    def test_scaling_and_ordering(self, sigma2, fs, rbar, rate):
+        if rate is None:
+            rate = rbar * fs
+            assume(0.0 < rate < math.inf)
+        rbar = rate / fs
+        if not MIN_RBAR <= rbar <= MAX_RBAR:
+            with pytest.raises(FloatingPointError, match="supported"):
+                drf.sweep(sigma2, fs, rate)
+            return
         scale = sigma2 / fs
-        if not (scale < math.inf and sigma2 / rate < math.inf):
+        s = drf.sections(rbar)
+        with np.errstate(over="ignore", under="ignore"):
+            expected = {
+                "d_opt": scale * (1.0 / 6.0 + s.d_tilde),
+                "d_ce": scale * (1.0 / 6.0 + s.sampled.ce),
+                "d_upper": scale * (1.0 / 6.0 + s.sampled.distortion),
+                "d_w": drf._DW_COEF * (sigma2 / rate),
+                "d_bar": scale * s.sampled.distortion,
+                "mmse": scale / 6.0,
+                "theta_opt": s.shifted.theta,
+                "theta_ce": s.sampled.theta,
+            }
+        if not all(TINY <= value <= HUGE
+                   for value in expected.values()):   # it would lose digits
             with pytest.raises(FloatingPointError, match="floating-point range"):
                 drf.sweep(sigma2, fs, rate)
             return
-        b = drf.sweep(sigma2, fs, rate)   # the DistortionBundle ordering holds
-        s = drf.sections(rate / fs)
-        expected = {
-            "d_opt": scale * (1.0 / 6.0 + s.d_tilde),
-            "d_ce": scale * (1.0 / 6.0 + s.sampled.ce),
-            "d_upper": scale * (1.0 / 6.0 + s.sampled.distortion),
-            "d_bar": scale * s.sampled.distortion,
-            "mmse": scale / 6.0,
-            "theta_opt": s.shifted.theta,
-            "theta_ce": s.sampled.theta,
-        }
+        b = drf.sweep(sigma2, fs, rate)
         for name, value in expected.items():
             got = getattr(b, name)
-            assert math.isfinite(got), name
-            if value >= sys.float_info.min:   # else it has lost digits
-                assert got == pytest.approx(value, rel=1e-12), name
+            assert TINY <= got <= HUGE, name
+            assert got == pytest.approx(value, rel=1e-12), name
+        slack = 1e-9 * b.d_upper
+        assert max(b.mmse, b.d_w) <= b.d_opt + slack
+        assert b.d_opt <= b.d_ce + slack
+        assert b.d_ce <= b.d_upper + slack
         # the exact relative gap d_w - d_bar, 0.1317 rbar**2, is at least
         # 1.3e-13 from rbar 1e-6 up and falls below rounding under it
-        slack = 0.0 if rate / fs >= 1e-6 else \
-            drf._ORDERING_SLACK * max(1.0, abs(b.d_upper))
+        slack = 0.0 if rbar >= 1e-6 else drf._ORDERING_SLACK * b.d_upper
         assert b.d_bar <= b.d_w + slack

@@ -635,7 +635,8 @@ class TestTestChannelRun:
     def test_deterministic(self):
         cfg = SimConfig(horizon_t=8.0, oversample=8, trials=20, seed=71)
         a = mc_test_channel_run(UNIT, cfg, 1.5)
-        b = mc_test_channel_run(UNIT, cfg, 1.5)
+        # by keyword, as README calls it
+        b = mc_test_channel_run(params=UNIT, config=cfg, rbar=1.5)
         assert np.array_equal(a.per_trial, b.per_trial)
 
 

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import ConstantDensity, fredholm_residual
+from oracle import ConstantDensity, fredholm_residual, interp_covariance
 from wienerdr.spectral import (ProcessParams, SAMPLED_WIENER,
                                SHIFTED_SAMPLED_WIENER, SpectralDensity,
                                discrete_wiener_eigensystem,
                                discrete_wiener_eigenvalues,
-                               interp_covariance, interp_kernel_eigensystem,
+                               interp_kernel_eigensystem,
                                interp_kernel_eigenvalues,
                                nystrom_interp_eigenvalues, s_bar,
                                s_tilde_density)

@@ -3,10 +3,12 @@ Monte-Carlo runs, emitted as deterministic CSV.
 
 Exit codes: 0 success, 2 invalid arguments (a request too large to allocate,
 named by the flag that sized it, and an ``--out`` that cannot be written
-included), 3 numerical failure (a non-finite or nonzero subnormal result, or
-bits per sample outside the supported range, included).  The type that owns
-a value (``ProcessParams``, ``Grid``, ...) checks it before any computation,
-and ``main`` reports its ``ParameterError`` under the value's flag.  The CSV
+included), 3 numerical failure (a non-finite or nonzero subnormal result,
+named by its column, or bits per sample outside the supported range,
+included).  The type that owns a value (``ProcessParams``, ``Grid``, ...)
+checks it before any computation, every count through ``check_count``, and
+``main`` reports its ``ParameterError`` under the value's flag; a
+``MemoryError`` is named here alone, by the flag that sized the array.  The CSV
 and its JSON manifest (flags, versions, seed) are each written to a
 temporary file and renamed on success, with the mode ``open`` gives under
 the umask; a failing run leaves neither file behind.
@@ -33,9 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, drf, mc
-from .spectral import (ParameterError, ProcessParams, check_positive,
-                       discrete_wiener_eigenvalues, interp_kernel_eigenvalues,
-                       s_bar, s_tilde_density)
+from .spectral import (ParameterError, ProcessParams, check_count,
+                       check_positive, discrete_wiener_eigenvalues,
+                       interp_kernel_eigenvalues, s_bar, s_tilde_density)
 
 
 #: rows formatted per string operation; bounds the writer's extra memory
@@ -95,20 +97,23 @@ def _write_manifest(path: str, command: str, args: argparse.Namespace) -> None:
                   [json.dumps(manifest, indent=2, sort_keys=True), "\n"])
 
 
-def _check_finite(values) -> None:
-    """Raise FloatingPointError unless every value is 0 or of a magnitude
-    from the smallest normal float (a subnormal has lost digits) to
+def _check_finite(header, table) -> None:
+    """Raise FloatingPointError naming the first column of ``table`` (rows
+    under ``header``) with a value that is not 0 or of a magnitude from the
+    smallest normal float (a subnormal has lost digits) to
     1.797693134862315e308, above which the ``%.15g`` text reads as inf."""
-    size = np.abs(np.asarray(values, dtype=float))
-    if not np.all((size == 0) | ((size >= sys.float_info.min)
-                                 & (size <= 1.797693134862315e308))):
-        raise FloatingPointError("a result is not finite or is subnormal")
+    size = np.abs(np.asarray(table, dtype=float).reshape(-1, len(header)))
+    fits = np.all((size == 0) | ((size >= sys.float_info.min)
+                                 & (size <= 1.797693134862315e308)), axis=0)
+    if not fits.all():
+        raise FloatingPointError(
+            f"{header[fits.argmin()]} is past the floating-point range")
 
 
 def _write_outputs(args, header, table) -> None:
     """Write the finite table's CSV and then its manifest, or neither; an
     ``OSError`` from either write is an ``--out`` that cannot be written."""
-    _check_finite(table)
+    _check_finite(header, table)
     try:
         _write_csv_atomic(args.out, header, table)
         try:
@@ -135,8 +140,8 @@ class Grid:
     def __post_init__(self):
         check_positive("min", self.min)
         check_positive("max", self.max)
-        if self.points < 2:
-            raise ParameterError("points", "must be >= 2")
+        object.__setattr__(self, "points",   # kept as the int checked
+                           check_count("points", self.points, least=2))
         if not self.min < self.max:
             raise ValueError("need 0 < --min < --max")
 
@@ -203,16 +208,20 @@ def _cmd_simulate(args) -> int:
         result = (mc.empirical_mmse(params, config)
                   if args.scheme == "mmse-only"
                   else mc.mc_test_channel_run(params, config, args.rbar))
-    except MemoryError:   # past the per-trial array, the trial row sizes all
-        raise ParameterError(mc._row_field(params, config),
-                             "is too large to allocate") from None
-    values = (result.estimate, result.stderr, result.reference, result.z_score)
-    _check_finite(values)
-    summary = "estimate={} stderr={} reference={} z={}".format(
-        *map(_fmt, values))
-    table = np.column_stack([np.arange(len(result.per_trial)),
-                             result.per_trial])
-    _write_outputs(args, ["trial", "distortion"], table)
+        fields = ["estimate", "stderr", "reference", "z"]
+        values = (result.estimate, result.stderr, result.reference,
+                  result.z_score)
+        _check_finite(fields, values)
+        summary = " ".join(f"{name}={_fmt(value)}"
+                           for name, value in zip(fields, values))
+        table = np.column_stack([np.arange(len(result.per_trial)),
+                                 result.per_trial])
+        _write_outputs(args, ["trial", "distortion"], table)
+    except MemoryError:   # the larger of the trial count and a trial row
+        n = mc.effective_grid(params, config)[0]
+        field = ("trials" if config.trials >= n * (config.oversample + 2)
+                 else mc._row_field(params, config))
+        raise ParameterError(field, "is too large to allocate") from None
     print(summary)
     return 0
 

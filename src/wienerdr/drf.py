@@ -152,31 +152,42 @@ def sections(rbar) -> Sections:
                     water_levels(SAMPLED_WIENER, rbar))
 
 
+def _unit(num, den):
+    """num/den as the ratio of the ``frexp`` mantissas and the difference of
+    the exponents, so c num/den is ``ldexp(c ratio, exponent)``: c (num/den)
+    where both are normal, and past the floats only where c num/den is."""
+    (m_num, e_num), (m_den, e_den) = np.frexp(num), np.frexp(den)
+    return m_num / m_den, e_num - e_den
+
+
 def sweep(sigma2, fs, rate) -> DistortionBundle:
     """``bundle`` over arrays of sigma2, fs and rate (bits per unit time).
 
     The three broadcast together; each must be positive and finite
     (``ParameterError`` names the first that is not).  The bundle's fields
     are arrays of the broadcast shape (floats for scalars): the sections
-    times sigma2/fs (d_w: sigma2/R), so sigma2 = fs gives the sections.  An
-    R/fs out of range or a field past the normal floats (refused by the
-    bundle) raises FloatingPointError.
+    times sigma2/fs (d_w: sigma2/R, each a ``_unit``, which may overflow
+    where the field does not), so sigma2 = fs gives the sections.  An R/fs
+    out of range or a field past the normal floats (refused by the bundle)
+    raises FloatingPointError.
     """
     sigma2, fs, rate = np.broadcast_arrays(*(
         check_positive(name, value) for name, value
         in (("sigma2", sigma2), ("fs", fs), ("rate", rate))))
     with np.errstate(over="ignore", under="ignore"):   # the bundle refuses
-        rbar, scale, per_rate = rate / fs, sigma2 / fs, sigma2 / rate
+        rbar = rate / fs
         curves = sections(np.maximum(rbar, 5e-324))   # 0: out of range
+        scale, exp = _unit(sigma2, fs)
         mmse = scale / 6.0
         walk = scale * curves.sampled.distortion
+        per_rate, exp_rate = _unit(sigma2, rate)
         return DistortionBundle(
-            d_opt=mmse + scale * curves.d_tilde,
-            d_ce=mmse + scale * curves.sampled.ce,
-            d_upper=mmse + walk,
-            d_w=_DW_COEF * per_rate,
-            d_bar=walk,
-            mmse=mmse,
+            d_opt=np.ldexp(mmse + scale * curves.d_tilde, exp),
+            d_ce=np.ldexp(mmse + scale * curves.sampled.ce, exp),
+            d_upper=np.ldexp(mmse + walk, exp),
+            d_w=np.ldexp(_DW_COEF * per_rate, exp_rate),
+            d_bar=np.ldexp(walk, exp),
+            mmse=np.ldexp(mmse, exp),
             theta_opt=curves.shifted.theta,
             theta_ce=curves.sampled.theta,
         )
@@ -189,12 +200,14 @@ def bundle(params: ProcessParams, rate: RateSpec) -> DistortionBundle:
 
 def d_w(rate: RateSpec, sigma2: float) -> float:
     """DRF of the continuous Wiener process: 2 sigma2 / (pi^2 ln2 R)."""
-    return _DW_COEF * (sigma2 / rate.rate)
+    per_rate, exp = _unit(sigma2, rate.rate)
+    return float(np.ldexp(_DW_COEF * per_rate, exp))
 
 
 def mmse_fs(params: ProcessParams) -> float:
-    """Interpolation error floor sigma2 / (6 fs), formed as (sigma2/fs)/6."""
-    return params.sigma2 / params.fs / 6.0
+    """Interpolation error floor sigma2 / (6 fs), formed as ``sweep`` does."""
+    scale, exp = _unit(params.sigma2, params.fs)
+    return float(np.ldexp(scale / 6.0, exp))
 
 
 def d_bar(params: ProcessParams, rate: RateSpec) -> float:

@@ -54,8 +54,8 @@ from typing import Callable, Iterator, List, Optional, Tuple
 import numpy as np
 
 from .drf import mmse_fs
-from .spectral import (ParameterError, ProcessParams, check_positive,
-                       discrete_wiener_eigenvalues)
+from .spectral import (MAX_COUNT, ParameterError, ProcessParams, check_count,
+                       check_positive, discrete_wiener_eigenvalues)
 
 __all__ = [
     "SimConfig",
@@ -88,12 +88,11 @@ class SimConfig:
 
     def __post_init__(self):
         check_positive("horizon_t", self.horizon_t)
-        for name in ("oversample", "trials", "seed"):
-            value = getattr(self, name)
-            if not (isinstance(value, int) or float(value).is_integer()):
-                raise ParameterError(name, "must be an integer")
-            if name != "seed" and value < 1:
-                raise ParameterError(name, "must be a positive integer")
+        for name in ("oversample", "trials"):   # kept as the ints checked
+            value = check_count(name, getattr(self, name))
+            object.__setattr__(self, name, value)
+        if not (isinstance(self.seed, int) or float(self.seed).is_integer()):
+            raise ParameterError("seed", "must be an integer")
         if self.trials > 2 ** 32:   # spawn keys of one 32-bit word
             raise ParameterError("trials", "must be <= 2**32")
         if not 0 <= self.seed < 2 ** 64:
@@ -167,10 +166,11 @@ def effective_grid(params: ProcessParams, config: SimConfig) -> Tuple[int, float
 
     The horizon is rounded up so that horizon * fs is a positive integer;
     the effective value is reported back instead of being silently absorbed.
-    A trial row of n (oversample + 2) floats past sys.maxsize bytes is refused.
+    An n past ``MAX_COUNT``, or a trial row of n (oversample + 2) floats
+    past sys.maxsize bytes, is refused.
     """
     raw = config.horizon_t * params.fs
-    if 8 * raw * (config.oversample + 2) > sys.maxsize:
+    if raw > MAX_COUNT or 8 * raw * (config.oversample + 2) > sys.maxsize:
         raise ParameterError(_row_field(params, config),
                              "is too long to allocate")
     nearest = round(raw)
@@ -397,10 +397,7 @@ def _run(n: int, config: SimConfig,
     workers = _workers(config.trials, draws)
     cuts = [config.trials * i // workers for i in range(workers + 1)]
     parts = [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-    try:
-        per_trial = np.empty(config.trials)
-    except MemoryError:   # the one array sized by the trial count alone
-        raise ParameterError("trials", "is too large to allocate") from None
+    per_trial = np.empty(config.trials)
     busy = []   # (part, worker) of each part sent and not yet received
     try:
         while len(_pool) < workers - 1:   # fork the missing workers
@@ -650,9 +647,7 @@ def ce_moment_oracle(params: ProcessParams, n: int, rbar: float) -> ErrorMoments
     whose diagonal and first off-diagonal are returned.  No sampling noise;
     this is the semi-analytic reference for the compress-and-estimate limit.
     """
-    if n < 2:
-        raise ParameterError("n", "must be >= 2")
-    lam = discrete_wiener_eigenvalues(params, n)
+    lam = discrete_wiener_eigenvalues(params, check_count("n", n, least=2))
     return _oracle_moments(lam, finite_waterfill_theta(lam, rbar))
 
 

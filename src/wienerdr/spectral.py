@@ -15,6 +15,10 @@ interpolator kernel on [0, n/fs]).  ``nystrom_interp_eigenvalues`` checks
 the closed forms: it gives the interpolator's discretized spectrum by one
 route, an n x n matrix with the same nonzero eigenvalues as the Nystrom
 matrix.
+
+``check_count`` checks every count of the package (an eigen rank, grid
+points, trials) before anything it sizes is allocated, as
+``check_positive`` checks every real parameter.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ import numpy as np
 __all__ = [
     "ParameterError",
     "check_positive",
+    "check_count",
+    "MAX_COUNT",
     "ProcessParams",
     "SpectralDensity",
     "SAMPLED_WIENER",
@@ -57,6 +63,24 @@ def check_positive(field: str, value) -> np.ndarray:
     if not (value.min(initial=np.inf) > 0 and value.max(initial=0.0) < np.inf):
         raise ParameterError(field, "must be positive and finite")
     return value
+
+
+#: the largest count: no command builds more than 32 float64 values per
+#: counted item, so no array a count sizes can pass sys.maxsize bytes
+MAX_COUNT = sys.maxsize >> 8
+
+
+def check_count(field: str, value, least: int = 1) -> int:
+    """``value`` as an int, if it is an integer from ``least`` to
+    ``MAX_COUNT`` (2**55 - 1 on a 64-bit host); a larger one is refused as
+    too long to allocate before anything it sizes is built."""
+    if not (isinstance(value, int) or float(value).is_integer()):
+        raise ParameterError(field, "must be an integer")
+    if value < least:
+        raise ParameterError(field, f"must be >= {least}")
+    if value > MAX_COUNT:
+        raise ParameterError(field, "is too long to allocate")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -200,8 +224,7 @@ class EigenSystem:
 def discrete_wiener_eigenvalues(params: ProcessParams, n: int) -> np.ndarray:
     """Eigenvalues (sigma2/fs) / (4 sin^2((2k-1) pi / (2(2n+1)))), k = 1..n,
     of the covariance (sigma2/fs) * min{i, j}; decreasing in k, O(n)."""
-    if n < 1:
-        raise ParameterError("n", "must be a positive integer")
+    n = check_count("n", n)
     k = np.arange(1, n + 1)
     return (params.sigma2 / params.fs) / (
         4.0 * np.sin((2 * k - 1) * np.pi / (2.0 * (2 * n + 1))) ** 2)
@@ -232,8 +255,7 @@ def interp_kernel_eigenvalues(params: ProcessParams, n: int) -> np.ndarray:
     few ulp at any n) and is decreasing in k: the numerator falls and the
     denominator rises.
     """
-    if n < 1:
-        raise ParameterError("n", "must be a positive integer")
+    n = check_count("n", n)
     x = (2 * np.arange(1, n + 1) - 1) * np.pi / (2.0 * n)
     return (params.sigma2_ts2 / 12.0) * (
         (2.0 + np.cos(x)) / np.sin(0.5 * x) ** 2)
@@ -270,10 +292,8 @@ def nystrom_interp_eigenvalues(params: ProcessParams, n: int,
     then A A^T with A = W^1/2 H L, whose nonzero eigenvalues are those of
     the n x n matrix A^T A = L^T (H^T W H) L, which is what is diagonalized.
     """
-    if n < 1:
-        raise ParameterError("n", "must be a positive integer")
-    if grid_points < 2:
-        raise ValueError("grid_points must be >= 2")
+    n = check_count("n", n)
+    grid_points = check_count("grid_points", grid_points, least=2)
     ts = params.ts
     dt = ts / grid_points
     # node positions in sampling intervals; column j of H is the hat of

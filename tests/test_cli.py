@@ -13,7 +13,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import wienerdr
@@ -109,9 +109,14 @@ class TestCurve:
         (["--sigma2", "2.663335e-316", "--rate", "9.09e-321",
           "--min", "8.198238786611619e-203", "--max", "1e-202"], 0),
         (["--normalized", "--sigma2", "1e300", "--fs", "1e-10",
-          "--min", "1e-10", "--max", "2e-10"], 0)],
+          "--min", "1e-10", "--max", "2e-10"], 0),
+        (["--sigma2", "1e308", "--fs", "1", "--min", "0.4", "--max", "0.5"],
+         0),
+        (["--sigma2", "1e308", "--fs", "0.5", "--min", "100", "--max", "200"],
+         0)],
         ids=["sigma2-over-fs-underflows", "d_bar-underflows",
-             "d_w-from-its-unit", "normalized-at-extreme-scale"])
+             "d_w-from-its-unit", "normalized-at-extreme-scale",
+             "sigma2-over-rate-overflows", "sigma2-over-fs-overflows"])
     def test_a_curve_is_written_only_where_floats_hold_it(
             self, tmp_path, capsys, flags, code):
         # a row whose exact values leave the normal floats exits 3 and
@@ -144,6 +149,7 @@ class TestCurve:
         top = sys.float_info.max   # 10**log10(top) overflows
         assert list(cli.Grid(1e305, top, 3, True).values()[[0, -1]]) == \
             [1e305, top]
+        assert list(cli.Grid(1.0, 2.0, 3.0, False).values()) == [1.0, 1.5, 2.0]
         writable = 1.797693134862315e308   # the largest cell read back finite
         out = str(tmp_path / "curve.csv")
         assert main(top_of_range_call(writable)[0] + ["--out", out]) == 0
@@ -206,6 +212,19 @@ class TestRatio:
         _, cols = read_csv(out)
         expected = (2.0 + math.sqrt(3.0)) / 6.0 * 2.0 ** (-2.0 * cols["rbar"])
         np.testing.assert_allclose(cols["d_tilde"], expected, rtol=1e-12)
+
+    def test_a_cell_past_the_floats_is_named_by_its_column(
+            self, tmp_path, capsys, monkeypatch):
+        # no ratio in the supported range leaves the floats, so one is made to
+        monkeypatch.setattr(drf.Sections, "ce_penalty", property(
+            lambda self: np.where(self.rbar > 1.5, np.inf, 1.0)))
+        out = str(tmp_path / "x.csv")
+        assert main(["ratio", "--min", "1", "--max", "2", "--points", "3",
+                     "--out", out]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "numerical failure in ratio: ce_penalty is past the"
+            " floating-point range"]
+        assert os.listdir(tmp_path) == []
 
 
 class TestEigen:
@@ -343,6 +362,28 @@ class TestSimulate:
         assert capsys.readouterr().err.splitlines() == [
             "error: --trials is too large to allocate"]
         assert os.listdir(tmp_path) == []
+        with pytest.raises(MemoryError):   # library callers get it as it is
+            mc.empirical_mmse(spectral.ProcessParams(1.0, 1.0),
+                              mc.SimConfig(2.0, 2, 4099, 1))
+
+    def test_unallocatable_table_names_trials(self, tmp_path, capsys,
+                                              monkeypatch):
+        # the trial count (5) is at least a trial row (one interval of 3
+        # fine steps and 2 more), so it is named for the table's failure
+        def short_of_memory(*args):
+            raise MemoryError("unable to allocate 80 bytes")
+
+        monkeypatch.setattr(np, "column_stack", short_of_memory)
+        out = str(tmp_path / "sim.csv")
+        code = main(["simulate", "--scheme", "mmse-only", "--horizon", "1",
+                     "--oversample", "3", "--trials", "5", "--seed", "1",
+                     "--out", out])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: --trials is too large to allocate"]
+        assert captured.out == ""
+        assert os.listdir(tmp_path) == []
 
     def test_sub_interval_horizon_runs_one_interval(self, tmp_path, capsys):
         # horizon * fs below 1e-9 rounds up to one interval, not to none
@@ -452,9 +493,9 @@ UNIT_PARAMS = spectral.ProcessParams(1.0, 1.0)
     (CURVE + ["--min", "2"], "need 0 < --min < --max"),
     (RATIO + ["--points", "0"], "--points must be >= 2"),
     (CURVE + ["--points", "1"], "--points must be >= 2"),
-    (EIGEN + ["--n", "0"], "--n must be a positive integer"),
+    (EIGEN + ["--n", "0"], "--n must be >= 1"),
     (MMSE + ["--horizon", "0"], f"--horizon {POSITIVE}"),
-    (MMSE + ["--oversample", "0"], "--oversample must be a positive integer"),
+    (MMSE + ["--oversample", "0"], "--oversample must be >= 1"),
     (MMSE + ["--trials", "0"], TWO_TRIALS),
     (MMSE + ["--trials", "1"], TWO_TRIALS),
     (MMSE + ["--trials", str(2 ** 32 + 1)], "--trials must be <= 2**32"),
@@ -483,7 +524,13 @@ UNIT_PARAMS = spectral.ProcessParams(1.0, 1.0)
     (CHANNEL + ["--rbar", "1", "--horizon", "1e16"], f"--horizon {TOO_LARGE}"),
     (MMSE + ["--oversample", "10000000000000"], f"--oversample {TOO_LARGE}"),
     (MMSE + ["--fs", "1e-12", "--horizon", "1e13", "--oversample",
-             "1000000000000"], f"--oversample {TOO_LARGE}")],
+             "1000000000000"], f"--oversample {TOO_LARGE}"),
+    (CURVE + ["--points", str(2 ** 55)], "--points is too long to allocate"),
+    (EIGEN + ["--n", str(10 ** 400)], "--n is too long to allocate"),
+    (MMSE + ["--oversample", str(10 ** 400)],
+     "--oversample is too long to allocate"),
+    (CHANNEL + ["--rbar", "1", "--oversample", "1", "--horizon", "1e17"],
+     HORIZON_TOO_LONG)],
     ids=["sigma2", "fs", "fs-swept", "rate", "min", "max", "min-above-max",
          "min-equals-max", "points-0", "points-1", "n", "horizon",
          "oversample", "trials-0", "trials-1", "trials-2**32+1", "seed--1",
@@ -494,7 +541,8 @@ UNIT_PARAMS = spectral.ProcessParams(1.0, 1.0)
          "one-interval-channel", "n-past-memory", "curve-points-past-memory",
          "ratio-points-past-memory", "horizon-past-memory-mmse",
          "horizon-past-memory-channel", "oversample-past-memory",
-         "oversample-past-memory-long-horizon"])
+         "oversample-past-memory-long-horizon", "points-past-the-count-bound",
+         "n-10**400", "oversample-10**400", "intervals-past-the-count-bound"])
 def test_each_bad_flag_is_named(tmp_path, capsys, monkeypatch, argv, message):
     # each value is refused by its type before any work (no run may start),
     # or by the first allocation it sizes, which for mmse-only is in the run
@@ -526,10 +574,13 @@ def test_each_bad_flag_is_named(tmp_path, capsys, monkeypatch, argv, message):
     (lambda: mc.mc_test_channel_run(UNIT_PARAMS, mc.SimConfig(8.0, 4, 5, 1),
                                     math.nan), "rbar"),
     (lambda: cli.Grid(1.0, math.inf, 3, False), "max"),
-    (lambda: cli.Grid(1.0, 2.0, 1, True), "points")],
+    (lambda: cli.Grid(1.0, 2.0, 1, True), "points"),
+    (lambda: spectral.nystrom_interp_eigenvalues(UNIT_PARAMS, 2, 1),
+     "grid_points"),
+    (lambda: mc.ce_moment_oracle(UNIT_PARAMS, 1, 1.0), "n")],
     ids=["sigma2", "fs", "RateSpec", "sweep", "horizon_t", "oversample",
          "trials", "seed", "discrete-n", "interp-n", "rbar", "grid-max",
-         "grid-points"])
+         "grid-points", "nystrom-grid-points", "oracle-n"])
 def test_each_type_names_its_field(monkeypatch, build, field):
     monkeypatch.setattr(mc, "_run", None)   # rbar is checked before any draw
     with pytest.raises(spectral.ParameterError) as caught:
@@ -658,6 +709,93 @@ def test_contract_over_the_float_range(call):
         low, high = eigen_log_range(argv, flags)
         assert low < math.log(sys.float_info.min) + 1e-9 \
             or high > math.log(sys.float_info.max) - 1e-9
+
+
+#: a count small enough to run, or past what any memory holds, below the
+#: count bound 2**55 or above it; nothing between, so no call allocates much
+#: or runs long
+HUGE_COUNTS = (st.integers(10 ** 13, 2 ** 55), st.integers(2 ** 55, 10 ** 400))
+COUNT = st.one_of(st.integers(0, 10 ** 4), *HUGE_COUNTS)
+COUNT_FLAGS = ("--n", "--points", "--trials", "--oversample", "--horizon")
+
+
+def count_call(*argv):
+    """(argv, the count flags and --horizon it sets) of one fixed call."""
+    return list(argv), {flag for flag in argv if flag in COUNT_FLAGS}
+
+
+@st.composite
+def count_calls(draw):
+    """(argv without --out, the flags it sets of ``COUNT_FLAGS``) of one
+    command whose counts, and --horizon in sampling intervals, are each
+    ``COUNT``s; a run that fits in memory draws at most 2e6 normals."""
+    command = draw(st.sampled_from(["curve", "ratio", "eigen", "simulate"]))
+    argv = [command]
+    if command == "eigen":
+        argv += ["--kind", draw(st.sampled_from(["discrete", "interp"]))]
+        counts = {"--n": draw(COUNT)}
+    elif command in ("curve", "ratio"):
+        argv += ["--min", "1", "--max", "2"]
+        argv += ["--log"] if draw(st.booleans()) else []
+        counts = {"--points": draw(COUNT)}
+    else:
+        scheme = draw(st.sampled_from(["mmse-only", "test-channel"]))
+        argv += ["--scheme", scheme, "--seed", "1"]
+        argv += ["--rbar", "1"] if scheme == "test-channel" else []
+        intervals = st.one_of(st.integers(0, 8), HUGE_COUNTS[0],
+                              st.integers(2 ** 55, 10 ** 300))
+        counts = {"--horizon": draw(intervals), "--oversample": draw(COUNT),
+                  "--trials": draw(COUNT)}
+        assume(max(counts.values()) >= 10 ** 13
+               or math.prod(counts.values()) <= 2 * 10 ** 6)
+        counts["--horizon"] = float(counts["--horizon"])
+    for flag, value in counts.items():
+        argv += [flag, str(value)]
+    return count_call(*argv)
+
+
+@given(call=count_calls())
+@example(call=count_call("curve", "--fs", "1", "--min", "1", "--max", "2",
+                         "--points", str(2 ** 63 - 1)))
+@example(call=count_call("ratio", "--min", "1", "--max", "2", "--points",
+                         str(2 ** 63 - 1), "--log"))
+@example(call=count_call("eigen", "--kind", "discrete", "--n",
+                         str(2 ** 63 - 1)))
+@example(call=count_call("eigen", "--kind", "interp", "--n", str(2 ** 61)))
+@example(call=count_call("curve", "--fs", "1", "--min", "1", "--max", "2",
+                         "--points", str(2 ** 62)))
+@example(call=count_call("eigen", "--kind", "interp", "--n", str(10 ** 400)))
+@example(call=count_call("curve", "--fs", "1", "--min", "1", "--max", "2",
+                         "--points", str(10 ** 400)))
+@example(call=count_call("simulate", "--scheme", "mmse-only", "--fs", "1",
+                         "--horizon", "4", "--trials", "3", "--seed", "1",
+                         "--oversample", str(10 ** 400)))
+@example(call=count_call("eigen", "--kind", "interp", "--n",
+                         str(2 ** 55 - 1)))
+@example(call=count_call("eigen", "--kind", "interp", "--n", str(2 ** 55)))
+@settings(max_examples=200, deadline=None)
+def test_contract_over_the_counts(call):
+    """Every call exits 0 with its CSV and manifest, or 2 or 3 with one
+    stderr line and no file; an exit 2 names one of the count flags (or
+    --horizon) that the call set, whether the count is refused as it is
+    read or fails to allocate."""
+    argv, counts = call
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as work, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = os.path.join(work, "x.csv")
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(argv + ["--out", out])
+        files = sorted(os.listdir(work))
+    lines = err.getvalue().splitlines()
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert files == ["x.csv", "x.csv.manifest.json"] and lines == []
+        return
+    assert len(lines) == 1 and files == []
+    if code == 2:
+        assert any(lines[0].startswith(f"error: {flag} ") for flag in counts)
 
 
 def run_python(code: str, expect: int = 0) -> subprocess.CompletedProcess:
@@ -799,36 +937,44 @@ SMALL_RUNS = {
 }
 
 
-@pytest.mark.parametrize("argv", [
-    ["eigen", "--kind", "interp", "--n", "5", "--sigma2", "1e300", "--fs",
-     "1e-10"],
-    ["eigen", "--kind", "interp", "--n", "5", "--fs", "1e-160"],
-    SMALL_RUNS["simulate"] + ["--sigma2", "1e-310"],
-    SMALL_RUNS["simulate"] + ["--sigma2", "1e308", "--fs", "1e-5"],
-    ["curve", "--sigma2", "1e308", "--fs", "1e-5", "--min", "1e-5", "--max",
-     "1e-4", "--points", "3"],
-    ["curve", "--sigma2", "1e300", "--rate", "1e-10", "--min", "1e-12",
-     "--max", "1e-11", "--points", "3"],
-    ["curve", "--sigma2", "1e308", "--min", "1e-3", "--max", "1e-2",
-     "--points", "3"],
-    ["curve", "--sigma2", "1e-310", "--fs", "1e10", "--min", "1e10", "--max",
-     "2e10", "--points", "3"],
-    ["simulate", "--scheme", "mmse-only", "--sigma2", "1e-320", "--horizon",
-     "4", "--trials", "50", "--seed", "1"],
-    ["eigen", "--kind", "discrete", "--sigma2", "1e-310", "--fs", "1e20",
-     "--n", "3"],
-    top_of_range_call(1.7976931348623157e308)[0],
-    top_of_range_call(1.7976931348623151e308)[0]],
+def past(column):
+    return f"{column} is past the floating-point range"
+
+
+@pytest.mark.parametrize("argv,reason", [
+    (["eigen", "--kind", "interp", "--n", "5", "--sigma2", "1e300", "--fs",
+      "1e-10"], past("lambda")),
+    (["eigen", "--kind", "interp", "--n", "5", "--fs", "1e-160"],
+     past("lambda")),
+    (SMALL_RUNS["simulate"] + ["--sigma2", "1e-310"], past("estimate")),
+    (SMALL_RUNS["simulate"] + ["--sigma2", "1e308", "--fs", "1e-5"],
+     past("estimate")),
+    (["curve", "--sigma2", "1e308", "--fs", "1e-5", "--min", "1e-5", "--max",
+      "1e-4", "--points", "3"], past("d_opt")),
+    (["curve", "--sigma2", "1e300", "--rate", "1e-10", "--min", "1e-12",
+      "--max", "1e-11", "--points", "3"], past("d_opt")),
+    (["curve", "--sigma2", "1e308", "--min", "1e-3", "--max", "1e-2",
+      "--points", "3"], past("d_opt")),
+    (["curve", "--sigma2", "1e-310", "--fs", "1e10", "--min", "1e10", "--max",
+      "2e10", "--points", "3"], past("d_opt")),
+    (["simulate", "--scheme", "mmse-only", "--sigma2", "1e-320", "--horizon",
+      "4", "--trials", "50", "--seed", "1"], past("estimate")),
+    (["eigen", "--kind", "discrete", "--sigma2", "1e-310", "--fs", "1e20",
+      "--n", "3"], "an eigenvalue rounds to 0"),
+    (top_of_range_call(1.7976931348623157e308)[0], past("x")),
+    (top_of_range_call(1.7976931348623151e308)[0], past("x"))],
     ids=["inf-eigenvalues", "ts-squared", "zero-stderr", "inf-estimate",
          "inf-scale-vs-rate", "inf-scale-vs-fs", "inf-d_w-scale",
          "subnormal-d_ce", "subnormal-estimate", "zero-eigenvalues",
          "cell-text-inf-at-max", "cell-text-inf-above-writable"])
-def test_unrepresentable_result_exits_3(tmp_path, argv):
+def test_unrepresentable_result_exits_3(tmp_path, argv, reason):
+    # the reason names the first column (or summary field) that is not a
+    # normal float or 0
     out = str(tmp_path / "x.csv")
     done = run_python("import sys\nfrom wienerdr.cli import main\n"
                       f"sys.exit(main({argv + ['--out', out]!r}))", expect=3)
-    assert done.stderr.splitlines() == [done.stderr.strip()]
-    assert done.stderr.startswith(f"numerical failure in {argv[0]}: ")
+    assert done.stderr.splitlines() == [
+        f"numerical failure in {argv[0]}: {reason}"]
     assert os.listdir(tmp_path) == []
 
 

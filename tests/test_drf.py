@@ -2,6 +2,7 @@
 
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -339,6 +340,8 @@ class TestSweepProperties:
     @example(1.18e-207, 8.07e140, 1.0, 6e88)   # d_opt underflows
     @example(1e-300, 1.0, 1.0, 500.0)          # d_bar does
     @example(2.663335e-316, 8.198238786611619e-203, 1.0, 9.09e-321)   # d_w
+    @example(1e308, 1.0, 1.0, 0.4)   # sigma2/R overflows, d_w fits
+    @example(1e308, 0.5, 1.0, 100.0)   # sigma2/fs overflows, mmse fits
     @settings(max_examples=300, deadline=None)
     def test_scaling_and_ordering(self, sigma2, fs, rbar, rate):
         if rate is None:
@@ -349,19 +352,20 @@ class TestSweepProperties:
             with pytest.raises(FloatingPointError, match="supported"):
                 drf.sweep(sigma2, fs, rate)
             return
-        scale = sigma2 / fs
+        # exact multiples of the units, which cannot overflow or underflow
+        scale, per_rate = Fraction(sigma2) / Fraction(fs), \
+            Fraction(sigma2) / Fraction(rate)
         s = drf.sections(rbar)
-        with np.errstate(over="ignore", under="ignore"):
-            expected = {
-                "d_opt": scale * (1.0 / 6.0 + s.d_tilde),
-                "d_ce": scale * (1.0 / 6.0 + s.sampled.ce),
-                "d_upper": scale * (1.0 / 6.0 + s.sampled.distortion),
-                "d_w": drf._DW_COEF * (sigma2 / rate),
-                "d_bar": scale * s.sampled.distortion,
-                "mmse": scale / 6.0,
-                "theta_opt": s.shifted.theta,
-                "theta_ce": s.sampled.theta,
-            }
+        expected = {
+            "d_opt": scale * Fraction(1.0 / 6.0 + s.d_tilde),
+            "d_ce": scale * Fraction(1.0 / 6.0 + s.sampled.ce),
+            "d_upper": scale * Fraction(1.0 / 6.0 + s.sampled.distortion),
+            "d_w": Fraction(drf._DW_COEF) * per_rate,
+            "d_bar": scale * Fraction(s.sampled.distortion),
+            "mmse": scale / 6,
+            "theta_opt": Fraction(s.shifted.theta),
+            "theta_ce": Fraction(s.sampled.theta),
+        }
         if not all(TINY <= value <= HUGE
                    for value in expected.values()):   # it would lose digits
             with pytest.raises(FloatingPointError, match="floating-point range"):
@@ -371,7 +375,7 @@ class TestSweepProperties:
         for name, value in expected.items():
             got = getattr(b, name)
             assert TINY <= got <= HUGE, name
-            assert got == pytest.approx(value, rel=1e-12), name
+            assert got == pytest.approx(float(value), rel=1e-12), name
         slack = 1e-9 * b.d_upper
         assert max(b.mmse, b.d_w) <= b.d_opt + slack
         assert b.d_opt <= b.d_ce + slack

@@ -87,6 +87,10 @@ class TestConfig:
         SimConfig(horizon_t=1.0, oversample=8, trials=2 ** 32, seed=1)
         with pytest.raises(ValueError):   # a spawn key of two words
             SimConfig(horizon_t=1.0, oversample=8, trials=2 ** 32 + 1, seed=1)
+        # integral float counts are kept as ints, so a run can use them
+        cfg = SimConfig(horizon_t=2.0, oversample=2.0, trials=5.0, seed=1)
+        assert (type(cfg.oversample), type(cfg.trials)) == (int, int)
+        assert empirical_mmse(UNIT, cfg).per_trial.shape == (5,)
 
     def test_effective_grid_rounds_up(self):
         cfg = SimConfig(horizon_t=3.5, oversample=8, trials=1, seed=0)

@@ -37,7 +37,7 @@ import numpy as np
 from . import __version__, drf, mc
 from .spectral import (ParameterError, ProcessParams, check_count,
                        check_positive, discrete_wiener_eigenvalues,
-                       interp_kernel_eigenvalues, s_bar, s_tilde_density)
+                       interp_kernel_eigenvalues, s_bar, s_tilde_density, unit)
 
 
 #: rows formatted per string operation; bounds the writer's extra memory
@@ -180,12 +180,13 @@ def _cmd_eigen(args) -> int:
     params = ProcessParams(sigma2=args.sigma2, fs=args.fs)
     if args.kind == "discrete":
         lam = discrete_wiener_eigenvalues(params, args.n)
-        unit, density = params.sigma2 / params.fs, s_bar
+        power, density = 1, s_bar
     else:
         lam = interp_kernel_eigenvalues(params, args.n)
-        unit, density = params.sigma2_ts2, s_tilde_density
+        power, density = 2, s_tilde_density
     k = np.arange(1, args.n + 1)
-    limit = unit * density((k - 0.5) / args.n)
+    ratio, exp = unit(params.sigma2, params.fs, power)
+    limit = np.ldexp(ratio * density((k - 0.5) / args.n), exp)
     if lam.min() == 0 or limit.min() == 0:   # every exact cell is positive
         raise FloatingPointError("an eigenvalue rounds to 0")
     header = ["k", "lambda", "density_limit"]

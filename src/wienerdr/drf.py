@@ -37,7 +37,7 @@ from sys import float_info
 import numpy as np
 
 from .spectral import (SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER, ProcessParams,
-                       check_positive)
+                       check_positive, unit)
 from .waterfill import (WaterLevels, distortion_at_theta, rate_at_theta,
                         water_levels)
 
@@ -152,24 +152,16 @@ def sections(rbar) -> Sections:
                     water_levels(SAMPLED_WIENER, rbar))
 
 
-def _unit(num, den):
-    """num/den as the ratio of the ``frexp`` mantissas and the difference of
-    the exponents, so c num/den is ``ldexp(c ratio, exponent)``: c (num/den)
-    where both are normal, and past the floats only where c num/den is."""
-    (m_num, e_num), (m_den, e_den) = np.frexp(num), np.frexp(den)
-    return m_num / m_den, e_num - e_den
-
-
 def sweep(sigma2, fs, rate) -> DistortionBundle:
     """``bundle`` over arrays of sigma2, fs and rate (bits per unit time).
 
     The three broadcast together; each must be positive and finite
     (``ParameterError`` names the first that is not).  The bundle's fields
     are arrays of the broadcast shape (floats for scalars): the sections
-    times sigma2/fs (d_w: sigma2/R, each a ``_unit``, which may overflow
-    where the field does not), so sigma2 = fs gives the sections.  An R/fs
-    out of range or a field past the normal floats (refused by the bundle)
-    raises FloatingPointError.
+    times sigma2/fs (d_w: sigma2/R), each unit applied last through
+    ``spectral.unit``, so sigma2 = fs gives the sections and a field leaves
+    the floats only where its value does.  An R/fs out of range or a field
+    past the normal floats (refused by the bundle) raises FloatingPointError.
     """
     sigma2, fs, rate = np.broadcast_arrays(*(
         check_positive(name, value) for name, value
@@ -177,10 +169,10 @@ def sweep(sigma2, fs, rate) -> DistortionBundle:
     with np.errstate(over="ignore", under="ignore"):   # the bundle refuses
         rbar = rate / fs
         curves = sections(np.maximum(rbar, 5e-324))   # 0: out of range
-        scale, exp = _unit(sigma2, fs)
+        scale, exp = unit(sigma2, fs)
         mmse = scale / 6.0
         walk = scale * curves.sampled.distortion
-        per_rate, exp_rate = _unit(sigma2, rate)
+        per_rate, exp_rate = unit(sigma2, rate)
         return DistortionBundle(
             d_opt=np.ldexp(mmse + scale * curves.d_tilde, exp),
             d_ce=np.ldexp(mmse + scale * curves.sampled.ce, exp),
@@ -200,13 +192,14 @@ def bundle(params: ProcessParams, rate: RateSpec) -> DistortionBundle:
 
 def d_w(rate: RateSpec, sigma2: float) -> float:
     """DRF of the continuous Wiener process: 2 sigma2 / (pi^2 ln2 R)."""
-    per_rate, exp = _unit(sigma2, rate.rate)
+    per_rate, exp = unit(sigma2, rate.rate)
     return float(np.ldexp(_DW_COEF * per_rate, exp))
 
 
 def mmse_fs(params: ProcessParams) -> float:
-    """Interpolation error floor sigma2 / (6 fs), formed as ``sweep`` does."""
-    scale, exp = _unit(params.sigma2, params.fs)
+    """Interpolation error floor sigma2 / (6 fs), formed as ``sweep`` does,
+    through ``spectral.unit``."""
+    scale, exp = unit(params.sigma2, params.fs)
     return float(np.ldexp(scale / 6.0, exp))
 
 

@@ -2,8 +2,8 @@
 
 A run works in units of one fine step's variance: it draws standard normal
 increments on a grid of ``oversample`` points per sampling interval and
-multiplies its statistics by sigma2/fs once, at the end, so no value
-overflows or underflows on the way to a result that a float can hold.
+scales its statistics once by sigma2/fs (``spectral.unit``), last, so no
+value overflows or underflows on the way to a result that a float can hold.
 Interval by interval, a chunk's increments fill a (trial, interval, fine
 step) array, and one running sum along its last axis turns them into each
 interval's bridge B (the path less its chord between two samples, 0 at
@@ -55,7 +55,7 @@ import numpy as np
 
 from .drf import mmse_fs
 from .spectral import (MAX_COUNT, ParameterError, ProcessParams, check_count,
-                       check_positive, discrete_wiener_eigenvalues)
+                       check_positive, discrete_wiener_eigenvalues, unit)
 
 __all__ = [
     "SimConfig",
@@ -520,15 +520,16 @@ def _expectations(n: int, oversample: int,
 def _estimate(per_trial: np.ndarray, params: ProcessParams, n: int,
               oversample: int,
               moments: Optional[ErrorMoments] = None) -> MomentEstimate:
-    """The run's statistics, formed from its unit-scale per-trial sums and
-    then each divided by n os**2 (dt / horizon) and multiplied by sigma2/fs."""
+    """The run's statistics: its unit-scale per-trial sums, each divided by
+    n os**2 (dt / horizon) and scaled by sigma2/fs through ``spectral.unit``."""
     trials = len(per_trial)
     se = float(per_trial.std(ddof=1) / math.sqrt(trials)) \
         if trials > 1 else float("nan")
     grid, continuous = _expectations(n, oversample, moments)
-    steps, scale = n * oversample * oversample, params.sigma2 / params.fs
+    steps = n * oversample * oversample
+    ratio, exp = unit(params.sigma2, params.fs)
     estimate, stderr, reference, bias, per_trial = (
-        value / steps * scale for value in
+        np.ldexp(value / steps * ratio, exp) for value in
         (float(per_trial.mean()), se, grid, continuous - grid, per_trial))
     return MomentEstimate(estimate, stderr, reference, bias, per_trial)
 

@@ -18,7 +18,8 @@ matrix.
 
 ``check_count`` checks every count of the package (an eigen rank, grid
 points, trials) before anything it sizes is allocated, as
-``check_positive`` checks every real parameter.
+``check_positive`` checks every real parameter; ``unit`` scales every
+dimensionless result to absolute units (sigma2/fs, sigma2/R, sigma2 ts**2).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "check_positive",
     "check_count",
     "MAX_COUNT",
+    "unit",
     "ProcessParams",
     "SpectralDensity",
     "SAMPLED_WIENER",
@@ -83,9 +85,20 @@ def check_count(field: str, value, least: int = 1) -> int:
     return int(value)
 
 
+def unit(num, den, power=1):
+    """num / den**power as (m_num / m_den**power, e_num - power e_den) of the
+    ``np.frexp`` mantissas and exponents, so c num / den**power is
+    ``np.ldexp(c * ratio, exponent)``: it leaves the floats only where that
+    value does.  power is 1 (sigma2/fs, sigma2/R) or 2 (sigma2/fs**2), whose
+    square ``np.power`` rounds once (a scalar ``**`` is at times 1 ulp off)."""
+    (m_num, e_num), (m_den, e_den) = np.frexp(num), np.frexp(den)
+    return m_num / np.power(m_den, power), e_num - power * e_den
+
+
 @dataclass(frozen=True)
 class ProcessParams:
-    """Wiener intensity sigma2 and uniform sampling rate fs (both > 0)."""
+    """Wiener intensity sigma2 and uniform sampling rate fs (both > 0); the
+    units sigma2/fs and sigma2 ts**2 are applied through ``unit``."""
 
     sigma2: float
     fs: float
@@ -98,15 +111,6 @@ class ProcessParams:
     def ts(self) -> float:
         """Sampling interval 1/fs (derived, never stored)."""
         return 1.0 / self.fs
-
-    @property
-    def sigma2_ts2(self) -> float:
-        """sigma2 (ts * ts), rounded once (``**`` is one ulp off for 1 fs in
-        1,200), or (sigma2 ts) ts where ts * ts is not a finite normal float."""
-        sigma2, ts = float(self.sigma2), float(self.ts)
-        if sys.float_info.min <= ts * ts <= sys.float_info.max:
-            return sigma2 * (ts * ts)
-        return sigma2 * ts * ts
 
 
 def _check_phi(phi):
@@ -214,10 +218,7 @@ class EigenSystem:
         horizon = self.n * self.ts
         if np.any(t_arr < 0) or np.any(t_arr > horizon * (1 + 1e-12)):
             raise ValueError("t must lie in [0, n*ts]")
-        pos = t_arr / self.ts
-        idx = np.minimum(pos.astype(int), self.n - 1)
-        frac = pos - idx
-        out = v[idx] * (1.0 - frac) + v[idx + 1] * frac
+        out = np.interp(t_arr / self.ts, np.arange(self.n + 1), v)
         return float(out) if t_arr.ndim == 0 else out
 
 
@@ -226,8 +227,9 @@ def discrete_wiener_eigenvalues(params: ProcessParams, n: int) -> np.ndarray:
     of the covariance (sigma2/fs) * min{i, j}; decreasing in k, O(n)."""
     n = check_count("n", n)
     k = np.arange(1, n + 1)
-    return (params.sigma2 / params.fs) / (
-        4.0 * np.sin((2 * k - 1) * np.pi / (2.0 * (2 * n + 1))) ** 2)
+    ratio, exp = unit(params.sigma2, params.fs)
+    return np.ldexp(ratio / (
+        4.0 * np.sin((2 * k - 1) * np.pi / (2.0 * (2 * n + 1))) ** 2), exp)
 
 
 def discrete_wiener_eigensystem(params: ProcessParams, n: int) -> EigenSystem:
@@ -250,15 +252,16 @@ def interp_kernel_eigenvalues(params: ProcessParams, n: int) -> np.ndarray:
         lam_k = sigma2 ts^2 (2 + cos x_k) / (12 sin^2(x_k / 2)),
         x_k = (2k-1) pi / (2n),   k = 1..n,
 
-    which is sigma2 ts^2 (``ProcessParams.sigma2_ts2``) times the shifted
+    which is sigma2 ts^2 (``unit(sigma2, fs, 2)``) times the shifted
     density at (k - 1/2)/n.  The form has no cancellation (relative error a
     few ulp at any n) and is decreasing in k: the numerator falls and the
     denominator rises.
     """
     n = check_count("n", n)
     x = (2 * np.arange(1, n + 1) - 1) * np.pi / (2.0 * n)
-    return (params.sigma2_ts2 / 12.0) * (
-        (2.0 + np.cos(x)) / np.sin(0.5 * x) ** 2)
+    ratio, exp = unit(params.sigma2, params.fs, 2)
+    return np.ldexp((ratio / 12.0) * (
+        (2.0 + np.cos(x)) / np.sin(0.5 * x) ** 2), exp)
 
 
 def interp_kernel_eigensystem(params: ProcessParams, n: int) -> EigenSystem:
@@ -291,19 +294,21 @@ def nystrom_interp_eigenvalues(params: ProcessParams, n: int,
     factors H and the samples' covariance C = L L^T.  The Nystrom matrix is
     then A A^T with A = W^1/2 H L, whose nonzero eigenvalues are those of
     the n x n matrix A^T A = L^T (H^T W H) L, which is what is diagonalized.
+    It is built at sigma2 = ts = 1 and scaled by ``unit(sigma2, fs, 2)``; its
+    largest array, the (n grid_points + 1) x n hat matrix, passes ``check_count``.
     """
     n = check_count("n", n)
     grid_points = check_count("grid_points", grid_points, least=2)
-    ts = params.ts
-    dt = ts / grid_points
+    check_count("grid_points", (n * grid_points + 1) * n)
+    dt = 1.0 / grid_points
     # node positions in sampling intervals; column j of H is the hat of
     # sample j + 1, its weight in the interpolant (sample 0 is pinned at 0)
     pos = np.arange(n * grid_points + 1) / grid_points
     hmat = np.maximum(1.0 - np.abs(pos[:, None] - np.arange(1, n + 1)), 0.0)
     w = np.full(len(pos), dt)   # trapezoid weights
     w[[0, -1]] = 0.5 * dt
-    cov = (params.sigma2 * ts) * np.minimum.outer(np.arange(1, n + 1),
-                                                  np.arange(1, n + 1))
-    chol = np.linalg.cholesky(cov)
+    chol = np.linalg.cholesky(np.minimum.outer(np.arange(1, n + 1),
+                                               np.arange(1, n + 1)))
     mid = hmat.T @ (w[:, None] * hmat)
-    return np.linalg.eigvalsh(chol.T @ mid @ chol)[::-1]
+    ratio, exp = unit(params.sigma2, params.fs, 2)
+    return np.ldexp(ratio * np.linalg.eigvalsh(chol.T @ mid @ chol)[::-1], exp)

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -997,6 +998,135 @@ def test_results_at_the_ends_of_the_float_range_are_written(tmp_path, capsys,
     _, cols = read_csv(out)
     assert np.all(np.isfinite(cols["distortion"]))
     assert 0.01 < np.max(cols["distortion"]) / scale < 10.0
+
+
+#: sigma2 = 1e308 at fs = 0.5: the unit sigma2/fs (and sigma2 ts^2) is past
+#: the floats, though every cell fits
+OVER_UNIT = ["--sigma2", "1e308", "--fs", "0.5"]
+SIM_OVER_UNIT = OVER_UNIT + ["--horizon", "4", "--oversample", "8",
+                             "--trials", "3", "--seed", "1"]
+
+
+@pytest.mark.parametrize("argv,cells", [
+    (["simulate", "--scheme", "mmse-only", *SIM_OVER_UNIT],
+     {"estimate": 3.04801241057152e307, "reference": 3.28125e307}),
+    (["simulate", "--scheme", "test-channel", "--rbar", "1", *SIM_OVER_UNIT],
+     {"reference": 5.80078125e307}),
+    (["eigen", "--kind", "interp", "--n", "1", *OVER_UNIT],
+     {"lambda": 1.33333333333333e308, "density_limit": 1.33333333333333e308})],
+    ids=["mmse-only", "test-channel", "eigen-interp"])
+def test_a_unit_past_the_floats_still_answers(tmp_path, capsys, argv, cells):
+    # each absolute value is a dimensionless result scaled once, last, by
+    # ``spectral.unit``, so the run answers wherever its cells fit
+    out = str(tmp_path / "x.csv")
+    assert main(argv + ["--out", out]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    _, cols = read_csv(out)
+    read = {name: float(value) for name, value
+            in (pair.split("=") for pair in captured.out.split())}
+    read.update({name: col[0] for name, col in cols.items()})
+    assert all(np.all(np.isfinite(col)) for col in cols.values())
+    assert all(math.isfinite(value) for value in read.values())
+    for name, value in cells.items():
+        assert read[name] == value, name
+
+
+#: the fields of a ``sweep`` in absolute units
+ABSOLUTE_FIELDS = ("d_opt", "d_ce", "d_upper", "d_w", "d_bar", "mmse")
+#: a normal float, log-uniform
+NORMAL = st.floats(math.log(sys.float_info.min),
+                   math.log(sys.float_info.max)).map(
+    lambda x: min(max(math.exp(x), sys.float_info.min), sys.float_info.max))
+
+
+@st.composite
+def scaled_units(draw):
+    """(sigma2, fs, j, k): normal sigma2 and fs and the binary exponents j
+    and k that keep sigma2 2**j and fs 2**k normal."""
+    sigma2, fs = draw(NORMAL), draw(NORMAL)
+    j = draw(st.integers(-1021, 1024).map(lambda e: e - math.frexp(sigma2)[1]))
+    k = draw(st.integers(-1021, 1024).map(lambda e: e - math.frexp(fs)[1]))
+    return sigma2, fs, j, k
+
+
+def absolute_outputs(sigma2, fs, rate, n):
+    """{route: (power p of fs in its unit sigma2/fs**p, {name: values}, or
+    None where the route refused)} of every absolute output at (sigma2, fs):
+    the ``sweep`` fields at ``rate``, both eigenvalue functions, the Nystrom
+    oracle and ``eigen``'s density_limit at rank n, and the statistics of a
+    run of each ``simulate`` scheme over n intervals."""
+    params = spectral.ProcessParams(sigma2, fs)
+    routes = {}
+    try:
+        b = drf.sweep(sigma2, fs, rate)
+        routes["sweep"] = (1, {name: getattr(b, name)
+                               for name in ABSOLUTE_FIELDS})
+    except FloatingPointError:   # the bundle refuses the whole curve
+        routes["sweep"] = (1, None)
+    tables = []
+    with mock.patch.object(cli, "_write_outputs",
+                           lambda args, header, table: tables.append(table)):
+        for power, kind, eigenvalues in (
+                (1, "discrete", spectral.discrete_wiener_eigenvalues),
+                (2, "interp", spectral.interp_kernel_eigenvalues)):
+            routes[kind] = (power, {"lambda": eigenvalues(params, n)})
+            argv = ["eigen", "--kind", kind, "--n", str(n), "--sigma2",
+                    repr(sigma2), "--fs", repr(fs), "--out", "unused"]
+            code = main(argv)   # 3: a cell rounds to 0
+            limit = {"density_limit": tables.pop()[:, 2]} if code == 0 else None
+            routes[f"eigen {kind}"] = (power, limit)
+    routes["nystrom"] = (2, {"lambda": spectral.nystrom_interp_eigenvalues(
+        params, n, grid_points=4)})
+    config = mc.SimConfig(horizon_t=n / fs, oversample=2, trials=3, seed=1)
+    for scheme, run in (("mmse-only", mc.empirical_mmse),
+                        ("test-channel", lambda p, c: mc.mc_test_channel_run(
+                            p, c, 1.0))):
+        result = run(params, config)
+        routes[scheme] = (1, {name: getattr(result, name) for name in (
+            "estimate", "stderr", "reference", "bias", "per_trial")})
+    return routes
+
+
+def is_normal(values):
+    size = np.abs(values)
+    return (size >= sys.float_info.min) & (size <= sys.float_info.max)
+
+
+@given(case=scaled_units(), rbar=st.floats(1e-3, 50.0),
+       n=st.integers(2, 8))
+@example(case=(1e308 * 2.0 ** -10, 0.5, 10, 0), rbar=1.0, n=2)
+@example(case=(1e308, 0.5, -10, 0), rbar=1.0, n=2)
+@settings(max_examples=200, deadline=None)
+def test_every_absolute_output_scales_with_its_unit(case, rbar, n):
+    """sigma2 2**j and fs 2**k (R 2**k and the horizon 2**-k with them)
+    scale every absolute output by exactly 2**(j - p k), p the power of fs
+    in its unit, wherever the output and its scaled value are normal; a
+    route refuses only where some scaled value is not."""
+    sigma2, fs, j, k = case
+    with np.errstate(over="ignore", under="ignore"):
+        scaled_sigma2, scaled_fs = np.ldexp(sigma2, j), np.ldexp(fs, k)
+        rate, scaled_rate = rbar * fs, np.ldexp(rbar * fs, k)
+        assume(is_normal(rate) and is_normal(scaled_rate))
+        assume(is_normal(n / fs) and is_normal(n / scaled_fs))
+        base = absolute_outputs(sigma2, fs, rate, n)
+        scaled = absolute_outputs(float(scaled_sigma2), float(scaled_fs),
+                                  float(scaled_rate), n)
+        for source, target, sign in ((base, scaled, 1), (scaled, base, -1)):
+            for route, (power, values) in source.items():
+                if values is None:
+                    continue
+                expected = {name: np.ldexp(value, sign * (j - power * k))
+                            for name, value in values.items()}
+                got = target[route][1]
+                if got is None:
+                    assert not all(np.all(is_normal(value))
+                                   for value in expected.values()), route
+                    continue
+                for name, value in values.items():
+                    fits = is_normal(value) & is_normal(expected[name])
+                    assert np.array_equal(np.asarray(got[name])[fits],
+                                          expected[name][fits]), (route, name)
 
 
 class TestUnwritableOut:

@@ -1,20 +1,24 @@
 """Spectral densities and eigensystems against brute-force oracles."""
 
+import math
+import sys
+from fractions import Fraction
+
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracle import ConstantDensity, fredholm_residual, interp_covariance
-from wienerdr.spectral import (ProcessParams, SAMPLED_WIENER,
+from wienerdr.spectral import (ParameterError, ProcessParams, SAMPLED_WIENER,
                                SHIFTED_SAMPLED_WIENER, SpectralDensity,
                                discrete_wiener_eigensystem,
                                discrete_wiener_eigenvalues,
                                interp_kernel_eigensystem,
                                interp_kernel_eigenvalues,
                                nystrom_interp_eigenvalues, s_bar,
-                               s_tilde_density)
+                               s_tilde_density, unit)
 
 UNIT = ProcessParams(sigma2=1.0, fs=1.0)
 
@@ -112,6 +116,49 @@ class TestProcessParams:
 
     def test_ts_is_derived(self):
         assert ProcessParams(sigma2=1.0, fs=4.0).ts == 0.25
+
+
+#: log-uniform over the positive floats, the smallest subnormal included
+POSITIVE = st.floats(math.log(5e-324), math.log(sys.float_info.max)).map(
+    lambda x: min(math.exp(x), sys.float_info.max))
+
+
+def ulp_of(exact: Fraction) -> Fraction:
+    """The spacing of the normal floats in the binade that holds ``exact``."""
+    e = exact.numerator.bit_length() - exact.denominator.bit_length()
+    if Fraction(2) ** e > exact:
+        e -= 1
+    return Fraction(2) ** (e - 52)
+
+
+class TestUnit:
+    @given(num=POSITIVE, den=POSITIVE)
+    @example(num=5e-324, den=1e-300)             # subnormal numerator
+    @example(num=1e-300, den=3e-320)             # subnormal denominator
+    @example(num=1e308, den=0.5)                 # num/den overflows
+    @example(num=1e308 * 2.0 ** -10, den=0.5)
+    @settings(max_examples=500, deadline=None)
+    def test_against_exact_fractions(self, num, den):
+        # power 1 is correctly rounded and power 2 within 1.5 ulp wherever
+        # the exact value is a normal float, whatever the inputs' range
+        for power, bound in ((1, Fraction(1, 2)), (2, Fraction(3, 2))):
+            exact = Fraction(num) / Fraction(den) ** power
+            if not sys.float_info.min <= exact <= sys.float_info.max:
+                continue
+            ratio, exp = unit(num, den, power)
+            got = float(np.ldexp(ratio, exp))
+            assert abs(Fraction(got) - exact) <= bound * ulp_of(exact)
+            if power == 1:
+                assert got == float(exact)
+
+    def test_arrays_broadcast_like_scalars(self):
+        num, den = np.array([[1e308], [3.0]]), np.array([0.5, 7.0, 1e-310])
+        for power in (1, 2):
+            ratio, exp = unit(num, den, power)
+            assert ratio.shape == exp.shape == (2, 3)
+            for i, j in np.ndindex(2, 3):
+                one = unit(num[i, 0], den[j], power)
+                assert (ratio[i, j], exp[i, j]) == one
 
 
 class TestDiscreteEigensystem:
@@ -250,17 +297,30 @@ class TestInterpEigensystem:
                 discrete_wiener_eigenvalues(params, n),
                 discrete_wiener_eigensystem(params, n).eigenvalues)
 
-    def test_ts_squared_is_the_rounded_product(self):
-        # C pow squares about 1 ts in 1,200 one ulp off: find such an fs
-        fs = next(f for f in 1.0 + np.arange(1, 10_000) / 1000.0
-                  if np.float64(1.0 / f) ** 2 != (1.0 / f) * (1.0 / f))
-        params = ProcessParams(sigma2=0.9, fs=float(fs))
+    def test_unit_is_the_quotient_of_the_mantissas(self):
+        # sigma2 ts^2 is m_s / m_f**2 times 2**(e_s - 2 e_f) (``unit``), not
+        # the product sigma2 (ts ts): find an fs where the two round apart
+        def quotient(fs):
+            (m_s, e_s), (m_f, e_f) = math.frexp(0.9), math.frexp(fs)
+            return math.ldexp(m_s / (m_f * m_f), e_s - 2 * e_f)
+
+        fs = next(float(f) for f in 1.0 + np.arange(1, 10_000) / 1000.0
+                  if quotient(f) != 0.9 * ((1.0 / f) * (1.0 / f)))
+        params = ProcessParams(sigma2=0.9, fs=fs)
         ts, n = params.ts, 64
         x = (2 * np.arange(1, n + 1) - 1) * np.pi / (2.0 * n)
         shape = (2.0 + np.cos(x)) / np.sin(0.5 * x) ** 2
         got = interp_kernel_eigenvalues(params, n)
-        assert np.array_equal(got, (0.9 * (ts * ts) / 12.0) * shape)
-        assert not np.array_equal(got, (0.9 * ts ** 2 / 12.0) * shape)
+        assert np.array_equal(got, (quotient(fs) / 12.0) * shape)
+        assert not np.array_equal(got, (0.9 * (ts * ts) / 12.0) * shape)
+
+    def test_nystrom_hat_matrix_past_the_count_bound_is_named(self):
+        # its (n grid_points + 1) x n hat matrix is refused, under the field
+        # that sized it, before numpy is asked for it
+        for n, grid_points in ((2 ** 40, 2 ** 40), (2 ** 20, 2 ** 15)):
+            with pytest.raises(ParameterError) as caught:
+                nystrom_interp_eigenvalues(UNIT, n, grid_points)
+            assert str(caught.value) == "grid_points is too long to allocate"
 
     def test_large_n_has_no_degenerate_denominators(self):
         for n in (4096, 10 ** 6):

@@ -32,12 +32,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from sys import float_info
 
 import numpy as np
 
 from .spectral import (SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER, ProcessParams,
-                       check_positive, unit)
+                       check_normal, check_positive, unit)
 from .waterfill import (WaterLevels, distortion_at_theta, rate_at_theta,
                         water_levels)
 
@@ -101,10 +100,7 @@ class DistortionBundle:
     theta_ce: float
 
     def __post_init__(self):
-        for name, value in vars(self).items():   # the fields, in order
-            if not np.all((float_info.min <= value) & (value <= float_info.max)):
-                raise FloatingPointError(
-                    f"{name} is past the floating-point range")
+        check_normal(self)
         # differences of two normal floats cannot overflow
         slack = _ORDERING_SLACK * self.d_upper
         ordered = ((np.maximum(self.mmse, self.d_w) - self.d_opt <= slack)

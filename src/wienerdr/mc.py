@@ -35,7 +35,7 @@ second moments min{theta, lambda_k}, without the exponential codebook
 search.  ``ce_moment_oracle`` gives those moments in closed form; the
 Karhunen-Loeve transform of the walk, its inverse and the oracle's cosine
 sums are each read off one real FFT of length M = 2n+1, their period
-(O(n log n), no n x n matrix).
+(O(n log n), no n x n matrix).  It works at unit scale, as a run does.
 """
 
 from __future__ import annotations
@@ -53,9 +53,9 @@ from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .drf import mmse_fs
 from .spectral import (MAX_COUNT, ParameterError, ProcessParams, check_count,
-                       check_positive, discrete_wiener_eigenvalues, unit)
+                       check_normal, check_positive,
+                       discrete_wiener_eigenvalues, unit)
 
 __all__ = [
     "SimConfig",
@@ -108,7 +108,8 @@ class ErrorMoments:
     sample m.  Index 0 (the pinned start) and the cross moment across block
     boundaries are identically zero and are not stored; the error of the
     first sample past the block reuses the distribution of D_1 (blocks are
-    re-zeroed and coded independently).
+    re-zeroed and coded independently).  A non-finite moment raises
+    FloatingPointError naming its field.
     """
 
     second: np.ndarray
@@ -117,12 +118,17 @@ class ErrorMoments:
     def __post_init__(self):
         s = np.asarray(self.second, dtype=float)
         c = np.asarray(self.cross, dtype=float)
-        if s.ndim != 1 or c.ndim != 1 or len(c) != len(s) - 1:
-            raise ValueError("need N second moments and N-1 cross moments")
+        if s.ndim != 1 or c.ndim != 1 or len(c) != len(s) - 1 or len(s) < 2:
+            raise ValueError("need N >= 2 second moments and N-1 cross moments")
+        for name, value in (("second", s), ("cross", c)):
+            if not np.all(np.isfinite(value)):
+                raise FloatingPointError(
+                    f"{name} is past the floating-point range")
         if np.any(s < 0):
             raise ValueError("second moments must be non-negative")
-        bound = np.sqrt(s[:-1] * s[1:]) * (1 + 1e-9) + 1e-300
-        if np.any(np.abs(c) > bound):
+        # a product of roots, as sqrt(s1 s2) overflows and underflows
+        bound = np.sqrt(s[:-1]) * np.sqrt(s[1:]) + 1e-300
+        if np.any(np.abs(c) / (1 + 1e-9) > bound):
             raise ValueError("cross moments violate Cauchy-Schwarz")
 
 
@@ -155,6 +161,9 @@ class CeEstimate:
     estimate: float
     lower: float
     upper: float
+
+    def __post_init__(self):
+        check_normal(self)
 
     @property
     def gap(self) -> float:
@@ -559,18 +568,26 @@ def lemma_bounds(moments: ErrorMoments, params: ProcessParams) -> Tuple[float, f
     lower = mmse + (2/3) mean_{n<N} E D_n^2 + (1/3) mean E D_n D_{n+1}
     and the matching (N+1)-normalized upper bound; the block-extension terms
     follow the ErrorMoments convention (zero boundary cross moment, first-
-    sample second moment reused past the block).
+    sample second moment reused past the block).  mmse is ``drf.mmse_fs``;
+    a bound past the normal floats raises FloatingPointError.
     """
-    s = moments.second
-    c = moments.cross
+    ratio, exp = unit(params.sigma2, params.fs)
+    with np.errstate(over="ignore"):   # CeEstimate refuses
+        mmse = np.ldexp(ratio / 6.0, exp)
+    bounds = _bounds(mmse, moments.second, moments.cross)
+    return bounds.lower, bounds.upper
+
+
+def _bounds(floor: float, s: np.ndarray, c: np.ndarray, exp: int = 0) -> CeEstimate:
+    """``lemma_bounds`` and their midpoint: ``floor`` plus the lemma's sums
+    of the moments s and c, each times 2**exp last."""
     n = len(s)
-    if n < 2:
-        raise ValueError("need moments over at least 2 indices")
-    mmse = mmse_fs(params)
-    lower = mmse + (2.0 / 3.0) * s[:-1].sum() / n + (1.0 / 3.0) * c.sum() / n
-    upper = (mmse + (2.0 / 3.0) * (s.sum() + s[0]) / (n + 1)
-             + c.sum() / (3.0 * (n + 1)))
-    return float(lower), float(upper)
+    with np.errstate(all="ignore"):   # CeEstimate refuses
+        lower = floor + ((2.0 / 3.0) * s[:-1].sum() + c.sum() / 3.0) / n
+        upper = floor + ((2.0 / 3.0) * (s.sum() + s[0])
+                         + c.sum() / 3.0) / (n + 1)
+        mid = lower + (upper - lower) / 2
+        return CeEstimate(*np.ldexp((mid, lower, upper), exp))
 
 
 def finite_waterfill_theta(eigenvalues: np.ndarray, rbar: float) -> float:
@@ -620,8 +637,9 @@ def _kl_inverse(coeffs: np.ndarray) -> np.ndarray:
     return np.fft.rfft(ext)[..., 1:].imag * signs
 
 
-def _oracle_moments(lam: np.ndarray, theta: float) -> ErrorMoments:
-    """Diagonal and first off-diagonal of V^T diag(min{theta, lam}) V.
+def _oracle(n: int, rbar: float, scale=1.0) -> Tuple[np.ndarray, float, ErrorMoments]:
+    """The walk's n unit-scale eigenvalues times ``scale``, their level at
+    rbar and the diagonal and first off-diagonal of V^T diag(min{theta, lam}) V.
 
     With d = min{theta, lam} and C_j = sum_k d_k cos(j (2k-1) pi / M),
     second[m] = (2/M) (sum d - C_2m) and cross[m] = (2/M) (C_1 - C_(2m+1)).
@@ -629,15 +647,17 @@ def _oracle_moments(lam: np.ndarray, theta: float) -> ErrorMoments:
     (-1)**j Re X[j] for j <= n, X the FFT of d reversed in slots n..1, and
     C_j = -C_(M-j) above n.
     """
-    n = len(lam)
+    n = check_count("n", n, least=2)
+    lam = scale * discrete_wiener_eigenvalues(ProcessParams(1.0, 1.0), n)
+    theta = finite_waterfill_theta(lam, rbar)
     d = np.minimum(theta, lam)
     slots = np.zeros(2 * n + 1)
     slots[1:n + 1] = d[::-1]
     low = np.fft.rfft(slots).real * (-1.0) ** np.arange(n + 1)
     c = np.concatenate((low, -low[:0:-1]))
-    scale = 2.0 / (2 * n + 1)
-    return ErrorMoments(second=scale * (d.sum() - c[2::2]),
-                        cross=scale * (c[1] - c[3:2 * n:2]))
+    fold = 2.0 / (2 * n + 1)
+    return lam, theta, ErrorMoments(second=fold * (d.sum() - c[2::2]),
+                                    cross=fold * (c[1] - c[3:2 * n:2]))
 
 
 def ce_moment_oracle(params: ProcessParams, n: int, rbar: float) -> ErrorMoments:
@@ -647,15 +667,21 @@ def ce_moment_oracle(params: ProcessParams, n: int, rbar: float) -> ErrorMoments
     covariance of the reconstructed samples is U^T diag(min{theta, lam}) U,
     whose diagonal and first off-diagonal are returned.  No sampling noise;
     this is the semi-analytic reference for the compress-and-estimate limit.
+    The moments are formed at unit scale and scaled by sigma2/fs last.
     """
-    lam = discrete_wiener_eigenvalues(params, check_count("n", n, least=2))
-    return _oracle_moments(lam, finite_waterfill_theta(lam, rbar))
+    moments = _oracle(n, rbar)[2]
+    ratio, exp = unit(params.sigma2, params.fs)
+    with np.errstate(over="ignore"):   # ErrorMoments refuses
+        return ErrorMoments(*(np.ldexp(ratio * m, exp)
+                              for m in (moments.second, moments.cross)))
 
 
 def ce_distortion_estimate(params: ProcessParams, n: int, rbar: float) -> CeEstimate:
-    """Midpoint of the moment-oracle bounds; converges to d_ce as n grows."""
-    lower, upper = lemma_bounds(ce_moment_oracle(params, n, rbar), params)
-    return CeEstimate(estimate=0.5 * (lower + upper), lower=lower, upper=upper)
+    """Midpoint of the moment-oracle bounds, formed at unit scale (answering
+    where an absolute moment overflows); converges to d_ce as n grows."""
+    moments = _oracle(n, rbar)[2]
+    ratio, exp = unit(params.sigma2, params.fs)
+    return _bounds(ratio / 6.0, ratio * moments.second, ratio * moments.cross, exp)
 
 
 def mc_test_channel_run(params: ProcessParams, config: SimConfig,
@@ -677,13 +703,12 @@ def mc_test_channel_run(params: ProcessParams, config: SimConfig,
     if n < 2:
         raise ParameterError("horizon_t", "must exceed 1/fs: horizon * fs > 1")
     os_ = config.oversample
-    lam = os_ * discrete_wiener_eigenvalues(ProcessParams(1.0, 1.0), n)
-    theta = finite_waterfill_theta(lam, rbar)
+    lam, theta, moments = _oracle(n, rbar, os_)
     gain = np.maximum(1.0 - theta / lam, 0.0)   # 0: a drowned coefficient
     noise_sd = np.sqrt(theta / np.where(gain > 0, gain, np.inf))
     rows = functools.partial(_channel_rows, n, os_, gain, noise_sd)
     return _estimate(_run(n, config, rows, n * (os_ + 1)), params, n, os_,
-                     _oracle_moments(lam, theta))
+                     moments)
 
 
 def _channel_rows(n: int, oversample: int, gain: np.ndarray,

@@ -18,8 +18,9 @@ matrix.
 
 ``check_count`` checks every count of the package (an eigen rank, grid
 points, trials) before anything it sizes is allocated, as
-``check_positive`` checks every real parameter; ``unit`` scales every
-dimensionless result to absolute units (sigma2/fs, sigma2/R, sigma2 ts**2).
+``check_positive`` checks every real parameter and ``check_normal`` every
+result; ``unit`` scales every dimensionless result to absolute units
+(sigma2/fs, sigma2/R, sigma2 ts**2).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "ParameterError",
     "check_positive",
     "check_count",
+    "check_normal",
     "MAX_COUNT",
     "unit",
     "ProcessParams",
@@ -83,6 +85,14 @@ def check_count(field: str, value, least: int = 1) -> int:
     if value > MAX_COUNT:
         raise ParameterError(field, "is too long to allocate")
     return int(value)
+
+
+def check_normal(record) -> None:
+    """Refuse a result record with a field outside the positive normal floats,
+    where it has lost its digits (FloatingPointError naming the first)."""
+    for field, value in vars(record).items():
+        if not np.all((sys.float_info.min <= value) & (value <= sys.float_info.max)):
+            raise FloatingPointError(f"{field} is past the floating-point range")
 
 
 def unit(num, den, power=1):

@@ -800,15 +800,24 @@ def test_contract_over_the_counts(call):
 
 
 def run_python(code: str, expect: int = 0) -> subprocess.CompletedProcess:
-    """Run code in a fresh interpreter that imports this checkout's package."""
+    """Run code in a fresh interpreter that imports this checkout's package,
+    with warnings as errors, as in this suite."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(wienerdr.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, "-c", code], env=env,
+    done = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == expect, done.stderr
     return done
+
+
+def test_readme_api_sketch_runs():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as f:
+        blocks = f.read().split("```python\n")[1:]
+    assert len(blocks) == 1
+    run_python(blocks[0].split("```")[0])
 
 
 class TestFootprint:
@@ -1054,8 +1063,9 @@ def absolute_outputs(sigma2, fs, rate, n):
     """{route: (power p of fs in its unit sigma2/fs**p, {name: values}, or
     None where the route refused)} of every absolute output at (sigma2, fs):
     the ``sweep`` fields at ``rate``, both eigenvalue functions, the Nystrom
-    oracle and ``eigen``'s density_limit at rank n, and the statistics of a
-    run of each ``simulate`` scheme over n intervals."""
+    oracle and ``eigen``'s density_limit at rank n, the compress-and-estimate
+    moment oracle and its bounds at rank n and rate/fs bits per sample, and
+    the statistics of a run of each ``simulate`` scheme over n intervals."""
     params = spectral.ProcessParams(sigma2, fs)
     routes = {}
     try:
@@ -1078,6 +1088,15 @@ def absolute_outputs(sigma2, fs, rate, n):
             routes[f"eigen {kind}"] = (power, limit)
     routes["nystrom"] = (2, {"lambda": spectral.nystrom_interp_eigenvalues(
         params, n, grid_points=4)})
+    for oracle, fields in ((mc.ce_moment_oracle, ("second", "cross")),
+                           (mc.ce_distortion_estimate,
+                            ("estimate", "lower", "upper"))):
+        try:
+            result = oracle(params, n, rate / fs)
+            values = {name: getattr(result, name) for name in fields}
+        except FloatingPointError:   # a field past the floats
+            values = None
+        routes[oracle.__name__] = (1, values)
     config = mc.SimConfig(horizon_t=n / fs, oversample=2, trials=3, seed=1)
     for scheme, run in (("mmse-only", mc.empirical_mmse),
                         ("test-channel", lambda p, c: mc.mc_test_channel_run(
@@ -1097,6 +1116,11 @@ def is_normal(values):
        n=st.integers(2, 8))
 @example(case=(1e308 * 2.0 ** -10, 0.5, 10, 0), rbar=1.0, n=2)
 @example(case=(1e308, 0.5, -10, 0), rbar=1.0, n=2)
+@example(case=(1e308, 0.5, -10, 0), rbar=1.0, n=64)
+@example(case=(3e307, 1.0, -4, 0), rbar=1e-3, n=8)
+@example(case=(1e300, 1e-5, 0, 10), rbar=1.0, n=64)
+@example(case=(1e308, 1e-300, -1100, 0), rbar=1.0, n=64)
+@example(case=(1e-300, 1e300, 1000, 0), rbar=1.0, n=64)
 @settings(max_examples=200, deadline=None)
 def test_every_absolute_output_scales_with_its_unit(case, rbar, n):
     """sigma2 2**j and fs 2**k (R 2**k and the horizon 2**-k with them)

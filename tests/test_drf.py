@@ -15,7 +15,7 @@ from wienerdr.drf import (DistortionBundle, RateSpec, bundle, ce_penalty,
                           d_bar, d_ce, d_opt, d_tilde, d_upper, d_w,
                           dr_asym_coeffs, equilibrium_rbar, g_fun, mmse_fs,
                           ratio_qnt, ratio_smp)
-from wienerdr.mc import ErrorMoments, lemma_bounds
+from wienerdr.mc import CeEstimate, ErrorMoments, lemma_bounds
 from wienerdr.spectral import ProcessParams
 from wienerdr.waterfill import _SERIES_SHARE, MAX_RBAR, MIN_RBAR
 
@@ -265,6 +265,16 @@ class TestBundle:
         with pytest.raises(FloatingPointError,
                            match=f"^{field} is past the floating-point range"):
             DistortionBundle(**{**good, field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("estimate", 0.0), ("lower", 1e-310), ("upper", math.inf),
+        ("upper", math.nan)])
+    def test_ce_estimate_range_check_names_the_field(self, field, value):
+        good = dict(estimate=1.5, lower=1.0, upper=2.0)
+        CeEstimate(**good)
+        with pytest.raises(FloatingPointError,
+                           match=f"^{field} is past the floating-point range"):
+            CeEstimate(**{**good, field: value})
 
     def test_mmse_floor_has_one_value(self):
         # 6 fs overflows at fs = 1e308; (sigma2 / fs) / 6 does not

@@ -62,12 +62,9 @@ def test_finite_rank_waterfilling_converges(eigenvalues, closed_form, floor):
 
 
 def test_ce_continuous_value_converges_to_d_ce():
-    lam = {n: discrete_wiener_eigenvalues(UNIT, n) for n in (N_CE, 2 * N_CE)}
     for rbar, ce in zip(RBARS[::3], SECTIONS.sampled.ce[::3]):
         def value(n):
-            theta = mc.finite_waterfill_theta(lam[n], rbar)
-            moments = mc._oracle_moments(lam[n], theta)
-            return mc._expectations(n, 1, moments)[1] / n
+            return mc._expectations(n, 1, mc._oracle(n, rbar)[2])[1] / n
 
         exact = 1.0 / 6.0 + ce
         got = richardson(value, N_CE)

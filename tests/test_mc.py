@@ -322,9 +322,29 @@ class TestLemmaBounds:
             ErrorMoments(second=-np.ones(3), cross=np.zeros(2))
         with pytest.raises(ValueError):
             ErrorMoments(second=np.ones(3), cross=np.array([2.0, 0.0]))
-        with pytest.raises(ValueError):
-            lemma_bounds(ErrorMoments(second=np.ones(1), cross=np.ones(0)),
-                         UNIT)
+        with pytest.raises(ValueError, match="need N >= 2"):
+            ErrorMoments(second=np.ones(1), cross=np.ones(0))
+        # the bound is sqrt(s1) sqrt(s2): the product s1 s2 overflows here
+        with pytest.raises(ValueError, match="Cauchy-Schwarz"):
+            ErrorMoments(second=np.array([1e200, 1e200]),
+                         cross=np.array([2e200]))
+        for field, second, cross in (("second", [math.nan, 1.0], [0.0]),
+                                     ("second", [math.inf, 1.0], [0.0]),
+                                     ("cross", [1.0, 1.0], [math.inf])):
+            with pytest.raises(FloatingPointError,
+                               match=f"^{field} is past the floating-point range"):
+                ErrorMoments(second=np.array(second), cross=np.array(cross))
+        # ... and underflows here (below about 1e-162): the pair is valid
+        tiny = ErrorMoments(second=np.array([1e-200, 4e-200]),
+                            cross=np.array([-2e-200]))
+        assert lemma_bounds(tiny, UNIT) == (1.0 / 6.0, 1.0 / 6.0)
+
+    def test_bounds_answer_where_a_unit_scale_moment_overflows(self):
+        # 1e308 / (1 / 1.99) is past the floats; the bounds are not
+        m = ErrorMoments(second=np.array([1e300, 1e308]), cross=np.zeros(1))
+        lo, hi = lemma_bounds(m, ProcessParams(1.0, 1.99))
+        assert lo == pytest.approx(1.0 / 6.0 / 1.99 + 1e300 / 3.0, rel=1e-15)
+        assert hi == pytest.approx((1e308 + 2e300) / 9.0 * 2.0, rel=1e-15)
 
 
 class TestFiniteWaterfill:
@@ -442,9 +462,8 @@ class TestFastTransforms:
 
         monkeypatch.setattr(np.fft, "rfft", counted)
         x = np.random.default_rng(n).standard_normal((3, n))
-        lam = discrete_wiener_eigensystem(UNIT, n).eigenvalues
         for run in (lambda: mc._kl_forward(x), lambda: mc._kl_inverse(x),
-                    lambda: mc._oracle_moments(lam, float(np.median(lam)))):
+                    lambda: mc._oracle(n, 0.5)):
             lengths.clear()
             run()
             assert lengths == [2 * n + 1]

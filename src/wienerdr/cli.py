@@ -137,10 +137,10 @@ class Grid:
     points: int
     log: bool
 
-    def __post_init__(self):
-        check_positive("min", self.min)
-        check_positive("max", self.max)
-        object.__setattr__(self, "points",   # kept as the int checked
+    def __post_init__(self):   # each kept as the value checked
+        for name in ("min", "max"):
+            object.__setattr__(self, name, check_positive(name, getattr(self, name)))
+        object.__setattr__(self, "points",
                            check_count("points", self.points, least=2))
         if not self.min < self.max:
             raise ValueError("need 0 < --min < --max")
@@ -204,7 +204,7 @@ def _cmd_simulate(args) -> int:
     if args.scheme == "test-channel" and args.rbar is None:
         raise ValueError("--rbar is required for the test-channel scheme")
     if args.rbar is not None:   # refused if bad, even where unused
-        check_positive("rbar", args.rbar)
+        args.rbar = check_positive("rbar", args.rbar)
     try:
         result = (mc.empirical_mmse(params, config)
                   if args.scheme == "mmse-only"

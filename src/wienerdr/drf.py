@@ -74,8 +74,8 @@ class RateSpec:
 
     rate: float
 
-    def __post_init__(self):
-        check_positive("rate", self.rate)
+    def __post_init__(self):   # kept as the float checked
+        object.__setattr__(self, "rate", check_positive("rate", self.rate))
 
 
 @dataclass(frozen=True)
@@ -188,7 +188,7 @@ def bundle(params: ProcessParams, rate: RateSpec) -> DistortionBundle:
 
 def d_w(rate: RateSpec, sigma2: float) -> float:
     """DRF of the continuous Wiener process: 2 sigma2 / (pi^2 ln2 R)."""
-    per_rate, exp = unit(sigma2, rate.rate)
+    per_rate, exp = unit(check_positive("sigma2", sigma2), rate.rate)
     return float(np.ldexp(_DW_COEF * per_rate, exp))
 
 

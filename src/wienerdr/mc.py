@@ -86,13 +86,14 @@ class SimConfig:
     trials: int
     seed: int
 
-    def __post_init__(self):
-        check_positive("horizon_t", self.horizon_t)
-        for name in ("oversample", "trials"):   # kept as the ints checked
-            value = check_count(name, getattr(self, name))
-            object.__setattr__(self, name, value)
+    def __post_init__(self):   # each kept as the value checked
+        object.__setattr__(self, "horizon_t",
+                           check_positive("horizon_t", self.horizon_t))
+        for name in ("oversample", "trials"):
+            object.__setattr__(self, name, check_count(name, getattr(self, name)))
         if not (isinstance(self.seed, int) or float(self.seed).is_integer()):
             raise ParameterError("seed", "must be an integer")
+        object.__setattr__(self, "seed", int(self.seed))
         if self.trials > 2 ** 32:   # spawn keys of one 32-bit word
             raise ParameterError("trials", "must be <= 2**32")
         if not 0 <= self.seed < 2 ** 64:
@@ -115,9 +116,10 @@ class ErrorMoments:
     second: np.ndarray
     cross: np.ndarray
 
-    def __post_init__(self):
-        s = np.asarray(self.second, dtype=float)
-        c = np.asarray(self.cross, dtype=float)
+    def __post_init__(self):   # kept as the float arrays checked
+        s, c = np.asarray(self.second, float), np.asarray(self.cross, float)
+        object.__setattr__(self, "second", s)
+        object.__setattr__(self, "cross", c)
         if s.ndim != 1 or c.ndim != 1 or len(c) != len(s) - 1 or len(s) < 2:
             raise ValueError("need N >= 2 second moments and N-1 cross moments")
         for name, value in (("second", s), ("cross", c)):
@@ -212,7 +214,7 @@ def _seed_pool(seed: int) -> Tuple[int, ...]:
     """Entropy pool of ``SeedSequence(seed)``, into which a spawned
     SeedSequence mixes its spawn word after the same seed words, so the
     pool and ``_SEEDED_HASH`` are all a trial key needs."""
-    return tuple(np.random.SeedSequence(int(seed)).pool.tolist())
+    return tuple(np.random.SeedSequence(seed).pool.tolist())
 
 
 def _hash_steps(hash_const: int, mult: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -568,17 +570,20 @@ def lemma_bounds(moments: ErrorMoments, params: ProcessParams) -> Tuple[float, f
     lower = mmse + (2/3) mean_{n<N} E D_n^2 + (1/3) mean E D_n D_{n+1}
     and the matching (N+1)-normalized upper bound; the block-extension terms
     follow the ErrorMoments convention (zero boundary cross moment, first-
-    sample second moment reused past the block).  mmse is ``drf.mmse_fs``;
-    a bound past the normal floats raises FloatingPointError.
+    sample second moment reused past the block).  mmse is ``drf.mmse_fs``.
+    The sums are formed at unit scale, mmse and the moments shifted down
+    exactly by 2**top, top the ``frexp`` exponent of the largest of them;
+    only a bound past the normal floats raises FloatingPointError.
     """
     ratio, exp = unit(params.sigma2, params.fs)
-    with np.errstate(over="ignore"):   # CeEstimate refuses
-        mmse = np.ldexp(ratio / 6.0, exp)
-    bounds = _bounds(mmse, moments.second, moments.cross)
+    mmse = ratio / 6.0   # times 2**exp
+    top = max(np.frexp(mmse)[1] + exp, np.frexp(moments.second.max())[1])
+    s, c = (np.ldexp(m, -top) for m in (moments.second, moments.cross))
+    bounds = _bounds(np.ldexp(mmse, exp - top), s, c, top)
     return bounds.lower, bounds.upper
 
 
-def _bounds(floor: float, s: np.ndarray, c: np.ndarray, exp: int = 0) -> CeEstimate:
+def _bounds(floor: float, s: np.ndarray, c: np.ndarray, exp: int) -> CeEstimate:
     """``lemma_bounds`` and their midpoint: ``floor`` plus the lemma's sums
     of the moments s and c, each times 2**exp last."""
     n = len(s)
@@ -599,7 +604,7 @@ def finite_waterfill_theta(eigenvalues: np.ndarray, rbar: float) -> float:
     levels come from one cumulative sum; the first consistent one is taken.
     """
     lam = np.sort(check_positive("eigenvalues", eigenvalues))[::-1]
-    check_positive("rbar", rbar)
+    rbar = check_positive("rbar", rbar)
     n = len(lam)
     budget = 2.0 * n * rbar * math.log(2.0)
     theta = np.exp((np.cumsum(np.log(lam)) - budget) / np.arange(1, n + 1))

@@ -61,12 +61,13 @@ class ParameterError(ValueError):
         self.field, self.reason = field, reason
 
 
-def check_positive(field: str, value) -> np.ndarray:
-    """``value`` as a float array, if positive and finite throughout."""
+def check_positive(field: str, value) -> float | np.ndarray:
+    """``value`` as a float if it is a scalar, else as a float64 array, if
+    positive and finite throughout: the value its caller keeps and uses."""
     value = np.asarray(value, dtype=float)   # a nan is the min and the max
     if not (value.min(initial=np.inf) > 0 and value.max(initial=0.0) < np.inf):
         raise ParameterError(field, "must be positive and finite")
-    return value
+    return float(value) if value.ndim == 0 else value
 
 
 #: the largest count: no command builds more than 32 float64 values per
@@ -113,21 +114,14 @@ class ProcessParams:
     sigma2: float
     fs: float
 
-    def __post_init__(self):
-        check_positive("sigma2", self.sigma2)
-        check_positive("fs", self.fs)
+    def __post_init__(self):   # kept as the floats checked
+        for name in ("sigma2", "fs"):
+            object.__setattr__(self, name, check_positive(name, getattr(self, name)))
 
     @property
     def ts(self) -> float:
         """Sampling interval 1/fs (derived, never stored)."""
         return 1.0 / self.fs
-
-
-def _check_phi(phi):
-    arr = np.asarray(phi, dtype=float)
-    if np.any(arr <= 0.0) or np.any(arr > 1.0):
-        raise ValueError("phi must lie in (0, 1]")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -148,9 +142,10 @@ class SpectralDensity:
             raise ValueError(f"density shift must be 0 or 1/6, got {self.shift}")
 
     def __call__(self, phi):
-        arr = _check_phi(phi)
-        out = 1.0 / (4.0 * np.sin(0.5 * np.pi * arr) ** 2) - self.shift
-        return float(out) if np.isscalar(phi) or arr.ndim == 0 else out
+        phi = check_positive("phi", phi)
+        if np.any(phi > 1.0):
+            raise ParameterError("phi", "must lie in (0, 1]")
+        return 1.0 / (4.0 * np.sin(0.5 * np.pi * phi) ** 2) - self.shift
 
     @property
     def floor(self) -> float:
@@ -168,9 +163,8 @@ class SpectralDensity:
         return c, (2.0 / np.pi) * np.arctan2(1.0, c)
 
     def crossing(self, theta):
-        """The crossing phic in (0, 1] of ``cot_crossing``; a float for a float."""
-        phic = self.cot_crossing(theta)[1]
-        return float(phic) if np.ndim(phic) == 0 else phic
+        """The crossing phic in (0, 1] of ``cot_crossing``."""
+        return self.cot_crossing(theta)[1]
 
 
 SAMPLED_WIENER = SpectralDensity(0.0)
@@ -228,8 +222,7 @@ class EigenSystem:
         horizon = self.n * self.ts
         if np.any(t_arr < 0) or np.any(t_arr > horizon * (1 + 1e-12)):
             raise ValueError("t must lie in [0, n*ts]")
-        out = np.interp(t_arr / self.ts, np.arange(self.n + 1), v)
-        return float(out) if t_arr.ndim == 0 else out
+        return np.interp(t_arr / self.ts, np.arange(self.n + 1), v)
 
 
 def discrete_wiener_eigenvalues(params: ProcessParams, n: int) -> np.ndarray:

@@ -578,16 +578,110 @@ def test_each_bad_flag_is_named(tmp_path, capsys, monkeypatch, argv, message):
     (lambda: cli.Grid(1.0, 2.0, 1, True), "points"),
     (lambda: spectral.nystrom_interp_eigenvalues(UNIT_PARAMS, 2, 1),
      "grid_points"),
-    (lambda: mc.ce_moment_oracle(UNIT_PARAMS, 1, 1.0), "n")],
+    (lambda: mc.ce_moment_oracle(UNIT_PARAMS, 1, 1.0), "n"),
+    (lambda: drf.d_w(drf.RateSpec(1.0), -1.0), "sigma2")],
     ids=["sigma2", "fs", "RateSpec", "sweep", "horizon_t", "oversample",
          "trials", "seed", "discrete-n", "interp-n", "rbar", "grid-max",
-         "grid-points", "nystrom-grid-points", "oracle-n"])
+         "grid-points", "nystrom-grid-points", "oracle-n", "d_w-sigma2"])
 def test_each_type_names_its_field(monkeypatch, build, field):
     monkeypatch.setattr(mc, "_run", None)   # rbar is checked before any draw
     with pytest.raises(spectral.ParameterError) as caught:
         build()
     assert caught.value.field == field
     assert str(caught.value).startswith(f"{field} must ")
+
+
+#: the forms in which a real value reaches a type, and those of a count
+REAL_FORMS = (float, int, np.float64, np.float32, np.int64, np.array, str)
+COUNT_FORMS = (int, float, np.int64, np.float64, np.array)
+
+
+@st.composite
+def as_form(draw, value, forms=REAL_FORMS):
+    """``value`` in one of ``forms``; an integer form takes it rounded."""
+    form = draw(st.sampled_from(forms))
+    integral = form in (int, np.int64)
+    return form(max(1, round(value)) if integral else value)
+
+
+def reals(low, high):
+    """Positive reals that a float32 holds exactly, in one of the forms."""
+    return st.floats(low, high, width=32).flatmap(as_form)
+
+
+def counts(low, high):
+    return st.integers(low, high).flatmap(lambda k: as_form(k, COUNT_FORMS))
+
+
+def outcome(call):
+    """The call's result, or the type and text of its typed error."""
+    try:
+        return call()
+    except (ValueError, FloatingPointError) as exc:
+        return type(exc), str(exc)
+
+
+#: every input as a plain float, int or list, which the examples vary
+PLAIN = dict(params=(1.0, 1.0), rate=2.0, config=(4.0, 8, 4, 3),
+             grid=(1.0, 2.0, 3), moments=([1.0, 1.0], [0.5]), rbar=1.0)
+
+
+@given(params=st.tuples(reals(2.0 ** -20, 2.0 ** 20),
+                        reals(2.0 ** -20, 2.0 ** 20)),
+       rate=reals(2.0 ** -20, 2.0 ** 20),
+       config=st.tuples(reals(2.0 ** -10, 2.0 ** 10), counts(1, 64),
+                        counts(1, 10 ** 6), counts(0, 2 ** 32)),
+       grid=st.tuples(reals(1.0, 2.0 ** 10), reals(1.0, 2.0 ** 10),
+                      counts(2, 64)),
+       moments=st.integers(2, 5).flatmap(lambda n: st.tuples(
+           st.lists(st.floats(0.0, 1e3), min_size=n, max_size=n),
+           st.lists(st.floats(-0.25, 0.25), min_size=n - 1, max_size=n - 1))),
+       rbar=reals(2.0 ** -4, 2.0 ** 4))
+@example(**{**PLAIN, "params": ("1", 1.0)})
+@example(**{**PLAIN, "rate": "2"})
+@example(**{**PLAIN, "config": (4.0, 8, 4, 3.0)})
+@example(**{**PLAIN, "params": (1, 2), "rbar": "1"})
+@settings(max_examples=100, deadline=None)
+def test_a_type_keeps_the_value_it_checked(params, rate, config, grid,
+                                           moments, rbar):
+    """Each type stores a Python float for a real, an int for a count or
+    the seed and float64 arrays for the moments, whatever form it was
+    given, and answers exactly as the plain-float build does."""
+    def plain(values):
+        return tuple(float(v) for v in values)
+
+    p = spectral.ProcessParams(*params)
+    r = drf.RateSpec(rate)
+    c = mc.SimConfig(*config)
+    assume(float(grid[0]) < float(grid[1]))
+    g = cli.Grid(*grid, log=True)
+    second, cross = moments   # a cross moment of at most sqrt(s1 s2) / 4
+    cross = [w * math.sqrt(a * b)
+             for w, a, b in zip(cross, second, second[1:])]
+    m = mc.ErrorMoments(second, cross)
+    for value in (p.sigma2, p.fs, r.rate, c.horizon_t, g.min, g.max):
+        assert type(value) is float
+    for value in (c.oversample, c.trials, c.seed, g.points):
+        assert type(value) is int
+    assert all(type(v) is np.ndarray and v.dtype == np.float64
+               for v in (m.second, m.cross))
+    assert (c.horizon_t, c.oversample, c.trials, c.seed) == plain(config)
+    assert (g.min, g.max, g.points) == plain(grid)
+    p0 = spectral.ProcessParams(*plain(params))
+    r0 = drf.RateSpec(float(rate))
+    assert outcome(lambda: drf.bundle(p, r)) \
+        == outcome(lambda: drf.bundle(p0, r0))
+    assert outcome(lambda: drf.sweep(*params, rate)) \
+        == outcome(lambda: drf.sweep(*plain(params), float(rate)))
+    moments0 = mc.ErrorMoments(np.array(second), np.array(cross))
+    assert mc.lemma_bounds(m, p) == mc.lemma_bounds(moments0, p0)
+    assert outcome(lambda: mc.ce_distortion_estimate(p, 8, rbar)) \
+        == outcome(lambda: mc.ce_distortion_estimate(p0, 8, float(rbar)))
+
+
+def test_a_string_bit_rate_gives_the_estimate_of_its_float():
+    estimate = mc.ce_distortion_estimate(spectral.ProcessParams(1, 2), 8, "1")
+    assert estimate.estimate == 0.16145833333333334
 
 
 #: sigma2 and fs of the contract below, log-uniform over the float range
@@ -1064,8 +1158,9 @@ def absolute_outputs(sigma2, fs, rate, n):
     None where the route refused)} of every absolute output at (sigma2, fs):
     the ``sweep`` fields at ``rate``, both eigenvalue functions, the Nystrom
     oracle and ``eigen``'s density_limit at rank n, the compress-and-estimate
-    moment oracle and its bounds at rank n and rate/fs bits per sample, and
-    the statistics of a run of each ``simulate`` scheme over n intervals."""
+    moment oracle and its bounds at rank n and rate/fs bits per sample,
+    ``lemma_bounds`` over n moments in units of sigma2/fs, and the
+    statistics of a run of each ``simulate`` scheme over n intervals."""
     params = spectral.ProcessParams(sigma2, fs)
     routes = {}
     try:
@@ -1097,6 +1192,17 @@ def absolute_outputs(sigma2, fs, rate, n):
         except FloatingPointError:   # a field past the floats
             values = None
         routes[oracle.__name__] = (1, values)
+    # moments of few mantissa bits times 2**e, e the exponent of sigma2/fs:
+    # exact wherever a bound is normal, and below mmse, so that they leave
+    # the floats only where the bounds do
+    e = math.frexp(sigma2)[1] - math.frexp(fs)[1]
+    try:
+        lower, upper = mc.lemma_bounds(mc.ErrorMoments(
+            np.ldexp(np.arange(1, n + 1) / 128, e),
+            np.ldexp(np.arange(1, n) / -256, e)), params)
+        routes["lemma_bounds"] = (1, {"lower": lower, "upper": upper})
+    except FloatingPointError:   # a moment or a bound past the floats
+        routes["lemma_bounds"] = (1, None)
     config = mc.SimConfig(horizon_t=n / fs, oversample=2, trials=3, seed=1)
     for scheme, run in (("mmse-only", mc.empirical_mmse),
                         ("test-channel", lambda p, c: mc.mc_test_channel_run(

@@ -346,6 +346,21 @@ class TestLemmaBounds:
         assert lo == pytest.approx(1.0 / 6.0 / 1.99 + 1e300 / 3.0, rel=1e-15)
         assert hi == pytest.approx((1e308 + 2e300) / 9.0 * 2.0, rel=1e-15)
 
+    def test_bounds_answer_where_an_absolute_sum_overflows(self):
+        # s.sum() + s[0] is past the floats; the sums at unit scale are not
+        m = ErrorMoments(second=np.array([1.2e308, 1e300]), cross=np.zeros(1))
+        lo, hi = lemma_bounds(m, ProcessParams(1, 1.5))
+        assert lo == pytest.approx(1.2e308 / 3.0, rel=1e-15)
+        assert hi == pytest.approx(1.2e308 / 9.0 * 4.0 + 2e300 / 9.0,
+                                   rel=1e-15)
+
+    def test_list_moments_give_the_array_bounds(self):
+        as_list = ErrorMoments(second=[1.0, 1.0], cross=[0.5])
+        as_array = ErrorMoments(second=np.ones(2), cross=np.array([0.5]))
+        params = ProcessParams(1, 2)
+        assert lemma_bounds(as_list, params) == lemma_bounds(as_array, params) \
+            == (0.49999999999999994, 0.8055555555555556)
+
 
 class TestFiniteWaterfill:
     def test_exact_level_at_two_bits(self):

@@ -13,24 +13,22 @@ and its JSON manifest (flags, versions, seed) are each written to a
 temporary file and renamed on success, with the mode ``open`` gives under
 the umask; a failing run leaves neither file behind.
 
-``main(argv)`` may be called any number of times in one process.  The calls
-share the argument parser, built on the first call (parsing never changes
-it), and the pool of Monte-Carlo workers that ``mc`` forks on first need.
+``main(argv)`` reads argv in one pass against the flag table of its command,
+``_COMMANDS``, as argparse would read it, and builds no parser: a refused
+argv is one ``error:`` line and exit 2, and ``-h`` prints the table's help.
+It may be called any number of times in one process; the calls share only
+the pool of Monte-Carlo workers that ``mc`` forks on first need.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
-# argparse's messages go through gettext, which imports locale on the first
-# parse; importing it here puts that one-time cost in start-up, not in the
-# first command
-import locale  # noqa: F401
 import os
 import platform
+import re
 import sys
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -81,7 +79,7 @@ def _write_csv_atomic(path: str, header, table) -> None:
     _write_atomic(path, chunks())
 
 
-def _write_manifest(path: str, command: str, args: argparse.Namespace) -> None:
+def _write_manifest(path: str, command: str, args: SimpleNamespace) -> None:
     flags = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     manifest = {
         "command": command,
@@ -227,64 +225,115 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="wienerdr",
-        description="Distortion-rate curves of the uniformly sampled Wiener process")
-    sub = parser.add_subparsers(dest="command", required=True)
+#: flag -> (type, or its choices, bool for a switch; default, ... if required;
+#: help), in the order argparse lists them; command -> (function, help, flags)
+_COMMON = {"sigma2": (float, 1.0), "fs": (float, 1.0), "out": (str, ...)}
+_GRID = {"min": (float, ...), "max": (float, ...), "points": (int, ...),
+         "log": (bool, False)}
+_COMMANDS = {
+    "curve": (_cmd_curve, "sweep the distortion curves", {**_COMMON, "rate": (
+        float, None, "fix R and sweep fs (omit to sweep R at fixed --fs)"),
+        **_GRID, "normalized": (bool, False,
+                                "report distortions in units of sigma2/fs")}),
+    "ratio": (_cmd_ratio, "sweep the excess-distortion ratios",
+              {**_GRID, "out": (str, ...)}),
+    "eigen": (_cmd_eigen, "tabulate an eigenvalue staircase", {
+        **_COMMON, "kind": (("discrete", "interp"), ...), "n": (int, ...)}),
+    "simulate": (_cmd_simulate, "run a Monte-Carlo experiment", {
+        **_COMMON, "scheme": (("mmse-only", "test-channel"), ...),
+        "horizon": (float, ...), "oversample": (int, 32), "trials": (int, ...),
+        "seed": (int, ...), "rbar": (float, None)})}
 
-    def common(p):
-        p.add_argument("--sigma2", type=float, default=1.0)
-        p.add_argument("--fs", type=float, default=1.0)
-        p.add_argument("--out", required=True)
 
-    p_curve = sub.add_parser("curve", help="sweep the distortion curves")
-    common(p_curve)
-    p_curve.add_argument("--rate", type=float, default=None,
-                         help="fix R and sweep fs (omit to sweep R at fixed --fs)")
-    p_curve.add_argument("--min", type=float, required=True)
-    p_curve.add_argument("--max", type=float, required=True)
-    p_curve.add_argument("--points", type=int, required=True)
-    p_curve.add_argument("--log", action="store_true")
-    p_curve.add_argument("--normalized", action="store_true",
-                         help="report distortions in units of sigma2/fs")
-    p_curve.set_defaults(func=_cmd_curve)
+def _usage(command=None) -> str:
+    """The help of ``command``, or of the program if None."""
+    rows = {name: [text] for name, (_, text, _) in _COMMANDS.items()}
+    if command:
+        rows = {f"--{name}": [getattr(kind, "__name__", kind), "required"
+                              if default is ... else f"default {default}", *text]
+                for name, (kind, default, *text) in _COMMANDS[command][2].items()}
+    return f"usage: wienerdr {command or '<command>'} [flags]\n" + "".join(
+        f"  {key:<14}{', '.join(map(str, row))}\n" for key, row in rows.items())
 
-    p_ratio = sub.add_parser("ratio", help="sweep the excess-distortion ratios")
-    p_ratio.add_argument("--min", type=float, required=True)
-    p_ratio.add_argument("--max", type=float, required=True)
-    p_ratio.add_argument("--points", type=int, required=True)
-    p_ratio.add_argument("--log", action="store_true")
-    p_ratio.add_argument("--out", required=True)
-    p_ratio.set_defaults(func=_cmd_ratio)
 
-    p_eigen = sub.add_parser("eigen", help="tabulate an eigenvalue staircase")
-    common(p_eigen)
-    p_eigen.add_argument("--kind", choices=["discrete", "interp"], required=True)
-    p_eigen.add_argument("--n", type=int, required=True)
-    p_eigen.set_defaults(func=_cmd_eigen)
+def _flag(token: str, names) -> tuple | None:
+    """None where argparse reads ``token`` as a value, else (the flag of
+    ``names`` it names or abbreviates, None if none; the text after "=")."""
+    if token.startswith("--"):
+        prefix, eq, text = token[2:].partition("=")
+        found = [prefix] if prefix in names else [
+            name for name in names if name.startswith(prefix)]
+        if len(found) > 1:
+            raise ValueError(f"ambiguous option: {token} could match --"
+                             + ", --".join(found))
+        if found:
+            return found[0], text if eq else None
+    elif token.startswith("-h"):   # -hh is -h -h
+        return "help", token[2:].lstrip("h") or None
+    if not token.startswith("-") or token == "-" or " " in token \
+            or re.match(r"-\d+$|-\d*\.\d+$", token):   # a negative number
+        return None
+    return None, None
 
-    p_sim = sub.add_parser("simulate", help="run a Monte-Carlo experiment")
-    common(p_sim)
-    p_sim.add_argument("--scheme", choices=["mmse-only", "test-channel"],
-                       required=True)
-    p_sim.add_argument("--horizon", type=float, required=True)
-    p_sim.add_argument("--oversample", type=int, default=32)
-    p_sim.add_argument("--trials", type=int, required=True)
-    p_sim.add_argument("--seed", type=int, required=True)
-    p_sim.add_argument("--rbar", type=float, default=None)
-    p_sim.set_defaults(func=_cmd_simulate)
-    return parser
+
+def _read(flag: str, kind, text: str):
+    """``text`` as a value of ``flag``: of the type, or a choice, ``kind``."""
+    try:   # tuple.index refuses what is not a choice
+        return kind(text) if isinstance(kind, type) else kind[kind.index(text)]
+    except ValueError:
+        raise ValueError(f"argument {flag}: " + (
+            f"invalid {kind.__name__} value: {text!r}" if isinstance(kind, type)
+            else f"invalid choice: {text!r} (choose from "
+            f"{', '.join(map(repr, kind))})")) from None
+
+
+def _parse(argv: list) -> SimpleNamespace | None:
+    """The command of ``argv``, its ``func`` and every flag, defaults included,
+    or None once the help asked for is printed: argparse's reading, whose
+    refusals raise ValueError in its words.  The first value is the command."""
+    command, flags, extras, found, i = None, {}, [], [], 0
+    end = argv.index("--") if "--" in argv else len(argv)   # the rest is unread
+    while i < end:
+        if command is None:   # before the command, -h and --help are the flags
+            found.append(_flag(argv[i], ["help"]))
+        token, (name, text), i = argv[i], found[i] or (None, None), i + 1
+        kind = flags.get(name, (bool,))[0]   # help is a switch
+        if command is None and found[i - 1] is None:
+            command = _read("command", tuple(_COMMANDS), token)
+            func, _, flags = _COMMANDS[command]
+            values = {flag: spec[1] for flag, spec in flags.items()}
+            # an ambiguous flag is refused before any other fault
+            found[i:] = [_flag(later, ["help", *flags]) for later in argv[i:end]]
+        elif name is None:
+            extras.append(token)
+        else:
+            if kind is not bool and text is None and i < end and found[i] is None:
+                text, i = argv[i], i + 1
+            if (kind is bool) != (text is None):
+                flag = "-h/--help" if name == "help" else f"--{name}"
+                raise ValueError(f"argument {flag}: " + (
+                    "expected one argument" if text is None
+                    else f"ignored explicit argument {text!r}"))
+            if name == "help":
+                print(_usage(command), end="")
+                return None
+            values[name] = True if kind is bool else _read(f"--{name}", kind, text)
+    missing = ([f"--{name}" for name, value in values.items() if value is ...]
+               if command else ["command"])
+    if missing:
+        raise ValueError("the following arguments are required: "
+                         + ", ".join(missing))
+    if extras + argv[end:]:
+        raise ValueError("unrecognized arguments: "
+                         + " ".join(extras + argv[end:]))
+    return SimpleNamespace(command=command, func=func, **values)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
-    try:
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
+        if args is None:   # the help was asked for
+            return 0
         with np.errstate(all="ignore"):   # non-finite results exit 3
             return args.func(args)
     except (ValueError, OverflowError, MemoryError) as exc:

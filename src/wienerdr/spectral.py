@@ -64,7 +64,10 @@ class ParameterError(ValueError):
 def check_positive(field: str, value) -> float | np.ndarray:
     """``value`` as a float if it is a scalar, else as a float64 array, if
     positive and finite throughout: the value its caller keeps and uses."""
-    value = np.asarray(value, dtype=float)   # a nan is the min and the max
+    try:
+        value = np.asarray(value, dtype=float)   # a nan is the min and the max
+    except (TypeError, ValueError):   # not a number, nor numbers
+        raise ParameterError(field, "must be positive and finite") from None
     if not (value.min(initial=np.inf) > 0 and value.max(initial=0.0) < np.inf):
         raise ParameterError(field, "must be positive and finite")
     return float(value) if value.ndim == 0 else value
@@ -79,8 +82,13 @@ def check_count(field: str, value, least: int = 1) -> int:
     """``value`` as an int, if it is an integer from ``least`` to
     ``MAX_COUNT`` (2**55 - 1 on a 64-bit host); a larger one is refused as
     too long to allocate before anything it sizes is built."""
-    if not (isinstance(value, int) or float(value).is_integer()):
-        raise ParameterError(field, "must be an integer")
+    if not isinstance(value, (int, np.integer)):   # else read once, as a float
+        try:
+            value = float(value)
+        except (TypeError, ValueError):
+            value = np.nan
+        if not value.is_integer():
+            raise ParameterError(field, "must be an integer")
     if value < least:
         raise ParameterError(field, f"must be >= {least}")
     if value > MAX_COUNT:

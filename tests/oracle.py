@@ -7,6 +7,8 @@ integrands directly, so it shares no formula with ``wienerdr.waterfill``.
 The Monte-Carlo references at the end run one trial at a time with the
 dense eigenvector matrix and a loop over waterfilling segments, so they
 share no transform, batching or vectorized solve with ``wienerdr.mc``.
+``argparse_parser`` is the command line as an argparse parser, against
+which the tests check the one-pass reader of ``wienerdr.cli``.
 
 Adaptive composite Gauss-Legendre quadrature on bounded intervals.  The
 waterfilling integrands over (0, 1] are smooth away from the left endpoint
@@ -38,11 +40,13 @@ product's crossing formula.  They accept the constant stub density
 
 from __future__ import annotations
 
+import argparse
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from wienerdr.cli import _cmd_curve, _cmd_eigen, _cmd_ratio, _cmd_simulate
 from wienerdr.spectral import (SAMPLED_WIENER, ProcessParams,
                                discrete_wiener_eigensystem)
 
@@ -457,3 +461,55 @@ def fredholm_residual(system, params: ProcessParams, k: int,
     resid = system.eigenvalues[k - 1] * phi \
         - kernel_action(params, grid_points, t, w * phi)
     return float(np.max(np.abs(resid)))
+
+
+def argparse_parser() -> argparse.ArgumentParser:
+    """The argument parser that ``wienerdr.cli`` was built on: ``cli._parse``
+    must accept, refuse and fill in defaults as it does."""
+    parser = argparse.ArgumentParser(
+        prog="wienerdr",
+        description="Distortion-rate curves of the uniformly sampled Wiener process")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p):
+        p.add_argument("--sigma2", type=float, default=1.0)
+        p.add_argument("--fs", type=float, default=1.0)
+        p.add_argument("--out", required=True)
+
+    p_curve = sub.add_parser("curve", help="sweep the distortion curves")
+    common(p_curve)
+    p_curve.add_argument("--rate", type=float, default=None,
+                         help="fix R and sweep fs (omit to sweep R at fixed --fs)")
+    p_curve.add_argument("--min", type=float, required=True)
+    p_curve.add_argument("--max", type=float, required=True)
+    p_curve.add_argument("--points", type=int, required=True)
+    p_curve.add_argument("--log", action="store_true")
+    p_curve.add_argument("--normalized", action="store_true",
+                         help="report distortions in units of sigma2/fs")
+    p_curve.set_defaults(func=_cmd_curve)
+
+    p_ratio = sub.add_parser("ratio", help="sweep the excess-distortion ratios")
+    p_ratio.add_argument("--min", type=float, required=True)
+    p_ratio.add_argument("--max", type=float, required=True)
+    p_ratio.add_argument("--points", type=int, required=True)
+    p_ratio.add_argument("--log", action="store_true")
+    p_ratio.add_argument("--out", required=True)
+    p_ratio.set_defaults(func=_cmd_ratio)
+
+    p_eigen = sub.add_parser("eigen", help="tabulate an eigenvalue staircase")
+    common(p_eigen)
+    p_eigen.add_argument("--kind", choices=["discrete", "interp"], required=True)
+    p_eigen.add_argument("--n", type=int, required=True)
+    p_eigen.set_defaults(func=_cmd_eigen)
+
+    p_sim = sub.add_parser("simulate", help="run a Monte-Carlo experiment")
+    common(p_sim)
+    p_sim.add_argument("--scheme", choices=["mmse-only", "test-channel"],
+                       required=True)
+    p_sim.add_argument("--horizon", type=float, required=True)
+    p_sim.add_argument("--oversample", type=int, default=32)
+    p_sim.add_argument("--trials", type=int, required=True)
+    p_sim.add_argument("--seed", type=int, required=True)
+    p_sim.add_argument("--rbar", type=float, default=None)
+    p_sim.set_defaults(func=_cmd_simulate)
+    return parser

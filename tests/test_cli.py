@@ -18,6 +18,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import wienerdr
+from oracle import argparse_parser
 from wienerdr import cli, drf, mc, spectral, waterfill
 from wienerdr.cli import _fmt, _write_csv_atomic, main
 
@@ -469,6 +470,135 @@ class TestArgumentHandling:
         assert os.listdir(tmp_path) == []
 
 
+#: argparse, the reference for what ``cli._parse`` accepts and refuses
+ARGPARSE = argparse_parser()
+#: every flag of every command, with -h and --help, as the argv grammar uses
+FLAGS = sorted({name for _, _, flags in cli._COMMANDS.values()
+                for name in flags} | {"help"})
+VALUES = ["1", "2.5", "0.5", "3", "-1", "-.5", "-1e3", "x", "", "1e400", "nan",
+          "1_000", " 3", "discrete", "interp", "mmse-only", "test-channel",
+          "-o.csv", "o.csv", "-o 1.csv"]
+#: flag-value pairs that together satisfy each command's required flags
+REQUIRED = {"curve": [["--min", "1"], ["--max", "2"], ["--points", "3"]],
+            "ratio": [["--min", "1"], ["--max", "2"], ["--points", "3"]],
+            "eigen": [["--kind", "interp"], ["--n", "3"]],
+            "simulate": [["--scheme", "mmse-only"], ["--horizon", "2"],
+                         ["--trials", "3"], ["--seed", "1"]],
+            "frobnicate": []}   # an unknown command
+
+
+@st.composite
+def flag_tokens(draw, names=FLAGS):
+    """A flag of ``names``, whole or any prefix of it (unique or
+    ambiguous), at times with "=value" joined on."""
+    name = draw(st.sampled_from(names))
+    token = "--" + name[:draw(st.integers(1, len(name)))]
+    if draw(st.booleans()):
+        token = "--" + name
+    if draw(st.integers(0, 4)) == 0:
+        token += "=" + draw(st.sampled_from(VALUES))
+    return [token]
+
+
+def reads(kind, text):
+    """Whether a flag of type ``kind`` takes ``text``."""
+    if isinstance(kind, tuple):
+        return text in kind
+    try:
+        kind(text)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def good_chunks(draw, flags):
+    """A flag of the table ``flags``, whole or abbreviated, with a value it
+    takes (alone, or joined by "="), or alone if it is a switch."""
+    name = draw(st.sampled_from(sorted(flags)))
+    kind, token = flags[name][0], "--" + name[:draw(st.integers(1, len(name)))]
+    if kind is bool:
+        return [token]
+    value = draw(st.sampled_from([v for v in VALUES if reads(kind, v)]))
+    return [f"{token}={value}"] if draw(st.booleans()) else [token, value]
+
+
+@st.composite
+def argvs(draw):
+    """A command, or an unknown word, and then chunks in any order: at times
+    the required flags with good values and an --out, and any of flags,
+    values, -h and --help, each of which may repeat or lack its value."""
+    command = draw(st.sampled_from(list(REQUIRED)))
+    own = cli._COMMANDS[command][2] if command in cli._COMMANDS else {}
+    flag = st.one_of(flag_tokens(), flag_tokens(sorted(own or FLAGS)))
+    value = st.sampled_from(VALUES).map(lambda v: [v])
+    pair = st.tuples(flag, value).map(lambda pair: sum(pair, []))
+    good = good_chunks(own) if own else pair
+    chunks = draw(st.lists(st.one_of(   # a flag with a value most often
+        good, good, good, pair, pair, flag, value,
+        st.sampled_from([["-h"], ["--help"]])), max_size=5))
+    if draw(st.sampled_from([True, True, True, False])):
+        chunks += REQUIRED[command] + [["--out", "o.csv"]]
+    chunks = draw(st.permutations(chunks))
+    return [command] + [token for chunk in chunks for token in chunk]
+
+
+def argparse_outcome(argv):
+    """argparse's exit code, None if it accepts, and the flags it read."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return None, vars(ARGPARSE.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code, None
+
+
+@given(argv=argvs())
+@example(argv=["curve", "--sig", "2", *sum(REQUIRED["curve"], []), "--out",
+               "o.csv"])
+@example(argv=["simulate", "--s", "1", *sum(REQUIRED["simulate"], []),
+               "--out", "o.csv"])
+@example(argv=["curve", "--log=1", *sum(REQUIRED["curve"], []), "--out",
+               "o.csv"])
+@example(argv=["curve", "--rate", "-1e3", *sum(REQUIRED["curve"], []),
+               "--out", "o.csv"])
+@example(argv=["curve", *sum(REQUIRED["curve"], []), "--points", " 3",
+               "--rate=-1", "--sig", "1e400", "--fs", "nan", "--min", "-.5",
+               "--points", "1_000", "--out", "o.csv"])
+@example(argv=["ratio", *sum(REQUIRED["ratio"], []), "--out", "-o 1.csv"])
+@settings(max_examples=400, deadline=None)
+def test_argv_is_read_as_argparse_reads_it(argv):
+    """Where argparse accepts an argv, ``_parse`` gives the same flags (a nan
+    equal to a nan); where it refuses one, so does ``_parse``, and ``main``
+    exits 2 with one ``error:`` line and writes nothing; where it prints
+    help, ``main`` exits 0 with a usage line."""
+    expected, flags = argparse_outcome(argv)
+    if expected is None:
+        got = vars(cli._parse(list(argv)))
+        assert got.keys() == flags.keys()
+        for key, value in flags.items():
+            assert got[key] == value or (value != value and got[key] != got[key])
+        return
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        finally:
+            os.chdir(cwd)
+        assert os.listdir(work) == []
+    assert code == expected
+    if code == 2:   # refused by the reader itself, before any type sees it
+        with pytest.raises(ValueError):
+            cli._parse(list(argv))
+        assert len(err.getvalue().splitlines()) == 1
+        assert err.getvalue().startswith("error: ")
+    else:
+        assert out.getvalue().startswith("usage: wienerdr")
+
+
 GRID = ["--min", "0.5", "--max", "2", "--points", "3"]
 CURVE, RATIO = ["curve", *GRID], ["ratio", *GRID]
 EIGEN = ["eigen", "--kind", "interp", "--n", "5"]
@@ -579,10 +709,17 @@ def test_each_bad_flag_is_named(tmp_path, capsys, monkeypatch, argv, message):
     (lambda: spectral.nystrom_interp_eigenvalues(UNIT_PARAMS, 2, 1),
      "grid_points"),
     (lambda: mc.ce_moment_oracle(UNIT_PARAMS, 1, 1.0), "n"),
-    (lambda: drf.d_w(drf.RateSpec(1.0), -1.0), "sigma2")],
+    (lambda: drf.d_w(drf.RateSpec(1.0), -1.0), "sigma2"),
+    (lambda: spectral.check_count("n", "x"), "n"),
+    (lambda: spectral.check_count("n", object()), "n"),
+    (lambda: mc.SimConfig(1.0, "8.5", 2, 1), "oversample"),
+    (lambda: spectral.ProcessParams("abc", 1.0), "sigma2"),
+    (lambda: spectral.ProcessParams(object(), 1.0), "sigma2")],
     ids=["sigma2", "fs", "RateSpec", "sweep", "horizon_t", "oversample",
          "trials", "seed", "discrete-n", "interp-n", "rbar", "grid-max",
-         "grid-points", "nystrom-grid-points", "oracle-n", "d_w-sigma2"])
+         "grid-points", "nystrom-grid-points", "oracle-n", "d_w-sigma2",
+         "count-text", "count-object", "oversample-text", "sigma2-text",
+         "sigma2-object"])
 def test_each_type_names_its_field(monkeypatch, build, field):
     monkeypatch.setattr(mc, "_run", None)   # rbar is checked before any draw
     with pytest.raises(spectral.ParameterError) as caught:
@@ -641,6 +778,7 @@ PLAIN = dict(params=(1.0, 1.0), rate=2.0, config=(4.0, 8, 4, 3),
 @example(**{**PLAIN, "rate": "2"})
 @example(**{**PLAIN, "config": (4.0, 8, 4, 3.0)})
 @example(**{**PLAIN, "params": (1, 2), "rbar": "1"})
+@example(**{**PLAIN, "config": (1.0, "8", 2, 1)})
 @settings(max_examples=100, deadline=None)
 def test_a_type_keeps_the_value_it_checked(params, rate, config, grid,
                                            moments, rbar):
@@ -1288,7 +1426,7 @@ class TestUnwritableOut:
 
 
 class TestOneParserPerProcess:
-    def test_parser_is_built_once(self, tmp_path):
+    def test_no_parser_is_built(self, tmp_path):
         runs = [["curve", "--min", "1", "--max", "2", "--points", "3"],
                 ["curve", "--rate", "1", "--min", "1", "--max", "2",
                  "--points", "3", "--normalized"],
@@ -1299,26 +1437,22 @@ class TestOneParserPerProcess:
                 SMALL_RUNS["simulate"][:2] + ["test-channel", "--rbar", "1"]
                 + SMALL_RUNS["simulate"][3:]]
         out = run_python(
-            "import argparse\n"
-            "built = []\n"
-            "init = argparse.ArgumentParser.__init__\n"
-            "def counted(self, *args, **kwargs):\n"
-            "    built.append(1)\n"
-            "    init(self, *args, **kwargs)\n"
-            "argparse.ArgumentParser.__init__ = counted\n"
+            "import sys\n"
             "from wienerdr.cli import main\n"
+            "def loaded():\n"
+            "    print('loaded', sorted({'argparse', 'gettext', 'locale'}"
+            " & set(sys.modules)))\n"
+            "loaded()\n"
             f"runs = {runs!r}\n"
-            "codes = []\n"
-            "for i, argv in enumerate(runs):\n"
-            "    print('built', len(built))\n"
-            f"    codes.append(main(argv + ['--out', {str(tmp_path)!r}"
-            " + f'/{i}.csv']))\n"
-            "print('built', len(built))\n"
+            "codes = [main(argv + ['--out', "
+            f"{str(tmp_path)!r} + f'/{{i}}.csv'])"
+            " for i, argv in enumerate(runs)]\n"
+            "loaded()\n"
             "print(codes)\n").stdout
-        # nothing at import; one parser and four subparsers on the first call
-        built = [line.split()[1] for line in out.splitlines()
-                 if line.startswith("built ")]
-        assert built == ["0"] + ["5"] * len(runs)
+        # neither the import nor any call loads argparse or what it uses
+        loaded = [line for line in out.splitlines()
+                  if line.startswith("loaded ")]
+        assert loaded == ["loaded []"] * 2
         assert out.splitlines()[-1] == str([0] * len(runs))
 
     def test_reused_parser_keeps_calls_apart(self, tmp_path, capsys):

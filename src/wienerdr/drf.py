@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import (SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER, ProcessParams,
-                       check_normal, check_positive, unit)
+                       check_normal, check_positive, read_real, unit)
 from .waterfill import (WaterLevels, distortion_at_theta, rate_at_theta,
                         water_levels)
 
@@ -143,7 +143,7 @@ class Sections:
 
 def sections(rbar) -> Sections:
     """Both water levels over rbar (float or array, in the waterfill range)."""
-    rbar = np.asarray(rbar, dtype=float)
+    rbar = read_real("rbar", rbar, array=True)
     return Sections(rbar, water_levels(SHIFTED_SAMPLED_WIENER, rbar),
                     water_levels(SAMPLED_WIENER, rbar))
 
@@ -160,7 +160,7 @@ def sweep(sigma2, fs, rate) -> DistortionBundle:
     past the normal floats (refused by the bundle) raises FloatingPointError.
     """
     sigma2, fs, rate = np.broadcast_arrays(*(
-        check_positive(name, value) for name, value
+        check_positive(name, value, array=True) for name, value
         in (("sigma2", sigma2), ("fs", fs), ("rate", rate))))
     with np.errstate(over="ignore", under="ignore"):   # the bundle refuses
         rbar = rate / fs

@@ -55,7 +55,7 @@ import numpy as np
 
 from .spectral import (MAX_COUNT, ParameterError, ProcessParams, check_count,
                        check_normal, check_positive,
-                       discrete_wiener_eigenvalues, unit)
+                       discrete_wiener_eigenvalues, read_int, read_real, unit)
 
 __all__ = [
     "SimConfig",
@@ -87,13 +87,9 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):   # each kept as the value checked
-        object.__setattr__(self, "horizon_t",
-                           check_positive("horizon_t", self.horizon_t))
-        for name in ("oversample", "trials"):
-            object.__setattr__(self, name, check_count(name, getattr(self, name)))
-        if not (isinstance(self.seed, int) or float(self.seed).is_integer()):
-            raise ParameterError("seed", "must be an integer")
-        object.__setattr__(self, "seed", int(self.seed))
+        for name, read in zip(("horizon_t", "oversample", "trials", "seed"),
+                              (check_positive, check_count, check_count, read_int)):
+            object.__setattr__(self, name, read(name, getattr(self, name)))
         if self.trials > 2 ** 32:   # spawn keys of one 32-bit word
             raise ParameterError("trials", "must be <= 2**32")
         if not 0 <= self.seed < 2 ** 64:
@@ -117,9 +113,9 @@ class ErrorMoments:
     cross: np.ndarray
 
     def __post_init__(self):   # kept as the float arrays checked
-        s, c = np.asarray(self.second, float), np.asarray(self.cross, float)
-        object.__setattr__(self, "second", s)
-        object.__setattr__(self, "cross", c)
+        for name in ("second", "cross"):
+            object.__setattr__(self, name, read_real(name, getattr(self, name), True))
+        s, c = self.second, self.cross
         if s.ndim != 1 or c.ndim != 1 or len(c) != len(s) - 1 or len(s) < 2:
             raise ValueError("need N >= 2 second moments and N-1 cross moments")
         for name, value in (("second", s), ("cross", c)):
@@ -603,7 +599,10 @@ def finite_waterfill_theta(eigenvalues: np.ndarray, rbar: float) -> float:
     mean of those eigenvalues scaled by 2**(-2 n rbar / m).  All n candidate
     levels come from one cumulative sum; the first consistent one is taken.
     """
-    lam = np.sort(check_positive("eigenvalues", eigenvalues))[::-1]
+    lam = check_positive("eigenvalues", eigenvalues, array=True)
+    if lam.ndim != 1 or not lam.size:
+        raise ParameterError("eigenvalues", "must be a nonempty 1-D array")
+    lam = np.sort(lam)[::-1]
     rbar = check_positive("rbar", rbar)
     n = len(lam)
     budget = 2.0 * n * rbar * math.log(2.0)

@@ -16,11 +16,12 @@ the closed forms: it gives the interpolator's discretized spectrum by one
 route, an n x n matrix with the same nonzero eigenvalues as the Nystrom
 matrix.
 
-``check_count`` checks every count of the package (an eigen rank, grid
-points, trials) before anything it sizes is allocated, as
-``check_positive`` checks every real parameter and ``check_normal`` every
-result; ``unit`` scales every dimensionless result to absolute units
-(sigma2/fs, sigma2/R, sigma2 ts**2).
+Every outside value is read by ``read_real`` (one float, or a float64 array
+on a route built for arrays) or ``read_int`` (a count, the seed, a mode
+index), which name its field in a ``ParameterError``; ``check_positive`` and
+``check_count`` add the rules of reals and counts, ``check_normal`` checks
+every result, and ``unit`` scales every dimensionless result to absolute
+units (sigma2/fs, sigma2/R, sigma2 ts**2).
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ import numpy as np
 
 __all__ = [
     "ParameterError",
+    "read_real",
+    "read_int",
     "check_positive",
     "check_count",
     "check_normal",
@@ -61,16 +64,25 @@ class ParameterError(ValueError):
         self.field, self.reason = field, reason
 
 
-def check_positive(field: str, value) -> float | np.ndarray:
-    """``value`` as a float if it is a scalar, else as a float64 array, if
-    positive and finite throughout: the value its caller keeps and uses."""
+def read_real(field: str, value, array: bool = False):
+    """``value`` read once as one float, or as a float64 array of any shape
+    on a route built for arrays; what numpy cannot read as reals, or an
+    array where one number is read, is a ParameterError naming ``field``."""
     try:
-        value = np.asarray(value, dtype=float)   # a nan is the min and the max
-    except (TypeError, ValueError):   # not a number, nor numbers
-        raise ParameterError(field, "must be positive and finite") from None
-    if not (value.min(initial=np.inf) > 0 and value.max(initial=0.0) < np.inf):
+        value = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):   # "x", object()
+        raise ParameterError(field, "must be real") from None
+    if not (array or value.ndim == 0):
+        raise ParameterError(field, "must be one number")
+    return value if array else float(value)
+
+
+def check_positive(field: str, value, array: bool = False):
+    """``read_real(field, value, array)``, if positive and finite throughout."""
+    value = read_real(field, value, array)
+    if not np.all((value > 0) & (value < np.inf)):   # false for a nan
         raise ParameterError(field, "must be positive and finite")
-    return float(value) if value.ndim == 0 else value
+    return value
 
 
 #: the largest count: no command builds more than 32 float64 values per
@@ -78,10 +90,11 @@ def check_positive(field: str, value) -> float | np.ndarray:
 MAX_COUNT = sys.maxsize >> 8
 
 
-def check_count(field: str, value, least: int = 1) -> int:
-    """``value`` as an int, if it is an integer from ``least`` to
-    ``MAX_COUNT`` (2**55 - 1 on a 64-bit host); a larger one is refused as
-    too long to allocate before anything it sizes is built."""
+def read_int(field: str, value) -> int:
+    """``value`` as an int: an integer type as it is (exact at any size), else
+    read once as a float that must be integral; a bool is no integer."""
+    if isinstance(value, bool) or getattr(value, "dtype", None) == bool:
+        value = np.nan
     if not isinstance(value, (int, np.integer)):   # else read once, as a float
         try:
             value = float(value)
@@ -89,11 +102,18 @@ def check_count(field: str, value, least: int = 1) -> int:
             value = np.nan
         if not value.is_integer():
             raise ParameterError(field, "must be an integer")
+    return int(value)
+
+
+def check_count(field: str, value, least: int = 1) -> int:
+    """``read_int(field, value)``, if from ``least`` to ``MAX_COUNT`` (2**55 - 1
+    on 64 bits): a larger one is too long to allocate, so it is refused."""
+    value = read_int(field, value)
     if value < least:
         raise ParameterError(field, f"must be >= {least}")
     if value > MAX_COUNT:
         raise ParameterError(field, "is too long to allocate")
-    return int(value)
+    return value
 
 
 def check_normal(record) -> None:
@@ -150,7 +170,7 @@ class SpectralDensity:
             raise ValueError(f"density shift must be 0 or 1/6, got {self.shift}")
 
     def __call__(self, phi):
-        phi = check_positive("phi", phi)
+        phi = check_positive("phi", phi, array=True)
         if np.any(phi > 1.0):
             raise ParameterError("phi", "must lie in (0, 1]")
         return 1.0 / (4.0 * np.sin(0.5 * np.pi * phi) ** 2) - self.shift
@@ -215,6 +235,7 @@ class EigenSystem:
     def _mode(self, rows: Optional[np.ndarray], k: int, what: str):
         if rows is None:
             raise ValueError(f"this eigensystem has no {what}")
+        k = read_int("k", k)
         if not 1 <= k <= self.n:
             raise ParameterError("k", f"must be in 1..{self.n}")
         return rows[k - 1]
@@ -226,11 +247,10 @@ class EigenSystem:
     def eigenfunction(self, k: int, t):
         """Piecewise-linear eigenfunction for mode k evaluated at time(s) t."""
         v = self._mode(self.node_values, k, "eigenfunctions")
-        t_arr = np.asarray(t, dtype=float)
-        horizon = self.n * self.ts
-        if np.any(t_arr < 0) or np.any(t_arr > horizon * (1 + 1e-12)):
-            raise ValueError("t must lie in [0, n*ts]")
-        return np.interp(t_arr / self.ts, np.arange(self.n + 1), v)
+        t = read_real("t", t, array=True)
+        if not np.all((t >= 0) & (t <= self.n * self.ts * (1 + 1e-12))):
+            raise ParameterError("t", "must lie in [0, n*ts]")   # or is nan
+        return np.interp(t / self.ts, np.arange(self.n + 1), v)
 
 
 def discrete_wiener_eigenvalues(params: ProcessParams, n: int) -> np.ndarray:

@@ -52,7 +52,7 @@ from typing import Optional
 
 import numpy as np
 
-from .spectral import SpectralDensity, check_positive
+from .spectral import SpectralDensity, check_positive, read_real
 
 __all__ = [
     "MAX_RBAR",
@@ -153,7 +153,7 @@ def _distortion(theta, c, phic, shift: float):
 
 
 def _log_level(theta):
-    return np.log(check_positive("theta", theta))
+    return np.log(check_positive("theta", theta, array=True))
 
 
 def water_levels(density: SpectralDensity, rbar) -> WaterLevels:
@@ -165,7 +165,7 @@ def water_levels(density: SpectralDensity, rbar) -> WaterLevels:
     for rbar <= 0 or nan, FloatingPointError outside [MIN_RBAR, MAX_RBAR].
     """
     shift = density.shift
-    rbar = np.asarray(rbar, dtype=float)
+    rbar = read_real("rbar", rbar, array=True)
     if not np.all(rbar > 0):
         raise ValueError("rate must be > 0")
     if np.any(rbar < MIN_RBAR):
@@ -218,7 +218,8 @@ def rate_at_theta(density: SpectralDensity, theta):
 def solve_theta_for_rate(density: SpectralDensity,
                          rate_bits_per_sample: float) -> WaterfillPoint:
     """Invert the rate map at one rate: the ``water_levels`` solve, as floats."""
-    levels = water_levels(density, float(rate_bits_per_sample))
+    levels = water_levels(density, read_real("rate_bits_per_sample",
+                                             rate_bits_per_sample))
     theta = float(levels.theta)
     return WaterfillPoint(theta=theta,
                           rate=float(rate_at_theta(density, theta)),

@@ -367,6 +367,8 @@ class TestInterpEigensystem:
             system.eigenfunction(0, 0.5)
         with pytest.raises(ValueError):
             system.eigenfunction(1, 5.0)
+        with pytest.raises(ValueError, match=r"^t must lie in \[0, n\*ts\]$"):
+            system.eigenfunction(1, [0.5, math.nan])   # nan fails no bound test
         with pytest.raises(ValueError):
             system.eigenvector(1)
         disc = discrete_wiener_eigensystem(UNIT, 3)

@@ -18,15 +18,14 @@ from .spectral import (EigenSystem, ParameterError, ProcessParams,
                        SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER, SpectralDensity,
                        discrete_wiener_eigensystem,
                        discrete_wiener_eigenvalues,
-                       interp_kernel_eigensystem, interp_kernel_eigenvalues,
-                       s_bar, s_tilde_density)
+                       interp_kernel_eigensystem, interp_kernel_eigenvalues)
 from .waterfill import (WaterfillPoint, distortion_at_theta, rate_at_theta,
                         solve_theta_for_rate)
 
 __all__ = [
     "__version__", "ParameterError",
     "ProcessParams", "SpectralDensity", "SAMPLED_WIENER",
-    "SHIFTED_SAMPLED_WIENER", "s_bar", "s_tilde_density",
+    "SHIFTED_SAMPLED_WIENER",
     "EigenSystem", "discrete_wiener_eigenvalues", "discrete_wiener_eigensystem",
     "interp_kernel_eigenvalues", "interp_kernel_eigensystem",
     "WaterfillPoint", "distortion_at_theta", "rate_at_theta",

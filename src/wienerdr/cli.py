@@ -4,8 +4,8 @@ Monte-Carlo runs, emitted as deterministic CSV.
 Exit codes: 0 success, 2 invalid arguments (a request too large to allocate,
 named by the flag that sized it, and an ``--out`` that cannot be written
 included), 3 numerical failure (a non-finite or nonzero subnormal result,
-named by its column, or bits per sample outside the supported range,
-included).  The type that owns a value (``ProcessParams``, ``Grid``, ...)
+named by its column or by the library field that refused it, or bits per
+sample outside the supported range, included).  The type that owns a value (``ProcessParams``, ``Grid``, ...)
 checks it before any computation, every count through ``check_count``, and
 ``main`` reports its ``ParameterError`` under the value's flag; a
 ``MemoryError`` is named here alone, by the flag that sized the array.  The CSV
@@ -33,9 +33,10 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__, drf, mc
-from .spectral import (ParameterError, ProcessParams, check_count,
-                       check_positive, discrete_wiener_eigenvalues,
-                       interp_kernel_eigenvalues, s_bar, s_tilde_density, unit)
+from .spectral import (SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER, ParameterError,
+                       ProcessParams, check_count, check_positive,
+                       discrete_wiener_eigenvalues, interp_kernel_eigenvalues,
+                       unit)
 
 
 #: rows formatted per string operation; bounds the writer's extra memory
@@ -178,15 +179,13 @@ def _cmd_eigen(args) -> int:
     params = ProcessParams(sigma2=args.sigma2, fs=args.fs)
     if args.kind == "discrete":
         lam = discrete_wiener_eigenvalues(params, args.n)
-        power, density = 1, s_bar
+        power, density = 1, SAMPLED_WIENER
     else:
         lam = interp_kernel_eigenvalues(params, args.n)
-        power, density = 2, s_tilde_density
+        power, density = 2, SHIFTED_SAMPLED_WIENER
     k = np.arange(1, args.n + 1)
     ratio, exp = unit(params.sigma2, params.fs, power)
     limit = np.ldexp(ratio * density((k - 0.5) / args.n), exp)
-    if lam.min() == 0 or limit.min() == 0:   # every exact cell is positive
-        raise FloatingPointError("an eigenvalue rounds to 0")
     header = ["k", "lambda", "density_limit"]
     _write_outputs(args, header, np.column_stack([k, lam, limit]))
     return 0

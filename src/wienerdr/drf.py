@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import (SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER, ProcessParams,
-                       check_normal, check_positive, read_real, unit)
+                       _ldexp, check_normal, check_positive, read_real, unit)
 from .waterfill import (WaterLevels, distortion_at_theta, rate_at_theta,
                         water_levels)
 
@@ -100,7 +100,7 @@ class DistortionBundle:
     theta_ce: float
 
     def __post_init__(self):
-        check_normal(self)
+        check_normal(**vars(self))
         # differences of two normal floats cannot overflow
         slack = _ORDERING_SLACK * self.d_upper
         ordered = ((np.maximum(self.mmse, self.d_w) - self.d_opt <= slack)
@@ -189,14 +189,14 @@ def bundle(params: ProcessParams, rate: RateSpec) -> DistortionBundle:
 def d_w(rate: RateSpec, sigma2: float) -> float:
     """DRF of the continuous Wiener process: 2 sigma2 / (pi^2 ln2 R)."""
     per_rate, exp = unit(check_positive("sigma2", sigma2), rate.rate)
-    return float(np.ldexp(_DW_COEF * per_rate, exp))
+    return float(_ldexp("d_w", _DW_COEF * per_rate, exp))
 
 
 def mmse_fs(params: ProcessParams) -> float:
     """Interpolation error floor sigma2 / (6 fs), formed as ``sweep`` does,
     through ``spectral.unit``."""
     scale, exp = unit(params.sigma2, params.fs)
-    return float(np.ldexp(scale / 6.0, exp))
+    return float(_ldexp("mmse", scale / 6.0, exp))
 
 
 def d_bar(params: ProcessParams, rate: RateSpec) -> float:

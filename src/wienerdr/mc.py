@@ -161,7 +161,7 @@ class CeEstimate:
     upper: float
 
     def __post_init__(self):
-        check_normal(self)
+        check_normal(**vars(self))
 
     @property
     def gap(self) -> float:
@@ -563,8 +563,9 @@ def _mmse_rows(n: int, oversample: int, trials: range,
 def lemma_bounds(moments: ErrorMoments, params: ProcessParams) -> Tuple[float, float]:
     """Bounds on the path MSE implied by the sample error moments.
 
-    lower = mmse + (2/3) mean_{n<N} E D_n^2 + (1/3) mean E D_n D_{n+1}
-    and the matching (N+1)-normalized upper bound; the block-extension terms
+    lower = mmse + (2/3) mean_{n<N} E D_n^2 + (1/3) mean E D_n D_{n+1}, or
+    mmse where moments that no path has make that sum negative, and the
+    matching (N+1)-normalized upper bound; the block-extension terms
     follow the ErrorMoments convention (zero boundary cross moment, first-
     sample second moment reused past the block).  mmse is ``drf.mmse_fs``.
     The sums are formed at unit scale, mmse and the moments shifted down
@@ -584,7 +585,8 @@ def _bounds(floor: float, s: np.ndarray, c: np.ndarray, exp: int) -> CeEstimate:
     of the moments s and c, each times 2**exp last."""
     n = len(s)
     with np.errstate(all="ignore"):   # CeEstimate refuses
-        lower = floor + ((2.0 / 3.0) * s[:-1].sum() + c.sum() / 3.0) / n
+        lower = floor + max(((2.0 / 3.0) * s[:-1].sum() + c.sum() / 3.0) / n,
+                            0.0)
         upper = floor + ((2.0 / 3.0) * (s.sum() + s[0])
                          + c.sum() / 3.0) / (n + 1)
         mid = lower + (upper - lower) / 2

@@ -8,7 +8,8 @@ eigenvalue staircase converges to the density
 
 while the piecewise-linear interpolator of the samples has the shifted
 density S(phi) - 1/6.  A density is its shift (``SpectralDensity``), which
-gives S, its floor and the one formula for the water-level crossing.  The
+gives S, its floor and the one formula for the water-level crossing; the
+two are the objects ``SAMPLED_WIENER`` and ``SHIFTED_SAMPLED_WIENER``.  The
 module also provides closed-form finite-rank eigenvalues in O(n) and
 eigensystems for the two covariance kernels (the discrete walk and the
 interpolator kernel on [0, n/fs]).  ``nystrom_interp_eigenvalues`` checks
@@ -19,9 +20,9 @@ matrix.
 Every outside value is read by ``read_real`` (one float, or a float64 array
 on a route built for arrays) or ``read_int`` (a count, the seed, a mode
 index), which name its field in a ``ParameterError``; ``check_positive`` and
-``check_count`` add the rules of reals and counts, ``check_normal`` checks
-every result, and ``unit`` scales every dimensionless result to absolute
-units (sigma2/fs, sigma2/R, sigma2 ts**2).
+``check_count`` add the rules of reals and counts, ``unit`` scales every
+dimensionless result to absolute units (sigma2/fs, sigma2/R, sigma2 ts**2),
+and ``check_normal`` refuses a result, named, outside the normal floats.
 """
 
 from __future__ import annotations
@@ -45,8 +46,6 @@ __all__ = [
     "SpectralDensity",
     "SAMPLED_WIENER",
     "SHIFTED_SAMPLED_WIENER",
-    "s_bar",
-    "s_tilde_density",
     "EigenSystem",
     "discrete_wiener_eigenvalues",
     "discrete_wiener_eigensystem",
@@ -116,10 +115,11 @@ def check_count(field: str, value, least: int = 1) -> int:
     return value
 
 
-def check_normal(record) -> None:
-    """Refuse a result record with a field outside the positive normal floats,
-    where it has lost its digits (FloatingPointError naming the first)."""
-    for field, value in vars(record).items():
+def check_normal(**values) -> None:
+    """Refuse a named result (a float or an array) outside the positive normal
+    floats, where it has lost its digits (FloatingPointError naming the first
+    such name); a record passes its fields, ``check_normal(**vars(self))``."""
+    for field, value in values.items():
         if not np.all((sys.float_info.min <= value) & (value <= sys.float_info.max)):
             raise FloatingPointError(f"{field} is past the floating-point range")
 
@@ -132,6 +132,15 @@ def unit(num, den, power=1):
     square ``np.power`` rounds once (a scalar ``**`` is at times 1 ulp off)."""
     (m_num, e_num), (m_den, e_den) = np.frexp(num), np.frexp(den)
     return m_num / np.power(m_den, power), e_num - power * e_den
+
+
+def _ldexp(field: str, value, exp):
+    """``np.ldexp(value, exp)``, the last step of a result scaled by ``unit``,
+    refused by ``check_normal`` as ``field`` where it leaves the floats."""
+    with np.errstate(over="ignore"):   # refused below
+        value = np.ldexp(value, exp)
+    check_normal(**{field: value})
+    return value
 
 
 @dataclass(frozen=True)
@@ -165,9 +174,11 @@ class SpectralDensity:
 
     shift: float
 
-    def __post_init__(self):
-        if self.shift not in (0.0, 1.0 / 6.0):
-            raise ValueError(f"density shift must be 0 or 1/6, got {self.shift}")
+    def __post_init__(self):   # kept as the float read
+        shift = read_real("shift", self.shift)
+        if shift not in (0.0, 1.0 / 6.0):
+            raise ParameterError("shift", "must be 0 or 1/6")
+        object.__setattr__(self, "shift", shift)
 
     def __call__(self, phi):
         phi = check_positive("phi", phi, array=True)
@@ -199,20 +210,6 @@ SAMPLED_WIENER = SpectralDensity(0.0)
 SHIFTED_SAMPLED_WIENER = SpectralDensity(1.0 / 6.0)
 
 
-def s_bar(phi):
-    """Eigenvalue density of the sampled Wiener walk: 1/(4 sin^2(pi phi/2)).
-
-    Strictly decreasing on (0, 1] with infimum 1/4 at phi = 1; diverges like
-    (pi phi / 2)**-2 / 4 as phi -> 0+.  Accepts scalars or arrays.
-    """
-    return SAMPLED_WIENER(phi)
-
-
-def s_tilde_density(phi):
-    """Shifted density s_bar(phi) - 1/6; infimum 1/12 at phi = 1."""
-    return SHIFTED_SAMPLED_WIENER(phi)
-
-
 @dataclass(frozen=True)
 class EigenSystem:
     """Finite-rank eigen-decomposition of a covariance kernel.
@@ -231,6 +228,9 @@ class EigenSystem:
     ts: float
     eigenvectors: Optional[np.ndarray] = None
     node_values: Optional[np.ndarray] = None
+
+    def __post_init__(self):   # a ts of 0 or inf places no node
+        check_normal(ts=self.ts)
 
     def _mode(self, rows: Optional[np.ndarray], k: int, what: str):
         if rows is None:
@@ -259,7 +259,7 @@ def discrete_wiener_eigenvalues(params: ProcessParams, n: int) -> np.ndarray:
     n = check_count("n", n)
     k = np.arange(1, n + 1)
     ratio, exp = unit(params.sigma2, params.fs)
-    return np.ldexp(ratio / (
+    return _ldexp("eigenvalues", ratio / (
         4.0 * np.sin((2 * k - 1) * np.pi / (2.0 * (2 * n + 1))) ** 2), exp)
 
 
@@ -291,7 +291,7 @@ def interp_kernel_eigenvalues(params: ProcessParams, n: int) -> np.ndarray:
     n = check_count("n", n)
     x = (2 * np.arange(1, n + 1) - 1) * np.pi / (2.0 * n)
     ratio, exp = unit(params.sigma2, params.fs, 2)
-    return np.ldexp((ratio / 12.0) * (
+    return _ldexp("eigenvalues", (ratio / 12.0) * (
         (2.0 + np.cos(x)) / np.sin(0.5 * x) ** 2), exp)
 
 
@@ -342,4 +342,5 @@ def nystrom_interp_eigenvalues(params: ProcessParams, n: int,
                                                np.arange(1, n + 1)))
     mid = hmat.T @ (w[:, None] * hmat)
     ratio, exp = unit(params.sigma2, params.fs, 2)
-    return np.ldexp(ratio * np.linalg.eigvalsh(chol.T @ mid @ chol)[::-1], exp)
+    return _ldexp("eigenvalues",
+                  ratio * np.linalg.eigvalsh(chol.T @ mid @ chol)[::-1], exp)

@@ -802,6 +802,8 @@ PLAIN = dict(params=(1.0, 1.0), rate=2.0, config=(4.0, 8, 4, 3),
 @example(**{**PLAIN, "config": (4.0, 8, 4, 3.0)})
 @example(**{**PLAIN, "params": (1, 2), "rbar": "1"})
 @example(**{**PLAIN, "config": (1.0, "8", 2, 1)})
+@example(**{**PLAIN, "params": (1.0, 97.0),   # a lower bound below mmse
+            "moments": ([0.0, 0.5, 33.0], [0.0, -0.25])})
 @settings(max_examples=100, deadline=None)
 def test_a_type_keeps_the_value_it_checked(params, rate, config, grid,
                                            moments, rbar):
@@ -900,7 +902,7 @@ def eigen_log_range(argv, flags):
     table, from the closed forms in log space."""
     n = flags["--n"]
     k = np.arange(1, n + 1)
-    density = spectral.s_bar((k - 0.5) / n)
+    density = spectral.SAMPLED_WIENER((k - 0.5) / n)
     if "discrete" in argv:
         log_unit = math.log(flags["--sigma2"]) - math.log(flags["--fs"])
         modes = 1.0 / (4.0 * np.sin((2 * k - 1) * np.pi / (4 * n + 2)) ** 2)
@@ -1208,9 +1210,9 @@ def past(column):
 
 @pytest.mark.parametrize("argv,reason", [
     (["eigen", "--kind", "interp", "--n", "5", "--sigma2", "1e300", "--fs",
-      "1e-10"], past("lambda")),
+      "1e-10"], past("eigenvalues")),
     (["eigen", "--kind", "interp", "--n", "5", "--fs", "1e-160"],
-     past("lambda")),
+     past("eigenvalues")),
     (SMALL_RUNS["simulate"] + ["--sigma2", "1e-310"], past("estimate")),
     (SMALL_RUNS["simulate"] + ["--sigma2", "1e308", "--fs", "1e-5"],
      past("estimate")),
@@ -1225,7 +1227,7 @@ def past(column):
     (["simulate", "--scheme", "mmse-only", "--sigma2", "1e-320", "--horizon",
       "4", "--trials", "50", "--seed", "1"], past("estimate")),
     (["eigen", "--kind", "discrete", "--sigma2", "1e-310", "--fs", "1e20",
-      "--n", "3"], "an eigenvalue rounds to 0"),
+      "--n", "3"], past("eigenvalues")),
     (top_of_range_call(1.7976931348623157e308)[0], past("x")),
     (top_of_range_call(1.7976931348623151e308)[0], past("x"))],
     ids=["inf-eigenvalues", "ts-squared", "zero-stderr", "inf-estimate",
@@ -1234,7 +1236,7 @@ def past(column):
          "cell-text-inf-at-max", "cell-text-inf-above-writable"])
 def test_unrepresentable_result_exits_3(tmp_path, argv, reason):
     # the reason names the first column (or summary field) that is not a
-    # normal float or 0
+    # normal float or 0, or the library result that is not a normal float
     out = str(tmp_path / "x.csv")
     done = run_python("import sys\nfrom wienerdr.cli import main\n"
                       f"sys.exit(main({argv + ['--out', out]!r}))", expect=3)
@@ -1330,20 +1332,24 @@ def absolute_outputs(sigma2, fs, rate, n):
                                for name in ABSOLUTE_FIELDS})
     except FloatingPointError:   # the bundle refuses the whole curve
         routes["sweep"] = (1, None)
+    for kind, power, eigenvalues in (
+            ("discrete", 1, spectral.discrete_wiener_eigenvalues),
+            ("interp", 2, spectral.interp_kernel_eigenvalues),
+            ("nystrom", 2, lambda p, n: spectral.nystrom_interp_eigenvalues(
+                p, n, grid_points=4))):
+        try:
+            routes[kind] = (power, {"lambda": eigenvalues(params, n)})
+        except FloatingPointError:   # an eigenvalue past the floats
+            routes[kind] = (power, None)
     tables = []
     with mock.patch.object(cli, "_write_outputs",
                            lambda args, header, table: tables.append(table)):
-        for power, kind, eigenvalues in (
-                (1, "discrete", spectral.discrete_wiener_eigenvalues),
-                (2, "interp", spectral.interp_kernel_eigenvalues)):
-            routes[kind] = (power, {"lambda": eigenvalues(params, n)})
+        for power, kind in ((1, "discrete"), (2, "interp")):
             argv = ["eigen", "--kind", kind, "--n", str(n), "--sigma2",
                     repr(sigma2), "--fs", repr(fs), "--out", "unused"]
-            code = main(argv)   # 3: a cell rounds to 0
+            code = main(argv)   # 3: a cell past the floats
             limit = {"density_limit": tables.pop()[:, 2]} if code == 0 else None
             routes[f"eigen {kind}"] = (power, limit)
-    routes["nystrom"] = (2, {"lambda": spectral.nystrom_interp_eigenvalues(
-        params, n, grid_points=4)})
     for oracle, fields in ((mc.ce_moment_oracle, ("second", "cross")),
                            (mc.ce_distortion_estimate,
                             ("estimate", "lower", "upper"))):

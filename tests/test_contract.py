@@ -1,8 +1,8 @@
 """The library contract: every public route, given its arguments in any form
-a type reads or ill-formed, returns its documented type or raises a
-``ParameterError`` naming one of its arguments, a ``ValueError`` or a
-``FloatingPointError``; nothing else (no ``TypeError``, ``IndexError`` or
-``AttributeError``) escapes.
+a type reads or ill-formed, returns its documented type, finite where it is
+a float, an array or a tuple, or raises a ``ParameterError`` naming one of
+its arguments, a ``ValueError`` or a ``FloatingPointError``; nothing else
+(no ``TypeError``, ``IndexError`` or ``AttributeError``) escapes.
 
 The routes are every public name of the modules below, so a new public name
 fails ``test_each_public_name_has_a_route`` until it has a route here or an
@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wienerdr
-from test_cli import as_form, counts, reals
+from test_cli import as_form, counts, outcome, reals
 from wienerdr import drf, mc, spectral, waterfill
 
 MODULES = (wienerdr, spectral, drf, waterfill, mc)
@@ -95,8 +95,6 @@ ROUTES = {
                         spectral.SpectralDensity),
     "SAMPLED_WIENER": (lambda a: WALK(a.phi), REAL),
     "SHIFTED_SAMPLED_WIENER": (lambda a: SHIFTED(a.phi), REAL),
-    "s_bar": (lambda a: spectral.s_bar(a.phi), REAL),
-    "s_tilde_density": (lambda a: spectral.s_tilde_density(a.phi), REAL),
     "read_real": (lambda a: spectral.read_real("rate", a.rate), float),
     "check_positive": (lambda a: spectral.check_positive("rate", a.rate),
                        float),
@@ -175,7 +173,7 @@ EXEMPT = {
     "WaterfillPoint": "a result record that solve_theta_for_rate builds",
     "MomentEstimate": "a result record of the Monte-Carlo runs",
     "CeEstimate": "a result record of ce_distortion_estimate",
-    "check_normal": "checks result records that the routes build",
+    "check_normal": "checks the results that the routes build",
     "unit": "scales values the routes have already read",
 }
 
@@ -201,6 +199,74 @@ def test_each_route_answers_or_names_its_argument(name, data):
         pass
     else:
         assert isinstance(result, returns)
+        if isinstance(result, (float, np.ndarray, tuple)) \
+                and name != "read_real":   # a reader returns what it read
+            assert np.all(np.isfinite(result))
+
+
+P, SHIFT = spectral.ProcessParams, spectral.SpectralDensity
+PAST = "{} is past the floating-point range".format
+EIGEN = (FloatingPointError, PAST("eigenvalues"))
+
+#: probe -> (its call, its outcome: a value or an error's type and text; an
+#: in-range call of the same route, and the value it has always given)
+PROBES = {
+    "shift-array": (lambda: SHIFT(np.array([0.0, 0.0])),
+                    (spectral.ParameterError, "shift must be one number"),
+                    lambda: SHIFT(1.0 / 6.0)(0.5), 0.3333333333333335),
+    "shift-bool": (lambda: SHIFT(False).shift, 0.0,
+                   lambda: SHIFT(0.0).shift, 0.0),
+    "shift-0-d": (lambda: SHIFT(np.array(0.0)).shift, 0.0,
+                  lambda: SHIFT(1.0 / 6.0).shift, 1.0 / 6.0),
+    "shift-true": (lambda: SHIFT(True),
+                   (spectral.ParameterError, "shift must be 0 or 1/6"),
+                   lambda: SHIFT(0.0)(1.0), 0.25),
+    "interp-inf": (
+        lambda: spectral.interp_kernel_eigenvalues(P(1.0, 1e-310), 2), EIGEN,
+        lambda: spectral.interp_kernel_eigenvalues(P(1.0, 3.0), 2),
+        [0.17116001272443118, 0.014025172460753979]),
+    "discrete-zero": (
+        lambda: spectral.discrete_wiener_eigenvalues(P(1e-320, 1e10), 3),
+        EIGEN, lambda: spectral.discrete_wiener_eigenvalues(P(2.0, 3.0), 3),
+        [3.3659448930148703, 0.4287360880718604, 0.2053190189132694]),
+    "nystrom-inf": (
+        lambda: spectral.nystrom_interp_eigenvalues(P(1e300, 1e-10), 2, 4),
+        EIGEN, lambda: spectral.nystrom_interp_eigenvalues(P(3.0, 0.5), 2, 4),
+        [18.610281374238568, 1.63971862576143]),
+    "ts-inf": (
+        lambda: spectral.interp_kernel_eigensystem(P(5e-324, 1e-310), 2),
+        (FloatingPointError, PAST("ts")),
+        lambda: spectral.interp_kernel_eigensystem(P(5e-324, 1e-300), 2)
+        .eigenvalues,
+        [7.610785400600286e+276, 6.236420300871551e+275]),
+    "d_w-inf": (lambda: drf.d_w(drf.RateSpec(1e-300), 1e300),
+                (FloatingPointError, PAST("d_w")),
+                lambda: drf.d_w(drf.RateSpec(1e-300), 1e-10),
+                2.923511383556014e+289),
+    "d_w-subnormal": (lambda: drf.d_w(drf.RateSpec(1e300), 1e-300),
+                      (FloatingPointError, PAST("d_w")),
+                      lambda: drf.d_w(drf.RateSpec(1e300), 1e-5),
+                      2.923511383556014e-306),
+    "mmse-inf": (lambda: drf.mmse_fs(P(1e308, 1e-10)),
+                 (FloatingPointError, PAST("mmse")),
+                 lambda: drf.mmse_fs(P(1e308, 1.0)), 1.6666666666666666e+307),
+    "mmse-subnormal": (lambda: drf.mmse_fs(P(1e-310, 1.0)),
+                       (FloatingPointError, PAST("mmse")),
+                       lambda: drf.mmse_fs(P(1e-300, 1.0)),
+                       1.6666666666666667e-301),
+}
+
+
+@pytest.mark.filterwarnings("error")   # and no RuntimeWarning escapes
+@pytest.mark.parametrize("probe", sorted(PROBES))
+def test_a_route_refuses_what_floats_cannot_hold(probe):
+    """A shift is read as a real field is, and a result past the floats is
+    refused by the name of its field; beside each probe, an in-range call
+    of the same route answers bit for bit as it always has."""
+    call, want, in_range, value = PROBES[probe]
+    got = outcome(call)
+    assert type(got) is type(want) and got == want
+    assert np.array_equal(in_range(), value)
 
 
 @pytest.mark.parametrize("seed,kept", [

@@ -354,6 +354,15 @@ class TestLemmaBounds:
         assert hi == pytest.approx(1.2e308 / 9.0 * 4.0 + 2e300 / 9.0,
                                    rel=1e-15)
 
+    def test_moments_no_path_has_give_the_floor(self):
+        # (2/3) 0.5 - (1/3) sqrt(0.5 * 33) / 4 < 0: no path's errors have
+        # these moments, and every path's mean error is at least mmse
+        m = ErrorMoments(second=[0.0, 0.5, 33.0],
+                         cross=[0.0, -math.sqrt(16.5) / 4])
+        params = ProcessParams(1.0, 97.0)
+        lo, hi = lemma_bounds(m, params)
+        assert lo == wienerdr.mmse_fs(params) and hi > lo
+
     def test_list_moments_give_the_array_bounds(self):
         as_list = ErrorMoments(second=[1.0, 1.0], cross=[0.5])
         as_array = ErrorMoments(second=np.ones(2), cross=np.array([0.5]))

@@ -17,51 +17,51 @@ from wienerdr.spectral import (ParameterError, ProcessParams, SAMPLED_WIENER,
                                discrete_wiener_eigenvalues,
                                interp_kernel_eigensystem,
                                interp_kernel_eigenvalues,
-                               nystrom_interp_eigenvalues, s_bar,
-                               s_tilde_density, unit)
+                               nystrom_interp_eigenvalues, unit)
 
 UNIT = ProcessParams(sigma2=1.0, fs=1.0)
 
 
 class TestDensities:
-    def test_s_bar_values(self):
-        assert s_bar(1.0) == pytest.approx(0.25, abs=1e-15)
+    def test_walk_values(self):
+        assert SAMPLED_WIENER(1.0) == pytest.approx(0.25, abs=1e-15)
         # sin^2(pi/3) = 3/4 and sin^2(pi/4) = 1/2
-        assert s_bar(2.0 / 3.0) == pytest.approx(1.0 / 3.0, abs=1e-14)
-        assert s_bar(0.5) == pytest.approx(0.5, abs=1e-15)
+        assert SAMPLED_WIENER(2.0 / 3.0) == pytest.approx(1.0 / 3.0, abs=1e-14)
+        assert SAMPLED_WIENER(0.5) == pytest.approx(0.5, abs=1e-15)
 
     def test_s_tilde_values(self):
-        assert s_tilde_density(1.0) == pytest.approx(1.0 / 12.0, abs=1e-15)
-        assert s_tilde_density(2.0 / 3.0) == pytest.approx(1.0 / 6.0, abs=1e-14)
-        assert s_tilde_density(0.5) == pytest.approx(1.0 / 3.0, abs=1e-15)
+        shifted = SHIFTED_SAMPLED_WIENER
+        assert shifted(1.0) == pytest.approx(1.0 / 12.0, abs=1e-15)
+        assert shifted(2.0 / 3.0) == pytest.approx(1.0 / 6.0, abs=1e-14)
+        assert shifted(0.5) == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     @pytest.mark.parametrize("phi", [0.0, -0.5, 1.0 + 1e-9, 2.0])
     def test_domain_errors(self, phi):
         with pytest.raises(ValueError):
-            s_bar(phi)
+            SAMPLED_WIENER(phi)
         with pytest.raises(ValueError):
-            s_tilde_density(phi)
+            SHIFTED_SAMPLED_WIENER(phi)
 
     def test_array_evaluation_rejects_bad_element(self):
         with pytest.raises(ValueError):
-            s_bar(np.array([0.5, 1.5]))
+            SAMPLED_WIENER(np.array([0.5, 1.5]))
 
     @given(st.floats(min_value=1e-6, max_value=0.999),
            st.floats(min_value=1e-4, max_value=0.5))
     @settings(max_examples=60, deadline=None)
     def test_strictly_decreasing(self, phi, step):
         hi = min(phi + step, 1.0)
-        assert s_bar(phi) > s_bar(hi)
-        assert s_tilde_density(phi) > s_tilde_density(hi)
+        assert SAMPLED_WIENER(phi) > SAMPLED_WIENER(hi)
+        assert SHIFTED_SAMPLED_WIENER(phi) > SHIFTED_SAMPLED_WIENER(hi)
 
     def test_tilde_floor(self):
         grid = np.linspace(1e-4, 1.0, 2000)
-        vals = s_tilde_density(grid)
+        vals = SHIFTED_SAMPLED_WIENER(grid)
         assert np.all(vals >= 1.0 / 12.0 - 1e-15)
         assert vals[-1] == pytest.approx(1.0 / 12.0, abs=1e-15)
 
     def test_crossing_closed_form(self):
-        # s_bar(1/2) = 1/2, so the crossing at theta = 1/2 is phi = 1/2
+        # the walk's density is 1/2 at phi = 1/2, its crossing at theta = 1/2
         assert SAMPLED_WIENER.crossing(0.5) == pytest.approx(0.5, abs=1e-14)
         assert SAMPLED_WIENER.crossing(0.2) == 1.0
         assert SHIFTED_SAMPLED_WIENER.crossing(1.0 / 3.0) == pytest.approx(
@@ -263,7 +263,7 @@ class TestInterpEigensystem:
         for n in (100, 300, 1000):
             system = interp_kernel_eigensystem(params, n)
             k = np.arange(1, n + 1)
-            target = s_tilde_density((k - 0.5) / n)
+            target = SHIFTED_SAMPLED_WIENER((k - 0.5) / n)
             rel = np.abs(system.eigenvalues / scale - target) / target
             assert np.max(rel) < 1e-9
 

@@ -1320,8 +1320,9 @@ def absolute_outputs(sigma2, fs, rate, n):
     """{route: (power p of fs in its unit sigma2/fs**p, {name: values}, or
     None where the route refused)} of every absolute output at (sigma2, fs):
     the ``sweep`` fields at ``rate``, both eigenvalue functions, the Nystrom
-    oracle and ``eigen``'s density_limit at rank n, the compress-and-estimate
-    moment oracle and its bounds at rank n and rate/fs bits per sample,
+    oracle and ``eigen``'s lambda and density_limit at rank n, the
+    compress-and-estimate moment oracle and its bounds at rank n and rate/fs
+    bits per sample,
     ``lemma_bounds`` over n moments in units of sigma2/fs, and the
     statistics of a run of each ``simulate`` scheme over n intervals."""
     params = spectral.ProcessParams(sigma2, fs)
@@ -1347,9 +1348,12 @@ def absolute_outputs(sigma2, fs, rate, n):
         for power, kind in ((1, "discrete"), (2, "interp")):
             argv = ["eigen", "--kind", kind, "--n", str(n), "--sigma2",
                     repr(sigma2), "--fs", repr(fs), "--out", "unused"]
-            code = main(argv)   # 3: a cell past the floats
-            limit = {"density_limit": tables.pop()[:, 2]} if code == 0 else None
-            routes[f"eigen {kind}"] = (power, limit)
+            code = main(argv)   # 3: an eigenvalue or a cell past the floats
+            cells = None
+            if code == 0:
+                table = tables.pop()
+                cells = {"lambda": table[:, 1], "density_limit": table[:, 2]}
+            routes[f"eigen {kind}"] = (power, cells)
     for oracle, fields in ((mc.ce_moment_oracle, ("second", "cross")),
                            (mc.ce_distortion_estimate,
                             ("estimate", "lower", "upper"))):
@@ -1394,6 +1398,8 @@ def is_normal(values):
 @example(case=(1e300, 1e-5, 0, 10), rbar=1.0, n=64)
 @example(case=(1e308, 1e-300, -1100, 0), rbar=1.0, n=64)
 @example(case=(1e-300, 1e300, 1000, 0), rbar=1.0, n=64)
+@example(case=(1.2897084248347162e+95, 1.0, -316, -1021), rbar=1.0,
+         n=4)   # a scaled eigenvalue past the floats, its density cell not
 @settings(max_examples=200, deadline=None)
 def test_every_absolute_output_scales_with_its_unit(case, rbar, n):
     """sigma2 2**j and fs 2**k (R 2**k and the horizon 2**-k with them)

@@ -48,16 +48,22 @@ def _fmt(value: float) -> str:
 
 
 def _write_atomic(path: str, chunks) -> None:
-    """Write the text ``chunks`` to a new file beside ``path`` and rename it
-    into place; on any error the target path is untouched.  The file is
-    created with mode 0o666 less the umask, as ``open`` creates files."""
+    """Write the ASCII text ``chunks`` to a new file beside ``path`` and rename
+    it into place; on any error the target path is untouched.  Each chunk is
+    encoded once and handed to ``os.write`` on the file's descriptor, with no
+    text or buffer layer between.  The file is created with mode 0o666 less
+    the umask, as ``open`` creates files."""
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
                        ".wienerdr-" + os.urandom(8).hex())
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
+        try:
             for text in chunks:
-                fh.write(text)
+                data = text.encode()
+                while data:   # a write may take only part of it
+                    data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -93,7 +99,7 @@ def _write_manifest(path: str, command: str, args: SimpleNamespace) -> None:
         },
     }
     _write_atomic(path + ".manifest.json",
-                  [json.dumps(manifest, indent=2, sort_keys=True), "\n"])
+                  [json.dumps(manifest, indent=2, sort_keys=True) + "\n"])
 
 
 def _check_finite(header, table) -> None:
@@ -102,8 +108,8 @@ def _check_finite(header, table) -> None:
     smallest normal float (a subnormal has lost digits) to
     1.797693134862315e308, above which the ``%.15g`` text reads as inf."""
     size = np.abs(np.asarray(table, dtype=float).reshape(-1, len(header)))
-    fits = np.all((size == 0) | ((size >= sys.float_info.min)
-                                 & (size <= 1.797693134862315e308)), axis=0)
+    fits = np.logical_and.reduce((size == 0) | (
+        (size >= sys.float_info.min) & (size <= 1.797693134862315e308)), axis=0)
     if not fits.all():
         raise FloatingPointError(
             f"{header[fits.argmin()]} is past the floating-point range")

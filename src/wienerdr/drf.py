@@ -37,8 +37,8 @@ import numpy as np
 
 from .spectral import (SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER, ProcessParams,
                        _ldexp, check_normal, check_positive, read_real, unit)
-from .waterfill import (WaterLevels, distortion_at_theta, rate_at_theta,
-                        water_levels)
+from .waterfill import (WaterLevels, _solve, distortion_at_theta,
+                        rate_at_theta)
 
 __all__ = [
     "RateSpec",
@@ -107,7 +107,7 @@ class DistortionBundle:
                    & (self.d_opt - self.d_ce <= slack)
                    & (self.d_ce - self.d_upper <= slack)
                    & (self.d_bar - self.d_w <= slack))
-        if not np.all(ordered):
+        if not np.logical_and.reduce(ordered, axis=None):
             raise ValueError(
                 "distortion ordering violated; the curves are suspect")
 
@@ -142,10 +142,12 @@ class Sections:
 
 
 def sections(rbar) -> Sections:
-    """Both water levels over rbar (float or array, in the waterfill range)."""
+    """Both water levels over rbar (float or array, in the waterfill range),
+    solved in one Newton pass over the two densities: each is bit for bit
+    ``water_levels`` of its density at rbar."""
     rbar = read_real("rbar", rbar, array=True)
-    return Sections(rbar, water_levels(SHIFTED_SAMPLED_WIENER, rbar),
-                    water_levels(SAMPLED_WIENER, rbar))
+    return Sections(rbar, *_solve((SHIFTED_SAMPLED_WIENER, SAMPLED_WIENER),
+                                  rbar))
 
 
 def sweep(sigma2, fs, rate) -> DistortionBundle:

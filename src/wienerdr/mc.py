@@ -119,14 +119,14 @@ class ErrorMoments:
         if s.ndim != 1 or c.ndim != 1 or len(c) != len(s) - 1 or len(s) < 2:
             raise ValueError("need N >= 2 second moments and N-1 cross moments")
         for name, value in (("second", s), ("cross", c)):
-            if not np.all(np.isfinite(value)):
+            if not np.isfinite(value).all():
                 raise FloatingPointError(
                     f"{name} is past the floating-point range")
-        if np.any(s < 0):
+        if (s < 0).any():
             raise ValueError("second moments must be non-negative")
         # a product of roots, as sqrt(s1 s2) overflows and underflows
         bound = np.sqrt(s[:-1]) * np.sqrt(s[1:]) + 1e-300
-        if np.any(np.abs(c) / (1 + 1e-9) > bound):
+        if (np.abs(c) / (1 + 1e-9) > bound).any():
             raise ValueError("cross moments violate Cauchy-Schwarz")
 
 

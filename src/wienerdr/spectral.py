@@ -79,7 +79,8 @@ def read_real(field: str, value, array: bool = False):
 def check_positive(field: str, value, array: bool = False):
     """``read_real(field, value, array)``, if positive and finite throughout."""
     value = read_real(field, value, array)
-    if not np.all((value > 0) & (value < np.inf)):   # false for a nan
+    if not np.logical_and.reduce((value > 0) & (value < np.inf),   # nan: false
+                                 axis=None):
         raise ParameterError(field, "must be positive and finite")
     return value
 
@@ -120,7 +121,8 @@ def check_normal(**values) -> None:
     floats, where it has lost its digits (FloatingPointError naming the first
     such name); a record passes its fields, ``check_normal(**vars(self))``."""
     for field, value in values.items():
-        if not np.all((sys.float_info.min <= value) & (value <= sys.float_info.max)):
+        if not np.logical_and.reduce((sys.float_info.min <= value)
+                                     & (value <= sys.float_info.max), axis=None):
             raise FloatingPointError(f"{field} is past the floating-point range")
 
 
@@ -182,7 +184,7 @@ class SpectralDensity:
 
     def __call__(self, phi):
         phi = check_positive("phi", phi, array=True)
-        if np.any(phi > 1.0):
+        if np.logical_or.reduce(phi > 1.0, axis=None):
             raise ParameterError("phi", "must lie in (0, 1]")
         return 1.0 / (4.0 * np.sin(0.5 * np.pi * phi) ** 2) - self.shift
 
@@ -198,7 +200,13 @@ class SpectralDensity:
         = sqrt(max{4 (theta - floor), 0}), so phic = (2/pi) arctan(1/c)
         without cancellation, and phic = 1 at or below the floor.
         """
-        c = np.sqrt(np.maximum(4.0 * (theta - self.floor), 0.0))
+        return self._cot_crossing(theta, self.floor)
+
+    @staticmethod
+    def _cot_crossing(theta, floor):
+        """``cot_crossing`` over ``floor``: one density's, or a column of
+        floors, one per row of a stack of levels solved together."""
+        c = np.sqrt(np.maximum(4.0 * (theta - floor), 0.0))
         return c, (2.0 / np.pi) * np.arctan2(1.0, c)
 
     def crossing(self, theta):
@@ -247,10 +255,12 @@ class EigenSystem:
     def eigenfunction(self, k: int, t):
         """Piecewise-linear eigenfunction for mode k evaluated at time(s) t."""
         v = self._mode(self.node_values, k, "eigenfunctions")
-        t = read_real("t", t, array=True)
-        if not np.all((t >= 0) & (t <= self.n * self.ts * (1 + 1e-12))):
+        with np.errstate(over="ignore"):   # past n samples, refused below
+            t = read_real("t", t, array=True) / self.ts   # n*ts may overflow
+        if not np.logical_and.reduce((t >= 0) & (t <= self.n * (1 + 1e-12)),
+                                     axis=None):
             raise ParameterError("t", "must lie in [0, n*ts]")   # or is nan
-        return np.interp(t / self.ts, np.arange(self.n + 1), v)
+        return np.interp(t, np.arange(self.n + 1), v)
 
 
 def discrete_wiener_eigenvalues(params: ProcessParams, n: int) -> np.ndarray:
@@ -302,14 +312,15 @@ def interp_kernel_eigensystem(params: ProcessParams, n: int) -> EigenSystem:
     piecewise linear with node values sin((2k-1) pi m / (2n)), m = 0..n,
     normalized to unit L2 norm.  With x_k = (2k-1) pi / (2n), the squared
     norm (ts/3) sum(a^2 + ab + b^2) over the intervals' end values a, b sums
-    in closed form to ts n (2 + cos x_k) / 6.
+    in closed form to ts n (2 + cos x_k) / 6; the rows are normalized at
+    ts = 1 and then scaled by 1/sqrt(ts), as ts n may pass the floats.
     """
     lam = interp_kernel_eigenvalues(params, n)
     ts = params.ts
     x = (2 * np.arange(1, n + 1) - 1) * np.pi / (2.0 * n)
     nodes = np.sin(np.outer(x, np.arange(n + 1)))
-    scale = 1.0 / np.sqrt((ts * n / 6.0) * (2.0 + np.cos(x)))
-    nodes *= scale[:, None]
+    scale = 1.0 / np.sqrt((n / 6.0) * (2.0 + np.cos(x)))   # 1 / norm at ts = 1
+    nodes *= (scale / np.sqrt(ts))[:, None]
     return EigenSystem(n=n, eigenvalues=lam, ts=ts, node_values=nodes)
 
 

@@ -25,7 +25,12 @@ rule evaluates it to rounding.
 
 Because d rate / d ln theta = -phic / (2 ln2) exactly, ``water_levels``
 inverts the rate map by Newton's method in ln theta, which bounds theta's
-relative error by about |ln theta| 2^-53.  The rate is convex in ln theta,
+relative error by about |ln theta| 2^-53.  One kernel does every solve: it
+takes a stack of levels with one row per density, so ``drf.sections``
+solves both densities of a sweep in one pass and ``water_levels`` is that
+pass over one density.  A row stops stepping by its own density's rule
+and sums its nodes as one product of its own shape, so a density's levels
+do not depend on the other row.  The rate is convex in ln theta,
 so a start above the root overshoots once to below it and then climbs
 monotonically.  Each entry starts from one of three forms, which keeps
 every solve over [MIN_RBAR, MAX_RBAR] within four rate evaluations:
@@ -119,17 +124,22 @@ class WaterLevels:
     ce: Optional[np.ndarray] = None
 
 
-def _state(log_theta, density: SpectralDensity):
-    """(theta, c, phic) at the level ln theta; c = cot(pi phic / 2)."""
+def _state(log_theta, floor):
+    """(theta, c, phic) at the level ln theta over the density floor ``floor``
+    (a float, or a column of one per row); c = cot(pi phic / 2)."""
     theta = np.exp(log_theta)
-    return (theta, *density.cot_crossing(theta))
+    return (theta, *SpectralDensity._cot_crossing(theta, floor))
 
 
-def _two_ln2_rate(log_theta, phic, shift: float):
-    """2 ln2 times the rate in bits per sample."""
+def _two_ln2_rate(log_theta, phic, shift):
+    """2 ln2 times the rate in bits per sample, for a stack of levels with one
+    row per density and ``shift`` a column of their shifts.  Each row's node
+    sums run as one product of that row's own shape, which BLAS blocks as it
+    would a solve of that density alone."""
     half = np.multiply.outer(0.5 * np.pi * phic, _NODES)
     sin2 = np.sin(half) ** 2
-    smooth = np.log((1.0 - 4.0 * shift * sin2) * half * half / sin2) @ _WEIGHTS
+    terms = np.log((1.0 - 4.0 * shift[..., None] * sin2) * half * half / sin2)
+    smooth = np.array([row @ _WEIGHTS for row in terms])
     return phic * (2.0 - 2.0 * np.log(np.pi * phic) - log_theta + smooth)
 
 
@@ -148,12 +158,65 @@ def _start(density: SpectralDensity, target):
                     np.log(density(x / np.pi)), near)
 
 
-def _distortion(theta, c, phic, shift: float):
+def _distortion(theta, c, phic, shift):
     return theta * phic + c / (2.0 * np.pi) - shift * (1.0 - phic)
 
 
 def _log_level(theta):
     return np.log(check_positive("theta", theta, array=True))
+
+
+def _column(values, ndim: int):
+    """``values``, one per density, as a column against ``ndim``-d stacks."""
+    return np.array(values).reshape((-1,) + (1,) * (ndim - 1))
+
+
+def _solve(densities, rbar) -> tuple:
+    """The ``WaterLevels`` of each density at rbar, in one Newton pass.
+
+    The levels are solved as one stack with a row per density, so each
+    array operation serves all of them.  A density's row stops stepping once
+    every step of it is below the tolerance, as a solve of it alone would,
+    so each row is bit for bit that density's own solve.
+    """
+    rbar = read_real("rbar", rbar, array=True)
+    if not np.logical_and.reduce(rbar > 0, axis=None):
+        raise ValueError("rate must be > 0")
+    if np.logical_or.reduce(rbar < MIN_RBAR, axis=None):
+        raise FloatingPointError(
+            f"{np.min(rbar):.6g} bits per sample is below the supported minimum"
+            f" {MIN_RBAR:.6g}, where the water level overflows")
+    if np.logical_or.reduce(rbar > MAX_RBAR, axis=None):
+        raise FloatingPointError(
+            f"{np.max(rbar):.6g} bits per sample is past the supported maximum"
+            f" {MAX_RBAR:.6g}, where the water level underflows")
+    target = 2.0 * _LN2 * rbar
+    shift = _column([d.shift for d in densities], rbar.ndim + 1)
+    floor = _column([d.floor for d in densities], rbar.ndim + 1)
+    axes = tuple(range(1, rbar.ndim + 1))   # the axes of one density's row
+    log_theta = np.array([_start(d, target) for d in densities])
+    settled = np.zeros(len(densities), dtype=bool)
+    for _ in range(_NEWTON_STEPS):
+        _, _, phic = _state(log_theta, floor)
+        step = (_two_ln2_rate(log_theta, phic, shift) - target) / phic
+        step[settled] = 0.0   # a settled row keeps its level
+        log_theta = log_theta + step
+        scale = np.maximum(1.0, np.abs(log_theta))
+        settled |= np.logical_and.reduce(np.abs(step) <= _NEWTON_TOL * scale,
+                                         axis=axes)
+        if np.logical_and.reduce(settled):
+            break
+    else:
+        raise FloatingPointError(
+            f"Newton iteration for theta did not settle within {_NEWTON_STEPS}"
+            f" steps (largest last step {np.max(np.abs(step)):.3g})")
+    theta, c, phic = _state(log_theta, floor)
+    distortion = _distortion(theta, c, phic, shift)
+    g = 2.0 * theta * (phic - np.sin(np.pi * phic) / np.pi) + (1.0 - phic)
+    rows = zip(theta, phic, distortion, g, distortion - g / 6.0)
+    # g and ce are the walk's: a shifted density's row keeps three fields
+    return tuple(WaterLevels(*row[:3] if density.shift else row)
+                 for density, row in zip(densities, rows))
 
 
 def water_levels(density: SpectralDensity, rbar) -> WaterLevels:
@@ -163,43 +226,15 @@ def water_levels(density: SpectralDensity, rbar) -> WaterLevels:
     from the start of the module docstring: at most four rate evaluations
     and theta within about |ln theta| 2^-53.  The one range check: ValueError
     for rbar <= 0 or nan, FloatingPointError outside [MIN_RBAR, MAX_RBAR].
+    This is the pass of ``drf.sections`` over one density, so its levels are
+    bit for bit those of the same density there.
     """
-    shift = density.shift
-    rbar = read_real("rbar", rbar, array=True)
-    if not np.all(rbar > 0):
-        raise ValueError("rate must be > 0")
-    if np.any(rbar < MIN_RBAR):
-        raise FloatingPointError(
-            f"{np.min(rbar):.6g} bits per sample is below the supported minimum"
-            f" {MIN_RBAR:.6g}, where the water level overflows")
-    if np.any(rbar > MAX_RBAR):
-        raise FloatingPointError(
-            f"{np.max(rbar):.6g} bits per sample is past the supported maximum"
-            f" {MAX_RBAR:.6g}, where the water level underflows")
-    target = 2.0 * _LN2 * rbar
-    log_theta = _start(density, target)
-    for _ in range(_NEWTON_STEPS):
-        _, _, phic = _state(log_theta, density)
-        step = (_two_ln2_rate(log_theta, phic, shift) - target) / phic
-        log_theta = log_theta + step
-        scale = np.maximum(1.0, np.abs(log_theta))
-        if np.all(np.abs(step) <= _NEWTON_TOL * scale):
-            break
-    else:
-        raise FloatingPointError(
-            f"Newton iteration for theta did not settle within {_NEWTON_STEPS}"
-            f" steps (largest last step {np.max(np.abs(step)):.3g})")
-    theta, c, phic = _state(log_theta, density)
-    distortion = _distortion(theta, c, phic, shift)
-    if shift:
-        return WaterLevels(theta, phic, distortion)
-    g = 2.0 * theta * (phic - np.sin(np.pi * phic) / np.pi) + (1.0 - phic)
-    return WaterLevels(theta, phic, distortion, g, distortion - g / 6.0)
+    return _solve((density,), rbar)[0]
 
 
 def distortion_at_theta(density: SpectralDensity, theta):
     """integral of min{theta, density} over (0, 1]; lies in (0, theta]."""
-    theta, c, phic = _state(_log_level(theta), density)
+    theta, c, phic = _state(_log_level(theta), density.floor)
     return _distortion(theta, c, phic, density.shift)
 
 
@@ -210,9 +245,10 @@ def rate_at_theta(density: SpectralDensity, theta):
     integrable) and strictly positive, since both densities are unbounded
     near 0.
     """
-    log_theta = _log_level(theta)
-    _, _, phic = _state(log_theta, density)
-    return _two_ln2_rate(log_theta, phic, density.shift) / (2.0 * _LN2)
+    log_theta = _log_level(theta)[None]   # a stack of one density
+    _, _, phic = _state(log_theta, density.floor)
+    shift = _column([density.shift], log_theta.ndim)
+    return _two_ln2_rate(log_theta, phic, shift)[0] / (2.0 * _LN2)
 
 
 def solve_theta_for_rate(density: SpectralDensity,

@@ -1130,33 +1130,41 @@ class TestFootprint:
 class TestAtomicWrites:
     def test_failure_leaves_no_file(self, tmp_path, monkeypatch):
         out = str(tmp_path / "partial.csv")
-        fdopen = os.fdopen
+        write, writes = os.write, []
 
-        class ExplodingFile:
+        def exploding_write(fd, data):
             """Takes the header and one block, then fails."""
+            writes.append(len(data))
+            if len(writes) > 2:
+                raise RuntimeError("mid-write failure")
+            return write(fd, data)
 
-            def __init__(self, *args, **kwargs):
-                self.fh = fdopen(*args, **kwargs)
-                self.writes = 0
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-            def write(self, text):
-                self.writes += 1
-                if self.writes > 2:
-                    raise RuntimeError("mid-write failure")
-                self.fh.write(text)
-
-        monkeypatch.setattr(os, "fdopen", ExplodingFile)
+        monkeypatch.setattr(os, "write", exploding_write)
         table = np.ones((2 * cli._CSV_BLOCK_ROWS, 2))
         with pytest.raises(RuntimeError):
             _write_csv_atomic(out, ["a", "b"], table)
+        assert len(writes) == 3
         assert not os.path.exists(out)
         assert os.listdir(tmp_path) == []
+
+    def test_short_writes_are_resumed(self, tmp_path, monkeypatch):
+        # os.write may take part of what it is given; the rest follows
+        out, write = str(tmp_path / "short.csv"), os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:7]))
+        table = np.arange(6.0).reshape(3, 2)
+        _write_csv_atomic(out, ["a", "b"], table)
+        with open(out, "rb") as fh:
+            assert fh.read() == b"a,b\n0,1\n2,3\n4,5\n"
+
+    def test_manifest_bytes_are_the_sorted_json(self, tmp_path):
+        out = str(tmp_path / "m-\u00e9.csv")   # escaped in the ASCII JSON
+        assert main(SMALL_RUNS["curve"] + ["--out", out]) == 0
+        with open(out + ".manifest.json", "rb") as fh:
+            data = fh.read()
+        manifest = json.loads(data)
+        assert manifest["command"] == "curve"
+        assert data == (json.dumps(manifest, indent=2, sort_keys=True)
+                        + "\n").encode("ascii")
 
     def test_blocks_match_per_value_format(self, tmp_path):
         # the 15-digit text of every value, whatever the row count

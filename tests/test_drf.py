@@ -16,8 +16,9 @@ from wienerdr.drf import (DistortionBundle, RateSpec, bundle, ce_penalty,
                           dr_asym_coeffs, equilibrium_rbar, g_fun, mmse_fs,
                           ratio_qnt, ratio_smp)
 from wienerdr.mc import CeEstimate, ErrorMoments, lemma_bounds
-from wienerdr.spectral import ProcessParams
-from wienerdr.waterfill import _SERIES_SHARE, MAX_RBAR, MIN_RBAR
+from wienerdr.spectral import (SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER,
+                               ProcessParams)
+from wienerdr.waterfill import _SERIES_SHARE, MAX_RBAR, MIN_RBAR, water_levels
 
 UNIT = ProcessParams(sigma2=1.0, fs=1.0)
 BORDER_RBAR = 0.5 * (1.0 + math.log2(math.sqrt(3.0) + 2.0))
@@ -284,6 +285,44 @@ class TestBundle:
         assert mmse_fs(params) == floor
         zero = ErrorMoments(second=np.zeros(4), cross=np.zeros(3))
         assert lemma_bounds(zero, params) == (floor, floor)
+
+
+def _sections_inputs():
+    """rbar in each form a sweep or a scalar function passes to sections,
+    drawn at random: a stop rule or a node sum that differs with the pass
+    moves only about one such input in a hundred."""
+    rng = np.random.default_rng(30)
+
+    def draws(size, low=1e-4, high=400.0):
+        return np.exp(rng.uniform(math.log(low), math.log(high), size))
+
+    scalars = [MIN_RBAR, MAX_RBAR, 1e-4, 0.03, 0.7, 1.0, 1.2, 5.0, 300.0,
+               *BRANCH_EDGES, *draws(400, MIN_RBAR, MAX_RBAR), *draws(400)]
+    return ([("scalar", float(x)) for x in scalars]
+            + [("1-element", draws(1)) for _ in range(100)]
+            + [("log-10", np.geomspace(*np.sort(draws(2)), 10))
+               for _ in range(50)]
+            + [(f"log-{n}", np.geomspace(MIN_RBAR, MAX_RBAR, n))
+               for n in (10, 3000)]
+            + [("2-d", draws((6, 10)))])
+
+
+def test_sections_is_each_density_solved_alone():
+    # the one Newton pass over both densities changes no bit of either:
+    # each density stops by its own rule and sums its nodes as it would alone
+    for form, rbar in _sections_inputs():
+        curves = drf.sections(rbar)
+        for both, density in ((curves.shifted, SHIFTED_SAMPLED_WIENER),
+                              (curves.sampled, SAMPLED_WIENER)):
+            alone = water_levels(density, rbar)
+            for field in ("theta", "crossing", "distortion", "g", "ce"):
+                got, want = getattr(both, field), getattr(alone, field)
+                if want is None:   # g and ce belong to the walk alone
+                    assert got is None and density.shift
+                    continue
+                assert type(got) is type(want), (form, field)
+                assert np.array_equal(got, want) and \
+                    np.shape(got) == np.shape(rbar), (form, rbar, field)
 
 
 class TestMonotonicity:

@@ -361,6 +361,22 @@ class TestInterpEigensystem:
             mid = system.eigenfunction(k, 1.5)
             assert mid == pytest.approx(0.5 * (left + right), abs=1e-12)
 
+    def test_nodes_where_n_ts_overflows(self):
+        # ts n = 2e308 is past the floats, yet each row's norm is not
+        params = ProcessParams(5e-324, 1e-307)
+        system = interp_kernel_eigensystem(params, 20)
+        assert system.eigenvalues[0] == pytest.approx(8.0e292, rel=0.01)
+        nodes = system.node_values
+        assert np.all(np.isfinite(nodes)) and np.all(nodes[:, 1:] != 0.0)
+        a, b = nodes[:, :-1], nodes[:, 1:]   # as test_node_rows_have_unit_norm
+        norm_sq = np.sum(a * a + a * b + b * b, axis=1) * (params.ts / 3.0)
+        assert np.max(np.abs(norm_sq - 1.0)) <= 1e-12
+        assert system.eigenfunction(1, 10 * params.ts) == \
+            pytest.approx(nodes[0, 10], rel=1e-12)
+        with pytest.raises(ParameterError,
+                           match=r"^t must lie in \[0, n\*ts\]$"):
+            system.eigenfunction(1, math.inf)
+
     def test_accessor_validation(self):
         system = interp_kernel_eigensystem(UNIT, 3)
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Waterfilling: the quadrature oracle's frozen values and guarantees, and the
 closed-form kernel's inversion checked against that oracle."""
 
+import functools
 import math
 
 import mpmath
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from oracle import (ConstantDensity, QuadratureError, ce_integral,
                     distortion_at_theta, integrate, integrate_density,
                     integrate_unit, rate_at_theta)
-from wienerdr import waterfill
+from wienerdr import drf, waterfill
 from wienerdr.spectral import SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER
 from wienerdr.waterfill import (MAX_RBAR, MIN_RBAR, solve_theta_for_rate,
                                 water_levels)
@@ -185,8 +186,11 @@ class TestKernel:
         levels = water_levels(density, np.geomspace(1e-4, 500.0, 3000))
         assert np.array_equal(density.crossing(levels.theta), levels.crossing)
 
-    @pytest.mark.parametrize("density", [SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER])
+    @pytest.mark.parametrize("density", [SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER,
+                                         None], ids=["density0", "density1",
+                                                     "both"])
     def test_at_most_four_rate_evaluations(self, density, monkeypatch):
+        # None: the one pass of drf.sections over both densities
         calls = []
         rate = waterfill._two_ln2_rate
 
@@ -195,13 +199,15 @@ class TestKernel:
             return rate(*args)
 
         monkeypatch.setattr(waterfill, "_two_ln2_rate", counted)
+        solve = (drf.sections if density is None
+                 else functools.partial(water_levels, density))
         rbars = np.geomspace(MIN_RBAR, waterfill.MAX_RBAR, 3000)
-        water_levels(density, rbars)
+        solve(rbars)
         assert len(calls) <= 4
         worst = 0
         for rbar in rbars:
             calls.clear()
-            water_levels(density, rbar)
+            solve(rbar)
             worst = max(worst, len(calls))
         assert worst <= 4
 

@@ -222,7 +222,7 @@ def _cmd_simulate(args) -> int:
                                  result.per_trial])
         _write_outputs(args, ["trial", "distortion"], table)
     except MemoryError:   # the larger of the trial count and a trial row
-        n = mc.effective_grid(params, config)[0]
+        n = mc._interval_count(params, config)
         field = ("trials" if config.trials >= n * (config.oversample + 2)
                  else mc._row_field(params, config))
         raise ParameterError(field, "is too large to allocate") from None

@@ -53,8 +53,8 @@ from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .spectral import (MAX_COUNT, ParameterError, ProcessParams, check_count,
-                       check_normal, check_positive,
+from .spectral import (MAX_COUNT, ParameterError, ProcessParams, _ldexp,
+                       check_count, check_normal, check_positive,
                        discrete_wiener_eigenvalues, read_int, read_real, unit)
 
 __all__ = [
@@ -171,18 +171,26 @@ class CeEstimate:
 def effective_grid(params: ProcessParams, config: SimConfig) -> Tuple[int, float]:
     """(number of sampling intervals, effective horizon).
 
-    The horizon is rounded up so that horizon * fs is a positive integer;
-    the effective value is reported back instead of being silently absorbed.
-    An n past ``MAX_COUNT``, or a trial row of n (oversample + 2) floats
-    past sys.maxsize bytes, is refused.
+    The horizon is rounded up so that horizon * fs is a positive integer n;
+    the effective value n ts is reported back instead of being silently
+    absorbed, formed through ``spectral.unit`` so it is n/fs wherever that
+    is a normal float and is refused as ``horizon`` past the floats.
     """
+    n = _interval_count(params, config)
+    ratio, exp = unit(n, params.fs)
+    return n, float(_ldexp("horizon", ratio, exp))
+
+
+def _interval_count(params: ProcessParams, config: SimConfig) -> int:
+    """The n of ``effective_grid``, without the horizon that a run never
+    reads.  An n past ``MAX_COUNT``, or a trial row of n (oversample + 2)
+    floats past sys.maxsize bytes, is refused."""
     raw = config.horizon_t * params.fs
     if raw > MAX_COUNT or 8 * raw * (config.oversample + 2) > sys.maxsize:
         raise ParameterError(_row_field(params, config),
                              "is too long to allocate")
     nearest = round(raw)
-    n = max(1, nearest if abs(raw - nearest) < 1e-9 else math.ceil(raw))
-    return int(n), n / params.fs
+    return max(1, nearest if abs(raw - nearest) < 1e-9 else math.ceil(raw))
 
 
 def _row_field(params: ProcessParams, config: SimConfig) -> str:
@@ -548,7 +556,7 @@ def empirical_mmse(params: ProcessParams, config: SimConfig) -> MomentEstimate:
     ``reference`` is the grid-exact sigma2/(6 fs) (1 - 1/oversample**2) and
     ``bias`` the continuous-time sigma2/(6 fs) less it.
     """
-    n, _ = effective_grid(params, config)
+    n = _interval_count(params, config)
     os_ = config.oversample
     rows = functools.partial(_mmse_rows, n, os_)
     return _estimate(_run(n, config, rows, n * os_), params, n, os_)
@@ -705,7 +713,7 @@ def mc_test_channel_run(params: ProcessParams, config: SimConfig,
     last.  ``reference`` is the grid-exact expectation from the moment
     oracle's moments and ``bias`` the continuous-time value less it.
     """
-    n, _ = effective_grid(params, config)
+    n = _interval_count(params, config)
     if n < 2:
         raise ParameterError("horizon_t", "must exceed 1/fs: horizon * fs > 1")
     os_ = config.oversample

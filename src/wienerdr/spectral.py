@@ -10,16 +10,17 @@ while the piecewise-linear interpolator of the samples has the shifted
 density S(phi) - 1/6.  A density is its shift (``SpectralDensity``), which
 gives S, its floor and the one formula for the water-level crossing; the
 two are the objects ``SAMPLED_WIENER`` and ``SHIFTED_SAMPLED_WIENER``.  The
-module also provides closed-form finite-rank eigenvalues in O(n) and
-eigensystems for the two covariance kernels (the discrete walk and the
-interpolator kernel on [0, n/fs]).  ``nystrom_interp_eigenvalues`` checks
-the closed forms: it gives the interpolator's discretized spectrum by one
-route, an n x n matrix with the same nonzero eigenvalues as the Nystrom
-matrix.
+module also provides the closed-form finite-rank eigenvalues, in O(n), of
+the two covariance kernels (the discrete walk and the interpolator kernel
+on [0, n/fs]), alone or as an ``EigenSystem`` with n and ts; no eigenvector
+is built, as every result needs only the eigenvalues.
+``nystrom_interp_eigenvalues`` checks the closed forms: it gives the
+interpolator's discretized spectrum by one route, an n x n matrix with the
+same nonzero eigenvalues as the Nystrom matrix.
 
 Every outside value is read by ``read_real`` (one float, or a float64 array
-on a route built for arrays) or ``read_int`` (a count, the seed, a mode
-index), which name its field in a ``ParameterError``; ``check_positive`` and
+on a route built for arrays) or ``read_int`` (a count or the seed), which
+name its field in a ``ParameterError``; ``check_positive`` and
 ``check_count`` add the rules of reals and counts, ``unit`` scales every
 dimensionless result to absolute units (sigma2/fs, sigma2/R, sigma2 ts**2),
 and ``check_normal`` refuses a result, named, outside the normal floats.
@@ -29,8 +30,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 __all__ = [
@@ -91,8 +90,9 @@ MAX_COUNT = sys.maxsize >> 8
 
 
 def read_int(field: str, value) -> int:
-    """``value`` as an int: an integer type as it is (exact at any size), else
-    read once as a float that must be integral; a bool is no integer."""
+    """``value``, a count or the seed, as an int: an integer type as it is
+    (exact at any size), else read once as a float that must be integral; a
+    bool is no integer."""
     if isinstance(value, bool) or getattr(value, "dtype", None) == bool:
         value = np.nan
     if not isinstance(value, (int, np.integer)):   # else read once, as a float
@@ -220,47 +220,16 @@ SHIFTED_SAMPLED_WIENER = SpectralDensity(1.0 / 6.0)
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Finite-rank eigen-decomposition of a covariance kernel.
-
-    ``eigenvalues`` are strictly positive and sorted decreasing.  For the
-    discrete walk kernel, ``eigenvectors`` holds the unit-norm eigenvectors
-    as rows (entry [k-1, m-1] pairs eigenvalue k with sample index m = 1..n).
-    For the interpolator kernel, ``node_values`` holds the already-normalized
-    eigenfunction values on the sampling grid t = m*ts, m = 0..n; the
-    eigenfunctions are piecewise linear between those nodes.  Each builder
-    scales its rows by the closed-form norms, so no normalizer is stored.
-    """
+    """Finite-rank spectrum of a covariance kernel on n samples at interval
+    ts: its n ``eigenvalues``, strictly positive and sorted decreasing, in
+    O(n) memory."""
 
     n: int
     eigenvalues: np.ndarray
     ts: float
-    eigenvectors: Optional[np.ndarray] = None
-    node_values: Optional[np.ndarray] = None
 
-    def __post_init__(self):   # a ts of 0 or inf places no node
+    def __post_init__(self):   # a ts of 0 or inf places no sample
         check_normal(ts=self.ts)
-
-    def _mode(self, rows: Optional[np.ndarray], k: int, what: str):
-        if rows is None:
-            raise ValueError(f"this eigensystem has no {what}")
-        k = read_int("k", k)
-        if not 1 <= k <= self.n:
-            raise ParameterError("k", f"must be in 1..{self.n}")
-        return rows[k - 1]
-
-    def eigenvector(self, k: int) -> np.ndarray:
-        """Unit-norm eigenvector for mode k (1-based)."""
-        return self._mode(self.eigenvectors, k, "discrete eigenvectors")
-
-    def eigenfunction(self, k: int, t):
-        """Piecewise-linear eigenfunction for mode k evaluated at time(s) t."""
-        v = self._mode(self.node_values, k, "eigenfunctions")
-        with np.errstate(over="ignore"):   # past n samples, refused below
-            t = read_real("t", t, array=True) / self.ts   # n*ts may overflow
-        if not np.logical_and.reduce((t >= 0) & (t <= self.n * (1 + 1e-12)),
-                                     axis=None):
-            raise ParameterError("t", "must lie in [0, n*ts]")   # or is nan
-        return np.interp(t, np.arange(self.n + 1), v)
 
 
 def discrete_wiener_eigenvalues(params: ProcessParams, n: int) -> np.ndarray:
@@ -274,17 +243,10 @@ def discrete_wiener_eigenvalues(params: ProcessParams, n: int) -> np.ndarray:
 
 
 def discrete_wiener_eigensystem(params: ProcessParams, n: int) -> EigenSystem:
-    """Closed-form eigensystem of the covariance (sigma2/fs) * min{i, j}.
-
-    Eigenvalues from ``discrete_wiener_eigenvalues``; eigenvectors are the
-    sine vectors sin((2k-1) pi m / (2n+1)), m = 1..n.  Every such row has
-    squared norm (2n+1)/4, so one factor 2/sqrt(2n+1) normalizes all modes.
-    """
+    """The eigensystem of the covariance (sigma2/fs) * min{i, j}, its
+    eigenvalues from ``discrete_wiener_eigenvalues``."""
     lam = discrete_wiener_eigenvalues(params, n)
-    k = np.arange(1, n + 1)   # also the sample index m = 1..n
-    vecs = np.sin(np.outer((2 * k - 1) * np.pi / (2 * n + 1), k))
-    vecs *= 2.0 / np.sqrt(2 * n + 1)
-    return EigenSystem(n=n, eigenvalues=lam, ts=params.ts, eigenvectors=vecs)
+    return EigenSystem(len(lam), lam, params.ts)   # n as checked
 
 
 def interp_kernel_eigenvalues(params: ProcessParams, n: int) -> np.ndarray:
@@ -306,22 +268,10 @@ def interp_kernel_eigenvalues(params: ProcessParams, n: int) -> np.ndarray:
 
 
 def interp_kernel_eigensystem(params: ProcessParams, n: int) -> EigenSystem:
-    """Closed-form eigensystem of the sample-interpolator kernel on [0, n*ts].
-
-    Eigenvalues from ``interp_kernel_eigenvalues``; the eigenfunctions are
-    piecewise linear with node values sin((2k-1) pi m / (2n)), m = 0..n,
-    normalized to unit L2 norm.  With x_k = (2k-1) pi / (2n), the squared
-    norm (ts/3) sum(a^2 + ab + b^2) over the intervals' end values a, b sums
-    in closed form to ts n (2 + cos x_k) / 6; the rows are normalized at
-    ts = 1 and then scaled by 1/sqrt(ts), as ts n may pass the floats.
-    """
+    """The eigensystem of the sample-interpolator kernel on [0, n*ts], its
+    eigenvalues from ``interp_kernel_eigenvalues``."""
     lam = interp_kernel_eigenvalues(params, n)
-    ts = params.ts
-    x = (2 * np.arange(1, n + 1) - 1) * np.pi / (2.0 * n)
-    nodes = np.sin(np.outer(x, np.arange(n + 1)))
-    scale = 1.0 / np.sqrt((n / 6.0) * (2.0 + np.cos(x)))   # 1 / norm at ts = 1
-    nodes *= (scale / np.sqrt(ts))[:, None]
-    return EigenSystem(n=n, eigenvalues=lam, ts=ts, node_values=nodes)
+    return EigenSystem(len(lam), lam, params.ts)   # n as checked
 
 
 def nystrom_interp_eigenvalues(params: ProcessParams, n: int,

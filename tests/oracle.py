@@ -1,12 +1,14 @@
 """Quadrature oracle for the closed-form waterfilling kernel, dense
-references for the Monte-Carlo layer, and the pointwise interpolator
-kernel with the Fredholm residual of its eigensystem.
+references for the Monte-Carlo layer, the dense eigenvectors of both
+covariance kernels, and the pointwise interpolator kernel with the
+Fredholm residual of its eigensystem.
 
 Only the tests import this module.  It integrates the waterfilling
 integrands directly, so it shares no formula with ``wienerdr.waterfill``.
 The Monte-Carlo references at the end run one trial at a time with the
-dense eigenvector matrix and a loop over waterfilling segments, so they
-share no transform, batching or vectorized solve with ``wienerdr.mc``.
+dense eigenvector matrix (``sine_vectors``) and a loop over waterfilling
+segments, so they share no transform, batching or vectorized solve with
+``wienerdr.mc``.
 ``argparse_parser`` is the command line as an argparse parser, against
 which the tests check the one-pass reader of ``wienerdr.cli``.
 
@@ -48,7 +50,7 @@ import numpy as np
 
 from wienerdr.cli import _cmd_curve, _cmd_eigen, _cmd_ratio, _cmd_simulate
 from wienerdr.spectral import (SAMPLED_WIENER, ProcessParams,
-                               discrete_wiener_eigensystem)
+                               discrete_wiener_eigenvalues)
 
 #: every waterfilling integral must come back with an error estimate below this
 ERROR_BOUND = 1e-9
@@ -324,9 +326,7 @@ def dense_channel_trials(params: ProcessParams, config,
     ``config.horizon_t * params.fs`` must be an integer.
     """
     n = round(config.horizon_t * params.fs)
-    system = discrete_wiener_eigensystem(params, n)
-    lam = system.eigenvalues
-    vecs = system.eigenvectors
+    lam, vecs = discrete_wiener_eigenvalues(params, n), sine_vectors(n)
     theta = loop_waterfill_theta(lam, rbar)
     active = lam > theta
     gain = np.where(active, 1.0 - theta / lam, 0.0)
@@ -350,9 +350,8 @@ def dense_grid_expectation(n: int, oversample: int, rbar: float) -> float:
     m (os - m)/os plus h^T K h for the explicit hat weights h of each fine
     point and the node-error covariance K = V^T diag(min{theta, lambda}) V
     of the samples' covariance os * min{i, j} (e_0 = 0)."""
-    system = discrete_wiener_eigensystem(ProcessParams(float(oversample), 1.0),
-                                         n)
-    lam, vecs = system.eigenvalues, system.eigenvectors
+    lam = discrete_wiener_eigenvalues(ProcessParams(float(oversample), 1.0), n)
+    vecs = sine_vectors(n)
     d = np.minimum(loop_waterfill_theta(lam, rbar), lam)
     cov = np.zeros((n + 1, n + 1))
     cov[1:, 1:] = vecs.T @ (d[:, None] * vecs)
@@ -367,6 +366,41 @@ def dense_grid_expectation(n: int, oversample: int, rbar: float) -> float:
     per_point = m * (oversample - m) / oversample \
         + np.einsum("jp,pq,jq->j", hats, cov, hats)
     return float(weights @ per_point)
+
+
+# ------------------------------------------ dense eigenvectors and nodes
+
+def sine_vectors(n: int) -> np.ndarray:
+    """Unit-norm eigenvectors of min{i, j}, i, j = 1..n, as rows: entry
+    [k-1, m-1], 2 sin((2k-1) pi m / (2n+1)) / sqrt(2n+1), pairs eigenvalue k
+    of ``discrete_wiener_eigenvalues`` with sample m.  Every sine row has
+    squared norm (2n+1)/4, so one factor normalizes all modes."""
+    k = np.arange(1, n + 1)   # also the sample index m = 1..n
+    vecs = np.sin(np.outer((2 * k - 1) * np.pi / (2 * n + 1), k))
+    vecs *= 2.0 / np.sqrt(2 * n + 1)
+    return vecs
+
+
+def interp_node_values(n: int, ts: float) -> np.ndarray:
+    """Node values of the interpolator kernel's eigenfunctions on [0, n ts],
+    a row per mode k = 1..n at the samples t = m ts, m = 0..n: sin((2k-1) pi
+    m / (2n)), normalized to unit L2 norm.  With x_k = (2k-1) pi / (2n), the
+    squared norm (ts/3) sum(a^2 + ab + b^2) over the intervals' end values
+    a, b sums in closed form to ts n (2 + cos x_k) / 6; the rows are
+    normalized at ts = 1 and then scaled by 1/sqrt(ts), as ts n may pass the
+    floats."""
+    x = (2 * np.arange(1, n + 1) - 1) * np.pi / (2.0 * n)
+    nodes = np.sin(np.outer(x, np.arange(n + 1)))
+    scale = 1.0 / np.sqrt((n / 6.0) * (2.0 + np.cos(x)))   # 1 / norm at ts = 1
+    nodes *= (scale / np.sqrt(ts))[:, None]
+    return nodes
+
+
+def interp_eigenfunction(nodes: np.ndarray, ts: float, t):
+    """The piecewise-linear eigenfunction of one row of
+    ``interp_node_values`` at the time(s) t in [0, n ts]."""
+    return np.interp(np.asarray(t, dtype=float) / ts, np.arange(len(nodes)),
+                     nodes)
 
 
 # ------------------------------- pointwise kernel and Fredholm residual
@@ -442,12 +476,11 @@ def fredholm_residual(system, params: ProcessParams, k: int,
     """Sup-norm residual of the eigen-equation under trapezoid quadrature.
 
     Evaluates lam_k * phi_k(t) - integral K(t, s) phi_k(s) ds on a grid with
-    ``grid_points`` nodes per sampling interval; shrinks as the grid is
-    refined, so it doubles as a convergence diagnostic for the closed-form
-    eigensystem.
+    ``grid_points`` nodes per sampling interval, for the eigenvalues of an
+    interpolator-kernel ``system`` and the eigenfunctions of
+    ``interp_node_values``; shrinks as the grid is refined, so it doubles as
+    a convergence diagnostic for the closed-form eigensystem.
     """
-    if system.node_values is None:
-        raise ValueError("residual is defined for the interpolator kernel")
     if not 1 <= k <= system.n:
         raise ValueError(f"k must be in 1..{system.n}")
     if grid_points < 50:
@@ -455,7 +488,8 @@ def fredholm_residual(system, params: ProcessParams, k: int,
     total = system.n * grid_points + 1
     dt = system.ts / grid_points
     t = np.arange(total) * dt
-    phi = system.eigenfunction(k, t)
+    phi = interp_eigenfunction(interp_node_values(system.n, system.ts)[k - 1],
+                               system.ts, t)
     w = np.full(total, dt)
     w[0] = w[-1] = 0.5 * dt
     resid = system.eigenvalues[k - 1] * phi \

@@ -719,30 +719,22 @@ def test_each_bad_flag_is_named(tmp_path, capsys, monkeypatch, argv, message):
     (lambda: drf.RateSpec([2.0]), "rate"),
     (lambda: mc.SimConfig(1.0, 8, 2, "x"), "seed"),
     (lambda: mc.SimConfig(1.0, 8, 2, object()), "seed"),
-    (lambda: spectral.discrete_wiener_eigensystem(UNIT_PARAMS, 4)
-     .eigenvector(1.5), "k"),
     (lambda: mc.ErrorMoments("abc", [0.5]), "second"),
     (lambda: drf.d_tilde("x"), "rbar"),
     (lambda: waterfill.solve_theta_for_rate(spectral.SAMPLED_WIENER, "x"),
      "rate_bits_per_sample"),
-    (lambda: spectral.interp_kernel_eigensystem(UNIT_PARAMS, 4)
-     .eigenfunction(1, "x"), "t"),
-    (lambda: spectral.interp_kernel_eigensystem(UNIT_PARAMS, 4)
-     .eigenfunction(1, math.nan), "t"),
     (lambda: mc.finite_waterfill_theta([[1.0, 2.0]], 1.0), "eigenvalues"),
     (lambda: mc.finite_waterfill_theta([], 1.0), "eigenvalues"),
     (lambda: mc.SimConfig(1.0, True, 2, 1), "oversample"),
-    (lambda: mc.SimConfig(1.0, 8, 2, np.bool_(True)), "seed"),
-    (lambda: spectral.discrete_wiener_eigensystem(UNIT_PARAMS, 4)
-     .eigenvector(True), "k")],
+    (lambda: mc.SimConfig(1.0, 8, 2, np.bool_(True)), "seed")],
     ids=["sigma2", "fs", "RateSpec", "sweep", "horizon_t", "oversample",
          "trials", "seed", "discrete-n", "interp-n", "rbar", "grid-max",
          "grid-points", "nystrom-grid-points", "oracle-n", "d_w-sigma2",
          "count-text", "count-object", "oversample-text", "sigma2-text",
          "sigma2-object", "sigma2-array", "rate-list", "seed-text",
-         "seed-object", "k-fraction", "moments-text", "d_tilde-text",
-         "solve-text", "t-text", "t-nan", "eigenvalues-2d",
-         "eigenvalues-empty", "oversample-bool", "seed-np-bool", "k-bool"])
+         "seed-object", "moments-text", "d_tilde-text", "solve-text",
+         "eigenvalues-2d", "eigenvalues-empty", "oversample-bool",
+         "seed-np-bool"])
 def test_each_type_names_its_field(monkeypatch, build, field):
     monkeypatch.setattr(mc, "_run", None)   # rbar is checked before any draw
     with pytest.raises(spectral.ParameterError) as caught:

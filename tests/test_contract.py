@@ -42,9 +42,8 @@ VALUES = {
     "rate_bits_per_sample": reals(2.0 ** -4, 2.0 ** 4),
     "horizon_t": reals(0.5, 8.0), "oversample": counts(1, 4),
     "trials": counts(1, 4), "seed": counts(0, 2 ** 32),
-    "n": counts(1, 6), "k": counts(1, 6), "grid_points": counts(2, 6),
+    "n": counts(1, 6), "grid_points": counts(2, 6),
     "phi": reals(2.0 ** -10, 1.0), "theta": reals(2.0 ** -10, 2.0 ** 4),
-    "t": reals(2.0 ** -4, 8.0),
     "eigenvalues": arrays(st.floats(2.0 ** -10, 2.0 ** 10), 1, 6),
     "second": arrays(st.floats(0.25, 4.0), 3, 3),
     "cross": arrays(st.floats(-0.25, 0.25), 2, 2),
@@ -109,13 +108,13 @@ ROUTES = {
     "interp_kernel_eigensystem": (
         lambda a: spectral.interp_kernel_eigensystem(params(a), a.n),
         spectral.EigenSystem),
-    # the two accessors of a built system, one through each builder
     "discrete_wiener_eigensystem": (
-        lambda a: spectral.discrete_wiener_eigensystem(params(a), a.n)
-        .eigenvector(a.k), np.ndarray),
+        lambda a: spectral.discrete_wiener_eigensystem(params(a), a.n),
+        spectral.EigenSystem),
+    # the record reads no outside value but through a builder
     "EigenSystem": (
-        lambda a: spectral.interp_kernel_eigensystem(params(a), a.n)
-        .eigenfunction(a.k, a.t), REAL),
+        lambda a: spectral.interp_kernel_eigensystem(params(a), a.n),
+        spectral.EigenSystem),
     "nystrom_interp_eigenvalues": (
         lambda a: spectral.nystrom_interp_eigenvalues(params(a), a.n,
                                                       a.grid_points),

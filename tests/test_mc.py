@@ -18,7 +18,7 @@ from scipy.optimize import brentq
 import wienerdr
 from oracle import (_lerp, _trapezoid_mean, dense_channel_trials,
                     dense_grid_expectation, dense_mmse_trials,
-                    loop_waterfill_theta)
+                    interp_node_values, loop_waterfill_theta, sine_vectors)
 from wienerdr import mc
 from wienerdr.cli import main
 from wienerdr.drf import g_fun
@@ -104,6 +104,34 @@ class TestConfig:
             assert effective_grid(UNIT, cfg) == (1, 1.0)
         cfg = SimConfig(horizon_t=1e-10, oversample=8, trials=1, seed=0)
         assert effective_grid(ProcessParams(1.0, 4.0), cfg) == (1, 0.25)
+
+    @pytest.mark.parametrize("fs", [3.0, 0.7, 1e-300, 1e300, 1e-303])
+    def test_effective_horizon_is_n_over_fs(self, fs):
+        # bit for bit wherever n/fs is a normal float
+        for horizon in (0.3, 2.5, 1e5):
+            cfg = SimConfig(horizon_t=horizon / fs, oversample=2, trials=1,
+                            seed=0)
+            n, got = effective_grid(ProcessParams(1.0, fs), cfg)
+            assert type(got) is float and got == n / fs
+
+    @pytest.mark.parametrize("fs,horizon,scheme,line", [
+        (1e-310, 0.5, "mmse-only", "estimate=1571642799.21332 "
+         "stderr=350590065.807378 reference=1250000000 z=0.917432724377395"),
+        (1e-308, 1.5e308, "test-channel", "estimate=66307228.6925372 "
+         "stderr=29557470.3782941 reference=26562500 z=1.34465934276041")])
+    def test_a_horizon_past_the_floats_is_refused_and_runs_answer(
+            self, tmp_path, capsys, fs, horizon, scheme, line):
+        # n ts is inf, refused by name; the runs read n alone and answer
+        cfg = SimConfig(horizon_t=horizon, oversample=2, trials=2, seed=1)
+        with pytest.raises(FloatingPointError,
+                           match="^horizon is past the floating-point range$"):
+            effective_grid(ProcessParams(1.0, fs), cfg)
+        argv = ["simulate", "--scheme", scheme, "--rbar", "1",
+                "--sigma2", "1e-300", "--fs", str(fs), "--horizon",
+                str(horizon), "--oversample", "2", "--trials", "2",
+                "--seed", "1", "--out", str(tmp_path / "sim.csv")]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == line + "\n"
 
 
 def seed_sequence_keys(seed, ks):
@@ -281,8 +309,8 @@ class TestBridgeCovariance:
 class TestKlCoefficients:
     def test_eigen_coefficient_variance_is_eigenvalue(self):
         n = 4
-        system = interp_kernel_eigensystem(UNIT, n)
-        lam1, v = system.eigenvalues[0], system.node_values[0]
+        lam1 = interp_kernel_eigensystem(UNIT, n).eigenvalues[0]
+        v = interp_node_values(n, UNIT.ts)[0]
         cfg = SimConfig(horizon_t=float(n), oversample=4, trials=2000, seed=47)
         x = paths(UNIT, cfg, range(cfg.trials))[1]
         coeffs = (x[:, :-1] @ (2.0 * v[:-1] + v[1:])   # <phi_1, interp>
@@ -451,7 +479,7 @@ class TestFastTransforms:
     # 2n+1 = 2459 and 3001 are prime, 2991 = 3 * 997
     @pytest.mark.parametrize("n", [1, 2, 3, 17, 1229, 1495, 1500])
     def test_sine_transforms_match_eigenvectors(self, n):
-        vecs = discrete_wiener_eigensystem(UNIT, n).eigenvectors
+        vecs = sine_vectors(n)
         x = np.random.default_rng(n).standard_normal((3, n))
         dense_fwd = x @ vecs.T
         dense_inv = x @ vecs
@@ -464,7 +492,7 @@ class TestFastTransforms:
     def test_moments_match_dense(self, n):
         params = ProcessParams(2.0, 0.8)
         system = discrete_wiener_eigensystem(params, n)
-        vecs = system.eigenvectors
+        vecs = sine_vectors(n)
         for rbar in (0.05, 0.7, 3.0):
             d = np.minimum(loop_waterfill_theta(system.eigenvalues, rbar),
                            system.eigenvalues)

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracle import ConstantDensity, fredholm_residual, interp_covariance
+from oracle import (ConstantDensity, fredholm_residual, interp_covariance,
+                    interp_eigenfunction, interp_node_values, sine_vectors)
 from wienerdr.spectral import (ParameterError, ProcessParams, SAMPLED_WIENER,
                                SHIFTED_SAMPLED_WIENER, SpectralDensity,
                                discrete_wiener_eigensystem,
@@ -185,13 +186,14 @@ class TestDiscreteEigensystem:
 
     @pytest.mark.parametrize("n", [2, 8, 64])
     def test_orthonormal_and_diagonalizing(self, n):
+        # the oracle's sine vectors, with the eigenvalues of the system
         system = discrete_wiener_eigensystem(UNIT, n)
-        vecs = system.eigenvectors
+        vecs = sine_vectors(n)
         gram = vecs @ vecs.T
         assert np.max(np.abs(gram - np.eye(n))) < 1e-9
         cov = np.minimum.outer(np.arange(1, n + 1), np.arange(1, n + 1)).astype(float)
         for k in [1, n // 2 + 1, n]:
-            v = system.eigenvector(k)
+            v = vecs[k - 1]
             lam = system.eigenvalues[k - 1]
             assert np.max(np.abs(cov @ v - lam * v)) < 1e-9 * lam
 
@@ -331,13 +333,14 @@ class TestInterpEigensystem:
 
     def test_eigenfunctions_unit_norm_orthogonal(self):
         n = 6
-        system = interp_kernel_eigensystem(UNIT, n)
+        nodes = interp_node_values(n, UNIT.ts)
         grid = 400
         t = np.linspace(0.0, n * UNIT.ts, n * grid + 1)
         dt = t[1] - t[0]
         w = np.full(len(t), dt)
         w[0] = w[-1] = dt / 2
-        vals = np.array([system.eigenfunction(k, t) for k in range(1, n + 1)])
+        vals = np.array([interp_eigenfunction(row, UNIT.ts, t)
+                         for row in nodes])
         gram = (vals * w) @ vals.T
         assert np.max(np.abs(gram - np.eye(n))) < 1e-4
 
@@ -347,18 +350,18 @@ class TestInterpEigensystem:
         # exact L2 norm of a piecewise-linear function: ts/3 sum(a^2+ab+b^2)
         # over the intervals' end values a, b
         params = ProcessParams(sigma2=1.0, fs=fs)
-        nodes = interp_kernel_eigensystem(params, n).node_values
+        nodes = interp_node_values(n, params.ts)
         a, b = nodes[:, :-1], nodes[:, 1:]
         norm_sq = params.ts / 3.0 * np.sum(a * a + a * b + b * b, axis=1)
         assert np.max(np.abs(norm_sq - 1.0)) <= 1e-12
 
     def test_eigenfunction_piecewise_linear_and_pinned(self):
-        system = interp_kernel_eigensystem(UNIT, 4)
-        assert system.eigenfunction(1, 0.0) == pytest.approx(0.0, abs=1e-14)
+        nodes = interp_node_values(4, UNIT.ts)
+        assert interp_eigenfunction(nodes[0], UNIT.ts, 0.0) == \
+            pytest.approx(0.0, abs=1e-14)
         for k in (1, 3):
-            left = system.eigenfunction(k, 1.25)
-            right = system.eigenfunction(k, 1.75)
-            mid = system.eigenfunction(k, 1.5)
+            left, mid, right = interp_eigenfunction(nodes[k - 1], UNIT.ts,
+                                                    [1.25, 1.5, 1.75])
             assert mid == pytest.approx(0.5 * (left + right), abs=1e-12)
 
     def test_nodes_where_n_ts_overflows(self):
@@ -366,30 +369,27 @@ class TestInterpEigensystem:
         params = ProcessParams(5e-324, 1e-307)
         system = interp_kernel_eigensystem(params, 20)
         assert system.eigenvalues[0] == pytest.approx(8.0e292, rel=0.01)
-        nodes = system.node_values
+        nodes = interp_node_values(system.n, system.ts)
         assert np.all(np.isfinite(nodes)) and np.all(nodes[:, 1:] != 0.0)
         a, b = nodes[:, :-1], nodes[:, 1:]   # as test_node_rows_have_unit_norm
         norm_sq = np.sum(a * a + a * b + b * b, axis=1) * (params.ts / 3.0)
         assert np.max(np.abs(norm_sq - 1.0)) <= 1e-12
-        assert system.eigenfunction(1, 10 * params.ts) == \
+        assert interp_eigenfunction(nodes[0], system.ts, 10 * params.ts) == \
             pytest.approx(nodes[0, 10], rel=1e-12)
-        with pytest.raises(ParameterError,
-                           match=r"^t must lie in \[0, n\*ts\]$"):
-            system.eigenfunction(1, math.inf)
 
-    def test_accessor_validation(self):
-        system = interp_kernel_eigensystem(UNIT, 3)
-        with pytest.raises(ValueError):
-            system.eigenfunction(0, 0.5)
-        with pytest.raises(ValueError):
-            system.eigenfunction(1, 5.0)
-        with pytest.raises(ValueError, match=r"^t must lie in \[0, n\*ts\]$"):
-            system.eigenfunction(1, [0.5, math.nan])   # nan fails no bound test
-        with pytest.raises(ValueError):
-            system.eigenvector(1)
-        disc = discrete_wiener_eigensystem(UNIT, 3)
-        with pytest.raises(ValueError):
-            disc.eigenfunction(1, 0.5)
+
+@pytest.mark.parametrize("build,values", [
+    (discrete_wiener_eigensystem, discrete_wiener_eigenvalues),
+    (interp_kernel_eigensystem, interp_kernel_eigenvalues)],
+    ids=["discrete", "interp"])
+def test_a_system_holds_only_its_n_eigenvalues(build, values):
+    # memory linear in n: an n x n matrix at n = 10**6 would need 8 TB
+    n, params = 10 ** 6, ProcessParams(sigma2=0.4, fs=2.5)
+    system = build(params, n)
+    assert vars(system).keys() == {"n", "eigenvalues", "ts"}
+    assert (system.n, system.ts) == (n, params.ts)
+    assert system.eigenvalues.shape == (n,)
+    assert np.array_equal(system.eigenvalues, values(params, n))
 
 
 class TestFredholmResidual:

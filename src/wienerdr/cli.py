@@ -155,7 +155,10 @@ class Grid:
         if not self.log:
             return np.linspace(self.min, self.max, self.points)
         with np.errstate(over="ignore"):   # an inf endpoint, then replaced
-            return np.geomspace(self.min, self.max, self.points)
+            values = 10.0 ** np.linspace(np.log10(self.min),
+                                         np.log10(self.max), self.points)
+        values[[0, -1]] = self.min, self.max
+        return values
 
 
 def _cmd_curve(args) -> int:

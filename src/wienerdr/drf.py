@@ -143,8 +143,8 @@ class Sections:
 
 def sections(rbar) -> Sections:
     """Both water levels over rbar (float or array, in the waterfill range),
-    solved in one Newton pass over the two densities: each is bit for bit
-    ``water_levels`` of its density at rbar."""
+    solved in one Newton pass over the two densities: each entry is bit for
+    bit ``water_levels`` of its density at its rbar alone, in any grid."""
     rbar = read_real("rbar", rbar, array=True)
     return Sections(rbar, *_solve((SHIFTED_SAMPLED_WIENER, SAMPLED_WIENER),
                                   rbar))

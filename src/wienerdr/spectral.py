@@ -186,7 +186,7 @@ class SpectralDensity:
         phi = check_positive("phi", phi, array=True)
         if np.logical_or.reduce(phi > 1.0, axis=None):
             raise ParameterError("phi", "must lie in (0, 1]")
-        return 1.0 / (4.0 * np.sin(0.5 * np.pi * phi) ** 2) - self.shift
+        return 1.0 / (4.0 * np.square(np.sin(0.5 * np.pi * phi))) - self.shift
 
     @property
     def floor(self) -> float:

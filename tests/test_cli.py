@@ -159,6 +159,19 @@ class TestCurve:
             x = [line.split(",")[0] for line in fh.readlines()[1:]]
         assert [x[0], x[-1]] == [_fmt(1e305), _fmt(writable)]
 
+    @given(st.floats(5e-324, sys.float_info.max),
+           st.floats(5e-324, sys.float_info.max), st.integers(2, 50))
+    @example(1e-300, sys.float_info.max, 7)
+    @example(5e-324, 1e-320, 4)
+    @example(1e305, sys.float_info.max, 3)
+    @settings(max_examples=300, deadline=None)
+    def test_log_grid_is_geomspace(self, low, high, points):
+        # the log sweep skips np.geomspace's general path, not one bit of it
+        assume(low < high)
+        with np.errstate(over="ignore"):
+            want = np.geomspace(low, high, points)
+        assert np.array_equal(cli.Grid(low, high, points, True).values(), want)
+
     def test_sub_minimum_rbar_rejected_before_output(self, tmp_path, capsys):
         out = str(tmp_path / "never.csv")
         code = main(["curve", "--fs", "1e160", "--min", "0.01", "--max", "1",

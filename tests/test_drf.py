@@ -288,41 +288,60 @@ class TestBundle:
 
 
 def _sections_inputs():
-    """rbar in each form a sweep or a scalar function passes to sections,
-    drawn at random: a stop rule or a node sum that differs with the pass
-    moves only about one such input in a hundred."""
-    rng = np.random.default_rng(30)
+    """rbar in each form a sweep or a scalar function passes to sections:
+    300 random 10-point log grids drawn like the benchmark's sweeps (low end
+    log-uniform in [1.05e-4, 0.3], high end in [3, 400]), the 10- and
+    3000-point log grids over the whole range, and random scalars, 1-element
+    and 2-d arrays."""
+    rng = np.random.default_rng(0)
 
     def draws(size, low=1e-4, high=400.0):
         return np.exp(rng.uniform(math.log(low), math.log(high), size))
 
+    grids = [np.geomspace(draws(None, 1.05e-4, 0.3), draws(None, 3.0, 400.0),
+                          10) for _ in range(300)]
     scalars = [MIN_RBAR, MAX_RBAR, 1e-4, 0.03, 0.7, 1.0, 1.2, 5.0, 300.0,
                *BRANCH_EDGES, *draws(400, MIN_RBAR, MAX_RBAR), *draws(400)]
     return ([("scalar", float(x)) for x in scalars]
             + [("1-element", draws(1)) for _ in range(100)]
-            + [("log-10", np.geomspace(*np.sort(draws(2)), 10))
-               for _ in range(50)]
+            + [("log-10", grid) for grid in grids]
             + [(f"log-{n}", np.geomspace(MIN_RBAR, MAX_RBAR, n))
                for n in (10, 3000)]
             + [("2-d", draws((6, 10)))])
 
 
-def test_sections_is_each_density_solved_alone():
-    # the one Newton pass over both densities changes no bit of either:
-    # each density stops by its own rule and sums its nodes as it would alone
+def test_each_point_is_its_own_solve():
+    # a point is the same in any grid and alone, bit for bit: each entry
+    # stops Newton on its own step and sums its own nodes, and the one pass
+    # over both densities is each density's water_levels
     for form, rbar in _sections_inputs():
         curves = drf.sections(rbar)
-        for both, density in ((curves.shifted, SHIFTED_SAMPLED_WIENER),
-                              (curves.sampled, SAMPLED_WIENER)):
-            alone = water_levels(density, rbar)
+        points = [drf.sections(float(x)) for x in np.ravel(rbar)]
+        for side, density in (("shifted", SHIFTED_SAMPLED_WIENER),
+                              ("sampled", SAMPLED_WIENER)):
+            levels, alone = getattr(curves, side), water_levels(density, rbar)
             for field in ("theta", "crossing", "distortion", "g", "ce"):
-                got, want = getattr(both, field), getattr(alone, field)
+                got, want = getattr(levels, field), getattr(alone, field)
                 if want is None:   # g and ce belong to the walk alone
                     assert got is None and density.shift
                     continue
                 assert type(got) is type(want), (form, field)
                 assert np.array_equal(got, want) and \
                     np.shape(got) == np.shape(rbar), (form, rbar, field)
+                each = [getattr(getattr(point, side), field)
+                        for point in points]
+                assert np.array_equal(np.ravel(got), each), (form, rbar, field)
+
+
+@pytest.mark.parametrize("density", [SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER])
+def test_a_scalar_density_is_its_array_entry(density):
+    # ``** 2`` calls libm pow on a numpy scalar and multiplies on an array,
+    # which can differ in the last bit; the density squares both one way
+    phi = 1.0 - np.random.default_rng(0).uniform(0.0, 1.0, 20000)
+    values = density(phi)
+    assert [density(float(x)) for x in phi] == list(values)
+    assert density(0.5762956484781898) == density([0.5762956484781898,
+                                                   1.0])[0]
 
 
 class TestMonotonicity:

@@ -5,12 +5,13 @@ The ops are the 228 of ``bench/workloads.cycle`` for every workload, seeds
 1-2, cycles 0-5, run in-process through ``cli.main``; manifests are left
 out, as they hold versions and flags.  The digests hold only on the Python
 and numpy versions they were made with; elsewhere the test skips.  A change
-that means to move outputs regenerates the file, and the diff of the file
-names the ops that moved:
+that means to move outputs regenerates the file, which prints the name of
+each op that moved and their count per template:
 
     python tests/test_output_digests.py --write
 """
 
+import collections
 import contextlib
 import hashlib
 import io
@@ -86,6 +87,14 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_output_digests.py --write")
     sys.path.insert(0, os.path.join(ROOT, "src"))
+    with open(DIGESTS) as f:
+        before = json.load(f)["ops"]
+    now = replay()
+    moved = [name for name in now if now[name] != before.get(name)]
+    print("\n".join(moved))
+    per_template = collections.Counter(name.split()[-1] for name in moved)
+    print(f"{len(moved)} ops moved:", ", ".join(
+        f"{template} {n}" for template, n in sorted(per_template.items())))
     with open(DIGESTS, "w") as f:
-        json.dump({"versions": versions(), "ops": replay()}, f, indent=1)
+        json.dump({"versions": versions(), "ops": now}, f, indent=1)
         f.write("\n")

@@ -177,9 +177,8 @@ class TestKernel:
         levels = water_levels(SHIFTED_SAMPLED_WIENER, rbars)
         for i, rbar in enumerate(rbars):
             point = solve_theta_for_rate(SHIFTED_SAMPLED_WIENER, rbar)
-            assert levels.theta[i] == pytest.approx(point.theta, rel=1e-14)
-            assert levels.distortion[i] == pytest.approx(point.distortion,
-                                                         rel=1e-14)
+            assert levels.theta[i] == point.theta
+            assert levels.distortion[i] == point.distortion
 
     @pytest.mark.parametrize("density", [SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER])
     def test_crossing_is_the_density_crossing(self, density):

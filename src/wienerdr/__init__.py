@@ -19,8 +19,7 @@ from .spectral import (EigenSystem, ParameterError, ProcessParams,
                        discrete_wiener_eigensystem,
                        discrete_wiener_eigenvalues,
                        interp_kernel_eigensystem, interp_kernel_eigenvalues)
-from .waterfill import (WaterfillPoint, distortion_at_theta, rate_at_theta,
-                        solve_theta_for_rate)
+from .waterfill import distortion_at_theta, rate_at_theta, solve_theta_for_rate
 
 __all__ = [
     "__version__", "ParameterError",
@@ -28,8 +27,7 @@ __all__ = [
     "SHIFTED_SAMPLED_WIENER",
     "EigenSystem", "discrete_wiener_eigenvalues", "discrete_wiener_eigensystem",
     "interp_kernel_eigenvalues", "interp_kernel_eigensystem",
-    "WaterfillPoint", "distortion_at_theta", "rate_at_theta",
-    "solve_theta_for_rate",
+    "distortion_at_theta", "rate_at_theta", "solve_theta_for_rate",
     "RateSpec", "DistortionBundle", "d_w", "d_bar", "mmse_fs", "d_opt",
     "d_tilde", "equilibrium_rbar", "g_fun", "d_ce", "d_upper", "ratio_smp",
     "ratio_qnt", "ce_penalty", "dr_asym_coeffs", "bundle",

@@ -163,10 +163,6 @@ class CeEstimate:
     def __post_init__(self):
         check_normal(**vars(self))
 
-    @property
-    def gap(self) -> float:
-        return self.upper - self.lower
-
 
 def effective_grid(params: ProcessParams, config: SimConfig) -> Tuple[int, float]:
     """(number of sampling intervals, effective horizon).

@@ -193,25 +193,23 @@ class SpectralDensity:
         """Infimum of the density over (0, 1], its value at phi = 1."""
         return 0.25 - self.shift
 
-    def cot_crossing(self, theta):
-        """(c, phic) at water level theta, as arrays.
-
-        phic is where the density equals theta; c = cot(pi phic / 2)
-        = sqrt(max{4 (theta - floor), 0}), so phic = (2/pi) arctan(1/c)
-        without cancellation, and phic = 1 at or below the floor.
-        """
-        return self._cot_crossing(theta, self.floor)
-
     @staticmethod
     def _cot_crossing(theta, floor):
-        """``cot_crossing`` over ``floor``: one density's, or a column of
-        floors, one per row of a stack of levels solved together."""
-        c = np.sqrt(np.maximum(4.0 * (theta - floor), 0.0))
+        """(c, phic) at water level theta over ``floor`` (one density's, or a
+        column of floors, one per row of a stack of levels solved together),
+        as arrays.
+
+        phic is where the density equals theta; c = cot(pi phic / 2)
+        = 2 sqrt(max{theta - floor, 0}), finite for every float theta, so
+        phic = (2/pi) arctan(1/c) without cancellation, and phic = 1 at or
+        below the floor.
+        """
+        c = 2.0 * np.sqrt(np.maximum(theta - floor, 0.0))
         return c, (2.0 / np.pi) * np.arctan2(1.0, c)
 
     def crossing(self, theta):
-        """The crossing phic in (0, 1] of ``cot_crossing``."""
-        return self.cot_crossing(theta)[1]
+        """The crossing phic in (0, 1] where the density equals theta."""
+        return self._cot_crossing(theta, self.floor)[1]
 
 
 SAMPLED_WIENER = SpectralDensity(0.0)

@@ -9,7 +9,7 @@ part counted toward distortion and the part above water counted toward rate:
 
 Rates are in bits per sample throughout; distortions carry the density's
 units (sigma2/fs).  The density supplies the crossing point phic, where
-S(phic) = theta, and c = cot(pi phic / 2) (``SpectralDensity.cot_crossing``;
+S(phic) = theta, and c = cot(pi phic / 2) (``SpectralDensity.crossing``;
 phic = 1 once theta sits at or below the density floor 1/4 - s).  Then
 
     distortion = theta phic + c / (2 pi) - s (1 - phic)
@@ -62,7 +62,6 @@ from .spectral import SpectralDensity, check_positive, read_real
 __all__ = [
     "MAX_RBAR",
     "MIN_RBAR",
-    "WaterfillPoint",
     "WaterLevels",
     "distortion_at_theta",
     "rate_at_theta",
@@ -96,14 +95,9 @@ _NEWTON_STEPS = 100
 #: leaves an error far below it
 _NEWTON_TOL = 1e-12
 
-
-@dataclass(frozen=True)
-class WaterfillPoint:
-    """A consistent (theta, rate, distortion) triple on one parametric curve."""
-
-    theta: float
-    rate: float
-    distortion: float
+#: (x - sin x) / x^3 = sum_k (-1)^k x^(2k) / (2k + 3)!, through x^15: for
+#: x = pi phic < 1/2 it gives g's phic - sin(x)/pi without cancellation
+_SINE_GAP = [(-1) ** k / math.factorial(2 * k + 3) for k in range(7)]
 
 
 @dataclass(frozen=True)
@@ -112,7 +106,8 @@ class WaterLevels:
 
     ``crossing`` is phic.  ``g`` and ``ce`` exist for the unshifted density
     only (None otherwise): g = integral of min{theta, S}/S
-    = 2 theta (phic - sin(pi phic)/pi) + 1 - phic, and the
+    = 2 theta (phic - sin(pi phic)/pi) + 1 - phic (the difference taken
+    from its series where pi phic < 1/2), and the
     compress-and-estimate term ce = integral of min{theta, S} (S - 1/6)/S
     = distortion - g/6.
     """
@@ -162,10 +157,6 @@ def _distortion(theta, c, phic, shift):
     return theta * phic + c / (2.0 * np.pi) - shift * (1.0 - phic)
 
 
-def _log_level(theta):
-    return np.log(check_positive("theta", theta, array=True))
-
-
 def _solve(densities, rbar) -> tuple:
     """The ``WaterLevels`` of each density at rbar, in one Newton pass.
 
@@ -206,7 +197,10 @@ def _solve(densities, rbar) -> tuple:
             f" steps (largest last step {np.max(np.abs(step)):.3g})")
     theta, c, phic = _state(log_theta, floor)
     distortion = _distortion(theta, c, phic, shift)
-    g = 2.0 * theta * (phic - np.sin(np.pi * phic) / np.pi) + (1.0 - phic)
+    x = np.pi * phic
+    series = x * np.polynomial.polynomial.polyval(x * x, _SINE_GAP)
+    g = np.where(x < 0.5, 2.0 * (theta * x * x) * series / np.pi,
+                 2.0 * theta * (phic - np.sin(x) / np.pi)) + (1.0 - phic)
     rows = zip(theta, phic, distortion, g, distortion - g / 6.0)
     # g and ce are the walk's: a shifted density's row keeps three fields
     return tuple(WaterLevels(*row[:3] if density.shift else row)
@@ -228,8 +222,10 @@ def water_levels(density: SpectralDensity, rbar) -> WaterLevels:
 
 
 def distortion_at_theta(density: SpectralDensity, theta):
-    """integral of min{theta, density} over (0, 1]; lies in (0, theta]."""
-    theta, c, phic = _state(_log_level(theta), density.floor)
+    """integral of min{theta, density} over (0, 1]; lies in (0, theta], and
+    is theta at or below the density floor."""
+    theta = check_positive("theta", theta, array=True)
+    c, phic = SpectralDensity._cot_crossing(theta, density.floor)
     return _distortion(theta, c, phic, density.shift)
 
 
@@ -240,17 +236,13 @@ def rate_at_theta(density: SpectralDensity, theta):
     integrable) and strictly positive, since both densities are unbounded
     near 0.
     """
-    log_theta = _log_level(theta)
-    _, _, phic = _state(log_theta, density.floor)
-    return _two_ln2_rate(log_theta, phic, density.shift) / (2.0 * _LN2)
+    theta = check_positive("theta", theta, array=True)
+    return _two_ln2_rate(np.log(theta), density.crossing(theta),
+                         density.shift) / (2.0 * _LN2)
 
 
 def solve_theta_for_rate(density: SpectralDensity,
-                         rate_bits_per_sample: float) -> WaterfillPoint:
-    """Invert the rate map at one rate: the ``water_levels`` solve, as floats."""
-    levels = water_levels(density, read_real("rate_bits_per_sample",
-                                             rate_bits_per_sample))
-    theta = float(levels.theta)
-    return WaterfillPoint(theta=theta,
-                          rate=float(rate_at_theta(density, theta)),
-                          distortion=float(levels.distortion))
+                         rate_bits_per_sample: float) -> WaterLevels:
+    """The ``water_levels`` of one rate, read as one number."""
+    return water_levels(density, read_real("rate_bits_per_sample",
+                                           rate_bits_per_sample))

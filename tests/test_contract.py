@@ -125,7 +125,7 @@ ROUTES = {
                       REAL),
     "solve_theta_for_rate": (
         lambda a: waterfill.solve_theta_for_rate(WALK, a.rate_bits_per_sample),
-        waterfill.WaterfillPoint),
+        waterfill.WaterLevels),
     "water_levels": (lambda a: waterfill.water_levels(WALK, a.rbar),
                      waterfill.WaterLevels),
     "sections": (lambda a: drf.sections(a.rbar), drf.Sections),
@@ -169,7 +169,6 @@ EXEMPT = {
     "DistortionBundle": "a result record that sweep builds",
     "Sections": "a result record that sections builds",
     "WaterLevels": "a result record that water_levels builds",
-    "WaterfillPoint": "a result record that solve_theta_for_rate builds",
     "MomentEstimate": "a result record of the Monte-Carlo runs",
     "CeEstimate": "a result record of ce_distortion_estimate",
     "check_normal": "checks the results that the routes build",

@@ -43,13 +43,13 @@ BANDS = {"low": (0.0, 0.1), "crossing": (0.1, 1.45), "high": (1.45, math.inf)}
 #: field in each band of ``BANDS``, as measured when the table was made and
 #: rounded up.  Newton's method in ln theta leaves theta a relative error of
 #: about |ln theta| 2^-53, so the outer bands, where |ln theta| reaches 700,
-#: allow hundreds of ulps; None marks a field that is lost there
+#: allow hundreds of ulps
 ULP_BOUNDS = {
     "shifted.theta": {"low": 429, "crossing": 7, "high": 588},
     "shifted.distortion": {"low": 247, "crossing": 9, "high": 588},
     "sampled.theta": {"low": 429, "crossing": 5, "high": 497},
     "sampled.distortion": {"low": 247, "crossing": 4, "high": 497},
-    "sampled.g": {"low": None, "crossing": 3, "high": 497},
+    "sampled.g": {"low": 1, "crossing": 3, "high": 497},
     "sampled.ce": {"low": 247, "crossing": 6, "high": 500},
 }
 
@@ -150,9 +150,6 @@ def test_kernel_within_its_ulp_bound(ulp_errors, name, band):
     low, high = BANDS[band]
     rbar = ulp_errors["rbar"]
     worst = np.max(ulp_errors[name][(low < rbar) & (rbar <= high)])
-    if ULP_BOUNDS[name][band] is None:
-        pytest.xfail("g = 2 theta (phic - sin(pi phic)/pi) + 1 - phic cancels"
-                     " for small phic: g_fun(1.34e-116) is 3.3e99, not 1")
     assert worst <= ULP_BOUNDS[name][band], worst
 
 

@@ -660,8 +660,9 @@ class TestCeDistortionEstimate:
         assert est.estimate == pytest.approx(1.0 / 3.0, rel=0.01)
 
     def test_gap_shrinks_with_blocklength(self):
-        gaps = [ce_distortion_estimate(UNIT, n, 2.0).gap
-                for n in (64, 128, 256, 512)]
+        estimates = [ce_distortion_estimate(UNIT, n, 2.0)
+                     for n in (64, 128, 256, 512)]
+        gaps = [est.upper - est.lower for est in estimates]
         assert gaps == sorted(gaps, reverse=True)
         assert all(g > 0 for g in gaps)
 

@@ -3,6 +3,7 @@ closed-form kernel's inversion checked against that oracle."""
 
 import functools
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -110,10 +111,17 @@ class TestSolve:
 
     def test_point_is_consistent_triple(self):
         point = solve_theta_for_rate(SAMPLED_WIENER, 0.7)
-        assert point.rate == pytest.approx(
-            rate_at_theta(SAMPLED_WIENER, point.theta), abs=1e-14)
         assert point.distortion == pytest.approx(
-            distortion_at_theta(SAMPLED_WIENER, point.theta), abs=1e-14)
+            waterfill.distortion_at_theta(SAMPLED_WIENER, point.theta),
+            abs=1e-14)
+
+    @pytest.mark.parametrize("density", [SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER])
+    def test_is_the_water_levels_of_one_rate(self, density):
+        for rate in (MIN_RBAR, 1e-4, 0.3, 1.2, 300.0, MAX_RBAR):
+            point = solve_theta_for_rate(density, rate)
+            for field, want in vars(water_levels(density, rate)).items():
+                got = getattr(point, field)
+                assert type(got) is type(want) and got == want
 
     @pytest.mark.parametrize("rate", [0.0, -1.0])
     def test_rejects_non_positive_rate(self, rate):
@@ -229,6 +237,24 @@ class TestKernel:
         levels = water_levels(density, np.geomspace(MIN_RBAR, MAX_RBAR, 20000))
         assert np.all(np.diff(levels.theta) < 0)
         assert np.all(np.diff(levels.distortion) < 0)
+
+
+@given(st.floats(min_value=5e-324, max_value=sys.float_info.max))
+@example(0.08243292912477304)   # below both floors
+@example(0.02747764304159102)
+@example(1.0 / 12.0)
+@example(0.25)
+@example(5e-324)
+@example(sys.float_info.max)
+@settings(max_examples=200, deadline=None)
+def test_distortion_at_theta_lies_in_zero_to_theta(theta):
+    """The kernel's D(theta) at theta itself: in (0, theta] over every
+    positive float, and theta exactly at or below the density floor."""
+    for density in (SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER):
+        distortion = waterfill.distortion_at_theta(density, theta)
+        assert 0.0 < distortion <= theta
+        if theta <= density.floor:
+            assert distortion == theta
 
 
 def series_theta(rbar: float, shift: float):

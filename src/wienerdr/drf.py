@@ -56,7 +56,6 @@ __all__ = [
     "ratio_smp",
     "ratio_qnt",
     "ce_penalty",
-    "dr_asym_coeffs",
     "bundle",
     "sections",
     "sweep",
@@ -281,21 +280,3 @@ def ce_penalty(rbar):
     """Penalty of compress-first encoding: d_ce / d_opt (fs-free)."""
     return sections(rbar).ce_penalty
 
-
-def dr_asym_coeffs(order: str) -> dict:
-    """Series coefficients of the high-sampling-rate expansions.
-
-    ``first`` returns the leading R**-1 coefficient (shared by d_bar and
-    d_opt); ``second`` the R/fs**2 coefficients of d - d_w, keyed by curve.
-    The second-order values follow from the small-phic expansion of the
-    closed forms: with x = pi phic, the walk has
-    rbar = x (1 - x**2/36) / (pi ln2) and d_bar fs/sigma2 = 2/(pi x) + O(x**3),
-    the interpolator rbar = x (1 + x**2/36) / (pi ln2) and
-    d_opt fs/sigma2 = 2/(pi x) + O(x**3), so d_bar - d_w = -(ln2/18) R/fs**2
-    and d_opt - d_w = +(ln2/18) R/fs**2 to leading order.
-    """
-    if order == "first":
-        return {"d_bar": _DW_COEF, "d_opt": _DW_COEF}
-    if order == "second":
-        return {"d_bar": -math.log(2.0) / 18.0, "d_opt": math.log(2.0) / 18.0}
-    raise ValueError(f"order must be 'first' or 'second', got {order!r}")

@@ -53,7 +53,7 @@ from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .spectral import (MAX_COUNT, ParameterError, ProcessParams, _ldexp,
+from .spectral import (MAX_COUNT, ParameterError, ProcessParams,
                        check_count, check_normal, check_positive,
                        discrete_wiener_eigenvalues, read_int, read_real, unit)
 
@@ -62,7 +62,6 @@ __all__ = [
     "ErrorMoments",
     "MomentEstimate",
     "CeEstimate",
-    "effective_grid",
     "empirical_mmse",
     "lemma_bounds",
     "finite_waterfill_theta",
@@ -164,23 +163,11 @@ class CeEstimate:
         check_normal(**vars(self))
 
 
-def effective_grid(params: ProcessParams, config: SimConfig) -> Tuple[int, float]:
-    """(number of sampling intervals, effective horizon).
-
-    The horizon is rounded up so that horizon * fs is a positive integer n;
-    the effective value n ts is reported back instead of being silently
-    absorbed, formed through ``spectral.unit`` so it is n/fs wherever that
-    is a normal float and is refused as ``horizon`` past the floats.
-    """
-    n = _interval_count(params, config)
-    ratio, exp = unit(n, params.fs)
-    return n, float(_ldexp("horizon", ratio, exp))
-
-
 def _interval_count(params: ProcessParams, config: SimConfig) -> int:
-    """The n of ``effective_grid``, without the horizon that a run never
-    reads.  An n past ``MAX_COUNT``, or a trial row of n (oversample + 2)
-    floats past sys.maxsize bytes, is refused."""
+    """The number n of sampling intervals in a run: horizon_t fs rounded
+    up, or rounded to nearest when it lies within 1e-9 of an integer, and
+    at least 1.  An n past ``MAX_COUNT``, or a trial row of n
+    (oversample + 2) floats past sys.maxsize bytes, is refused."""
     raw = config.horizon_t * params.fs
     if raw > MAX_COUNT or 8 * raw * (config.oversample + 2) > sys.maxsize:
         raise ParameterError(_row_field(params, config),

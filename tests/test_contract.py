@@ -48,7 +48,6 @@ VALUES = {
     "second": arrays(st.floats(0.25, 4.0), 3, 3),
     "cross": arrays(st.floats(-0.25, 0.25), 2, 2),
     "shift": st.sampled_from((0.0, 1.0 / 6.0)),
-    "order": st.sampled_from(("first", "second")),
 }
 
 
@@ -135,9 +134,6 @@ ROUTES = {
     "d_w": (lambda a: drf.d_w(rate(a), a.sigma2), float),
     "mmse_fs": (lambda a: drf.mmse_fs(params(a)), float),
     "equilibrium_rbar": (lambda a: drf.equilibrium_rbar(), float),
-    "dr_asym_coeffs": (lambda a: drf.dr_asym_coeffs(a.order), dict),
-    "effective_grid": (lambda a: mc.effective_grid(params(a), config(a)),
-                       tuple),
     "empirical_mmse": (lambda a: mc.empirical_mmse(params(a), config(a)),
                        mc.MomentEstimate),
     "mc_test_channel_run": (

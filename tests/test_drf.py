@@ -13,8 +13,8 @@ import wienerdr.drf as drf
 from oracle import ce_integral
 from wienerdr.drf import (DistortionBundle, RateSpec, bundle, ce_penalty,
                           d_bar, d_ce, d_opt, d_tilde, d_upper, d_w,
-                          dr_asym_coeffs, equilibrium_rbar, g_fun, mmse_fs,
-                          ratio_qnt, ratio_smp)
+                          equilibrium_rbar, g_fun, mmse_fs, ratio_qnt,
+                          ratio_smp)
 from wienerdr.mc import CeEstimate, ErrorMoments, lemma_bounds
 from wienerdr.spectral import (SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER,
                                ProcessParams)
@@ -204,19 +204,13 @@ def _richardson_fs2_coefficient(curve) -> float:
 
 class TestAsymCoeffs:
     def test_catalog(self):
-        first = dr_asym_coeffs("first")
+        # d = d_w + c R/fs^2 + ..., with d_w = 2 sigma2/(pi^2 ln2 R) and
+        # c = -ln2/18 for d_bar, +ln2/18 for d_opt; the README derives c
         lead = 2.0 / (math.pi ** 2 * math.log(2.0))
-        assert first["d_bar"] == pytest.approx(lead, rel=1e-14)
-        assert first["d_opt"] == pytest.approx(lead, rel=1e-14)
-        second = dr_asym_coeffs("second")
-        assert second["d_bar"] == pytest.approx(-math.log(2.0) / 18.0, abs=1e-7)
-        assert second["d_opt"] == pytest.approx(0.0385082, abs=1e-7)
-        curves = {"d_bar": d_bar, "d_opt": d_opt}
-        for name, value in second.items():
-            assert value == pytest.approx(
-                _richardson_fs2_coefficient(curves[name]), rel=1e-5)
-        with pytest.raises(ValueError):
-            dr_asym_coeffs("third")
+        assert d_w(RateSpec(1.0), 1.0) == pytest.approx(lead, rel=1e-14)
+        for curve, sign in ((d_bar, -1.0), (d_opt, 1.0)):
+            assert sign * math.log(2.0) / 18.0 == pytest.approx(
+                _richardson_fs2_coefficient(curve), rel=1e-5)
 
 
 class TestBundle:

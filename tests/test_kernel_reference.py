@@ -15,9 +15,13 @@ c = cot(pi phic / 2), with phic = (2/pi) arctan(1/c):
 
 with s = 0 for the walk (whose integral vanishes) and 1/6 for the
 interpolator; past each density's border rate the level is saturated,
-theta = D = K 2^(-2 rbar) with K = 1 and (2 + sqrt 3)/6.  The table is
-written with mpmath at 60 digits, c solved by bisection and then a
-bracketing root finder; the test only reads it, so it needs no mpmath:
+theta = D = K 2^(-2 rbar) with K = 1 and (2 + sqrt 3)/6.  It also holds
+both densities' rate at about 300 water levels theta, where
+c^2 = 4 (theta + s) - 1 (phic = 1 at or below the floor 1/4 - s).  The
+table is written with mpmath at 60 digits, Cl2 from its series, and c
+solved by bisection and then secant steps on the relative residual
+rate / rbar - 1, which stays of order one where the rate itself is as
+small as 1e-154; the test only reads it, so it needs no mpmath:
 
     python tests/test_kernel_reference.py --write
 """
@@ -45,13 +49,19 @@ BANDS = {"low": (0.0, 0.1), "crossing": (0.1, 1.45), "high": (1.45, math.inf)}
 #: about |ln theta| 2^-53, so the outer bands, where |ln theta| reaches 700,
 #: allow hundreds of ulps
 ULP_BOUNDS = {
-    "shifted.theta": {"low": 429, "crossing": 7, "high": 588},
-    "shifted.distortion": {"low": 247, "crossing": 9, "high": 588},
-    "sampled.theta": {"low": 429, "crossing": 5, "high": 497},
-    "sampled.distortion": {"low": 247, "crossing": 4, "high": 497},
+    "shifted.theta": {"low": 244, "crossing": 7, "high": 588},
+    "shifted.distortion": {"low": 148, "crossing": 9, "high": 588},
+    "sampled.theta": {"low": 244, "crossing": 5, "high": 497},
+    "sampled.distortion": {"low": 148, "crossing": 4, "high": 497},
     "sampled.g": {"low": 1, "crossing": 3, "high": 497},
-    "sampled.ce": {"low": 247, "crossing": 6, "high": 500},
+    "sampled.ce": {"low": 148, "crossing": 6, "high": 500},
 }
+
+#: the largest error of ``waterfill.rate_at_theta`` over the table's levels,
+#: in ulps of the rate, rounded up.  Above theta ~ 1e2 the rate's terms
+#: -2 ln(pi phic) and -ln theta, each near |ln theta| (up to about 700),
+#: cancel down to about 2, so the rate keeps about |ln theta| 2^-53 of error
+RATE_ULP_BOUNDS = {"shifted.rate": 297, "sampled.rate": 297}
 
 
 def reference_rbar():
@@ -70,22 +80,51 @@ def reference_rbar():
     return sorted(set(float(x) for x in rbar))
 
 
+def reference_theta():
+    """The table's water levels for ``rate_at_theta``, ascending: 300
+    log-uniform over [1e2, 1e308], where the rate's two logarithms cancel
+    most, and five at or below a density floor (1/4 for the walk, 1/12 for
+    the interpolator)."""
+    draws = 10.0 ** np.random.default_rng(0).uniform(2, 308, 300)
+    floors = {1e-300, 1e-10, 0.01, 0.08, 0.25}
+    return sorted({float(x) for x in draws} | floors)
+
+
 def write():
-    """Solve every rbar of ``reference_rbar`` in mpmath and write the table."""
+    """Solve every rbar of ``reference_rbar``, and evaluate the rate at every
+    theta of ``reference_theta``, in mpmath and write the table."""
     import mpmath as mp
+
+    def clausen(z):
+        # Cl2(z) = z - z ln z + sum_k zeta(2k) z^(2k+1) / (k (2k+1) (2 pi)^2k)
+        # for 0 < z <= pi; mp.clsin loses up to 25 of 60 digits for z
+        # between 1e-40 and 1e-5, which the series keeps
+        total, k, ratio = z - z * mp.log(z), 1, (z / (2 * mp.pi)) ** 2
+        power = z * ratio
+        while True:
+            term = mp.zeta(2 * k) * power / (k * (2 * k + 1))
+            total += term
+            if term < mp.eps * z:
+                return total
+            k, power = k + 1, power * ratio
+
+    def two_ln2_rate(s, theta, phic):
+        rate = 2 / mp.pi * clausen(mp.pi * phic) - phic * mp.log(theta)
+        if s:
+            rate += mp.quad(lambda phi: mp.log(
+                1 - 4 * s * mp.sin(mp.pi * phi / 2) ** 2), [0, phic])
+        return rate
 
     def density(s, rbar):
         target = 2 * mp.log(2) * rbar
 
         def point(log_c):
+            # the residual is relative: below rbar ~ 1e-50 the rate is far
+            # smaller than any absolute tolerance the root finder would take
             c = mp.exp(log_c)
             phic = 2 / mp.pi * mp.atan(1 / c)
             theta = (1 + c * c) / 4 - s
-            rate = 2 / mp.pi * mp.clsin(2, mp.pi * phic) - phic * mp.log(theta)
-            if s:
-                rate += mp.quad(lambda phi: mp.log(
-                    1 - 4 * s * mp.sin(mp.pi * phi / 2) ** 2), [0, phic])
-            return c, phic, theta, rate - target
+            return c, phic, theta, two_ln2_rate(s, theta, phic) / target - 1
 
         saturation = 1 if s == 0 else (2 + mp.sqrt(3)) / 6
         if rbar >= mp.log(saturation / (mp.mpf(1) / 4 - s), 2) / 2:
@@ -100,9 +139,9 @@ def write():
                     low = middle
                 else:
                     high = middle
-        log_c = mp.findroot(lambda u: point(u)[3], (low, high),
-                            solver="anderson")
-        c, phic, theta, _ = point(log_c)
+        log_c = mp.findroot(lambda u: point(u)[3], (low, high))   # secant
+        c, phic, theta, residual = point(log_c)
+        assert abs(residual) < mp.mpf(10) ** (10 - mp.mp.dps), (rbar, residual)
         d = theta * phic + c / (2 * mp.pi) - s * (1 - phic)
         # phic - sin(pi phic) / pi ~ pi^2 phic^3 / 6 cancels 2 log10(1/phic)
         # digits, which the working precision gains back
@@ -110,37 +149,53 @@ def write():
             g = 2 * theta * (phic - mp.sin(mp.pi * phic) / mp.pi) + 1 - phic
         return theta, d, g, d - g / 6
 
-    table = {name: [] for name in ULP_BOUNDS}
-    table["rbar"] = reference_rbar()
+    def rate(s, theta):
+        square = 4 * (theta + s) - 1   # c^2, <= 0 at or below the floor
+        phic = 2 / mp.pi * mp.atan(1 / mp.sqrt(square)) if square > 0 else 1
+        return two_ln2_rate(s, theta, mp.mpf(phic)) / (2 * mp.log(2))
+
+    table = {name: [] for name in (*ULP_BOUNDS, *RATE_ULP_BOUNDS)}
+    table["rbar"], table["theta"] = reference_rbar(), reference_theta()
     with mp.workdps(60):
         for rbar in table["rbar"]:
             fields = (density(mp.mpf(1) / 6, mp.mpf(rbar))[:2]
                       + density(mp.mpf(0), mp.mpf(rbar)))
             for name, value in zip(ULP_BOUNDS, fields):
                 table[name].append(mp.nstr(value, 40))
+        for theta in table["theta"]:
+            for name, s in zip(RATE_ULP_BOUNDS, (mp.mpf(1) / 6, mp.mpf(0))):
+                table[name].append(mp.nstr(rate(s, mp.mpf(theta)), 40))
     with open(REFERENCE, "w") as f:
         json.dump(table, f, indent=1)
         f.write("\n")
 
 
+def ulps(got, want) -> np.ndarray:
+    """|got - want| / ulp(want) at each entry, ``want`` as decimal strings."""
+    return np.array([float(abs(Fraction(float(x)) - Fraction(w))
+                           / Fraction(math.ulp(float(w))))
+                     for x, w in zip(got, want)])
+
+
 @pytest.fixture(scope="module")
-def ulp_errors() -> dict:
-    """|computed - reference| / ulp(reference) of each field at each rbar of
-    the table, with ``drf.sections`` solving them as one array."""
+def table() -> dict:
+    with open(REFERENCE) as f:
+        return json.load(f)
+
+
+@pytest.fixture(scope="module")
+def ulp_errors(table) -> dict:
+    """The ``ulps`` of each field at each rbar of the table, with
+    ``drf.sections`` solving them as one array."""
     from wienerdr import drf
 
-    with open(REFERENCE) as f:
-        table = json.load(f)
     curves = drf.sections(np.array(table["rbar"]))
     errors = {"rbar": np.array(table["rbar"])}
     for name in ULP_BOUNDS:
         got = curves
         for part in name.split("."):
             got = getattr(got, part)
-        errors[name] = np.array([
-            float(abs(Fraction(float(x)) - Fraction(want))
-                  / Fraction(math.ulp(float(want))))
-            for x, want in zip(got, table[name])])
+        errors[name] = ulps(got, table[name])
     return errors
 
 
@@ -151,6 +206,18 @@ def test_kernel_within_its_ulp_bound(ulp_errors, name, band):
     rbar = ulp_errors["rbar"]
     worst = np.max(ulp_errors[name][(low < rbar) & (rbar <= high)])
     assert worst <= ULP_BOUNDS[name][band], worst
+
+
+@pytest.mark.parametrize("name", RATE_ULP_BOUNDS)
+def test_rate_within_its_ulp_bound(table, name):
+    from wienerdr.spectral import SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER
+    from wienerdr.waterfill import rate_at_theta
+
+    density = SHIFTED_SAMPLED_WIENER if name == "shifted.rate" \
+        else SAMPLED_WIENER
+    worst = np.max(ulps(rate_at_theta(density, np.array(table["theta"])),
+                        table[name]))
+    assert worst <= RATE_ULP_BOUNDS[name], worst
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from wienerdr import mc
 from wienerdr.cli import main
 from wienerdr.drf import g_fun
 from wienerdr.mc import (ErrorMoments, SimConfig, ce_distortion_estimate,
-                         ce_moment_oracle, effective_grid, empirical_mmse,
+                         ce_moment_oracle, empirical_mmse,
                          finite_waterfill_theta, lemma_bounds,
                          mc_test_channel_run)
 from wienerdr.spectral import (ProcessParams, discrete_wiener_eigensystem,
@@ -40,7 +40,7 @@ def paths(params, cfg, trials, drawn=None):
     """(fine path, samples, interpolant) rows: chords plus the bridges of
     ``drawn``, a unit-variance (bridge, rise) of ``mc._intervals``, or of
     ``trials``, scaled to fine steps of variance sigma2 ts / oversample."""
-    n, _ = effective_grid(params, cfg)
+    n = mc._interval_count(params, cfg)
     bridge, rise = drawn or mc._intervals(n, cfg.oversample, trials,
                                           mc._TrialStreams(cfg.seed))[:2]
     step = math.sqrt(params.sigma2 * params.ts / cfg.oversample)
@@ -94,25 +94,16 @@ class TestConfig:
 
     def test_effective_grid_rounds_up(self):
         cfg = SimConfig(horizon_t=3.5, oversample=8, trials=1, seed=0)
-        assert effective_grid(UNIT, cfg) == (4, 4.0)
+        assert mc._interval_count(UNIT, cfg) == 4
         cfg = SimConfig(horizon_t=8.0, oversample=8, trials=1, seed=0)
-        assert effective_grid(ProcessParams(1.0, 2.0), cfg) == (16, 8.0)
+        assert mc._interval_count(ProcessParams(1.0, 2.0), cfg) == 16
 
     def test_effective_grid_has_at_least_one_interval(self):
         for horizon in (1e-10, 1e-300, 5e-324):
             cfg = SimConfig(horizon_t=horizon, oversample=8, trials=1, seed=0)
-            assert effective_grid(UNIT, cfg) == (1, 1.0)
+            assert mc._interval_count(UNIT, cfg) == 1
         cfg = SimConfig(horizon_t=1e-10, oversample=8, trials=1, seed=0)
-        assert effective_grid(ProcessParams(1.0, 4.0), cfg) == (1, 0.25)
-
-    @pytest.mark.parametrize("fs", [3.0, 0.7, 1e-300, 1e300, 1e-303])
-    def test_effective_horizon_is_n_over_fs(self, fs):
-        # bit for bit wherever n/fs is a normal float
-        for horizon in (0.3, 2.5, 1e5):
-            cfg = SimConfig(horizon_t=horizon / fs, oversample=2, trials=1,
-                            seed=0)
-            n, got = effective_grid(ProcessParams(1.0, fs), cfg)
-            assert type(got) is float and got == n / fs
+        assert mc._interval_count(ProcessParams(1.0, 4.0), cfg) == 1
 
     @pytest.mark.parametrize("fs,horizon,scheme,line", [
         (1e-310, 0.5, "mmse-only", "estimate=1571642799.21332 "
@@ -121,11 +112,7 @@ class TestConfig:
          "stderr=29557470.3782941 reference=26562500 z=1.34465934276041")])
     def test_a_horizon_past_the_floats_is_refused_and_runs_answer(
             self, tmp_path, capsys, fs, horizon, scheme, line):
-        # n ts is inf, refused by name; the runs read n alone and answer
-        cfg = SimConfig(horizon_t=horizon, oversample=2, trials=2, seed=1)
-        with pytest.raises(FloatingPointError,
-                           match="^horizon is past the floating-point range$"):
-            effective_grid(ProcessParams(1.0, fs), cfg)
+        # n ts is past the floats; the runs read n alone and answer
         argv = ["simulate", "--scheme", scheme, "--rbar", "1",
                 "--sigma2", "1e-300", "--fs", str(fs), "--horizon",
                 str(horizon), "--oversample", "2", "--trials", "2",

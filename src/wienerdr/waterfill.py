@@ -28,24 +28,26 @@ inverts the rate map by Newton's method in ln theta, which bounds theta's
 relative error by about |ln theta| 2^-53.  One kernel does every solve: it
 takes a stack of levels with one row per density, so ``drf.sections``
 solves both densities of a sweep in one pass and ``water_levels`` is that
-pass over one density.  Each entry stops stepping on its own step and sums
-its own nodes, so a level depends on its density and rbar alone, bit for
-bit the same in any array and as a scalar.  The rate is convex in ln theta,
-so a start above the root overshoots once to below it and then climbs
-monotonically.  Each entry starts from one of three forms, which keeps
-every solve over [MIN_RBAR, MAX_RBAR] within four rate evaluations:
+pass over one density.  It walks the flattened rbar in blocks of a fixed
+number of entries, so its temporaries are bounded by one block whatever
+the grid's length.  Every entry starts from the same closed form, takes the
+same two Newton steps, at one rate evaluation each, and sums its own nodes,
+so a level depends on its density and rbar alone, bit for bit the same in
+any array and as a scalar.
 
-* at or past the border rate r_b = (1/2) log2(K / floor), where theta
-  reaches the floor (r_b = 1 for s = 0, log2(1 + sqrt 3) ~ 1.449984 for
-  s = 1/6), the exact saturated level ln theta = ln K - 2 rbar ln2, with
-  K = 1 for s = 0 and (2 + sqrt 3)/6 for s = 1/6;
-* between 0.65 r_b and r_b, the border expansion
-  2 ln2 (r_b - rbar) = ln(1 + delta/floor) - (8 / (3 pi floor)) delta^(3/2)
-  in delta = theta - floor, taken through one fixed-point pass (it adds
-  nothing once rbar >= r_b, where it reduces to the saturated level);
-* below 0.65 r_b, the small-phic series pi ln2 rbar = x (1 - x^2/36) for
-  s = 0 and x (1 + x^2/36) for s = 1/6 in x = pi phic, inverted for x by
-  one fixed-point pass from x = pi ln2 rbar; then theta = S(x / pi).
+theta reaches the floor at the border rate r_b = (1/2) log2(K / floor), with
+K = 1 for s = 0 and (2 + sqrt 3)/6 for s = 1/6 (r_b = 1 and
+log2(1 + sqrt 3) ~ 1.449984); at and past it the level is the saturated
+K 2^(-2 rbar), which replaces the Newton iterate.  Below it, c is analytic
+in v = sqrt(r_b - rbar) near r_b and grows as 2 / (pi ln2 rbar) near
+rbar = 0, so rbar c / v is smooth over 0 <= v <= sqrt(r_b), and one
+polynomial of degree 12 in v per density starts Newton at c, and
+theta = c^2/4 + floor, to within 5e-9 max{1, |ln theta|} in ln theta (at
+and past r_b it starts at the floor).  After the second step s, Newton's
+error bound f'' s^2 / (2 phic), with f'' = theta / (pi c (theta + s)) the
+curvature of 2 ln2 rate in ln theta, lies below 2^-52 max{1, |ln theta|} over
+[MIN_RBAR, MAX_RBAR] with a margin of more than 10^8; an entry that misses
+it raises FloatingPointError.
 """
 
 from __future__ import annotations
@@ -57,7 +59,8 @@ from typing import Optional
 
 import numpy as np
 
-from .spectral import SpectralDensity, check_positive, read_real
+from .spectral import (SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER,
+                       SpectralDensity, check_positive, read_real)
 
 __all__ = [
     "MAX_RBAR",
@@ -85,19 +88,44 @@ _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(24)
 _NODES = 0.5 * (_NODES + 1.0)   # the rule moved onto [0, 1]
 _WEIGHTS = 0.5 * _WEIGHTS
 
-#: Newton starts from the small-phic series below this share of the border
-#: rate and from the border expansion above it
-_SERIES_SHARE = 0.65
+#: Newton's start, rbar c / (2 v) as a polynomial of degree 12 in
+#: v = sqrt(r_b - rbar), by density shift, lowest power first: half the
+#: least-squares Chebyshev fit of rbar c / v over 0 <= v <= sqrt(r_b) to the
+#: 40-digit levels of ``tests/kernel_reference.json`` below r_b
+_START = {
+    0.0: (0.5887050111692591, 0.1470930218842314, -0.2928898146788513,
+          0.07046599823735494, -0.06601952272407174, 0.07087134186473211,
+          -0.20739417342026256, 0.4638659745244864, -0.7457079690287138,
+          0.8102107957296459, -0.5735650469160164, 0.23855463179051595,
+          -0.04496615415539668),
+    1.0 / 6.0: (0.4928337134700689, 0.07109772251405505, -0.14358821241727787,
+                0.04667388232153988, -0.04641337354391696,
+                0.061954506929610305, -0.1576864124002863,
+                0.30015713524754606, -0.40818318552221555, 0.3755045505994167,
+                -0.22441140739092266, 0.07853152219727019,
+                -0.012152767222013373),
+}
+_START_POWERS = np.arange(13)
 
-_NEWTON_STEPS = 100
-#: Newton stops once a step moves ln theta by less than this (relative to
-#: max{1, |ln theta|}); convergence is quadratic, so the last step applied
-#: leaves an error far below it
-_NEWTON_TOL = 1e-12
+#: a density's row in a stack of levels, by its shift: the shift, the floor,
+#: the saturated factor K, the border rate r_b = (1/2) log2(K / floor) and
+#: the start's coefficients
+_ROW = {d.shift: np.array([d.shift, d.floor, factor,
+                           0.5 * math.log2(factor / d.floor), *_START[d.shift]])
+        for d, factor in ((SAMPLED_WIENER, 1.0),
+                          (SHIFTED_SAMPLED_WIENER, _SHIFTED_SATURATION))}
+
+#: Newton's error bound after its second step, relative to max{1, |ln theta|}
+_NEWTON_TOL = 2.0 ** -52
+
+#: the rbar entries solved as one block of array operations
+_BLOCK = 4096
 
 #: (x - sin x) / x^3 = sum_k (-1)^k x^(2k) / (2k + 3)!, through x^15: for
 #: x = pi phic < 1/2 it gives g's phic - sin(x)/pi without cancellation
-_SINE_GAP = [(-1) ** k / math.factorial(2 * k + 3) for k in range(7)]
+_SINE_GAP = np.array([(-1) ** k / math.factorial(2 * k + 3)
+                      for k in range(7)])
+_SINE_POWERS = np.arange(7)
 
 
 @dataclass(frozen=True)
@@ -119,101 +147,115 @@ class WaterLevels:
     ce: Optional[np.ndarray] = None
 
 
-def _state(log_theta, floor):
-    """(theta, c, phic) at the level ln theta over the density floor ``floor``
-    (a float, or a column of one per row); c = cot(pi phic / 2)."""
-    theta = np.exp(log_theta)
-    return (theta, *SpectralDensity._cot_crossing(theta, floor))
-
-
 def _two_ln2_rate(log_theta, phic, shift):
     """2 ln2 times the rate in bits per sample at levels of any shape, with
-    ``shift`` broadcast against them.  Each entry sums its own 24 nodes, in
-    an order that does not depend on the shape."""
+    ``shift`` broadcast against them and their 24 nodes, which take a last
+    axis.  Each entry sums its own nodes, in an order that does not depend
+    on the shape."""
     half = np.multiply.outer(0.5 * np.pi * phic, _NODES)
     sin2 = np.square(np.sin(half))
-    terms = np.log((1.0 - 4.0 * np.expand_dims(shift, -1) * sin2)
+    terms = np.log((1.0 - 4.0 * shift * sin2)
                    * half * half / sin2)
     smooth = np.add.reduce(terms * _WEIGHTS, axis=-1)
     return phic * (2.0 - 2.0 * np.log(np.pi * phic) - log_theta + smooth)
 
 
-def _start(density: SpectralDensity, target):
-    """Newton's first ln theta where 2 ln2 rbar = target: the saturated level
-    plus the border correction, or the inverted small-phic series below
-    ``_SERIES_SHARE`` of the border rate (see the module docstring)."""
-    shift, floor = density.shift, density.floor
-    log_saturated = math.log(_SHIFTED_SATURATION) if shift else 0.0
-    border = log_saturated - math.log(floor)   # 2 ln2 r_b
-    delta = floor * np.expm1(np.maximum(border - target, 0.0))
-    near = log_saturated - target + 8.0 / (3.0 * np.pi * floor) * delta ** 1.5
-    y = 0.5 * np.pi * np.minimum(target, _SERIES_SHARE * border)   # pi ln2 rbar
-    x = y / (1.0 + (1.0 if shift else -1.0) * y * y / 36.0)
-    return np.where(target < _SERIES_SHARE * border,
-                    np.log(density(x / np.pi)), near)
+def _columns(densities) -> tuple:
+    """The ``_ROW`` of each density as columns: shift, floor, K and r_b each
+    of shape (rows, 1), and the start's coefficients of shape (rows, 1, 13)."""
+    table = np.array([_ROW[density.shift] for density in densities])
+    return (*table.T[:4, :, np.newaxis], table[:, np.newaxis, 4:])
+
+
+def _start(rbar, border, floor, coefficients) -> tuple:
+    """Newton's first ln theta at rbar, a row against columns, and its
+    crossing: c/2 = v P(v) / rbar with P of ``_START``,
+    theta = c^2/4 + floor and phic = (2/pi) arctan(1/c); at and past the
+    border rate v = 0, so theta is the floor."""
+    v = np.sqrt(np.maximum(border - rbar, 0.0))
+    half_c = v * np.add.reduce(np.power(v[..., np.newaxis], _START_POWERS)
+                               * coefficients, axis=-1) / rbar
+    return (np.log(np.square(half_c) + floor),
+            (2.0 / np.pi) * np.arctan2(0.5, half_c))
 
 
 def _distortion(theta, c, phic, shift):
     return theta * phic + c / (2.0 * np.pi) - shift * (1.0 - phic)
 
 
-def _solve(densities, rbar) -> tuple:
-    """The ``WaterLevels`` of each density at rbar, in one Newton pass.
-
-    The levels are solved as one stack with a row per density, so each
-    array operation serves all of them.  Each entry stops stepping once its
-    own step is below the tolerance, so every entry is bit for bit the solve
-    of its density at its rbar alone.
-    """
-    rbar = read_real("rbar", rbar, array=True)
-    if not np.logical_and.reduce(rbar > 0, axis=None):
-        raise ValueError("rate must be > 0")
-    if np.logical_or.reduce(rbar < MIN_RBAR, axis=None):
+def _solve_block(rbar, columns, out):
+    """Write theta, phic, distortion, g and ce of each density (a row of
+    ``columns``) at the flat rbar into ``out``, of shape (5, rows, n)."""
+    shift, floor, saturation, border, coefficients = columns
+    target = 2.0 * _LN2 * rbar
+    log_theta, phic = _start(rbar, border, floor, coefficients)
+    nodes_shift = shift[..., np.newaxis]
+    log_theta = log_theta + (_two_ln2_rate(log_theta, phic, nodes_shift)
+                             - target) / phic
+    theta = np.exp(log_theta)
+    c, phic = SpectralDensity._cot_crossing(theta, floor)
+    step = (_two_ln2_rate(log_theta, phic, nodes_shift) - target) / phic
+    log_theta = log_theta + step
+    # Newton's error after the step is about f'' step^2 / (2 phic), with
+    # f'' = theta / (pi c (theta + shift)) the curvature of the rate in
+    # ln theta, and f'' = 0 on the flat side of the floor (c = 0)
+    scale = np.maximum(1.0, np.abs(log_theta))
+    bounded = ((step * step * (theta / (theta + shift))
+                <= (2.0 * np.pi * _NEWTON_TOL) * scale * c * phic) | (c == 0))
+    if not np.logical_and.reduce(bounded, axis=None):
+        missed = rbar[np.argmin(np.logical_and.reduce(bounded, axis=0))]
         raise FloatingPointError(
-            f"{np.min(rbar):.6g} bits per sample is below the supported minimum"
-            f" {MIN_RBAR:.6g}, where the water level overflows")
-    if np.logical_or.reduce(rbar > MAX_RBAR, axis=None):
+            f"Newton's two steps for theta at {missed:.17g} bits per sample"
+            f" left an error bound above 2^-52 max{{1, |ln theta|}}")
+    # at and past the border rate the level is the saturated K 2^(-2 rbar)
+    theta = np.where(rbar >= border, saturation * np.exp2(-2.0 * rbar),
+                     np.exp(log_theta))
+    c, phic = SpectralDensity._cot_crossing(theta, floor)
+    distortion = _distortion(theta, c, phic, shift)
+    x = np.pi * phic
+    series = x * np.add.reduce(np.power(np.square(x)[..., np.newaxis],
+                                        _SINE_POWERS) * _SINE_GAP, axis=-1)
+    g = np.where(x < 0.5, 2.0 * (theta * x * x) * series / np.pi,
+                 2.0 * theta * (phic - np.sin(x) / np.pi)) + (1.0 - phic)
+    out[:] = theta, phic, distortion, g, distortion - g / 6.0
+
+
+def _solve(densities, rbar) -> tuple:
+    """The ``WaterLevels`` of each density at rbar, solved as one stack with
+    a row per density, so each array operation serves all of them, block by
+    block of ``_BLOCK`` entries into preallocated fields."""
+    rbar = read_real("rbar", rbar, array=True)
+    if not np.logical_and.reduce((rbar >= MIN_RBAR) & (rbar <= MAX_RBAR),
+                                 axis=None):
+        if not np.logical_and.reduce(rbar > 0, axis=None):
+            raise ValueError("rate must be > 0")
+        if np.logical_or.reduce(rbar < MIN_RBAR, axis=None):
+            raise FloatingPointError(
+                f"{np.min(rbar):.6g} bits per sample is below the supported"
+                f" minimum {MIN_RBAR:.6g}, where the water level overflows")
         raise FloatingPointError(
             f"{np.max(rbar):.6g} bits per sample is past the supported maximum"
             f" {MAX_RBAR:.6g}, where the water level underflows")
-    target = 2.0 * _LN2 * rbar
-    column = (-1,) + (1,) * rbar.ndim   # one row per density
-    shift = np.reshape([d.shift for d in densities], column)
-    floor = np.reshape([d.floor for d in densities], column)
-    log_theta = np.array([_start(d, target) for d in densities])
-    settled = np.zeros(log_theta.shape, dtype=bool)
-    for _ in range(_NEWTON_STEPS):
-        _, _, phic = _state(log_theta, floor)
-        step = (_two_ln2_rate(log_theta, phic, shift) - target) / phic
-        step[settled] = 0.0   # a settled entry keeps its level
-        log_theta = log_theta + step
-        scale = np.maximum(1.0, np.abs(log_theta))
-        settled |= np.abs(step) <= _NEWTON_TOL * scale
-        if np.logical_and.reduce(settled, axis=None):
-            break
-    else:
-        raise FloatingPointError(
-            f"Newton iteration for theta did not settle within {_NEWTON_STEPS}"
-            f" steps (largest last step {np.max(np.abs(step)):.3g})")
-    theta, c, phic = _state(log_theta, floor)
-    distortion = _distortion(theta, c, phic, shift)
-    x = np.pi * phic
-    series = x * np.polynomial.polynomial.polyval(x * x, _SINE_GAP)
-    g = np.where(x < 0.5, 2.0 * (theta * x * x) * series / np.pi,
-                 2.0 * theta * (phic - np.sin(x) / np.pi)) + (1.0 - phic)
-    rows = zip(theta, phic, distortion, g, distortion - g / 6.0)
+    columns = _columns(densities)
+    flat = rbar.reshape(-1)
+    fields = np.empty((5, len(densities), flat.size))
+    for first in range(0, flat.size, _BLOCK):
+        block = slice(first, first + _BLOCK)
+        _solve_block(flat[block], columns, fields[:, :, block])
+    fields = fields.reshape(fields.shape[:2] + rbar.shape)
     # g and ce are the walk's: a shifted density's row keeps three fields
     return tuple(WaterLevels(*row[:3] if density.shift else row)
-                 for density, row in zip(densities, rows))
+                 for density, row in zip(densities, fields.swapaxes(0, 1)))
 
 
 def water_levels(density: SpectralDensity, rbar) -> WaterLevels:
     """Solve rate(theta) = rbar for every entry of rbar (bits per sample).
 
     Newton's method in ln theta with the exact derivative -phic / (2 ln2),
-    from the start of the module docstring: at most four rate evaluations
-    and theta within about |ln theta| 2^-53 (against 40-digit values, at most
-    7 ulp over 0.1 <= rbar <= 1.45).  The one range check: ValueError
+    from the start of the module docstring: two rate evaluations, and theta
+    within about |ln theta| 2^-53 (against 40-digit values, at most 7 ulp
+    over 0.1 <= rbar <= 1.45, and 1 ulp past it, where it is the saturated
+    K 2^(-2 rbar)).  The one range check: ValueError
     for rbar <= 0 or nan, FloatingPointError outside [MIN_RBAR, MAX_RBAR].
     Each entry is bit for bit its rbar solved alone, and that density's
     level in ``drf.sections``.

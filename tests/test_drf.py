@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 import wienerdr.drf as drf
 from oracle import ce_integral
+from wienerdr import waterfill
 from wienerdr.drf import (DistortionBundle, RateSpec, bundle, ce_penalty,
                           d_bar, d_ce, d_opt, d_tilde, d_upper, d_w,
                           equilibrium_rbar, g_fun, mmse_fs, ratio_qnt,
@@ -18,16 +20,18 @@ from wienerdr.drf import (DistortionBundle, RateSpec, bundle, ce_penalty,
 from wienerdr.mc import CeEstimate, ErrorMoments, lemma_bounds
 from wienerdr.spectral import (SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER,
                                ProcessParams)
-from wienerdr.waterfill import _SERIES_SHARE, MAX_RBAR, MIN_RBAR, water_levels
+from wienerdr.waterfill import MAX_RBAR, MIN_RBAR, water_levels
 
 UNIT = ProcessParams(sigma2=1.0, fs=1.0)
 BORDER_RBAR = 0.5 * (1.0 + math.log2(math.sqrt(3.0) + 2.0))
 LOW_RATE_COEF = (2.0 + math.sqrt(3.0)) / 6.0
-#: where the kernel's Newton start changes branch: just below each density's
-#: border rate (1 for the walk, BORDER_RBAR for the interpolator) and at
-#: the series share of it
-BRANCH_EDGES = (1.0 - 1e-9, _SERIES_SHARE, BORDER_RBAR - 1e-9,
-                _SERIES_SHARE * BORDER_RBAR)
+#: where the kernel's Newton start is least settled: at each density's
+#: border rate (1 for the walk, BORDER_RBAR for the interpolator), where the
+#: level saturates, one ulp and 1e-9 below it, and at 0.65 of it, where an
+#: earlier start changed branch
+BRANCH_EDGES = (1.0, math.nextafter(1.0, 0.0), 1.0 - 1e-9, 0.65,
+                BORDER_RBAR, math.nextafter(BORDER_RBAR, 0.0),
+                BORDER_RBAR - 1e-9, 0.65 * BORDER_RBAR)
 
 
 class TestDw:
@@ -286,7 +290,8 @@ def _sections_inputs():
     300 random 10-point log grids drawn like the benchmark's sweeps (low end
     log-uniform in [1.05e-4, 0.3], high end in [3, 400]), the 10- and
     3000-point log grids over the whole range, and random scalars, 1-element
-    and 2-d arrays."""
+    and 2-d arrays, and a random grid over the whole range of three and a
+    ragged part of ``waterfill._BLOCK`` entries."""
     rng = np.random.default_rng(0)
 
     def draws(size, low=1e-4, high=400.0):
@@ -301,13 +306,16 @@ def _sections_inputs():
             + [("log-10", grid) for grid in grids]
             + [(f"log-{n}", np.geomspace(MIN_RBAR, MAX_RBAR, n))
                for n in (10, 3000)]
-            + [("2-d", draws((6, 10)))])
+            + [("2-d", draws((6, 10))),
+               ("blocks", draws(3 * waterfill._BLOCK + 123, MIN_RBAR,
+                                MAX_RBAR))])
 
 
 def test_each_point_is_its_own_solve():
-    # a point is the same in any grid and alone, bit for bit: each entry
-    # stops Newton on its own step and sums its own nodes, and the one pass
-    # over both densities is each density's water_levels
+    # a point is the same in any grid, in any block of one, and alone, bit
+    # for bit: each entry takes the same two Newton steps and sums its own
+    # nodes, and the one pass over both densities is each density's
+    # water_levels
     for form, rbar in _sections_inputs():
         curves = drf.sections(rbar)
         points = [drf.sections(float(x)) for x in np.ravel(rbar)]
@@ -325,6 +333,24 @@ def test_each_point_is_its_own_solve():
                 each = [getattr(getattr(point, side), field)
                         for point in points]
                 assert np.array_equal(np.ravel(got), each), (form, rbar, field)
+
+
+def test_sections_memory_is_a_small_multiple_of_its_result():
+    # the solve walks the grid in blocks, so past the result itself its
+    # temporaries are bounded by one block
+    rbar = np.geomspace(1e-4, 400.0, 200_000)
+    tracemalloc.start()
+    try:
+        curves = drf.sections(rbar)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    result = rbar.nbytes + sum(value.nbytes for levels in (curves.shifted,
+                                                           curves.sampled)
+                               for value in vars(levels).values()
+                               if value is not None)
+    assert result == 9 * rbar.nbytes
+    assert peak <= 2 * result, peak / result
 
 
 @pytest.mark.parametrize("density", [SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER])
@@ -394,6 +420,10 @@ class TestSweepProperties:
     @example(1.0, 1.0, BRANCH_EDGES[1], None)
     @example(1.0, 1.0, BRANCH_EDGES[2], None)
     @example(1.0, 1.0, BRANCH_EDGES[3], None)
+    @example(1.0, 1.0, BRANCH_EDGES[4], None)
+    @example(1.0, 1.0, BRANCH_EDGES[5], None)
+    @example(1.0, 1.0, BRANCH_EDGES[6], None)
+    @example(1.0, 1.0, BRANCH_EDGES[7], None)
     @example(HUGE, TINY, 1.0, None)           # sigma2/fs overflows
     @example(HUGE, 1.0, math.exp(-10.0), None)   # sigma2/R does
     @example(TINY, 1e300, MAX_RBAR, None)     # sigma2/fs underflows

@@ -44,17 +44,18 @@ REFERENCE = os.path.join(ROOT, "tests", "kernel_reference.json")
 BANDS = {"low": (0.0, 0.1), "crossing": (0.1, 1.45), "high": (1.45, math.inf)}
 
 #: the largest error of ``drf.sections`` over the table, in ulps of each
-#: field in each band of ``BANDS``, as measured when the table was made and
-#: rounded up.  Newton's method in ln theta leaves theta a relative error of
-#: about |ln theta| 2^-53, so the outer bands, where |ln theta| reaches 700,
-#: allow hundreds of ulps
+#: field in each band of ``BANDS``, as measured and rounded up.  Newton's
+#: method in ln theta leaves theta a relative error of about
+#: |ln theta| 2^-53, so the low band, where |ln theta| reaches 700, allows
+#: hundreds of ulps; past the border rate the level is the saturated
+#: K 2^(-2 rbar), formed as K exp2(-2 rbar)
 ULP_BOUNDS = {
-    "shifted.theta": {"low": 244, "crossing": 7, "high": 588},
-    "shifted.distortion": {"low": 148, "crossing": 9, "high": 588},
-    "sampled.theta": {"low": 244, "crossing": 5, "high": 497},
-    "sampled.distortion": {"low": 148, "crossing": 4, "high": 497},
-    "sampled.g": {"low": 1, "crossing": 3, "high": 497},
-    "sampled.ce": {"low": 148, "crossing": 6, "high": 500},
+    "shifted.theta": {"low": 244, "crossing": 7, "high": 1},
+    "shifted.distortion": {"low": 148, "crossing": 9, "high": 1},
+    "sampled.theta": {"low": 244, "crossing": 5, "high": 1},
+    "sampled.distortion": {"low": 148, "crossing": 4, "high": 1},
+    "sampled.g": {"low": 1, "crossing": 3, "high": 1},
+    "sampled.ce": {"low": 148, "crossing": 6, "high": 2},
 }
 
 #: the largest error of ``waterfill.rate_at_theta`` over the table's levels,
@@ -66,12 +67,13 @@ RATE_ULP_BOUNDS = {"shifted.rate": 297, "sampled.rate": 297}
 
 def reference_rbar():
     """The table's bits per sample, ascending: 40 log-spaced below the
-    crossing band, 110 across it, 40 log-spaced past it, and each branch
-    edge of Newton's start and each border rate with its neighbours."""
-    from wienerdr.waterfill import _SERIES_SHARE, MAX_RBAR, MIN_RBAR
+    crossing band, 110 across it, 40 log-spaced past it, and each border
+    rate with its neighbours, 0.65 of it (where an earlier Newton start
+    changed branch), 1e-4 and 1e-3."""
+    from wienerdr.waterfill import MAX_RBAR, MIN_RBAR
 
     border = math.log2(1.0 + math.sqrt(3.0))
-    edges = [1e-4, 1e-3, _SERIES_SHARE, _SERIES_SHARE * border]
+    edges = [1e-4, 1e-3, 0.65, 0.65 * border]
     for rate in (1.0, border):
         edges += [rate * (1.0 - 1e-9), rate, rate * (1.0 + 1e-9)]
     rbar = np.concatenate([np.geomspace(MIN_RBAR, 0.1, 41)[:-1],
@@ -177,17 +179,19 @@ def ulps(got, want) -> np.ndarray:
                      for x, w in zip(got, want)])
 
 
-@pytest.fixture(scope="module")
-def table() -> dict:
+def read_table() -> dict:
     with open(REFERENCE) as f:
         return json.load(f)
 
 
-@pytest.fixture(scope="module")
 def ulp_errors(table) -> dict:
-    """The ``ulps`` of each field at each rbar of the table, with
-    ``drf.sections`` solving them as one array."""
+    """The ``ulps`` of each field of ``ULP_BOUNDS`` at each rbar of the
+    table, with ``drf.sections`` solving them as one array, and of each
+    field of ``RATE_ULP_BOUNDS`` at each theta, from
+    ``waterfill.rate_at_theta``."""
     from wienerdr import drf
+    from wienerdr.spectral import SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER
+    from wienerdr.waterfill import rate_at_theta
 
     curves = drf.sections(np.array(table["rbar"]))
     errors = {"rbar": np.array(table["rbar"])}
@@ -196,32 +200,54 @@ def ulp_errors(table) -> dict:
         for part in name.split("."):
             got = getattr(got, part)
         errors[name] = ulps(got, table[name])
+    for name, density in zip(RATE_ULP_BOUNDS, (SHIFTED_SAMPLED_WIENER,
+                                               SAMPLED_WIENER)):
+        errors[name] = ulps(rate_at_theta(density, np.array(table["theta"])),
+                            table[name])
     return errors
+
+
+def worst(errors, name, band) -> float:
+    """The largest of ``errors[name]`` over the rbar of ``band``."""
+    low, high = BANDS[band]
+    rbar = errors["rbar"]
+    return float(np.max(errors[name][(low < rbar) & (rbar <= high)]))
+
+
+def report():
+    """Print the worst ulp error of each field in each band (over the
+    table's theta for a rate) beside its bound."""
+    errors = ulp_errors(read_table())
+    print(f"{'field':20} {'band':9} {'worst ulp':>10} {'bound':>6}")
+    for name, bounds in ULP_BOUNDS.items():
+        for band in BANDS:
+            print(f"{name:20} {band:9} {worst(errors, name, band):10.2f}"
+                  f" {bounds[band]:6}")
+    for name, bound in RATE_ULP_BOUNDS.items():
+        print(f"{name:20} {'theta':9} {np.max(errors[name]):10.2f}"
+              f" {bound:6}")
+
+
+@pytest.fixture(scope="module")
+def errors() -> dict:
+    return ulp_errors(read_table())
 
 
 @pytest.mark.parametrize("band", BANDS)
 @pytest.mark.parametrize("name", ULP_BOUNDS)
-def test_kernel_within_its_ulp_bound(ulp_errors, name, band):
-    low, high = BANDS[band]
-    rbar = ulp_errors["rbar"]
-    worst = np.max(ulp_errors[name][(low < rbar) & (rbar <= high)])
-    assert worst <= ULP_BOUNDS[name][band], worst
+def test_kernel_within_its_ulp_bound(errors, name, band):
+    assert worst(errors, name, band) <= ULP_BOUNDS[name][band]
 
 
 @pytest.mark.parametrize("name", RATE_ULP_BOUNDS)
-def test_rate_within_its_ulp_bound(table, name):
-    from wienerdr.spectral import SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER
-    from wienerdr.waterfill import rate_at_theta
-
-    density = SHIFTED_SAMPLED_WIENER if name == "shifted.rate" \
-        else SAMPLED_WIENER
-    worst = np.max(ulps(rate_at_theta(density, np.array(table["theta"])),
-                        table[name]))
-    assert worst <= RATE_ULP_BOUNDS[name], worst
+def test_rate_within_its_ulp_bound(errors, name):
+    assert np.max(errors[name]) <= RATE_ULP_BOUNDS[name]
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: python tests/test_kernel_reference.py --write")
+    modes = {"--write": write, "--report": report}
+    if len(sys.argv) != 2 or sys.argv[1] not in modes:
+        sys.exit("usage: python tests/test_kernel_reference.py"
+                 " --write | --report")
     sys.path.insert(0, os.path.join(ROOT, "src"))
-    write()
+    modes[sys.argv[1]]()

@@ -14,16 +14,23 @@ from hypothesis import strategies as st
 from oracle import (ConstantDensity, QuadratureError, ce_integral,
                     distortion_at_theta, integrate, integrate_density,
                     integrate_unit, rate_at_theta)
-from wienerdr import drf, waterfill
-from wienerdr.spectral import SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER
+from test_drf import _sections_inputs
+from test_kernel_reference import read_table
+from wienerdr import cli, drf, waterfill
+from wienerdr.spectral import (SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER,
+                               SpectralDensity)
 from wienerdr.waterfill import (MAX_RBAR, MIN_RBAR, solve_theta_for_rate,
                                 water_levels)
 
 BORDER_RATE = 0.5 * (1.0 + np.log2(np.sqrt(3.0) + 2.0))  # ~1.44998
-#: where the Newton start changes branch, for the walk (border rate 1) and
-#: the interpolator (BORDER_RATE)
-BRANCH_EDGES = (1.0 - 1e-9, waterfill._SERIES_SHARE, BORDER_RATE - 1e-9,
-                waterfill._SERIES_SHARE * BORDER_RATE)
+#: where Newton's start is least settled, for the walk (border rate 1) and
+#: the interpolator (BORDER_RATE): at each border rate, where the level
+#: saturates, and one ulp and 1e-9 below it, where c = cot(pi phic / 2) is
+#: about 1e-8 and 1e-4; and at 0.65 of it, where an earlier start changed
+#: branch
+BRANCH_EDGES = (1.0, math.nextafter(1.0, 0.0), 1.0 - 1e-9, 0.65,
+                BORDER_RATE, math.nextafter(BORDER_RATE, 0.0),
+                BORDER_RATE - 1e-9, 0.65 * BORDER_RATE)
 
 
 class TestDistortion:
@@ -144,6 +151,10 @@ class TestKernel:
     @example(math.log(BRANCH_EDGES[1]))
     @example(math.log(BRANCH_EDGES[2]))
     @example(math.log(BRANCH_EDGES[3]))
+    @example(math.log(BRANCH_EDGES[4]))
+    @example(math.log(BRANCH_EDGES[5]))
+    @example(math.log(BRANCH_EDGES[6]))
+    @example(math.log(BRANCH_EDGES[7]))
     @settings(max_examples=30, deadline=None)
     def test_matches_oracle(self, log_rbar):
         rbar = float(np.exp(log_rbar))
@@ -196,8 +207,10 @@ class TestKernel:
     @pytest.mark.parametrize("density", [SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER,
                                          None], ids=["density0", "density1",
                                                      "both"])
-    def test_at_most_four_rate_evaluations(self, density, monkeypatch):
-        # None: the one pass of drf.sections over both densities
+    def test_at_most_two_rate_evaluations(self, density, monkeypatch):
+        # None: the one pass of drf.sections over both densities, also over
+        # every input of test_drf's, the benchmark-like 10-point grids among
+        # them; a grid of several blocks takes two per block
         calls = []
         rate = waterfill._two_ln2_rate
 
@@ -210,18 +223,40 @@ class TestKernel:
                  else functools.partial(water_levels, density))
         rbars = np.geomspace(MIN_RBAR, waterfill.MAX_RBAR, 3000)
         solve(rbars)
-        assert len(calls) <= 4
+        assert len(calls) <= 2
         worst = 0
         for rbar in rbars:
             calls.clear()
             solve(rbar)
             worst = max(worst, len(calls))
-        assert worst <= 4
+        assert worst <= 2
+        if density is None:
+            for form, rbar in _sections_inputs():
+                calls.clear()
+                solve(rbar)
+                blocks = -(-np.size(rbar) // waterfill._BLOCK)
+                assert len(calls) <= 2 * blocks, (form, rbar)
 
     def test_refuses_past_the_underflow_edge(self):
         with pytest.raises(FloatingPointError, match="510.9.*510.658"):
             water_levels(SAMPLED_WIENER, np.array([1.0, 510.9]))
         water_levels(SHIFTED_SAMPLED_WIENER, waterfill.MAX_RBAR)
+
+    def test_a_start_too_far_off_is_refused(self, monkeypatch, tmp_path):
+        # two Newton steps from 0.3 off in ln theta leave an error bound far
+        # above 2^-52: the solve raises, and the command line exits 3
+        start = waterfill._start
+
+        def off(rbar, border, floor, coefficients):
+            log_theta = start(rbar, border, floor, coefficients)[0] + 0.3
+            return log_theta, SpectralDensity._cot_crossing(np.exp(log_theta),
+                                                            floor)[1]
+
+        monkeypatch.setattr(waterfill, "_start", off)
+        with pytest.raises(FloatingPointError, match="at 0.5 bits per sample"):
+            water_levels(SAMPLED_WIENER, np.array([0.5, 300.0]))
+        assert cli.main(["ratio", "--min", "0.1", "--max", "2", "--points",
+                         "3", "--out", str(tmp_path / "ratio.csv")]) == 3
 
     def test_refuses_past_the_overflow_edge(self):
         assert MIN_RBAR == pytest.approx(6.8501e-155, rel=1e-5)
@@ -255,6 +290,74 @@ def test_distortion_at_theta_lies_in_zero_to_theta(theta):
         assert 0.0 < distortion <= theta
         if theta <= density.floor:
             assert distortion == theta
+
+
+#: the worst relative error |ln theta_start - ln theta| / max{1, |ln theta|}
+#: of Newton's start over the rbar of ``kernel_reference.json`` below each
+#: density's border rate, as measured and rounded up: in the low band
+#: rbar <= 0.1 and the crossing band above it
+START_BOUNDS = {
+    "sampled": {"low": 2e-9, "crossing": 2e-9},
+    "shifted": {"low": 3e-9, "crossing": 4e-9},
+}
+
+
+def start_errors(density, rbar, theta) -> np.ndarray:
+    """Newton's start against the levels theta at rbar, both arrays below
+    the density's border rate, relative to max{1, |ln theta|}."""
+    shift, floor, _, border, coefficients = waterfill._columns((density,))
+    log_theta = waterfill._start(rbar, border, floor, coefficients)[0][0]
+    return (np.abs(log_theta - np.log(theta))
+            / np.maximum(1.0, np.abs(np.log(theta))))
+
+
+@pytest.mark.parametrize("name", START_BOUNDS)
+def test_start_within_its_bound_of_the_table(name):
+    density = SHIFTED_SAMPLED_WIENER if name == "shifted" else SAMPLED_WIENER
+    table = read_table()
+    rbar, theta = np.array(table["rbar"]), np.array(table[f"{name}.theta"],
+                                                   dtype=float)
+    below = rbar < waterfill._columns((density,))[3][0, 0]
+    errors = start_errors(density, rbar[below], theta[below])
+    low = rbar[below] <= 0.1
+    assert np.max(errors[low]) <= START_BOUNDS[name]["low"]
+    assert np.max(errors[~low]) <= START_BOUNDS[name]["crossing"]
+
+
+@pytest.mark.parametrize("density", [SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER])
+def test_start_is_good_between_the_tables_points(density):
+    # the fit's points are the table's; between them, against the solved
+    # levels, the start stays within about 1e-8 over (MIN_RBAR, r_b)
+    border = waterfill._columns((density,))[3][0, 0]
+    rbar = np.concatenate([np.geomspace(MIN_RBAR, 0.1, 500),
+                           np.linspace(0.1, border, 5000, endpoint=False)])
+    theta = water_levels(density, rbar).theta
+    assert np.max(start_errors(density, rbar, theta)) <= 1e-8
+
+
+def test_start_is_the_tables_fit():
+    """``_START`` is half the least-squares Chebyshev fit of degree 12 of
+    rbar c / v, in v = sqrt(r_b - rbar), to the table's levels below r_b."""
+    table = read_table()
+    with mpmath.workdps(50):
+        for shift, name, factor in ((0, "sampled", 1),
+                                    (mpmath.mpf(1) / 6, "shifted",
+                                     (2 + mpmath.sqrt(3)) / 6)):
+            floor = mpmath.mpf(1) / 4 - shift
+            border = mpmath.log(factor / floor, 2) / 2
+            points = []
+            for rbar, theta in zip(table["rbar"], table[f"{name}.theta"]):
+                rbar, theta = mpmath.mpf(rbar), mpmath.mpf(theta)
+                if rbar < border:
+                    v = mpmath.sqrt(border - rbar)
+                    c = 2 * mpmath.sqrt(theta - floor)
+                    points.append((float(v), float(rbar * c / v)))
+            domain = [0.0, float(mpmath.sqrt(border))]
+            fit = np.polynomial.Chebyshev.fit(*zip(*points), 12, domain=domain)
+            # the powers are ill-conditioned, so their values are compared
+            v = np.linspace(*domain, 1001)
+            start = np.polynomial.Polynomial(waterfill._START[float(shift)])
+            assert np.max(np.abs(2.0 * start(v) - fit(v))) <= 1e-13
 
 
 def series_theta(rbar: float, shift: float):

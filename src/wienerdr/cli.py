@@ -202,9 +202,6 @@ def _cmd_eigen(args) -> int:
 
 def _cmd_simulate(args) -> int:
     params = ProcessParams(sigma2=args.sigma2, fs=args.fs)
-    if args.trials < 2:   # SimConfig takes 1; the summary cannot
-        raise ValueError("--trials must be >= 2: a standard error needs"
-                         " at least 2 trials")
     config = mc.SimConfig(horizon_t=args.horizon, oversample=args.oversample,
                           trials=args.trials, seed=args.seed)
     if args.scheme == "test-channel" and args.rbar is None:

@@ -19,8 +19,8 @@ sigma2 and reduce to the rbar forms, which is what makes a single
 equilibrium point and a single penalty curve meaningful.
 
 Every curve comes from the closed-form waterfilling kernel
-(``waterfill.water_levels``), called once per density over a whole array of
-rbar: ``sections`` gives the dimensionless curves and ``sweep`` the
+(``waterfill._solve``), called once over a whole array of rbar for both
+densities: ``sections`` gives the dimensionless curves and ``sweep`` the
 absolute ones; the scalar functions are the same computation at one point.
 
 Two distinct water levels coexist: the shifted density's (d_opt) and the
@@ -35,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER, ProcessParams,
-                       _ldexp, check_normal, check_positive, read_real, unit)
+from .spectral import (SHIFTED_SAMPLED_WIENER, ProcessParams, _ldexp,
+                       check_normal, check_positive, read_real, unit)
 from .waterfill import (WaterLevels, _solve, distortion_at_theta,
                         rate_at_theta)
 
@@ -142,11 +142,11 @@ class Sections:
 
 def sections(rbar) -> Sections:
     """Both water levels over rbar (float or array, in the waterfill range),
-    solved in one Newton pass over the two densities: each entry is bit for
-    bit ``water_levels`` of its density at its rbar alone, in any grid."""
+    the kernel's two rows solved in one Newton pass: each entry is bit for
+    bit its rbar solved alone, in any grid, and its density's
+    ``solve_theta_for_rate``."""
     rbar = read_real("rbar", rbar, array=True)
-    return Sections(rbar, *_solve((SHIFTED_SAMPLED_WIENER, SAMPLED_WIENER),
-                                  rbar))
+    return Sections(rbar, *_solve(rbar))
 
 
 def sweep(sigma2, fs, rate) -> DistortionBundle:

@@ -78,6 +78,7 @@ class SimConfig:
     ``oversample`` is the number of fine-grid points per sampling interval;
     values >= 8 keep the grid bias of bridge statistics below 2%, while 1 is
     allowed (the interpolant then coincides with the path on the grid).
+    ``trials`` runs from 2, as a run reports a standard error, to 2**32.
     """
 
     horizon_t: float
@@ -87,9 +88,12 @@ class SimConfig:
 
     def __post_init__(self):   # each kept as the value checked
         for name, read in zip(("horizon_t", "oversample", "trials", "seed"),
-                              (check_positive, check_count, check_count, read_int)):
+                              (check_positive, check_count, read_int, read_int)):
             object.__setattr__(self, name, read(name, getattr(self, name)))
-        if self.trials > 2 ** 32:   # spawn keys of one 32-bit word
+        if self.trials < 2:
+            raise ParameterError("trials", "must be >= 2: a standard error"
+                                 " needs at least 2 trials")
+        if check_count("trials", self.trials) > 2 ** 32:   # one spawn word
             raise ParameterError("trials", "must be <= 2**32")
         if not 0 <= self.seed < 2 ** 64:
             raise ParameterError("seed", "must fit in 64 bits")
@@ -520,9 +524,7 @@ def _estimate(per_trial: np.ndarray, params: ProcessParams, n: int,
               moments: Optional[ErrorMoments] = None) -> MomentEstimate:
     """The run's statistics: its unit-scale per-trial sums, each divided by
     n os**2 (dt / horizon) and scaled by sigma2/fs through ``spectral.unit``."""
-    trials = len(per_trial)
-    se = float(per_trial.std(ddof=1) / math.sqrt(trials)) \
-        if trials > 1 else float("nan")
+    se = float(per_trial.std(ddof=1) / math.sqrt(len(per_trial)))
     grid, continuous = _expectations(n, oversample, moments)
     steps = n * oversample * oversample
     ratio, exp = unit(params.sigma2, params.fs)

@@ -23,17 +23,17 @@ that integrand is analytic on a disc around [0, 1] (its nearest complex
 singularity lies 0.42 off phi = 1), so one fixed 24-node Gauss-Legendre
 rule evaluates it to rounding.
 
-Because d rate / d ln theta = -phic / (2 ln2) exactly, ``water_levels``
-inverts the rate map by Newton's method in ln theta, which bounds theta's
-relative error by about |ln theta| 2^-53.  One kernel does every solve: it
-takes a stack of levels with one row per density, so ``drf.sections``
-solves both densities of a sweep in one pass and ``water_levels`` is that
-pass over one density.  It walks the flattened rbar in blocks of a fixed
-number of entries, so its temporaries are bounded by one block whatever
-the grid's length.  Every entry starts from the same closed form, takes the
-same two Newton steps, at one rate evaluation each, and sums its own nodes,
-so a level depends on its density and rbar alone, bit for bit the same in
-any array and as a scalar.
+Because d rate / d ln theta = -phic / (2 ln2) exactly, one kernel
+(``_solve``) inverts the rate map by Newton's method in ln theta, which
+bounds theta's relative error by about |ln theta| 2^-53.  Every curve needs
+both densities' levels at one rbar, so the kernel's stack, built once, has
+a row for each, and every solve solves both: ``drf.sections`` over arrays
+and ``solve_theta_for_rate``, which reads its density's row, at one rate.
+It walks the flattened rbar in blocks of a fixed number of entries, so its
+temporaries are bounded by one block whatever the grid's length.  Every
+entry starts from the same closed form, takes the same two Newton steps,
+at one rate evaluation each, and sums its own nodes, so a level depends on
+its density and rbar alone, bit for bit the same in any array and alone.
 
 theta reaches the floor at the border rate r_b = (1/2) log2(K / floor), with
 K = 1 for s = 0 and (2 + sqrt 3)/6 for s = 1/6 (r_b = 1 and
@@ -69,7 +69,6 @@ __all__ = [
     "distortion_at_theta",
     "rate_at_theta",
     "solve_theta_for_rate",
-    "water_levels",
 ]
 
 _LN2 = math.log(2.0)
@@ -107,13 +106,15 @@ _START = {
 }
 _START_POWERS = np.arange(13)
 
-#: a density's row in a stack of levels, by its shift: the shift, the floor,
-#: the saturated factor K, the border rate r_b = (1/2) log2(K / floor) and
-#: the start's coefficients
-_ROW = {d.shift: np.array([d.shift, d.floor, factor,
-                           0.5 * math.log2(factor / d.floor), *_START[d.shift]])
-        for d, factor in ((SAMPLED_WIENER, 1.0),
-                          (SHIFTED_SAMPLED_WIENER, _SHIFTED_SATURATION))}
+#: the kernel's stack, a row per density: the interpolator's (d_opt) first,
+#: then the walk's (d_bar, d_ce).  Its columns are each row's shift, floor,
+#: saturated factor K and border rate r_b = (1/2) log2(K / floor), each of
+#: shape (2, 1), and the start's coefficients, of shape (2, 1, 13)
+_SHIFT, _FLOOR, _SATURATION, _BORDER = np.array(
+    [(d.shift, d.floor, factor, 0.5 * math.log2(factor / d.floor))
+     for d, factor in ((SHIFTED_SAMPLED_WIENER, _SHIFTED_SATURATION),
+                       (SAMPLED_WIENER, 1.0))]).T[..., np.newaxis]
+_COEFFICIENTS = np.array([[_START[shift]] for shift in _SHIFT[:, 0]])
 
 #: Newton's error bound after its second step, relative to max{1, |ln theta|}
 _NEWTON_TOL = 2.0 ** -52
@@ -130,7 +131,8 @@ _SINE_POWERS = np.arange(7)
 
 @dataclass(frozen=True)
 class WaterLevels:
-    """Water levels solved at an array of rates on one density (or at a float).
+    """One density's row of the kernel's stack: its water levels at an
+    array of rates (``drf.sections``) or at one (``solve_theta_for_rate``).
 
     ``crossing`` is phic.  ``g`` and ``ce`` exist for the unshifted density
     only (None otherwise): g = integral of min{theta, S}/S
@@ -160,22 +162,15 @@ def _two_ln2_rate(log_theta, phic, shift):
     return phic * (2.0 - 2.0 * np.log(np.pi * phic) - log_theta + smooth)
 
 
-def _columns(densities) -> tuple:
-    """The ``_ROW`` of each density as columns: shift, floor, K and r_b each
-    of shape (rows, 1), and the start's coefficients of shape (rows, 1, 13)."""
-    table = np.array([_ROW[density.shift] for density in densities])
-    return (*table.T[:4, :, np.newaxis], table[:, np.newaxis, 4:])
-
-
-def _start(rbar, border, floor, coefficients) -> tuple:
-    """Newton's first ln theta at rbar, a row against columns, and its
-    crossing: c/2 = v P(v) / rbar with P of ``_START``,
+def _start(rbar) -> tuple:
+    """Newton's first ln theta at rbar, a row against the stack's columns,
+    and its crossing: c/2 = v P(v) / rbar with P of ``_START``,
     theta = c^2/4 + floor and phic = (2/pi) arctan(1/c); at and past the
     border rate v = 0, so theta is the floor."""
-    v = np.sqrt(np.maximum(border - rbar, 0.0))
+    v = np.sqrt(np.maximum(_BORDER - rbar, 0.0))
     half_c = v * np.add.reduce(np.power(v[..., np.newaxis], _START_POWERS)
-                               * coefficients, axis=-1) / rbar
-    return (np.log(np.square(half_c) + floor),
+                               * _COEFFICIENTS, axis=-1) / rbar
+    return (np.log(np.square(half_c) + _FLOOR),
             (2.0 / np.pi) * np.arctan2(0.5, half_c))
 
 
@@ -183,24 +178,23 @@ def _distortion(theta, c, phic, shift):
     return theta * phic + c / (2.0 * np.pi) - shift * (1.0 - phic)
 
 
-def _solve_block(rbar, columns, out):
-    """Write theta, phic, distortion, g and ce of each density (a row of
-    ``columns``) at the flat rbar into ``out``, of shape (5, rows, n)."""
-    shift, floor, saturation, border, coefficients = columns
+def _solve_block(rbar, out):
+    """Write theta, phic, distortion, g and ce of each row of the stack at
+    the flat rbar into ``out``, of shape (5, 2, n)."""
     target = 2.0 * _LN2 * rbar
-    log_theta, phic = _start(rbar, border, floor, coefficients)
-    nodes_shift = shift[..., np.newaxis]
+    log_theta, phic = _start(rbar)
+    nodes_shift = _SHIFT[..., np.newaxis]
     log_theta = log_theta + (_two_ln2_rate(log_theta, phic, nodes_shift)
                              - target) / phic
     theta = np.exp(log_theta)
-    c, phic = SpectralDensity._cot_crossing(theta, floor)
+    c, phic = SpectralDensity._cot_crossing(theta, _FLOOR)
     step = (_two_ln2_rate(log_theta, phic, nodes_shift) - target) / phic
     log_theta = log_theta + step
     # Newton's error after the step is about f'' step^2 / (2 phic), with
     # f'' = theta / (pi c (theta + shift)) the curvature of the rate in
     # ln theta, and f'' = 0 on the flat side of the floor (c = 0)
     scale = np.maximum(1.0, np.abs(log_theta))
-    bounded = ((step * step * (theta / (theta + shift))
+    bounded = ((step * step * (theta / (theta + _SHIFT))
                 <= (2.0 * np.pi * _NEWTON_TOL) * scale * c * phic) | (c == 0))
     if not np.logical_and.reduce(bounded, axis=None):
         missed = rbar[np.argmin(np.logical_and.reduce(bounded, axis=0))]
@@ -208,10 +202,10 @@ def _solve_block(rbar, columns, out):
             f"Newton's two steps for theta at {missed:.17g} bits per sample"
             f" left an error bound above 2^-52 max{{1, |ln theta|}}")
     # at and past the border rate the level is the saturated K 2^(-2 rbar)
-    theta = np.where(rbar >= border, saturation * np.exp2(-2.0 * rbar),
+    theta = np.where(rbar >= _BORDER, _SATURATION * np.exp2(-2.0 * rbar),
                      np.exp(log_theta))
-    c, phic = SpectralDensity._cot_crossing(theta, floor)
-    distortion = _distortion(theta, c, phic, shift)
+    c, phic = SpectralDensity._cot_crossing(theta, _FLOOR)
+    distortion = _distortion(theta, c, phic, _SHIFT)
     x = np.pi * phic
     series = x * np.add.reduce(np.power(np.square(x)[..., np.newaxis],
                                         _SINE_POWERS) * _SINE_GAP, axis=-1)
@@ -220,10 +214,12 @@ def _solve_block(rbar, columns, out):
     out[:] = theta, phic, distortion, g, distortion - g / 6.0
 
 
-def _solve(densities, rbar) -> tuple:
-    """The ``WaterLevels`` of each density at rbar, solved as one stack with
-    a row per density, so each array operation serves all of them, block by
-    block of ``_BLOCK`` entries into preallocated fields."""
+def _solve(rbar) -> tuple:
+    """The ``WaterLevels`` of the interpolator's density and of the walk's
+    at rbar, in that order, solved block by block of ``_BLOCK`` entries into
+    preallocated fields (against 40-digit values, theta is within 7 ulp over
+    0.1 <= rbar <= 1.45 and 1 ulp past it).  The one range check: ValueError
+    for rbar <= 0 or nan, FloatingPointError outside [MIN_RBAR, MAX_RBAR]."""
     rbar = read_real("rbar", rbar, array=True)
     if not np.logical_and.reduce((rbar >= MIN_RBAR) & (rbar <= MAX_RBAR),
                                  axis=None):
@@ -236,31 +232,14 @@ def _solve(densities, rbar) -> tuple:
         raise FloatingPointError(
             f"{np.max(rbar):.6g} bits per sample is past the supported maximum"
             f" {MAX_RBAR:.6g}, where the water level underflows")
-    columns = _columns(densities)
     flat = rbar.reshape(-1)
-    fields = np.empty((5, len(densities), flat.size))
+    fields = np.empty((5, 2, flat.size))
     for first in range(0, flat.size, _BLOCK):
         block = slice(first, first + _BLOCK)
-        _solve_block(flat[block], columns, fields[:, :, block])
-    fields = fields.reshape(fields.shape[:2] + rbar.shape)
-    # g and ce are the walk's: a shifted density's row keeps three fields
-    return tuple(WaterLevels(*row[:3] if density.shift else row)
-                 for density, row in zip(densities, fields.swapaxes(0, 1)))
-
-
-def water_levels(density: SpectralDensity, rbar) -> WaterLevels:
-    """Solve rate(theta) = rbar for every entry of rbar (bits per sample).
-
-    Newton's method in ln theta with the exact derivative -phic / (2 ln2),
-    from the start of the module docstring: two rate evaluations, and theta
-    within about |ln theta| 2^-53 (against 40-digit values, at most 7 ulp
-    over 0.1 <= rbar <= 1.45, and 1 ulp past it, where it is the saturated
-    K 2^(-2 rbar)).  The one range check: ValueError
-    for rbar <= 0 or nan, FloatingPointError outside [MIN_RBAR, MAX_RBAR].
-    Each entry is bit for bit its rbar solved alone, and that density's
-    level in ``drf.sections``.
-    """
-    return _solve((density,), rbar)[0]
+        _solve_block(flat[block], fields[:, :, block])
+    shifted, sampled = fields.reshape((5, 2) + rbar.shape).swapaxes(0, 1)
+    # g and ce are the walk's: the interpolator's row keeps three fields
+    return WaterLevels(*shifted[:3]), WaterLevels(*sampled)
 
 
 def distortion_at_theta(density: SpectralDensity, theta):
@@ -285,6 +264,9 @@ def rate_at_theta(density: SpectralDensity, theta):
 
 def solve_theta_for_rate(density: SpectralDensity,
                          rate_bits_per_sample: float) -> WaterLevels:
-    """The ``water_levels`` of one rate, read as one number."""
-    return water_levels(density, read_real("rate_bits_per_sample",
-                                           rate_bits_per_sample))
+    """The ``WaterLevels`` of the density at one rate, read as one number:
+    its row of the kernel's stack, bit for bit its entry of
+    ``drf.sections``."""
+    shifted, sampled = _solve(read_real("rate_bits_per_sample",
+                                        rate_bits_per_sample))
+    return shifted if density.shift else sampled

@@ -795,7 +795,7 @@ PLAIN = dict(params=(1.0, 1.0), rate=2.0, config=(4.0, 8, 4, 3),
                         reals(2.0 ** -20, 2.0 ** 20)),
        rate=reals(2.0 ** -20, 2.0 ** 20),
        config=st.tuples(reals(2.0 ** -10, 2.0 ** 10), counts(1, 64),
-                        counts(1, 10 ** 6), counts(0, 2 ** 32)),
+                        counts(2, 10 ** 6), counts(0, 2 ** 32)),
        grid=st.tuples(reals(1.0, 2.0 ** 10), reals(1.0, 2.0 ** 10),
                       counts(2, 64)),
        moments=st.integers(2, 5).flatmap(lambda n: st.tuples(

@@ -1,14 +1,16 @@
 """The library contract: every public route, given its arguments in any form
 a type reads or ill-formed, returns its documented type, finite where it is
-a float, an array or a tuple, or raises a ``ParameterError`` naming one of
-its arguments, a ``ValueError`` or a ``FloatingPointError``; nothing else
-(no ``TypeError``, ``IndexError`` or ``AttributeError``) escapes.
+a float, an array or a tuple and in each such field of a record, or raises
+a ``ParameterError`` naming one of its arguments, a ``ValueError`` or a
+``FloatingPointError``; nothing else (no ``TypeError``, ``IndexError`` or
+``AttributeError``) escapes.
 
 The routes are every public name of the modules below, so a new public name
 fails ``test_each_public_name_has_a_route`` until it has a route here or an
 exemption with its reason.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -125,8 +127,6 @@ ROUTES = {
     "solve_theta_for_rate": (
         lambda a: waterfill.solve_theta_for_rate(WALK, a.rate_bits_per_sample),
         waterfill.WaterLevels),
-    "water_levels": (lambda a: waterfill.water_levels(WALK, a.rbar),
-                     waterfill.WaterLevels),
     "sections": (lambda a: drf.sections(a.rbar), drf.Sections),
     "sweep": (lambda a: drf.sweep(a.sigma2, a.fs, a.rate),
               drf.DistortionBundle),
@@ -164,7 +164,7 @@ EXEMPT = {
     "MIN_RBAR": "a constant",
     "DistortionBundle": "a result record that sweep builds",
     "Sections": "a result record that sections builds",
-    "WaterLevels": "a result record that water_levels builds",
+    "WaterLevels": "a result record that solve_theta_for_rate builds",
     "MomentEstimate": "a result record of the Monte-Carlo runs",
     "CeEstimate": "a result record of ce_distortion_estimate",
     "check_normal": "checks the results that the routes build",
@@ -193,9 +193,19 @@ def test_each_route_answers_or_names_its_argument(name, data):
         pass
     else:
         assert isinstance(result, returns)
-        if isinstance(result, (float, np.ndarray, tuple)) \
-                and name != "read_real":   # a reader returns what it read
-            assert np.all(np.isfinite(result))
+        if name != "read_real":   # a reader returns what it read
+            assert all(np.all(np.isfinite(value))
+                       for value in numbers(result))
+
+
+def numbers(result) -> list:
+    """The floats, arrays and tuples of a result: itself, or each field of
+    a record (and of a record in a record); None, an int or a string holds
+    none."""
+    if dataclasses.is_dataclass(result):
+        return [value for field in dataclasses.fields(result)
+                for value in numbers(getattr(result, field.name))]
+    return [result] if isinstance(result, (float, np.ndarray, tuple)) else []
 
 
 P, SHIFT = spectral.ProcessParams, spectral.SpectralDensity

@@ -20,7 +20,7 @@ from wienerdr.drf import (DistortionBundle, RateSpec, bundle, ce_penalty,
 from wienerdr.mc import CeEstimate, ErrorMoments, lemma_bounds
 from wienerdr.spectral import (SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER,
                                ProcessParams)
-from wienerdr.waterfill import MAX_RBAR, MIN_RBAR, water_levels
+from wienerdr.waterfill import MAX_RBAR, MIN_RBAR, solve_theta_for_rate
 
 UNIT = ProcessParams(sigma2=1.0, fs=1.0)
 BORDER_RBAR = 0.5 * (1.0 + math.log2(math.sqrt(3.0) + 2.0))
@@ -314,21 +314,26 @@ def _sections_inputs():
 def test_each_point_is_its_own_solve():
     # a point is the same in any grid, in any block of one, and alone, bit
     # for bit: each entry takes the same two Newton steps and sums its own
-    # nodes, and the one pass over both densities is each density's
-    # water_levels
+    # nodes, and is its density's solve_theta_for_rate at its rbar, the
+    # one-rate route against the array route
     for form, rbar in _sections_inputs():
         curves = drf.sections(rbar)
-        points = [drf.sections(float(x)) for x in np.ravel(rbar)]
+        flat = [float(x) for x in np.ravel(rbar)]
+        points = [drf.sections(x) for x in flat]
         for side, density in (("shifted", SHIFTED_SAMPLED_WIENER),
                               ("sampled", SAMPLED_WIENER)):
-            levels, alone = getattr(curves, side), water_levels(density, rbar)
+            levels = getattr(curves, side)
+            alone = [solve_theta_for_rate(density, x) for x in flat]
             for field in ("theta", "crossing", "distortion", "g", "ce"):
-                got, want = getattr(levels, field), getattr(alone, field)
-                if want is None:   # g and ce belong to the walk alone
-                    assert got is None and density.shift
+                got = getattr(levels, field)
+                want = [getattr(point, field) for point in alone]
+                if density.shift and field in ("g", "ce"):   # the walk's
+                    assert got is None and want == [None] * len(flat)
                     continue
-                assert type(got) is type(want), (form, field)
-                assert np.array_equal(got, want) and \
+                assert all(type(x) is np.float64 for x in want), (form, field)
+                assert type(got) is (np.ndarray if np.ndim(rbar)
+                                     else np.float64), (form, field)
+                assert np.array_equal(np.ravel(got), want) and \
                     np.shape(got) == np.shape(rbar), (form, rbar, field)
                 each = [getattr(getattr(point, side), field)
                         for point in points]

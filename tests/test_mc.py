@@ -59,7 +59,8 @@ def paths(params, cfg, trials, drawn=None):
 def test_exports_resolve():
     deleted = {"PathBundle", "path_for_trial", "simulate_paths", "BridgeCheck",
                "bridge_covariance_check", "interp_weights",
-               "kl_coeff_from_samples", "_trial_keys"}
+               "kl_coeff_from_samples", "_trial_keys", "water_levels",
+               "_ROW", "_columns"}
     for info in [None, *pkgutil.iter_modules(wienerdr.__path__, "wienerdr.")]:
         module = importlib.import_module(info.name) if info else wienerdr
         exported = getattr(module, "__all__", [])
@@ -73,8 +74,10 @@ class TestConfig:
             SimConfig(horizon_t=0.0, oversample=8, trials=10, seed=1)
         with pytest.raises(ValueError):
             SimConfig(horizon_t=1.0, oversample=0, trials=10, seed=1)
-        with pytest.raises(ValueError):
-            SimConfig(horizon_t=1.0, oversample=8, trials=0, seed=1)
+        for trials in (0, 1):   # a run reports a standard error
+            with pytest.raises(ValueError, match="^trials must be >= 2: a"
+                               " standard error needs at least 2 trials$"):
+                SimConfig(horizon_t=1.0, oversample=8, trials=trials, seed=1)
         with pytest.raises(ValueError):
             SimConfig(horizon_t=1.0, oversample=8, trials=2, seed=-1)
         with pytest.raises(ValueError):
@@ -93,16 +96,16 @@ class TestConfig:
         assert empirical_mmse(UNIT, cfg).per_trial.shape == (5,)
 
     def test_effective_grid_rounds_up(self):
-        cfg = SimConfig(horizon_t=3.5, oversample=8, trials=1, seed=0)
+        cfg = SimConfig(horizon_t=3.5, oversample=8, trials=2, seed=0)
         assert mc._interval_count(UNIT, cfg) == 4
-        cfg = SimConfig(horizon_t=8.0, oversample=8, trials=1, seed=0)
+        cfg = SimConfig(horizon_t=8.0, oversample=8, trials=2, seed=0)
         assert mc._interval_count(ProcessParams(1.0, 2.0), cfg) == 16
 
     def test_effective_grid_has_at_least_one_interval(self):
         for horizon in (1e-10, 1e-300, 5e-324):
-            cfg = SimConfig(horizon_t=horizon, oversample=8, trials=1, seed=0)
+            cfg = SimConfig(horizon_t=horizon, oversample=8, trials=2, seed=0)
             assert mc._interval_count(UNIT, cfg) == 1
-        cfg = SimConfig(horizon_t=1e-10, oversample=8, trials=1, seed=0)
+        cfg = SimConfig(horizon_t=1e-10, oversample=8, trials=2, seed=0)
         assert mc._interval_count(ProcessParams(1.0, 4.0), cfg) == 1
 
     @pytest.mark.parametrize("fs,horizon,scheme,line", [

@@ -19,8 +19,7 @@ from test_kernel_reference import read_table
 from wienerdr import cli, drf, waterfill
 from wienerdr.spectral import (SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER,
                                SpectralDensity)
-from wienerdr.waterfill import (MAX_RBAR, MIN_RBAR, solve_theta_for_rate,
-                                water_levels)
+from wienerdr.waterfill import MAX_RBAR, MIN_RBAR, solve_theta_for_rate
 
 BORDER_RATE = 0.5 * (1.0 + np.log2(np.sqrt(3.0) + 2.0))  # ~1.44998
 #: where Newton's start is least settled, for the walk (border rate 1) and
@@ -31,6 +30,14 @@ BORDER_RATE = 0.5 * (1.0 + np.log2(np.sqrt(3.0) + 2.0))  # ~1.44998
 BRANCH_EDGES = (1.0, math.nextafter(1.0, 0.0), 1.0 - 1e-9, 0.65,
                 BORDER_RATE, math.nextafter(BORDER_RATE, 0.0),
                 BORDER_RATE - 1e-9, 0.65 * BORDER_RATE)
+#: each density's row of the kernel's stack
+ROWS = {SHIFTED_SAMPLED_WIENER: 0, SAMPLED_WIENER: 1}
+
+
+def sections_of(density, rbar):
+    """The density's water levels in ``drf.sections`` over rbar."""
+    return getattr(drf.sections(rbar),
+                   "shifted" if density.shift else "sampled")
 
 
 class TestDistortion:
@@ -126,7 +133,7 @@ class TestSolve:
     def test_is_the_water_levels_of_one_rate(self, density):
         for rate in (MIN_RBAR, 1e-4, 0.3, 1.2, 300.0, MAX_RBAR):
             point = solve_theta_for_rate(density, rate)
-            for field, want in vars(water_levels(density, rate)).items():
+            for field, want in vars(sections_of(density, rate)).items():
                 got = getattr(point, field)
                 assert type(got) is type(want) and got == want
 
@@ -159,7 +166,7 @@ class TestKernel:
     def test_matches_oracle(self, log_rbar):
         rbar = float(np.exp(log_rbar))
         for density in (SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER):
-            levels = water_levels(density, rbar)
+            levels = solve_theta_for_rate(density, rbar)
             theta = float(levels.theta)
             assert rate_at_theta(density, theta) == \
                 pytest.approx(rbar, abs=1e-10)
@@ -169,7 +176,7 @@ class TestKernel:
                 pytest.approx(levels.distortion, rel=1e-11)
             assert waterfill.distortion_at_theta(density, theta) == \
                 pytest.approx(levels.distortion, rel=1e-11)
-        sampled = water_levels(SAMPLED_WIENER, rbar)
+        sampled = solve_theta_for_rate(SAMPLED_WIENER, rbar)
         theta = float(sampled.theta)
         g = integrate_density(SAMPLED_WIENER, "reciprocal-weighted",
                               theta=theta)
@@ -180,12 +187,12 @@ class TestKernel:
     def test_saturated_forms_to_the_edge(self, rbar):
         # past rbar 267 the oracle fails; the exact saturated forms hold
         power = 2.0 ** (-2.0 * rbar)
-        shifted = water_levels(SHIFTED_SAMPLED_WIENER, rbar)
+        shifted = solve_theta_for_rate(SHIFTED_SAMPLED_WIENER, rbar)
         low_rate_coef = (2.0 + np.sqrt(3.0)) / 6.0
         assert shifted.theta == pytest.approx(low_rate_coef * power, rel=1e-12)
         assert shifted.distortion == pytest.approx(low_rate_coef * power,
                                                    rel=1e-12)
-        sampled = water_levels(SAMPLED_WIENER, rbar)
+        sampled = solve_theta_for_rate(SAMPLED_WIENER, rbar)
         assert sampled.theta == pytest.approx(power, rel=1e-12)
         assert sampled.distortion == pytest.approx(power, rel=1e-12)
         assert sampled.g == pytest.approx(2.0 * power, rel=1e-12)
@@ -193,7 +200,7 @@ class TestKernel:
 
     def test_array_matches_scalar_solves(self):
         rbars = np.array([1e-4, 0.03, 0.7, 1.2, 5.0, 300.0])
-        levels = water_levels(SHIFTED_SAMPLED_WIENER, rbars)
+        levels = drf.sections(rbars).shifted
         for i, rbar in enumerate(rbars):
             point = solve_theta_for_rate(SHIFTED_SAMPLED_WIENER, rbar)
             assert levels.theta[i] == point.theta
@@ -201,14 +208,16 @@ class TestKernel:
 
     @pytest.mark.parametrize("density", [SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER])
     def test_crossing_is_the_density_crossing(self, density):
-        levels = water_levels(density, np.geomspace(1e-4, 500.0, 3000))
+        levels = sections_of(density, np.geomspace(1e-4, 500.0, 3000))
         assert np.array_equal(density.crossing(levels.theta), levels.crossing)
 
     @pytest.mark.parametrize("density", [SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER,
                                          None], ids=["density0", "density1",
                                                      "both"])
     def test_at_most_two_rate_evaluations(self, density, monkeypatch):
-        # None: the one pass of drf.sections over both densities, also over
+        # an array goes through drf.sections, the one pass over both
+        # densities, and a scalar through the density's
+        # solve_theta_for_rate, or for None through drf.sections, also over
         # every input of test_drf's, the benchmark-like 10-point grids among
         # them; a grid of several blocks takes two per block
         calls = []
@@ -220,9 +229,9 @@ class TestKernel:
 
         monkeypatch.setattr(waterfill, "_two_ln2_rate", counted)
         solve = (drf.sections if density is None
-                 else functools.partial(water_levels, density))
+                 else functools.partial(solve_theta_for_rate, density))
         rbars = np.geomspace(MIN_RBAR, waterfill.MAX_RBAR, 3000)
-        solve(rbars)
+        drf.sections(rbars)
         assert len(calls) <= 2
         worst = 0
         for rbar in rbars:
@@ -239,22 +248,22 @@ class TestKernel:
 
     def test_refuses_past_the_underflow_edge(self):
         with pytest.raises(FloatingPointError, match="510.9.*510.658"):
-            water_levels(SAMPLED_WIENER, np.array([1.0, 510.9]))
-        water_levels(SHIFTED_SAMPLED_WIENER, waterfill.MAX_RBAR)
+            drf.sections(np.array([1.0, 510.9]))
+        solve_theta_for_rate(SHIFTED_SAMPLED_WIENER, waterfill.MAX_RBAR)
 
     def test_a_start_too_far_off_is_refused(self, monkeypatch, tmp_path):
         # two Newton steps from 0.3 off in ln theta leave an error bound far
         # above 2^-52: the solve raises, and the command line exits 3
         start = waterfill._start
 
-        def off(rbar, border, floor, coefficients):
-            log_theta = start(rbar, border, floor, coefficients)[0] + 0.3
-            return log_theta, SpectralDensity._cot_crossing(np.exp(log_theta),
-                                                            floor)[1]
+        def off(rbar):
+            log_theta = start(rbar)[0] + 0.3
+            return log_theta, SpectralDensity._cot_crossing(
+                np.exp(log_theta), waterfill._FLOOR)[1]
 
         monkeypatch.setattr(waterfill, "_start", off)
         with pytest.raises(FloatingPointError, match="at 0.5 bits per sample"):
-            water_levels(SAMPLED_WIENER, np.array([0.5, 300.0]))
+            drf.sections(np.array([0.5, 300.0]))
         assert cli.main(["ratio", "--min", "0.1", "--max", "2", "--points",
                          "3", "--out", str(tmp_path / "ratio.csv")]) == 3
 
@@ -262,14 +271,14 @@ class TestKernel:
         assert MIN_RBAR == pytest.approx(6.8501e-155, rel=1e-5)
         with pytest.raises(FloatingPointError,
                            match="6.8e-155 .*below .* 6.8501e-155"):
-            water_levels(SHIFTED_SAMPLED_WIENER, np.array([1.0, 6.8e-155]))
+            drf.sections(np.array([1.0, 6.8e-155]))
         with pytest.raises(ValueError, match="rate must be > 0"):
-            water_levels(SAMPLED_WIENER, np.array([MIN_RBAR, math.nan]))
-        water_levels(SAMPLED_WIENER, MIN_RBAR)
+            drf.sections(np.array([MIN_RBAR, math.nan]))
+        solve_theta_for_rate(SAMPLED_WIENER, MIN_RBAR)
 
     @pytest.mark.parametrize("density", [SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER])
     def test_strictly_decreasing_over_the_whole_range(self, density):
-        levels = water_levels(density, np.geomspace(MIN_RBAR, MAX_RBAR, 20000))
+        levels = sections_of(density, np.geomspace(MIN_RBAR, MAX_RBAR, 20000))
         assert np.all(np.diff(levels.theta) < 0)
         assert np.all(np.diff(levels.distortion) < 0)
 
@@ -305,8 +314,7 @@ START_BOUNDS = {
 def start_errors(density, rbar, theta) -> np.ndarray:
     """Newton's start against the levels theta at rbar, both arrays below
     the density's border rate, relative to max{1, |ln theta|}."""
-    shift, floor, _, border, coefficients = waterfill._columns((density,))
-    log_theta = waterfill._start(rbar, border, floor, coefficients)[0][0]
+    log_theta = waterfill._start(rbar)[0][ROWS[density]]
     return (np.abs(log_theta - np.log(theta))
             / np.maximum(1.0, np.abs(np.log(theta))))
 
@@ -317,7 +325,7 @@ def test_start_within_its_bound_of_the_table(name):
     table = read_table()
     rbar, theta = np.array(table["rbar"]), np.array(table[f"{name}.theta"],
                                                    dtype=float)
-    below = rbar < waterfill._columns((density,))[3][0, 0]
+    below = rbar < waterfill._BORDER[ROWS[density], 0]
     errors = start_errors(density, rbar[below], theta[below])
     low = rbar[below] <= 0.1
     assert np.max(errors[low]) <= START_BOUNDS[name]["low"]
@@ -328,10 +336,10 @@ def test_start_within_its_bound_of_the_table(name):
 def test_start_is_good_between_the_tables_points(density):
     # the fit's points are the table's; between them, against the solved
     # levels, the start stays within about 1e-8 over (MIN_RBAR, r_b)
-    border = waterfill._columns((density,))[3][0, 0]
+    border = waterfill._BORDER[ROWS[density], 0]
     rbar = np.concatenate([np.geomspace(MIN_RBAR, 0.1, 500),
                            np.linspace(0.1, border, 5000, endpoint=False)])
-    theta = water_levels(density, rbar).theta
+    theta = sections_of(density, rbar).theta
     assert np.max(start_errors(density, rbar, theta)) <= 1e-8
 
 
@@ -382,7 +390,7 @@ def test_theta_matches_the_small_crossing_series(log_rbar):
     rbar = max(math.exp(log_rbar), MIN_RBAR)
     for density, shift in ((SAMPLED_WIENER, 0), (SHIFTED_SAMPLED_WIENER,
                                                   mpmath.mpf(1) / 6)):
-        theta = float(water_levels(density, rbar).theta)
+        theta = float(solve_theta_for_rate(density, rbar).theta)
         error = abs(mpmath.mpf(theta) / series_theta(rbar, shift) - 1)
         assert error <= (abs(math.log(theta)) + 8) * 2.0 ** -52
 

@@ -16,17 +16,14 @@ from .mc import (CeEstimate, ErrorMoments, MomentEstimate, SimConfig,
                  lemma_bounds, mc_test_channel_run)
 from .spectral import (EigenSystem, ParameterError, ProcessParams,
                        SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER, SpectralDensity,
-                       discrete_wiener_eigensystem,
-                       discrete_wiener_eigenvalues,
-                       interp_kernel_eigensystem, interp_kernel_eigenvalues)
+                       discrete_wiener_eigensystem, interp_kernel_eigensystem)
 from .waterfill import distortion_at_theta, rate_at_theta, solve_theta_for_rate
 
 __all__ = [
     "__version__", "ParameterError",
     "ProcessParams", "SpectralDensity", "SAMPLED_WIENER",
     "SHIFTED_SAMPLED_WIENER",
-    "EigenSystem", "discrete_wiener_eigenvalues", "discrete_wiener_eigensystem",
-    "interp_kernel_eigenvalues", "interp_kernel_eigensystem",
+    "EigenSystem", "discrete_wiener_eigensystem", "interp_kernel_eigensystem",
     "distortion_at_theta", "rate_at_theta", "solve_theta_for_rate",
     "RateSpec", "DistortionBundle", "d_w", "d_bar", "mmse_fs", "d_opt",
     "d_tilde", "equilibrium_rbar", "g_fun", "d_ce", "d_upper", "ratio_smp",

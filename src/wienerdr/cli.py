@@ -35,7 +35,7 @@ import numpy as np
 from . import __version__, drf, mc
 from .spectral import (SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER, ParameterError,
                        ProcessParams, check_count, check_positive,
-                       discrete_wiener_eigenvalues, interp_kernel_eigenvalues,
+                       discrete_wiener_eigensystem, interp_kernel_eigensystem,
                        unit)
 
 
@@ -187,10 +187,10 @@ def _cmd_ratio(args) -> int:
 def _cmd_eigen(args) -> int:
     params = ProcessParams(sigma2=args.sigma2, fs=args.fs)
     if args.kind == "discrete":
-        lam = discrete_wiener_eigenvalues(params, args.n)
+        lam = discrete_wiener_eigensystem(params, args.n).eigenvalues
         power, density = 1, SAMPLED_WIENER
     else:
-        lam = interp_kernel_eigenvalues(params, args.n)
+        lam = interp_kernel_eigensystem(params, args.n).eigenvalues
         power, density = 2, SHIFTED_SAMPLED_WIENER
     k = np.arange(1, args.n + 1)
     ratio, exp = unit(params.sigma2, params.fs, power)

@@ -55,7 +55,7 @@ import numpy as np
 
 from .spectral import (MAX_COUNT, ParameterError, ProcessParams,
                        check_count, check_normal, check_positive,
-                       discrete_wiener_eigenvalues, read_int, read_real, unit)
+                       discrete_wiener_eigensystem, read_int, read_real, unit)
 
 __all__ = [
     "SimConfig",
@@ -647,7 +647,8 @@ def _oracle(n: int, rbar: float, scale=1.0) -> Tuple[np.ndarray, float, ErrorMom
     C_j = -C_(M-j) above n.
     """
     n = check_count("n", n, least=2)
-    lam = scale * discrete_wiener_eigenvalues(ProcessParams(1.0, 1.0), n)
+    lam = scale * discrete_wiener_eigensystem(ProcessParams(1.0, 1.0),
+                                              n).eigenvalues
     theta = finite_waterfill_theta(lam, rbar)
     d = np.minimum(theta, lam)
     slots = np.zeros(2 * n + 1)

@@ -10,10 +10,10 @@ while the piecewise-linear interpolator of the samples has the shifted
 density S(phi) - 1/6.  A density is its shift (``SpectralDensity``), which
 gives S, its floor and the one formula for the water-level crossing; the
 two are the objects ``SAMPLED_WIENER`` and ``SHIFTED_SAMPLED_WIENER``.  The
-module also provides the closed-form finite-rank eigenvalues, in O(n), of
-the two covariance kernels (the discrete walk and the interpolator kernel
-on [0, n/fs]), alone or as an ``EigenSystem`` with n and ts; no eigenvector
-is built, as every result needs only the eigenvalues.
+module also builds, in O(n), the ``EigenSystem`` of each of the two
+covariance kernels (the discrete walk and the interpolator kernel on
+[0, n/fs]): its closed-form finite-rank eigenvalues, and no eigenvector,
+as every result needs only the eigenvalues.
 ``nystrom_interp_eigenvalues`` checks the closed forms: it gives the
 interpolator's discretized spectrum by one route, an n x n matrix with the
 same nonzero eigenvalues as the Nystrom matrix.
@@ -46,9 +46,7 @@ __all__ = [
     "SAMPLED_WIENER",
     "SHIFTED_SAMPLED_WIENER",
     "EigenSystem",
-    "discrete_wiener_eigenvalues",
     "discrete_wiener_eigensystem",
-    "interp_kernel_eigenvalues",
     "interp_kernel_eigensystem",
     "nystrom_interp_eigenvalues",
 ]
@@ -218,37 +216,26 @@ SHIFTED_SAMPLED_WIENER = SpectralDensity(1.0 / 6.0)
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Finite-rank spectrum of a covariance kernel on n samples at interval
-    ts: its n ``eigenvalues``, strictly positive and sorted decreasing, in
-    O(n) memory."""
+    """Finite-rank spectrum of a covariance kernel on n samples: its n
+    ``eigenvalues``, strictly positive and sorted decreasing, in O(n)
+    memory."""
 
-    n: int
     eigenvalues: np.ndarray
-    ts: float
-
-    def __post_init__(self):   # a ts of 0 or inf places no sample
-        check_normal(ts=self.ts)
-
-
-def discrete_wiener_eigenvalues(params: ProcessParams, n: int) -> np.ndarray:
-    """Eigenvalues (sigma2/fs) / (4 sin^2((2k-1) pi / (2(2n+1)))), k = 1..n,
-    of the covariance (sigma2/fs) * min{i, j}; decreasing in k, O(n)."""
-    n = check_count("n", n)
-    k = np.arange(1, n + 1)
-    ratio, exp = unit(params.sigma2, params.fs)
-    return _ldexp("eigenvalues", ratio / (
-        4.0 * np.sin((2 * k - 1) * np.pi / (2.0 * (2 * n + 1))) ** 2), exp)
 
 
 def discrete_wiener_eigensystem(params: ProcessParams, n: int) -> EigenSystem:
-    """The eigensystem of the covariance (sigma2/fs) * min{i, j}, its
-    eigenvalues from ``discrete_wiener_eigenvalues``."""
-    lam = discrete_wiener_eigenvalues(params, n)
-    return EigenSystem(len(lam), lam, params.ts)   # n as checked
+    """The eigensystem of the covariance (sigma2/fs) * min{i, j}: eigenvalues
+    (sigma2/fs) / (4 sin^2((2k-1) pi / (2(2n+1)))), k = 1..n; decreasing in
+    k, O(n)."""
+    n = check_count("n", n)
+    k = np.arange(1, n + 1)
+    ratio, exp = unit(params.sigma2, params.fs)
+    return EigenSystem(_ldexp("eigenvalues", ratio / (
+        4.0 * np.sin((2 * k - 1) * np.pi / (2.0 * (2 * n + 1))) ** 2), exp))
 
 
-def interp_kernel_eigenvalues(params: ProcessParams, n: int) -> np.ndarray:
-    """Eigenvalues of the sample-interpolator kernel on [0, n*ts], O(n).
+def interp_kernel_eigensystem(params: ProcessParams, n: int) -> EigenSystem:
+    """The eigensystem of the sample-interpolator kernel on [0, n*ts], O(n):
 
         lam_k = sigma2 ts^2 (2 + cos x_k) / (12 sin^2(x_k / 2)),
         x_k = (2k-1) pi / (2n),   k = 1..n,
@@ -261,15 +248,8 @@ def interp_kernel_eigenvalues(params: ProcessParams, n: int) -> np.ndarray:
     n = check_count("n", n)
     x = (2 * np.arange(1, n + 1) - 1) * np.pi / (2.0 * n)
     ratio, exp = unit(params.sigma2, params.fs, 2)
-    return _ldexp("eigenvalues", (ratio / 12.0) * (
-        (2.0 + np.cos(x)) / np.sin(0.5 * x) ** 2), exp)
-
-
-def interp_kernel_eigensystem(params: ProcessParams, n: int) -> EigenSystem:
-    """The eigensystem of the sample-interpolator kernel on [0, n*ts], its
-    eigenvalues from ``interp_kernel_eigenvalues``."""
-    lam = interp_kernel_eigenvalues(params, n)
-    return EigenSystem(len(lam), lam, params.ts)   # n as checked
+    return EigenSystem(_ldexp("eigenvalues", (ratio / 12.0) * (
+        (2.0 + np.cos(x)) / np.sin(0.5 * x) ** 2), exp))
 
 
 def nystrom_interp_eigenvalues(params: ProcessParams, n: int,

@@ -50,7 +50,7 @@ import numpy as np
 
 from wienerdr.cli import _cmd_curve, _cmd_eigen, _cmd_ratio, _cmd_simulate
 from wienerdr.spectral import (SAMPLED_WIENER, ProcessParams,
-                               discrete_wiener_eigenvalues)
+                               discrete_wiener_eigensystem)
 
 #: every waterfilling integral must come back with an error estimate below this
 ERROR_BOUND = 1e-9
@@ -326,7 +326,8 @@ def dense_channel_trials(params: ProcessParams, config,
     ``config.horizon_t * params.fs`` must be an integer.
     """
     n = round(config.horizon_t * params.fs)
-    lam, vecs = discrete_wiener_eigenvalues(params, n), sine_vectors(n)
+    lam = discrete_wiener_eigensystem(params, n).eigenvalues
+    vecs = sine_vectors(n)
     theta = loop_waterfill_theta(lam, rbar)
     active = lam > theta
     gain = np.where(active, 1.0 - theta / lam, 0.0)
@@ -350,7 +351,8 @@ def dense_grid_expectation(n: int, oversample: int, rbar: float) -> float:
     m (os - m)/os plus h^T K h for the explicit hat weights h of each fine
     point and the node-error covariance K = V^T diag(min{theta, lambda}) V
     of the samples' covariance os * min{i, j} (e_0 = 0)."""
-    lam = discrete_wiener_eigenvalues(ProcessParams(float(oversample), 1.0), n)
+    lam = discrete_wiener_eigensystem(ProcessParams(float(oversample), 1.0),
+                                      n).eigenvalues
     vecs = sine_vectors(n)
     d = np.minimum(loop_waterfill_theta(lam, rbar), lam)
     cov = np.zeros((n + 1, n + 1))
@@ -373,7 +375,7 @@ def dense_grid_expectation(n: int, oversample: int, rbar: float) -> float:
 def sine_vectors(n: int) -> np.ndarray:
     """Unit-norm eigenvectors of min{i, j}, i, j = 1..n, as rows: entry
     [k-1, m-1], 2 sin((2k-1) pi m / (2n+1)) / sqrt(2n+1), pairs eigenvalue k
-    of ``discrete_wiener_eigenvalues`` with sample m.  Every sine row has
+    of ``discrete_wiener_eigensystem`` with sample m.  Every sine row has
     squared norm (2n+1)/4, so one factor normalizes all modes."""
     k = np.arange(1, n + 1)   # also the sample index m = 1..n
     vecs = np.sin(np.outer((2 * k - 1) * np.pi / (2 * n + 1), k))
@@ -481,15 +483,15 @@ def fredholm_residual(system, params: ProcessParams, k: int,
     ``interp_node_values``; shrinks as the grid is refined, so it doubles as
     a convergence diagnostic for the closed-form eigensystem.
     """
-    if not 1 <= k <= system.n:
-        raise ValueError(f"k must be in 1..{system.n}")
+    n, ts = len(system.eigenvalues), params.ts
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in 1..{n}")
     if grid_points < 50:
         raise ValueError("grid_points must be >= 50 per sampling interval")
-    total = system.n * grid_points + 1
-    dt = system.ts / grid_points
+    total = n * grid_points + 1
+    dt = ts / grid_points
     t = np.arange(total) * dt
-    phi = interp_eigenfunction(interp_node_values(system.n, system.ts)[k - 1],
-                               system.ts, t)
+    phi = interp_eigenfunction(interp_node_values(n, ts)[k - 1], ts, t)
     w = np.full(total, dt)
     w[0] = w[-1] = 0.5 * dt
     resid = system.eigenvalues[k - 1] * phi \

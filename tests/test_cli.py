@@ -713,8 +713,8 @@ def test_each_bad_flag_is_named(tmp_path, capsys, monkeypatch, argv, message):
     (lambda: mc.SimConfig(1.0, 2.5, 2, 1), "oversample"),
     (lambda: mc.SimConfig(1.0, 8, 0, 1), "trials"),
     (lambda: mc.SimConfig(1.0, 8, 2, 2 ** 64), "seed"),
-    (lambda: spectral.discrete_wiener_eigenvalues(UNIT_PARAMS, 0), "n"),
-    (lambda: spectral.interp_kernel_eigenvalues(UNIT_PARAMS, -1), "n"),
+    (lambda: spectral.discrete_wiener_eigensystem(UNIT_PARAMS, 0), "n"),
+    (lambda: spectral.interp_kernel_eigensystem(UNIT_PARAMS, -1), "n"),
     (lambda: mc.mc_test_channel_run(UNIT_PARAMS, mc.SimConfig(8.0, 4, 5, 1),
                                     math.nan), "rbar"),
     (lambda: cli.Grid(1.0, math.inf, 3, False), "max"),
@@ -1332,8 +1332,8 @@ def scaled_units(draw):
 def absolute_outputs(sigma2, fs, rate, n):
     """{route: (power p of fs in its unit sigma2/fs**p, {name: values}, or
     None where the route refused)} of every absolute output at (sigma2, fs):
-    the ``sweep`` fields at ``rate``, both eigenvalue functions, the Nystrom
-    oracle and ``eigen``'s lambda and density_limit at rank n, the
+    the ``sweep`` fields at ``rate``, both eigensystems' eigenvalues, the
+    Nystrom oracle and ``eigen``'s lambda and density_limit at rank n, the
     compress-and-estimate moment oracle and its bounds at rank n and rate/fs
     bits per sample,
     ``lemma_bounds`` over n moments in units of sigma2/fs, and the
@@ -1347,8 +1347,10 @@ def absolute_outputs(sigma2, fs, rate, n):
     except FloatingPointError:   # the bundle refuses the whole curve
         routes["sweep"] = (1, None)
     for kind, power, eigenvalues in (
-            ("discrete", 1, spectral.discrete_wiener_eigenvalues),
-            ("interp", 2, spectral.interp_kernel_eigenvalues),
+            ("discrete", 1, lambda p, n: spectral.discrete_wiener_eigensystem(
+                p, n).eigenvalues),
+            ("interp", 2, lambda p, n: spectral.interp_kernel_eigensystem(
+                p, n).eigenvalues),
             ("nystrom", 2, lambda p, n: spectral.nystrom_interp_eigenvalues(
                 p, n, grid_points=4))):
         try:

@@ -21,8 +21,8 @@ import numpy as np
 import pytest
 
 from wienerdr import drf, mc
-from wienerdr.spectral import (ProcessParams, discrete_wiener_eigenvalues,
-                               interp_kernel_eigenvalues)
+from wienerdr.spectral import (ProcessParams, discrete_wiener_eigensystem,
+                               interp_kernel_eigensystem)
 
 UNIT = ProcessParams(sigma2=1.0, fs=1.0)
 RBARS = np.geomspace(1e-3, 5.0, 12)
@@ -49,13 +49,13 @@ def waterfilled_mean(eigenvalues, rbar: float) -> float:
     return float(np.minimum(theta, eigenvalues).mean())
 
 
-@pytest.mark.parametrize("eigenvalues,closed_form,floor", [
-    pytest.param(discrete_wiener_eigenvalues, SECTIONS.sampled.distortion,
+@pytest.mark.parametrize("eigensystem,closed_form,floor", [
+    pytest.param(discrete_wiener_eigensystem, SECTIONS.sampled.distortion,
                  7e-15, id="d_bar"),
-    pytest.param(interp_kernel_eigenvalues, SECTIONS.d_tilde, 5e-11,
+    pytest.param(interp_kernel_eigensystem, SECTIONS.d_tilde, 5e-11,
                  id="d_tilde")])
-def test_finite_rank_waterfilling_converges(eigenvalues, closed_form, floor):
-    lam = {n: eigenvalues(UNIT, n) for n in (N, 2 * N)}
+def test_finite_rank_waterfilling_converges(eigensystem, closed_form, floor):
+    lam = {n: eigensystem(UNIT, n).eigenvalues for n in (N, 2 * N)}
     for rbar, exact in zip(RBARS, closed_form):
         got = richardson(lambda n: waterfilled_mean(lam[n], rbar), N)
         assert abs(got / exact - 1.0) <= tolerance(rbar, floor), rbar

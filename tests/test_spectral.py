@@ -15,9 +15,7 @@ from oracle import (ConstantDensity, fredholm_residual, interp_covariance,
 from wienerdr.spectral import (ParameterError, ProcessParams, SAMPLED_WIENER,
                                SHIFTED_SAMPLED_WIENER, SpectralDensity,
                                discrete_wiener_eigensystem,
-                               discrete_wiener_eigenvalues,
                                interp_kernel_eigensystem,
-                               interp_kernel_eigenvalues,
                                nystrom_interp_eigenvalues, unit)
 
 UNIT = ProcessParams(sigma2=1.0, fs=1.0)
@@ -286,18 +284,25 @@ class TestInterpEigensystem:
             s1 = mpmath.sin((n - 1) * mpmath.pi / (2 * n))
             exact = (mpmath.mpf(1.3) * (1 / mpmath.mpf(0.7)) ** 2 / 6
                      * (2 + s1) / (1 - s1))
-        lam1 = interp_kernel_eigenvalues(params, n)[0]
+        lam1 = interp_kernel_eigensystem(params, n).eigenvalues[0]
         assert abs(lam1 / float(exact) - 1.0) <= 1e-14
 
-    def test_eigenvalue_path_matches_eigensystem(self):
-        params = ProcessParams(sigma2=0.4, fs=2.5)
-        for n in (1, 9, 200):
-            assert np.array_equal(
-                interp_kernel_eigenvalues(params, n),
-                interp_kernel_eigensystem(params, n).eigenvalues)
-            assert np.array_equal(
-                discrete_wiener_eigenvalues(params, n),
-                discrete_wiener_eigensystem(params, n).eigenvalues)
+    def test_ts_past_the_floats_answers(self):
+        # ts = 1/fs = 1e310 is past the floats, yet sigma2 ts^2 = 5e296 is
+        # not: each eigenvalue is normal, within 2 ulp of the closed form
+        # sigma2 ts^2 (2 + cos x_k) / (12 sin^2(x_k / 2)) at 40 digits
+        params = ProcessParams(5e-324, 1e-310)
+        lam = interp_kernel_eigensystem(params, 2).eigenvalues
+        assert np.all(np.isfinite(lam)) and np.all(lam >= sys.float_info.min)
+        assert np.all(np.diff(lam) < 0)
+        with mpmath.workdps(40):
+            scale = mpmath.mpf(params.sigma2) / mpmath.mpf(params.fs) ** 2
+            for k, got in enumerate(lam, start=1):
+                x = (2 * k - 1) * mpmath.pi / 4   # (2k-1) pi / (2n), n = 2
+                exact = scale * (2 + mpmath.cos(x)) \
+                    / (12 * mpmath.sin(x / 2) ** 2)
+                assert abs(mpmath.mpf(float(got)) - exact) \
+                    <= 2 * math.ulp(float(exact))
 
     def test_unit_is_the_quotient_of_the_mantissas(self):
         # sigma2 ts^2 is m_s / m_f**2 times 2**(e_s - 2 e_f) (``unit``), not
@@ -312,7 +317,7 @@ class TestInterpEigensystem:
         ts, n = params.ts, 64
         x = (2 * np.arange(1, n + 1) - 1) * np.pi / (2.0 * n)
         shape = (2.0 + np.cos(x)) / np.sin(0.5 * x) ** 2
-        got = interp_kernel_eigenvalues(params, n)
+        got = interp_kernel_eigensystem(params, n).eigenvalues
         assert np.array_equal(got, (quotient(fs) / 12.0) * shape)
         assert not np.array_equal(got, (0.9 * (ts * ts) / 12.0) * shape)
 
@@ -326,7 +331,7 @@ class TestInterpEigensystem:
 
     def test_large_n_has_no_degenerate_denominators(self):
         for n in (4096, 10 ** 6):
-            lam = interp_kernel_eigenvalues(UNIT, n)
+            lam = interp_kernel_eigensystem(UNIT, n).eigenvalues
             assert len(lam) == n
             assert np.all(np.isfinite(lam)) and np.all(lam > 0)
             assert np.all(np.diff(lam) < 0)
@@ -369,27 +374,24 @@ class TestInterpEigensystem:
         params = ProcessParams(5e-324, 1e-307)
         system = interp_kernel_eigensystem(params, 20)
         assert system.eigenvalues[0] == pytest.approx(8.0e292, rel=0.01)
-        nodes = interp_node_values(system.n, system.ts)
+        nodes = interp_node_values(20, params.ts)
         assert np.all(np.isfinite(nodes)) and np.all(nodes[:, 1:] != 0.0)
         a, b = nodes[:, :-1], nodes[:, 1:]   # as test_node_rows_have_unit_norm
         norm_sq = np.sum(a * a + a * b + b * b, axis=1) * (params.ts / 3.0)
         assert np.max(np.abs(norm_sq - 1.0)) <= 1e-12
-        assert interp_eigenfunction(nodes[0], system.ts, 10 * params.ts) == \
+        assert interp_eigenfunction(nodes[0], params.ts, 10 * params.ts) == \
             pytest.approx(nodes[0, 10], rel=1e-12)
 
 
-@pytest.mark.parametrize("build,values", [
-    (discrete_wiener_eigensystem, discrete_wiener_eigenvalues),
-    (interp_kernel_eigensystem, interp_kernel_eigenvalues)],
-    ids=["discrete", "interp"])
-def test_a_system_holds_only_its_n_eigenvalues(build, values):
+@pytest.mark.parametrize("build", [discrete_wiener_eigensystem,
+                                   interp_kernel_eigensystem],
+                         ids=["discrete", "interp"])
+def test_a_system_holds_only_its_n_eigenvalues(build):
     # memory linear in n: an n x n matrix at n = 10**6 would need 8 TB
     n, params = 10 ** 6, ProcessParams(sigma2=0.4, fs=2.5)
     system = build(params, n)
-    assert vars(system).keys() == {"n", "eigenvalues", "ts"}
-    assert (system.n, system.ts) == (n, params.ts)
+    assert vars(system).keys() == {"eigenvalues"}
     assert system.eigenvalues.shape == (n,)
-    assert np.array_equal(system.eigenvalues, values(params, n))
 
 
 class TestFredholmResidual:

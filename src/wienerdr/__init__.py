@@ -13,7 +13,7 @@ from .drf import (DistortionBundle, RateSpec, bundle, ce_penalty, d_bar, d_ce,
                   mmse_fs, ratio_qnt, ratio_smp)
 from .mc import (CeEstimate, ErrorMoments, MomentEstimate, SimConfig,
                  ce_distortion_estimate, ce_moment_oracle, empirical_mmse,
-                 lemma_bounds, mc_test_channel_run)
+                 mc_test_channel_run)
 from .spectral import (EigenSystem, ParameterError, ProcessParams,
                        SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER, SpectralDensity,
                        discrete_wiener_eigensystem, interp_kernel_eigensystem)
@@ -29,6 +29,6 @@ __all__ = [
     "d_tilde", "equilibrium_rbar", "g_fun", "d_ce", "d_upper", "ratio_smp",
     "ratio_qnt", "ce_penalty", "bundle",
     "SimConfig", "ErrorMoments", "MomentEstimate", "CeEstimate",
-    "empirical_mmse", "lemma_bounds", "ce_moment_oracle",
+    "empirical_mmse", "ce_moment_oracle",
     "ce_distortion_estimate", "mc_test_channel_run",
 ]

@@ -63,7 +63,6 @@ __all__ = [
     "MomentEstimate",
     "CeEstimate",
     "empirical_mmse",
-    "lemma_bounds",
     "finite_waterfill_theta",
     "ce_moment_oracle",
     "ce_distortion_estimate",
@@ -101,36 +100,22 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class ErrorMoments:
-    """Second moments of sample reconstruction errors within one block.
-
-    ``second[m-1] = E D_m^2`` for m = 1..N and
-    ``cross[m-1] = E D_m D_{m+1}`` for m = 1..N-1, where D_m is the error of
-    sample m.  Index 0 (the pinned start) and the cross moment across block
-    boundaries are identically zero and are not stored; the error of the
-    first sample past the block reuses the distribution of D_1 (blocks are
-    re-zeroed and coded independently).  A non-finite moment raises
-    FloatingPointError naming its field.
-    """
+    """Second moments of the sample errors within one block, as
+    ``ce_moment_oracle`` gives them: ``second[m-1] = E D_m^2`` for m = 1..N
+    and ``cross[m-1] = E D_m D_{m+1}`` for m = 1..N-1, D_m the error of
+    sample m (D_0, at the pinned start, is 0).  Each is a float64 array; a
+    non-finite moment raises FloatingPointError naming its field."""
 
     second: np.ndarray
     cross: np.ndarray
 
     def __post_init__(self):   # kept as the float arrays checked
         for name in ("second", "cross"):
-            object.__setattr__(self, name, read_real(name, getattr(self, name), True))
-        s, c = self.second, self.cross
-        if s.ndim != 1 or c.ndim != 1 or len(c) != len(s) - 1 or len(s) < 2:
-            raise ValueError("need N >= 2 second moments and N-1 cross moments")
-        for name, value in (("second", s), ("cross", c)):
+            value = read_real(name, getattr(self, name), True)
             if not np.isfinite(value).all():
                 raise FloatingPointError(
                     f"{name} is past the floating-point range")
-        if (s < 0).any():
-            raise ValueError("second moments must be non-negative")
-        # a product of roots, as sqrt(s1 s2) overflows and underflows
-        bound = np.sqrt(s[:-1]) * np.sqrt(s[1:]) + 1e-300
-        if (np.abs(c) / (1 + 1e-9) > bound).any():
-            raise ValueError("cross moments violate Cauchy-Schwarz")
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -505,7 +490,7 @@ def _expectations(n: int, oversample: int,
     independent of the nodes, so E sum B**2 = n (os**2 - 1)/6 and
     grid = n (os**2 - 1)/6 + a (2 sum s[:-1] + s[-1]) + 2 b sum c
     (``_ramp_sums``); its os -> infinity form, ``continuous``, is
-    ``lemma_bounds`` lower + E D_N**2 / (3 N) in units of n os**2 fs/sigma2.
+    n os**2/6 + os (2 sum s[:-1] + s[-1] + sum c)/3.
     """
     os_ = oversample
     grid = n * (os_ * os_ - 1) / 6.0
@@ -551,39 +536,6 @@ def _mmse_rows(n: int, oversample: int, trials: range,
                streams: _TrialStreams) -> np.ndarray:
     """``empirical_mmse``'s unit-scale per-trial sums of ``trials``."""
     return _interval_error(_intervals(n, oversample, trials, streams)[0])
-
-
-def lemma_bounds(moments: ErrorMoments, params: ProcessParams) -> Tuple[float, float]:
-    """Bounds on the path MSE implied by the sample error moments.
-
-    lower = mmse + (2/3) mean_{n<N} E D_n^2 + (1/3) mean E D_n D_{n+1}, or
-    mmse where moments that no path has make that sum negative, and the
-    matching (N+1)-normalized upper bound; the block-extension terms
-    follow the ErrorMoments convention (zero boundary cross moment, first-
-    sample second moment reused past the block).  mmse is ``drf.mmse_fs``.
-    The sums are formed at unit scale, mmse and the moments shifted down
-    exactly by 2**top, top the ``frexp`` exponent of the largest of them;
-    only a bound past the normal floats raises FloatingPointError.
-    """
-    ratio, exp = unit(params.sigma2, params.fs)
-    mmse = ratio / 6.0   # times 2**exp
-    top = max(np.frexp(mmse)[1] + exp, np.frexp(moments.second.max())[1])
-    s, c = (np.ldexp(m, -top) for m in (moments.second, moments.cross))
-    bounds = _bounds(np.ldexp(mmse, exp - top), s, c, top)
-    return bounds.lower, bounds.upper
-
-
-def _bounds(floor: float, s: np.ndarray, c: np.ndarray, exp: int) -> CeEstimate:
-    """``lemma_bounds`` and their midpoint: ``floor`` plus the lemma's sums
-    of the moments s and c, each times 2**exp last."""
-    n = len(s)
-    with np.errstate(all="ignore"):   # CeEstimate refuses
-        lower = floor + max(((2.0 / 3.0) * s[:-1].sum() + c.sum() / 3.0) / n,
-                            0.0)
-        upper = floor + ((2.0 / 3.0) * (s.sum() + s[0])
-                         + c.sum() / 3.0) / (n + 1)
-        mid = lower + (upper - lower) / 2
-        return CeEstimate(*np.ldexp((mid, lower, upper), exp))
 
 
 def finite_waterfill_theta(eigenvalues: np.ndarray, rbar: float) -> float:
@@ -677,11 +629,26 @@ def ce_moment_oracle(params: ProcessParams, n: int, rbar: float) -> ErrorMoments
 
 
 def ce_distortion_estimate(params: ProcessParams, n: int, rbar: float) -> CeEstimate:
-    """Midpoint of the moment-oracle bounds, formed at unit scale (answering
-    where an absolute moment overflows); converges to d_ce as n grows."""
+    """The lemma's bounds on the compress-and-estimate distortion, from the
+    oracle's moments s and c of N = n sample errors, and their midpoint,
+    which converges to d_ce as n grows:
+    lower = mmse + max((2/3) sum_{m<N} s_m + (1/3) sum c, 0) / N and
+    upper = mmse + ((2/3) (sum s + s_1) + (1/3) sum c) / (N + 1), mmse
+    ``drf.mmse_fs``; the upper bound extends the block by one sample, with
+    zero cross moment across blocks and the first sample's second moment
+    reused past the block.  The sums are formed at unit scale and sigma2/fs
+    applied last, so the bounds answer where an absolute moment overflows.
+    """
     moments = _oracle(n, rbar)[2]
     ratio, exp = unit(params.sigma2, params.fs)
-    return _bounds(ratio / 6.0, ratio * moments.second, ratio * moments.cross, exp)
+    s, c = ratio * moments.second, ratio * moments.cross
+    n, cross = len(s), c.sum() / 3.0
+    with np.errstate(all="ignore"):   # CeEstimate refuses
+        lower = ratio / 6.0 + max(((2.0 / 3.0) * s[:-1].sum() + cross) / n,
+                                  0.0)
+        upper = ratio / 6.0 + ((2.0 / 3.0) * (s.sum() + s[0]) + cross) / (n + 1)
+        mid = lower + (upper - lower) / 2
+        return CeEstimate(*np.ldexp((mid, lower, upper), exp))
 
 
 def mc_test_channel_run(params: ProcessParams, config: SimConfig,

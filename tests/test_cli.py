@@ -841,8 +841,6 @@ def test_a_type_keeps_the_value_it_checked(params, rate, config, grid,
         == outcome(lambda: drf.bundle(p0, r0))
     assert outcome(lambda: drf.sweep(*params, rate)) \
         == outcome(lambda: drf.sweep(*plain(params), float(rate)))
-    moments0 = mc.ErrorMoments(np.array(second), np.array(cross))
-    assert mc.lemma_bounds(m, p) == mc.lemma_bounds(moments0, p0)
     assert outcome(lambda: mc.ce_distortion_estimate(p, 8, rbar)) \
         == outcome(lambda: mc.ce_distortion_estimate(p0, 8, float(rbar)))
 
@@ -1335,9 +1333,8 @@ def absolute_outputs(sigma2, fs, rate, n):
     the ``sweep`` fields at ``rate``, both eigensystems' eigenvalues, the
     Nystrom oracle and ``eigen``'s lambda and density_limit at rank n, the
     compress-and-estimate moment oracle and its bounds at rank n and rate/fs
-    bits per sample,
-    ``lemma_bounds`` over n moments in units of sigma2/fs, and the
-    statistics of a run of each ``simulate`` scheme over n intervals."""
+    bits per sample, and the statistics of a run of each ``simulate``
+    scheme over n intervals."""
     params = spectral.ProcessParams(sigma2, fs)
     routes = {}
     try:
@@ -1378,17 +1375,6 @@ def absolute_outputs(sigma2, fs, rate, n):
         except FloatingPointError:   # a field past the floats
             values = None
         routes[oracle.__name__] = (1, values)
-    # moments of few mantissa bits times 2**e, e the exponent of sigma2/fs:
-    # exact wherever a bound is normal, and below mmse, so that they leave
-    # the floats only where the bounds do
-    e = math.frexp(sigma2)[1] - math.frexp(fs)[1]
-    try:
-        lower, upper = mc.lemma_bounds(mc.ErrorMoments(
-            np.ldexp(np.arange(1, n + 1) / 128, e),
-            np.ldexp(np.arange(1, n) / -256, e)), params)
-        routes["lemma_bounds"] = (1, {"lower": lower, "upper": upper})
-    except FloatingPointError:   # a moment or a bound past the floats
-        routes["lemma_bounds"] = (1, None)
     config = mc.SimConfig(horizon_t=n / fs, oversample=2, trials=3, seed=1)
     for scheme, run in (("mmse-only", mc.empirical_mmse),
                         ("test-channel", lambda p, c: mc.mc_test_channel_run(

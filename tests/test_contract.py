@@ -133,7 +133,6 @@ ROUTES = {
     "mc_test_channel_run": (
         lambda a: mc.mc_test_channel_run(params(a), config(a), a.rbar),
         mc.MomentEstimate),
-    "lemma_bounds": (lambda a: mc.lemma_bounds(moments(a), params(a)), tuple),
     "finite_waterfill_theta": (
         lambda a: mc.finite_waterfill_theta(a.eigenvalues, a.rbar), float),
     "ce_moment_oracle": (

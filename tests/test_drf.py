@@ -17,7 +17,7 @@ from wienerdr.drf import (DistortionBundle, RateSpec, bundle, ce_penalty,
                           d_bar, d_ce, d_opt, d_tilde, d_upper, d_w,
                           equilibrium_rbar, g_fun, mmse_fs, ratio_qnt,
                           ratio_smp)
-from wienerdr.mc import CeEstimate, ErrorMoments, lemma_bounds
+from wienerdr.mc import CeEstimate
 from wienerdr.spectral import (SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER,
                                ProcessParams)
 from wienerdr.waterfill import MAX_RBAR, MIN_RBAR, solve_theta_for_rate
@@ -195,6 +195,31 @@ class TestCePenalty:
         assert ce_penalty(8.0) == pytest.approx(1.0, abs=1e-4)
 
 
+#: 601 log-spaced rbar toward the paper's fs -> infinity limits, where each
+#: excess below is a difference of two nearly equal floats
+SMALL_RBAR = np.geomspace(1e-8, 1e-2, 601)
+CANCELLED = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 13: excess lost to cancellation")
+
+
+class TestOrderingsNearZeroRate:
+    """The paper's orderings in every row toward rbar -> 0; today each
+    fails at some of these points (47, 206 and 45 of them)."""
+
+    @CANCELLED
+    def test_ratio_smp_is_at_least_one(self):
+        assert (drf.sections(SMALL_RBAR).ratio_smp >= 1.0).all()
+
+    @CANCELLED
+    def test_ce_penalty_is_at_least_one(self):
+        assert (drf.sections(SMALL_RBAR).ce_penalty >= 1.0).all()
+
+    @CANCELLED
+    def test_d_bar_is_at_most_d_w(self):
+        curves = drf.sweep(1.0, 1.0, SMALL_RBAR)
+        assert (curves.d_bar <= curves.d_w).all()
+
+
 def _richardson_fs2_coefficient(curve) -> float:
     # (d - d_w)*fs^2 = a + b/fs^2 + ...; eliminate b pairwise in 1/fs^2
     rate = RateSpec(1.0)
@@ -281,8 +306,6 @@ class TestBundle:
         floor = bundle(params, RateSpec(1e308)).mmse
         assert floor == pytest.approx(1e-8 / 6.0, rel=1e-15)
         assert mmse_fs(params) == floor
-        zero = ErrorMoments(second=np.zeros(4), cross=np.zeros(3))
-        assert lemma_bounds(zero, params) == (floor, floor)
 
 
 def _sections_inputs():

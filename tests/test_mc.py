@@ -24,8 +24,7 @@ from wienerdr.cli import main
 from wienerdr.drf import g_fun
 from wienerdr.mc import (ErrorMoments, SimConfig, ce_distortion_estimate,
                          ce_moment_oracle, empirical_mmse,
-                         finite_waterfill_theta, lemma_bounds,
-                         mc_test_channel_run)
+                         finite_waterfill_theta, mc_test_channel_run)
 from wienerdr.spectral import (ProcessParams, discrete_wiener_eigensystem,
                                interp_kernel_eigensystem)
 from wienerdr.waterfill import solve_theta_for_rate
@@ -60,7 +59,7 @@ def test_exports_resolve():
     deleted = {"PathBundle", "path_for_trial", "simulate_paths", "BridgeCheck",
                "bridge_covariance_check", "interp_weights",
                "kl_coeff_from_samples", "_trial_keys", "water_levels",
-               "_ROW", "_columns"}
+               "_ROW", "_columns", "lemma_bounds", "_bounds"}
     for info in [None, *pkgutil.iter_modules(wienerdr.__path__, "wienerdr.")]:
         module = importlib.import_module(info.name) if info else wienerdr
         exported = getattr(module, "__all__", [])
@@ -311,82 +310,14 @@ class TestKlCoefficients:
         assert abs(coeffs.mean()) <= 3.0 * math.sqrt(lam1 / cfg.trials)
 
 
-class TestLemmaBounds:
-    def test_zero_errors_give_floor(self):
-        m = ErrorMoments(second=np.zeros(10), cross=np.zeros(9))
-        lo, hi = lemma_bounds(m, ProcessParams(1.0, 2.0))
-        assert lo == pytest.approx(1.0 / 12.0, abs=1e-15)
-        assert hi == pytest.approx(1.0 / 12.0, abs=1e-15)
-
-    def test_constant_moments_limit(self):
-        c = 0.3
-        m = ErrorMoments(second=np.full(4000, c), cross=np.zeros(3999))
-        lo, hi = lemma_bounds(m, UNIT)
-        assert lo == pytest.approx(1.0 / 6.0 + 2.0 * c / 3.0, abs=1e-3)
-        assert hi == pytest.approx(1.0 / 6.0 + 2.0 * c / 3.0, abs=1e-3)
-        assert lo <= hi
-
-    def test_anticorrelated_moments_limit(self):
-        c = 0.3
-        m = ErrorMoments(second=np.full(4000, c), cross=np.full(3999, -c / 2))
-        lo, hi = lemma_bounds(m, UNIT)
-        assert lo == pytest.approx(1.0 / 6.0 + c / 2.0, abs=1e-3)
-        assert hi == pytest.approx(1.0 / 6.0 + c / 2.0, abs=1e-3)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ErrorMoments(second=np.ones(3), cross=np.ones(3))
-        with pytest.raises(ValueError):
-            ErrorMoments(second=-np.ones(3), cross=np.zeros(2))
-        with pytest.raises(ValueError):
-            ErrorMoments(second=np.ones(3), cross=np.array([2.0, 0.0]))
-        with pytest.raises(ValueError, match="need N >= 2"):
-            ErrorMoments(second=np.ones(1), cross=np.ones(0))
-        # the bound is sqrt(s1) sqrt(s2): the product s1 s2 overflows here
-        with pytest.raises(ValueError, match="Cauchy-Schwarz"):
-            ErrorMoments(second=np.array([1e200, 1e200]),
-                         cross=np.array([2e200]))
+class TestErrorMoments:
+    def test_a_non_finite_moment_is_refused_by_its_field(self):
         for field, second, cross in (("second", [math.nan, 1.0], [0.0]),
                                      ("second", [math.inf, 1.0], [0.0]),
                                      ("cross", [1.0, 1.0], [math.inf])):
             with pytest.raises(FloatingPointError,
                                match=f"^{field} is past the floating-point range"):
                 ErrorMoments(second=np.array(second), cross=np.array(cross))
-        # ... and underflows here (below about 1e-162): the pair is valid
-        tiny = ErrorMoments(second=np.array([1e-200, 4e-200]),
-                            cross=np.array([-2e-200]))
-        assert lemma_bounds(tiny, UNIT) == (1.0 / 6.0, 1.0 / 6.0)
-
-    def test_bounds_answer_where_a_unit_scale_moment_overflows(self):
-        # 1e308 / (1 / 1.99) is past the floats; the bounds are not
-        m = ErrorMoments(second=np.array([1e300, 1e308]), cross=np.zeros(1))
-        lo, hi = lemma_bounds(m, ProcessParams(1.0, 1.99))
-        assert lo == pytest.approx(1.0 / 6.0 / 1.99 + 1e300 / 3.0, rel=1e-15)
-        assert hi == pytest.approx((1e308 + 2e300) / 9.0 * 2.0, rel=1e-15)
-
-    def test_bounds_answer_where_an_absolute_sum_overflows(self):
-        # s.sum() + s[0] is past the floats; the sums at unit scale are not
-        m = ErrorMoments(second=np.array([1.2e308, 1e300]), cross=np.zeros(1))
-        lo, hi = lemma_bounds(m, ProcessParams(1, 1.5))
-        assert lo == pytest.approx(1.2e308 / 3.0, rel=1e-15)
-        assert hi == pytest.approx(1.2e308 / 9.0 * 4.0 + 2e300 / 9.0,
-                                   rel=1e-15)
-
-    def test_moments_no_path_has_give_the_floor(self):
-        # (2/3) 0.5 - (1/3) sqrt(0.5 * 33) / 4 < 0: no path's errors have
-        # these moments, and every path's mean error is at least mmse
-        m = ErrorMoments(second=[0.0, 0.5, 33.0],
-                         cross=[0.0, -math.sqrt(16.5) / 4])
-        params = ProcessParams(1.0, 97.0)
-        lo, hi = lemma_bounds(m, params)
-        assert lo == wienerdr.mmse_fs(params) and hi > lo
-
-    def test_list_moments_give_the_array_bounds(self):
-        as_list = ErrorMoments(second=[1.0, 1.0], cross=[0.5])
-        as_array = ErrorMoments(second=np.ones(2), cross=np.array([0.5]))
-        params = ProcessParams(1, 2)
-        assert lemma_bounds(as_list, params) == lemma_bounds(as_array, params) \
-            == (0.49999999999999994, 0.8055555555555556)
 
 
 class TestFiniteWaterfill:
@@ -444,6 +375,17 @@ class TestCeMomentOracle:
         # theta below every eigenvalue makes the error covariance theta * I
         moments = ce_moment_oracle(UNIT, 256, 2.0)
         assert np.max(np.abs(moments.cross)) < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 50, 1000])
+    @pytest.mark.parametrize("rbar", [0.05, 1.0, 4.0])
+    def test_moments_are_those_of_a_covariance(self, n, rbar):
+        # n second moments, n - 1 lag-one moments, each within Cauchy-Schwarz
+        moments = ce_moment_oracle(UNIT, n, rbar)
+        s, c = moments.second, moments.cross
+        assert len(s) == n and len(c) == n - 1
+        assert (s >= 0).all()
+        assert (np.abs(c) <= np.sqrt(s[:-1]) * np.sqrt(s[1:])
+                * (1 + 1e-9)).all()
 
     def test_tiny_moments_at_huge_rate(self):
         moments = ce_moment_oracle(UNIT, 2, 40.0)
@@ -615,7 +557,8 @@ class TestExpectations:
         unit = ErrorMoments(oversample * moments.second,
                             oversample * moments.cross)
         got = mc._expectations(n, oversample, unit)[1] / (n * oversample ** 2)
-        ref = lemma_bounds(moments, UNIT)[0] + moments.second[-1] / (3 * n)
+        ref = ce_distortion_estimate(UNIT, n, rbar).lower \
+            + moments.second[-1] / (3 * n)
         assert got == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("params", [UNIT, ProcessParams(1.3, 2.0),
@@ -656,6 +599,22 @@ class TestCeDistortionEstimate:
         assert gaps == sorted(gaps, reverse=True)
         assert all(g > 0 for g in gaps)
 
+    @pytest.mark.parametrize("sigma2,fs,n,rbar,triple", [
+        (1, 1, 50, 0.5, (0.5940878637292575, 0.5897922416967193,
+                         0.5983834857617957)),
+        (3.7, 0.2, 200, 2, (3.8522395833333336, 3.8503125000000002,
+                            3.854166666666667)),
+        (1e-200, 1e100, 30, 0.1, (2.48229706880444e-300,
+                                  2.4600981836365704e-300,
+                                  2.5044959539723095e-300)),
+        (2, 5, 1000, 1e-3, (78.37560703484574, 78.36239908430902,
+                            78.38881498538247)),
+        (0.3, 7, 3, 4, (0.007235863095238095, 0.007217261904761904,
+                        0.007254464285714285))])
+    def test_pinned_values(self, sigma2, fs, n, rbar, triple):
+        est = ce_distortion_estimate(ProcessParams(sigma2, fs), n, rbar)
+        assert (est.estimate, est.lower, est.upper) == triple
+
     def test_scales_with_units(self):
         params = ProcessParams(3.0, 2.0)
         est = ce_distortion_estimate(params, 256, 2.0)
@@ -672,10 +631,11 @@ class TestTestChannelRun:
         assert abs(result.estimate - result.reference) <= tolerance
 
     @pytest.mark.parametrize("rbar", [1.0, 2.0])
-    def test_sandwiched_by_lemma_bounds(self, rbar):
+    def test_sandwiched_by_the_estimate_bounds(self, rbar):
         cfg = SimConfig(horizon_t=32.0, oversample=16, trials=250, seed=59)
         result = mc_test_channel_run(UNIT, cfg, rbar)
-        lo, hi = lemma_bounds(ce_moment_oracle(UNIT, 32, rbar), UNIT)
+        bounds = ce_distortion_estimate(UNIT, 32, rbar)
+        lo, hi = bounds.lower, bounds.upper
         # the Monte-Carlo average sits between the bounds up to noise and
         # the oversampling bias of the fine-grid time integral
         slack = 3.0 * result.stderr + result.bias

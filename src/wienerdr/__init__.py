@@ -9,8 +9,8 @@ compress-and-estimate results.
 __version__ = "0.1.0"
 
 from .drf import (DistortionBundle, RateSpec, bundle, ce_penalty, d_bar, d_ce,
-                  d_opt, d_tilde, d_upper, d_w, equilibrium_rbar, g_fun,
-                  mmse_fs, ratio_qnt, ratio_smp)
+                  d_opt, d_upper, d_w, equilibrium_rbar, g_fun, ratio_qnt,
+                  ratio_smp)
 from .mc import (CeEstimate, ErrorMoments, MomentEstimate, SimConfig,
                  ce_distortion_estimate, ce_moment_oracle, empirical_mmse,
                  mc_test_channel_run)
@@ -25,9 +25,9 @@ __all__ = [
     "SHIFTED_SAMPLED_WIENER",
     "EigenSystem", "discrete_wiener_eigensystem", "interp_kernel_eigensystem",
     "distortion_at_theta", "rate_at_theta", "solve_theta_for_rate",
-    "RateSpec", "DistortionBundle", "d_w", "d_bar", "mmse_fs", "d_opt",
-    "d_tilde", "equilibrium_rbar", "g_fun", "d_ce", "d_upper", "ratio_smp",
-    "ratio_qnt", "ce_penalty", "bundle",
+    "RateSpec", "DistortionBundle", "d_w", "d_bar", "d_opt",
+    "equilibrium_rbar", "g_fun", "d_ce", "d_upper", "ratio_smp", "ratio_qnt",
+    "ce_penalty", "bundle",
     "SimConfig", "ErrorMoments", "MomentEstimate", "CeEstimate",
     "empirical_mmse", "ce_moment_oracle",
     "ce_distortion_estimate", "mc_test_channel_run",

@@ -7,11 +7,11 @@ sampling rate fs and bits per sample rbar = R/fs:
                2 sigma2 / (pi^2 ln2 R);
 * ``d_bar``    distortion-rate function of the sample walk, waterfilled over
                the unshifted density (per-sample MSE, absolute units);
-* ``mmse_fs``  sampling-only error floor sigma2 / (6 fs);
-* ``d_opt``    the optimal sampled encoding: mmse_fs plus the waterfilled
+* ``mmse``     sampling-only error floor sigma2 / (6 fs);
+* ``d_opt``    the optimal sampled encoding: mmse plus the waterfilled
                distortion of the shifted density;
 * ``d_ce``     compress-the-samples-then-interpolate encoding;
-* ``d_upper``  the cruder bound mmse_fs + d_bar.
+* ``d_upper``  the cruder bound mmse + d_bar.
 
 The dimensionless sections (``d_tilde``, ``g_fun`` and the excess-distortion
 ratios) depend on rbar alone; the absolute functions scale linearly in
@@ -46,9 +46,7 @@ __all__ = [
     "Sections",
     "d_w",
     "d_bar",
-    "mmse_fs",
     "d_opt",
-    "d_tilde",
     "equilibrium_rbar",
     "g_fun",
     "d_ce",
@@ -116,12 +114,20 @@ class Sections:
     """The dimensionless curves at bits per sample rbar (a float or an array).
 
     ``shifted`` holds the water levels of the interpolator's density (d_opt),
-    ``sampled`` those of the walk's density (d_bar, d_ce).
+    ``sampled`` those of the walk's density (d_bar, d_ce), and ``g`` the
+    walk's integral of min{theta, S}/S; the compress-and-estimate term
+    ``ce``, integral of min{theta, S} (S - 1/6)/S, is distortion - g/6, and
+    ``d_tilde`` the shifted distortion: d_opt = (sigma2/fs)(1/6 + d_tilde).
     """
 
     rbar: np.ndarray
     shifted: WaterLevels
     sampled: WaterLevels
+    g: np.ndarray
+
+    @property
+    def ce(self):
+        return self.sampled.distortion - self.g / 6.0
 
     @property
     def d_tilde(self):
@@ -137,7 +143,7 @@ class Sections:
 
     @property
     def ce_penalty(self):
-        return (1.0 / 6.0 + self.sampled.ce) / (1.0 / 6.0 + self.d_tilde)
+        return (1.0 / 6.0 + self.ce) / (1.0 / 6.0 + self.d_tilde)
 
 
 def sections(rbar) -> Sections:
@@ -172,7 +178,7 @@ def sweep(sigma2, fs, rate) -> DistortionBundle:
         per_rate, exp_rate = unit(sigma2, rate)
         return DistortionBundle(
             d_opt=np.ldexp(mmse + scale * curves.d_tilde, exp),
-            d_ce=np.ldexp(mmse + scale * curves.sampled.ce, exp),
+            d_ce=np.ldexp(mmse + scale * curves.ce, exp),
             d_upper=np.ldexp(mmse + walk, exp),
             d_w=np.ldexp(_DW_COEF * per_rate, exp_rate),
             d_bar=np.ldexp(walk, exp),
@@ -193,13 +199,6 @@ def d_w(rate: RateSpec, sigma2: float) -> float:
     return float(_ldexp("d_w", _DW_COEF * per_rate, exp))
 
 
-def mmse_fs(params: ProcessParams) -> float:
-    """Interpolation error floor sigma2 / (6 fs), formed as ``sweep`` does,
-    through ``spectral.unit``."""
-    scale, exp = unit(params.sigma2, params.fs)
-    return float(_ldexp("mmse", scale / 6.0, exp))
-
-
 def d_bar(params: ProcessParams, rate: RateSpec) -> float:
     """DRF of the sampled walk at rbar bits per sample, in absolute units.
 
@@ -207,16 +206,6 @@ def d_bar(params: ProcessParams, rate: RateSpec) -> float:
     level drops below the density floor 1/4.
     """
     return bundle(params, rate).d_bar
-
-
-def d_tilde(rbar):
-    """Dimensionless lossy-compression distortion of the interpolator.
-
-    Waterfilled over the shifted density; satisfies
-    d_opt = (sigma2/fs) * (1/6 + d_tilde(rbar)).  For rbar beyond the border
-    point (1 + log2(sqrt(3)+2))/2 it equals (2+sqrt(3))/6 * 2**(-2 rbar).
-    """
-    return sections(rbar).d_tilde
 
 
 def d_opt(params: ProcessParams, rate: RateSpec) -> float:
@@ -248,7 +237,7 @@ def g_fun(rbar):
     theta solves the unshifted rate equation at rbar; for rbar >= 1 the
     integral collapses to 2 * theta = 2**(1 - 2 rbar).
     """
-    return sections(rbar).sampled.g
+    return sections(rbar).g
 
 
 def d_ce(params: ProcessParams, rate: RateSpec) -> float:
@@ -272,7 +261,7 @@ def ratio_smp(rbar):
 
 
 def ratio_qnt(rbar):
-    """Excess distortion of lossy compression: d_opt / mmse_fs = 1 + 6 d_tilde."""
+    """Excess distortion of lossy compression: d_opt / mmse = 1 + 6 d_tilde."""
     return sections(rbar).ratio_qnt
 
 

@@ -55,7 +55,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -132,21 +131,11 @@ _SINE_POWERS = np.arange(7)
 @dataclass(frozen=True)
 class WaterLevels:
     """One density's row of the kernel's stack: its water levels at an
-    array of rates (``drf.sections``) or at one (``solve_theta_for_rate``).
-
-    ``crossing`` is phic.  ``g`` and ``ce`` exist for the unshifted density
-    only (None otherwise): g = integral of min{theta, S}/S
-    = 2 theta (phic - sin(pi phic)/pi) + 1 - phic (the difference taken
-    from its series where pi phic < 1/2), and the
-    compress-and-estimate term ce = integral of min{theta, S} (S - 1/6)/S
-    = distortion - g/6.
-    """
+    array of rates (``drf.sections``) or at one (``solve_theta_for_rate``),
+    each with the distortion it leaves."""
 
     theta: np.ndarray
-    crossing: np.ndarray
     distortion: np.ndarray
-    g: Optional[np.ndarray] = None
-    ce: Optional[np.ndarray] = None
 
 
 def _two_ln2_rate(log_theta, phic, shift):
@@ -179,8 +168,10 @@ def _distortion(theta, c, phic, shift):
 
 
 def _solve_block(rbar, out):
-    """Write theta, phic, distortion, g and ce of each row of the stack at
-    the flat rbar into ``out``, of shape (5, 2, n)."""
+    """Write theta, distortion and g of each row of the stack at the flat
+    rbar into ``out``, of shape (3, 2, n): g = integral of min{theta, S}/S
+    = 2 theta (phic - sin(pi phic)/pi) + 1 - phic, the difference taken
+    from its series where pi phic < 1/2."""
     target = 2.0 * _LN2 * rbar
     log_theta, phic = _start(rbar)
     nodes_shift = _SHIFT[..., np.newaxis]
@@ -211,14 +202,14 @@ def _solve_block(rbar, out):
                                         _SINE_POWERS) * _SINE_GAP, axis=-1)
     g = np.where(x < 0.5, 2.0 * (theta * x * x) * series / np.pi,
                  2.0 * theta * (phic - np.sin(x) / np.pi)) + (1.0 - phic)
-    out[:] = theta, phic, distortion, g, distortion - g / 6.0
+    out[:] = theta, distortion, g
 
 
 def _solve(rbar) -> tuple:
     """The ``WaterLevels`` of the interpolator's density and of the walk's
-    at rbar, in that order, solved block by block of ``_BLOCK`` entries into
-    preallocated fields (against 40-digit values, theta is within 7 ulp over
-    0.1 <= rbar <= 1.45 and 1 ulp past it).  The one range check: ValueError
+    at rbar, in that order, and the walk's g, solved block by block of
+    ``_BLOCK`` entries into preallocated fields (against 40-digit values,
+    theta is within 7 ulp over 0.1 <= rbar <= 1.45 and 1 ulp past it).  The one range check: ValueError
     for rbar <= 0 or nan, FloatingPointError outside [MIN_RBAR, MAX_RBAR]."""
     rbar = read_real("rbar", rbar, array=True)
     if not np.logical_and.reduce((rbar >= MIN_RBAR) & (rbar <= MAX_RBAR),
@@ -233,13 +224,12 @@ def _solve(rbar) -> tuple:
             f"{np.max(rbar):.6g} bits per sample is past the supported maximum"
             f" {MAX_RBAR:.6g}, where the water level underflows")
     flat = rbar.reshape(-1)
-    fields = np.empty((5, 2, flat.size))
+    fields = np.empty((3, 2, flat.size))
     for first in range(0, flat.size, _BLOCK):
         block = slice(first, first + _BLOCK)
         _solve_block(flat[block], fields[:, :, block])
-    shifted, sampled = fields.reshape((5, 2) + rbar.shape).swapaxes(0, 1)
-    # g and ce are the walk's: the interpolator's row keeps three fields
-    return WaterLevels(*shifted[:3]), WaterLevels(*sampled)
+    shifted, sampled = fields.reshape((3, 2) + rbar.shape).swapaxes(0, 1)
+    return WaterLevels(*shifted[:2]), WaterLevels(*sampled[:2]), sampled[2]
 
 
 def distortion_at_theta(density: SpectralDensity, theta):
@@ -267,6 +257,6 @@ def solve_theta_for_rate(density: SpectralDensity,
     """The ``WaterLevels`` of the density at one rate, read as one number:
     its row of the kernel's stack, bit for bit its entry of
     ``drf.sections``."""
-    shifted, sampled = _solve(read_real("rate_bits_per_sample",
-                                        rate_bits_per_sample))
+    shifted, sampled, _ = _solve(read_real("rate_bits_per_sample",
+                                           rate_bits_per_sample))
     return shifted if density.shift else sampled

@@ -91,7 +91,7 @@ class TestCurve:
         s = drf.sections(rbar)
         expected = {
             "d_opt": 1.0 / 6.0 + s.d_tilde,
-            "d_ce": 1.0 / 6.0 + s.sampled.ce,
+            "d_ce": 1.0 / 6.0 + s.ce,
             "d_upper": 1.0 / 6.0 + s.sampled.distortion,
             "d_w": 2.0 / (math.pi ** 2 * math.log(2.0)) / rbar,
             "d_bar": s.sampled.distortion,
@@ -733,7 +733,7 @@ def test_each_bad_flag_is_named(tmp_path, capsys, monkeypatch, argv, message):
     (lambda: mc.SimConfig(1.0, 8, 2, "x"), "seed"),
     (lambda: mc.SimConfig(1.0, 8, 2, object()), "seed"),
     (lambda: mc.ErrorMoments("abc", [0.5]), "second"),
-    (lambda: drf.d_tilde("x"), "rbar"),
+    (lambda: drf.sections("x"), "rbar"),
     (lambda: waterfill.solve_theta_for_rate(spectral.SAMPLED_WIENER, "x"),
      "rate_bits_per_sample"),
     (lambda: mc.finite_waterfill_theta([[1.0, 2.0]], 1.0), "eigenvalues"),
@@ -745,7 +745,7 @@ def test_each_bad_flag_is_named(tmp_path, capsys, monkeypatch, argv, message):
          "grid-points", "nystrom-grid-points", "oracle-n", "d_w-sigma2",
          "count-text", "count-object", "oversample-text", "sigma2-text",
          "sigma2-object", "sigma2-array", "rate-list", "seed-text",
-         "seed-object", "moments-text", "d_tilde-text", "solve-text",
+         "seed-object", "moments-text", "sections-text", "solve-text",
          "eigenvalues-2d", "eigenvalues-empty", "oversample-bool",
          "seed-np-bool"])
 def test_each_type_names_its_field(monkeypatch, build, field):

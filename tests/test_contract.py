@@ -126,7 +126,6 @@ ROUTES = {
               drf.DistortionBundle),
     "bundle": (lambda a: drf.bundle(params(a), rate(a)), drf.DistortionBundle),
     "d_w": (lambda a: drf.d_w(rate(a), a.sigma2), float),
-    "mmse_fs": (lambda a: drf.mmse_fs(params(a)), float),
     "equilibrium_rbar": (lambda a: drf.equilibrium_rbar(), float),
     "empirical_mmse": (lambda a: mc.empirical_mmse(params(a), config(a)),
                        mc.MomentEstimate),
@@ -145,7 +144,7 @@ ROUTES = {
 for _name in ("d_bar", "d_opt", "d_ce", "d_upper"):   # (params, rate) -> float
     ROUTES[_name] = (lambda a, f=getattr(drf, _name): f(params(a), rate(a)),
                      float)
-for _name in ("d_tilde", "g_fun", "ratio_smp", "ratio_qnt", "ce_penalty"):
+for _name in ("g_fun", "ratio_smp", "ratio_qnt", "ce_penalty"):
     ROUTES[_name] = (lambda a, f=getattr(drf, _name): f(a.rbar), REAL)
 
 #: public name -> why it is no route of outside values
@@ -239,12 +238,14 @@ PROBES = {
                       (FloatingPointError, PAST("d_w")),
                       lambda: drf.d_w(drf.RateSpec(1e300), 1e-5),
                       2.923511383556014e-306),
-    "mmse-inf": (lambda: drf.mmse_fs(P(1e308, 1e-10)),
-                 (FloatingPointError, PAST("mmse")),
-                 lambda: drf.mmse_fs(P(1e308, 1.0)), 1.6666666666666666e+307),
-    "mmse-subnormal": (lambda: drf.mmse_fs(P(1e-310, 1.0)),
-                       (FloatingPointError, PAST("mmse")),
-                       lambda: drf.mmse_fs(P(1e-300, 1.0)),
+    "mmse-inf": (lambda: drf.bundle(P(1e308, 1e-10), drf.RateSpec(1e-10)),
+                 (FloatingPointError, PAST("d_opt")),
+                 lambda: drf.bundle(P(1e308, 1.0), drf.RateSpec(1.0)).mmse,
+                 1.6666666666666666e+307),
+    "mmse-subnormal": (lambda: drf.bundle(P(1e-310, 1.0), drf.RateSpec(1.0)),
+                       (FloatingPointError, PAST("d_opt")),
+                       lambda: drf.bundle(P(1e-300, 1.0),
+                                          drf.RateSpec(1.0)).mmse,
                        1.6666666666666667e-301),
 }
 

@@ -14,9 +14,8 @@ import wienerdr.drf as drf
 from oracle import ce_integral
 from wienerdr import waterfill
 from wienerdr.drf import (DistortionBundle, RateSpec, bundle, ce_penalty,
-                          d_bar, d_ce, d_opt, d_tilde, d_upper, d_w,
-                          equilibrium_rbar, g_fun, mmse_fs, ratio_qnt,
-                          ratio_smp)
+                          d_bar, d_ce, d_opt, d_upper, d_w, equilibrium_rbar,
+                          g_fun, ratio_qnt, ratio_smp)
 from wienerdr.mc import CeEstimate
 from wienerdr.spectral import (SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER,
                                ProcessParams)
@@ -49,9 +48,12 @@ class TestDw:
 
 class TestMmse:
     def test_values(self):
-        assert mmse_fs(UNIT) == pytest.approx(1.0 / 6.0, abs=1e-15)
-        assert mmse_fs(ProcessParams(1.0, 4.0)) == pytest.approx(1.0 / 24.0)
-        assert mmse_fs(ProcessParams(2.0, 1.0)) == pytest.approx(1.0 / 3.0)
+        rate = RateSpec(1.0)
+        assert bundle(UNIT, rate).mmse == pytest.approx(1.0 / 6.0, abs=1e-15)
+        assert bundle(ProcessParams(1.0, 4.0), rate).mmse == \
+            pytest.approx(1.0 / 24.0)
+        assert bundle(ProcessParams(2.0, 1.0), rate).mmse == \
+            pytest.approx(1.0 / 3.0)
 
 
 class TestDbar:
@@ -86,14 +88,16 @@ class TestDopt:
 
 class TestDtilde:
     def test_border_value(self):
-        assert d_tilde(BORDER_RBAR) == pytest.approx(1.0 / 12.0, abs=1e-9)
+        assert drf.sections(BORDER_RBAR).d_tilde == pytest.approx(
+            1.0 / 12.0, abs=1e-9)
 
     def test_closed_form(self):
-        assert d_tilde(3.0) == pytest.approx(LOW_RATE_COEF * 2.0 ** -6, abs=1e-10)
+        assert drf.sections(3.0).d_tilde == pytest.approx(
+            LOW_RATE_COEF * 2.0 ** -6, abs=1e-10)
 
     def test_rejects_vanishing_rate(self):
         with pytest.raises(FloatingPointError, match="supported minimum"):
-            d_tilde(5e-156)
+            drf.sections(5e-156)
 
 
 class TestEquilibrium:
@@ -101,8 +105,12 @@ class TestEquilibrium:
         rbar0 = equilibrium_rbar()
         assert 0.96 <= rbar0 <= 1.00
 
+    def test_pinned_bit_for_bit(self):
+        assert equilibrium_rbar().hex() == "0x1.f645012ce8606p-1"
+
     def test_defining_equation(self):
-        assert d_tilde(equilibrium_rbar()) == pytest.approx(1.0 / 6.0, abs=1e-9)
+        assert drf.sections(equilibrium_rbar()).d_tilde == pytest.approx(
+            1.0 / 6.0, abs=1e-9)
 
     def test_ratio_identity_at_equilibrium(self):
         rbar0 = equilibrium_rbar()
@@ -305,7 +313,6 @@ class TestBundle:
         params = ProcessParams(1e300, 1e308)
         floor = bundle(params, RateSpec(1e308)).mmse
         assert floor == pytest.approx(1e-8 / 6.0, rel=1e-15)
-        assert mmse_fs(params) == floor
 
 
 def _sections_inputs():
@@ -347,12 +354,9 @@ def test_each_point_is_its_own_solve():
                               ("sampled", SAMPLED_WIENER)):
             levels = getattr(curves, side)
             alone = [solve_theta_for_rate(density, x) for x in flat]
-            for field in ("theta", "crossing", "distortion", "g", "ce"):
+            for field in ("theta", "distortion"):
                 got = getattr(levels, field)
                 want = [getattr(point, field) for point in alone]
-                if density.shift and field in ("g", "ce"):   # the walk's
-                    assert got is None and want == [None] * len(flat)
-                    continue
                 assert all(type(x) is np.float64 for x in want), (form, field)
                 assert type(got) is (np.ndarray if np.ndim(rbar)
                                      else np.float64), (form, field)
@@ -361,6 +365,44 @@ def test_each_point_is_its_own_solve():
                 each = [getattr(getattr(point, side), field)
                         for point in points]
                 assert np.array_equal(np.ravel(got), each), (form, rbar, field)
+        for field in ("g", "ce"):   # the walk's, on the sections
+            got = getattr(curves, field)
+            each = [getattr(point, field) for point in points]
+            assert all(type(x) is np.float64 for x in each), (form, field)
+            assert type(got) is (np.ndarray if np.ndim(rbar)
+                                 else np.float64), (form, field)
+            assert np.array_equal(np.ravel(got), each) and \
+                np.shape(got) == np.shape(rbar), (form, rbar, field)
+
+
+#: (shifted theta, shifted distortion, sampled theta, sampled distortion,
+#: g, ce) of ``drf.sections`` by rbar, each pinned to its repr
+PINNED_SECTIONS = {
+    0.05: (84.32694508337342, 5.682281154317073, 84.38250065924959,
+           5.845097003032301, 0.9768920486502859, 5.6822816615905865),
+    0.98: (0.19695488110886147, 0.16693809627981293, 0.2575927657135894,
+           0.2570345439168436, 0.5129659426492633, 0.1715402201419664),
+    1.3: (0.1055870987834578, 0.10281755094245619, 0.16493848884661177,
+          0.16493848884661177, 0.32987697769322355, 0.10995899256440786),
+    400.0: (9.328241175679437e-242, 9.328241175679437e-242,
+            1.499696813895631e-241, 1.499696813895631e-241,
+            2.999393627791262e-241, 9.997978759304207e-242),
+}
+
+
+def _pinned_fields(s):
+    return (s.shifted.theta, s.shifted.distortion, s.sampled.theta,
+            s.sampled.distortion, s.g, s.ce)
+
+
+@pytest.mark.parametrize("rbar", sorted(PINNED_SECTIONS))
+def test_sections_are_pinned_bit_for_bit(rbar):
+    want = [repr(x) for x in PINNED_SECTIONS[rbar]]
+    assert [repr(float(x)) for x in _pinned_fields(drf.sections(rbar))] \
+        == want
+    grid = drf.sections(np.array(sorted(PINNED_SECTIONS)))
+    at = sorted(PINNED_SECTIONS).index(rbar)
+    assert [repr(float(x[at])) for x in _pinned_fields(grid)] == want
 
 
 def test_sections_memory_is_a_small_multiple_of_its_result():
@@ -373,11 +415,10 @@ def test_sections_memory_is_a_small_multiple_of_its_result():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    result = rbar.nbytes + sum(value.nbytes for levels in (curves.shifted,
-                                                           curves.sampled)
-                               for value in vars(levels).values()
-                               if value is not None)
-    assert result == 9 * rbar.nbytes
+    result = rbar.nbytes + curves.g.nbytes + sum(
+        value.nbytes for levels in (curves.shifted, curves.sampled)
+        for value in vars(levels).values())
+    assert result == 6 * rbar.nbytes
     assert peak <= 2 * result, peak / result
 
 
@@ -423,9 +464,9 @@ class TestValidation:
             drf.sweep(1.0, 1e300, 1e-300)   # R/fs underflows to 0
         for rbar in (0.0, -1.0, math.nan):   # not a rate, so not a range
             with pytest.raises(ValueError, match="rate must be > 0"):
-                d_tilde(rbar)
+                drf.sections(rbar)
         # exactly at the limit is allowed
-        d_tilde(MIN_RBAR)
+        drf.sections(MIN_RBAR)
 
 
 #: log-uniform over the positive floats, the smallest subnormal included
@@ -478,7 +519,7 @@ class TestSweepProperties:
         s = drf.sections(rbar)
         expected = {
             "d_opt": scale * Fraction(1.0 / 6.0 + s.d_tilde),
-            "d_ce": scale * Fraction(1.0 / 6.0 + s.sampled.ce),
+            "d_ce": scale * Fraction(1.0 / 6.0 + s.ce),
             "d_upper": scale * Fraction(1.0 / 6.0 + s.sampled.distortion),
             "d_w": Fraction(drf._DW_COEF) * per_rate,
             "d_bar": scale * Fraction(s.sampled.distortion),

@@ -54,8 +54,8 @@ ULP_BOUNDS = {
     "shifted.distortion": {"low": 148, "crossing": 9, "high": 1},
     "sampled.theta": {"low": 244, "crossing": 5, "high": 1},
     "sampled.distortion": {"low": 148, "crossing": 4, "high": 1},
-    "sampled.g": {"low": 1, "crossing": 3, "high": 1},
-    "sampled.ce": {"low": 148, "crossing": 6, "high": 2},
+    "g": {"low": 1, "crossing": 3, "high": 1},
+    "ce": {"low": 148, "crossing": 6, "high": 2},
 }
 
 #: the largest error of ``waterfill.rate_at_theta`` over the table's levels,

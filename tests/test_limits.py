@@ -9,7 +9,7 @@ Richardson value 2 D(2n) - D(n) is compared with the closed form:
 * d_tilde: the same mean over the interpolator kernel's eigenvalues;
 * d_ce: the continuous-time value of the compress-and-estimate run,
   ``mc._expectations`` of the exact moment oracle in units of sigma2/fs,
-  against 1/6 + ``sections(rbar).sampled.ce``.
+  against 1/6 + ``sections(rbar).ce``.
 
 Convergence slows as rbar falls: the relative error of the Richardson value
 falls about as rbar**-2 below rbar = 1 (2.9e-5 at rbar 1e-3, 1.1e-8 at
@@ -62,7 +62,7 @@ def test_finite_rank_waterfilling_converges(eigensystem, closed_form, floor):
 
 
 def test_ce_continuous_value_converges_to_d_ce():
-    for rbar, ce in zip(RBARS[::3], SECTIONS.sampled.ce[::3]):
+    for rbar, ce in zip(RBARS[::3], SECTIONS.ce[::3]):
         def value(n):
             return mc._expectations(n, 1, mc._oracle(n, rbar)[2])[1] / n
 

@@ -176,12 +176,12 @@ class TestKernel:
                 pytest.approx(levels.distortion, rel=1e-11)
             assert waterfill.distortion_at_theta(density, theta) == \
                 pytest.approx(levels.distortion, rel=1e-11)
-        sampled = solve_theta_for_rate(SAMPLED_WIENER, rbar)
-        theta = float(sampled.theta)
+        curves = drf.sections(rbar)
+        theta = float(curves.sampled.theta)
         g = integrate_density(SAMPLED_WIENER, "reciprocal-weighted",
                               theta=theta)
-        assert g == pytest.approx(sampled.g, rel=1e-11)
-        assert ce_integral(theta) == pytest.approx(sampled.ce, rel=1e-11)
+        assert g == pytest.approx(curves.g, rel=1e-11)
+        assert ce_integral(theta) == pytest.approx(curves.ce, rel=1e-11)
 
     @pytest.mark.parametrize("rbar", [300.0, 400.0, 510.0])
     def test_saturated_forms_to_the_edge(self, rbar):
@@ -195,8 +195,9 @@ class TestKernel:
         sampled = solve_theta_for_rate(SAMPLED_WIENER, rbar)
         assert sampled.theta == pytest.approx(power, rel=1e-12)
         assert sampled.distortion == pytest.approx(power, rel=1e-12)
-        assert sampled.g == pytest.approx(2.0 * power, rel=1e-12)
-        assert sampled.ce == pytest.approx(2.0 / 3.0 * power, rel=1e-12)
+        curves = drf.sections(rbar)
+        assert curves.g == pytest.approx(2.0 * power, rel=1e-12)
+        assert curves.ce == pytest.approx(2.0 / 3.0 * power, rel=1e-12)
 
     def test_array_matches_scalar_solves(self):
         rbars = np.array([1e-4, 0.03, 0.7, 1.2, 5.0, 300.0])
@@ -205,11 +206,6 @@ class TestKernel:
             point = solve_theta_for_rate(SHIFTED_SAMPLED_WIENER, rbar)
             assert levels.theta[i] == point.theta
             assert levels.distortion[i] == point.distortion
-
-    @pytest.mark.parametrize("density", [SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER])
-    def test_crossing_is_the_density_crossing(self, density):
-        levels = sections_of(density, np.geomspace(1e-4, 500.0, 3000))
-        assert np.array_equal(density.crossing(levels.theta), levels.crossing)
 
     @pytest.mark.parametrize("density", [SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER,
                                          None], ids=["density0", "density1",

@@ -5,8 +5,9 @@ Exit codes: 0 success, 2 invalid arguments (a request too large to allocate,
 named by the flag that sized it, and an ``--out`` that cannot be written
 included), 3 numerical failure (a non-finite or nonzero subnormal result,
 named by its column or by the library field that refused it, or bits per
-sample outside the supported range, included).  The type that owns a value (``ProcessParams``, ``Grid``, ...)
-checks it before any computation, every count through ``check_count``, and
+sample outside the supported range, included).  The owner of a value (a
+type such as ``ProcessParams``, or the grid reader ``_grid``) checks it
+before any computation, every count through ``check_count``, and
 ``main`` reports its ``ParameterError`` under the value's flag; a
 ``MemoryError`` is named here alone, by the flag that sized the array.  The CSV
 and its JSON manifest (flags, versions, seed) are each written to a
@@ -27,7 +28,6 @@ import os
 import platform
 import re
 import sys
-from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -133,36 +133,23 @@ def _write_outputs(args, header, table) -> None:
                          f"{exc.strerror or exc}") from exc
 
 
-@dataclass(frozen=True)
-class Grid:
-    """``points`` sweep values from ``min`` to ``max``, log-spaced if ``log``."""
-
-    min: float
-    max: float
-    points: int
-    log: bool
-
-    def __post_init__(self):   # each kept as the value checked
-        for name in ("min", "max"):
-            object.__setattr__(self, name, check_positive(name, getattr(self, name)))
-        object.__setattr__(self, "points",
-                           check_count("points", self.points, least=2))
-        if not self.min < self.max:
-            raise ValueError("need 0 < --min < --max")
-
-    def values(self) -> np.ndarray:
-        """The sweep, whose first and last values are exactly min and max."""
-        if not self.log:
-            return np.linspace(self.min, self.max, self.points)
-        with np.errstate(over="ignore"):   # an inf endpoint, then replaced
-            values = 10.0 ** np.linspace(np.log10(self.min),
-                                         np.log10(self.max), self.points)
-        values[[0, -1]] = self.min, self.max
-        return values
+def _grid(lo, hi, points, log) -> np.ndarray:
+    """The sweep of ``points`` values from ``lo`` to ``hi``, log-spaced if
+    ``log``, whose first and last values are exactly ``lo`` and ``hi``."""
+    lo, hi = check_positive("min", lo), check_positive("max", hi)
+    points = check_count("points", points, least=2)
+    if not lo < hi:
+        raise ValueError("need 0 < --min < --max")
+    if not log:
+        return np.linspace(lo, hi, points)
+    with np.errstate(over="ignore"):   # an inf endpoint, then replaced
+        values = 10.0 ** np.linspace(np.log10(lo), np.log10(hi), points)
+    values[[0, -1]] = lo, hi
+    return values
 
 
 def _cmd_curve(args) -> int:
-    grid = Grid(args.min, args.max, args.points, args.log).values()
+    grid = _grid(args.min, args.max, args.points, args.log)
     params = ProcessParams(args.sigma2, args.fs)   # --fs even where swept
     fs, rate = (params.fs, grid) if args.rate is None else (grid, args.rate)
     # sigma2 = fs makes the unit sigma2/fs exactly 1
@@ -175,7 +162,7 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_ratio(args) -> int:
-    rbars = Grid(args.min, args.max, args.points, args.log).values()
+    rbars = _grid(args.min, args.max, args.points, args.log)
     s = drf.sections(rbars)
     header = ["rbar", "ratio_smp", "ratio_qnt", "ce_penalty", "d_tilde"]
     rows = np.column_stack([rbars, s.ratio_smp, s.ratio_qnt, s.ce_penalty,

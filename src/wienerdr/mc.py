@@ -634,10 +634,11 @@ def ce_distortion_estimate(params: ProcessParams, n: int, rbar: float) -> CeEsti
     which converges to d_ce as n grows:
     lower = mmse + max((2/3) sum_{m<N} s_m + (1/3) sum c, 0) / N and
     upper = mmse + ((2/3) (sum s + s_1) + (1/3) sum c) / (N + 1), mmse
-    sigma2 / (6 fs), the bundle's ``mmse``; the upper bound extends the block by one sample, with
-    zero cross moment across blocks and the first sample's second moment
-    reused past the block.  The sums are formed at unit scale and sigma2/fs
-    applied last, so the bounds answer where an absolute moment overflows.
+    sigma2 / (6 fs), the bundle's ``mmse``; the upper bound extends the
+    block by one sample, with zero cross moment across blocks and the first
+    sample's second moment reused past the block.  The sums are formed at
+    unit scale and sigma2/fs applied last, so the bounds answer where an
+    absolute moment overflows.
     """
     moments = _oracle(n, rbar)[2]
     ratio, exp = unit(params.sigma2, params.fs)

@@ -168,10 +168,10 @@ def _distortion(theta, c, phic, shift):
 
 
 def _solve_block(rbar, out):
-    """Write theta, distortion and g of each row of the stack at the flat
-    rbar into ``out``, of shape (3, 2, n): g = integral of min{theta, S}/S
-    = 2 theta (phic - sin(pi phic)/pi) + 1 - phic, the difference taken
-    from its series where pi phic < 1/2."""
+    """Write the fields of the flat rbar into ``out``, of shape (5, n): theta
+    and distortion of each row of the stack, then the walk's g = integral of
+    min{theta, S}/S = 2 theta (phic - sin(pi phic)/pi) + 1 - phic, its
+    difference taken from its series where pi phic < 1/2."""
     target = 2.0 * _LN2 * rbar
     log_theta, phic = _start(rbar)
     nodes_shift = _SHIFT[..., np.newaxis]
@@ -196,21 +196,23 @@ def _solve_block(rbar, out):
     theta = np.where(rbar >= _BORDER, _SATURATION * np.exp2(-2.0 * rbar),
                      np.exp(log_theta))
     c, phic = SpectralDensity._cot_crossing(theta, _FLOOR)
-    distortion = _distortion(theta, c, phic, _SHIFT)
+    out[:2] = theta
+    out[2:4] = _distortion(theta, c, phic, _SHIFT)
+    theta, phic = theta[1], phic[1]   # g is the walk's alone
     x = np.pi * phic
     series = x * np.add.reduce(np.power(np.square(x)[..., np.newaxis],
                                         _SINE_POWERS) * _SINE_GAP, axis=-1)
-    g = np.where(x < 0.5, 2.0 * (theta * x * x) * series / np.pi,
-                 2.0 * theta * (phic - np.sin(x) / np.pi)) + (1.0 - phic)
-    out[:] = theta, distortion, g
+    out[4] = np.where(x < 0.5, 2.0 * (theta * x * x) * series / np.pi,
+                      2.0 * theta * (phic - np.sin(x) / np.pi)) + (1.0 - phic)
 
 
 def _solve(rbar) -> tuple:
     """The ``WaterLevels`` of the interpolator's density and of the walk's
-    at rbar, in that order, and the walk's g, solved block by block of
-    ``_BLOCK`` entries into preallocated fields (against 40-digit values,
-    theta is within 7 ulp over 0.1 <= rbar <= 1.45 and 1 ulp past it).  The one range check: ValueError
-    for rbar <= 0 or nan, FloatingPointError outside [MIN_RBAR, MAX_RBAR]."""
+    at rbar, in that order, and the walk's g: the rows of one (5, n) field
+    array, filled block by block of ``_BLOCK`` entries (against 40-digit
+    values, theta is within 7 ulp over 0.1 <= rbar <= 1.45 and 1 ulp past
+    it).  The one range check: ValueError for rbar <= 0 or nan,
+    FloatingPointError outside [MIN_RBAR, MAX_RBAR]."""
     rbar = read_real("rbar", rbar, array=True)
     if not np.logical_and.reduce((rbar >= MIN_RBAR) & (rbar <= MAX_RBAR),
                                  axis=None):
@@ -224,12 +226,13 @@ def _solve(rbar) -> tuple:
             f"{np.max(rbar):.6g} bits per sample is past the supported maximum"
             f" {MAX_RBAR:.6g}, where the water level underflows")
     flat = rbar.reshape(-1)
-    fields = np.empty((3, 2, flat.size))
+    fields = np.empty((5, flat.size))
     for first in range(0, flat.size, _BLOCK):
         block = slice(first, first + _BLOCK)
-        _solve_block(flat[block], fields[:, :, block])
-    shifted, sampled = fields.reshape((3, 2) + rbar.shape).swapaxes(0, 1)
-    return WaterLevels(*shifted[:2]), WaterLevels(*sampled[:2]), sampled[2]
+        _solve_block(flat[block], fields[:, block])
+    theta_opt, theta_walk, d_tilde, d_walk, g = fields.reshape(
+        (5,) + rbar.shape)
+    return WaterLevels(theta_opt, d_tilde), WaterLevels(theta_walk, d_walk), g
 
 
 def distortion_at_theta(density: SpectralDensity, theta):

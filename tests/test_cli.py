@@ -149,9 +149,8 @@ class TestCurve:
 
     def test_log_grid_ends_exactly_at_min_and_max(self, tmp_path):
         top = sys.float_info.max   # 10**log10(top) overflows
-        assert list(cli.Grid(1e305, top, 3, True).values()[[0, -1]]) == \
-            [1e305, top]
-        assert list(cli.Grid(1.0, 2.0, 3.0, False).values()) == [1.0, 1.5, 2.0]
+        assert list(cli._grid(1e305, top, 3, True)[[0, -1]]) == [1e305, top]
+        assert list(cli._grid(1.0, 2.0, 3.0, False)) == [1.0, 1.5, 2.0]
         writable = 1.797693134862315e308   # the largest cell read back finite
         out = str(tmp_path / "curve.csv")
         assert main(top_of_range_call(writable)[0] + ["--out", out]) == 0
@@ -170,7 +169,7 @@ class TestCurve:
         assume(low < high)
         with np.errstate(over="ignore"):
             want = np.geomspace(low, high, points)
-        assert np.array_equal(cli.Grid(low, high, points, True).values(), want)
+        assert np.array_equal(cli._grid(low, high, points, True), want)
 
     def test_sub_minimum_rbar_rejected_before_output(self, tmp_path, capsys):
         out = str(tmp_path / "never.csv")
@@ -717,8 +716,8 @@ def test_each_bad_flag_is_named(tmp_path, capsys, monkeypatch, argv, message):
     (lambda: spectral.interp_kernel_eigensystem(UNIT_PARAMS, -1), "n"),
     (lambda: mc.mc_test_channel_run(UNIT_PARAMS, mc.SimConfig(8.0, 4, 5, 1),
                                     math.nan), "rbar"),
-    (lambda: cli.Grid(1.0, math.inf, 3, False), "max"),
-    (lambda: cli.Grid(1.0, 2.0, 1, True), "points"),
+    (lambda: cli._grid(1.0, math.inf, 3, False), "max"),
+    (lambda: cli._grid(1.0, 2.0, 1, True), "points"),
     (lambda: spectral.nystrom_interp_eigenvalues(UNIT_PARAMS, 2, 1),
      "grid_points"),
     (lambda: mc.ce_moment_oracle(UNIT_PARAMS, 1, 1.0), "n"),
@@ -822,19 +821,19 @@ def test_a_type_keeps_the_value_it_checked(params, rate, config, grid,
     r = drf.RateSpec(rate)
     c = mc.SimConfig(*config)
     assume(float(grid[0]) < float(grid[1]))
-    g = cli.Grid(*grid, log=True)
+    g = cli._grid(*grid, log=True).tolist()   # first, ..., last
     second, cross = moments   # a cross moment of at most sqrt(s1 s2) / 4
     cross = [w * math.sqrt(a * b)
              for w, a, b in zip(cross, second, second[1:])]
     m = mc.ErrorMoments(second, cross)
-    for value in (p.sigma2, p.fs, r.rate, c.horizon_t, g.min, g.max):
+    for value in (p.sigma2, p.fs, r.rate, c.horizon_t, g[0], g[-1]):
         assert type(value) is float
-    for value in (c.oversample, c.trials, c.seed, g.points):
+    for value in (c.oversample, c.trials, c.seed, len(g)):
         assert type(value) is int
     assert all(type(v) is np.ndarray and v.dtype == np.float64
                for v in (m.second, m.cross))
     assert (c.horizon_t, c.oversample, c.trials, c.seed) == plain(config)
-    assert (g.min, g.max, g.points) == plain(grid)
+    assert (g[0], g[-1], len(g)) == plain(grid)
     p0 = spectral.ProcessParams(*plain(params))
     r0 = drf.RateSpec(float(rate))
     assert outcome(lambda: drf.bundle(p, r)) \

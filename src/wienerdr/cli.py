@@ -43,10 +43,6 @@ from .spectral import (SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER, ParameterError,
 _CSV_BLOCK_ROWS = 1024
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".15g")
-
-
 def _write_atomic(path: str, chunks) -> None:
     """Write the ASCII text ``chunks`` to a new file beside ``path`` and rename
     it into place; on any error the target path is untouched.  Each chunk is
@@ -72,8 +68,8 @@ def _write_atomic(path: str, chunks) -> None:
 
 
 def _write_csv_atomic(path: str, header, table) -> None:
-    """Write a 2-D float table atomically, every value as ``"%.15g"`` (the
-    text of ``_fmt``) and each block of rows by one ``%`` operation."""
+    """Write a 2-D float table atomically, every value as ``"%.15g"`` and
+    each block of rows by one ``%`` operation."""
     table = np.asarray(table, dtype=float)
     line = ",".join(["%.15g"] * len(header)) + "\n"
 
@@ -203,7 +199,7 @@ def _cmd_simulate(args) -> int:
         values = (result.estimate, result.stderr, result.reference,
                   result.z_score)
         _check_finite(fields, values)
-        summary = " ".join(f"{name}={_fmt(value)}"
+        summary = " ".join(f"{name}=%.15g" % value
                            for name, value in zip(fields, values))
         table = np.column_stack([np.arange(len(result.per_trial)),
                                  result.per_trial])

@@ -53,7 +53,7 @@ from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .spectral import (MAX_COUNT, ParameterError, ProcessParams,
+from .spectral import (MAX_COUNT, ParameterError, ProcessParams, _ldexp,
                        check_count, check_normal, check_positive,
                        discrete_wiener_eigensystem, read_int, read_real, unit)
 
@@ -508,14 +508,17 @@ def _estimate(per_trial: np.ndarray, params: ProcessParams, n: int,
               oversample: int,
               moments: Optional[ErrorMoments] = None) -> MomentEstimate:
     """The run's statistics: its unit-scale per-trial sums, each divided by
-    n os**2 (dt / horizon) and scaled by sigma2/fs through ``spectral.unit``."""
+    n os**2 (dt / horizon) and scaled by sigma2/fs last; ``_ldexp`` refuses
+    those that ``simulate`` writes, so only the unwritten bias may round to 0."""
     se = float(per_trial.std(ddof=1) / math.sqrt(len(per_trial)))
     grid, continuous = _expectations(n, oversample, moments)
     steps = n * oversample * oversample
     ratio, exp = unit(params.sigma2, params.fs)
-    estimate, stderr, reference, bias, per_trial = (
-        np.ldexp(value / steps * ratio, exp) for value in
-        (float(per_trial.mean()), se, grid, continuous - grid, per_trial))
+    names = ("estimate", "stderr", "reference", "distortion")
+    values = (float(per_trial.mean()), se, grid, per_trial)
+    estimate, stderr, reference, per_trial = (
+        _ldexp(name, v / steps * ratio, exp) for name, v in zip(names, values))
+    bias = np.ldexp((continuous - grid) / steps * ratio, exp)
     return MomentEstimate(estimate, stderr, reference, bias, per_trial)
 
 
@@ -619,13 +622,14 @@ def ce_moment_oracle(params: ProcessParams, n: int, rbar: float) -> ErrorMoments
     covariance of the reconstructed samples is U^T diag(min{theta, lam}) U,
     whose diagonal and first off-diagonal are returned.  No sampling noise;
     this is the semi-analytic reference for the compress-and-estimate limit.
-    The moments are formed at unit scale and scaled by sigma2/fs last.
+    The moments are formed at unit scale and scaled by sigma2/fs last; a second
+    moment past the floats is refused, a cross moment (noise about 0) is not.
     """
     moments = _oracle(n, rbar)[2]
     ratio, exp = unit(params.sigma2, params.fs)
     with np.errstate(over="ignore"):   # ErrorMoments refuses
-        return ErrorMoments(*(np.ldexp(ratio * m, exp)
-                              for m in (moments.second, moments.cross)))
+        return ErrorMoments(_ldexp("second", ratio * moments.second, exp),
+                            np.ldexp(ratio * moments.cross, exp))
 
 
 def ce_distortion_estimate(params: ProcessParams, n: int, rbar: float) -> CeEstimate:

@@ -135,12 +135,12 @@ def unit(num, den, power=1):
 
 
 def _ldexp(field: str, value, exp):
-    """``np.ldexp(value, exp)``, the last step of a result scaled by ``unit``,
-    refused by ``check_normal`` as ``field`` where it leaves the floats."""
+    """``np.ldexp(value, exp)``, a result's last step under ``unit``, refused by
+    ``check_normal`` as ``field`` where a nonzero value leaves the floats."""
     with np.errstate(over="ignore"):   # refused below
-        value = np.ldexp(value, exp)
-    check_normal(**{field: value})
-    return value
+        scaled = np.ldexp(value, exp)
+    check_normal(**{field: np.where(value == 0, 1.0, scaled)})
+    return scaled
 
 
 @dataclass(frozen=True)

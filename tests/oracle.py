@@ -31,20 +31,18 @@ raise :class:`QuadratureError` carrying the estimate reached, which is how
 divergent integrands surface.
 
 On top of the engine sit the waterfilling integrals at a water level theta
-(``distortion_at_theta``, ``rate_at_theta``, ``ce_integral``) and
-``integrate_density``; each must come back with an error estimate below
-``ERROR_BOUND``.  The rate integrand is clipped, 0.5 max{log2(S/theta), 0},
-and integrated over all of (0, 1], so the density's crossing point enters
-every integral only as a breakpoint and no oracle value rests on the
-product's crossing formula.  They accept the constant stub density
-``ConstantDensity``, which lives here because only the tests use it.
+(``distortion_at_theta``, ``rate_at_theta``, and ``g_integral`` and
+``ce_integral`` over the walk's density); each must come back with an
+error estimate below ``ERROR_BOUND``.  The rate integrand is clipped,
+0.5 max{log2(S/theta), 0}, and integrated over all of (0, 1], so the
+density's crossing point enters every integral only as a breakpoint and no
+oracle value rests on the product's crossing formula.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,8 +55,13 @@ ERROR_BOUND = 1e-9
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(32)
 
-#: per-panel acceptance floor as a fraction of the requested tolerance
+#: a panel is accepted where its coarse-vs-bisected discrepancy is at most
+#: _TOL times its width, or times _PANEL_FLOOR of the interval if larger
+_TOL = 1e-11
 _PANEL_FLOOR = 1e-2
+#: bisection depth and panel budget past which an integral is refused
+_MAX_DEPTH = 52
+_MAX_PANELS = 40000
 
 
 class QuadratureError(RuntimeError):
@@ -77,48 +80,27 @@ def _panel_values(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return half * (vals @ _WEIGHTS)
 
 
-def integrate(f, a: float, b: float, *, tol: float = 1e-11,
-              breakpoints=(), initial_panels: int = 4,
-              max_depth: int = 52, max_panels: int = 40000):
-    """Integrate a vectorized integrand on [a, b].
-
-    Parameters
-    ----------
-    f : callable
-        Vectorized integrand; never evaluated at the endpoints a, b.
-    tol : float
-        Per-panel acceptance is ``delta <= tol * max(width, 0.01 * (b - a))``
-        where ``delta`` is the coarse-vs-bisected discrepancy; the total
-        error estimate is the sum of accepted deltas.
-    breakpoints : iterable of float
-        Known kinks (e.g. the water-level crossing); panel edges are placed
-        there so each panel sees a smooth integrand.
-    initial_panels : int
-        Uniform panels laid over each breakpoint segment before adaptivity.
-
-    Returns
-    -------
-    (value, error_estimate)
-    """
+def integrate(f, a: float, b: float, *, breakpoints=(),
+              initial_panels: int = 4):
+    """Integrate a vectorized integrand f on [a, b] as (value, error_estimate),
+    never evaluating f at a or b.  Panel edges are placed at the known kinks
+    ``breakpoints`` (e.g. the water-level crossing), so each panel sees a
+    smooth integrand, and ``initial_panels`` uniform panels are laid over
+    each segment between them before adaptivity."""
     if not b > a:
         raise ValueError("integration interval is empty")
     edges = sorted({a, b, *(float(p) for p in breakpoints if a < p < b)})
-    span = b - a
-    floor = _PANEL_FLOOR * span
-
-    lo_list, hi_list = [], []
-    for seg_lo, seg_hi in zip(edges, edges[1:]):
-        cuts = np.linspace(seg_lo, seg_hi, initial_panels + 1)
-        lo_list.append(cuts[:-1])
-        hi_list.append(cuts[1:])
-    lo = np.concatenate(lo_list)
-    hi = np.concatenate(hi_list)
+    floor = _PANEL_FLOOR * (b - a)
+    cuts = [np.linspace(seg_lo, seg_hi, initial_panels + 1)
+            for seg_lo, seg_hi in zip(edges, edges[1:])]
+    lo = np.concatenate([c[:-1] for c in cuts])
+    hi = np.concatenate([c[1:] for c in cuts])
     coarse = _panel_values(f, lo, hi)
 
     total = 0.0
     err = 0.0
     seen = len(lo)
-    for depth in range(max_depth + 1):
+    for depth in range(_MAX_DEPTH + 1):
         mid = 0.5 * (lo + hi)
         child_lo = np.concatenate([lo, mid])
         child_hi = np.concatenate([mid, hi])
@@ -128,13 +110,13 @@ def integrate(f, a: float, b: float, *, tol: float = 1e-11,
         if not np.all(np.isfinite(fine)):
             raise QuadratureError("integrand is not finite", np.inf)
         delta = np.abs(fine - coarse)
-        accept = delta <= tol * np.maximum(hi - lo, floor)
+        accept = delta <= _TOL * np.maximum(hi - lo, floor)
         total += float(fine[accept].sum())
         err += float(delta[accept].sum())
         keep = ~accept
         if not np.any(keep):
             return total, err
-        if depth == max_depth:
+        if depth == _MAX_DEPTH:
             raise QuadratureError(
                 "tolerance not reached at maximum panel refinement",
                 err + float(delta[keep].sum()))
@@ -142,32 +124,28 @@ def integrate(f, a: float, b: float, *, tol: float = 1e-11,
         hi = np.concatenate([mid[keep], hi[keep]])
         coarse = np.concatenate([child_vals[:n][keep], child_vals[n:][keep]])
         seen += len(lo)
-        if seen > max_panels:
+        if seen > _MAX_PANELS:
             raise QuadratureError("panel budget exhausted",
                                   err + float(delta[keep].sum()))
     raise AssertionError("unreachable")
 
 
-def integrate_unit(f, *, upper: float = 1.0, graded: bool = True,
-                   tol: float = 1e-11, breakpoints=(),
+def integrate_unit(f, *, graded: bool = True, breakpoints=(),
                    initial_panels: int = 2):
-    """Integrate a vectorized integrand over (0, upper], upper <= 1.
+    """Integrate a vectorized integrand over (0, 1].
 
     With ``graded=True`` the integral is computed in the substituted
     variable u = sqrt(phi) on a partition graded geometrically toward the
     singular endpoint, so almost no adaptive bisection is left to do;
     breakpoints are given in phi either way.
     """
-    if not 0.0 < upper <= 1.0:
-        raise ValueError("upper must lie in (0, 1]")
     if graded:
         g = lambda u: f(u * u) * (2.0 * u)
-        root = np.sqrt(upper)
         bps = [np.sqrt(p) for p in breakpoints]
-        bps += [root * 2.0 ** (-j) for j in range(1, 16)]
-        return integrate(g, 0.0, root, tol=tol, breakpoints=bps,
+        bps += [2.0 ** (-j) for j in range(1, 16)]
+        return integrate(g, 0.0, 1.0, breakpoints=bps,
                          initial_panels=initial_panels)
-    return integrate(f, 0.0, upper, tol=tol, breakpoints=breakpoints,
+    return integrate(f, 0.0, 1.0, breakpoints=breakpoints,
                      initial_panels=initial_panels)
 
 
@@ -176,31 +154,6 @@ def _checked(value_err, what: str) -> float:
     if err > ERROR_BOUND:
         raise QuadratureError(f"{what} integral exceeded the error budget", err)
     return value
-
-
-@dataclass(frozen=True)
-class ConstantDensity:
-    """Constant test-stub density at ``level`` (> 0) on (0, 1]."""
-
-    level: float
-
-    def __post_init__(self):
-        if not self.level > 0:
-            raise ValueError("constant density level must be > 0")
-
-    def __call__(self, phi):
-        arr = np.asarray(phi, dtype=float)
-        if np.any(arr <= 0.0) or np.any(arr > 1.0):
-            raise ValueError("phi must lie in (0, 1]")
-        return self.level if arr.ndim == 0 else np.full_like(arr, self.level)
-
-    @property
-    def floor(self) -> float:
-        return self.level
-
-    def crossing(self, theta: float) -> float:
-        """Measure of the set where the density lies above theta."""
-        return 1.0 if theta < self.level else 0.0
 
 
 def distortion_at_theta(density, theta: float, *,
@@ -227,41 +180,24 @@ def rate_at_theta(density, theta: float, *, graded: bool = True) -> float:
                     "rate")
 
 
-def ce_integral(theta: float) -> float:
-    """integral of min{theta, S} (S - 1/6) / S over the unshifted density S."""
+def _walk_integral(theta: float, weight, what: str) -> float:
+    """integral of min{theta, S} weight(S) / S over the unshifted density S."""
     def f(phi):
         s = SAMPLED_WIENER(phi)
-        return np.minimum(theta, s) * (s - 1.0 / 6.0) / s
+        return np.minimum(theta, s) * weight(s) / s
 
     return _checked(integrate_unit(
-        f, breakpoints=(SAMPLED_WIENER.crossing(theta),)), "ce")
+        f, breakpoints=(SAMPLED_WIENER.crossing(theta),)), what)
 
 
-def integrate_density(density, transform: str = "identity",
-                      *, theta: float = None, graded: bool = True) -> float:
-    """Integrate a transform of the density over (0, 1].
+def g_integral(theta: float) -> float:
+    """integral of min{theta, S} / S over the unshifted density S."""
+    return _walk_integral(theta, lambda s: 1.0, "g")
 
-    transform:
-        ``identity``             density itself (diverges for the analytic densities,
-                                 surfacing as a QuadratureError);
-        ``reciprocal``           1 / density;
-        ``reciprocal-weighted``  min{theta, density} / density (needs theta).
-    """
-    if transform == "identity":
-        f = density
-        bps = ()
-    elif transform == "reciprocal":
-        f = lambda phi: 1.0 / density(phi)
-        bps = ()
-    elif transform == "reciprocal-weighted":
-        if theta is None or not theta > 0:
-            raise ValueError("reciprocal-weighted transform needs theta > 0")
-        f = lambda phi: np.minimum(theta, density(phi)) / density(phi)
-        bps = (density.crossing(theta),)
-    else:
-        raise ValueError(f"unknown transform {transform!r}")
-    return _checked(integrate_unit(f, graded=graded, breakpoints=bps),
-                    f"{transform} transform")
+
+def ce_integral(theta: float) -> float:
+    """integral of min{theta, S} (S - 1/6) / S over the unshifted density S."""
+    return _walk_integral(theta, lambda s: s - 1.0 / 6.0, "ce")
 
 
 # --------------------------------------------------- Monte-Carlo references

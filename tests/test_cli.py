@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import wienerdr
 from oracle import argparse_parser
 from wienerdr import cli, drf, mc, spectral, waterfill
-from wienerdr.cli import _fmt, _write_csv_atomic, main
+from wienerdr.cli import _write_csv_atomic, main
 
 
 def read_csv(path):
@@ -156,7 +156,7 @@ class TestCurve:
         assert main(top_of_range_call(writable)[0] + ["--out", out]) == 0
         with open(out) as fh:
             x = [line.split(",")[0] for line in fh.readlines()[1:]]
-        assert [x[0], x[-1]] == [_fmt(1e305), _fmt(writable)]
+        assert [x[0], x[-1]] == [f"{v:.15g}" for v in (1e305, writable)]
 
     @given(st.floats(5e-324, sys.float_info.max),
            st.floats(5e-324, sys.float_info.max), st.integers(2, 50))
@@ -1185,7 +1185,7 @@ class TestAtomicWrites:
             out = str(tmp_path / "t.csv")
             _write_csv_atomic(out, ["k", "x", "y"], table)
             expected = "k,x,y\n" + "".join(
-                ",".join(_fmt(v) for v in row) + "\n" for row in table)
+                ",".join(f"{v:.15g}" for v in row) + "\n" for row in table)
             with open(out, "rb") as fh:
                 assert fh.read() == expected.encode()
 
@@ -1218,6 +1218,11 @@ def past(column):
     return f"{column} is past the floating-point range"
 
 
+#: sigma2/fs = 1e-330, where every statistic of a run rounds to 0
+UNDERFLOW = ["--sigma2", "1e-300", "--fs", "1e30", "--horizon", "4e-30",
+             "--trials", "4", "--seed", "1"]
+
+
 @pytest.mark.parametrize("argv,reason", [
     (["eigen", "--kind", "interp", "--n", "5", "--sigma2", "1e300", "--fs",
       "1e-10"], past("eigenvalues")),
@@ -1239,11 +1244,16 @@ def past(column):
     (["eigen", "--kind", "discrete", "--sigma2", "1e-310", "--fs", "1e20",
       "--n", "3"], past("eigenvalues")),
     (top_of_range_call(1.7976931348623157e308)[0], past("x")),
-    (top_of_range_call(1.7976931348623151e308)[0], past("x"))],
+    (top_of_range_call(1.7976931348623151e308)[0], past("x")),
+    (["simulate", "--scheme", "mmse-only", *UNDERFLOW, "--oversample", "8"],
+     past("estimate")),
+    (["simulate", "--scheme", "test-channel", "--rbar", "1", *UNDERFLOW,
+      "--oversample", "8"], past("estimate"))],
     ids=["inf-eigenvalues", "ts-squared", "zero-stderr", "inf-estimate",
          "inf-scale-vs-rate", "inf-scale-vs-fs", "inf-d_w-scale",
          "subnormal-d_ce", "subnormal-estimate", "zero-eigenvalues",
-         "cell-text-inf-at-max", "cell-text-inf-above-writable"])
+         "cell-text-inf-at-max", "cell-text-inf-above-writable",
+         "zero-estimate-mmse", "zero-estimate-channel"])
 def test_unrepresentable_result_exits_3(tmp_path, argv, reason):
     # the reason names the first column (or summary field) that is not a
     # normal float or 0, or the library result that is not a normal float
@@ -1255,13 +1265,23 @@ def test_unrepresentable_result_exits_3(tmp_path, argv, reason):
     assert os.listdir(tmp_path) == []
 
 
+def test_exact_zeros_at_a_unit_past_the_floats_are_written(tmp_path, capsys):
+    # without oversampling each written statistic is 0 at any unit (so is
+    # each trial: they average to 0); the unwritten bias rounds to 0
+    assert main(["simulate", "--scheme", "mmse-only", *UNDERFLOW, "--oversample",
+                 "1", "--out", str(tmp_path / "x.csv")]) == 0
+    assert capsys.readouterr().out == "estimate=0 stderr=0 reference=0 z=0\n"
+
+
 @pytest.mark.parametrize("argv,scale", [
     (["--scheme", "mmse-only", "--sigma2", "1e308", "--horizon", "4"], 1e308),
     (["--scheme", "test-channel", "--rbar", "1", "--sigma2", "1e300", "--fs",
       "1e-8", "--horizon", "1.6e9", "--oversample", "8"], 1e308),
     (["--scheme", "test-channel", "--rbar", "1", "--sigma2", "1e-300",
-      "--fs", "1e5", "--horizon", "8e-5", "--oversample", "4"], 1e-305)],
-    ids=["mmse-sigma2-1e308", "channel-scale-1e308", "channel-scale-1e-305"])
+      "--fs", "1e5", "--horizon", "8e-5", "--oversample", "4"], 1e-305),
+    (["--scheme", "mmse-only", "--sigma2", "1e-305", "--horizon", "1"], 1e-305)],
+    ids=["mmse-sigma2-1e308", "channel-scale-1e308", "channel-scale-1e-305",
+         "mmse-sigma2-1e-305"])
 def test_results_at_the_ends_of_the_float_range_are_written(tmp_path, capsys,
                                                              argv, scale):
     # the run works in units of one fine step's variance and scales last,
@@ -1378,9 +1398,11 @@ def absolute_outputs(sigma2, fs, rate, n):
     for scheme, run in (("mmse-only", mc.empirical_mmse),
                         ("test-channel", lambda p, c: mc.mc_test_channel_run(
                             p, c, 1.0))):
-        result = run(params, config)
-        routes[scheme] = (1, {name: getattr(result, name) for name in (
-            "estimate", "stderr", "reference", "bias", "per_trial")})
+        try:
+            values = vars(run(params, config))
+        except FloatingPointError:   # a statistic past the floats
+            values = None
+        routes[scheme] = (1, values)
     return routes
 
 

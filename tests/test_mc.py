@@ -391,6 +391,11 @@ class TestCeMomentOracle:
         moments = ce_moment_oracle(UNIT, 2, 40.0)
         assert np.max(moments.second) < 1e-20
 
+    def test_a_second_moment_past_the_floats_is_refused(self):
+        # sigma2/fs = 1e-330 would round every second moment to 0
+        with pytest.raises(FloatingPointError, match="^second is past"):
+            ce_moment_oracle(ProcessParams(1e-300, 1e30), 4, 0.5)
+
     def test_lag_one_limit_convergence(self):
         # closed-form limit of the mean lag-1 cross moment at 0.5 bits/sample
         rbar = 0.5

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracle import (ConstantDensity, fredholm_residual, interp_covariance,
-                    interp_eigenfunction, interp_node_values, sine_vectors)
+from oracle import (fredholm_residual, interp_covariance, interp_eigenfunction,
+                    interp_node_values, sine_vectors)
 from wienerdr.spectral import (ParameterError, ProcessParams, SAMPLED_WIENER,
                                SHIFTED_SAMPLED_WIENER, SpectralDensity,
                                discrete_wiener_eigensystem,
@@ -65,7 +65,6 @@ class TestDensities:
         assert SAMPLED_WIENER.crossing(0.2) == 1.0
         assert SHIFTED_SAMPLED_WIENER.crossing(1.0 / 3.0) == pytest.approx(
             0.5, abs=1e-14)
-        assert ConstantDensity(0.7).crossing(0.3) == 1.0
 
     @pytest.mark.parametrize("density", [SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER])
     def test_crossing_one_ulp_above_floor(self, density):
@@ -96,13 +95,6 @@ class TestDensities:
     def test_only_the_two_shifts(self, shift):
         with pytest.raises(ValueError):
             SpectralDensity(shift)
-
-    def test_constant_stub(self):
-        c = ConstantDensity(0.7)
-        assert c(0.3) == 0.7
-        assert np.all(c(np.array([0.1, 0.9])) == 0.7)
-        with pytest.raises(ValueError):
-            ConstantDensity(0.0)
 
 
 class TestProcessParams:

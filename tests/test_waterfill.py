@@ -11,9 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracle import (ConstantDensity, QuadratureError, ce_integral,
-                    distortion_at_theta, integrate, integrate_density,
-                    integrate_unit, rate_at_theta)
+from oracle import (QuadratureError, ce_integral, distortion_at_theta,
+                    g_integral, integrate, integrate_unit, rate_at_theta)
 from test_drf import _sections_inputs
 from test_kernel_reference import read_table
 from wienerdr import cli, drf, waterfill
@@ -51,11 +50,6 @@ class TestDistortion:
         assert distortion_at_theta(SAMPLED_WIENER, theta) / theta == \
             pytest.approx(1.0, abs=1e-12)
 
-    def test_constant_stub(self):
-        c = ConstantDensity(0.7)
-        assert distortion_at_theta(c, 0.2) == pytest.approx(0.2, abs=1e-12)
-        assert distortion_at_theta(c, 1.5) == pytest.approx(0.7, abs=1e-12)
-
     def test_rejects_bad_theta(self):
         with pytest.raises(ValueError):
             distortion_at_theta(SAMPLED_WIENER, 0.0)
@@ -86,12 +80,6 @@ class TestRate:
 
     def test_positive_for_large_theta(self):
         assert rate_at_theta(SAMPLED_WIENER, 1e6) > 0.0
-
-    def test_constant_stub(self):
-        c = ConstantDensity(0.7)
-        assert rate_at_theta(c, 0.35) == pytest.approx(0.5, abs=1e-12)
-        assert rate_at_theta(c, 0.7) == 0.0
-        assert rate_at_theta(c, 2.0) == 0.0
 
     @given(st.floats(min_value=-4.0, max_value=3.0),
            st.floats(min_value=0.05, max_value=2.0))
@@ -178,9 +166,7 @@ class TestKernel:
                 pytest.approx(levels.distortion, rel=1e-11)
         curves = drf.sections(rbar)
         theta = float(curves.sampled.theta)
-        g = integrate_density(SAMPLED_WIENER, "reciprocal-weighted",
-                              theta=theta)
-        assert g == pytest.approx(curves.g, rel=1e-11)
+        assert g_integral(theta) == pytest.approx(curves.g, rel=1e-11)
         assert ce_integral(theta) == pytest.approx(curves.ce, rel=1e-11)
 
     @pytest.mark.parametrize("rbar", [300.0, 400.0, 510.0])
@@ -392,29 +378,9 @@ def test_theta_matches_the_small_crossing_series(log_rbar):
 
 
 class TestIntegrateDensity:
-    def test_reciprocal_of_unshifted(self):
-        # 1/S = 4 sin^2(pi phi / 2) integrates to 2 exactly
-        assert integrate_density(SAMPLED_WIENER, "reciprocal") == \
-            pytest.approx(2.0, abs=1e-10)
-
-    def test_identity_on_constant(self):
-        assert integrate_density(ConstantDensity(0.7), "identity") == \
-            pytest.approx(0.7, abs=1e-12)
-
     def test_reciprocal_weighted(self):
-        # min{theta, S} = theta below the floor, and integral 1/S = 2
-        assert integrate_density(SAMPLED_WIENER, "reciprocal-weighted",
-                                 theta=0.125) == pytest.approx(0.25, abs=1e-10)
-
-    def test_identity_diverges_on_analytic_density(self):
-        with pytest.raises(QuadratureError):
-            integrate_density(SAMPLED_WIENER, "identity")
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            integrate_density(SAMPLED_WIENER, "no-such-transform")
-        with pytest.raises(ValueError):
-            integrate_density(SAMPLED_WIENER, "reciprocal-weighted")
+        # below the floor 1/4, g = theta times the integral of 1/S, 2
+        assert g_integral(0.125) == pytest.approx(0.25, abs=1e-10)
 
 
 class TestQuadratureGuarantees:
@@ -435,16 +401,16 @@ class TestQuadratureGuarantees:
         for graded in (True, False):
             _, err = integrate_unit(f, graded=graded, breakpoints=(cross,))
             assert err <= 1e-9
-        g = lambda phi: 0.5 * np.log2(SAMPLED_WIENER(phi) / theta)
-        _, err = integrate_unit(g, upper=cross, graded=True)
+        g = lambda phi: 0.5 * np.log2(SAMPLED_WIENER(phi) / theta).clip(0.0)
+        _, err = integrate_unit(g, breakpoints=(cross,))
         assert err <= 1e-9
 
     def test_halving_base_step(self):
         theta = 0.4
         cross = SAMPLED_WIENER.crossing(theta)
-        g = lambda phi: 0.5 * np.log2(SAMPLED_WIENER(phi) / theta)
-        coarse, _ = integrate_unit(g, upper=cross, initial_panels=2)
-        fine, _ = integrate_unit(g, upper=cross, initial_panels=4)
+        g = lambda phi: 0.5 * np.log2(SAMPLED_WIENER(phi) / theta).clip(0.0)
+        coarse, _ = integrate_unit(g, breakpoints=(cross,), initial_panels=2)
+        fine, _ = integrate_unit(g, breakpoints=(cross,), initial_panels=4)
         assert abs(coarse - fine) < 1e-9
 
     @pytest.mark.parametrize("theta", [0.25, 0.3, 2.0])
@@ -462,6 +428,7 @@ class TestQuadratureGuarantees:
         assert below + above == pytest.approx(full, abs=5e-9)
 
     def test_divergent_integral_reports_estimate(self):
-        with pytest.raises(QuadratureError) as info:
-            integrate_unit(SAMPLED_WIENER, graded=False)
-        assert info.value.error_estimate > 0
+        for graded in (True, False):
+            with pytest.raises(QuadratureError) as info:
+                integrate_unit(SAMPLED_WIENER, graded=graded)
+            assert info.value.error_estimate > 0

@@ -17,36 +17,39 @@ phic = 1 once theta sits at or below the density floor 1/4 - s).  Then
                  + integral_0^phic ln(1 - 4 s sin^2(pi phi / 2)) dphi
 
 with Cl2 the Clausen function.  The rate is evaluated without cancellation
-as phic (2 - 2 ln(pi phic) - ln theta) plus the integral over (0, phic] of
+as phic (2 - L) plus the integral over (0, phic] of
 ln[(1 - 4 s sin^2(pi phi/2)) / sinc^2(phi/2)], where sinc x = sin(pi x)/(pi x);
 that integrand is analytic on a disc around [0, 1] (its nearest complex
 singularity lies 0.42 off phi = 1), so one fixed 24-node Gauss-Legendre
-rule evaluates it to rounding.
+rule evaluates it to rounding.  Where c > 4, L = ln(theta (pi phic)^2) is
+formed as ln(1 + (1 - 4 s) u^2) + 2 ln(arctan(u)/u), u = 1/c, since
+pi phic = 2 arctan u, and not as ln theta + 2 ln(pi phic), whose two logs
+(each up to about 700) cancel.
 
 Because d rate / d ln theta = -phic / (2 ln2) exactly, one kernel
-(``_solve``) inverts the rate map by Newton's method in ln theta, which
-bounds theta's relative error by about |ln theta| 2^-53.  Every curve needs
-both densities' levels at one rbar, so the kernel's stack, built once, has
-a row for each, and every solve solves both: ``drf.sections`` over arrays
-and ``solve_theta_for_rate``, which reads its density's row, at one rate.
-It walks the flattened rbar in blocks of a fixed number of entries, so its
+(``_solve``) inverts the rate map by one Newton step in ln theta, to
+theta exp(step), within a few ulp.  Every curve needs both densities'
+levels at one rbar, so the kernel's stack, built once, has a row for each,
+and every solve solves both: ``drf.sections`` over arrays and
+``solve_theta_for_rate``, which reads its density's row, at one rate.  It
+walks the flattened rbar in blocks of a fixed number of entries, so its
 temporaries are bounded by one block whatever the grid's length.  Every
-entry starts from the same closed form, takes the same two Newton steps,
-at one rate evaluation each, and sums its own nodes, so a level depends on
-its density and rbar alone, bit for bit the same in any array and alone.
+entry starts from the same closed form, takes the same Newton step, at one
+rate evaluation, and sums its own nodes, so a level depends on its density
+and rbar alone, bit for bit the same in any array and alone.
 
 theta reaches the floor at the border rate r_b = (1/2) log2(K / floor), with
 K = 1 for s = 0 and (2 + sqrt 3)/6 for s = 1/6 (r_b = 1 and
 log2(1 + sqrt 3) ~ 1.449984); at and past it the level is the saturated
-K 2^(-2 rbar), which replaces the Newton iterate.  Below it, c is analytic
+K 2^(-2 rbar), which replaces Newton's.  Below it, c is analytic
 in v = sqrt(r_b - rbar) near r_b and grows as 2 / (pi ln2 rbar) near
 rbar = 0, so rbar c / v is smooth over 0 <= v <= sqrt(r_b), and one
 polynomial of degree 12 in v per density starts Newton at c, and
 theta = c^2/4 + floor, to within 5e-9 max{1, |ln theta|} in ln theta (at
-and past r_b it starts at the floor).  After the second step s, Newton's
-error bound f'' s^2 / (2 phic), with f'' = theta / (pi c (theta + s)) the
-curvature of 2 ln2 rate in ln theta, lies below 2^-52 max{1, |ln theta|} over
-[MIN_RBAR, MAX_RBAR] with a margin of more than 10^8; an entry that misses
+and past r_b it starts at the floor).  After the step h, Newton's error
+bound f'' h^2 / (2 phic), with f'' = theta / (pi c (theta + s)) the
+curvature of 2 ln2 rate in ln theta, lies below 0.16 of
+2^-52 max{1, |ln theta|} over [MIN_RBAR, MAX_RBAR]; an entry that misses
 it raises FloatingPointError.
 """
 
@@ -115,7 +118,7 @@ _SHIFT, _FLOOR, _SATURATION, _BORDER = np.array(
                        (SAMPLED_WIENER, 1.0))]).T[..., np.newaxis]
 _COEFFICIENTS = np.array([[_START[shift]] for shift in _SHIFT[:, 0]])
 
-#: Newton's error bound after its second step, relative to max{1, |ln theta|}
+#: Newton's error bound after its step, relative to max{1, |ln theta|}
 _NEWTON_TOL = 2.0 ** -52
 
 #: the rbar entries solved as one block of array operations
@@ -138,29 +141,32 @@ class WaterLevels:
     distortion: np.ndarray
 
 
-def _two_ln2_rate(log_theta, phic, shift):
-    """2 ln2 times the rate in bits per sample at levels of any shape, with
-    ``shift`` broadcast against them and their 24 nodes, which take a last
-    axis.  Each entry sums its own nodes, in an order that does not depend
-    on the shape."""
+def _two_ln2_rate(theta, c, phic, shift):
+    """2 ln2 times the rate in bits per sample at levels theta of any shape
+    with their crossings (c, phic), ``shift`` a column against them.  The 24
+    nodes take a last axis, and each entry sums its own, in an order that
+    does not depend on the shape."""
     half = np.multiply.outer(0.5 * np.pi * phic, _NODES)
     sin2 = np.square(np.sin(half))
-    terms = np.log((1.0 - 4.0 * shift * sin2)
+    terms = np.log((1.0 - 4.0 * np.expand_dims(shift, -1) * sin2)
                    * half * half / sin2)
     smooth = np.add.reduce(terms * _WEIGHTS, axis=-1)
-    return phic * (2.0 - 2.0 * np.log(np.pi * phic) - log_theta + smooth)
+    u = 1.0 / np.maximum(c, 4.0)   # L = ln(theta (pi phic)^2)
+    log_level = np.where(c > 4.0, np.log1p((1.0 - 4.0 * shift) * u * u)
+                         + 2.0 * np.log(np.arctan(u) / u),
+                         np.log(theta) + 2.0 * np.log(np.pi * phic))
+    return phic * (2.0 - log_level + smooth)
 
 
 def _start(rbar) -> tuple:
-    """Newton's first ln theta at rbar, a row against the stack's columns,
-    and its crossing: c/2 = v P(v) / rbar with P of ``_START``,
+    """Newton's start at rbar, a row against the stack's columns: theta and
+    its crossing (c, phic), with c/2 = v P(v) / rbar for P of ``_START``,
     theta = c^2/4 + floor and phic = (2/pi) arctan(1/c); at and past the
     border rate v = 0, so theta is the floor."""
     v = np.sqrt(np.maximum(_BORDER - rbar, 0.0))
-    half_c = v * np.add.reduce(np.power(v[..., np.newaxis], _START_POWERS)
-                               * _COEFFICIENTS, axis=-1) / rbar
-    return (np.log(np.square(half_c) + _FLOOR),
-            (2.0 / np.pi) * np.arctan2(0.5, half_c))
+    c = 2.0 * v * np.add.reduce(np.power(v[..., np.newaxis], _START_POWERS)
+                                * _COEFFICIENTS, axis=-1) / rbar
+    return 0.25 * c * c + _FLOOR, c, (2.0 / np.pi) * np.arctan2(1.0, c)
 
 
 def _distortion(theta, c, phic, shift):
@@ -172,29 +178,22 @@ def _solve_block(rbar, out):
     and distortion of each row of the stack, then the walk's g = integral of
     min{theta, S}/S = 2 theta (phic - sin(pi phic)/pi) + 1 - phic, its
     difference taken from its series where pi phic < 1/2."""
-    target = 2.0 * _LN2 * rbar
-    log_theta, phic = _start(rbar)
-    nodes_shift = _SHIFT[..., np.newaxis]
-    log_theta = log_theta + (_two_ln2_rate(log_theta, phic, nodes_shift)
-                             - target) / phic
-    theta = np.exp(log_theta)
-    c, phic = SpectralDensity._cot_crossing(theta, _FLOOR)
-    step = (_two_ln2_rate(log_theta, phic, nodes_shift) - target) / phic
-    log_theta = log_theta + step
+    theta, c, phic = _start(rbar)
+    step = (_two_ln2_rate(theta, c, phic, _SHIFT) - 2.0 * _LN2 * rbar) / phic
     # Newton's error after the step is about f'' step^2 / (2 phic), with
     # f'' = theta / (pi c (theta + shift)) the curvature of the rate in
     # ln theta, and f'' = 0 on the flat side of the floor (c = 0)
-    scale = np.maximum(1.0, np.abs(log_theta))
+    scale = np.maximum(1.0, np.abs(np.log(theta)))
     bounded = ((step * step * (theta / (theta + _SHIFT))
                 <= (2.0 * np.pi * _NEWTON_TOL) * scale * c * phic) | (c == 0))
     if not np.logical_and.reduce(bounded, axis=None):
         missed = rbar[np.argmin(np.logical_and.reduce(bounded, axis=0))]
         raise FloatingPointError(
-            f"Newton's two steps for theta at {missed:.17g} bits per sample"
+            f"Newton's step for theta at {missed:.17g} bits per sample"
             f" left an error bound above 2^-52 max{{1, |ln theta|}}")
     # at and past the border rate the level is the saturated K 2^(-2 rbar)
     theta = np.where(rbar >= _BORDER, _SATURATION * np.exp2(-2.0 * rbar),
-                     np.exp(log_theta))
+                     theta * np.exp(step))
     c, phic = SpectralDensity._cot_crossing(theta, _FLOOR)
     out[:2] = theta
     out[2:4] = _distortion(theta, c, phic, _SHIFT)
@@ -210,9 +209,9 @@ def _solve(rbar) -> tuple:
     """The ``WaterLevels`` of the interpolator's density and of the walk's
     at rbar, in that order, and the walk's g: the rows of one (5, n) field
     array, filled block by block of ``_BLOCK`` entries (against 40-digit
-    values, theta is within 7 ulp over 0.1 <= rbar <= 1.45 and 1 ulp past
-    it).  The one range check: ValueError for rbar <= 0 or nan,
-    FloatingPointError outside [MIN_RBAR, MAX_RBAR]."""
+    values, theta is within 6 ulp below rbar 1.45 and 1 ulp past it).  The
+    one range check: ValueError for rbar <= 0 or nan, FloatingPointError
+    outside [MIN_RBAR, MAX_RBAR]."""
     rbar = read_real("rbar", rbar, array=True)
     if not np.logical_and.reduce((rbar >= MIN_RBAR) & (rbar <= MAX_RBAR),
                                  axis=None):
@@ -251,8 +250,8 @@ def rate_at_theta(density: SpectralDensity, theta):
     near 0.
     """
     theta = check_positive("theta", theta, array=True)
-    return _two_ln2_rate(np.log(theta), density.crossing(theta),
-                         density.shift) / (2.0 * _LN2)
+    return _two_ln2_rate(theta, *SpectralDensity._cot_crossing(
+        theta, density.floor), density.shift) / (2.0 * _LN2)
 
 
 def solve_theta_for_rate(density: SpectralDensity,

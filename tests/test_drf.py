@@ -212,7 +212,7 @@ CANCELLED = pytest.mark.xfail(
 
 class TestOrderingsNearZeroRate:
     """The paper's orderings in every row toward rbar -> 0; today each
-    fails at some of these points (47, 206 and 45 of them)."""
+    fails at some of these points (21, 159 and 3 of them)."""
 
     @CANCELLED
     def test_ratio_smp_is_at_least_one(self):
@@ -343,7 +343,7 @@ def _sections_inputs():
 
 def test_each_point_is_its_own_solve():
     # a point is the same in any grid, in any block of one, and alone, bit
-    # for bit: each entry takes the same two Newton steps and sums its own
+    # for bit: each entry takes the same Newton step and sums its own
     # nodes, and is its density's solve_theta_for_rate at its rbar, the
     # one-rate route against the array route
     for form, rbar in _sections_inputs():
@@ -378,11 +378,11 @@ def test_each_point_is_its_own_solve():
 #: (shifted theta, shifted distortion, sampled theta, sampled distortion,
 #: g, ce) of ``drf.sections`` by rbar, each pinned to its repr
 PINNED_SECTIONS = {
-    0.05: (84.32694508337342, 5.682281154317073, 84.38250065924959,
-           5.845097003032301, 0.9768920486502859, 5.6822816615905865),
-    0.98: (0.19695488110886147, 0.16693809627981293, 0.2575927657135894,
-           0.2570345439168436, 0.5129659426492633, 0.1715402201419664),
-    1.3: (0.1055870987834578, 0.10281755094245619, 0.16493848884661177,
+    0.05: (84.32694508337339, 5.682281154317073, 84.38250065924953,
+           5.845097003032298, 0.9768920486502859, 5.682281661590584),
+    0.98: (0.19695488110886153, 0.16693809627981293, 0.25759276571358936,
+           0.25703454391684355, 0.5129659426492632, 0.17154022014196635),
+    1.3: (0.1055870987834577, 0.10281755094245612, 0.16493848884661177,
           0.16493848884661177, 0.32987697769322355, 0.10995899256440786),
     400.0: (9.328241175679437e-242, 9.328241175679437e-242,
             1.499696813895631e-241, 1.499696813895631e-241,

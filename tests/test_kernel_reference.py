@@ -44,25 +44,25 @@ REFERENCE = os.path.join(ROOT, "tests", "kernel_reference.json")
 BANDS = {"low": (0.0, 0.1), "crossing": (0.1, 1.45), "high": (1.45, math.inf)}
 
 #: the largest error of ``drf.sections`` over the table, in ulps of each
-#: field in each band of ``BANDS``, as measured and rounded up.  Newton's
-#: method in ln theta leaves theta a relative error of about
-#: |ln theta| 2^-53, so the low band, where |ln theta| reaches 700, allows
-#: hundreds of ulps; past the border rate the level is the saturated
-#: K 2^(-2 rbar), formed as K exp2(-2 rbar)
+#: field in each band of ``BANDS``, as measured and rounded up.  The rate
+#: is formed without cancelling ln theta (up to about 700 in the low band),
+#: so one Newton step leaves theta within a few ulps in every band; past
+#: the border rate the level is the saturated K 2^(-2 rbar), formed as
+#: K exp2(-2 rbar)
 ULP_BOUNDS = {
-    "shifted.theta": {"low": 244, "crossing": 7, "high": 1},
-    "shifted.distortion": {"low": 148, "crossing": 9, "high": 1},
-    "sampled.theta": {"low": 244, "crossing": 5, "high": 1},
-    "sampled.distortion": {"low": 148, "crossing": 4, "high": 1},
-    "g": {"low": 1, "crossing": 3, "high": 1},
-    "ce": {"low": 148, "crossing": 6, "high": 2},
+    "shifted.theta": {"low": 4, "crossing": 6, "high": 1},
+    "shifted.distortion": {"low": 3, "crossing": 6, "high": 1},
+    "sampled.theta": {"low": 5, "crossing": 5, "high": 1},
+    "sampled.distortion": {"low": 3, "crossing": 4, "high": 1},
+    "g": {"low": 1, "crossing": 2, "high": 1},
+    "ce": {"low": 3, "crossing": 5, "high": 2},
 }
 
 #: the largest error of ``waterfill.rate_at_theta`` over the table's levels,
-#: in ulps of the rate, rounded up.  Above theta ~ 1e2 the rate's terms
-#: -2 ln(pi phic) and -ln theta, each near |ln theta| (up to about 700),
-#: cancel down to about 2, so the rate keeps about |ln theta| 2^-53 of error
-RATE_ULP_BOUNDS = {"shifted.rate": 297, "sampled.rate": 297}
+#: in ulps of the rate, rounded up.  Above theta ~ 1e2, where ln theta and
+#: 2 ln(pi phic) would cancel from about 700 down to about 2, the rate
+#: forms their sum ln(theta (pi phic)^2) from 1/c, with no cancellation
+RATE_ULP_BOUNDS = {"shifted.rate": 3, "sampled.rate": 3}
 
 
 def reference_rbar():
@@ -84,9 +84,9 @@ def reference_rbar():
 
 def reference_theta():
     """The table's water levels for ``rate_at_theta``, ascending: 300
-    log-uniform over [1e2, 1e308], where the rate's two logarithms cancel
-    most, and five at or below a density floor (1/4 for the walk, 1/12 for
-    the interpolator)."""
+    log-uniform over [1e2, 1e308], where the rate's two logarithms would
+    cancel most, and five at or below a density floor (1/4 for the walk,
+    1/12 for the interpolator)."""
     draws = 10.0 ** np.random.default_rng(0).uniform(2, 308, 300)
     floors = {1e-300, 1e-10, 0.01, 0.08, 0.25}
     return sorted({float(x) for x in draws} | floors)

@@ -196,12 +196,12 @@ class TestKernel:
     @pytest.mark.parametrize("density", [SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER,
                                          None], ids=["density0", "density1",
                                                      "both"])
-    def test_at_most_two_rate_evaluations(self, density, monkeypatch):
+    def test_one_rate_evaluation_per_block(self, density, monkeypatch):
         # an array goes through drf.sections, the one pass over both
         # densities, and a scalar through the density's
         # solve_theta_for_rate, or for None through drf.sections, also over
         # every input of test_drf's, the benchmark-like 10-point grids among
-        # them; a grid of several blocks takes two per block
+        # them; a grid of several blocks takes one per block
         calls = []
         rate = waterfill._two_ln2_rate
 
@@ -214,19 +214,19 @@ class TestKernel:
                  else functools.partial(solve_theta_for_rate, density))
         rbars = np.geomspace(MIN_RBAR, waterfill.MAX_RBAR, 3000)
         drf.sections(rbars)
-        assert len(calls) <= 2
+        assert len(calls) == 1
         worst = 0
         for rbar in rbars:
             calls.clear()
             solve(rbar)
             worst = max(worst, len(calls))
-        assert worst <= 2
+        assert worst == 1
         if density is None:
             for form, rbar in _sections_inputs():
                 calls.clear()
                 solve(rbar)
                 blocks = -(-np.size(rbar) // waterfill._BLOCK)
-                assert len(calls) <= 2 * blocks, (form, rbar)
+                assert len(calls) == blocks, (form, rbar)
 
     def test_refuses_past_the_underflow_edge(self):
         with pytest.raises(FloatingPointError, match="510.9.*510.658"):
@@ -234,14 +234,14 @@ class TestKernel:
         solve_theta_for_rate(SHIFTED_SAMPLED_WIENER, waterfill.MAX_RBAR)
 
     def test_a_start_too_far_off_is_refused(self, monkeypatch, tmp_path):
-        # two Newton steps from 0.3 off in ln theta leave an error bound far
+        # one Newton step from 0.3 off in ln theta leaves an error bound far
         # above 2^-52: the solve raises, and the command line exits 3
         start = waterfill._start
 
         def off(rbar):
-            log_theta = start(rbar)[0] + 0.3
-            return log_theta, SpectralDensity._cot_crossing(
-                np.exp(log_theta), waterfill._FLOOR)[1]
+            theta = start(rbar)[0] * math.exp(0.3)
+            return theta, *SpectralDensity._cot_crossing(theta,
+                                                         waterfill._FLOOR)
 
         monkeypatch.setattr(waterfill, "_start", off)
         with pytest.raises(FloatingPointError, match="at 0.5 bits per sample"):
@@ -263,6 +263,15 @@ class TestKernel:
         levels = sections_of(density, np.geomspace(MIN_RBAR, MAX_RBAR, 20000))
         assert np.all(np.diff(levels.theta) < 0)
         assert np.all(np.diff(levels.distortion) < 0)
+
+    @pytest.mark.parametrize("density", [SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER])
+    def test_rate_at_the_solved_level_is_its_rbar(self, density):
+        # within a few roundings over the whole range, down to MIN_RBAR,
+        # where ln theta passes 700
+        rbar = np.geomspace(MIN_RBAR, MAX_RBAR, 20000)
+        theta = sections_of(density, rbar).theta
+        rate = waterfill.rate_at_theta(density, theta)
+        assert np.max(np.abs(rate / rbar - 1.0)) <= 4 * sys.float_info.epsilon
 
 
 @given(st.floats(min_value=5e-324, max_value=sys.float_info.max))
@@ -296,7 +305,7 @@ START_BOUNDS = {
 def start_errors(density, rbar, theta) -> np.ndarray:
     """Newton's start against the levels theta at rbar, both arrays below
     the density's border rate, relative to max{1, |ln theta|}."""
-    log_theta = waterfill._start(rbar)[0][ROWS[density]]
+    log_theta = np.log(waterfill._start(rbar)[0][ROWS[density]])
     return (np.abs(log_theta - np.log(theta))
             / np.maximum(1.0, np.abs(np.log(theta))))
 

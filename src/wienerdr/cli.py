@@ -83,7 +83,7 @@ def _write_csv_atomic(path: str, header, table) -> None:
 
 
 def _write_manifest(path: str, command: str, args: SimpleNamespace) -> None:
-    flags = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
+    flags = {k: v for k, v in vars(args).items() if k != "func"}
     manifest = {
         "command": command,
         "flags": flags,

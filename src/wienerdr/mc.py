@@ -544,10 +544,13 @@ def _mmse_rows(n: int, oversample: int, trials: range,
 def finite_waterfill_theta(eigenvalues: np.ndarray, rbar: float) -> float:
     """Water level over finitely many eigenvalues at rbar bits per sample.
 
-    Solves mean_k (1/2) log2+(lambda_k / theta) = rbar exactly: on the
-    segment where the m largest modes are active the level is the geometric
-    mean of those eigenvalues scaled by 2**(-2 n rbar / m).  All n candidate
-    levels come from one cumulative sum; the first consistent one is taken.
+    Solves mean_k (1/2) log2+(lambda_k / theta) = rbar exactly: with the m
+    largest modes active the level is theta_m, the geometric mean of those
+    eigenvalues scaled by 2**(-2 n rbar / m), all n from one cumulative sum.
+    Mode m is active when theta_m < lambda_m, that is when
+    F(m) = sum_{k<=m} ln(lambda_k / lambda_m) is below 2 n rbar ln 2; F
+    never falls as m grows, so the active modes are a prefix and the level
+    is theta at their count.  The top mode is always active.
     """
     lam = check_positive("eigenvalues", eigenvalues, array=True)
     if lam.ndim != 1 or not lam.size:
@@ -557,12 +560,7 @@ def finite_waterfill_theta(eigenvalues: np.ndarray, rbar: float) -> float:
     n = len(lam)
     budget = 2.0 * n * rbar * math.log(2.0)
     theta = np.exp((np.cumsum(np.log(lam)) - budget) / np.arange(1, n + 1))
-    consistent = theta <= lam * (1 + 1e-12)
-    consistent[:-1] &= theta[:-1] >= lam[1:]
-    first = np.flatnonzero(consistent)
-    if first.size == 0:
-        raise RuntimeError("no consistent waterfilling segment found")
-    return float(theta[first[0]])
+    return float(theta[np.count_nonzero(theta[1:] < lam[1:])])
 
 
 def _kl_forward(block: np.ndarray) -> np.ndarray:

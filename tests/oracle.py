@@ -8,7 +8,9 @@ integrands directly, so it shares no formula with ``wienerdr.waterfill``.
 The Monte-Carlo references at the end run one trial at a time with the
 dense eigenvector matrix (``sine_vectors``) and a loop over waterfilling
 segments, so they share no transform, batching or vectorized solve with
-``wienerdr.mc``.
+``wienerdr.mc``.  The witness of d_opt, estimate then compress with the
+dense interpolant eigensystem on the fine grid, takes its level from
+``mc.finite_waterfill_theta``, which it witnesses.
 ``argparse_parser`` is the command line as an argparse parser, against
 which the tests check the one-pass reader of ``wienerdr.cli``.
 
@@ -46,6 +48,7 @@ import math
 
 import numpy as np
 
+from wienerdr import mc
 from wienerdr.cli import _cmd_curve, _cmd_eigen, _cmd_ratio, _cmd_simulate
 from wienerdr.spectral import (SAMPLED_WIENER, ProcessParams,
                                discrete_wiener_eigensystem)
@@ -304,6 +307,59 @@ def dense_grid_expectation(n: int, oversample: int, rbar: float) -> float:
     per_point = m * (oversample - m) / oversample \
         + np.einsum("jp,pq,jq->j", hats, cov, hats)
     return float(weights @ per_point)
+
+
+def _interpolant_system(n: int, oversample: int, rbar: float):
+    """(L, hats, weights, eigenvalues, U, theta) of estimate, then compress,
+    in units of one fine step's variance: L the Cholesky factor of the
+    samples' covariance os * min{i, j}, i, j = 1..n; the hat of each sample
+    (a column) at each fine point j = 0..n os (a row), the pinned start's
+    left out; the trapezoid weights; A = L^T H^T diag(w) H L = U diag(eig)
+    U^T, decreasing, the interpolant's KL eigensystem on the fine grid; and
+    theta, ``mc.finite_waterfill_theta`` over those eigenvalues."""
+    i = np.arange(1, n + 1)
+    chol = np.linalg.cholesky(oversample * np.minimum.outer(i, i).astype(float))
+    j = np.arange(n * oversample + 1)[:, None]
+    hats = np.maximum(1.0 - np.abs(j - i * oversample) / oversample, 0.0)
+    weights = np.ones(len(hats))
+    weights[[0, -1]] = 0.5
+    hc = hats @ chol
+    lam, vecs = np.linalg.eigh(hc.T @ (weights[:, None] * hc))
+    lam, vecs = lam[::-1], vecs[:, ::-1]
+    return chol, hats, weights, lam, vecs, mc.finite_waterfill_theta(lam, rbar)
+
+
+def dense_dopt_expectation(n: int, oversample: int, rbar: float) -> float:
+    """Expected per-trial value of ``dense_dopt_trials``: the bridge's
+    n (os**2 - 1)/6 plus sum min{theta, lambda_k}, as the bridge is
+    independent of the samples and of the channel's noise."""
+    *_, lam, _, theta = _interpolant_system(n, oversample, rbar)
+    return n * (oversample ** 2 - 1) / 6.0 + float(np.minimum(theta, lam).sum())
+
+
+def dense_dopt_trials(n: int, oversample: int, rbar: float, trials: int,
+                      seed: int) -> np.ndarray:
+    """Per-trial trapezoid sums over the fine grid of the squared path error
+    of estimate, then compress, in units of one fine step's variance.
+
+    The interpolant's KL coefficients a = sqrt(lambda) U^T L^-1 W of the
+    samples W pass through the test channel as in ``mc_test_channel_run``;
+    the samples are rebuilt as L U diag(lambda)**-1/2 a_hat and interpolated.
+    """
+    chol, hats, weights, lam, vecs, theta = _interpolant_system(n, oversample,
+                                                                rbar)
+    rng = np.random.default_rng(seed)
+    fine = np.zeros((trials, n * oversample + 1))
+    np.cumsum(rng.standard_normal((trials, n * oversample)), axis=1,
+              out=fine[:, 1:])
+    root = np.sqrt(lam)
+    coeffs = root * (np.linalg.solve(chol, fine[:, oversample::oversample].T).T
+                     @ vecs)
+    gain = np.maximum(1.0 - theta / lam, 0.0)   # 0: a drowned coefficient
+    noise_sd = np.sqrt(theta / np.where(gain > 0, gain, np.inf))
+    sent = gain * (coeffs + noise_sd * rng.standard_normal((trials, n)))
+    errors = fine - (sent / root) @ vecs.T @ chol.T @ hats.T
+    return errors ** 2 @ weights
 
 
 # ------------------------------------------ dense eigenvectors and nodes

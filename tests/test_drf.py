@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import wienerdr.drf as drf
 from oracle import ce_integral
+from test_acceptance import _richardson_fs2_coefficient
 from wienerdr import waterfill
 from wienerdr.drf import (DistortionBundle, RateSpec, bundle, ce_penalty,
                           d_bar, d_ce, d_opt, d_upper, d_w, equilibrium_rbar,
@@ -26,8 +27,9 @@ BORDER_RBAR = 0.5 * (1.0 + math.log2(math.sqrt(3.0) + 2.0))
 LOW_RATE_COEF = (2.0 + math.sqrt(3.0)) / 6.0
 #: where the kernel's Newton start is least settled: at each density's
 #: border rate (1 for the walk, BORDER_RBAR for the interpolator), where the
-#: level saturates, one ulp and 1e-9 below it, and at 0.65 of it, where an
-#: earlier start changed branch
+#: level saturates, one ulp and 1e-9 below it, where c = cot(pi phic / 2) is
+#: about 1e-8 and 1e-4, and at 0.65 of it, where an earlier start changed
+#: branch
 BRANCH_EDGES = (1.0, math.nextafter(1.0, 0.0), 1.0 - 1e-9, 0.65,
                 BORDER_RBAR, math.nextafter(BORDER_RBAR, 0.0),
                 BORDER_RBAR - 1e-9, 0.65 * BORDER_RBAR)
@@ -228,17 +230,6 @@ class TestOrderingsNearZeroRate:
         assert (curves.d_bar <= curves.d_w).all()
 
 
-def _richardson_fs2_coefficient(curve) -> float:
-    # (d - d_w)*fs^2 = a + b/fs^2 + ...; eliminate b pairwise in 1/fs^2
-    rate = RateSpec(1.0)
-    dw = d_w(rate, 1.0)
-    vals = {fs: (curve(ProcessParams(1.0, fs), rate) - dw) * fs ** 2
-            for fs in (50.0, 100.0, 200.0)}
-    r1 = (4.0 * vals[100.0] - vals[50.0]) / 3.0
-    r2 = (4.0 * vals[200.0] - vals[100.0]) / 3.0
-    return (16.0 * r2 - r1) / 15.0
-
-
 class TestAsymCoeffs:
     def test_catalog(self):
         # d = d_w + c R/fs^2 + ..., with d_w = 2 sigma2/(pi^2 ln2 R) and
@@ -319,9 +310,9 @@ def _sections_inputs():
     """rbar in each form a sweep or a scalar function passes to sections:
     300 random 10-point log grids drawn like the benchmark's sweeps (low end
     log-uniform in [1.05e-4, 0.3], high end in [3, 400]), the 10- and
-    3000-point log grids over the whole range, and random scalars, 1-element
-    and 2-d arrays, and a random grid over the whole range of three and a
-    ragged part of ``waterfill._BLOCK`` entries."""
+    3000-point log grids over the whole range, a fixed 6-point array, random
+    scalars, 1-element and 2-d arrays, and a random grid over the whole range
+    of three and a ragged part of ``waterfill._BLOCK`` entries."""
     rng = np.random.default_rng(0)
 
     def draws(size, low=1e-4, high=400.0):
@@ -332,6 +323,7 @@ def _sections_inputs():
     scalars = [MIN_RBAR, MAX_RBAR, 1e-4, 0.03, 0.7, 1.0, 1.2, 5.0, 300.0,
                *BRANCH_EDGES, *draws(400, MIN_RBAR, MAX_RBAR), *draws(400)]
     return ([("scalar", float(x)) for x in scalars]
+            + [("6-point", np.array([1e-4, 0.03, 0.7, 1.2, 5.0, 300.0]))]
             + [("1-element", draws(1)) for _ in range(100)]
             + [("log-10", grid) for grid in grids]
             + [(f"log-{n}", np.geomspace(MIN_RBAR, MAX_RBAR, n))

@@ -9,7 +9,10 @@ Richardson value 2 D(2n) - D(n) is compared with the closed form:
 * d_tilde: the same mean over the interpolator kernel's eigenvalues;
 * d_ce: the continuous-time value of the compress-and-estimate run,
   ``mc._expectations`` of the exact moment oracle in units of sigma2/fs,
-  against 1/6 + ``sections(rbar).ce``.
+  against 1/6 + ``sections(rbar).ce``;
+* d_opt: the grid-exact value of estimate, then compress, the dense
+  witness of ``oracle.dense_dopt_expectation`` over n os**2, against
+  1/6 + ``sections(rbar).d_tilde``.
 
 Convergence slows as rbar falls: the relative error of the Richardson value
 falls about as rbar**-2 below rbar = 1 (2.9e-5 at rbar 1e-3, 1.1e-8 at
@@ -20,6 +23,7 @@ tolerance is 3 times that measured envelope.
 import numpy as np
 import pytest
 
+from oracle import dense_dopt_expectation
 from wienerdr import drf, mc
 from wienerdr.spectral import (ProcessParams, discrete_wiener_eigensystem,
                                interp_kernel_eigensystem)
@@ -69,3 +73,14 @@ def test_ce_continuous_value_converges_to_d_ce():
         exact = 1.0 / 6.0 + ce
         got = richardson(value, N_CE)
         assert abs(got / exact - 1.0) <= tolerance(rbar, 7e-15), rbar
+
+
+def test_estimate_then_compress_converges_to_d_opt():
+    # at os = 32 the Richardson value of n = 128 and 256, 0.603556, is
+    # 9.1e-5 below d_opt = 0.603610 (rbar 0.5), the fine grid's bias
+    def value(n):
+        return dense_dopt_expectation(n, 32, 0.5) / (n * 32 ** 2)
+
+    exact = 1.0 / 6.0 + float(drf.sections(0.5).d_tilde)
+    got = richardson(value, 128)
+    assert abs(got / exact - 1.0) <= 3.0 * 9.1e-5

@@ -17,6 +17,7 @@ from scipy.optimize import brentq
 
 import wienerdr
 from oracle import (_lerp, _trapezoid_mean, dense_channel_trials,
+                    dense_dopt_expectation, dense_dopt_trials,
                     dense_grid_expectation, dense_mmse_trials,
                     interp_node_values, loop_waterfill_theta, sine_vectors)
 from wienerdr import mc
@@ -344,14 +345,30 @@ class TestFiniteWaterfill:
         lam = discrete_wiener_eigensystem(UNIT, 8).eigenvalues
         assert finite_waterfill_theta(lam, 40.0) < 1e-20
 
-    @pytest.mark.parametrize("n", [1, 2, 7, 128, 1500])
-    def test_matches_segment_loop(self, n):
-        params = ProcessParams(1.7, 0.6)
-        lam = discrete_wiener_eigensystem(params, n).eigenvalues
-        for rbar in (1e-3, 0.05, 0.3, 1.0, 2.5, 40.0):
+    # the walk's eigenvalues are distinct; ties, one-element arrays and the
+    # ends of the float range reach the count's equalities and underflow
+    @pytest.mark.parametrize("lam", [
+        *(pytest.param(discrete_wiener_eigensystem(ProcessParams(1.7, 0.6),
+                                                   n).eigenvalues, id=str(n))
+          for n in (1, 2, 7, 128, 1500)),
+        pytest.param(np.full(9, 0.3), id="constant"),
+        pytest.param(np.array([3.0, 2.0, 1.0]), id="3-2-1"),
+        pytest.param(np.array([3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0, 5.0,
+                               3.0, 5.0]), id="repeats"),
+        pytest.param(np.array([5.0, 5.0]), id="pair"),
+        pytest.param(np.array([0.7]), id="one-element")])
+    def test_matches_segment_loop(self, lam):
+        for rbar in (5e-324, 1e-17, 1e-3, 0.05, 0.3, 1.0, 2.5, 40.0, 700.0,
+                     1e300):
             theta = finite_waterfill_theta(lam, rbar)
             assert theta == pytest.approx(loop_waterfill_theta(lam, rbar),
                                           rel=1e-14)
+
+    def test_tiny_rate_keeps_the_rounded_top_level(self):
+        # exp(ln 3 - 4e-17) rounds one ulp above 3; min{theta, lambda} is
+        # lambda for every mode either way
+        assert finite_waterfill_theta(np.array([3.0, 2.0, 1.0]), 1e-17) == \
+            3.0000000000000004
 
     def test_validation(self):
         lam = discrete_wiener_eigensystem(UNIT, 4).eigenvalues
@@ -577,6 +594,15 @@ class TestExpectations:
         expected = floor * (1.0 - 1.0 / oversample ** 2)
         assert abs(r.reference - expected) <= 4 * math.ulp(expected)
         assert r.bias == pytest.approx(floor / oversample ** 2, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_dopt_witness_meets_its_expectation(self, seed):
+        # estimate, then compress: the interpolant's KL coefficients through
+        # the test channel, against n (os**2 - 1)/6 + sum min{theta, lambda}
+        values = dense_dopt_trials(16, 8, 0.5, 4000, seed)
+        stderr = values.std(ddof=1) / math.sqrt(len(values))
+        z = (values.mean() - dense_dopt_expectation(16, 8, 0.5)) / stderr
+        assert abs(z) <= 3.0
 
     @pytest.mark.parametrize("run", sorted(SPLIT_RUNS))
     def test_z_does_not_depend_on_sigma2(self, run):

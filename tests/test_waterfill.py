@@ -13,22 +13,13 @@ from hypothesis import strategies as st
 
 from oracle import (QuadratureError, ce_integral, distortion_at_theta,
                     g_integral, integrate, integrate_unit, rate_at_theta)
-from test_drf import _sections_inputs
+from test_drf import BORDER_RBAR, BRANCH_EDGES, _sections_inputs
 from test_kernel_reference import read_table
 from wienerdr import cli, drf, waterfill
 from wienerdr.spectral import (SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER,
                                SpectralDensity)
 from wienerdr.waterfill import MAX_RBAR, MIN_RBAR, solve_theta_for_rate
 
-BORDER_RATE = 0.5 * (1.0 + np.log2(np.sqrt(3.0) + 2.0))  # ~1.44998
-#: where Newton's start is least settled, for the walk (border rate 1) and
-#: the interpolator (BORDER_RATE): at each border rate, where the level
-#: saturates, and one ulp and 1e-9 below it, where c = cot(pi phic / 2) is
-#: about 1e-8 and 1e-4; and at 0.65 of it, where an earlier start changed
-#: branch
-BRANCH_EDGES = (1.0, math.nextafter(1.0, 0.0), 1.0 - 1e-9, 0.65,
-                BORDER_RATE, math.nextafter(BORDER_RATE, 0.0),
-                BORDER_RATE - 1e-9, 0.65 * BORDER_RATE)
 #: each density's row of the kernel's stack
 ROWS = {SHIFTED_SAMPLED_WIENER: 0, SAMPLED_WIENER: 1}
 
@@ -76,7 +67,7 @@ class TestRate:
 
     def test_border_point(self):
         assert rate_at_theta(SHIFTED_SAMPLED_WIENER, 1.0 / 12.0) == \
-            pytest.approx(BORDER_RATE, abs=1e-10)
+            pytest.approx(BORDER_RBAR, abs=1e-10)
 
     def test_positive_for_large_theta(self):
         assert rate_at_theta(SAMPLED_WIENER, 1e6) > 0.0
@@ -95,7 +86,7 @@ class TestRate:
 
 class TestSolve:
     def test_border_inversion(self):
-        point = solve_theta_for_rate(SHIFTED_SAMPLED_WIENER, BORDER_RATE)
+        point = solve_theta_for_rate(SHIFTED_SAMPLED_WIENER, BORDER_RBAR)
         assert point.theta == pytest.approx(1.0 / 12.0, abs=1e-9)
         assert point.distortion == pytest.approx(1.0 / 12.0, abs=1e-9)
 
@@ -130,8 +121,9 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve_theta_for_rate(SAMPLED_WIENER, rate)
 
-    def test_bracket_expansion_reaches_far_theta(self):
-        # tiny rate puts theta far above the saturated start of the solve
+    def test_tiny_rate_inverts_to_a_far_level(self):
+        # at rbar 2e-4 the level lies past 1e4; the oracle's rate there is
+        # still rbar
         point = solve_theta_for_rate(SHIFTED_SAMPLED_WIENER, 2e-4)
         assert point.theta > 1e4
         assert rate_at_theta(SHIFTED_SAMPLED_WIENER, point.theta) == \
@@ -184,14 +176,6 @@ class TestKernel:
         curves = drf.sections(rbar)
         assert curves.g == pytest.approx(2.0 * power, rel=1e-12)
         assert curves.ce == pytest.approx(2.0 / 3.0 * power, rel=1e-12)
-
-    def test_array_matches_scalar_solves(self):
-        rbars = np.array([1e-4, 0.03, 0.7, 1.2, 5.0, 300.0])
-        levels = drf.sections(rbars).shifted
-        for i, rbar in enumerate(rbars):
-            point = solve_theta_for_rate(SHIFTED_SAMPLED_WIENER, rbar)
-            assert levels.theta[i] == point.theta
-            assert levels.distortion[i] == point.distortion
 
     @pytest.mark.parametrize("density", [SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER,
                                          None], ids=["density0", "density1",

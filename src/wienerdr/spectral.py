@@ -14,9 +14,9 @@ module also builds, in O(n), the ``EigenSystem`` of each of the two
 covariance kernels (the discrete walk and the interpolator kernel on
 [0, n/fs]): its closed-form finite-rank eigenvalues, and no eigenvector,
 as every result needs only the eigenvalues.
-``nystrom_interp_eigenvalues`` checks the closed forms: it gives the
-interpolator's discretized spectrum by one route, an n x n matrix with the
-same nonzero eigenvalues as the Nystrom matrix.
+``nystrom_interp_eigenvalues`` checks the closed forms by one ``eigvalsh`` of
+an exact n x n matrix with the trapezoid Nystrom matrix's nonzero spectrum,
+which is the closed form's plus sigma2 ts^2/(6 g^2) on g nodes per interval.
 
 Every outside value is read by ``read_real`` (one float, or a float64 array
 on a route built for arrays) or ``read_int`` (a count or the seed), which
@@ -184,7 +184,10 @@ class SpectralDensity:
         phi = check_positive("phi", phi, array=True)
         if np.logical_or.reduce(phi > 1.0, axis=None):
             raise ParameterError("phi", "must lie in (0, 1]")
-        return 1.0 / (4.0 * np.square(np.sin(0.5 * np.pi * phi))) - self.shift
+        with np.errstate(divide="ignore", over="ignore"):   # refused below
+            value = 1.0 / (4.0 * np.square(np.sin(0.5 * np.pi * phi))) - self.shift
+        check_normal(density=value)
+        return value
 
     @property
     def floor(self) -> float:
@@ -254,32 +257,26 @@ def interp_kernel_eigensystem(params: ProcessParams, n: int) -> EigenSystem:
 
 def nystrom_interp_eigenvalues(params: ProcessParams, n: int,
                                grid_points: int = 200) -> np.ndarray:
-    """Brute-force spectrum of the interpolator kernel on a uniform grid.
+    """The n largest eigenvalues, sorted decreasing, of the Nystrom matrix
+    W^1/2 K W^1/2 of the interpolator kernel K on g = ``grid_points`` nodes
+    per sampling interval with trapezoid weights W, by one ``eigvalsh``.
 
-    Discretizes the kernel K on ``grid_points`` nodes per sampling interval
-    with trapezoid weights W and returns the n largest eigenvalues of the
-    symmetrized Nystrom matrix W^1/2 K W^1/2, sorted decreasing.
-
-    The interpolator is a linear map of the samples, so K = H C H^T with hat
-    factors H and the samples' covariance C = L L^T.  The Nystrom matrix is
-    then A A^T with A = W^1/2 H L, whose nonzero eigenvalues are those of
-    the n x n matrix A^T A = L^T (H^T W H) L, which is what is diagonalized.
-    It is built at sigma2 = ts = 1 and scaled by ``unit(sigma2, fs, 2)``; its
-    largest array, the (n grid_points + 1) x n hat matrix, passes ``check_count``.
+    K = H L L^T H^T for the samples' hats H and covariance L L^T, so the
+    Nystrom matrix's nonzero eigenvalues are those of L^T (H^T W H) L, built
+    exactly at sigma2 = ts = 1 and scaled by ``unit(sigma2, fs, 2)``.  L is
+    ``np.tri(n)``; H^T W H is tridiagonal, 2a on its diagonal (a at the last
+    sample) and b off it, where a = (2g^2 + 1)/(6g^2) and b = (g^2 - 1)/(6g^2)
+    are one interval's trapezoid sums of (1 - u)^2 and u (1 - u), u = m/g.
+    Summed over j' >= j, k' >= k with 2a + 2b = 1, entry (j, k) is
+    n - max{j, k} + 1/2 - b [j = k].  H^T W H exceeds its g -> oo limit by
+    T/(6g^2), T = tridiag(-1, 2, -1) with last diagonal 1 = L^-T L^-1, so
+    these are ``interp_kernel_eigensystem``'s plus sigma2 ts^2/(6g^2).
     """
     n = check_count("n", n)
     grid_points = check_count("grid_points", grid_points, least=2)
-    check_count("grid_points", (n * grid_points + 1) * n)
-    dt = 1.0 / grid_points
-    # node positions in sampling intervals; column j of H is the hat of
-    # sample j + 1, its weight in the interpolant (sample 0 is pinned at 0)
-    pos = np.arange(n * grid_points + 1) / grid_points
-    hmat = np.maximum(1.0 - np.abs(pos[:, None] - np.arange(1, n + 1)), 0.0)
-    w = np.full(len(pos), dt)   # trapezoid weights
-    w[[0, -1]] = 0.5 * dt
-    chol = np.linalg.cholesky(np.minimum.outer(np.arange(1, n + 1),
-                                               np.arange(1, n + 1)))
-    mid = hmat.T @ (w[:, None] * hmat)
+    check_count("n", n * n)
+    j = np.arange(1, n + 1)
+    gram = (n + 0.5) - np.maximum.outer(j, j)
+    gram.flat[::n + 1] -= (grid_points ** 2 - 1) / (6.0 * grid_points ** 2)
     ratio, exp = unit(params.sigma2, params.fs, 2)
-    return _ldexp("eigenvalues",
-                  ratio * np.linalg.eigvalsh(chol.T @ mid @ chol)[::-1], exp)
+    return _ldexp("eigenvalues", ratio * np.linalg.eigvalsh(gram)[::-1], exp)

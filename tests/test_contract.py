@@ -230,6 +230,9 @@ PROBES = {
         lambda: spectral.nystrom_interp_eigenvalues(P(1e300, 1e-10), 2, 4),
         EIGEN, lambda: spectral.nystrom_interp_eigenvalues(P(3.0, 0.5), 2, 4),
         [18.610281374238568, 1.63971862576143]),
+    "density-inf": (lambda: WALK(1e-300),
+                    (FloatingPointError, PAST("density")),
+                    lambda: WALK(0.5), 0.5000000000000001),
     "d_w-inf": (lambda: drf.d_w(drf.RateSpec(1e-300), 1e300),
                 (FloatingPointError, PAST("d_w")),
                 lambda: drf.d_w(drf.RateSpec(1e-300), 1e-10),

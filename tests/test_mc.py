@@ -16,10 +16,11 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import wienerdr
-from oracle import (_lerp, _trapezoid_mean, dense_channel_trials,
-                    dense_dopt_expectation, dense_dopt_trials,
-                    dense_grid_expectation, dense_mmse_trials,
-                    interp_node_values, loop_waterfill_theta, sine_vectors)
+from oracle import (_interpolant_system, _lerp, _trapezoid_mean,
+                    dense_channel_trials, dense_dopt_expectation,
+                    dense_dopt_trials, dense_grid_expectation,
+                    dense_mmse_trials, interp_node_values,
+                    loop_waterfill_theta, sine_vectors)
 from wienerdr import mc
 from wienerdr.cli import main
 from wienerdr.drf import g_fun
@@ -27,7 +28,8 @@ from wienerdr.mc import (ErrorMoments, SimConfig, ce_distortion_estimate,
                          ce_moment_oracle, empirical_mmse,
                          finite_waterfill_theta, mc_test_channel_run)
 from wienerdr.spectral import (ProcessParams, discrete_wiener_eigensystem,
-                               interp_kernel_eigensystem)
+                               interp_kernel_eigensystem,
+                               nystrom_interp_eigenvalues)
 from wienerdr.waterfill import solve_theta_for_rate
 from wienerdr.spectral import SAMPLED_WIENER
 
@@ -603,6 +605,16 @@ class TestExpectations:
         stderr = values.std(ddof=1) / math.sqrt(len(values))
         z = (values.mean() - dense_dopt_expectation(16, 8, 0.5)) / stderr
         assert abs(z) <= 3.0
+
+    @pytest.mark.parametrize("n,oversample", [(4, 2), (16, 8), (32, 4),
+                                              (64, 16)])
+    def test_dopt_witness_is_the_nystrom_spectrum(self, n, oversample):
+        # the witness's explicit hats give the kernel's Nystrom eigenvalues at
+        # sigma2 = os**2, fs = 1, i.e. os**2 lambda_k + 1/6: 2.5e-14 at worst
+        lam = _interpolant_system(n, oversample, 0.5)[3]
+        nystrom = nystrom_interp_eigenvalues(ProcessParams(oversample ** 2, 1.0),
+                                             n, oversample)
+        assert np.max(np.abs(lam - nystrom) / nystrom) <= 7.5e-14
 
     @pytest.mark.parametrize("run", sorted(SPLIT_RUNS))
     def test_z_does_not_depend_on_sigma2(self, run):

@@ -212,16 +212,22 @@ class TestInterpEigensystem:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16, 64])
     def test_matches_nystrom_oracle(self, n):
-        system = interp_kernel_eigensystem(UNIT, n)
-        oracle = nystrom_interp_eigenvalues(UNIT, n, grid_points=200)
-        rel = np.abs(system.eigenvalues - oracle) / system.eigenvalues
-        assert np.max(rel) < 1e-3
+        # the trapezoid rule's H^T W H exceeds its limit by T/(6g^2), and
+        # L^T T L = I, so the Nystrom spectrum is the closed form plus
+        # sigma2 ts^2/(6g^2) exactly: 3.3e-13 at worst, by eigvalsh
+        for grid in (2, 200):
+            exact = interp_kernel_eigensystem(UNIT, n).eigenvalues \
+                + 1.0 / (6 * grid ** 2)
+            oracle = nystrom_interp_eigenvalues(UNIT, n, grid_points=grid)
+            assert np.max(np.abs(oracle - exact) / exact) <= 4e-13
 
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_dense_route_matches_full_eigensolver(self, n):
-        # the factored n x n Nystrom route against the dense one: eigvalsh of
-        # the whole pointwise-evaluated matrix
-        grid = 120
+    @pytest.mark.parametrize("n,grid",
+                             [(n, 120) for n in range(1, 9)]
+                             + [(16, 8), (32, 4), (64, 2)],
+                             ids=[*map(str, range(1, 9)), "16-8", "32-4", "64-2"])
+    def test_dense_route_matches_full_eigensolver(self, n, grid):
+        # the closed-form n x n Nystrom route against the dense one: eigvalsh
+        # of the whole pointwise-evaluated matrix
         total = n * grid + 1
         dt = UNIT.ts / grid
         t = np.arange(total) * dt
@@ -313,13 +319,13 @@ class TestInterpEigensystem:
         assert np.array_equal(got, (quotient(fs) / 12.0) * shape)
         assert not np.array_equal(got, (0.9 * (ts * ts) / 12.0) * shape)
 
-    def test_nystrom_hat_matrix_past_the_count_bound_is_named(self):
-        # its (n grid_points + 1) x n hat matrix is refused, under the field
-        # that sized it, before numpy is asked for it
-        for n, grid_points in ((2 ** 40, 2 ** 40), (2 ** 20, 2 ** 15)):
+    def test_nystrom_matrix_past_the_count_bound_is_named(self):
+        # its n x n matrix, the largest array, is refused under n before
+        # numpy is asked for it: n**2 = 2**56 and 2**80 pass MAX_COUNT
+        for n, grid_points in ((2 ** 28, 200), (2 ** 40, 2 ** 40)):
             with pytest.raises(ParameterError) as caught:
                 nystrom_interp_eigenvalues(UNIT, n, grid_points)
-            assert str(caught.value) == "grid_points is too long to allocate"
+            assert str(caught.value) == "n is too long to allocate"
 
     def test_large_n_has_no_degenerate_denominators(self):
         for n in (4096, 10 ** 6):

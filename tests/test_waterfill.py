@@ -359,9 +359,10 @@ def series_theta(rbar: float, shift: float):
 @example(math.log(MIN_RBAR))
 @settings(max_examples=60, deadline=None)
 def test_theta_matches_the_small_crossing_series(log_rbar):
-    """theta is carried as ln theta, so its relative error is bounded by
-    about |ln theta| 2**-53; (|ln theta| + 8) 2**-52 leaves room for the
-    ulps of the last exp and of the density."""
+    """theta is carried as itself, one Newton step theta exp(step) from its
+    start, on a rate whose logs do not cancel; (|ln theta| + 8) 2**-52 is a
+    loose bound (about 3 ulp is reached), which leaves room for the ulps of
+    the rate, the exp and the density."""
     rbar = max(math.exp(log_rbar), MIN_RBAR)
     for density, shift in ((SAMPLED_WIENER, 0), (SHIFTED_SAMPLED_WIENER,
                                                   mpmath.mpf(1) / 6)):

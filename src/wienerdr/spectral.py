@@ -8,12 +8,12 @@ eigenvalue staircase converges to the density
 
 while the piecewise-linear interpolator of the samples has the shifted
 density S(phi) - 1/6.  A density is its shift (``SpectralDensity``), which
-gives S, its floor and the one formula for the water-level crossing; the
-two are the objects ``SAMPLED_WIENER`` and ``SHIFTED_SAMPLED_WIENER``.  The
-module also builds, in O(n), the ``EigenSystem`` of each of the two
-covariance kernels (the discrete walk and the interpolator kernel on
-[0, n/fs]): its closed-form finite-rank eigenvalues, and no eigenvector,
-as every result needs only the eigenvalues.
+gives its form, its floor and the one formula for the water-level crossing;
+the two are ``SAMPLED_WIENER`` and ``SHIFTED_SAMPLED_WIENER``.  The module
+also builds, in O(n), the ``EigenSystem`` of each of the two covariance
+kernels (the discrete walk and the interpolator kernel on [0, n/fs]): its
+closed-form finite-rank eigenvalues, the interpolator's its density at the
+midpoints, and no eigenvector, as every result needs only the eigenvalues.
 ``nystrom_interp_eigenvalues`` checks the closed forms by one ``eigvalsh`` of
 an exact n x n matrix with the trapezoid Nystrom matrix's nonzero spectrum,
 which is the closed form's plus sigma2 ts^2/(6 g^2) on g nodes per interval.
@@ -164,12 +164,11 @@ class ProcessParams:
 @dataclass(frozen=True)
 class SpectralDensity:
     """The eigenvalue density 1/(4 sin^2(pi phi/2)) - shift on (0, 1], in
-    units of sigma2/fs.
-
-    A density is nothing but its shift: 0 for the sampled walk, 1/6 for the
-    interpolator.  Both are strictly decreasing with infimum ``floor`` at
-    phi = 1, so the water-level crossing, where the waterfilling integrands
-    kink, has one closed form (``crossing``).
+    units of sigma2/fs: nothing but its shift, 0 for the sampled walk and 1/6
+    for the interpolator, formed as (2 + cos pi phi)/(12 sin^2(pi phi/2))
+    without cancellation.  Both are strictly decreasing with infimum ``floor``
+    at phi = 1, so the water-level crossing, where the waterfilling
+    integrands kink, has one closed form (``crossing``).
     """
 
     shift: float
@@ -184,8 +183,10 @@ class SpectralDensity:
         phi = check_positive("phi", phi, array=True)
         if np.logical_or.reduce(phi > 1.0, axis=None):
             raise ParameterError("phi", "must lie in (0, 1]")
+        a, b, d = (2.0, 1.0, 12.0) if self.shift else (1.0, 0.0, 4.0)
         with np.errstate(divide="ignore", over="ignore"):   # refused below
-            value = 1.0 / (4.0 * np.square(np.sin(0.5 * np.pi * phi))) - self.shift
+            value = (a + b * np.cos(np.pi * phi)) / (
+                d * np.square(np.sin(0.5 * np.pi * phi)))
         check_normal(density=value)
         return value
 
@@ -240,19 +241,16 @@ def discrete_wiener_eigensystem(params: ProcessParams, n: int) -> EigenSystem:
 def interp_kernel_eigensystem(params: ProcessParams, n: int) -> EigenSystem:
     """The eigensystem of the sample-interpolator kernel on [0, n*ts], O(n):
 
-        lam_k = sigma2 ts^2 (2 + cos x_k) / (12 sin^2(x_k / 2)),
-        x_k = (2k-1) pi / (2n),   k = 1..n,
+        lam_k = sigma2 ts^2 S~((k - 1/2)/n),   k = 1..n,
 
-    which is sigma2 ts^2 (``unit(sigma2, fs, 2)``) times the shifted
-    density at (k - 1/2)/n.  The form has no cancellation (relative error a
-    few ulp at any n) and is decreasing in k: the numerator falls and the
-    denominator rises.
+    sigma2 ts^2 (``unit(sigma2, fs, 2)``) times ``SHIFTED_SAMPLED_WIENER`` at
+    the midpoints, exactly at every n: the finite-rank spectrum already is
+    its density limit.  It is decreasing in k, as the density is.
     """
     n = check_count("n", n)
-    x = (2 * np.arange(1, n + 1) - 1) * np.pi / (2.0 * n)
     ratio, exp = unit(params.sigma2, params.fs, 2)
-    return EigenSystem(_ldexp("eigenvalues", (ratio / 12.0) * (
-        (2.0 + np.cos(x)) / np.sin(0.5 * x) ** 2), exp))
+    return EigenSystem(_ldexp("eigenvalues", ratio * SHIFTED_SAMPLED_WIENER(
+        (np.arange(1, n + 1) - 0.5) / n), exp))
 
 
 def nystrom_interp_eigenvalues(params: ProcessParams, n: int,

@@ -80,10 +80,12 @@ _SHIFTED_SATURATION = (2.0 + math.sqrt(3.0)) / 6.0
 
 #: the supported bits per sample: below MIN_RBAR (about 6.85e-155) 4 theta of
 #: the walk's level, about 1/(pi ln2 rbar)**2, passes the largest float, and
-#: past MAX_RBAR (about 510.66) the shifted one the smallest normal float
+#: MAX_RBAR (about 510.66) is the last float whose shifted level is normal
 MIN_RBAR = 2.0 / (math.pi * _LN2 * math.sqrt(sys.float_info.max))
 MAX_RBAR = 0.5 * (math.log2(_SHIFTED_SATURATION)
                   - math.log2(sys.float_info.min))
+while _SHIFTED_SATURATION * np.exp2(-2.0 * MAX_RBAR) < sys.float_info.min:
+    MAX_RBAR = math.nextafter(MAX_RBAR, 0.0)
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(24)
 _NODES = 0.5 * (_NODES + 1.0)   # the rule moved onto [0, 1]

@@ -208,6 +208,32 @@ class TestCurve:
         assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("command", [["ratio"], ["curve", "--fs", "1"]])
+@pytest.mark.parametrize("low,high", [
+    (waterfill.MIN_RBAR, 1.0), (1.0, waterfill.MAX_RBAR),
+    (math.nextafter(waterfill.MIN_RBAR, 0.0), 1.0),
+    (1.0, math.nextafter(waterfill.MAX_RBAR, math.inf))],
+    ids=["min", "max", "below-min", "past-max"])
+def test_the_stated_rbar_range_is_the_answered_range(tmp_path, capsys,
+                                                     command, low, high):
+    # at fs = 1 the swept R is rbar: each edge answers, and the next float
+    # past it exits 3 with the range message, not a later column's
+    out = str(tmp_path / "x.csv")
+    code = main(command + ["--min", repr(low), "--max", repr(high),
+                           "--points", "2", "--out", out])
+    if waterfill.MIN_RBAR <= low and high <= waterfill.MAX_RBAR:
+        assert code == 0
+        _, cols = read_csv(out)
+        assert all(np.all(col > 0) for col in cols.values())
+        return
+    edge, side = ((waterfill.MIN_RBAR, "below the supported minimum")
+                  if low < 1.0 else
+                  (waterfill.MAX_RBAR, "past the supported maximum"))
+    assert code == 3
+    assert f"{side} {edge:.6g}, where" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 class TestRatio:
     def test_penalty_bound_on_sweep(self, tmp_path):
         out = str(tmp_path / "ratio.csv")
@@ -261,6 +287,21 @@ class TestEigen:
             errs[n] = np.max(np.abs(cols["lambda"] - cols["density_limit"])
                              / cols["density_limit"])
         assert errs[1000] < 1e-9 and errs[100] < 1e-9
+
+    @pytest.mark.parametrize("n,sigma2,fs", [
+        ("1", "1", "1"), ("7", "0.3", "11"), ("2500", "1", "1"),
+        ("4224", "1.28795", "3.1039"), ("5018", "2.5e-7", "9e3")])
+    def test_interp_lambda_is_its_density_limit(self, tmp_path, n, sigma2,
+                                                 fs):
+        # the interpolator's eigenvalues are sigma2 ts^2 S~((k - 1/2)/n)
+        # bit for bit, so the two columns are one text
+        out = tmp_path / "interp.csv"
+        assert main(["eigen", "--kind", "interp", "--n", n, "--sigma2",
+                     sigma2, "--fs", fs, "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()]
+        assert rows[0] == ["k", "lambda", "density_limit"]
+        assert len(rows) == int(n) + 1
+        assert all(row[1] == row[2] for row in rows[1:])
 
     def test_invalid_n(self, tmp_path):
         out = str(tmp_path / "bad.csv")

@@ -17,7 +17,10 @@ with s = 0 for the walk (whose integral vanishes) and 1/6 for the
 interpolator; past each density's border rate the level is saturated,
 theta = D = K 2^(-2 rbar) with K = 1 and (2 + sqrt 3)/6.  It also holds
 both densities' rate at about 300 water levels theta, where
-c^2 = 4 (theta + s) - 1 (phic = 1 at or below the floor 1/4 - s).  The
+c^2 = 4 (theta + s) - 1 (phic = 1 at or below the floor 1/4 - s), both
+densities 1/(4 sin^2(pi phi / 2)) - s at about 600 phi over (0, 1], and
+the interpolator's eigenvalues, that density at the midpoints
+(k - 1/2)/n, at about 800 (n, k).  The
 table is written with mpmath at 60 digits, Cl2 from its series, and c
 solved by bisection and then secant steps on the relative residual
 rate / rbar - 1, which stays of order one where the rate itself is as
@@ -64,6 +67,14 @@ ULP_BOUNDS = {
 #: forms their sum ln(theta (pi phic)^2) from 1/c, with no cancellation
 RATE_ULP_BOUNDS = {"shifted.rate": 3, "sampled.rate": 3}
 
+#: the largest error of ``SpectralDensity`` over the table's phi, and of
+#: ``interp_kernel_eigensystem`` at sigma2 = fs = 1 over its (n, k), in ulps,
+#: rounded up.  The shifted density is formed as
+#: (2 + cos pi phi) / (12 sin^2(pi phi / 2)), which does not cancel toward
+#: phi = 1 (as 1/(4 sin^2(pi phi / 2)) - 1/6 did, up to 5.86 ulp here)
+DENSITY_ULP_BOUNDS = {"shifted.density": 5, "sampled.density": 5}
+EIGEN_ULP_BOUNDS = {"interp.eigenvalues": 5}
+
 
 def reference_rbar():
     """The table's bits per sample, ascending: 40 log-spaced below the
@@ -90,6 +101,35 @@ def reference_theta():
     draws = 10.0 ** np.random.default_rng(0).uniform(2, 308, 300)
     floors = {1e-300, 1e-10, 0.01, 0.08, 0.25}
     return sorted({float(x) for x in draws} | floors)
+
+
+def reference_phi():
+    """The table's phi for both densities, ascending: 60 log-spaced from
+    1e-150 (where the density is about 1e299) to 1e-2, 200 evenly spaced
+    and 200 uniform draws over (0, 1], and 140 within 1e-3 of 1, where the
+    shifted density as 1/(4 sin^2) - 1/6 would cancel."""
+    rng = np.random.default_rng(0)
+    phi = np.concatenate([np.geomspace(1e-150, 1e-2, 60),
+                          np.linspace(0.0, 1.0, 201)[1:],
+                          rng.uniform(0, 1, 200),
+                          1.0 - np.geomspace(2.0 ** -53, 1e-3, 40),
+                          1.0 - rng.uniform(0, 1e-3, 100)])
+    return sorted({float(x) for x in phi if 0.0 < x <= 1.0})
+
+
+def reference_modes():
+    """The table's (n, k) of the interpolator's eigenvalues: every k for
+    n <= 64, and for n = 1000, 4096 and 5018 the 32 first and the 64 last
+    k (phi near 1) and 160 uniform draws between."""
+    rng = np.random.default_rng(0)
+    modes = []
+    for n in (1, 2, 3, 7, 64, 1000, 4096, 5018):
+        k = np.arange(1, n + 1)
+        if n > 64:
+            k = np.unique(np.concatenate([k[:32], k[-64:],
+                                          rng.integers(33, n - 63, 160)]))
+        modes += [(n, int(j)) for j in k]
+    return modes
 
 
 def write():
@@ -156,8 +196,13 @@ def write():
         phic = 2 / mp.pi * mp.atan(1 / mp.sqrt(square)) if square > 0 else 1
         return two_ln2_rate(s, theta, mp.mpf(phic)) / (2 * mp.log(2))
 
-    table = {name: [] for name in (*ULP_BOUNDS, *RATE_ULP_BOUNDS)}
+    def shifted(s, phi):
+        return 1 / (4 * mp.sin(mp.pi * phi / 2) ** 2) - s
+
+    table = {name: [] for name in (*ULP_BOUNDS, *RATE_ULP_BOUNDS,
+                                   *DENSITY_ULP_BOUNDS, *EIGEN_ULP_BOUNDS)}
     table["rbar"], table["theta"] = reference_rbar(), reference_theta()
+    table["phi"], table["modes"] = reference_phi(), reference_modes()
     with mp.workdps(60):
         for rbar in table["rbar"]:
             fields = (density(mp.mpf(1) / 6, mp.mpf(rbar))[:2]
@@ -167,6 +212,12 @@ def write():
         for theta in table["theta"]:
             for name, s in zip(RATE_ULP_BOUNDS, (mp.mpf(1) / 6, mp.mpf(0))):
                 table[name].append(mp.nstr(rate(s, mp.mpf(theta)), 40))
+        for phi in table["phi"]:
+            for name, s in zip(DENSITY_ULP_BOUNDS, (mp.mpf(1) / 6, 0)):
+                table[name].append(mp.nstr(shifted(s, mp.mpf(phi)), 40))
+        for n, k in table["modes"]:   # at the exact midpoint, not its float
+            table["interp.eigenvalues"].append(mp.nstr(
+                shifted(mp.mpf(1) / 6, mp.mpf(2 * k - 1) / (2 * n)), 40))
     with open(REFERENCE, "w") as f:
         json.dump(table, f, indent=1)
         f.write("\n")
@@ -188,9 +239,11 @@ def ulp_errors(table) -> dict:
     """The ``ulps`` of each field of ``ULP_BOUNDS`` at each rbar of the
     table, with ``drf.sections`` solving them as one array, and of each
     field of ``RATE_ULP_BOUNDS`` at each theta, from
-    ``waterfill.rate_at_theta``."""
+    ``waterfill.rate_at_theta``, of each density at each phi and of the
+    interpolator's eigenvalues at each (n, k)."""
     from wienerdr import drf
-    from wienerdr.spectral import SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER
+    from wienerdr.spectral import (SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER,
+                                   ProcessParams, interp_kernel_eigensystem)
     from wienerdr.waterfill import rate_at_theta
 
     curves = drf.sections(np.array(table["rbar"]))
@@ -204,6 +257,15 @@ def ulp_errors(table) -> dict:
                                                SAMPLED_WIENER)):
         errors[name] = ulps(rate_at_theta(density, np.array(table["theta"])),
                             table[name])
+    for name, density in zip(DENSITY_ULP_BOUNDS, (SHIFTED_SAMPLED_WIENER,
+                                                  SAMPLED_WIENER)):
+        errors[name] = ulps(density(np.array(table["phi"])), table[name])
+    eigenvalues = {n: interp_kernel_eigensystem(ProcessParams(1.0, 1.0),
+                                                n).eigenvalues
+                   for n in {n for n, _ in table["modes"]}}
+    errors["interp.eigenvalues"] = ulps(
+        [eigenvalues[n][k - 1] for n, k in table["modes"]],
+        table["interp.eigenvalues"])
     return errors
 
 
@@ -216,16 +278,20 @@ def worst(errors, name, band) -> float:
 
 def report():
     """Print the worst ulp error of each field in each band (over the
-    table's theta for a rate) beside its bound."""
+    table's theta for a rate, its phi for a density and its (n, k) for the
+    eigenvalues) beside its bound."""
     errors = ulp_errors(read_table())
     print(f"{'field':20} {'band':9} {'worst ulp':>10} {'bound':>6}")
     for name, bounds in ULP_BOUNDS.items():
         for band in BANDS:
             print(f"{name:20} {band:9} {worst(errors, name, band):10.2f}"
                   f" {bounds[band]:6}")
-    for name, bound in RATE_ULP_BOUNDS.items():
-        print(f"{name:20} {'theta':9} {np.max(errors[name]):10.2f}"
-              f" {bound:6}")
+    for over, bounds in (("theta", RATE_ULP_BOUNDS),
+                         ("phi", DENSITY_ULP_BOUNDS),
+                         ("(n, k)", EIGEN_ULP_BOUNDS)):
+        for name, bound in bounds.items():
+            print(f"{name:20} {over:9} {np.max(errors[name]):10.2f}"
+                  f" {bound:6}")
 
 
 @pytest.fixture(scope="module")
@@ -242,6 +308,11 @@ def test_kernel_within_its_ulp_bound(errors, name, band):
 @pytest.mark.parametrize("name", RATE_ULP_BOUNDS)
 def test_rate_within_its_ulp_bound(errors, name):
     assert np.max(errors[name]) <= RATE_ULP_BOUNDS[name]
+
+
+@pytest.mark.parametrize("name", DENSITY_ULP_BOUNDS | EIGEN_ULP_BOUNDS)
+def test_spectrum_within_its_ulp_bound(errors, name):
+    assert np.max(errors[name]) <= (DENSITY_ULP_BOUNDS | EIGEN_ULP_BOUNDS)[name]
 
 
 if __name__ == "__main__":

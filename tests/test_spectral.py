@@ -254,16 +254,16 @@ class TestInterpEigensystem:
         assert vals[n] < 1e-10 * vals[0]
 
     def test_staircase_matches_density(self):
-        # the closed form reproduces the density at (k - 1/2)/n exactly, so
-        # the staircase agrees to rounding at every n, not just in the limit
+        # the eigenvalues are the density at (k - 1/2)/n exactly, so the
+        # staircase is its limit bit for bit at every n
         params = ProcessParams(sigma2=1.0, fs=3.0)
-        scale = params.sigma2 * params.ts ** 2
+        ratio, exp = unit(params.sigma2, params.fs, 2)
         for n in (100, 300, 1000):
             system = interp_kernel_eigensystem(params, n)
             k = np.arange(1, n + 1)
             target = SHIFTED_SAMPLED_WIENER((k - 0.5) / n)
-            rel = np.abs(system.eigenvalues / scale - target) / target
-            assert np.max(rel) < 1e-9
+            assert np.array_equal(system.eigenvalues,
+                                  np.ldexp(ratio * target, exp))
 
     @pytest.mark.parametrize("n", [1, 5, 32])
     def test_trace_identity(self, n):
@@ -313,11 +313,10 @@ class TestInterpEigensystem:
                   if quotient(f) != 0.9 * ((1.0 / f) * (1.0 / f)))
         params = ProcessParams(sigma2=0.9, fs=fs)
         ts, n = params.ts, 64
-        x = (2 * np.arange(1, n + 1) - 1) * np.pi / (2.0 * n)
-        shape = (2.0 + np.cos(x)) / np.sin(0.5 * x) ** 2
+        shape = SHIFTED_SAMPLED_WIENER((np.arange(1, n + 1) - 0.5) / n)
         got = interp_kernel_eigensystem(params, n).eigenvalues
-        assert np.array_equal(got, (quotient(fs) / 12.0) * shape)
-        assert not np.array_equal(got, (0.9 * (ts * ts) / 12.0) * shape)
+        assert np.array_equal(got, quotient(fs) * shape)
+        assert not np.array_equal(got, 0.9 * (ts * ts) * shape)
 
     def test_nystrom_matrix_past_the_count_bound_is_named(self):
         # its n x n matrix, the largest array, is refused under n before

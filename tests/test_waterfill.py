@@ -217,6 +217,31 @@ class TestKernel:
             drf.sections(np.array([1.0, 510.9]))
         solve_theta_for_rate(SHIFTED_SAMPLED_WIENER, waterfill.MAX_RBAR)
 
+    @pytest.mark.parametrize("edge,past,message", [
+        (MIN_RBAR, math.nextafter(MIN_RBAR, 0.0),
+         "below the supported minimum"),
+        (MAX_RBAR, math.nextafter(MAX_RBAR, math.inf),
+         "past the supported maximum")], ids=["min", "max"])
+    def test_each_edge_answers_and_the_next_float_is_refused(
+            self, edge, past, message):
+        # the stated edge gives normal floats through every route, and the
+        # range check, not a later one, refuses the next float past it
+        curves = drf.sections(edge)
+        fields = [*vars(curves.shifted).values(),
+                  *vars(curves.sampled).values(), curves.g, curves.ce,
+                  curves.ratio_smp, curves.ratio_qnt, curves.ce_penalty]
+        assert all(sys.float_info.min <= x <= sys.float_info.max
+                   for x in fields)
+        routes = (drf.sections, lambda rbar: drf.sweep(1.0, 1.0, rbar),
+                  functools.partial(solve_theta_for_rate, SAMPLED_WIENER),
+                  functools.partial(solve_theta_for_rate,
+                                    SHIFTED_SAMPLED_WIENER))
+        for route in routes:
+            route(edge)
+            with pytest.raises(FloatingPointError,
+                               match=f"{message} {edge:.6g}, where"):
+                route(past)
+
     def test_a_start_too_far_off_is_refused(self, monkeypatch, tmp_path):
         # one Newton step from 0.3 off in ln theta leaves an error bound far
         # above 2^-52: the solve raises, and the command line exits 3

@@ -12,7 +12,8 @@ before any computation, every count through ``check_count``, and
 ``MemoryError`` is named here alone, by the flag that sized the array.  The CSV
 and its JSON manifest (flags, versions, seed) are each written to a
 temporary file and renamed on success, with the mode ``open`` gives under
-the umask; a failing run leaves neither file behind.
+the umask; a failing run leaves neither file behind.  The CSV is checked
+and written block by block from the library's columns, never as one table.
 
 ``main(argv)`` reads argv in one pass against the flag table of its command,
 ``_COMMANDS``, as argparse would read it, and builds no parser: a refused
@@ -33,10 +34,9 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__, drf, mc
-from .spectral import (SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER, ParameterError,
-                       ProcessParams, check_count, check_positive,
-                       discrete_wiener_eigensystem, interp_kernel_eigensystem,
-                       unit)
+from .spectral import (SAMPLED_WIENER, ParameterError, ProcessParams,
+                       check_count, check_positive, discrete_wiener_eigensystem,
+                       interp_kernel_eigensystem, unit)
 
 
 #: rows formatted per string operation; bounds the writer's extra memory
@@ -67,16 +67,18 @@ def _write_atomic(path: str, chunks) -> None:
         raise
 
 
-def _write_csv_atomic(path: str, header, table) -> None:
-    """Write a 2-D float table atomically, every value as ``"%.15g"`` and
-    each block of rows by one ``%`` operation."""
-    table = np.asarray(table, dtype=float)
+def _write_csv_atomic(path: str, header, columns) -> None:
+    """Write the equal-length float ``columns`` atomically, every value as
+    ``"%.15g"``: each block of rows is stacked, checked by ``_check_finite``
+    (a refused cell leaves no file) and formatted by one ``%`` operation."""
     line = ",".join(["%.15g"] * len(header)) + "\n"
 
     def chunks():
         yield ",".join(header) + "\n"
-        for lo in range(0, len(table), _CSV_BLOCK_ROWS):
-            block = table[lo:lo + _CSV_BLOCK_ROWS]
+        for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            block = np.column_stack(
+                [column[lo:lo + _CSV_BLOCK_ROWS] for column in columns])
+            _check_finite(header, block)
             yield (line * len(block)) % tuple(block.ravel().tolist())
 
     _write_atomic(path, chunks())
@@ -111,12 +113,12 @@ def _check_finite(header, table) -> None:
             f"{header[fits.argmin()]} is past the floating-point range")
 
 
-def _write_outputs(args, header, table) -> None:
-    """Write the finite table's CSV and then its manifest, or neither; an
-    ``OSError`` from either write is an ``--out`` that cannot be written."""
-    _check_finite(header, table)
+def _write_outputs(args, header, columns) -> None:
+    """Write the CSV of ``columns``, each block checked as it is written, and
+    then its manifest, or neither; an ``OSError`` from either write, one from
+    opening the file coming before any check, is an unwritable ``--out``."""
     try:
-        _write_csv_atomic(args.out, header, table)
+        _write_csv_atomic(args.out, header, columns)
         try:
             _write_manifest(args.out, args.command, args)
         except BaseException:
@@ -152,8 +154,8 @@ def _cmd_curve(args) -> int:
     b = drf.sweep(fs if args.normalized else params.sigma2, fs, rate)
     header = ["x", "d_opt", "d_ce", "d_upper", "d_w", "d_bar", "mmse",
               "theta_opt", "theta_ce"]
-    rows = np.column_stack([grid] + [getattr(b, name) for name in header[1:]])
-    _write_outputs(args, header, rows)
+    _write_outputs(args, header,
+                   [grid] + [getattr(b, name) for name in header[1:]])
     return 0
 
 
@@ -161,25 +163,21 @@ def _cmd_ratio(args) -> int:
     rbars = _grid(args.min, args.max, args.points, args.log)
     s = drf.sections(rbars)
     header = ["rbar", "ratio_smp", "ratio_qnt", "ce_penalty", "d_tilde"]
-    rows = np.column_stack([rbars, s.ratio_smp, s.ratio_qnt, s.ce_penalty,
-                            s.d_tilde])
-    _write_outputs(args, header, rows)
+    _write_outputs(args, header, [rbars, s.ratio_smp, s.ratio_qnt,
+                                  s.ce_penalty, s.d_tilde])
     return 0
 
 
 def _cmd_eigen(args) -> int:
     params = ProcessParams(sigma2=args.sigma2, fs=args.fs)
-    if args.kind == "discrete":
-        lam = discrete_wiener_eigensystem(params, args.n).eigenvalues
-        power, density = 1, SAMPLED_WIENER
-    else:
-        lam = interp_kernel_eigensystem(params, args.n).eigenvalues
-        power, density = 2, SHIFTED_SAMPLED_WIENER
-    k = np.arange(1, args.n + 1)
-    ratio, exp = unit(params.sigma2, params.fs, power)
-    limit = np.ldexp(ratio * density((k - 0.5) / args.n), exp)
-    header = ["k", "lambda", "density_limit"]
-    _write_outputs(args, header, np.column_stack([k, lam, limit]))
+    build = (discrete_wiener_eigensystem if args.kind == "discrete"
+             else interp_kernel_eigensystem)
+    lam = limit = build(params, args.n).eigenvalues
+    k = np.arange(1, args.n + 1)   # after the builder has checked n
+    if args.kind == "discrete":   # interp's eigenvalues are their limit
+        ratio, exp = unit(params.sigma2, params.fs)
+        limit = np.ldexp(ratio * SAMPLED_WIENER((k - 0.5) / args.n), exp)
+    _write_outputs(args, ["k", "lambda", "density_limit"], [k, lam, limit])
     return 0
 
 
@@ -201,9 +199,8 @@ def _cmd_simulate(args) -> int:
         _check_finite(fields, values)
         summary = " ".join(f"{name}=%.15g" % value
                            for name, value in zip(fields, values))
-        table = np.column_stack([np.arange(len(result.per_trial)),
-                                 result.per_trial])
-        _write_outputs(args, ["trial", "distortion"], table)
+        _write_outputs(args, ["trial", "distortion"],
+                       [np.arange(len(result.per_trial)), result.per_trial])
     except MemoryError:   # the larger of the trial count and a trial row
         n = mc._interval_count(params, config)
         field = ("trials" if config.trials >= n * (config.oversample + 2)

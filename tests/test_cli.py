@@ -8,7 +8,9 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
+from types import SimpleNamespace
 from unittest import mock
 
 import mpmath
@@ -302,6 +304,25 @@ class TestEigen:
         assert rows[0] == ["k", "lambda", "density_limit"]
         assert len(rows) == int(n) + 1
         assert all(row[1] == row[2] for row in rows[1:])
+
+    @pytest.mark.parametrize("kind,density", [
+        ("interp", spectral.SHIFTED_SAMPLED_WIENER),
+        ("discrete", spectral.SAMPLED_WIENER)])
+    def test_the_density_is_evaluated_once(self, tmp_path, monkeypatch, kind,
+                                           density):
+        # the interpolator's builder evaluates its density, whose values are
+        # then both columns; the walk's builder has its own form, and only
+        # its density_limit evaluates the density
+        calls, call = [], spectral.SpectralDensity.__call__
+
+        def counted(self, phi):
+            calls.append(self)
+            return call(self, phi)
+
+        monkeypatch.setattr(spectral.SpectralDensity, "__call__", counted)
+        assert main(["eigen", "--kind", kind, "--n", "64", "--out",
+                     str(tmp_path / "eigen.csv")]) == 0
+        assert len(calls) == 1 and calls[0] is density
 
     def test_invalid_n(self, tmp_path):
         out = str(tmp_path / "bad.csv")
@@ -1151,6 +1172,27 @@ class TestFootprint:
         assert codes.splitlines()[-1] == str([0] * len(runs))
         assert len(os.listdir(tmp_path)) == 2 * len(runs)   # CSV + manifest
 
+    @pytest.mark.parametrize("command,library", [
+        ("curve", lambda grid: drf.sweep(1.0, 1.0, grid)),
+        ("ratio", drf.sections)])
+    def test_the_cli_adds_at_most_one_block(self, tmp_path, command, library):
+        # past the library's own peak on the same grid and the grid itself,
+        # the writer holds one block of rows, never the whole table
+        grid = cli._grid(1e-3, 1e2, 100_000, True)
+        argv = [command, "--min", "1e-3", "--max", "1e2", "--points",
+                str(len(grid)), "--log", "--out", str(tmp_path / "x.csv")]
+        peaks, results = [], []
+        for call in (lambda: library(grid), lambda: main(argv)):
+            tracemalloc.start()
+            try:
+                results.append(call())
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert results[1] == 0
+        excess = peaks[1] - peaks[0] - grid.nbytes
+        assert excess <= 0.5e6, excess
+
     @pytest.mark.parametrize("kind", ["discrete", "interp"])
     def test_eigen_memory_is_linear(self, tmp_path, kind):
         # a dense n x n matrix alone would take 1.15 GB at n = 12000.  The
@@ -1183,9 +1225,9 @@ class TestAtomicWrites:
             return write(fd, data)
 
         monkeypatch.setattr(os, "write", exploding_write)
-        table = np.ones((2 * cli._CSV_BLOCK_ROWS, 2))
+        columns = [np.ones(2 * cli._CSV_BLOCK_ROWS)] * 2
         with pytest.raises(RuntimeError):
-            _write_csv_atomic(out, ["a", "b"], table)
+            _write_csv_atomic(out, ["a", "b"], columns)
         assert len(writes) == 3
         assert not os.path.exists(out)
         assert os.listdir(tmp_path) == []
@@ -1194,8 +1236,8 @@ class TestAtomicWrites:
         # os.write may take part of what it is given; the rest follows
         out, write = str(tmp_path / "short.csv"), os.write
         monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:7]))
-        table = np.arange(6.0).reshape(3, 2)
-        _write_csv_atomic(out, ["a", "b"], table)
+        _write_csv_atomic(out, ["a", "b"], [np.arange(0.0, 6.0, 2.0),
+                                            np.arange(1.0, 6.0, 2.0)])
         with open(out, "rb") as fh:
             assert fh.read() == b"a,b\n0,1\n2,3\n4,5\n"
 
@@ -1210,11 +1252,10 @@ class TestAtomicWrites:
                         + "\n").encode("ascii")
 
     def test_blocks_match_per_value_format(self, tmp_path):
-        # the 15-digit text of every value, whatever the row count
-        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
-                   2.2250738585072014e-308, np.finfo(float).max,
-                   -np.finfo(float).max, 2.0 ** 53, 2.0 ** 53 - 1,
-                   1.0 / 3.0, 0.1, 1e15, 1e16, 123456789012345678.0, -7.0]
+        # the 15-digit text of every value it accepts, whatever the row count
+        special = [0.0, -0.0, 2.2250738585072014e-308, -1.0e308, 2.0 ** 53,
+                   2.0 ** 53 - 1, -2.0 ** 53, 1.0 / 3.0, -1.0 / 3.0, 0.1,
+                   1e15, 1e16, 123456789012345678.0, -7.0, 3.0]
         rng = np.random.default_rng(97)
         block = cli._CSV_BLOCK_ROWS
         for rows in (1, block - 1, block, block + 1):
@@ -1224,11 +1265,51 @@ class TestAtomicWrites:
             table = values.reshape(rows, 3)
             table[:, 0] = rng.integers(0, 2 ** 53 + 1, rows)
             out = str(tmp_path / "t.csv")
-            _write_csv_atomic(out, ["k", "x", "y"], table)
+            _write_csv_atomic(out, ["k", "x", "y"], list(table.T))
             expected = "k,x,y\n" + "".join(
                 ",".join(f"{v:.15g}" for v in row) + "\n" for row in table)
             with open(out, "rb") as fh:
                 assert fh.read() == expected.encode()
+
+    @pytest.mark.parametrize("value", [
+        np.inf, -np.inf, np.nan, 5e-324, -5e-324, np.finfo(float).max,
+        -np.finfo(float).max])
+    def test_refused_values_name_their_column(self, tmp_path, value):
+        # a value whose 15-digit text is not its float is named by its
+        # column in the last row, whatever the row count, and leaves no file
+        block = cli._CSV_BLOCK_ROWS
+        for rows in (1, block - 1, block, block + 1):
+            columns = [np.arange(1.0, rows + 1), np.ones(rows), np.ones(rows)]
+            columns[1][-1] = value
+            with pytest.raises(FloatingPointError, match=f"^{past('x')}$"):
+                _write_csv_atomic(str(tmp_path / "t.csv"), ["k", "x", "y"],
+                                  columns)
+            assert os.listdir(tmp_path) == []
+
+    def test_a_cell_is_refused_in_its_block(self, tmp_path, monkeypatch):
+        # row 2000 is in the second block: the header and the first block
+        # are written, the cell is named by its column, and the earlier
+        # --out and its manifest keep their bytes
+        out = str(tmp_path / "x.csv")
+        assert main(SMALL_RUNS["curve"] + ["--out", out]) == 0
+        before = {name: (tmp_path / name).read_bytes()
+                  for name in os.listdir(tmp_path)}
+        write, writes = os.write, []
+
+        def recording_write(fd, data):
+            writes.append(data)
+            return write(fd, data)
+
+        monkeypatch.setattr(os, "write", recording_write)
+        columns = [np.arange(3000.0), np.ones(3000), np.ones(3000)]
+        columns[1][2000] = np.inf
+        args = SimpleNamespace(out=out, command="curve")
+        with pytest.raises(FloatingPointError, match=f"^{past('x')}$"):
+            cli._write_outputs(args, ["k", "x", "y"], columns)
+        assert [len(data.splitlines()) for data in writes] == [
+            1, cli._CSV_BLOCK_ROWS]
+        assert {name: (tmp_path / name).read_bytes()
+                for name in os.listdir(tmp_path)} == before
 
     @pytest.mark.parametrize("umask,mode", [("022", "644"), ("077", "600")])
     def test_files_get_the_mode_of_open(self, tmp_path, umask, mode):
@@ -1415,16 +1496,16 @@ def absolute_outputs(sigma2, fs, rate, n):
         except FloatingPointError:   # an eigenvalue past the floats
             routes[kind] = (power, None)
     tables = []
-    with mock.patch.object(cli, "_write_outputs",
-                           lambda args, header, table: tables.append(table)):
+    with mock.patch.object(cli, "_write_outputs", lambda args, header,
+                           columns: tables.append(columns)):
         for power, kind in ((1, "discrete"), (2, "interp")):
             argv = ["eigen", "--kind", kind, "--n", str(n), "--sigma2",
                     repr(sigma2), "--fs", repr(fs), "--out", "unused"]
             code = main(argv)   # 3: an eigenvalue or a cell past the floats
             cells = None
             if code == 0:
-                table = tables.pop()
-                cells = {"lambda": table[:, 1], "density_limit": table[:, 2]}
+                columns = tables.pop()
+                cells = {"lambda": columns[1], "density_limit": columns[2]}
             routes[f"eigen {kind}"] = (power, cells)
     for oracle, fields in ((mc.ce_moment_oracle, ("second", "cross")),
                            (mc.ce_distortion_estimate,
@@ -1511,6 +1592,16 @@ class TestUnwritableOut:
         assert captured.out == ""
         assert os.listdir(tmp_path) == ["sub"]
         assert os.listdir(tmp_path / "sub") == []
+
+    def test_unwritable_path_comes_before_a_refused_cell(self, tmp_path,
+                                                          capsys):
+        # the file is opened before its first block is checked
+        out = str(tmp_path / "missing" / "x.csv")
+        argv = top_of_range_call(1.7976931348623157e308)[0]   # x refused
+        assert main(argv + ["--out", out]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: cannot write --out {out}: No such file or directory"]
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("command", sorted(SMALL_RUNS))
     def test_failed_manifest_takes_the_csv_with_it(self, tmp_path, capsys,

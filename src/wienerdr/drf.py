@@ -80,7 +80,8 @@ class DistortionBundle:
     """All distortion curves at one (params, rate) point, plus both water levels.
 
     Distortions are per unit time (units of sigma2); thetas are in units of
-    sigma2/fs.  Fields are floats, or arrays of one shape for a ``sweep``.
+    sigma2/fs.  Fields are floats, or arrays of one shape for a ``sweep``,
+    where a constant column is a view of its one value, never to be written.
     Construction refuses a field outside the normal floats, where it has
     lost its digits (FloatingPointError naming it), and, at any point, a
     violation of max{mmse, d_w} <= d_opt <= d_ce <= d_upper and d_bar <= d_w
@@ -158,34 +159,32 @@ def sections(rbar) -> Sections:
 def sweep(sigma2, fs, rate) -> DistortionBundle:
     """``bundle`` over arrays of sigma2, fs and rate (bits per unit time).
 
-    The three broadcast together; each must be positive and finite
-    (``ParameterError`` names the first that is not).  The bundle's fields
-    are arrays of the broadcast shape (floats for scalars): the sections
-    times sigma2/fs (d_w: sigma2/R), each unit applied last through
-    ``spectral.unit``, so sigma2 = fs gives the sections and a field leaves
-    the floats only where its value does.  An R/fs out of range or a field
-    past the normal floats (refused by the bundle) raises FloatingPointError.
+    Each must be positive and finite (``ParameterError`` names the first
+    that is not); they broadcast where they meet, so a sigma2 sweep solves
+    one rbar.  The bundle's fields are arrays of the broadcast shape (floats
+    for scalars): the sections times sigma2/fs (d_w: sigma2/R), each unit
+    applied last through ``spectral.unit``, so sigma2 = fs gives the
+    sections and a field leaves the floats only where its value does.  An
+    R/fs out of range or a field past the normal floats (refused by the
+    bundle) raises FloatingPointError.
     """
-    sigma2, fs, rate = np.broadcast_arrays(*(
-        check_positive(name, value, array=True) for name, value
-        in (("sigma2", sigma2), ("fs", fs), ("rate", rate))))
+    sigma2, fs, rate = (check_positive(name, value, array=True) for name, value
+                        in (("sigma2", sigma2), ("fs", fs), ("rate", rate)))
     with np.errstate(over="ignore", under="ignore"):   # the bundle refuses
-        rbar = rate / fs
-        curves = sections(np.maximum(rbar, 5e-324))   # 0: out of range
+        curves = sections(np.maximum(rate / fs, 5e-324))   # 0: out of range
         scale, exp = unit(sigma2, fs)
         mmse = scale / 6.0
         walk = scale * curves.sampled.distortion
         per_rate, exp_rate = unit(sigma2, rate)
-        return DistortionBundle(
-            d_opt=np.ldexp(mmse + scale * curves.d_tilde, exp),
-            d_ce=np.ldexp(mmse + scale * curves.ce, exp),
-            d_upper=np.ldexp(mmse + walk, exp),
-            d_w=np.ldexp(_DW_COEF * per_rate, exp_rate),
-            d_bar=np.ldexp(walk, exp),
-            mmse=np.ldexp(mmse, exp),
-            theta_opt=curves.shifted.theta,
-            theta_ce=curves.sampled.theta,
-        )
+        fields = (np.ldexp(mmse + scale * curves.d_tilde, exp),
+                  np.ldexp(mmse + scale * curves.ce, exp),
+                  np.ldexp(mmse + walk, exp),
+                  np.ldexp(_DW_COEF * per_rate, exp_rate),
+                  np.ldexp(walk, exp), np.ldexp(mmse, exp),
+                  curves.shifted.theta, curves.sampled.theta)
+        if np.ndim(fields[0]):   # a sweep: a constant column becomes a view
+            fields = np.broadcast_arrays(*fields)
+        return DistortionBundle(*fields)
 
 
 def bundle(params: ProcessParams, rate: RateSpec) -> DistortionBundle:

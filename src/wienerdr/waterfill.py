@@ -175,9 +175,9 @@ def _distortion(theta, c, phic, shift):
     return theta * phic + c / (2.0 * np.pi) - shift * (1.0 - phic)
 
 
-def _solve_block(rbar, out):
-    """Write the fields of the flat rbar into ``out``, of shape (5, n): theta
-    and distortion of each row of the stack, then the walk's g = integral of
+def _solve_block(rbar, levels, out):
+    """Fill ``levels`` (2, n) with each stack row's theta at the flat rbar, and
+    ``out`` (3, n) with each row's distortion and the walk's g = integral of
     min{theta, S}/S = 2 theta (phic - sin(pi phic)/pi) + 1 - phic, its
     difference taken from its series where pi phic < 1/2."""
     theta, c, phic = _start(rbar)
@@ -197,24 +197,24 @@ def _solve_block(rbar, out):
     theta = np.where(rbar >= _BORDER, _SATURATION * np.exp2(-2.0 * rbar),
                      theta * np.exp(step))
     c, phic = SpectralDensity._cot_crossing(theta, _FLOOR)
-    out[:2] = theta
-    out[2:4] = _distortion(theta, c, phic, _SHIFT)
+    levels[:] = theta
+    out[:2] = _distortion(theta, c, phic, _SHIFT)
     theta, phic = theta[1], phic[1]   # g is the walk's alone
     x = np.pi * phic
     series = x * np.add.reduce(np.power(np.square(x)[..., np.newaxis],
                                         _SINE_POWERS) * _SINE_GAP, axis=-1)
-    out[4] = np.where(x < 0.5, 2.0 * (theta * x * x) * series / np.pi,
+    out[2] = np.where(x < 0.5, 2.0 * (theta * x * x) * series / np.pi,
                       2.0 * theta * (phic - np.sin(x) / np.pi)) + (1.0 - phic)
 
 
 def _solve(rbar) -> tuple:
     """The ``WaterLevels`` of the interpolator's density and of the walk's
-    at rbar, in that order, and the walk's g: the rows of one (5, n) field
-    array, filled block by block of ``_BLOCK`` entries (against 40-digit
-    values, theta is within 6 ulp below rbar 1.45 and 1 ulp past it).  The
-    one range check: ValueError for rbar <= 0 or nan, FloatingPointError
-    outside [MIN_RBAR, MAX_RBAR]."""
-    rbar = read_real("rbar", rbar, array=True)
+    at rbar as read (an array or an ``np.float64``), in that order, and the
+    walk's g: rows of one (2, n) array of levels and one (3, n) of the rest,
+    filled block by block of ``_BLOCK`` entries (against 40-digit values,
+    theta is within 6 ulp below rbar 1.45 and 1 ulp past it).  The one
+    range check: ValueError for rbar <= 0 or nan, FloatingPointError outside
+    [MIN_RBAR, MAX_RBAR]."""
     if not np.logical_and.reduce((rbar >= MIN_RBAR) & (rbar <= MAX_RBAR),
                                  axis=None):
         if not np.logical_and.reduce(rbar > 0, axis=None):
@@ -227,12 +227,12 @@ def _solve(rbar) -> tuple:
             f"{np.max(rbar):.6g} bits per sample is past the supported maximum"
             f" {MAX_RBAR:.6g}, where the water level underflows")
     flat = rbar.reshape(-1)
-    fields = np.empty((5, flat.size))
+    levels, fields = np.empty((2, flat.size)), np.empty((3, flat.size))
     for first in range(0, flat.size, _BLOCK):
         block = slice(first, first + _BLOCK)
-        _solve_block(flat[block], fields[:, block])
-    theta_opt, theta_walk, d_tilde, d_walk, g = fields.reshape(
-        (5,) + rbar.shape)
+        _solve_block(flat[block], levels[:, block], fields[:, block])
+    theta_opt, theta_walk = levels.reshape((2,) + rbar.shape)
+    d_tilde, d_walk, g = fields.reshape((3,) + rbar.shape)
     return WaterLevels(theta_opt, d_tilde), WaterLevels(theta_walk, d_walk), g
 
 
@@ -261,6 +261,6 @@ def solve_theta_for_rate(density: SpectralDensity,
     """The ``WaterLevels`` of the density at one rate, read as one number:
     its row of the kernel's stack, bit for bit its entry of
     ``drf.sections``."""
-    shifted, sampled, _ = _solve(read_real("rate_bits_per_sample",
-                                           rate_bits_per_sample))
+    shifted, sampled, _ = _solve(np.float64(read_real(
+        "rate_bits_per_sample", rate_bits_per_sample)))
     return shifted if density.shift else sampled

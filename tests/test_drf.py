@@ -414,6 +414,47 @@ def test_sections_memory_is_a_small_multiple_of_its_result():
     assert peak <= 1.6 * result, peak / result
 
 
+def _owner(array):
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
+
+
+def test_a_sweep_holds_only_the_columns_it_returns():
+    # over R at one sigma2/fs, mmse is one value broadcast, and the water
+    # levels keep alive their own two rows, not the distortions' block
+    rate = np.geomspace(1e-3, 1e2, 200_000)
+    tracemalloc.start()
+    try:
+        b = drf.sweep(1.0, 1.0, rate)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 7 * rate.nbytes + 500_000, held / rate.nbytes
+    levels = _owner(b.theta_opt)
+    assert levels is _owner(b.theta_ce) and levels.nbytes == 2 * rate.nbytes
+    for name, value in vars(b).items():
+        if name not in ("theta_opt", "theta_ce"):
+            assert not np.shares_memory(value, levels), name
+
+
+def test_a_sigma2_sweep_solves_its_one_rate_once(monkeypatch):
+    solve_block, solved = waterfill._solve_block, []
+
+    def counted(rbar, *rows):
+        solved.append(rbar.size)
+        return solve_block(rbar, *rows)
+
+    monkeypatch.setattr(waterfill, "_solve_block", counted)
+    sigma2 = np.linspace(1.0, 2.0, 1000)
+    b = drf.sweep(sigma2, 1.0, 1.0)
+    assert sum(solved) == 1
+    for i in (0, 1, 377, 999):
+        point = bundle(ProcessParams(float(sigma2[i]), 1.0), RateSpec(1.0))
+        for name, value in vars(point).items():
+            assert getattr(b, name)[i] == value, (i, name)
+
+
 @pytest.mark.parametrize("density", [SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER])
 def test_a_scalar_density_is_its_array_entry(density):
     # ``** 2`` calls libm pow on a numpy scalar and multiplies on an array,

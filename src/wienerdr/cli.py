@@ -15,9 +15,11 @@ temporary file and renamed on success, with the mode ``open`` gives under
 the umask; a failing run leaves neither file behind.  The CSV is checked
 and written block by block from the library's columns, never as one table.
 
-``main(argv)`` reads argv in one pass against the flag table of its command,
-``_COMMANDS``, as argparse would read it, and builds no parser: a refused
-argv is one ``error:`` line and exit 2, and ``-h`` prints the table's help.
+``main(argv)`` reads argv against the flag table of its command,
+``_COMMANDS``: the plain form (exact flag names, values that do not start
+with "-") by hand, and any other argv by argparse, built from the same table
+only then.  A refused argv is one ``error:`` line in argparse's words and
+exit 2, and ``-h`` prints the table's help.
 It may be called any number of times in one process; the calls share only
 the pool of Monte-Carlo workers that ``mc`` forks on first need.
 """
@@ -27,7 +29,6 @@ from __future__ import annotations
 import json
 import os
 import platform
-import re
 import sys
 from types import SimpleNamespace
 
@@ -241,77 +242,63 @@ def _usage(command=None) -> str:
         f"  {key:<14}{', '.join(map(str, row))}\n" for key, row in rows.items())
 
 
-def _flag(token: str, names) -> tuple | None:
-    """None where argparse reads ``token`` as a value, else (the flag of
-    ``names`` it names or abbreviates, None if none; the text after "=")."""
-    if token.startswith("--"):
-        prefix, eq, text = token[2:].partition("=")
-        found = [prefix] if prefix in names else [
-            name for name in names if name.startswith(prefix)]
-        if len(found) > 1:
-            raise ValueError(f"ambiguous option: {token} could match --"
-                             + ", --".join(found))
-        if found:
-            return found[0], text if eq else None
-    elif token.startswith("-h"):   # -hh is -h -h
-        return "help", token[2:].lstrip("h") or None
-    if not token.startswith("-") or token == "-" or " " in token \
-            or re.match(r"-\d+$|-\d*\.\d+$", token):   # a negative number
-        return None
-    return None, None
-
-
-def _read(flag: str, kind, text: str):
-    """``text`` as a value of ``flag``: of the type, or a choice, ``kind``."""
-    try:   # tuple.index refuses what is not a choice
-        return kind(text) if isinstance(kind, type) else kind[kind.index(text)]
-    except ValueError:
-        raise ValueError(f"argument {flag}: " + (
-            f"invalid {kind.__name__} value: {text!r}" if isinstance(kind, type)
-            else f"invalid choice: {text!r} (choose from "
-            f"{', '.join(map(repr, kind))})")) from None
-
-
 def _parse(argv: list) -> SimpleNamespace | None:
     """The command of ``argv``, its ``func`` and every flag, defaults included,
-    or None once the help asked for is printed: argparse's reading, whose
-    refusals raise ValueError in its words.  The first value is the command."""
-    command, flags, extras, found, i = None, {}, [], [], 0
-    end = argv.index("--") if "--" in argv else len(argv)   # the rest is unread
-    while i < end:
-        if command is None:   # before the command, -h and --help are the flags
-            found.append(_flag(argv[i], ["help"]))
-        token, (name, text), i = argv[i], found[i] or (None, None), i + 1
-        kind = flags.get(name, (bool,))[0]   # help is a switch
-        if command is None and found[i - 1] is None:
-            command = _read("command", tuple(_COMMANDS), token)
-            func, _, flags = _COMMANDS[command]
-            values = {flag: spec[1] for flag, spec in flags.items()}
-            # an ambiguous flag is refused before any other fault
-            found[i:] = [_flag(later, ["help", *flags]) for later in argv[i:end]]
-        elif name is None:
-            extras.append(token)
-        else:
-            if kind is not bool and text is None and i < end and found[i] is None:
-                text, i = argv[i], i + 1
-            if (kind is bool) != (text is None):
-                flag = "-h/--help" if name == "help" else f"--{name}"
-                raise ValueError(f"argument {flag}: " + (
-                    "expected one argument" if text is None
-                    else f"ignored explicit argument {text!r}"))
-            if name == "help":
-                print(_usage(command), end="")
-                return None
-            values[name] = True if kind is bool else _read(f"--{name}", kind, text)
-    missing = ([f"--{name}" for name, value in values.items() if value is ...]
-               if command else ["command"])
-    if missing:
-        raise ValueError("the following arguments are required: "
-                         + ", ".join(missing))
-    if extras + argv[end:]:
-        raise ValueError("unrecognized arguments: "
-                         + " ".join(extras + argv[end:]))
-    return SimpleNamespace(command=command, func=func, **values)
+    or None once the help asked for is printed.  The plain form (the command,
+    then exact ``--flag`` names, each but a switch followed by a value not
+    starting with "-" that its type or choices take) is read here, and any
+    other argv, one lacking a required flag included, by ``_argparse``."""
+    func, _, flags = _COMMANDS.get(argv[0] if argv else "", (None, None, {}))
+    values = {name: spec[1] for name, spec in flags.items()}
+    tokens = iter(argv[1:])
+    try:   # KeyError: no exact flag; ValueError: no value that it takes
+        for token in tokens:
+            name = token[2:] if token.startswith("--") else ""
+            kind = flags[name][0]
+            if kind is bool:
+                values[name] = True
+                continue
+            text = next(tokens, "-")   # a missing value is for argparse
+            if text.startswith("-"):
+                raise ValueError(text)
+            # tuple.index refuses what is not a choice
+            values[name] = (kind(text) if isinstance(kind, type)
+                            else kind[kind.index(text)])
+    except (KeyError, ValueError):
+        return _argparse(argv)
+    if func is None or ... in values.values():
+        return _argparse(argv)
+    return SimpleNamespace(command=argv[0], func=func, **values)
+
+
+def _argparse(argv: list) -> SimpleNamespace | None:
+    """``_parse``'s result for an argv off the plain form, as argparse reads
+    it against ``_COMMANDS``: its refusals raise ValueError in its words, and
+    its help prints ``_usage``."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise ValueError(message)
+
+        def format_help(self):   # a command's prog is its name, else ""
+            return _usage(self.prog or None)
+
+    parser = Parser(prog="")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command, (func, _, flags) in _COMMANDS.items():
+        sub = commands.add_parser(command, prog=command)
+        sub.set_defaults(func=func)
+        for name, (kind, default, *_) in flags.items():
+            sub.add_argument(f"--{name}", default=default,
+                             required=default is ..., **(
+                                 {"action": "store_true"} if kind is bool
+                                 else {"type": kind} if isinstance(kind, type)
+                                 else {"choices": kind}))
+    try:
+        return SimpleNamespace(**vars(parser.parse_args(argv)))
+    except SystemExit:   # the help was printed
+        return None
 
 
 def main(argv=None) -> int:

@@ -195,12 +195,12 @@ def _seed_pool(seed: int) -> Tuple[int, ...]:
 
 def _hash_steps(hash_const: int, mult: int) -> Tuple[np.ndarray, np.ndarray]:
     """(xor, multiplier) constants of the next _POOL_SIZE hash steps, as
-    uint64 columns: each step xors with the constant, advances it by
+    uint32 columns: each step xors with the constant, advances it by
     ``mult`` and multiplies by the advanced value."""
     consts = [hash_const]
     for _ in range(_POOL_SIZE):
         consts.append((consts[-1] * mult) & _MASK32)
-    column = np.array(consts, dtype=np.uint64)[:, None]
+    column = np.array(consts, dtype=np.uint32)[:, None]
     return column[:-1], column[1:]
 
 
@@ -208,27 +208,24 @@ def _spawn_keys(pool: Tuple[int, ...], trials: range) -> np.ndarray:
     """Philox keys of ``trials`` from the seed's pool, one row per trial.
 
     Mixes each spawn word k into the pool and hashes the pool into four
-    output words, as ``generate_state(2, np.uint64)`` does.  The uint32
-    arithmetic is carried in a (pool word, k) uint64 array and masked after
-    each product, which stays below 2**64.
+    output words, as ``generate_state(2, np.uint64)`` does.  The arithmetic
+    is carried in a (pool word, k) uint32 array, whose products wrap modulo
+    2**32 as SeedSequence's do; only the final join widens to uint64.
     """
-    mask, shift = np.uint64(_MASK32), np.uint64(16)
-    k = np.arange(trials.start, trials.stop, dtype=np.uint64)
+    k = np.arange(trials.start, trials.stop, dtype=np.uint32)
     xor, mul = _hash_steps(_SEEDED_HASH, _MULT_A)
     h = (k ^ xor) * mul
-    h &= mask
-    h ^= h >> shift
+    h ^= h >> 16
     scaled_pool = [(_MIX_MULT_L * word) & _MASK32 for word in pool]
-    words = np.array(scaled_pool, dtype=np.uint64)[:, None] \
-        - np.uint64(_MIX_MULT_R) * h
-    words &= mask
-    words ^= words >> shift
+    words = np.array(scaled_pool, dtype=np.uint32)[:, None] \
+        - np.uint32(_MIX_MULT_R) * h
+    words ^= words >> 16
     xor, mul = _hash_steps(_INIT_B, _MULT_B)
     words ^= xor
     words *= mul
-    words &= mask
-    words ^= words >> shift
-    return (words[0::2] | (words[1::2] << np.uint64(32))).T
+    words ^= words >> 16
+    wide = words.astype(np.uint64)
+    return (wide[0::2] | (wide[1::2] << 32)).T
 
 
 class _TrialStreams:

@@ -249,11 +249,17 @@ def rate_at_theta(density: SpectralDensity, theta):
 
     Finite for every theta > 0 (the log divergence at phi -> 0 is
     integrable) and strictly positive, since both densities are unbounded
-    near 0.
+    near 0.  It walks theta in blocks of ``_BLOCK`` entries, as ``_solve``
+    walks rbar, so its temporaries are bounded by one block.
     """
     theta = check_positive("theta", theta, array=True)
-    return _two_ln2_rate(theta, *SpectralDensity._cot_crossing(
-        theta, density.floor), density.shift) / (2.0 * _LN2)
+    flat, rate = theta.reshape(-1), np.empty(theta.size)
+    for first in range(0, flat.size, _BLOCK):
+        block = flat[first:first + _BLOCK]
+        rate[first:first + _BLOCK] = _two_ln2_rate(
+            block, *SpectralDensity._cot_crossing(block, density.floor),
+            density.shift) / (2.0 * _LN2)
+    return rate.reshape(theta.shape)[()]
 
 
 def solve_theta_for_rate(density: SpectralDensity,

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -640,6 +641,20 @@ def argparse_outcome(argv):
                "--rate=-1", "--sig", "1e400", "--fs", "nan", "--min", "-.5",
                "--points", "1_000", "--out", "o.csv"])
 @example(argv=["ratio", *sum(REQUIRED["ratio"], []), "--out", "-o 1.csv"])
+# the edges of the plain form: the first four and the repeat are on it
+@example(argv=["ratio", *sum(REQUIRED["ratio"], []), "--out", ""])
+@example(argv=["curve", *sum(REQUIRED["curve"], []), "--points", " 3",
+               "--out", "o.csv"])
+@example(argv=["curve", *sum(REQUIRED["curve"], []), "--points", "1_000",
+               "--out", "o.csv"])
+@example(argv=["eigen", "--kind", "x", "--n", "3", "--out", "o.csv"])
+@example(argv=["curve", *sum(REQUIRED["curve"], []), "--log", "1", "--out",
+               "o.csv"])
+@example(argv=["curve", *sum(REQUIRED["curve"], []), "--min", "0.5",
+               "--out", "o.csv", "--out", "p.csv"])
+@example(argv=["curve", "--rate", "-1", *sum(REQUIRED["curve"], []), "--out",
+               "o.csv"])
+@example(argv=[])
 @settings(max_examples=400, deadline=None)
 def test_argv_is_read_as_argparse_reads_it(argv):
     """Where argparse accepts an argv, ``_parse`` gives the same flags (a nan
@@ -671,6 +686,40 @@ def test_argv_is_read_as_argparse_reads_it(argv):
         assert err.getvalue().startswith("error: ")
     else:
         assert out.getvalue().startswith("usage: wienerdr")
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+@pytest.mark.parametrize("refused", [[], ["--bogus"]])
+def test_help_prints_every_flag_of_the_command(capsys, command, refused):
+    """``-h`` on a command, alone or after a token that argparse refuses,
+    prints the command's ``_usage``, with a row for each of its flags."""
+    assert main([command, *refused, "-h"]) == 0
+    out = capsys.readouterr().out
+    assert out == cli._usage(command)
+    rows = [line.split()[0] for line in out.splitlines()[1:]]
+    assert rows == [f"--{name}" for name in cli._COMMANDS[command][2]]
+
+
+def test_benchmark_ops_are_read_in_the_plain_form(monkeypatch):
+    """The first op of each of the benchmark's workloads, and the ops of
+    seeds 1-8 x cycles 0-19, each with its ``--out``, are read by ``_parse``
+    alone: none builds an argparse parser.  ``bench/workloads.py`` is only
+    read."""
+    workloads = runpy.run_path(os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        "bench", "workloads.py"))
+
+    def refuse(argv):
+        raise AssertionError(f"{argv} was read by argparse")
+
+    monkeypatch.setattr(cli, "_argparse", refuse)
+    for workload in workloads["WORKLOADS"]:
+        ops = [workloads["first_op"](workload)] + [
+            op for seed in range(1, 9) for c in range(20)
+            for op in workloads["cycle"](workload, seed, c)]
+        for op in ops:
+            args = cli._parse(op["argv"] + ["--out", "o.csv"])
+            assert (args.command, args.out) == (op["argv"][0], "o.csv")
 
 
 GRID = ["--min", "0.5", "--max", "2", "--points", "3"]

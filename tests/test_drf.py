@@ -414,6 +414,21 @@ def test_sections_memory_is_a_small_multiple_of_its_result():
     assert peak <= 1.6 * result, peak / result
 
 
+@pytest.mark.parametrize("density", [SAMPLED_WIENER, SHIFTED_SAMPLED_WIENER])
+def test_rate_at_theta_memory_is_its_result_and_one_block(density):
+    # the rate walks theta in blocks, so past the result its temporaries are
+    # a few arrays of one block by the 24 nodes, whatever the length
+    theta = np.geomspace(1e-3, 1e3, 200_000)
+    tracemalloc.start()
+    try:
+        rate = waterfill.rate_at_theta(density, theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block_nodes = waterfill._BLOCK * 24 * 8
+    assert peak <= rate.nbytes + 6 * block_nodes, (peak, rate.nbytes)
+
+
 def _owner(array):
     while isinstance(array.base, np.ndarray):
         array = array.base
